@@ -17,19 +17,30 @@
 //
 // Additionally every wide kernel must be width-invariant: lane v of a
 // width-k sweep reproduces the width-1 sweep bit for bit.
+//
+// The serving layer adds the wire codec as one more axis of the bitwise
+// contract: a Mul answers the same bits in-process, over the JSON tier
+// and over binary frames, for local and for HTTP-sharded matrices.
 package spmv_test
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"sort"
+	"sync"
 	"testing"
+	"time"
 
 	spmv "repro"
 	"repro/internal/kernel"
 	"repro/internal/matrix"
 	"repro/internal/matrix/delta"
+	"repro/internal/server"
 	"repro/internal/solve"
 )
 
@@ -812,6 +823,147 @@ func TestDifferentialOverlayBatchSplits(t *testing.T) {
 		lanes := overlayLanes(t, mo, ov, rows, xs)
 		for v := range lanes {
 			checkBitwise(t, fmt.Sprintf("chunk=%d/lane%d", chunk, v), lanes[v], refLanes[v])
+		}
+	}
+}
+
+// ---- wire codec ----
+
+// jsonMul is a Mul through the JSON compatibility tier, the way curl
+// speaks it.
+func jsonMul(base, id string, x []float64) ([]float64, error) {
+	body, err := json.Marshal(map[string]any{"x": x})
+	if err != nil {
+		return nil, err
+	}
+	resp, err := http.Post(base+"/v1/matrices/"+id+"/mul", "application/json", bytes.NewReader(body))
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return nil, fmt.Errorf("json mul: status %d", resp.StatusCode)
+	}
+	var out struct {
+		Y []float64 `json:"y"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&out)
+	return out.Y, err
+}
+
+// mulLanes fires one Mul per lane concurrently, so a server with
+// MaxBatch > 1 fuses them into one sweep.
+func mulLanes(t *testing.T, xs [][]float64, mul func(x []float64) ([]float64, error)) [][]float64 {
+	t.Helper()
+	ys := make([][]float64, len(xs))
+	errs := make([]error, len(xs))
+	var wg sync.WaitGroup
+	for v := range xs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ys[v], errs[v] = mul(xs[v])
+		}()
+	}
+	wg.Wait()
+	for v, err := range errs {
+		if err != nil {
+			t.Fatalf("lane %d: %v", v, err)
+		}
+	}
+	return ys
+}
+
+// TestDifferentialCodecParity makes the wire codec an axis of the bitwise
+// contract: for a local matrix, a patched (live overlay) matrix and a
+// K = 2 matrix sharded over HTTPTransport members, y from the JSON tier,
+// from binary frames (HTTPClient) and from in-process Server.MulOpts are
+// bit-identical — to each other, across pool threads 1/2 and batch widths
+// 1/4, and (unpatched) to the naive reference.
+func TestDifferentialCodecParity(t *testing.T) {
+	coo := duplicateCOO(t, 140, 23)
+	m := cooToMatrix(t, coo)
+	_, cols := m.Dims()
+	xs := laneVectors(cols, 4, 4242)
+	patch := []server.Delta{
+		{Op: "set", Row: 3, Col: 5, Val: 1.25},
+		{Op: "add", Row: 3, Col: 5, Val: -0.5},
+		{Op: "add", Row: 77, Col: 0, Val: 3e-3},
+		{Op: "set", Row: 139, Col: 139, Val: -7},
+		{Op: "del", Row: 3, Col: 5},
+		{Op: "set", Row: 3, Col: 6, Val: 2.5},
+	}
+	want := make([][]float64, len(xs))
+	for v := range xs {
+		want[v], _ = refMul(coo, xs[v])
+	}
+	var wantPatched [][]float64 // the first configuration's bits anchor the rest
+
+	for _, threads := range []int{1, 2} {
+		for _, width := range []int{1, 4} {
+			cfg := server.DefaultConfig()
+			cfg.Threads, cfg.Workers = threads, threads
+			cfg.MaxBatch = width
+			cfg.Adaptive = false // always linger, so the four lanes fuse when width allows
+			cfg.BatchWindow = 20 * time.Millisecond
+			cfg.RecompactThreshold = -1 // keep the overlay live
+
+			transports := make([]server.Transport, 2)
+			for i := range transports {
+				ms := server.New(cfg)
+				mts := httptest.NewServer(ms.Handler())
+				t.Cleanup(func() { mts.Close(); ms.Close() })
+				transports[i] = server.NewHTTPTransport(mts.URL, nil)
+			}
+			cluster, err := server.NewCluster(transports, server.ClusterConfig{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := server.New(cfg)
+			s.AttachCluster(cluster)
+			ts := httptest.NewServer(s.Handler())
+			t.Cleanup(func() { ts.Close(); s.Close() })
+			hc := server.NewHTTPClient(ts.URL, nil)
+
+			if _, err := s.Register("plain", "plain", m); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.Register("patched", "patched", m); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.Patch("patched", patch); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := cluster.RegisterSharded("sharded", "sharded", m, 2); err != nil {
+				t.Fatal(err)
+			}
+
+			for _, id := range []string{"plain", "patched", "sharded"} {
+				codecs := map[string]func(x []float64) ([]float64, error){
+					"inproc": func(x []float64) ([]float64, error) { return s.MulOpts(id, x, server.MulOptions{}) },
+					"json":   func(x []float64) ([]float64, error) { return jsonMul(ts.URL, id, x) },
+					"frames": func(x []float64) ([]float64, error) { return hc.MulOpts(id, x, server.MulOptions{}) },
+				}
+				for codec, mul := range codecs {
+					got := mulLanes(t, xs, mul)
+					ref := want
+					if id == "patched" {
+						if wantPatched == nil {
+							wantPatched = got
+						}
+						ref = wantPatched
+					}
+					for v := range got {
+						checkBitwise(t, fmt.Sprintf("%s/%s/threads=%d/width=%d/lane%d", id, codec, threads, width, v),
+							got[v], ref[v])
+					}
+				}
+			}
+			if width > 1 {
+				if st := s.Stats(); st.FusedSweeps == 0 {
+					t.Errorf("threads=%d width=%d: no sweep fused, the width axis was not exercised", threads, width)
+				}
+			}
 		}
 	}
 }

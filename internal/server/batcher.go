@@ -16,7 +16,9 @@ type mulResult struct {
 // traced are the observability layer's per-request state (zero when the
 // layer is off): enq anchors the queue-wait span and the per-matrix
 // latency histogram, traced marks the requests the sampler picked for a
-// full span trace. acct/cost/deadline are the scheduling layer's state:
+// full span trace, sent is when the sweep's results were ready (stamped by
+// executeBatch before it delivers on ch, so the requester reads it after
+// the receive). acct/cost/deadline are the scheduling layer's state:
 // the tenant ledger holding the request's queued bytes (nil when
 // admission is off), the modeled byte cost it was admitted at, and the
 // absolute instant after which it must fail instead of execute (zero
@@ -26,6 +28,7 @@ type pending struct {
 	ch       chan mulResult
 	enq      time.Time
 	traced   bool
+	sent     time.Time
 	acct     *tenantAccount
 	cost     int64
 	deadline time.Time

@@ -11,11 +11,14 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/url"
 	"strconv"
 	"strings"
 	"time"
+
+	spmv "repro"
 )
 
 // API is the versioned request surface of the serving subsystem: the
@@ -91,6 +94,9 @@ var sentinelByCode = map[string]error{
 	"deadline_exceeded":  ErrDeadlineExceeded,
 	"method_not_allowed": ErrMethodNotAllowed,
 	"sharded_immutable":  ErrShardedImmutable,
+
+	"invalid_argument":       ErrInvalidArgument,
+	"unsupported_media_type": ErrUnsupportedMediaType,
 }
 
 // apiError rebuilds a typed error from one error-envelope response.
@@ -127,35 +133,50 @@ func (hc *HTTPClient) apiError(r *http.Response) error {
 // do runs one JSON round trip: method+path with an optional request
 // body, decoding the response into resp when the status is 2xx.
 func (hc *HTTPClient) do(method, path string, req, resp any) error {
-	var body *bytes.Reader
+	var body []byte
+	contentType := ""
 	if req != nil {
-		b, err := json.Marshal(req)
-		if err != nil {
+		var err error
+		if body, err = json.Marshal(req); err != nil {
 			return err
 		}
-		body = bytes.NewReader(b)
-	} else {
-		body = bytes.NewReader(nil)
+		contentType = mediaJSON
 	}
-	httpReq, err := http.NewRequest(method, hc.base+path, body)
+	r, err := hc.send(method, path, contentType, "", body)
 	if err != nil {
 		return err
 	}
-	if req != nil {
-		httpReq.Header.Set("Content-Type", "application/json")
-	}
-	r, err := hc.c.Do(httpReq)
-	if err != nil {
-		return fmt.Errorf("server %s: %w", hc.base, err)
-	}
 	defer r.Body.Close()
-	if r.StatusCode >= 300 {
-		return hc.apiError(r)
-	}
 	if resp == nil {
 		return nil
 	}
 	return json.NewDecoder(r.Body).Decode(resp)
+}
+
+// send is the one wire round trip under every method of the client: it
+// posts body under contentType (either may be empty), asks for accept when
+// non-empty, and turns every non-2xx answer into the typed error its
+// envelope names. The caller closes the returned response's body.
+func (hc *HTTPClient) send(method, path, contentType, accept string, body []byte) (*http.Response, error) {
+	httpReq, err := http.NewRequest(method, hc.base+path, bytes.NewReader(body))
+	if err != nil {
+		return nil, err
+	}
+	if contentType != "" {
+		httpReq.Header.Set("Content-Type", contentType)
+	}
+	if accept != "" {
+		httpReq.Header.Set("Accept", accept)
+	}
+	r, err := hc.c.Do(httpReq)
+	if err != nil {
+		return nil, fmt.Errorf("server %s: %w", hc.base, err)
+	}
+	if r.StatusCode >= 300 {
+		defer r.Body.Close()
+		return nil, hc.apiError(r)
+	}
+	return r, nil
 }
 
 // RegisterSuite registers a generated suite twin on the remote server.
@@ -166,21 +187,57 @@ func (hc *HTTPClient) RegisterSuite(id, suite string, scale float64, seed int64)
 	return info, err
 }
 
-// MulOpts computes y = A·x on the remote server under the request
-// options (tenant admission, SLO class, deadline).
-func (hc *HTTPClient) MulOpts(id string, x []float64, opts MulOptions) ([]float64, error) {
-	req := mulRequest{
-		X:          x,
-		Tenant:     opts.Tenant,
-		Class:      opts.Class,
-		DeadlineMS: int64(opts.Deadline / time.Millisecond),
-		Affinity:   opts.Affinity,
+// registerBand ships m as one band frame and registers it remotely,
+// pinned to general storage (see Transport.Register).
+func (hc *HTTPClient) registerBand(id, name string, m *spmv.Matrix) (MatrixInfo, error) {
+	q := url.Values{"id": {id}, "name": {name}}
+	r, err := hc.send(http.MethodPost, "/v1/matrices?"+q.Encode(), mediaBand, "", encodeBand(m))
+	if err != nil {
+		return MatrixInfo{}, err
 	}
-	var resp mulResponse
-	if err := hc.do(http.MethodPost, "/v1/matrices/"+url.PathEscape(id)+"/mul", req, &resp); err != nil {
+	defer r.Body.Close()
+	var info MatrixInfo
+	err = json.NewDecoder(r.Body).Decode(&info)
+	return info, err
+}
+
+// MulOpts computes y = A·x on the remote server under the request
+// options (tenant admission, SLO class, deadline). x and y cross the wire
+// as raw little-endian float64 frames — 8 bytes an element, bit-exact,
+// including values JSON cannot carry — and the options as query
+// parameters.
+func (hc *HTTPClient) MulOpts(id string, x []float64, opts MulOptions) ([]float64, error) {
+	q := url.Values{}
+	if opts.Tenant != "" {
+		q.Set("tenant", opts.Tenant)
+	}
+	if opts.Class != "" {
+		q.Set("class", opts.Class)
+	}
+	if ms := int64(opts.Deadline / time.Millisecond); ms != 0 {
+		q.Set("deadline_ms", strconv.FormatInt(ms, 10))
+	}
+	if opts.Affinity != "" {
+		q.Set("affinity", opts.Affinity)
+	}
+	path := "/v1/matrices/" + url.PathEscape(id) + "/mul"
+	if len(q) > 0 {
+		path += "?" + q.Encode()
+	}
+	r, err := hc.send(http.MethodPost, path, mediaF64LE, mediaF64LE, appendF64LE(make([]byte, 0, 8*len(x)), x))
+	if err != nil {
 		return nil, err
 	}
-	return resp.Y, nil
+	defer r.Body.Close()
+	if codecOf(r.Header.Get("Content-Type")) != codecF64LE || r.ContentLength < 0 || r.ContentLength%8 != 0 {
+		return nil, fmt.Errorf("server %s: mul answered %q with Content-Length %d, want a %s frame",
+			hc.base, r.Header.Get("Content-Type"), r.ContentLength, mediaF64LE)
+	}
+	frame := make([]byte, r.ContentLength)
+	if _, err := io.ReadFull(r.Body, frame); err != nil {
+		return nil, fmt.Errorf("server %s: reading the %d-byte result frame: %w", hc.base, len(frame), err)
+	}
+	return decodeF64LE(frame), nil
 }
 
 // Mul computes y = A·x with zero options.

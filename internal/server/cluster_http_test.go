@@ -17,8 +17,8 @@ import (
 // TestClusterHTTPEndToEnd runs a full sharded topology over real HTTP:
 // member spmv-serve nodes behind httptest servers, an HTTPTransport per
 // member, and a front server with the coordinator attached. Results must
-// match in-process single-node serving bit for bit (the MatrixMarket wire
-// format writes %.17g, so floats survive the hop).
+// match in-process single-node serving bit for bit (bands and vectors
+// cross the member hop as raw float64 frames).
 func TestClusterHTTPEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spins four HTTP servers")

@@ -4,9 +4,9 @@ import "errors"
 
 // Sentinel errors classifying serving failures. The HTTP layer maps them
 // to status codes with errors.Is — not substring matching — so wrapped
-// causes keep their classification across layers, and HTTPTransport
-// restores them from member status codes so the classification survives
-// the wire too.
+// causes keep their classification across layers, and HTTPClient restores
+// them from the error envelope's code so the classification survives the
+// wire too.
 var (
 	// ErrUnknownMatrix: the requested matrix id is not registered (404).
 	ErrUnknownMatrix = errors.New("server: unknown matrix")
@@ -40,4 +40,10 @@ var (
 	// registrations are immutable — PATCH is only served by local entries
 	// (409).
 	ErrShardedImmutable = errors.New("server: sharded matrices are immutable")
+	// ErrInvalidArgument: the request is well-formed but a value in it is
+	// not one the server will compute on — a NaN or ±Inf in x (400).
+	ErrInvalidArgument = errors.New("server: invalid argument")
+	// ErrUnsupportedMediaType: the request body's Content-Type is not a
+	// codec the endpoint speaks (415).
+	ErrUnsupportedMediaType = errors.New("server: unsupported media type")
 )

@@ -1,7 +1,10 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
+	"math"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -147,17 +150,7 @@ func FuzzMulJSON(f *testing.F) {
 		cfg.MaxBodyBytes = 1 << 16
 		s := New(cfg)
 		defer s.Close()
-		m := spmv.NewMatrix(4, 4)
-		for i := 0; i < 4; i++ {
-			_ = m.Set(i, i, 2)
-			if i > 0 {
-				_ = m.Set(i, i-1, -1)
-				_ = m.Set(i-1, i, -1)
-			}
-		}
-		if _, err := s.Register("a", "tiny", m); err != nil {
-			t.Fatal(err)
-		}
+		registerTridiag(t, s)
 
 		req := httptest.NewRequest("POST", "/v1/matrices/a/mul", strings.NewReader(body))
 		rec := httptest.NewRecorder()
@@ -203,17 +196,7 @@ func TestMulFuzzSeedsStatuses(t *testing.T) {
 	cfg.Workers = 1
 	s := New(cfg)
 	defer s.Close()
-	m := spmv.NewMatrix(4, 4)
-	for i := 0; i < 4; i++ {
-		_ = m.Set(i, i, 2)
-		if i > 0 {
-			_ = m.Set(i, i-1, -1)
-			_ = m.Set(i-1, i, -1)
-		}
-	}
-	if _, err := s.Register("a", "tiny", m); err != nil {
-		t.Fatal(err)
-	}
+	registerTridiag(t, s)
 	for _, tc := range cases {
 		req := httptest.NewRequest("POST", "/v1/matrices/a/mul", strings.NewReader(tc.body))
 		rec := httptest.NewRecorder()
@@ -222,6 +205,134 @@ func TestMulFuzzSeedsStatuses(t *testing.T) {
 			t.Errorf("body %q: status %d, want %d (%s)", tc.body, rec.Code, tc.want, rec.Body.String())
 		}
 	}
+}
+
+// FuzzMulFrame exercises the binary tier of POST /v1/matrices/{id}/mul:
+// an arbitrary body declared with an arbitrary Content-Length under an
+// arbitrary query string. The handler must never panic, and must answer
+// either a complete frame — exactly 8·rows bytes holding the in-process
+// bits for the x the body decodes to — or an enveloped JSON error: never
+// a partial vector. Seeds are TestMulFrameMalformed's table.
+func FuzzMulFrame(f *testing.F) {
+	good := appendF64LE(nil, []float64{1, 2, 3, 4})
+	f.Add(good, "", 0)
+	f.Add(good, "tenant=acme&class=latency&deadline_ms=5000&affinity=k", 0)
+	f.Add(good[:24], "", 8)                      // short body
+	f.Add(append(good[:32:32], 1, 2, 3), "", -3) // long body
+	f.Add(good[:29], "", 0)                      // not a multiple of 8
+	f.Add(good[:24], "", 0)                      // != 8*cols
+	f.Add([]byte{}, "", 0)
+	f.Add(good, "", -33) // no Content-Length
+	f.Add(good, "tennant=acme", 0)
+	f.Add(good, "tenant=%zz", 0)
+	f.Add(good, "deadline_ms=-1", 0)
+	f.Add(good, "deadline_ms=soon", 0)
+	f.Add(good, "class=interactive", 0)
+	f.Add(appendF64LE(nil, []float64{1, math.NaN(), 3, 4}), "", 0)
+	f.Add(appendF64LE(nil, []float64{1, 2, math.Inf(-1), 4}), "", 0)
+	f.Add(appendF64LE(nil, []float64{1e308, 1e308, 1e308, -1e308}), "", 0) // y overflows; frames carry it
+	f.Add(make([]byte, 1<<17), "", 0)                                      // over MaxBodyBytes
+
+	f.Fuzz(func(t *testing.T, body []byte, query string, lenDelta int) {
+		cfg := DefaultConfig()
+		cfg.Threads = 1
+		cfg.Workers = 1
+		cfg.MaxBatch = 1
+		cfg.MaxBodyBytes = 1 << 16
+		s := New(cfg)
+		defer s.Close()
+		registerTridiag(t, s)
+
+		req, err := http.NewRequest("POST", "/v1/matrices/a/mul?"+query, bytes.NewReader(body))
+		if err != nil {
+			t.Skip("query does not form a URL")
+		}
+		req.Header.Set("Content-Type", mediaF64LE)
+		req.ContentLength = max(int64(len(body))+int64(lenDelta), -1)
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, req)
+
+		if rec.Code == 200 {
+			if req.ContentLength != 32 || len(body) != 32 {
+				t.Fatalf("200 for a %d-byte body declared %d, want both 32", len(body), req.ContentLength)
+			}
+			want, err := s.MulOpts("a", decodeF64LE(body), MulOptions{})
+			if err != nil {
+				t.Fatalf("HTTP served what in-process refuses: %v", err)
+			}
+			if ct := rec.Header().Get("Content-Type"); ct != mediaF64LE || !bytes.Equal(rec.Body.Bytes(), appendF64LE(nil, want)) {
+				t.Fatalf("200 answered %q %x, want the frame %x", ct, rec.Body.Bytes(), appendF64LE(nil, want))
+			}
+			return
+		}
+		var e errorResponse
+		if rec.Code < 400 || rec.Code > 599 || json.Unmarshal(rec.Body.Bytes(), &e) != nil || e.Error.Code == "" {
+			t.Fatalf("status %d body %q: want a frame or an error envelope", rec.Code, rec.Body.String())
+		}
+	})
+}
+
+// FuzzBandFrame exercises band-frame registration (what HTTPTransport
+// sends a member) against arbitrary bytes: never a panic; a 201 only for
+// a frame decodeBand accepts, registered with the frame's own dimensions
+// and immediately servable; otherwise an enveloped error and nothing
+// registered. Seeds are TestBandFrameCorruptRejected's corrupt frames
+// plus valid ones.
+func FuzzBandFrame(f *testing.F) {
+	for _, frame := range corruptBands() {
+		f.Add(frame)
+	}
+	m := spmv.NewMatrix(2, 3)
+	_ = m.Set(0, 0, 2)
+	_ = m.Set(0, 2, 1)
+	_ = m.Set(1, 1, 3)
+	f.Add(encodeBand(m))
+	dup := spmv.NewMatrix(3, 3)
+	_ = dup.Set(2, 1, 0.1)
+	_ = dup.Set(0, 0, 1)
+	_ = dup.Set(2, 1, 0.2)
+	f.Add(encodeBand(dup))
+
+	f.Fuzz(func(t *testing.T, frame []byte) {
+		cfg := DefaultConfig()
+		cfg.Threads = 1
+		cfg.Workers = 1
+		cfg.MaxBatch = 1
+		cfg.MaxBodyBytes = 1 << 16
+		s := New(cfg)
+		defer s.Close()
+
+		req := httptest.NewRequest("POST", "/v1/matrices?id=b&name=fuzz", bytes.NewReader(frame))
+		req.Header.Set("Content-Type", mediaBand)
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, req)
+
+		if rec.Code == 201 {
+			dec, err := decodeBand(frame)
+			if err != nil {
+				t.Fatalf("201 for a frame decodeBand rejects: %v", err)
+			}
+			var info MatrixInfo
+			if err := json.Unmarshal(rec.Body.Bytes(), &info); err != nil {
+				t.Fatal(err)
+			}
+			rows, cols := dec.Dims()
+			if info.ID != "b" || info.Rows != rows || info.Cols != cols || info.Symmetric {
+				t.Fatalf("registered as %+v, frame says %dx%d general", info, rows, cols)
+			}
+			if y, err := s.MulOpts("b", make([]float64, cols), MulOptions{}); err != nil || len(y) != rows {
+				t.Fatalf("registered band does not serve: %d rows, %v", len(y), err)
+			}
+			return
+		}
+		var e errorResponse
+		if rec.Code < 400 || rec.Code > 599 || json.Unmarshal(rec.Body.Bytes(), &e) != nil || e.Error.Code == "" {
+			t.Fatalf("status %d body %q: want 201 or an error envelope", rec.Code, rec.Body.String())
+		}
+		if n := len(s.Registry().List()); n != 0 {
+			t.Fatalf("a rejected frame left %d matrices registered", n)
+		}
+	})
 }
 
 // FuzzSolveJSON exercises the POST /v1/matrices/{id}/solve payload path —
@@ -267,17 +378,7 @@ func FuzzSolveJSON(f *testing.F) {
 		cfg.MaxBodyBytes = 1 << 16
 		s := New(cfg)
 		defer s.Close()
-		m := spmv.NewMatrix(4, 4)
-		for i := 0; i < 4; i++ {
-			_ = m.Set(i, i, 2)
-			if i > 0 {
-				_ = m.Set(i, i-1, -1)
-				_ = m.Set(i-1, i, -1)
-			}
-		}
-		if _, err := s.Register("a", "tiny", m); err != nil {
-			t.Fatal(err)
-		}
+		registerTridiag(t, s)
 		h := s.Handler()
 
 		req := httptest.NewRequest("POST", "/v1/matrices/a/solve", strings.NewReader(body))
@@ -365,17 +466,7 @@ func FuzzPatchJSON(f *testing.F) {
 		cfg.RecompactThreshold = -1 // keep execs deterministic: no background fold
 		s := New(cfg)
 		defer s.Close()
-		m := spmv.NewMatrix(4, 4)
-		for i := 0; i < 4; i++ {
-			_ = m.Set(i, i, 2)
-			if i > 0 {
-				_ = m.Set(i, i-1, -1)
-				_ = m.Set(i-1, i, -1)
-			}
-		}
-		if _, err := s.Register("a", "tiny", m); err != nil {
-			t.Fatal(err)
-		}
+		registerTridiag(t, s)
 		h := s.Handler()
 
 		req := httptest.NewRequest("PATCH", "/v1/matrices/a", strings.NewReader(body))
@@ -430,17 +521,7 @@ func TestPatchFuzzSeedsStatuses(t *testing.T) {
 	cfg.RecompactThreshold = -1
 	s := New(cfg)
 	defer s.Close()
-	m := spmv.NewMatrix(4, 4)
-	for i := 0; i < 4; i++ {
-		_ = m.Set(i, i, 2)
-		if i > 0 {
-			_ = m.Set(i, i-1, -1)
-			_ = m.Set(i-1, i, -1)
-		}
-	}
-	if _, err := s.Register("a", "tiny", m); err != nil {
-		t.Fatal(err)
-	}
+	registerTridiag(t, s)
 	for _, tc := range cases {
 		req := httptest.NewRequest("PATCH", "/v1/matrices/a", strings.NewReader(tc.body))
 		rec := httptest.NewRecorder()

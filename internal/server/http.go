@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+	"net/url"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -110,6 +112,10 @@ func errorCode(status int, err error) string {
 		return "method_not_allowed"
 	case errors.Is(err, ErrShardedImmutable):
 		return "sharded_immutable"
+	case errors.Is(err, ErrInvalidArgument):
+		return "invalid_argument"
+	case errors.Is(err, ErrUnsupportedMediaType):
+		return "unsupported_media_type"
 	}
 	switch status {
 	case http.StatusNotFound:
@@ -126,6 +132,8 @@ func errorCode(status int, err error) string {
 		return "bad_gateway"
 	case http.StatusGatewayTimeout:
 		return "gateway_timeout"
+	case http.StatusInternalServerError:
+		return "internal"
 	default:
 		return "bad_request"
 	}
@@ -147,11 +155,11 @@ func setRetryAfter(w http.ResponseWriter, err error) {
 
 // Handler returns the HTTP API of the serving subsystem:
 //
-//	POST /v1/matrices             register a matrix (suite | entries | matrix_market; optional shards)
+//	POST /v1/matrices             register a matrix (suite | entries | matrix_market; optional shards), or a band frame
 //	GET  /v1/matrices             list registered matrices (local and sharded)
 //	PATCH /v1/matrices/{id}       apply a batch of COO deltas (set | add | del)
 //	DELETE /v1/matrices/{id}      tear a matrix down (drains its solver sessions)
-//	POST /v1/matrices/{id}/mul    compute y = A·x (coalesced with concurrent calls)
+//	POST /v1/matrices/{id}/mul    compute y = A·x (coalesced with concurrent calls); JSON or binary vector frames
 //	GET  /v1/matrices/{id}/tuning online re-tuner state: generation, drift, decision log
 //	POST /v1/matrices/{id}/solve  start a server-resident solver session (cg | power)
 //	GET  /v1/solve                list resident solver sessions
@@ -210,10 +218,29 @@ func (s *Server) routes() []route {
 	}
 }
 
+// writeJSON marshals before it commits the status line: a value JSON
+// cannot carry (a y that overflowed to ±Inf) becomes an enveloped 500
+// instead of a 200 with an empty body. The bytes are json.Encoder's — the
+// document plus a newline — so JSON clients see what they always saw.
 func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	b, err := json.Marshal(v)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError,
+			fmt.Errorf("response is not representable as JSON: %w (vectors can be requested as %s)", err, mediaF64LE))
+		return
+	}
+	w.Header().Set("Content-Type", mediaJSON)
 	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
+	_, _ = w.Write(append(b, '\n')) // a failed write means the client left; nobody to tell
+}
+
+// writeFrame answers with v as one vector frame.
+func writeFrame(w http.ResponseWriter, v []float64) {
+	b := appendF64LE(make([]byte, 0, 8*len(v)), v)
+	w.Header().Set("Content-Type", mediaF64LE)
+	w.Header().Set("Content-Length", strconv.Itoa(len(b)))
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(b) // as in writeJSON
 }
 
 func writeError(w http.ResponseWriter, code int, err error) {
@@ -313,7 +340,69 @@ func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool 
 	return true
 }
 
+// queryParams parses the request's query string, rejecting malformed
+// pairs and any key outside allowed — the query-string twin of
+// decodeBody's DisallowUnknownFields, for requests whose body is a frame.
+func queryParams(r *http.Request, allowed ...string) (url.Values, error) {
+	q, err := url.ParseQuery(r.URL.RawQuery)
+	if err != nil {
+		return nil, fmt.Errorf("bad request query: %w", err)
+	}
+	for key := range q {
+		if !slices.Contains(allowed, key) {
+			return nil, fmt.Errorf("bad request query: unknown parameter %q", key)
+		}
+	}
+	return q, nil
+}
+
+// writeRegisterError maps a registration failure to its status.
+func writeRegisterError(w http.ResponseWriter, err error) {
+	code := http.StatusBadRequest
+	switch {
+	case errors.Is(err, ErrAlreadyRegistered):
+		code = http.StatusConflict
+	case errors.Is(err, ErrMemberFault):
+		// A member or transport fault during sharded registration is
+		// the fleet's failure, not the client's request.
+		code = http.StatusBadGateway
+	}
+	writeError(w, code, err)
+}
+
+// handleRegisterBand is POST /v1/matrices with a band-frame body: what a
+// coordinator's HTTPTransport sends a member. The id and name ride in the
+// query string; storage is pinned general (see Transport.Register).
+func (s *Server) handleRegisterBand(w http.ResponseWriter, r *http.Request) {
+	q, err := queryParams(r, "id", "name")
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
+	}
+	frame, status, err := s.readFrame(r)
+	if err != nil {
+		writeError(w, status, err)
+		return
+	}
+	m, err := decodeBand(frame)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+		return
+	}
+	general := false
+	info, err := s.RegisterOpts(q.Get("id"), q.Get("name"), m, RegisterOptions{Symmetric: &general})
+	if err != nil {
+		writeRegisterError(w, err)
+		return
+	}
+	writeJSON(w, http.StatusCreated, info)
+}
+
 func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
+	if codecOf(r.Header.Get("Content-Type")) == codecBand {
+		s.handleRegisterBand(w, r)
+		return
+	}
 	var req registerRequest
 	if !s.decodeBody(w, r, &req) {
 		return
@@ -322,18 +411,6 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
-	}
-	fail := func(err error) {
-		code := http.StatusBadRequest
-		switch {
-		case errors.Is(err, ErrAlreadyRegistered):
-			code = http.StatusConflict
-		case errors.Is(err, ErrMemberFault):
-			// A member or transport fault during sharded registration is
-			// the fleet's failure, not the client's request.
-			code = http.StatusBadGateway
-		}
-		writeError(w, code, err)
 	}
 	if req.Shards >= 2 {
 		if s.cluster == nil {
@@ -348,7 +425,7 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 		}
 		info, err := s.cluster.RegisterSharded(req.ID, name, m, req.Shards)
 		if err != nil {
-			fail(err)
+			writeRegisterError(w, err)
 			return
 		}
 		writeJSON(w, http.StatusCreated, info)
@@ -356,7 +433,7 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	}
 	info, err := s.RegisterOpts(req.ID, name, m, RegisterOptions{Symmetric: req.Symmetric})
 	if err != nil {
-		fail(err)
+		writeRegisterError(w, err)
 		return
 	}
 	writeJSON(w, http.StatusCreated, info)
@@ -436,10 +513,62 @@ func (s *Server) handleList(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, list)
 }
 
+// decodeMulFrame fills req from a frame-coded mul request: x is the body,
+// the options are query parameters named as the JSON fields are. The
+// status is the HTTP code a non-nil error should answer with.
+func (s *Server) decodeMulFrame(r *http.Request, req *mulRequest) (int, error) {
+	q, err := queryParams(r, "tenant", "class", "deadline_ms", "affinity")
+	if err != nil {
+		return http.StatusBadRequest, err
+	}
+	if v := q.Get("deadline_ms"); v != "" {
+		if req.DeadlineMS, err = strconv.ParseInt(v, 10, 64); err != nil {
+			return http.StatusBadRequest, fmt.Errorf("bad request query: deadline_ms: %w", err)
+		}
+	}
+	req.Tenant, req.Class, req.Affinity = q.Get("tenant"), q.Get("class"), q.Get("affinity")
+	frame, status, err := s.readFrame(r)
+	if err != nil {
+		return status, err
+	}
+	if len(frame)%8 != 0 {
+		return http.StatusBadRequest, fmt.Errorf("bad request body: %d bytes is not a whole number of float64s", len(frame))
+	}
+	req.X = decodeF64LE(frame)
+	return 0, nil
+}
+
+// wantsFrame picks the response codec of a mul: the Accept header decides
+// when it names one of the two codecs, otherwise the answer mirrors the
+// request's own codec.
+func wantsFrame(r *http.Request, reqCodec string) bool {
+	accept := r.Header.Get("Accept")
+	switch {
+	case strings.Contains(accept, mediaF64LE):
+		return true
+	case strings.Contains(accept, mediaJSON):
+		return false
+	}
+	return reqCodec == codecF64LE
+}
+
 func (s *Server) handleMul(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	var req mulRequest
-	if !s.decodeBody(w, r, &req) {
+	codec := codecOf(r.Header.Get("Content-Type"))
+	switch codec {
+	case codecF64LE:
+		if status, err := s.decodeMulFrame(r, &req); err != nil {
+			writeError(w, status, err)
+			return
+		}
+	case codecJSON:
+		if !s.decodeBody(w, r, &req) {
+			return
+		}
+	default:
+		writeError(w, http.StatusUnsupportedMediaType, fmt.Errorf("%w: %q (mul takes %s or %s)",
+			ErrUnsupportedMediaType, r.Header.Get("Content-Type"), mediaJSON, mediaF64LE))
 		return
 	}
 	if req.DeadlineMS < 0 {
@@ -452,10 +581,16 @@ func (s *Server) handleMul(w http.ResponseWriter, r *http.Request) {
 		Deadline: time.Duration(req.DeadlineMS) * time.Millisecond,
 		Affinity: req.Affinity,
 	}
-	// MulOpts routes sharded ids through the cluster front itself, so
+	// The instrumentation middleware cuts the decode and encode stages
+	// around the span the serving layer reports here (see instrument).
+	var span *mulSpan
+	if sw, ok := w.(*statusWriter); ok {
+		span = &sw.span
+	}
+	// mulOpts routes sharded ids through the cluster front itself, so
 	// sharded and local requests share one admission path (tenant bucket,
 	// priority gate, deadline) and one error surface.
-	y, err := s.MulOpts(id, req.X, opts)
+	y, err := s.mulOpts(id, req.X, opts, span)
 	if err != nil {
 		code := http.StatusBadRequest
 		switch {
@@ -473,6 +608,10 @@ func (s *Server) handleMul(w http.ResponseWriter, r *http.Request) {
 			code = http.StatusGatewayTimeout
 		}
 		writeError(w, code, err)
+		return
+	}
+	if wantsFrame(r, codec) {
+		writeFrame(w, y)
 		return
 	}
 	writeJSON(w, http.StatusOK, mulResponse{Y: y})
@@ -665,13 +804,16 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		e.HistogramFamily("spmv_http_request_duration_seconds",
 			"HTTP request latency by endpoint.", s.obs.endpoint.Series("endpoint"))
 		e.HistogramFamily("spmv_serve_stage_duration_seconds",
-			"Serving pipeline stage latency (queue, interleave, execute, gather, solve_iter, solve_sweep).",
+			"Serving pipeline stage latency (decode, queue, interleave, execute, gather, encode, solve_iter, solve_sweep).",
 			s.obs.stage.Series("stage"))
 		e.HistogramFamily("spmv_serve_mul_duration_seconds",
 			"Mul latency by matrix, admission to reply.", s.obs.matrix.Series("id"))
 		e.HistogramFamily("spmv_serve_class_duration_seconds",
 			"Mul latency by SLO class, admission to reply (failures included).",
 			s.obs.class.Series("class"))
+		e.CounterVec("spmv_http_body_bytes_total",
+			"HTTP body bytes by endpoint, codec (json, f64le, band, other) and direction (in, out).",
+			s.obs.bodyByteSamples())
 	}
 
 	if rep := s.Admission(); rep != nil {

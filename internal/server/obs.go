@@ -10,6 +10,7 @@ import (
 	"log/slog"
 	"net/http"
 	"runtime/debug"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -28,10 +29,12 @@ const DefaultObsRing = 256
 // Serving-stage names: the spans of a Mul request's timeline and the
 // histogram labels of the per-stage latency surface.
 const (
+	stageDecode     = "decode"     // HTTP only: request arrival -> batcher admission (body read + decode, validation)
 	stageQueue      = "queue"      // batcher admission -> sweep start (linger + backlog)
-	stageInterleave = "interleave" // batch formation: gathering x vectors into the fused block
+	stageInterleave = "interleave" // batch formation: gathering x vectors into the fused block (nothing at width 1)
 	stageExecute    = "execute"    // worker-pool sweep execution
-	stageGather     = "gather"     // deinterleave + result delivery
+	stageGather     = "gather"     // deinterleave into the result vectors (nothing at width 1)
+	stageEncode     = "encode"     // HTTP only: results ready -> response written (delivery, encode, write)
 	stageSolveIter  = "solve_iter" // one full solver iteration (sweep + BLAS-1 tail)
 	stageSolveSweep = "solve_sweep"
 )
@@ -45,6 +48,37 @@ type obsState struct {
 	stage    obs.Vec // pipeline stage -> latency
 	matrix   obs.Vec // matrix id -> Mul latency (queue through gather)
 	class    obs.Vec // SLO class -> Mul latency, failures included
+
+	bodyBytes sync.Map // bodyKey -> *atomic.Int64: HTTP body bytes by endpoint, codec, direction
+}
+
+// bodyKey labels one spmv_http_body_bytes_total series.
+type bodyKey struct{ endpoint, codec, dir string }
+
+func (o *obsState) addBodyBytes(endpoint, contentType, dir string, n int64) {
+	if n <= 0 {
+		return
+	}
+	key := bodyKey{endpoint, codecOf(contentType), dir}
+	c, ok := o.bodyBytes.Load(key)
+	if !ok {
+		c, _ = o.bodyBytes.LoadOrStore(key, new(atomic.Int64))
+	}
+	c.(*atomic.Int64).Add(n)
+}
+
+// bodyByteSamples snapshots the body-byte counters for /metrics.
+func (o *obsState) bodyByteSamples() []obs.Sample {
+	var out []obs.Sample
+	o.bodyBytes.Range(func(k, c any) bool {
+		key := k.(bodyKey)
+		out = append(out, obs.Sample{
+			Labels: map[string]string{"endpoint": key.endpoint, "codec": key.codec, "dir": key.dir},
+			Value:  float64(c.(*atomic.Int64).Load()),
+		})
+		return true
+	})
+	return out
 }
 
 func newObsState(cfg Config) *obsState {
@@ -124,15 +158,25 @@ func endpointName(pattern string) string {
 	return "unmatched"
 }
 
-// statusWriter captures the response code for logging and histograms.
+// statusWriter captures the response code and body size for logging,
+// histograms and byte counters, and carries the mul handler's stage span
+// back to the middleware.
 type statusWriter struct {
 	http.ResponseWriter
-	code int
+	code  int
+	wrote int64
+	span  mulSpan
 }
 
 func (w *statusWriter) WriteHeader(code int) {
 	w.code = code
 	w.ResponseWriter.WriteHeader(code)
+}
+
+func (w *statusWriter) Write(b []byte) (int, error) {
+	n, err := w.ResponseWriter.Write(b)
+	w.wrote += int64(n)
+	return n, err
 }
 
 var reqSeq atomic.Uint64 // request ids, monotone across servers in-process
@@ -147,10 +191,20 @@ func (s *Server) instrument(h http.Handler) http.Handler {
 		id := reqSeq.Add(1)
 		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
 		h.ServeHTTP(sw, r)
-		d := time.Since(t0)
+		end := time.Now()
+		d := end.Sub(t0)
 		ep := endpointName(r.Pattern)
-		if s.obs != nil {
-			s.obs.endpoint.Observe(ep, d)
+		if o := s.obs; o != nil {
+			o.endpoint.Observe(ep, d)
+			if !sw.span.sent.IsZero() {
+				// A served mul: the codec stages are whatever of the request
+				// lies outside the serving span, so decode + queue +
+				// interleave + execute + gather + encode is exactly d.
+				o.stage.Observe(stageDecode, sw.span.enq.Sub(t0))
+				o.stage.Observe(stageEncode, end.Sub(sw.span.sent))
+			}
+			o.addBodyBytes(ep, r.Header.Get("Content-Type"), "in", r.ContentLength)
+			o.addBodyBytes(ep, sw.Header().Get("Content-Type"), "out", sw.wrote)
 		}
 		attrs := []any{
 			slog.Uint64("req_id", id),

@@ -207,6 +207,84 @@ func TestTracesSpansTileWall(t *testing.T) {
 	}
 }
 
+// TestMulStagesTileEndpoint extends the tiling invariant from the trace
+// spans to the whole HTTP request: with decode and encode cut from the
+// middleware's own timestamps, the mul endpoint histogram's total equals
+// the six stage totals to the nanosecond, on both codecs — nothing of a
+// request is outside every stage. The same traffic must show up in the
+// body-byte counters, split by codec and direction.
+func TestMulStagesTileEndpoint(t *testing.T) {
+	s := New(obsConfig())
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	id := registerTiny(t, ts.URL)
+	hc := NewHTTPClient(ts.URL, nil)
+	const n = 12
+	for i := 0; i < n; i++ {
+		resp := postJSON(t, ts.URL+"/v1/matrices/"+id+"/mul", mulRequest{X: []float64{1, 2, 3}})
+		resp.Body.Close()
+		if _, err := hc.MulOpts(id, []float64{1, 2, 3}, MulOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// These responses fit the server's write buffer, so each reached its
+	// client only after the middleware had recorded it.
+	stageTotals := func() (count uint64, sum int64) {
+		for _, stage := range []string{stageDecode, stageQueue, stageInterleave, stageExecute, stageGather, stageEncode} {
+			snap := s.obs.stage.Get(stage).Snapshot()
+			if snap.Count != 2*n {
+				t.Errorf("stage %q count %d, want %d", stage, snap.Count, 2*n)
+			}
+			count += snap.Count
+			sum += snap.Sum
+		}
+		return count, sum
+	}
+	ep := s.obs.endpoint.Get("mul").Snapshot()
+	count, sum := stageTotals()
+	if ep.Count != 2*n || ep.Sum != sum {
+		t.Fatalf("mul endpoint: %d requests totalling %dns; its six stages total %dns — they must tile it exactly",
+			ep.Count, ep.Sum, sum)
+	}
+	// A failed mul has an endpoint latency but no serving span: it must
+	// not be cut into decode/encode either.
+	if _, err := hc.MulOpts(id, []float64{1, 2}, MulOptions{}); err == nil {
+		t.Fatal("short x accepted")
+	}
+	if c, _ := stageTotals(); c != count {
+		t.Errorf("a failed mul recorded %d stage observations", c-count)
+	}
+
+	metResp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fams, err := obs.ParseExposition(metResp.Body)
+	metResp.Body.Close()
+	if err != nil {
+		t.Fatalf("/metrics is not parser-valid: %v", err)
+	}
+	f := fams["spmv_http_body_bytes_total"]
+	if f == nil || f.Type != "counter" {
+		t.Fatalf("body-bytes counter family missing: %+v", f)
+	}
+	got := map[string]float64{}
+	for _, smp := range f.Samples {
+		if smp.Labels["endpoint"] == "mul" {
+			got[smp.Labels["codec"]+"/"+smp.Labels["dir"]] = smp.Value
+		}
+	}
+	// Frames: 3 float64 in and 2 out per request, plus the failed 2-float
+	// request; its error envelope is JSON out.
+	if got["f64le/in"] != n*24+16 || got["f64le/out"] != n*16 {
+		t.Errorf("frame body bytes %v, want in=%d out=%d", got, n*24+16, n*16)
+	}
+	if got["json/in"] != n*float64(len(`{"x":[1,2,3]}`)) || got["json/out"] <= n*float64(len(`{"y":[5,6]}`)) {
+		t.Errorf("JSON body bytes %v", got)
+	}
+}
+
 // TestTuningMeasuredRoofline checks the measured-vs-modeled attribution
 // in GET /v1/matrices/{id}/tuning: after real sweeps, measured sweep
 // seconds and modeled bytes are positive and consistent with the

@@ -205,6 +205,9 @@ func (s *Server) resolveClass(name string) (sched.Class, error) {
 // same budget as its local traffic — PR 7's leftover: previously the
 // cluster path bypassed admission entirely.
 func (s *Server) clusterMul(id string, x []float64, opts MulOptions) ([]float64, error) {
+	if !finiteVec(x) {
+		return nil, errNonFiniteX
+	}
 	cost, err := s.cluster.RequestBytes(id)
 	if err != nil {
 		return nil, err

@@ -72,7 +72,7 @@ type Config struct {
 	// MaxBodyBytes caps HTTP request bodies (registrations and mul
 	// payloads); oversized requests get 413. <= 0 means the 256 MiB
 	// default. The cap also bounds coordinator-to-member shard band
-	// uploads (MatrixMarket costs ~75 bytes per nonzero on the wire), so
+	// uploads (a band frame costs 12 bytes per nonzero plus 8 per row), so
 	// members of a fleet sharding very large matrices need it raised in
 	// step with their band sizes.
 	MaxBodyBytes int64
@@ -525,6 +525,29 @@ func (s *Server) Mul(id string, x []float64) ([]float64, error) {
 // (the kernels are deterministic and each request keeps its own vector
 // slot).
 func (s *Server) MulOpts(id string, x []float64, opts MulOptions) ([]float64, error) {
+	return s.mulOpts(id, x, opts, nil)
+}
+
+// errNonFiniteX refuses a Mul whose x holds a NaN or ±Inf — in-process,
+// JSON, frames or sharded alike: such a value would meet the blocked
+// kernels' explicit zero fill as 0·Inf = NaN where CSR has no term at
+// all, and the bitwise contract would depend on the encoding. The scan
+// runs where x is streamed anyway (executeBatch's interleave; clusterMul
+// before the fan-out), not ahead of batcher admission: a per-caller pass
+// over x there spreads a burst's arrivals past the linger window and
+// costs fused traffic a fifth of its batch width.
+var errNonFiniteX = fmt.Errorf("%w: x has a NaN or infinite element", ErrInvalidArgument)
+
+// mulSpan is where a served Mul's stage timeline begins (batcher
+// admission) and ends (results handed back): what the HTTP handler needs
+// to cut decode and encode stages that tile its endpoint latency. Both
+// stay zero when observability is off, the request failed, or a cluster
+// served it.
+type mulSpan struct{ enq, sent time.Time }
+
+// mulOpts is MulOpts reporting the request's stage span into a non-nil
+// span.
+func (s *Server) mulOpts(id string, x []float64, opts MulOptions, span *mulSpan) ([]float64, error) {
 	e, err := s.reg.Get(id)
 	if err != nil {
 		// Cluster-sharded matrices live in the coordinator, not the local
@@ -579,6 +602,9 @@ func (s *Server) MulOpts(id string, x []float64, opts MulOptions) ([]float64, er
 		lat := time.Since(p.enq)
 		if err == nil {
 			s.obs.matrix.Observe(id, lat)
+			if span != nil {
+				span.enq, span.sent = p.enq, p.sent
+			}
 		}
 		// Class latency records failures too (a deadline miss IS the
 		// class's latency story), and independently of scheduling, so a
@@ -685,6 +711,10 @@ func (s *Server) executeBatch(e *Entry, class sched.Class, reqs []*pending) {
 		fail(fmt.Errorf("server: matrix %q is still compiling", e.ID))
 		return
 	}
+	if width == 1 && !finiteVec(reqs[0].x) { // wider batches check while they interleave
+		fail(errNonFiniteX)
+		return
+	}
 	// Symmetric and wide entries always take the multi-RHS path below:
 	// their operator IS the deterministic kernel, and the path lets its
 	// internal tasks run under the pool's concurrency bounds. Entries with
@@ -702,15 +732,16 @@ func (s *Server) executeBatch(e *Entry, class sched.Class, reqs []*pending) {
 			sv.roof.Record(execDone.Sub(execStart),
 				sweepModeledBytes(sv.lone.MatrixBytes, sv.lone.SourceBytes, sv.lone.DestBytes, 1))
 		}
-		reqs[0].ch <- mulResult{y: y, err: err}
+		p := reqs[0]
+		p.sent = execDone
+		p.ch <- mulResult{y: y, err: err}
 		if o != nil {
-			p := reqs[0]
 			o.stage.Observe(stageQueue, execStart.Sub(p.enq))
 			o.stage.Observe(stageExecute, execDone.Sub(execStart))
 			if p.traced && err == nil {
 				// The lone fast path has no interleave/gather work; zero-width
 				// spans keep the timeline tiled.
-				o.traceMul(e.ID, sv.gen, 1, p.enq, execStart, execStart, execDone, time.Now())
+				o.traceMul(e.ID, sv.gen, 1, p.enq, execStart, execStart, execDone, execDone)
 			}
 		}
 		return
@@ -721,26 +752,48 @@ func (s *Server) executeBatch(e *Entry, class sched.Class, reqs []*pending) {
 		fail(err)
 		return
 	}
-	// Interleave into pooled scratch: xBlock[j*width+v] = x_v[j]. The
-	// blocks are recycled across sweeps, so the hot path's only
-	// allocations are the result vectors handed back to callers. j stays
-	// the outer loop so the big block is written sequentially (one pass)
-	// while the k inputs stream.
-	buf := e.getBuf(width)
-	defer e.putBuf(buf)
-	xs := make([][]float64, width)
-	for i, p := range reqs {
-		xs[i] = p.x
-	}
-	xBlock := buf.x[:e.cols*width]
-	for j := 0; j < e.cols; j++ {
-		base := j * width
-		for v := range xs {
-			xBlock[base+v] = xs[v][j]
+	// At width 1 the interleaved block IS the request's x (the kernels and
+	// the overlay pass only read it) and the sweep accumulates straight into
+	// the zeroed result vector — no copy in, no copy out. Wider batches
+	// interleave into pooled scratch: xBlock[j*width+v] = x_v[j]. The blocks
+	// are recycled across sweeps, so the hot path's only allocations are
+	// the result vectors handed back to callers. j stays the outer loop so
+	// the big block is written sequentially (one pass) while the k inputs
+	// stream.
+	ys := make([][]float64, width)
+	var xBlock, yBlock []float64
+	var nonFinite []bool // set only when some request's x holds a NaN or ±Inf
+	if width == 1 {
+		ys[0] = make([]float64, e.rows)
+		xBlock, yBlock = reqs[0].x, ys[0]
+	} else {
+		buf := e.getBuf(width)
+		defer e.putBuf(buf)
+		xs := make([][]float64, width)
+		for i, p := range reqs {
+			xs[i] = p.x
 		}
+		xBlock = buf.x[:e.cols*width]
+		var carry uint64
+		for j := 0; j < e.cols; j++ {
+			base := j * width
+			for v := range xs {
+				d := xs[v][j]
+				xBlock[base+v] = d
+				carry |= nonFiniteCarry(d)
+			}
+		}
+		if carry>>63 != 0 {
+			// Lanes are independent, so the sweep still serves the finite
+			// requests; the others get the error instead of their lane.
+			nonFinite = make([]bool, width)
+			for v, x := range xs {
+				nonFinite[v] = !finiteVec(x)
+			}
+		}
+		yBlock = buf.y[:e.rows*width]
+		clear(yBlock)
 	}
-	yBlock := buf.y[:e.rows*width]
-	clear(yBlock)
 
 	var interDone time.Time // batch formed; the sweep itself starts here
 	if o != nil {
@@ -757,22 +810,32 @@ func (s *Server) executeBatch(e *Entry, class sched.Class, reqs []*pending) {
 			sweepModeledBytes(sv.matrixBytes, sv.sourceBytes, sv.destBytes, width)+sv.ovBytes)
 	}
 	s.recordSweep(e, sv, width, false)
-	// Deinterleave with one sequential pass over the block.
-	ys := make([][]float64, width)
-	for v := range ys {
-		ys[v] = make([]float64, e.rows)
-	}
-	for j := 0; j < e.rows; j++ {
-		base := j * width
+	if width > 1 {
+		// Deinterleave with one sequential pass over the block, into
+		// result vectors allocated only now: still cache-warm when written.
 		for v := range ys {
-			ys[v][j] = yBlock[base+v]
+			ys[v] = make([]float64, e.rows)
+		}
+		for j := 0; j < e.rows; j++ {
+			base := j * width
+			for v := range ys {
+				ys[v][j] = yBlock[base+v]
+			}
 		}
 	}
+	var sent time.Time // results ready; stamped before delivery so each requester can read it
+	if o != nil {
+		sent = time.Now()
+	}
 	for v, p := range reqs {
+		p.sent = sent
+		if nonFinite != nil && nonFinite[v] {
+			p.ch <- mulResult{err: errNonFiniteX}
+			continue
+		}
 		p.ch <- mulResult{y: ys[v]}
 	}
 	if o != nil {
-		sent := time.Now()
 		for _, p := range reqs {
 			o.stage.Observe(stageQueue, execStart.Sub(p.enq))
 		}

@@ -213,13 +213,23 @@ func (ss *solveSession) snapshot(full bool) SolveStatus {
 	return st
 }
 
+// nonFiniteCarry has bit 63 set exactly when x is NaN or ±Inf: those are
+// the values whose exponent field is all ones, and only then does adding
+// the field's lowest bit carry out of it. OR-ing the carries of a whole
+// vector tests it branch-free — one AND, ADD and OR per element, cheap
+// enough for every Mul's x (and free inside a loop already streaming x).
+func nonFiniteCarry(x float64) uint64 {
+	const expMask, expLSB = 0x7FF << 52, 1 << 52
+	return math.Float64bits(x)&expMask + expLSB
+}
+
+// finiteVec reports whether v holds no NaN and no ±Inf.
 func finiteVec(v []float64) bool {
+	var carry uint64
 	for _, x := range v {
-		if math.IsNaN(x) || math.IsInf(x, 0) {
-			return false
-		}
+		carry |= nonFiniteCarry(x)
 	}
-	return true
+	return carry>>63 == 0
 }
 
 // isSymmetricMatrix caches the numeric-symmetry answer: CG admission

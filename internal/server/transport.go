@@ -1,12 +1,7 @@
 package server
 
 import (
-	"bytes"
-	"encoding/json"
-	"fmt"
 	"net/http"
-	"strings"
-	"time"
 
 	spmv "repro"
 )
@@ -76,13 +71,11 @@ func (t *LocalTransport) Unregister(id string) error {
 func (t *LocalTransport) Stats() (Stats, error) { return t.s.Stats(), nil }
 
 // HTTPTransport talks to a remote spmv-serve member over its v1 HTTP API.
-// Bands are shipped as inline MatrixMarket documents (written at %.17g, so
-// float64 values survive the wire bit-exactly and sharded results stay
-// bitwise identical to single-node serving).
-type HTTPTransport struct {
-	base string // e.g. "http://node3:8707", no trailing slash
-	c    *http.Client
-}
+// It is an HTTPClient wearing the Transport interface: vectors and bands
+// cross as binary frames (float64 values survive the wire bit-exactly, so
+// sharded results stay bitwise identical to single-node serving), and
+// member errors come back as the sentinels their envelopes name.
+type HTTPTransport struct{ hc *HTTPClient }
 
 // NewHTTPTransport returns a transport for the member at base (scheme and
 // host:port). A nil client gets a 60-second timeout — without one, a
@@ -91,107 +84,31 @@ type HTTPTransport struct {
 // machinery (which acts on returned errors) would never fire. Pass an
 // explicit client to tune the timeout, e.g. for very large band uploads.
 func NewHTTPTransport(base string, client *http.Client) *HTTPTransport {
-	if client == nil {
-		client = &http.Client{Timeout: 60 * time.Second}
-	}
-	return &HTTPTransport{base: strings.TrimRight(base, "/"), c: client}
+	return &HTTPTransport{hc: NewHTTPClient(base, client)}
 }
 
 // Name returns the member's base URL.
-func (t *HTTPTransport) Name() string { return t.base }
+func (t *HTTPTransport) Name() string { return t.hc.base }
 
-func (t *HTTPTransport) post(path string, req, resp any) error {
-	body, err := json.Marshal(req)
-	if err != nil {
-		return err
-	}
-	r, err := t.c.Post(t.base+path, "application/json", bytes.NewReader(body))
-	if err != nil {
-		return fmt.Errorf("server: member %s: %w", t.base, err)
-	}
-	defer r.Body.Close()
-	if r.StatusCode >= 300 {
-		detail := fmt.Sprintf("status %d", r.StatusCode)
-		var e errorResponse
-		if json.NewDecoder(r.Body).Decode(&e) == nil && e.Error.Message != "" {
-			detail = e.Error.Message
-		}
-		// Restore the sentinel the member's HTTP layer encoded as a
-		// status code, so the coordinator's error classification does not
-		// depend on remote error strings.
-		switch r.StatusCode {
-		case http.StatusNotFound:
-			return fmt.Errorf("%w: member %s: %s", ErrUnknownMatrix, t.base, detail)
-		case http.StatusConflict:
-			return fmt.Errorf("%w: member %s: %s", ErrAlreadyRegistered, t.base, detail)
-		}
-		return fmt.Errorf("server: member %s: %s", t.base, detail)
-	}
-	return json.NewDecoder(r.Body).Decode(resp)
-}
-
-// Register ships the band as MatrixMarket and registers it remotely,
+// Register ships the band as one binary frame and registers it remotely,
 // pinned to general storage (see Transport.Register).
 func (t *HTTPTransport) Register(id, name string, m *spmv.Matrix) (MatrixInfo, error) {
-	var doc strings.Builder
-	if err := m.WriteMatrixMarket(&doc); err != nil {
-		return MatrixInfo{}, err
-	}
-	general := false
-	var info MatrixInfo
-	err := t.post("/v1/matrices", registerRequest{
-		ID: id, Name: name, MatrixMarket: doc.String(), Symmetric: &general,
-	}, &info)
-	return info, err
+	return t.hc.registerBand(id, name, m)
 }
 
-// Mul posts x to the member's mul endpoint.
+// Mul multiplies against the member's band.
 func (t *HTTPTransport) Mul(id string, x []float64) ([]float64, error) {
-	var resp mulResponse
-	if err := t.post("/v1/matrices/"+id+"/mul", mulRequest{X: x}, &resp); err != nil {
-		return nil, err
-	}
-	return resp.Y, nil
+	return t.hc.MulOpts(id, x, MulOptions{})
 }
 
 // Unregister deletes the band on the remote member.
 func (t *HTTPTransport) Unregister(id string) error {
-	req, err := http.NewRequest(http.MethodDelete, t.base+"/v1/matrices/"+id, nil)
-	if err != nil {
-		return err
-	}
-	r, err := t.c.Do(req)
-	if err != nil {
-		return fmt.Errorf("server: member %s: %w", t.base, err)
-	}
-	defer r.Body.Close()
-	if r.StatusCode >= 300 {
-		detail := fmt.Sprintf("status %d", r.StatusCode)
-		var e errorResponse
-		if json.NewDecoder(r.Body).Decode(&e) == nil && e.Error.Message != "" {
-			detail = e.Error.Message
-		}
-		if r.StatusCode == http.StatusNotFound {
-			return fmt.Errorf("%w: member %s: %s", ErrUnknownMatrix, t.base, detail)
-		}
-		return fmt.Errorf("server: member %s: %s", t.base, detail)
-	}
-	return nil
+	_, err := t.hc.DeleteMatrix(id)
+	return err
 }
 
 // Stats fetches the member's counter snapshot.
 func (t *HTTPTransport) Stats() (Stats, error) {
-	r, err := t.c.Get(t.base + "/v1/stats")
-	if err != nil {
-		return Stats{}, fmt.Errorf("server: member %s: %w", t.base, err)
-	}
-	defer r.Body.Close()
-	if r.StatusCode != http.StatusOK {
-		return Stats{}, fmt.Errorf("server: member %s: stats status %d", t.base, r.StatusCode)
-	}
-	var st Stats
-	if err := json.NewDecoder(r.Body).Decode(&st); err != nil {
-		return Stats{}, err
-	}
-	return st, nil
+	rep, err := t.hc.StatsReport()
+	return rep.Stats, err
 }

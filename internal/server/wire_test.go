@@ -1,0 +1,562 @@
+package server
+
+import (
+	"bytes"
+	"encoding/binary"
+	"encoding/json"
+	"errors"
+	"io"
+	"math"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	spmv "repro"
+)
+
+// registerTridiag registers the 4x4 tridiagonal fixture as "a".
+func registerTridiag(t testing.TB, s *Server) {
+	t.Helper()
+	m := spmv.NewMatrix(4, 4)
+	for i := 0; i < 4; i++ {
+		_ = m.Set(i, i, 2)
+		if i > 0 {
+			_ = m.Set(i, i-1, -1)
+			_ = m.Set(i-1, i, -1)
+		}
+	}
+	if _, err := s.Register("a", "tiny", m); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// frameRequest builds a mul request carrying body as a vector frame.
+func frameRequest(target string, body []byte) *http.Request {
+	req := httptest.NewRequest("POST", target, bytes.NewReader(body))
+	req.Header.Set("Content-Type", mediaF64LE)
+	return req
+}
+
+// wantEnvelope asserts rec is an enveloped error with the given status
+// and code — in particular not a frame, partial or otherwise.
+func wantEnvelope(t *testing.T, name string, rec *httptest.ResponseRecorder, status int, code string) {
+	t.Helper()
+	if rec.Code != status {
+		t.Errorf("%s: status %d, want %d (%s)", name, rec.Code, status, rec.Body.String())
+	}
+	if ct := rec.Header().Get("Content-Type"); ct != mediaJSON {
+		t.Errorf("%s: error Content-Type %q, want %s", name, ct, mediaJSON)
+	}
+	var e errorResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || e.Error.Message == "" {
+		t.Errorf("%s: body %q is not an error envelope (%v)", name, rec.Body.String(), err)
+	}
+	if e.Error.Code != code {
+		t.Errorf("%s: code %q, want %q", name, e.Error.Code, code)
+	}
+}
+
+// TestMulFrameRoundTrip: a frame request is answered with a frame holding
+// the in-process bits, options ride the query string, and Accept can ask
+// either codec of either request.
+func TestMulFrameRoundTrip(t *testing.T) {
+	s := New(DefaultConfig())
+	defer s.Close()
+	registerTridiag(t, s)
+	h := s.Handler()
+	x := []float64{1, -2.5, 3e-300, 4e300}
+	want, err := s.MulOpts("a", x, MulOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame := appendF64LE(nil, x)
+
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, frameRequest("/v1/matrices/a/mul?tenant=acme&class=latency&deadline_ms=5000&affinity=k", frame))
+	if rec.Code != 200 || rec.Header().Get("Content-Type") != mediaF64LE {
+		t.Fatalf("frame mul: status %d type %q: %s", rec.Code, rec.Header().Get("Content-Type"), rec.Body.String())
+	}
+	if !bytes.Equal(rec.Body.Bytes(), appendF64LE(nil, want)) {
+		t.Fatalf("frame mul: y bytes %x, want %x", rec.Body.Bytes(), appendF64LE(nil, want))
+	}
+
+	// Frame in, JSON out.
+	req := frameRequest("/v1/matrices/a/mul", frame)
+	req.Header.Set("Accept", mediaJSON)
+	rec = httptest.NewRecorder()
+	h.ServeHTTP(rec, req)
+	var jr mulResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &jr); err != nil || rec.Code != 200 {
+		t.Fatalf("frame->json mul: status %d body %q: %v", rec.Code, rec.Body.String(), err)
+	}
+	for i := range want {
+		if math.Float64bits(jr.Y[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("frame->json y[%d] = %x, want %x", i, jr.Y[i], want[i])
+		}
+	}
+
+	// JSON in, frame out.
+	body, _ := json.Marshal(mulRequest{X: x})
+	req = httptest.NewRequest("POST", "/v1/matrices/a/mul", bytes.NewReader(body))
+	req.Header.Set("Content-Type", "application/json; charset=utf-8")
+	req.Header.Set("Accept", mediaF64LE)
+	rec = httptest.NewRecorder()
+	h.ServeHTTP(rec, req)
+	if rec.Code != 200 || !bytes.Equal(rec.Body.Bytes(), appendF64LE(nil, want)) {
+		t.Fatalf("json->frame mul: status %d body %x", rec.Code, rec.Body.Bytes())
+	}
+
+	// curl -d sends form-urlencoded and no header at all is also the JSON tier.
+	for _, ct := range []string{"", "application/x-www-form-urlencoded"} {
+		req = httptest.NewRequest("POST", "/v1/matrices/a/mul", bytes.NewReader(body))
+		if ct != "" {
+			req.Header.Set("Content-Type", ct)
+		}
+		rec = httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != 200 || rec.Header().Get("Content-Type") != mediaJSON {
+			t.Errorf("Content-Type %q: status %d type %q, want the JSON tier", ct, rec.Code, rec.Header().Get("Content-Type"))
+		}
+	}
+}
+
+// TestMulFrameMalformed is the table of broken frame requests: each gets
+// an enveloped error, never a vector.
+func TestMulFrameMalformed(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.MaxBodyBytes = 1 << 10
+	s := New(cfg)
+	defer s.Close()
+	registerTridiag(t, s)
+	h := s.Handler()
+	good := appendF64LE(nil, []float64{1, 2, 3, 4})
+	nan := appendF64LE(nil, []float64{1, math.NaN(), 3, 4})
+	inf := appendF64LE(nil, []float64{1, 2, math.Inf(-1), 4})
+
+	cases := []struct {
+		name    string
+		target  string
+		ctype   string
+		body    []byte
+		declare int64 // Content-Length to declare; 0 means len(body)
+		status  int
+		code    string
+	}{
+		{"short body", "/v1/matrices/a/mul", mediaF64LE, good[:24], 32, 400, "bad_request"},
+		{"long body", "/v1/matrices/a/mul", mediaF64LE, append(good[:32:32], 0, 0, 0, 0, 0, 0, 0, 0), 32, 400, "bad_request"},
+		{"length not a multiple of 8", "/v1/matrices/a/mul", mediaF64LE, good[:29], 0, 400, "bad_request"},
+		{"Content-Length != 8*cols (fewer)", "/v1/matrices/a/mul", mediaF64LE, good[:24], 0, 400, "bad_request"},
+		{"Content-Length != 8*cols (more)", "/v1/matrices/a/mul", mediaF64LE, append(good[:32:32], good[:8]...), 0, 400, "bad_request"},
+		{"empty frame", "/v1/matrices/a/mul", mediaF64LE, nil, 0, 400, "bad_request"},
+		{"no Content-Length", "/v1/matrices/a/mul", mediaF64LE, good, -1, 400, "bad_request"},
+		{"unknown media type", "/v1/matrices/a/mul", "application/octet-stream", good, 0, 415, "unsupported_media_type"},
+		{"band frame on mul", "/v1/matrices/a/mul", mediaBand, good, 0, 415, "unsupported_media_type"},
+		{"over MaxBodyBytes", "/v1/matrices/a/mul", mediaF64LE, make([]byte, 2<<10), 0, 413, "payload_too_large"},
+		{"unknown query parameter", "/v1/matrices/a/mul?tennant=acme", mediaF64LE, good, 0, 400, "bad_request"},
+		{"malformed query", "/v1/matrices/a/mul?tenant=%zz", mediaF64LE, good, 0, 400, "bad_request"},
+		{"negative deadline_ms", "/v1/matrices/a/mul?deadline_ms=-1", mediaF64LE, good, 0, 400, "bad_request"},
+		{"non-numeric deadline_ms", "/v1/matrices/a/mul?deadline_ms=soon", mediaF64LE, good, 0, 400, "bad_request"},
+		{"unknown class", "/v1/matrices/a/mul?class=interactive", mediaF64LE, good, 0, 400, "bad_request"},
+		{"unknown matrix", "/v1/matrices/nope/mul", mediaF64LE, good, 0, 404, "unknown_matrix"},
+		{"NaN in x", "/v1/matrices/a/mul", mediaF64LE, nan, 0, 400, "invalid_argument"},
+		{"-Inf in x", "/v1/matrices/a/mul", mediaF64LE, inf, 0, 400, "invalid_argument"},
+	}
+	for _, tc := range cases {
+		req := httptest.NewRequest("POST", tc.target, bytes.NewReader(tc.body))
+		req.Header.Set("Content-Type", tc.ctype)
+		if tc.declare != 0 {
+			req.ContentLength = tc.declare
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		wantEnvelope(t, tc.name, rec, tc.status, tc.code)
+	}
+}
+
+// TestNonFiniteClosedBothEnds: a non-finite x is refused whatever carried
+// it (in-process, frames, a sharded id, the non-deterministic lone path),
+// and a y
+// that overflowed to ±Inf — which finite inputs can produce — travels in a
+// frame but becomes an enveloped error on the JSON tier instead of the
+// empty 200 json.Encoder used to leave behind.
+func TestNonFiniteClosedBothEnds(t *testing.T) {
+	member := New(DefaultConfig())
+	defer member.Close()
+	cluster, err := NewCluster([]Transport{NewLocalTransport("m0", member)}, ClusterConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(DefaultConfig())
+	defer s.Close()
+	s.AttachCluster(cluster)
+	big := spmv.NewMatrix(2, 2)
+	_ = big.Set(0, 0, 1e308)
+	_ = big.Set(0, 1, 1e308)
+	_ = big.Set(1, 1, 1)
+	if _, err := s.Register("big", "big", big); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cluster.RegisterSharded("sh", "sh", big, 2); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	hc := NewHTTPClient(ts.URL, nil)
+
+	loneCfg := DefaultConfig()
+	loneCfg.Deterministic = false
+	lone := New(loneCfg)
+	defer lone.Close()
+	if _, err := lone.Register("big", "big", big); err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range [][]float64{{math.NaN(), 1}, {1, math.Inf(1)}} {
+		if _, err := lone.MulOpts("big", bad, MulOptions{}); !errors.Is(err, ErrInvalidArgument) {
+			t.Errorf("lone path x=%v: err %v, want ErrInvalidArgument", bad, err)
+		}
+		for _, id := range []string{"big", "sh"} {
+			if _, err := s.MulOpts(id, bad, MulOptions{}); !errors.Is(err, ErrInvalidArgument) {
+				t.Errorf("in-process %s x=%v: err %v, want ErrInvalidArgument", id, bad, err)
+			}
+			if _, err := hc.MulOpts(id, bad, MulOptions{}); !errors.Is(err, ErrInvalidArgument) {
+				t.Errorf("frames %s x=%v: err %v, want ErrInvalidArgument", id, bad, err)
+			}
+		}
+	}
+
+	x := []float64{10, 10} // 1e309 + 1e309 overflows row 0
+	y, err := hc.MulOpts("big", x, MulOptions{})
+	if err != nil || !math.IsInf(y[0], 1) || y[1] != 10 {
+		t.Fatalf("frames carry an overflowed y: got %v, %v", y, err)
+	}
+	resp := postJSON(t, ts.URL+"/v1/matrices/big/mul", mulRequest{X: x})
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	var e errorResponse
+	if resp.StatusCode != http.StatusInternalServerError || json.Unmarshal(body, &e) != nil ||
+		e.Error.Code != "internal" || !strings.Contains(e.Error.Message, mediaF64LE) {
+		t.Fatalf("JSON tier with an overflowed y: status %d body %q, want an enveloped 500 naming the frame codec",
+			resp.StatusCode, body)
+	}
+}
+
+// TestNonFiniteLaneInFusedBatch: the finite check rides the interleave
+// loop, so a fused batch can discover one bad x among good ones. The bad
+// request alone fails; its batch-mates get the bits a lone sweep gives.
+func TestNonFiniteLaneInFusedBatch(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.MaxBatch = 4
+	cfg.Adaptive = false
+	cfg.BatchWindow = 50 * time.Millisecond // closes early once the four have joined
+	s := New(cfg)
+	defer s.Close()
+	registerTridiag(t, s)
+	xs := [][]float64{{1, 2, 3, 4}, {0.5, math.Inf(-1), 0, 1}, {-1, 0.25, 8, 1e-3}, {4, 3, math.NaN(), 1}}
+	ys := make([][]float64, len(xs))
+	errs := make([]error, len(xs))
+	var wg sync.WaitGroup
+	for v := range xs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ys[v], errs[v] = s.MulOpts("a", xs[v], MulOptions{})
+		}()
+	}
+	wg.Wait()
+	if st := s.Stats(); st.FusedSweeps != 1 || st.Sweeps != 1 {
+		t.Fatalf("%d sweeps, %d fused: the four requests did not share one sweep", st.Sweeps, st.FusedSweeps)
+	}
+	for v := range xs {
+		if finiteVec(xs[v]) {
+			want, err := s.MulOpts("a", xs[v], MulOptions{}) // lone: lingers, then sweeps at width 1
+			if err != nil || errs[v] != nil {
+				t.Fatalf("lane %d: fused err %v, lone err %v", v, errs[v], err)
+			}
+			for i := range want {
+				if math.Float64bits(ys[v][i]) != math.Float64bits(want[i]) {
+					t.Errorf("lane %d: y[%d] = %x beside a non-finite lane, %x alone", v, i, ys[v][i], want[i])
+				}
+			}
+		} else if !errors.Is(errs[v], ErrInvalidArgument) || ys[v] != nil {
+			t.Errorf("lane %d: got %v, %v; want ErrInvalidArgument", v, ys[v], errs[v])
+		}
+	}
+}
+
+// TestUnsupportedMediaTypeRestored: the 415 envelope code survives the
+// wire as its sentinel.
+func TestUnsupportedMediaTypeRestored(t *testing.T) {
+	s := New(DefaultConfig())
+	defer s.Close()
+	registerTridiag(t, s)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	hc := NewHTTPClient(ts.URL, nil)
+	_, err := hc.send(http.MethodPost, "/v1/matrices/a/mul", "text/csv", "", []byte("1,2,3,4"))
+	if !errors.Is(err, ErrUnsupportedMediaType) {
+		t.Fatalf("err %v, want ErrUnsupportedMediaType", err)
+	}
+}
+
+// TestWidthOneSharesX: at width 1 the sweep reads the caller's x in place
+// and writes the result vector directly. Many concurrent requests sharing
+// ONE x slice must stay race-free (run under -race) and bit-identical,
+// with and without a live overlay.
+func TestWidthOneSharesX(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.MaxBatch = 1 // every sweep is width 1, and they run concurrently
+	cfg.RecompactThreshold = -1
+	s := New(cfg)
+	defer s.Close()
+	m, err := spmv.GenerateSuite("LP", 0.02, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []string{"plain", "patched"} {
+		if _, err := s.Register(id, id, m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := s.Patch("patched", []Delta{{Op: "set", Row: 1, Col: 2, Val: 9}, {Op: "add", Row: 0, Col: 0, Val: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	_, cols := m.Dims()
+	x := randVec(cols, 8)
+	xCopy := append([]float64(nil), x...)
+	for _, id := range []string{"plain", "patched"} {
+		want, err := s.MulOpts(id, x, MulOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for k := 0; k < 10; k++ {
+					y, err := s.MulOpts(id, x, MulOptions{})
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					for i := range y {
+						if math.Float64bits(y[i]) != math.Float64bits(want[i]) {
+							t.Errorf("%s: y[%d] differs across concurrent width-1 sweeps", id, i)
+							return
+						}
+					}
+				}
+			}()
+		}
+		wg.Wait()
+	}
+	for i := range x {
+		if math.Float64bits(x[i]) != math.Float64bits(xCopy[i]) {
+			t.Fatalf("the server wrote to the caller's x at %d", i)
+		}
+	}
+}
+
+// matrixEntries lists m's stored entries in order.
+func matrixEntries(m *spmv.Matrix) (out [][3]float64) {
+	m.Entries(func(i, j int, v float64) { out = append(out, [3]float64{float64(i), float64(j), v}) })
+	return out
+}
+
+func sameEntries(a, b [][3]float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for k := range a {
+		if a[k][0] != b[k][0] || a[k][1] != b[k][1] || math.Float64bits(a[k][2]) != math.Float64bits(b[k][2]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestBandFrameRoundTrip: a band frame delivers what the MatrixMarket
+// document it replaces delivered — the same entries, bits and order — for
+// a row-major band (what buildBands cuts from every suite twin), values
+// %.17g has to work for (denormals, -0, huge) included. For a matrix whose
+// entries arrive shuffled with duplicates the frame groups by row keeping
+// each row's insertion order, which compiles to the same bits.
+func TestBandFrameRoundTrip(t *testing.T) {
+	lp, err := spmv.GenerateSuite("LP", 0.02, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	odd := spmv.NewMatrix(3, 5)
+	for _, e := range [][3]float64{
+		{0, 4, 5e-324}, {0, 4, math.Copysign(0, -1)}, {1, 0, -1.7976931348623157e308},
+		{1, 3, 0.1}, {1, 3, 0.2}, {2, 2, 1.0000000000000002},
+	} {
+		_ = odd.Set(int(e[0]), int(e[1]), e[2])
+	}
+	for name, m := range map[string]*spmv.Matrix{"LP": lp, "odd": odd} {
+		var doc strings.Builder
+		if err := m.WriteMatrixMarket(&doc); err != nil {
+			t.Fatal(err)
+		}
+		viaMM, err := spmv.ReadMatrixMarket(strings.NewReader(doc.String()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		frame := encodeBand(m)
+		viaFrame, err := decodeBand(frame)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		r1, c1 := viaMM.Dims()
+		r2, c2 := viaFrame.Dims()
+		if r1 != r2 || c1 != c2 || !sameEntries(matrixEntries(viaMM), matrixEntries(viaFrame)) {
+			t.Errorf("%s: band frame round trip differs from the MatrixMarket round trip", name)
+		}
+		t.Logf("%s: %d nnz, MatrixMarket %d bytes, band frame %d bytes", name, m.NNZ(), doc.Len(), len(frame))
+	}
+
+	// Shuffled rows with duplicates: grouped by row, insertion order kept
+	// within a row, compiled bits unchanged.
+	sh := spmv.NewMatrix(3, 3)
+	for _, e := range [][3]float64{{2, 1, 0.1}, {0, 0, 1}, {2, 1, 0.2}, {1, 2, 3}, {2, 0, 4}, {0, 0, 1e-17}, {2, 1, 0.3}} {
+		_ = sh.Set(int(e[0]), int(e[1]), e[2])
+	}
+	got, err := decodeBand(encodeBand(sh))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantOrder := [][3]float64{{0, 0, 1}, {0, 0, 1e-17}, {1, 2, 3}, {2, 1, 0.1}, {2, 1, 0.2}, {2, 0, 4}, {2, 1, 0.3}}
+	if !sameEntries(matrixEntries(got), wantOrder) {
+		t.Errorf("shuffled band decoded as %v, want %v", matrixEntries(got), wantOrder)
+	}
+	opA, err := spmv.Compile(sh, spmv.NaiveOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	opB, err := spmv.Compile(got, spmv.NaiveOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := []float64{0.3, -0.7, 1.1}
+	ya, _ := opA.Mul(x)
+	yb, _ := opB.Mul(x)
+	for i := range ya {
+		if math.Float64bits(ya[i]) != math.Float64bits(yb[i]) {
+			t.Errorf("shuffled band: y[%d] %x after the frame, %x before", i, yb[i], ya[i])
+		}
+	}
+}
+
+// corruptBands are band frames a member must refuse, derived from the
+// valid frame of a 2x3 matrix with 3 entries. Shared with FuzzBandFrame.
+func corruptBands() map[string][]byte {
+	m := spmv.NewMatrix(2, 3)
+	_ = m.Set(0, 0, 2)
+	_ = m.Set(0, 2, 1)
+	_ = m.Set(1, 1, 3)
+	good := encodeBand(m)
+	mut := func(f func(b []byte)) []byte {
+		b := append([]byte(nil), good...)
+		f(b)
+		return b
+	}
+	le := binary.LittleEndian
+	return map[string][]byte{
+		"empty":                    {},
+		"header only":              good[:bandHeaderBytes],
+		"truncated":                good[:len(good)-5],
+		"trailing bytes":           append(append([]byte(nil), good...), 0),
+		"zero rows":                mut(func(b []byte) { le.PutUint64(b[0:], 0) }),
+		"rows overflow":            mut(func(b []byte) { le.PutUint64(b[0:], math.MaxUint64) }),
+		"cols overflow":            mut(func(b []byte) { le.PutUint64(b[8:], 1<<40) }),
+		"nnz overflow":             mut(func(b []byte) { le.PutUint64(b[16:], math.MaxUint64/8) }),
+		"nnz understated":          mut(func(b []byte) { le.PutUint64(b[16:], 2) }),
+		"row pointers start late":  mut(func(b []byte) { le.PutUint64(b[bandHeaderBytes:], 1) }),
+		"row pointers decrease":    mut(func(b []byte) { le.PutUint64(b[bandHeaderBytes+8:], 3); le.PutUint64(b[bandHeaderBytes+16:], 2) }),
+		"row pointers end early":   mut(func(b []byte) { le.PutUint64(b[bandHeaderBytes+16:], 2) }),
+		"row pointer past nnz":     mut(func(b []byte) { le.PutUint64(b[bandHeaderBytes+8:], 9) }),
+		"column out of range":      mut(func(b []byte) { le.PutUint32(b[bandHeaderBytes+24:], 3) }),
+		"column far out of range":  mut(func(b []byte) { le.PutUint32(b[bandHeaderBytes+24:], math.MaxUint32) }),
+		"cols shrunk under column": mut(func(b []byte) { le.PutUint64(b[8:], 2) }),
+	}
+}
+
+// TestBandFrameCorruptRejected: a corrupted or truncated band frame is
+// refused at register time with an enveloped 400 and registers nothing.
+func TestBandFrameCorruptRejected(t *testing.T) {
+	s := New(DefaultConfig())
+	defer s.Close()
+	h := s.Handler()
+	for name, frame := range corruptBands() {
+		if _, err := decodeBand(frame); err == nil {
+			t.Errorf("%s: decodeBand accepted it", name)
+		}
+		req := httptest.NewRequest("POST", "/v1/matrices?id=b", bytes.NewReader(frame))
+		req.Header.Set("Content-Type", mediaBand)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		wantEnvelope(t, name, rec, 400, "bad_request")
+	}
+	if n := len(s.Registry().List()); n != 0 {
+		t.Fatalf("%d matrices registered by corrupt frames", n)
+	}
+	req := httptest.NewRequest("POST", "/v1/matrices?id=b&shards=2", bytes.NewReader(nil))
+	req.Header.Set("Content-Type", mediaBand)
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, req)
+	wantEnvelope(t, "unknown query parameter", rec, 400, "bad_request")
+}
+
+// TestHTTPTransportIsHTTPClient: the transport's four verbs ride the
+// client's wire path — a band registers as a frame pinned general, Mul is
+// bit-exact, and member errors come back as sentinels by envelope code.
+func TestHTTPTransportIsHTTPClient(t *testing.T) {
+	ms := New(DefaultConfig())
+	defer ms.Close()
+	mts := httptest.NewServer(ms.Handler())
+	defer mts.Close()
+	tr := NewHTTPTransport(mts.URL, nil)
+
+	// A symmetric band: a JSON registration would auto-pick SymCSR, the
+	// band path must not.
+	m := spmv.NewMatrix(3, 3)
+	for _, e := range [][3]float64{{0, 0, 2}, {0, 1, -1}, {1, 0, -1}, {1, 1, 2}, {2, 2, 0.1}} {
+		_ = m.Set(int(e[0]), int(e[1]), e[2])
+	}
+	info, err := tr.Register("m.s0", "m/shard0", m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.ID != "m.s0" || info.Name != "m/shard0" || info.Rows != 3 || info.Cols != 3 || info.NNZ != 5 || info.Symmetric {
+		t.Fatalf("band registered as %+v", info)
+	}
+	if _, err := tr.Register("m.s0", "again", m); !errors.Is(err, ErrAlreadyRegistered) {
+		t.Errorf("duplicate band: err %v, want ErrAlreadyRegistered", err)
+	}
+	x := []float64{0.1, 0.2, 0.3}
+	want, _ := ms.MulOpts("m.s0", x, MulOptions{})
+	got, err := tr.Mul("m.s0", x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Errorf("transport y[%d] = %x, in-process %x", i, got[i], want[i])
+		}
+	}
+	if st, err := tr.Stats(); err != nil || st.Registered != 1 || st.Requests != 2 {
+		t.Errorf("stats %+v, %v; want 1 registered, 2 requests", st, err)
+	}
+	if err := tr.Unregister("m.s0"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tr.Mul("m.s0", x); !errors.Is(err, ErrUnknownMatrix) {
+		t.Errorf("mul after unregister: err %v, want ErrUnknownMatrix", err)
+	}
+	if err := tr.Unregister("m.s0"); !errors.Is(err, ErrUnknownMatrix) {
+		t.Errorf("double unregister: err %v, want ErrUnknownMatrix", err)
+	}
+}

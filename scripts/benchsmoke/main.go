@@ -29,6 +29,11 @@
 //     instrumentation (histograms + 1-in-16 trace sampling) vs ObsSample=0
 //     (layer off, no hot-path timestamps) — the throughput ratio is gated
 //     against a committed floor encoding the ≤2% overhead budget.
+//   - wire codec: one loopback POST /mul on the LP twin at scale 0.1
+//     (428×110 000, the shape whose request is almost all x) through the
+//     JSON tier and through binary frames — measured median latency of
+//     each (reported, not gated: both track the runner), with bitwise
+//     parity between the codecs and in-process enforced as a hard failure.
 //
 // Refresh the baseline with:
 //
@@ -41,11 +46,15 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"runtime"
 	"sort"
@@ -536,6 +545,69 @@ func symmetricMetrics(metrics map[string]Metric) {
 	metrics["sym_matrix_stream_ratio"] = Metric{Value: ratio, Unit: "frac", Gated: true, HigherBetter: false}
 }
 
+// httpCodecMetrics measures what the wire codec costs a wide-x request:
+// the same Mul over loopback HTTP as JSON and as binary frames.
+func httpCodecMetrics(metrics map[string]Metric) {
+	s := server.New(server.DefaultConfig())
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	hc := server.NewHTTPClient(ts.URL, nil)
+	info, err := hc.RegisterSuite("lp", "LP", 0.1, 7)
+	if err != nil {
+		log.Fatal(err)
+	}
+	x := randVec(info.Cols, 11)
+	want, err := s.MulOpts("lp", x, server.MulOptions{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	jsonBody, err := json.Marshal(map[string]any{"x": x})
+	if err != nil {
+		log.Fatal(err)
+	}
+	codecs := []struct {
+		metric string
+		mul    func() ([]float64, error)
+	}{
+		{"http_mul_json_ms", func() ([]float64, error) {
+			resp, err := http.Post(ts.URL+"/v1/matrices/lp/mul", "application/json", bytes.NewReader(jsonBody))
+			if err != nil {
+				return nil, err
+			}
+			defer resp.Body.Close()
+			var out struct {
+				Y []float64 `json:"y"`
+			}
+			err = json.NewDecoder(resp.Body).Decode(&out)
+			return out.Y, err
+		}},
+		{"http_mul_frame_ms", func() ([]float64, error) { return hc.MulOpts("lp", x, server.MulOptions{}) }},
+	}
+	for _, c := range codecs {
+		const reps = 15
+		times := make([]time.Duration, reps)
+		for r := range times {
+			t0 := time.Now()
+			y, err := c.mul()
+			times[r] = time.Since(t0)
+			if err != nil {
+				log.Fatalf("%s: %v", c.metric, err)
+			}
+			if len(y) != len(want) {
+				log.Fatalf("%s: %d rows, want %d", c.metric, len(y), len(want))
+			}
+			for i := range y {
+				if math.Float64bits(y[i]) != math.Float64bits(want[i]) {
+					log.Fatalf("%s: y[%d] differs from in-process serving", c.metric, i)
+				}
+			}
+		}
+		sort.Slice(times, func(i, j int) bool { return times[i] < times[j] })
+		metrics[c.metric] = Metric{Value: float64(times[reps/2]) / float64(time.Millisecond), Unit: "ms"}
+	}
+}
+
 func main() {
 	out := flag.String("out", "BENCH_ci.json", "report path")
 	flag.Parse()
@@ -549,6 +621,7 @@ func main() {
 	obsOverheadMetrics(metrics)
 	schedOverheadMetrics(metrics)
 	overlayOverheadMetrics(metrics)
+	httpCodecMetrics(metrics)
 
 	r := Report{
 		Schema:  1,
