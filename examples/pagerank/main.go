@@ -197,7 +197,7 @@ func evolveAndVerify(n int, targets [][]int, outdeg []int, transition func() *sp
 
 	serverRank := func(sv *server.Server, id string) []float64 {
 		ranks, iters, err := pagerank(n, outdeg, damping, tol, func(x []float64) ([]float64, error) {
-			return sv.Mul(id, x)
+			return sv.MulOpts(id, x, server.MulOptions{})
 		})
 		if err != nil {
 			log.Fatal(err)

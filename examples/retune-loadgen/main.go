@@ -57,7 +57,6 @@ func main() {
 	cfg.RetuneMinRequests = 32
 	s := server.New(cfg)
 	defer s.Close()
-	c := s.Client()
 
 	m, err := spmv.GenerateSuite(*suite, *scale, 7)
 	if err != nil {
@@ -70,7 +69,7 @@ func main() {
 		}
 		name += " (symmetrized)"
 	}
-	info, err := c.Register("m", name, m)
+	info, err := s.Register("m", name, m)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -87,11 +86,11 @@ func main() {
 
 	// Phase 1: lone width-1 requests — the workload the tuner guessed.
 	for i := 0; i < *phase1; i++ {
-		if _, err := c.Mul("m", xs[i%len(xs)]); err != nil {
+		if _, err := s.MulOpts("m", xs[i%len(xs)], server.MulOptions{}); err != nil {
 			log.Fatal(err)
 		}
 	}
-	rep, err := c.Tuning("m")
+	rep, err := s.Tuning("m")
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -104,8 +103,8 @@ func main() {
 	fmt.Printf("phase 2: shifting to width-%d bursts...\n", *burst)
 	promoted := false
 	for r := 0; r < *rounds && !promoted; r++ {
-		oneBurst(c, xs)
-		if rep, err = c.Tuning("m"); err != nil {
+		oneBurst(s, xs)
+		if rep, err = s.Tuning("m"); err != nil {
 			log.Fatal(err)
 		}
 		promoted = rep.Generation > before.Generation
@@ -131,16 +130,16 @@ func main() {
 
 	// Phase 3: steady state on the promoted operator.
 	for r := 0; r < 20; r++ {
-		oneBurst(c, xs)
+		oneBurst(s, xs)
 	}
-	st := c.Stats()
+	st := s.Stats()
 	fmt.Printf("phase 3 (steady state): %d requests in %d sweeps (mean width %.1f), %.1f MB matrix stream saved by fusion, %d promotions / %d rejections\n",
 		st.Requests, st.Sweeps, st.MeanFusedWidth(), float64(st.SavedBytes)/1e6, st.RetunePromotions, st.RetuneRejections)
 }
 
 // oneBurst fires len(xs) concurrent requests from a common start so the
 // batcher fuses them into one wide sweep.
-func oneBurst(c *server.Client, xs [][]float64) {
+func oneBurst(s *server.Server, xs [][]float64) {
 	start := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(len(xs))
@@ -148,7 +147,7 @@ func oneBurst(c *server.Client, xs [][]float64) {
 		go func(g int) {
 			defer wg.Done()
 			<-start
-			if _, err := c.Mul("m", xs[g]); err != nil {
+			if _, err := s.MulOpts("m", xs[g], server.MulOptions{}); err != nil {
 				log.Fatal(err)
 			}
 		}(g)

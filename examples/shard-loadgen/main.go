@@ -112,13 +112,13 @@ func main() {
 	for i := range probe {
 		probe[i] = rng.NormFloat64()
 	}
-	want, err := single.Mul("m", probe)
+	want, err := single.MulOpts("m", probe, server.MulOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	singleRate := traffic.SustainedSweepRate(nodeBW, info.SweepBytes)
-	singleMeasured := drive(func(x []float64) ([]float64, error) { return single.Mul("m", x) },
+	singleMeasured := drive(func(x []float64) ([]float64, error) { return single.MulOpts("m", x, server.MulOptions{}) },
 		info.Cols, *clients, *requests)
 	fmt.Printf("%-8s %10.0f req/s measured  %10.0f req/s aggregate (modeled)  1.00x\n",
 		"K=1", singleMeasured, singleRate)
@@ -146,7 +146,7 @@ func main() {
 		}
 
 		// Bitwise parity with single-node serving, every run.
-		got, err := cluster.Mul("m", probe)
+		got, err := cluster.MulOpts("m", probe, server.ClusterMulOptions{})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -159,7 +159,7 @@ func main() {
 		// The fleet's aggregate rate is bounded by its most-loaded member:
 		// every request lands one band sub-request on each node.
 		rate := traffic.SustainedSweepRate(nodeBW, sinfo.MaxBandSweepBytes)
-		measured := drive(func(x []float64) ([]float64, error) { return cluster.Mul("m", x) },
+		measured := drive(func(x []float64) ([]float64, error) { return cluster.MulOpts("m", x, server.ClusterMulOptions{}) },
 			info.Cols, *clients, *requests)
 		speedup := rate / singleRate
 		fmt.Printf("K=%-6d %10.0f req/s measured  %10.0f req/s aggregate (modeled)  %.2fx\n",
@@ -212,7 +212,7 @@ func skewScenario(m *spmv.Matrix, suite string, want, probe []float64, clients, 
 		if _, err := cluster.RegisterSharded("m", suite, m, 3); err != nil {
 			log.Fatal(err)
 		}
-		got, err := cluster.Mul("m", probe)
+		got, err := cluster.MulOpts("m", probe, server.ClusterMulOptions{})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -221,7 +221,7 @@ func skewScenario(m *spmv.Matrix, suite string, want, probe []float64, clients, 
 				log.Fatalf("%s: y[%d] diverged from single-node serving", policy, i)
 			}
 		}
-		rate := drive(func(x []float64) ([]float64, error) { return cluster.Mul("m", x) },
+		rate := drive(func(x []float64) ([]float64, error) { return cluster.MulOpts("m", x, server.ClusterMulOptions{}) },
 			len(probe), clients, requests)
 		var dist []string
 		for _, mi := range cluster.Members() {

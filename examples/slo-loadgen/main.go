@@ -49,7 +49,7 @@ func run(name string, sc sched.Config, suite string, scale float64, duration tim
 	cfg.Sched = sc
 	s := server.New(cfg)
 	defer s.Close()
-	api := s.API()
+	var api server.API = s
 
 	info, err := api.RegisterSuite("m", suite, scale, 7)
 	if err != nil {

@@ -21,14 +21,16 @@ type Part struct {
 // Parallel is a row-partitioned multithreaded SpMV kernel. Each part is
 // executed by its own goroutine (standing in for a pinned Pthread); parts
 // own disjoint destination ranges, so the only shared state is the
-// read-only source vector.
+// read-only source vector. Concurrent MulAdd calls are safe: the padded
+// source and destination copies a call needs are its own, drawn from
+// scratch.
 type Parallel struct {
 	rows, cols int
 	nnz        int64
 	parts      []parallelPart
-	src        []Part    // the encoded parts as assembled (for wide views)
-	xpad       []float64 // shared padded source, nil if no part needs padding
+	src        []Part // the encoded parts as assembled (for wide views)
 	cpad       int
+	scratch    sync.Pool // *parallelScratch, one per MulAdd in flight
 	name       string
 	seq        bool // run parts sequentially (for deterministic profiling)
 }
@@ -36,7 +38,32 @@ type Parallel struct {
 type parallelPart struct {
 	lo, hi int
 	eng    engine
-	ypad   []float64 // private destination pad; nil when the engine fits
+}
+
+// parallelScratch is the padding one MulAdd call works in: the source
+// extended with zeros to the widest engine's padded column extent (nil
+// when no engine reads past cols) and, per part, a private destination
+// whose padded extent would otherwise spill into the next part's rows
+// (nil when the engine fits its row range). Pad elements beyond the
+// copied-in data are never read back, so recycled scratch needs no
+// clearing: xpad's tail is allocated zero and never written.
+type parallelScratch struct {
+	xpad []float64
+	ypad [][]float64
+}
+
+func (p *Parallel) newScratch() *parallelScratch {
+	sc := &parallelScratch{ypad: make([][]float64, len(p.parts))}
+	if p.cpad > p.cols {
+		sc.xpad = make([]float64, p.cpad)
+	}
+	for i := range p.parts {
+		pp := &p.parts[i]
+		if rp := pp.eng.rPad(); rp > pp.hi-pp.lo {
+			sc.ypad[i] = make([]float64, rp)
+		}
+	}
+	return sc
 }
 
 // NewParallel assembles a parallel kernel from encoded parts. The parts
@@ -59,21 +86,14 @@ func NewParallel(rows, cols int, parts []Part) (*Parallel, error) {
 		if err != nil {
 			return nil, fmt.Errorf("kernel: part %d: %w", i, err)
 		}
-		pp := parallelPart{lo: pt.Range.Lo, hi: pt.Range.Hi, eng: eng}
-		if eng.rPad() > pt.Range.Rows() {
-			pp.ypad = make([]float64, eng.rPad())
-		}
 		if eng.cPad() > p.cpad {
 			p.cpad = eng.cPad()
 		}
 		p.nnz += pt.Enc.NNZ()
-		p.parts = append(p.parts, pp)
+		p.parts = append(p.parts, parallelPart{lo: pt.Range.Lo, hi: pt.Range.Hi, eng: eng})
 	}
 	if at != rows {
 		return nil, fmt.Errorf("kernel: parts end at row %d, want %d", at, rows)
-	}
-	if p.cpad > cols {
-		p.xpad = make([]float64, p.cpad)
 	}
 	p.src = append([]Part(nil), parts...)
 	return p, nil
@@ -102,24 +122,29 @@ func (p *Parallel) MulAdd(y, x []float64) error {
 		return fmt.Errorf("%w: matrix %dx%d with len(y)=%d len(x)=%d",
 			matrix.ErrShape, p.rows, p.cols, len(y), len(x))
 	}
+	sc, _ := p.scratch.Get().(*parallelScratch)
+	if sc == nil {
+		sc = p.newScratch()
+	}
+	defer p.scratch.Put(sc)
 	xp := x
-	if p.xpad != nil {
-		copy(p.xpad, x)
-		xp = p.xpad
+	if sc.xpad != nil {
+		copy(sc.xpad, x)
+		xp = sc.xpad
 	}
 	if p.seq {
 		for i := range p.parts {
-			p.parts[i].mulAdd(y, xp)
+			p.parts[i].mulAdd(y, xp, sc.ypad[i])
 		}
 		return nil
 	}
 	var wg sync.WaitGroup
 	wg.Add(len(p.parts))
 	for i := range p.parts {
-		go func(pp *parallelPart) {
+		go func(pp *parallelPart, ypad []float64) {
 			defer wg.Done()
-			pp.mulAdd(y, xp)
-		}(&p.parts[i])
+			pp.mulAdd(y, xp, ypad)
+		}(&p.parts[i], sc.ypad[i])
 	}
 	wg.Wait()
 	return nil
@@ -129,14 +154,14 @@ func (p *Parallel) MulAdd(y, x []float64) error {
 // source. A private ypad is used whenever the engine's padded extent would
 // spill into a neighbouring part's rows, which would otherwise be a data
 // race (even though the spilled contributions are arithmetically zero).
-func (pp *parallelPart) mulAdd(y, xp []float64) {
-	if pp.ypad == nil {
+func (pp *parallelPart) mulAdd(y, xp, ypad []float64) {
+	if ypad == nil {
 		pp.eng.run(y[pp.lo:pp.hi], xp)
 		return
 	}
-	copy(pp.ypad, y[pp.lo:pp.hi])
-	pp.eng.run(pp.ypad, xp)
-	copy(y[pp.lo:pp.hi], pp.ypad[:pp.hi-pp.lo])
+	copy(ypad, y[pp.lo:pp.hi])
+	pp.eng.run(ypad, xp)
+	copy(y[pp.lo:pp.hi], ypad[:pp.hi-pp.lo])
 }
 
 // Format implements Kernel. The parallel kernel is itself a composite; it

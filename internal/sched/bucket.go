@@ -66,6 +66,14 @@ func (b *Bucket) Take(n int64) (ok bool, retryAfter time.Duration) {
 	return false, time.Duration(deficit / b.rate * float64(time.Second))
 }
 
+// Refund returns n tokens a Take debited for a job that was then refused
+// without running, up to the burst cap.
+func (b *Bucket) Refund(n int64) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.tokens = min(b.tokens+float64(n), b.burst)
+}
+
 // Wait blocks until a Take of n succeeds or cancel closes, reporting
 // which. It is the pacing primitive of long-running work (solver
 // sessions charge their iteration bursts through it): instead of being

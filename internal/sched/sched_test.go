@@ -117,6 +117,15 @@ func TestBucketOverBurstDeficit(t *testing.T) {
 	if ok, retry := b.Take(100); ok || retry < 3*time.Second {
 		t.Fatalf("deficit bucket admitted (%v) or under-estimated retry (%v)", ok, retry)
 	}
+	// Refunding the refused job restores the balance, capped at the burst.
+	b.Refund(5000)
+	if got := b.Balance(); got != 2000 {
+		t.Fatalf("balance after refund = %d, want 2000", got)
+	}
+	b.Refund(1)
+	if got := b.Balance(); got != 2000 {
+		t.Fatalf("refund overfilled the bucket: %d", got)
+	}
 }
 
 func TestBucketWait(t *testing.T) {

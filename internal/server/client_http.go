@@ -1,5 +1,5 @@
 // The unified client API: one interface over the serving subsystem that
-// both the in-process Client and the HTTP client implement, with request
+// both the in-process *Server and the HTTP client implement, with request
 // options (tenant, SLO class, deadline) carried as typed structs instead
 // of growing positional signatures. Code written against API runs
 // unchanged in-process (tests, embedded serving) and over the wire
@@ -22,9 +22,7 @@ import (
 )
 
 // API is the versioned request surface of the serving subsystem: the
-// options-struct methods shared by the in-process Client and HTTPClient.
-// The deprecated positional signatures (Mul, Solve) are thin wrappers
-// over these and are not part of the interface.
+// options-struct methods shared by the in-process *Server and HTTPClient.
 type API interface {
 	// RegisterSuite generates and registers a Table 3 suite twin.
 	RegisterSuite(id, suite string, scale float64, seed int64) (MatrixInfo, error)
@@ -34,7 +32,7 @@ type API interface {
 	// registered (non-sharded) matrix.
 	Patch(id string, deltas []Delta) (PatchResult, error)
 	// DeleteMatrix tears a matrix down: cancels and drains its solver
-	// sessions, evicts its caches, and (sharded) unregisters its bands.
+	// sessions, drops its batchers, and (sharded) unregisters its bands.
 	DeleteMatrix(id string) (DeleteResult, error)
 	// SolveOpts creates a solver session under the admission options.
 	SolveOpts(id string, req SolveRequest, opts SolveOptions) (SolveStatus, error)
@@ -47,18 +45,8 @@ type API interface {
 	StatsReport() (StatsReport, error)
 }
 
-// The in-process Client returns StatsReport without an error; apiClient
-// adapts it so both transports satisfy API verbatim.
-type apiClient struct{ *Client }
-
-func (a apiClient) StatsReport() (StatsReport, error) { return a.Client.StatsReport(), nil }
-
-// API returns the server's in-process implementation of the unified
-// client interface.
-func (s *Server) API() API { return apiClient{s.Client()} }
-
 var (
-	_ API = apiClient{}
+	_ API = (*Server)(nil)
 	_ API = (*HTTPClient)(nil)
 )
 
@@ -80,23 +68,6 @@ func NewHTTPClient(base string, client *http.Client) *HTTPClient {
 		client = &http.Client{Timeout: 60 * time.Second}
 	}
 	return &HTTPClient{base: strings.TrimRight(base, "/"), c: client}
-}
-
-// sentinelByCode inverts the error envelope's code strings back to the
-// sentinels the server classified with.
-var sentinelByCode = map[string]error{
-	"unknown_matrix":     ErrUnknownMatrix,
-	"already_registered": ErrAlreadyRegistered,
-	"not_symmetric":      ErrNotSymmetric,
-	"member_fault":       ErrMemberFault,
-	"unknown_session":    ErrUnknownSession,
-	"too_many_sessions":  ErrTooManySessions,
-	"deadline_exceeded":  ErrDeadlineExceeded,
-	"method_not_allowed": ErrMethodNotAllowed,
-	"sharded_immutable":  ErrShardedImmutable,
-
-	"invalid_argument":       ErrInvalidArgument,
-	"unsupported_media_type": ErrUnsupportedMediaType,
 }
 
 // apiError rebuilds a typed error from one error-envelope response.
@@ -124,7 +95,7 @@ func (hc *HTTPClient) apiError(r *http.Response) error {
 		}
 		return fmt.Errorf("server %s: %s: %w", hc.base, detail, ae)
 	}
-	if sentinel, ok := sentinelByCode[e.Error.Code]; ok {
+	if sentinel := sentinelByCode(e.Error.Code); sentinel != nil {
 		return fmt.Errorf("%w: server %s: %s", sentinel, hc.base, detail)
 	}
 	return fmt.Errorf("server %s: %s", hc.base, detail)
@@ -238,13 +209,6 @@ func (hc *HTTPClient) MulOpts(id string, x []float64, opts MulOptions) ([]float6
 		return nil, fmt.Errorf("server %s: reading the %d-byte result frame: %w", hc.base, len(frame), err)
 	}
 	return decodeF64LE(frame), nil
-}
-
-// Mul computes y = A·x with zero options.
-//
-// Deprecated: use MulOpts.
-func (hc *HTTPClient) Mul(id string, x []float64) ([]float64, error) {
-	return hc.MulOpts(id, x, MulOptions{})
 }
 
 // Patch applies one atomic batch of COO deltas on the remote server. A

@@ -65,7 +65,7 @@ func TestClusterHTTPEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	x := randVec(info.Cols, 3)
-	want, err := single.Mul("lp", x)
+	want, err := single.MulOpts("lp", x, MulOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +190,7 @@ func TestClusterHTTPRecovery(t *testing.T) {
 	down.Store(true)
 	deadline := time.Now().Add(5 * time.Second)
 	for !cluster.members[0].ejected.Load() {
-		if _, err := cluster.Mul("lp", x); err != nil {
+		if _, err := cluster.MulOpts("lp", x, ClusterMulOptions{}); err != nil {
 			t.Fatal(err) // the healthy replica must absorb every request
 		}
 		if time.Now().After(deadline) {
@@ -201,7 +201,7 @@ func TestClusterHTTPRecovery(t *testing.T) {
 	down.Store(false)
 	before := cluster.members[0].requests.Load()
 	for cluster.members[0].ejected.Load() || cluster.members[0].requests.Load() == before {
-		if _, err := cluster.Mul("lp", x); err != nil {
+		if _, err := cluster.MulOpts("lp", x, ClusterMulOptions{}); err != nil {
 			t.Fatal(err)
 		}
 		if time.Now().After(deadline) {

@@ -1,6 +1,9 @@
 package server
 
-import "errors"
+import (
+	"errors"
+	"net/http"
+)
 
 // Sentinel errors classifying serving failures. The HTTP layer maps them
 // to status codes with errors.Is — not substring matching — so wrapped
@@ -47,3 +50,52 @@ var (
 	// codec the endpoint speaks (415).
 	ErrUnsupportedMediaType = errors.New("server: unsupported media type")
 )
+
+// errorTable is the one place a sentinel meets its envelope code and its
+// HTTP status. errorCode, statusOf and HTTPClient's sentinel restoration
+// all read it, so a classification cannot differ between the status line,
+// the envelope and the client. Order decides errors that match twice:
+// ErrMemberFault leads because a member that lost its band mid-request is
+// a fleet fault (502) even though the wrapped member error says "unknown
+// matrix" (404).
+var errorTable = []struct {
+	err    error
+	code   string
+	status int
+}{
+	{ErrMemberFault, "member_fault", http.StatusBadGateway},
+	{ErrUnknownMatrix, "unknown_matrix", http.StatusNotFound},
+	{ErrAlreadyRegistered, "already_registered", http.StatusConflict},
+	{ErrNotSymmetric, "not_symmetric", http.StatusBadRequest},
+	{ErrUnknownSession, "unknown_session", http.StatusNotFound},
+	{ErrTooManySessions, "too_many_sessions", http.StatusTooManyRequests},
+	{ErrAdmissionLimited, "admission_limited", http.StatusTooManyRequests},
+	{ErrDeadlineExceeded, "deadline_exceeded", http.StatusGatewayTimeout},
+	{ErrMethodNotAllowed, "method_not_allowed", http.StatusMethodNotAllowed},
+	{ErrShardedImmutable, "sharded_immutable", http.StatusConflict},
+	{ErrInvalidArgument, "invalid_argument", http.StatusBadRequest},
+	{ErrUnsupportedMediaType, "unsupported_media_type", http.StatusUnsupportedMediaType},
+}
+
+// statusOf is the HTTP status a failed API call answers with: the
+// table's for a classified error, 400 for anything else (validation
+// failures carry no sentinel).
+func statusOf(err error) int {
+	for _, row := range errorTable {
+		if errors.Is(err, row.err) {
+			return row.status
+		}
+	}
+	return http.StatusBadRequest
+}
+
+// sentinelByCode inverts an envelope code back to the sentinel the server
+// classified with; nil for codes that name only a status class.
+func sentinelByCode(code string) error {
+	for _, row := range errorTable {
+		if row.code == code {
+			return row.err
+		}
+	}
+	return nil
+}

@@ -88,34 +88,13 @@ type errorResponse struct {
 	Error errorBody `json:"error"`
 }
 
-// errorCode maps an error (by sentinel classification) and its HTTP
-// status to the envelope's stable code string.
+// errorCode maps an error (by sentinel classification, see errorTable)
+// and its HTTP status to the envelope's stable code string.
 func errorCode(status int, err error) string {
-	switch {
-	case errors.Is(err, ErrUnknownMatrix):
-		return "unknown_matrix"
-	case errors.Is(err, ErrAlreadyRegistered):
-		return "already_registered"
-	case errors.Is(err, ErrNotSymmetric):
-		return "not_symmetric"
-	case errors.Is(err, ErrMemberFault):
-		return "member_fault"
-	case errors.Is(err, ErrUnknownSession):
-		return "unknown_session"
-	case errors.Is(err, ErrTooManySessions):
-		return "too_many_sessions"
-	case errors.Is(err, ErrAdmissionLimited):
-		return "admission_limited"
-	case errors.Is(err, ErrDeadlineExceeded):
-		return "deadline_exceeded"
-	case errors.Is(err, ErrMethodNotAllowed):
-		return "method_not_allowed"
-	case errors.Is(err, ErrShardedImmutable):
-		return "sharded_immutable"
-	case errors.Is(err, ErrInvalidArgument):
-		return "invalid_argument"
-	case errors.Is(err, ErrUnsupportedMediaType):
-		return "unsupported_media_type"
+	for _, row := range errorTable {
+		if errors.Is(err, row.err) {
+			return row.code
+		}
 	}
 	switch status {
 	case http.StatusNotFound:
@@ -139,18 +118,19 @@ func errorCode(status int, err error) string {
 	}
 }
 
-// setRetryAfter surfaces an AdmissionError's refill estimate as the
-// standard Retry-After header (whole seconds, minimum 1).
-func setRetryAfter(w http.ResponseWriter, err error) {
+// writeFailure answers a failed API call with the status errorTable
+// gives its error. An AdmissionError's refill estimate also goes out as
+// the standard Retry-After header (whole seconds, minimum 1).
+func writeFailure(w http.ResponseWriter, err error) {
 	var ae *AdmissionError
-	if !errors.As(err, &ae) {
-		return
+	if errors.As(err, &ae) {
+		secs := int64(math.Ceil(ae.RetryAfter.Seconds()))
+		if secs < 1 {
+			secs = 1
+		}
+		w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
 	}
-	secs := int64(math.Ceil(ae.RetryAfter.Seconds()))
-	if secs < 1 {
-		secs = 1
-	}
-	w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
+	writeError(w, statusOf(err), err)
 }
 
 // Handler returns the HTTP API of the serving subsystem:
@@ -356,20 +336,6 @@ func queryParams(r *http.Request, allowed ...string) (url.Values, error) {
 	return q, nil
 }
 
-// writeRegisterError maps a registration failure to its status.
-func writeRegisterError(w http.ResponseWriter, err error) {
-	code := http.StatusBadRequest
-	switch {
-	case errors.Is(err, ErrAlreadyRegistered):
-		code = http.StatusConflict
-	case errors.Is(err, ErrMemberFault):
-		// A member or transport fault during sharded registration is
-		// the fleet's failure, not the client's request.
-		code = http.StatusBadGateway
-	}
-	writeError(w, code, err)
-}
-
 // handleRegisterBand is POST /v1/matrices with a band-frame body: what a
 // coordinator's HTTPTransport sends a member. The id and name ride in the
 // query string; storage is pinned general (see Transport.Register).
@@ -392,7 +358,7 @@ func (s *Server) handleRegisterBand(w http.ResponseWriter, r *http.Request) {
 	general := false
 	info, err := s.RegisterOpts(q.Get("id"), q.Get("name"), m, RegisterOptions{Symmetric: &general})
 	if err != nil {
-		writeRegisterError(w, err)
+		writeFailure(w, err)
 		return
 	}
 	writeJSON(w, http.StatusCreated, info)
@@ -425,7 +391,7 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 		}
 		info, err := s.cluster.RegisterSharded(req.ID, name, m, req.Shards)
 		if err != nil {
-			writeRegisterError(w, err)
+			writeFailure(w, err)
 			return
 		}
 		writeJSON(w, http.StatusCreated, info)
@@ -433,7 +399,7 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	}
 	info, err := s.RegisterOpts(req.ID, name, m, RegisterOptions{Symmetric: req.Symmetric})
 	if err != nil {
-		writeRegisterError(w, err)
+		writeFailure(w, err)
 		return
 	}
 	writeJSON(w, http.StatusCreated, info)
@@ -500,17 +466,7 @@ func matrixFromEntries(rows, cols int, entries [][3]float64) (*spmv.Matrix, erro
 }
 
 func (s *Server) handleList(w http.ResponseWriter, _ *http.Request) {
-	list := s.Client().Matrices()
-	if s.cluster != nil {
-		for _, si := range s.cluster.Matrices() {
-			list = append(list, MatrixInfo{
-				ID: si.ID, Name: si.Name, Rows: si.Rows, Cols: si.Cols, NNZ: si.NNZ,
-				Kernel: "sharded", Shards: si.Shards, Replicas: si.Replicas,
-				SweepBytes: si.MaxBandSweepBytes,
-			})
-		}
-	}
-	writeJSON(w, http.StatusOK, list)
+	writeJSON(w, http.StatusOK, s.Matrices())
 }
 
 // decodeMulFrame fills req from a frame-coded mul request: x is the body,
@@ -587,27 +543,9 @@ func (s *Server) handleMul(w http.ResponseWriter, r *http.Request) {
 	if sw, ok := w.(*statusWriter); ok {
 		span = &sw.span
 	}
-	// mulOpts routes sharded ids through the cluster front itself, so
-	// sharded and local requests share one admission path (tenant bucket,
-	// priority gate, deadline) and one error surface.
 	y, err := s.mulOpts(id, req.X, opts, span)
 	if err != nil {
-		code := http.StatusBadRequest
-		switch {
-		case errors.Is(err, ErrMemberFault):
-			// Checked before ErrUnknownMatrix: a member that lost its band
-			// mid-request is a fleet fault even though the underlying
-			// member error is a 404.
-			code = http.StatusBadGateway
-		case errors.Is(err, ErrUnknownMatrix):
-			code = http.StatusNotFound
-		case errors.Is(err, ErrAdmissionLimited):
-			code = http.StatusTooManyRequests
-			setRetryAfter(w, err)
-		case errors.Is(err, ErrDeadlineExceeded):
-			code = http.StatusGatewayTimeout
-		}
-		writeError(w, code, err)
+		writeFailure(w, err)
 		return
 	}
 	if wantsFrame(r, codec) {
@@ -632,14 +570,7 @@ func (s *Server) handlePatchMatrix(w http.ResponseWriter, r *http.Request) {
 	}
 	res, err := s.Patch(id, req.Deltas)
 	if err != nil {
-		code := http.StatusBadRequest
-		switch {
-		case errors.Is(err, ErrShardedImmutable):
-			code = http.StatusConflict
-		case errors.Is(err, ErrUnknownMatrix):
-			code = http.StatusNotFound
-		}
-		writeError(w, code, err)
+		writeFailure(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, res)
@@ -648,17 +579,7 @@ func (s *Server) handlePatchMatrix(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleDeleteMatrix(w http.ResponseWriter, r *http.Request) {
 	res, err := s.DeleteMatrix(r.PathValue("id"))
 	if err != nil {
-		code := http.StatusBadRequest
-		switch {
-		case errors.Is(err, ErrMemberFault):
-			// Checked before ErrUnknownMatrix, as in handleMul: the
-			// coordinator entry is gone either way, but a band teardown
-			// failing on a member is a fleet fault worth surfacing.
-			code = http.StatusBadGateway
-		case errors.Is(err, ErrUnknownMatrix):
-			code = http.StatusNotFound
-		}
-		writeError(w, code, err)
+		writeFailure(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, res)
@@ -667,11 +588,7 @@ func (s *Server) handleDeleteMatrix(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleTuning(w http.ResponseWriter, r *http.Request) {
 	rep, err := s.Tuning(r.PathValue("id"))
 	if err != nil {
-		code := http.StatusBadRequest
-		if errors.Is(err, ErrUnknownMatrix) {
-			code = http.StatusNotFound
-		}
-		writeError(w, code, err)
+		writeFailure(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, rep)
@@ -691,22 +608,21 @@ type StatsReport struct {
 	Cluster   *ClusterStats    `json:"cluster,omitempty"`
 }
 
-// StatsReport assembles the full /v1/stats document.
-func (s *Server) StatsReport() StatsReport {
+// StatsReport assembles the full /v1/stats document. The error is always
+// nil in-process; the signature is API's, whose wire implementation can
+// fail.
+func (s *Server) StatsReport() (StatsReport, error) {
 	rep := StatsReport{Stats: s.Stats(), Latency: s.Latency(), Admission: s.Admission()}
 	if s.cluster != nil {
 		cs := s.cluster.Stats()
 		rep.Cluster = &cs
 	}
-	return rep
+	return rep, nil
 }
 
-// StatsReport returns the in-process client's view of the full stats
-// document (counters, latency, admission, cluster).
-func (c *Client) StatsReport() StatsReport { return c.s.StatsReport() }
-
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, s.StatsReport())
+	rep, _ := s.StatsReport() // never fails in-process
+	writeJSON(w, http.StatusOK, rep)
 }
 
 // clusterResponse is GET /v1/cluster: the shard topology.
@@ -742,8 +658,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	e.Counter("spmv_serve_fused_requests_total", "Requests served by fused sweeps.", float64(st.FusedRequests))
 	e.Counter("spmv_serve_single_fallbacks_total", "Requests served by the per-request parallel path.", float64(st.SingleFallbacks))
 	e.Gauge("spmv_serve_matrices_registered", "Matrices in the registry.", float64(st.Registered))
-	e.Counter("spmv_serve_compiles_total", "Tuner+compile runs (operator-cache misses).", float64(st.Compiles))
-	e.Counter("spmv_serve_compile_hits_total", "Operator-cache hits.", float64(st.CompileHits))
+	e.Counter("spmv_serve_compiles_total", "Tuner+compile runs.", float64(st.Compiles))
 	e.Counter("spmv_serve_retune_evals_total", "Drifted matrices shadow-benchmarked by the re-tuner.", float64(st.RetuneEvals))
 	e.Counter("spmv_serve_retune_promotions_total", "Re-tuned operators promoted to serving.", float64(st.RetunePromotions))
 	e.Counter("spmv_serve_retune_rejections_total", "Re-tune candidates rejected by the shadow benchmark.", float64(st.RetuneRejections))

@@ -26,7 +26,6 @@ import (
 
 	spmv "repro"
 	"repro/internal/matrix/delta"
-	"repro/internal/obs"
 	"repro/internal/traffic"
 )
 
@@ -109,12 +108,13 @@ func parseDeltas(deltas []Delta) ([]delta.Op, error) {
 // they loaded. Cluster-sharded matrices reject with ErrShardedImmutable:
 // their bands are registered as immutable entries across members.
 func (s *Server) Patch(id string, deltas []Delta) (PatchResult, error) {
-	e, err := s.reg.Get(id)
+	m, err := s.lookup(id)
 	if err != nil {
-		if s.cluster != nil && s.cluster.Has(id) {
-			return PatchResult{}, fmt.Errorf("%w: %q is cluster-sharded; re-register to mutate", ErrShardedImmutable, id)
-		}
 		return PatchResult{}, err
+	}
+	e, local := m.(*Entry)
+	if !local {
+		return PatchResult{}, fmt.Errorf("%w: %q is cluster-sharded; re-register to mutate", ErrShardedImmutable, id)
 	}
 	if len(deltas) == 0 {
 		return PatchResult{}, fmt.Errorf("server: empty delta batch")
@@ -145,19 +145,16 @@ func (s *Server) Patch(id string, deltas []Delta) (PatchResult, error) {
 		e.tuneMu.Unlock()
 		return PatchResult{}, err
 	}
-	ov := e.log.Overlay()
-	ovBytes := traffic.OverlaySweepBytes(ov.DirtyRows(), ov.Entries())
 	// Publish copy-on-write: same operator, same generation, new overlay.
 	nsv := *sv
-	nsv.ov = ov
-	nsv.ovBytes = ovBytes
+	nsv.setOverlay(e.log.Overlay())
 	e.cur.Store(&nsv)
 	res := PatchResult{
 		ID: id, Seq: e.log.Seq(), Applied: len(ops),
-		DirtyRows: ov.DirtyRows(), OverlayBytes: ovBytes,
+		DirtyRows: nsv.ov.DirtyRows(), OverlayBytes: nsv.ovBytes,
 		MatrixBytes: sv.matrixBytes, Generation: sv.gen,
 	}
-	trigger := traffic.ShouldRecompact(ovBytes, sv.matrixBytes, s.cfg.RecompactThreshold)
+	trigger := traffic.ShouldRecompact(nsv.ovBytes, sv.matrixBytes, s.cfg.RecompactThreshold)
 	e.tuneMu.Unlock()
 
 	s.st.patches.Add(1)
@@ -201,8 +198,8 @@ func (s *Server) Recompact(id string) error {
 //     compilation, the dominant cost — while patches keep landing.
 //  3. Under tuneMu again: rebuild the delta log over the folded base,
 //     replay the ops that arrived during phase 2 (Tail(seq)), swap the
-//     entry's base and operator caches, and promote a new serving
-//     snapshot (gen+1) carrying whatever overlay the replay left.
+//     entry's base, and promote a new serving snapshot (gen+1) carrying
+//     whatever overlay the replay left.
 //
 // Symmetric-served entries re-verify symmetry on the folded matrix:
 // deltas that broke it demote the entry to general storage (the
@@ -250,27 +247,9 @@ func (s *Server) recompactEntry(e *Entry) error {
 		}
 		def = op
 	}
-	var shards []spmv.RowRange
-	if !def.Symmetric() {
-		var err error
-		shards, err = def.RowPartition(s.cfg.Shards)
-		if err != nil {
-			return fmt.Errorf("server: recompact %q: %w", e.ID, err)
-		}
-	}
-	// Traffic accounting mirrors prepare: the symmetric kernel's halved
-	// stream, or the fused-path CSR stream plus the lone fast path's tuned
-	// encoding for general entries.
-	var tr, lone spmv.TrafficSummary
-	var err error
-	if def.Symmetric() {
-		tr, err = def.Traffic(spmv.TrafficOptions{})
-		lone = tr
-	} else {
-		if tr, err = def.MultiTraffic(spmv.TrafficOptions{}); err == nil {
-			lone, err = def.WideTraffic(spmv.TrafficOptions{})
-		}
-	}
+	// Generation and overlay are only known under the lock; everything
+	// else about the snapshot (shard plan, traffic model) is built here.
+	nsv, err := s.newServing(def, 0, 1, false, nil)
 	if err != nil {
 		return fmt.Errorf("server: recompact %q: %w", e.ID, err)
 	}
@@ -281,7 +260,6 @@ func (s *Server) recompactEntry(e *Entry) error {
 	tail := l.Tail(seq)
 	var newLog *delta.Log
 	var ov *delta.Overlay
-	var ovBytes int64
 	if len(tail) > 0 {
 		// Patches landed while we compiled: replay them over the folded
 		// base so not one op is lost. They validated against the same
@@ -294,34 +272,12 @@ func (s *Server) recompactEntry(e *Entry) error {
 			return fmt.Errorf("server: recompact %q: replay: %w", e.ID, err)
 		}
 		ov = newLog.Overlay()
-		ovBytes = traffic.OverlaySweepBytes(ov.DirtyRows(), ov.Entries())
 	}
-	nsv := &serving{
-		op: def, sym: def.Symmetric(), width: 1, gen: sv.gen + 1, shards: shards,
-		matrixBytes: tr.MatrixBytes, sourceBytes: tr.SourceBytes, destBytes: tr.DestBytes,
-		lone: lone, ov: ov, ovBytes: ovBytes,
-		// A fresh roofline accumulator, like any promotion: the folded
-		// generation's achieved bandwidth is measured on its own sweeps.
-		roof: new(obs.Roofline),
-	}
-	if !nsv.sym {
-		nsv.cacheKey = &opKey{opts: s.cfg.Tune, threads: s.cfg.Threads}
-	}
-	// Swap the base and reset the operator caches to exactly the folded
-	// operator under its canonical key — the old encodings serve a matrix
-	// that no longer exists, and the re-tuner's eviction logic (drop)
-	// keys off these maps.
-	e.mu.Lock()
+	nsv.gen = sv.gen + 1
+	nsv.setOverlay(ov)
+	// The old base and its encodings serve a matrix that no longer exists.
 	e.m = folded
 	e.nnz.Store(folded.NNZ())
-	e.ops = make(map[opKey]*spmv.Operator)
-	e.symOps = make(map[int]*spmv.Operator)
-	if nsv.sym {
-		e.symOps[s.cfg.Threads] = def
-	} else {
-		e.ops[*nsv.cacheKey] = def
-	}
-	e.mu.Unlock()
 	e.cur.Store(nsv)
 	e.log = newLog // nil when no tail: the next PATCH re-indexes lazily
 	// The base changed: CG admission must re-judge symmetry against it.
@@ -352,54 +308,23 @@ func (s *Server) recompactEntry(e *Entry) error {
 	return nil
 }
 
-// DeleteMatrix tears a matrix down: the id leaves the registry first (new
-// requests see ErrUnknownMatrix), then its resident solver sessions are
-// cancelled and drained, its batchers purged, and its operator caches
-// released. Sweeps already in flight finish safely on the immutable
-// snapshots they loaded. Cluster-sharded matrices additionally
-// unregister their band registrations on the members, best-effort.
+// DeleteMatrix tears a matrix down (see servable.teardown): the id stops
+// resolving, its resident solver sessions are cancelled and drained, its
+// batchers purged, and — cluster-sharded — its band registrations
+// unregistered on the members, best-effort.
 func (s *Server) DeleteMatrix(id string) (DeleteResult, error) {
-	e, err := s.reg.Get(id)
-	if err != nil {
-		if s.cluster != nil && s.cluster.Has(id) {
-			return s.clusterDelete(id)
-		}
-		return DeleteResult{}, err
-	}
-	if !s.reg.remove(id) {
-		// Lost the race with a concurrent DELETE.
-		return DeleteResult{}, fmt.Errorf("%w %q", ErrUnknownMatrix, id)
-	}
-	res := DeleteResult{ID: id}
-	res.CancelledSessions = s.cancelMatrixSessions(id)
-	s.purgeBatchers(id)
-	// Release the operator caches: in-flight work holds what it needs via
-	// its snapshot; these references would otherwise pin matrix-sized
-	// encodings until GC finds the entry unreachable.
-	e.mu.Lock()
-	e.ops = nil
-	e.symOps = nil
-	e.mu.Unlock()
-	s.st.deletes.Add(1)
-	s.log.Info("matrix deleted", slog.String("matrix", id),
-		slog.Int("cancelled_sessions", res.CancelledSessions))
-	return res, nil
-}
-
-// clusterDelete tears down a cluster-sharded matrix: coordinator-side
-// solver sessions cancel and drain like local ones, then the coordinator
-// unregisters the matrix and its member band registrations.
-func (s *Server) clusterDelete(id string) (DeleteResult, error) {
-	bands, err := s.cluster.Unregister(id)
+	m, err := s.lookup(id)
 	if err != nil {
 		return DeleteResult{}, err
 	}
-	res := DeleteResult{ID: id, Sharded: true, Bands: bands}
-	res.CancelledSessions = s.cancelMatrixSessions(id)
-	s.purgeBatchers(id)
+	res, err := m.teardown(s)
+	if err != nil {
+		return DeleteResult{}, err
+	}
+	res.ID = id
 	s.st.deletes.Add(1)
-	s.log.Info("matrix deleted", slog.String("matrix", id), slog.Bool("sharded", true),
-		slog.Int("bands", bands), slog.Int("cancelled_sessions", res.CancelledSessions))
+	s.log.Info("matrix deleted", slog.String("matrix", id), slog.Bool("sharded", res.Sharded),
+		slog.Int("bands", res.Bands), slog.Int("cancelled_sessions", res.CancelledSessions))
 	return res, nil
 }
 
@@ -437,18 +362,3 @@ func (s *Server) purgeBatchers(id string) {
 	}
 	s.mu.Unlock()
 }
-
-// Patch applies a batch of COO deltas (in-process mirror of PATCH
-// /v1/matrices/{id}).
-func (c *Client) Patch(id string, deltas []Delta) (PatchResult, error) {
-	return c.s.Patch(id, deltas)
-}
-
-// DeleteMatrix tears down a matrix (in-process mirror of DELETE
-// /v1/matrices/{id}).
-func (c *Client) DeleteMatrix(id string) (DeleteResult, error) {
-	return c.s.DeleteMatrix(id)
-}
-
-// Recompact synchronously folds pending deltas into a fresh tuned base.
-func (c *Client) Recompact(id string) error { return c.s.Recompact(id) }

@@ -105,7 +105,7 @@ func TestPatchMatchesRebuildBitwise(t *testing.T) {
 			t.Fatalf("batch %d: empty overlay in result: %+v", batch, res)
 		}
 
-		got, err := s.Mul("a", x)
+		got, err := s.MulOpts("a", x, MulOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -114,7 +114,7 @@ func TestPatchMatchesRebuildBitwise(t *testing.T) {
 		if _, err := fresh.Register("b", "rebuild", rebuilt); err != nil {
 			t.Fatal(err)
 		}
-		want, err := fresh.Mul("b", x)
+		want, err := fresh.MulOpts("b", x, MulOptions{})
 		fresh.Close()
 		if err != nil {
 			t.Fatal(err)
@@ -122,7 +122,7 @@ func TestPatchMatchesRebuildBitwise(t *testing.T) {
 		mustBitwise(t, "patched vs rebuild", got, want)
 	}
 
-	infos := s.Client().Matrices()
+	infos := s.Matrices()
 	if len(infos) != 1 || infos[0].DeltaSeq != len(all) || infos[0].OverlayRows == 0 {
 		t.Fatalf("info does not reflect the log: %+v", infos)
 	}
@@ -141,7 +141,7 @@ func TestPatchAtomicAndValidated(t *testing.T) {
 		t.Fatal(err)
 	}
 	x := testVector(60, 5)
-	before, err := s.Mul("a", x)
+	before, err := s.MulOpts("a", x, MulOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,12 +159,12 @@ func TestPatchAtomicAndValidated(t *testing.T) {
 			t.Fatalf("bad batch %d accepted", n)
 		}
 	}
-	after, err := s.Mul("a", x)
+	after, err := s.MulOpts("a", x, MulOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	mustBitwise(t, "after rejected batches", after, before)
-	if infos := s.Client().Matrices(); infos[0].DeltaSeq != 0 {
+	if infos := s.Matrices(); infos[0].DeltaSeq != 0 {
 		t.Fatalf("rejected batches advanced the log to seq %d", infos[0].DeltaSeq)
 	}
 	if _, err := s.Patch("ghost", []Delta{{Op: "set", Row: 0, Col: 0, Val: 1}}); !errors.Is(err, ErrUnknownMatrix) {
@@ -205,7 +205,7 @@ func TestRecompactionPromotes(t *testing.T) {
 		t.Fatal(err)
 	}
 	x := testVector(150, 11)
-	before, err := s.Mul("a", x)
+	before, err := s.MulOpts("a", x, MulOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +216,8 @@ func TestRecompactionPromotes(t *testing.T) {
 	}
 	gen0 := e.cur.Load().gen
 	nnzBefore := e.NNZ()
-	if err := s.Client().Recompact("a"); err != nil {
+	compiles0 := s.Stats().Compiles
+	if err := s.Recompact("a"); err != nil {
 		t.Fatal(err)
 	}
 	sv := e.cur.Load()
@@ -229,18 +230,17 @@ func TestRecompactionPromotes(t *testing.T) {
 	if e.NNZ() == nnzBefore {
 		t.Fatalf("nnz unchanged at %d; dels/sets should have moved it", nnzBefore)
 	}
-	e.mu.Lock()
-	cached := len(e.ops) + len(e.symOps)
-	e.mu.Unlock()
-	if cached != 1 {
-		t.Fatalf("operator cache holds %d entries after recompaction, want exactly the folded one", cached)
+	// Recompaction has its own counter; Compiles keeps counting only
+	// registrations and re-tune candidates.
+	if got := s.Stats().Compiles; got != compiles0 || got != 1 {
+		t.Fatalf("Compiles = %d after recompaction (was %d), want 1", got, compiles0)
 	}
-	after, err := s.Mul("a", x)
+	after, err := s.MulOpts("a", x, MulOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	mustBitwise(t, "across recompaction", after, before)
-	if infos := s.Client().Matrices(); infos[0].DeltaSeq != 0 || infos[0].OverlayRows != 0 {
+	if infos := s.Matrices(); infos[0].DeltaSeq != 0 || infos[0].OverlayRows != 0 {
 		t.Fatalf("info still shows a log after recompaction: %+v", infos[0])
 	}
 	if st := s.Stats(); st.Recompactions != 1 {
@@ -248,7 +248,7 @@ func TestRecompactionPromotes(t *testing.T) {
 	}
 
 	// Nothing pending: a second recompaction is a no-op.
-	if err := s.Client().Recompact("a"); err != nil {
+	if err := s.Recompact("a"); err != nil {
 		t.Fatal(err)
 	}
 	if g := e.cur.Load().gen; g != gen0+1 {
@@ -291,7 +291,7 @@ func TestRecompactionAutoTrigger(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	infos := s.Client().Matrices()
+	infos := s.Matrices()
 	if infos[0].DeltaSeq != 0 || infos[0].Generation == 0 {
 		t.Fatalf("recompaction did not fold: %+v", infos[0])
 	}
@@ -327,10 +327,10 @@ func TestRecompactionSymmetry(t *testing.T) {
 		if _, err := s.Patch("s", batch); err != nil {
 			t.Fatal(err)
 		}
-		if !e.isSymmetricMatrix() {
+		if !e.symmetricMatrix() {
 			t.Fatal("symmetric pair of deltas judged asymmetric")
 		}
-		if err := s.Client().Recompact("s"); err != nil {
+		if err := s.Recompact("s"); err != nil {
 			t.Fatal(err)
 		}
 		if !e.cur.Load().sym {
@@ -355,11 +355,11 @@ func TestRecompactionSymmetry(t *testing.T) {
 		if _, err := s.Patch("s", []Delta{{Op: "set", Row: 0, Col: 5, Val: 3.5}}); err != nil {
 			t.Fatal(err)
 		}
-		if e.isSymmetricMatrix() {
+		if e.symmetricMatrix() {
 			t.Fatal("asymmetric delta still judged symmetric (stale cache)")
 		}
 		// Value correctness while still serving from SymCSR + overlay.
-		got, err := s.Mul("s", x)
+		got, err := s.MulOpts("s", x, MulOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -368,7 +368,7 @@ func TestRecompactionSymmetry(t *testing.T) {
 		if d := maxAbsDiff(got, want); d > 1e-12 {
 			t.Fatalf("sym-served overlay off by %g", d)
 		}
-		if err := s.Client().Recompact("s"); err != nil {
+		if err := s.Recompact("s"); err != nil {
 			t.Fatal(err)
 		}
 		sv := e.cur.Load()
@@ -379,7 +379,7 @@ func TestRecompactionSymmetry(t *testing.T) {
 			t.Fatalf("SymDemotions = %d, want 1", st.SymDemotions)
 		}
 		// Post-demotion serving matches the general rebuild bitwise.
-		got, err = s.Mul("s", x)
+		got, err = s.MulOpts("s", x, MulOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -388,7 +388,7 @@ func TestRecompactionSymmetry(t *testing.T) {
 		if _, err := fresh.RegisterOpts("g", "rebuild", rebuilt, RegisterOptions{Symmetric: &general}); err != nil {
 			t.Fatal(err)
 		}
-		want, err = fresh.Mul("g", x)
+		want, err = fresh.MulOpts("g", x, MulOptions{})
 		fresh.Close()
 		if err != nil {
 			t.Fatal(err)
@@ -406,7 +406,7 @@ func TestDeleteMatrixTeardown(t *testing.T) {
 	if _, err := s.Register("a", "test", m); err != nil {
 		t.Fatal(err)
 	}
-	st, err := s.Solve("a", SolveRequest{Method: "power", MaxIters: MaxSolveIters})
+	st, err := s.SolveOpts("a", SolveRequest{Method: "power", MaxIters: MaxSolveIters}, SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -417,7 +417,7 @@ func TestDeleteMatrixTeardown(t *testing.T) {
 	if res.CancelledSessions != 1 {
 		t.Fatalf("cancelled %d sessions, want 1", res.CancelledSessions)
 	}
-	if _, err := s.Mul("a", testVector(200, 16)); !errors.Is(err, ErrUnknownMatrix) {
+	if _, err := s.MulOpts("a", testVector(200, 16), MulOptions{}); !errors.Is(err, ErrUnknownMatrix) {
 		t.Fatalf("Mul after delete: got %v, want ErrUnknownMatrix", err)
 	}
 	if _, err := s.SolveStatus(st.SID, 0); !errors.Is(err, ErrUnknownSession) {
@@ -433,7 +433,7 @@ func TestDeleteMatrixTeardown(t *testing.T) {
 	if _, err := s.Register("a", "again", testMatrix(t, 50, 50, 200, 17)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Mul("a", testVector(50, 18)); err != nil {
+	if _, err := s.MulOpts("a", testVector(50, 18), MulOptions{}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -463,7 +463,7 @@ func TestDeleteMatrixSharded(t *testing.T) {
 		t.Fatalf("sharded Mul after delete: got %v, want ErrUnknownMatrix", err)
 	}
 	for i, member := range members {
-		if list := member.Client().Matrices(); len(list) != 0 {
+		if list := member.Matrices(); len(list) != 0 {
 			t.Fatalf("member %d still holds %d band(s)", i, len(list))
 		}
 	}
@@ -522,7 +522,7 @@ func TestPatchDeleteHTTP(t *testing.T) {
 	if _, err := hc.RegisterSuite("a", "LP", 0.02, 21); err != nil {
 		t.Fatal(err)
 	}
-	infos := s.Client().Matrices()
+	infos := s.Matrices()
 	rows, cols := infos[0].Rows, infos[0].Cols
 	deltas := []Delta{
 		{Op: "set", Row: 0, Col: 1, Val: 2.5},
@@ -541,7 +541,7 @@ func TestPatchDeleteHTTP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := s.Mul("a", x)
+	want, err := s.MulOpts("a", x, MulOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -601,12 +601,12 @@ func TestMidSolveRecompactionTrajectory(t *testing.T) {
 		if _, err := s.Patch("a", deltas); err != nil {
 			t.Fatal(err)
 		}
-		st, err := s.Solve("a", SolveRequest{Method: "power", MaxIters: 40})
+		st, err := s.SolveOpts("a", SolveRequest{Method: "power", MaxIters: 40}, SolveOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if recompactMidway {
-			if err := s.Client().Recompact("a"); err != nil {
+			if err := s.Recompact("a"); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -664,7 +664,7 @@ func TestMutationRaceHammer(t *testing.T) {
 			defer wg.Done()
 			x := testVector(n, seed)
 			for k := 0; k < iters; k++ {
-				if _, err := s.Mul("a", x); err != nil {
+				if _, err := s.MulOpts("a", x, MulOptions{}); err != nil {
 					t.Error(err)
 					return
 				}
@@ -677,7 +677,7 @@ func TestMutationRaceHammer(t *testing.T) {
 		for k := 0; k < iters/4; k++ {
 			// "already in flight" races with the background recompactor
 			// and is expected; anything else is not.
-			if err := s.Client().Recompact("a"); err != nil && !errors.Is(err, ErrUnknownMatrix) {
+			if err := s.Recompact("a"); err != nil && !errors.Is(err, ErrUnknownMatrix) {
 				time.Sleep(time.Millisecond)
 			}
 		}
@@ -686,7 +686,7 @@ func TestMutationRaceHammer(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for k := 0; k < 4; k++ {
-			st, err := s.Solve("a", SolveRequest{Method: "power", MaxIters: 25})
+			st, err := s.SolveOpts("a", SolveRequest{Method: "power", MaxIters: 25}, SolveOptions{})
 			if err != nil {
 				t.Error(err)
 				return
@@ -702,7 +702,7 @@ func TestMutationRaceHammer(t *testing.T) {
 		return
 	}
 	// Everything drained: the entry still serves, then tears down cleanly.
-	if _, err := s.Mul("a", testVector(n, 27)); err != nil {
+	if _, err := s.MulOpts("a", testVector(n, 27), MulOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.DeleteMatrix("a"); err != nil {

@@ -253,10 +253,6 @@ func (s *Server) Latency() *LatencyReport {
 	}
 }
 
-// Latency returns the in-process client's view of the measured-latency
-// histograms (what /v1/stats serves under "latency").
-func (c *Client) Latency() *LatencyReport { return c.s.Latency() }
-
 // Traces returns the sampled traces resident in the ring, oldest first.
 func (s *Server) Traces() []*obs.Trace {
 	if s.obs == nil {

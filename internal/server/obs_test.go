@@ -292,7 +292,7 @@ func TestMulStagesTileEndpoint(t *testing.T) {
 func TestTuningMeasuredRoofline(t *testing.T) {
 	s := New(obsConfig())
 	defer s.Close()
-	c := s.Client()
+	c := s
 	info, err := c.RegisterSuite("qcd", "QCD", 0.05, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -302,7 +302,7 @@ func TestTuningMeasuredRoofline(t *testing.T) {
 		x[i] = 1
 	}
 	for i := 0; i < 10; i++ {
-		if _, err := c.Mul("qcd", x); err != nil {
+		if _, err := c.MulOpts("qcd", x, MulOptions{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -334,7 +334,7 @@ func TestTuningMeasuredRoofline(t *testing.T) {
 func TestSolveIterTraces(t *testing.T) {
 	s := New(obsConfig())
 	defer s.Close()
-	c := s.Client()
+	c := s
 	// SPD tridiagonal matrix.
 	mm := "%%MatrixMarket matrix coordinate real general\n4 4 10\n" +
 		"1 1 2\n2 2 2\n3 3 2\n4 4 2\n1 2 -1\n2 1 -1\n2 3 -1\n3 2 -1\n3 4 -1\n4 3 -1\n"
@@ -345,7 +345,7 @@ func TestSolveIterTraces(t *testing.T) {
 	if _, err := c.Register("spd", "spd", m); err != nil {
 		t.Fatal(err)
 	}
-	st, err := c.Solve("spd", SolveRequest{Method: "cg", B: []float64{1, 1, 1, 1}, Tol: 1e-10})
+	st, err := c.SolveOpts("spd", SolveRequest{Method: "cg", B: []float64{1, 1, 1, 1}, Tol: 1e-10}, SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -456,7 +456,7 @@ func TestRooflineResetsOnPromotion(t *testing.T) {
 	cfg.RetuneMinRequests = 1
 	s := New(cfg)
 	defer s.Close()
-	c := s.Client()
+	c := s
 	info, err := c.RegisterSuite("qcd", "QCD", 0.05, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -467,7 +467,7 @@ func TestRooflineResetsOnPromotion(t *testing.T) {
 	}
 	x := make([]float64, info.Cols)
 	for i := 0; i < 12; i++ {
-		if _, err := c.Mul("qcd", x); err != nil {
+		if _, err := c.MulOpts("qcd", x, MulOptions{}); err != nil {
 			t.Fatal(err)
 		}
 	}

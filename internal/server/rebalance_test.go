@@ -27,7 +27,7 @@ func TestRebalanceParityUnderLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	x := randVec(cols, 3)
-	want, err := single.Mul("m", x)
+	want, err := single.MulOpts("m", x, MulOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func TestRebalanceParityUnderLoad(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perClient; i++ {
-				got, err := c.Mul("m", x)
+				got, err := c.MulOpts("m", x, ClusterMulOptions{})
 				if err != nil {
 					errc <- err
 					return
@@ -81,7 +81,7 @@ func TestRebalanceParityUnderLoad(t *testing.T) {
 	if got := c.Stats().Rebalances; got != 3 {
 		t.Errorf("rebalances counter = %d, want 3", got)
 	}
-	got, err := c.Mul("m", x)
+	got, err := c.MulOpts("m", x, ClusterMulOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestAutoRebalanceOnSkew(t *testing.T) {
 
 	x := make([]float64, 64)
 	for i := 0; i < rebalanceCheckEvery; i++ {
-		if _, err := c.Mul("a", x); err != nil {
+		if _, err := c.MulOpts("a", x, ClusterMulOptions{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -125,7 +125,7 @@ func TestAutoRebalanceOnSkew(t *testing.T) {
 	// check interval immediately must NOT reband again (cooldown).
 	gen := c.Generation("a")
 	for i := 0; i < rebalanceCheckEvery; i++ {
-		if _, err := c.Mul("a", x); err != nil {
+		if _, err := c.MulOpts("a", x, ClusterMulOptions{}); err != nil {
 			t.Fatal(err)
 		}
 	}

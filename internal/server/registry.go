@@ -1,10 +1,10 @@
 // Package server is the SpMV serving subsystem: a matrix registry that
-// tunes (§4.2) and caches compiled operators, an adaptive batcher that
+// tunes (§4.2) each matrix into a serving snapshot, an adaptive batcher that
 // coalesces concurrent single-vector requests into fused multi-RHS sweeps
 // (§2.1's multiple-vectors optimization — the matrix streams once for k
 // requests), and a worker pool that shards each sweep over nonzero-balanced
-// row partitions (§4.3). It serves both as an in-process Client API and,
-// via Handler, as the HTTP service behind cmd/spmv-serve.
+// row partitions (§4.3). *Server is the in-process API and, via Handler,
+// the HTTP service behind cmd/spmv-serve.
 package server
 
 import (
@@ -17,13 +17,6 @@ import (
 	"repro/internal/matrix/delta"
 	"repro/internal/obs"
 )
-
-// opKey identifies one compiled operator: tune options plus parallel width.
-// tune.Options is a flat value struct, so the pair is directly comparable.
-type opKey struct {
-	opts    spmv.TuneOptions
-	threads int
-}
 
 // serving is one immutable serving configuration for an entry: the
 // operator answering requests, how its fused sweeps execute, and the
@@ -53,10 +46,6 @@ type serving struct {
 	// stream the fields above model. Equal to them whenever the lone
 	// path streams the same structure (sym and wide snapshots).
 	lone spmv.TrafficSummary
-	// cacheKey locates op in the entry's general-operator cache so a
-	// later promotion can evict the demoted encoding; nil when op is the
-	// symmetric operator (cached per thread count instead).
-	cacheKey *opKey
 	// ov is the delta overlay sweeps apply after the base-operator pass
 	// (nil when the entry has no pending deltas), and ovBytes its modeled
 	// per-sweep stream (traffic.OverlaySweepBytes) — the extra bandwidth
@@ -86,25 +75,22 @@ func (sv *serving) summary() spmv.TrafficSummary {
 	}
 }
 
-// Entry is one registered matrix with its cached compiled operators and
-// precomputed serving metadata.
+// Entry is one registered matrix with its serving snapshot and
+// precomputed serving metadata. The only compiled operator an entry keeps
+// alive is the one its snapshot serves: comparison losers, rejected
+// re-tune candidates and demoted incumbents are simply dropped for the
+// garbage collector.
 type Entry struct {
 	ID   string
 	Name string // human label (suite name, "upload", ...)
 
-	// m is the base matrix; recompaction replaces it (under both tuneMu
-	// and mu — its readers hold one or the other) along with nnz, which is
-	// atomic because listings read it lock-free.
+	// m is the base matrix; recompaction replaces it under tuneMu, which
+	// its readers hold, along with nnz, which is atomic because listings
+	// read it lock-free. (Registration reads m before the first snapshot is
+	// published, when no writer can run yet.)
 	m          *spmv.Matrix
 	rows, cols int
 	nnz        atomic.Int64
-
-	mu  sync.Mutex
-	ops map[opKey]*spmv.Operator
-
-	// symOps caches compiled symmetric operators by thread count (they
-	// have no tune options), mirroring the ops cache.
-	symOps map[int]*spmv.Operator
 
 	// cur is the entry's serving snapshot; nil until the registration-time
 	// tune finishes. See serving.
@@ -148,7 +134,7 @@ type Entry struct {
 	bufs sync.Pool // *blockBuf
 
 	// symMu/symChecked/symSeq/symIs cache the numeric-symmetry answer for
-	// solver admission (see Entry.isSymmetricMatrix): CG requires the
+	// solver admission (see Entry.symmetricMatrix): CG requires the
 	// matrix to be symmetric whatever storage family serves it, and the
 	// exact transpose comparison is worth paying once per mutation epoch,
 	// not per session. The cache is keyed by the delta log's seq (and reset
@@ -186,77 +172,6 @@ func (e *Entry) Dims() (rows, cols int) { return e.rows, e.cols }
 
 // NNZ returns the matrix's logical nonzero count.
 func (e *Entry) NNZ() int64 { return e.nnz.Load() }
-
-// Operator returns the compiled operator for the given tune options and
-// thread count, compiling on first use and serving every later request for
-// the same key from cache. It is the registry's "tune once per matrix"
-// contract: the §4.2 tuner pass and kernel compilation are paid once per
-// (matrix, options, threads).
-func (e *Entry) Operator(opts spmv.TuneOptions, threads int, st *stats) (*spmv.Operator, error) {
-	key := opKey{opts: opts, threads: threads}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if op, ok := e.ops[key]; ok {
-		if st != nil {
-			st.compileHits.Add(1)
-		}
-		return op, nil
-	}
-	op, err := spmv.CompileParallel(e.m, opts, threads, 1)
-	if err != nil {
-		return nil, err
-	}
-	if e.ops == nil {
-		e.ops = make(map[opKey]*spmv.Operator)
-	}
-	e.ops[key] = op
-	if st != nil {
-		st.compiles.Add(1)
-	}
-	return op, nil
-}
-
-// SymOperator returns the compiled parallel symmetric operator for the
-// given thread count, compiling on first use and caching like Operator.
-// It fails when the matrix is not numerically symmetric.
-func (e *Entry) SymOperator(threads int, st *stats) (*spmv.Operator, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if op, ok := e.symOps[threads]; ok {
-		if st != nil {
-			st.compileHits.Add(1)
-		}
-		return op, nil
-	}
-	op, err := spmv.CompileSymmetricParallel(e.m, threads)
-	if err != nil {
-		return nil, err
-	}
-	if e.symOps == nil {
-		e.symOps = make(map[int]*spmv.Operator)
-	}
-	e.symOps[threads] = op
-	if st != nil {
-		st.compiles.Add(1)
-	}
-	return op, nil
-}
-
-// dropOperator evicts a cached general operator, and dropSymOperator a
-// cached symmetric one. prepare uses them to release the loser of the
-// auto-symmetric footprint comparison — the encoding would otherwise sit
-// unreachable in the cache for the entry's lifetime.
-func (e *Entry) dropOperator(opts spmv.TuneOptions, threads int) {
-	e.mu.Lock()
-	delete(e.ops, opKey{opts: opts, threads: threads})
-	e.mu.Unlock()
-}
-
-func (e *Entry) dropSymOperator(threads int) {
-	e.mu.Lock()
-	delete(e.symOps, threads)
-	e.mu.Unlock()
-}
 
 // MaxDeclaredDim caps a registered matrix's declared rows and columns
 // (128Mi): large enough for any full-scale suite twin or shard band, small

@@ -15,7 +15,7 @@ import (
 // comparison.
 func mulBits(t *testing.T, s *Server, id string, x []float64) []float64 {
 	t.Helper()
-	y, err := s.Mul(id, x)
+	y, err := s.MulOpts(id, x, MulOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func burst(t *testing.T, s *Server, id string, xs [][]float64) [][]float64 {
 		go func(v int) {
 			defer wg.Done()
 			<-start
-			out[v], errs[v] = s.Mul(id, xs[v])
+			out[v], errs[v] = s.MulOpts(id, xs[v], MulOptions{})
 		}(v)
 	}
 	close(start)
@@ -317,7 +317,7 @@ func TestRetuneSymmetricPromotion(t *testing.T) {
 	}
 	// Correctness after the family switch (bits legitimately differ).
 	for v := range xs {
-		y, err := s.Mul("a", xs[v])
+		y, err := s.MulOpts("a", xs[v], MulOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

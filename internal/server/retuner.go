@@ -158,15 +158,13 @@ func (s *Server) RetuneOnce() int {
 	return promoted
 }
 
-// retuneCandidate is one compiled contender in a shadow benchmark.
+// retuneCandidate is one compiled contender in a shadow benchmark: the
+// snapshot that would serve it, and its modeled bytes per request on the
+// sample. A contender that is not promoted is dropped with its
+// matrix-sized encoding.
 type retuneCandidate struct {
-	op      *spmv.Operator
-	traffic spmv.TrafficSummary // per-sweep traffic as it would be served
-	score   float64             // modeled bytes per request on the sample
-	// cacheKey locates op in the entry's general-operator cache (nil when
-	// op is the symmetric operator, cached per thread count) so losers
-	// can be evicted instead of holding a matrix-sized encoding.
-	cacheKey *opKey
+	sv    *serving
+	score float64
 }
 
 // evaluateEntry runs steps 2-5 for one entry, reporting whether a
@@ -216,23 +214,6 @@ func (s *Server) evaluateEntry(e *Entry) bool {
 			best = &cands[i]
 		}
 	}
-	// Evict a contender's cached encoding — unless it is (or became) the
-	// serving operator — so losers don't hold matrix-sized structures for
-	// the entry's lifetime (the same rule prepare applies to the
-	// auto-symmetric comparison's loser).
-	drop := func(op *spmv.Operator, key *opKey) {
-		// The serving pointer is deliberately re-read: after a promotion's
-		// Store below, this check must see the *new* serving operator — the
-		// sv loaded at evaluation start would spare the demoted incumbent.
-		if op == nil || op == e.cur.Load().op { //spmv:reload-ok must observe the post-promotion snapshot
-			return
-		}
-		if key != nil {
-			e.dropOperator(key.opts, key.threads)
-		} else {
-			e.dropSymOperator(s.cfg.Threads)
-		}
-	}
 	ev := TuningEvent{
 		Time: time.Now(), ObservedWidth: med, Drift: drift,
 		IncumbentBytesPerRequest: incumbentScore,
@@ -243,46 +224,17 @@ func (s *Server) evaluateEntry(e *Entry) bool {
 		ev.Decision = "rejected"
 		ev.Reason = "no viable candidate encoding"
 		ev.Kernel = sv.op.KernelName()
-	case best.op == sv.op:
-		ev.Decision = "rejected"
-		ev.Reason = "candidate is the incumbent"
-		ev.Kernel = sv.op.KernelName()
-		ev.CandidateBytesPerRequest = best.score
 	case best.score < incumbentScore*(1-retunePromoteMargin):
-		nsv := &serving{
-			op: best.op, sym: best.op.Symmetric(), wide: !best.op.Symmetric(),
-			width: med, gen: sv.gen + 1,
-			matrixBytes: best.traffic.MatrixBytes,
-			sourceBytes: best.traffic.SourceBytes,
-			destBytes:   best.traffic.DestBytes,
-			// Promoted operators never take the lone fast path (wide and
-			// sym snapshots fuse every width), so lone == fused.
-			lone:     best.traffic,
-			cacheKey: best.cacheKey,
-			// The overlay rides along: a re-tune changes how the BASE is
-			// served, not the pending deltas, and dropping them here would
-			// silently revert the matrix. (Recompaction, not promotion, is
-			// what retires an overlay.)
-			ov:      sv.ov,
-			ovBytes: sv.ovBytes,
-			// A promotion starts a fresh roofline accumulator: the new
-			// generation's achieved bandwidth is measured on its own sweeps.
-			roof: new(obs.Roofline),
-		}
-		e.cur.Store(nsv)
+		e.cur.Store(best.sv)
 		ev.Decision = "promoted"
-		ev.Kernel = best.op.KernelName()
+		ev.Kernel = best.sv.op.KernelName()
 		ev.CandidateBytesPerRequest = best.score
-		ev.Generation = nsv.gen
-		drop(sv.op, sv.cacheKey) // the demoted incumbent
+		ev.Generation = best.sv.gen
 	default:
 		ev.Decision = "rejected"
 		ev.Reason = fmt.Sprintf("modeled improvement below the %.0f%% promotion margin", 100*retunePromoteMargin)
-		ev.Kernel = best.op.KernelName()
+		ev.Kernel = best.sv.op.KernelName()
 		ev.CandidateBytesPerRequest = best.score
-	}
-	for i := range cands {
-		drop(cands[i].op, cands[i].cacheKey) // rejected and runner-up contenders
 	}
 	e.events = append(e.events, ev)
 	if len(e.events) > maxTuningEvents {
@@ -316,34 +268,37 @@ func incumbentBlended(sv *serving, loneLive bool, widths []int) float64 {
 	return total / float64(len(widths))
 }
 
-// buildCandidates compiles the workload-derived contenders for an entry,
-// each scored on the captured sample. Candidates go through the entry's
-// operator cache (the registry's compile-once contract); the evaluation's
-// decision then evicts the losers, and lastRejectedWidth keeps an
-// unchanged median from recompiling an already-rejected candidate.
+// buildCandidates compiles the workload-derived contenders for an entry
+// and builds the snapshot each would be promoted as — generation+1, tuned
+// for the observed width, scored on the captured sample by the traffic it
+// would actually stream. lastRejectedWidth keeps an unchanged median from
+// recompiling an already-rejected candidate. Promoted operators never take
+// the lone fast path (wide and symmetric snapshots fuse every width). The
+// overlay rides along: a re-tune changes how the BASE is served, not the
+// pending deltas, and dropping them would silently revert the matrix
+// (recompaction, not promotion, is what retires an overlay).
 func (s *Server) buildCandidates(e *Entry, sv *serving, width int, sample []int) []retuneCandidate {
 	var cands []retuneCandidate
+	add := func(op *spmv.Operator, err error) {
+		if err != nil {
+			return
+		}
+		s.st.compiles.Add(1)
+		nsv, err := s.newServing(op, sv.gen+1, width, !op.Symmetric(), sv.ov)
+		if err != nil {
+			return
+		}
+		cands = append(cands, retuneCandidate{sv: nsv, score: nsv.summary().BlendedPerRequest(sample)})
+	}
 	// General candidate: the tuner re-run with workload-derived options.
 	// Its fused sweeps stream the tuned encoding through the wide kernels,
 	// so it is scored on that encoding's own traffic.
-	opts := s.retuneOptions(width)
-	if op, err := e.Operator(opts, s.cfg.Threads, &s.st); err == nil {
-		if tr, err := op.WideTraffic(spmv.TrafficOptions{}); err == nil {
-			cands = append(cands, retuneCandidate{
-				op: op, traffic: tr, score: tr.BlendedPerRequest(sample),
-				cacheKey: &opKey{opts: opts, threads: s.cfg.Threads},
-			})
-		}
-	}
+	add(spmv.CompileParallel(e.m, s.retuneOptions(width), s.cfg.Threads, 1))
 	// Symmetric candidate: only when family switches are allowed — the
 	// symmetric reduction order differs from the CSR family's, so under
 	// Deterministic it would break the bitwise-stable-responses contract.
 	if !s.cfg.Deterministic && !sv.sym && e.rows == e.cols {
-		if op, err := e.SymOperator(s.cfg.Threads, &s.st); err == nil {
-			if tr, err := op.Traffic(spmv.TrafficOptions{}); err == nil {
-				cands = append(cands, retuneCandidate{op: op, traffic: tr, score: tr.BlendedPerRequest(sample)})
-			}
-		}
+		add(spmv.CompileSymmetricParallel(e.m, s.cfg.Threads))
 	}
 	return cands
 }

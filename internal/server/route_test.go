@@ -62,7 +62,7 @@ func TestLeastLoadedPicksIdle(t *testing.T) {
 
 	x := make([]float64, 8)
 	for i := 0; i < 4; i++ {
-		if _, err := c.Mul("a", x); err != nil {
+		if _, err := c.MulOpts("a", x, ClusterMulOptions{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -163,7 +163,7 @@ func TestAlternatingFailureRoutedAround(t *testing.T) {
 
 	x := make([]float64, 8)
 	for i := 0; i < 40; i++ {
-		if _, err := c.Mul("a", x); err != nil {
+		if _, err := c.MulOpts("a", x, ClusterMulOptions{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -217,7 +217,7 @@ func TestHalfOpenRecovery(t *testing.T) {
 	x := make([]float64, 8)
 	mul := func() {
 		t.Helper()
-		if _, err := c.Mul("a", x); err != nil {
+		if _, err := c.MulOpts("a", x, ClusterMulOptions{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -308,7 +308,7 @@ func TestForcedProbeWhenAllEjected(t *testing.T) {
 
 	g0.down.Store(true)
 	g1.down.Store(true)
-	if _, err := c.Mul("a", x); err == nil {
+	if _, err := c.MulOpts("a", x, ClusterMulOptions{}); err == nil {
 		t.Fatal("mul succeeded with every member down")
 	} else if !errors.Is(err, ErrMemberFault) {
 		t.Fatalf("error %v, want ErrMemberFault", err)
@@ -319,14 +319,14 @@ func TestForcedProbeWhenAllEjected(t *testing.T) {
 
 	// Windows are an hour away, but the forced probe tries the least
 	// recently failed member anyway — first still down, then healed.
-	if _, err := c.Mul("a", x); !errors.Is(err, ErrMemberFault) {
+	if _, err := c.MulOpts("a", x, ClusterMulOptions{}); !errors.Is(err, ErrMemberFault) {
 		t.Fatalf("forced probe on a down fleet: err = %v, want ErrMemberFault", err)
 	}
 	g0.down.Store(false)
 	g1.down.Store(false)
 	deadline := time.Now().Add(time.Second)
 	for {
-		if _, err := c.Mul("a", x); err == nil {
+		if _, err := c.MulOpts("a", x, ClusterMulOptions{}); err == nil {
 			break
 		}
 		if time.Now().After(deadline) {

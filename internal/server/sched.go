@@ -9,7 +9,6 @@
 package server
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -31,8 +30,7 @@ const maxTrackedTenants = 1024
 const overflowTenant = "!overflow"
 
 // MulOptions modifies one Mul request. The zero value is a standard
-// request from the default tenant with no deadline — exactly what the
-// deprecated two-argument Mul sends.
+// request from the default tenant with no deadline.
 type MulOptions struct {
 	// Tenant identifies the budget the request draws from (token-bucket
 	// admission, fairness accounting). Empty means DefaultTenant.
@@ -197,78 +195,6 @@ func (s *Server) resolveClass(name string) (sched.Class, error) {
 	return sched.ParseClass(name)
 }
 
-// clusterMul is the admission-controlled front door of the sharded Mul
-// path: the same tenant bucket, priority gate, and deadline semantics as
-// the local MulOpts, wrapped around the cluster fan-out. The admission
-// cost is the fleet-wide modeled bytes one sharded request moves (the
-// sum of band sweep bytes), so a tenant's sharded traffic draws down the
-// same budget as its local traffic — PR 7's leftover: previously the
-// cluster path bypassed admission entirely.
-func (s *Server) clusterMul(id string, x []float64, opts MulOptions) ([]float64, error) {
-	if !finiteVec(x) {
-		return nil, errNonFiniteX
-	}
-	cost, err := s.cluster.RequestBytes(id)
-	if err != nil {
-		return nil, err
-	}
-	class, err := s.resolveClass(opts.Class)
-	if err != nil {
-		return nil, err
-	}
-	var acct *tenantAccount
-	sc := s.sched
-	if sc != nil {
-		if acct, err = sc.admit(opts.Tenant, class, cost); err != nil {
-			return nil, err
-		}
-	}
-	var deadline time.Time
-	if opts.Deadline > 0 {
-		deadline = time.Now().Add(opts.Deadline)
-	}
-	s.st.requests.Add(1)
-	var enq time.Time
-	if s.obs != nil {
-		enq = time.Now()
-	}
-	// The gate orders the fan-out against local sweeps: a bulk sharded
-	// request queues behind latency-class work just like a local batch.
-	gated := sc != nil && sc.gate != nil
-	if gated {
-		sc.gate.Acquire(class, cost, nil)
-	}
-	if acct != nil {
-		acct.queuedBytes.Add(-cost)
-	}
-	var y []float64
-	if !deadline.IsZero() && time.Now().After(deadline) {
-		err = fmt.Errorf("%w: request expired while queued", ErrDeadlineExceeded)
-	} else {
-		y, err = s.cluster.MulOpts(id, x, ClusterMulOptions{Affinity: opts.Affinity})
-	}
-	if gated {
-		sc.gate.Release()
-	}
-	if sc != nil {
-		if err == nil {
-			if acct != nil {
-				sc.complete(acct, class, cost)
-			}
-		} else if errors.Is(err, ErrDeadlineExceeded) {
-			sc.classes[class].expired.Add(1)
-		}
-	}
-	if s.obs != nil {
-		lat := time.Since(enq)
-		if err == nil {
-			s.obs.matrix.Observe(id, lat)
-		}
-		s.obs.class.Observe(class.String(), lat)
-	}
-	return y, err
-}
-
 // TenantStats is one tenant's admission ledger in /v1/stats.
 type TenantStats struct {
 	ServedRequests   uint64 `json:"served_requests"`
@@ -361,7 +287,3 @@ func (s *Server) Admission() *AdmissionReport {
 	rep.JainFairness = sched.JainIndex(allocs)
 	return rep
 }
-
-// Admission returns the in-process client's view of the admission
-// ledgers (what /v1/stats serves under "admission").
-func (c *Client) Admission() *AdmissionReport { return c.s.Admission() }

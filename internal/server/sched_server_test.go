@@ -225,7 +225,7 @@ func TestPerClassStats(t *testing.T) {
 		t.Fatalf("expired deadline error = %v, want ErrDeadlineExceeded", err)
 	}
 
-	rep := s.StatsReport()
+	rep, _ := s.StatsReport()
 	if rep.Admission == nil {
 		t.Fatal("no admission section with scheduling enabled")
 	}
@@ -306,9 +306,9 @@ func TestSolvePacingCancel(t *testing.T) {
 			"slow": {BytesPerSec: 1, Burst: 1}, // first burst over-burst admits, next never refills
 		},
 	})
-	st, err := s.Solve("a", SolveRequest{
+	st, err := s.SolveOpts("a", SolveRequest{
 		Method: "power", MaxIters: MaxSolveIters, Tol: 0, Tenant: "slow",
-	})
+	}, SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,7 +352,7 @@ func TestHTTPClientAPI(t *testing.T) {
 	defer ts.Close()
 
 	var clients = map[string]API{
-		"in-process": s.API(),
+		"in-process": s,
 		"http":       NewHTTPClient(ts.URL, nil),
 	}
 	x := make([]float64, 8)

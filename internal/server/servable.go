@@ -1,0 +1,219 @@
+package server
+
+import (
+	"fmt"
+	"time"
+
+	"repro/internal/sched"
+)
+
+// servable is one matrix behind the front door, whatever serves it: a
+// local *Entry (registry, batcher, fused sweeps) or a cluster
+// *shardedEntry (row bands fanned out to members). MulOpts, SolveOpts, the
+// solver loop, DeleteMatrix and the listing are each written once against
+// it, so validation, admission, deadline, ledger and latency accounting
+// cannot drift between the two; lookup is the only code that knows there
+// are two kinds and in which order an id resolves.
+type servable interface {
+	// Dims returns the logical matrix's (rows, cols).
+	Dims() (rows, cols int)
+	// model returns the modeled DRAM bytes one single-RHS request moves —
+	// a Mul's admission cost and a solver session's per-sweep charge — and
+	// the generation (serving snapshot or band topology) it was read from.
+	// It fails while the matrix cannot serve yet.
+	model() (bytes int64, gen int, err error)
+	// symmetricMatrix reports whether the logical matrix is numerically
+	// symmetric, whatever storage serves it: CG's precondition.
+	symmetricMatrix() bool
+	// mul executes one admitted request. p carries x, the admission state
+	// to settle when execution starts (queued bytes, deadline) and the
+	// observability stamps; affinity is the sharded routing key.
+	mul(s *Server, p *pending, class sched.Class, affinity string) ([]float64, error)
+	// sweep runs one width-1 solver-session sweep y = A·x on the current
+	// generation, inside Server.sessionSweep's gate slot and timing, and
+	// reports that generation and the measured duration. The bits are those
+	// of a deterministic width-1 Mul.
+	sweep(s *Server, ss *solveSession, y, x []float64) (gen int, d time.Duration, err error)
+	// listing is the matrix's row in GET /v1/matrices.
+	listing() MatrixInfo
+	// teardown takes the matrix out of service: it leaves its table first
+	// (new requests see ErrUnknownMatrix; losing that race to a concurrent
+	// DELETE is the error), then its solver sessions are cancelled and
+	// drained and its batchers purged, then whatever it holds elsewhere is
+	// released. Sweeps already in flight finish on the snapshots they
+	// loaded.
+	teardown(s *Server) (DeleteResult, error)
+}
+
+// lookup resolves id to what serves it: the local registry first, then
+// the attached cluster.
+func (s *Server) lookup(id string) (servable, error) {
+	e, err := s.reg.Get(id)
+	if err == nil {
+		return e, nil
+	}
+	if s.cluster != nil && s.cluster.Has(id) {
+		if se, cerr := s.cluster.entry(id); cerr == nil {
+			return se, nil
+		}
+	}
+	return nil, err
+}
+
+// Matrices lists every served matrix: the registry's entries ordered by
+// id, then the attached cluster's sharded matrices ordered by id.
+func (s *Server) Matrices() []MatrixInfo {
+	entries := s.reg.List()
+	out := make([]MatrixInfo, 0, len(entries))
+	for _, e := range entries {
+		out = append(out, e.listing())
+	}
+	if s.cluster != nil {
+		for _, e := range s.cluster.sharded() {
+			out = append(out, e.listing())
+		}
+	}
+	return out
+}
+
+// drain cancels the matrix's solver sessions (returning how many) and
+// drops its batchers: the middle step of every teardown.
+func (s *Server) drain(id string) int {
+	n := s.cancelMatrixSessions(id)
+	s.purgeBatchers(id)
+	return n
+}
+
+func (e *Entry) model() (int64, int, error) {
+	sv := e.cur.Load()
+	if sv == nil {
+		return 0, 0, fmt.Errorf("server: matrix %q is still compiling", e.ID)
+	}
+	// The overlay stream rides on every sweep of a patched matrix.
+	return sv.matrixBytes + sv.sourceBytes + sv.destBytes + sv.ovBytes, sv.gen, nil
+}
+
+func (e *Entry) mul(s *Server, p *pending, class sched.Class, _ string) ([]float64, error) {
+	p.ch = make(chan mulResult, 1)
+	return s.batcherFor(e, class).mul(p)
+}
+
+// sweep is the entry's current snapshot, width-1 fused view, sharded
+// through the pool — exactly what a width-1 deterministic Mul runs, so
+// solver bits match serving bits and a concurrent promotion swaps in
+// mid-solve without (in deterministic mode) moving them.
+func (e *Entry) sweep(s *Server, ss *solveSession, y, x []float64) (int, time.Duration, error) {
+	sv := e.cur.Load()
+	mo, err := fusedView(sv, 1)
+	if err != nil {
+		return 0, 0, err
+	}
+	clear(y)
+	bytes := sweepModeledBytes(sv.matrixBytes, sv.sourceBytes, sv.destBytes, 1) + sv.ovBytes
+	d, err := s.sessionSweep(ss, bytes, func() error { return s.runFused(sv, mo, y, x, 1) })
+	if err != nil {
+		return 0, 0, err
+	}
+	if s.obs != nil {
+		sv.roof.Record(d, bytes)
+	}
+	s.recordSweep(e, sv, 1, false)
+	return sv.gen, d, nil
+}
+
+func (e *Entry) teardown(s *Server) (DeleteResult, error) {
+	if !s.reg.remove(e.ID) {
+		return DeleteResult{}, fmt.Errorf("%w %q", ErrUnknownMatrix, e.ID)
+	}
+	return DeleteResult{CancelledSessions: s.drain(e.ID)}, nil
+}
+
+func (e *shardedEntry) Dims() (rows, cols int) { return e.rows, e.cols }
+
+// model charges the fleet-wide bytes of one sharded request (the sum of
+// band sweep bytes), so a tenant's sharded traffic draws down the same
+// budget as its local traffic.
+func (e *shardedEntry) model() (int64, int, error) {
+	t := e.topo.Load()
+	return t.sweepBytes, t.gen, nil
+}
+
+func (e *shardedEntry) symmetricMatrix() bool {
+	e.symOnce.Do(func() { e.symIs = e.src.IsSymmetric() })
+	return e.symIs
+}
+
+// mul is the sharded counterpart of executeBatch for a batch of one: the
+// gate orders the fan-out against local sweeps (a bulk sharded request
+// queues behind latency-class work like a local batch), then the
+// request's bytes leave the queued ledger, an expired deadline or a
+// non-finite x fails it, and the fan-out runs.
+func (e *shardedEntry) mul(s *Server, p *pending, class sched.Class, affinity string) ([]float64, error) {
+	if sc := s.sched; sc != nil && sc.gate != nil {
+		sc.gate.Acquire(class, p.cost, nil)
+		defer sc.gate.Release()
+	}
+	if p.acct != nil {
+		p.acct.queuedBytes.Add(-p.cost)
+	}
+	if !p.deadline.IsZero() && time.Now().After(p.deadline) {
+		return nil, fmt.Errorf("%w: request expired while queued", ErrDeadlineExceeded)
+	}
+	if !finiteVec(p.x) {
+		return nil, errNonFiniteX
+	}
+	y := make([]float64, e.rows)
+	if err := s.cluster.fanOut(e, e.topo.Load(), y, p.x, affinity); err != nil {
+		return nil, err
+	}
+	return y, nil
+}
+
+// sweep fans one session iteration out under the session id as affinity
+// key, so under the affinity policy every iteration of a solve lands on
+// the same replica of each band. The gate charge and the reported
+// generation are the topology's that ran: a live reband changes the cost
+// but never a row's summation order, so deterministic-mode trajectory
+// bits survive it exactly as they survive a local promotion.
+func (e *shardedEntry) sweep(s *Server, ss *solveSession, y, x []float64) (int, time.Duration, error) {
+	t := e.topo.Load()
+	d, err := s.sessionSweep(ss, t.sweepBytes, func() error { return s.cluster.fanOut(e, t, y, x, ss.id) })
+	return t.gen, d, err
+}
+
+func (e *shardedEntry) listing() MatrixInfo {
+	si := e.info()
+	return MatrixInfo{
+		ID: si.ID, Name: si.Name, Rows: si.Rows, Cols: si.Cols, NNZ: si.NNZ,
+		Kernel: "sharded", Shards: si.Shards, Replicas: si.Replicas,
+		SweepBytes: si.MaxBandSweepBytes,
+	}
+}
+
+// teardown additionally unregisters the current topology's bands on every
+// replica, best-effort: member faults are collected into one
+// ErrMemberFault, but the matrix is gone from the coordinator regardless
+// — an unreachable member keeps a dangling band registration, surfaced by
+// the error so an operator can retry against it. Bands of superseded
+// topology generations are out of scope: their generation-stamped sub-ids
+// are never routed to again.
+func (e *shardedEntry) teardown(s *Server) (DeleteResult, error) {
+	if !s.cluster.detach(e.id) {
+		return DeleteResult{}, fmt.Errorf("%w %q (sharded)", ErrUnknownMatrix, e.id)
+	}
+	res := DeleteResult{Sharded: true, CancelledSessions: s.drain(e.id)}
+	var faults []error
+	for _, b := range e.topo.Load().bands {
+		for _, m := range b.replicas {
+			if err := m.t.Unregister(b.subID); err != nil {
+				faults = append(faults, fmt.Errorf("member %s band %s: %w", m.name, b.subID, err))
+				continue
+			}
+			res.Bands++
+		}
+	}
+	if len(faults) > 0 {
+		return res, fmt.Errorf("%w: %d band teardown(s) failed (first: %v)", ErrMemberFault, len(faults), faults[0])
+	}
+	return res, nil
+}

@@ -12,8 +12,10 @@ import (
 	spmv "repro"
 	"repro/internal/kernel"
 	"repro/internal/machine"
+	"repro/internal/matrix/delta"
 	"repro/internal/obs"
 	"repro/internal/sched"
+	"repro/internal/traffic"
 )
 
 // Config sizes the serving subsystem.
@@ -341,7 +343,7 @@ type MatrixInfo struct {
 	OverlayBytes int64 `json:"overlay_bytes,omitempty"` // modeled per-sweep overlay stream
 }
 
-func (s *Server) info(e *Entry) MatrixInfo {
+func (e *Entry) listing() MatrixInfo {
 	sv := e.cur.Load()
 	if sv == nil {
 		return MatrixInfo{ID: e.ID, Name: e.Name, Rows: e.rows, Cols: e.cols, NNZ: e.nnz.Load()}
@@ -396,7 +398,7 @@ func (s *Server) RegisterOpts(id, name string, m *spmv.Matrix, opts RegisterOpti
 		s.reg.remove(e.ID)
 		return MatrixInfo{}, err
 	}
-	return s.info(e), nil
+	return e.listing(), nil
 }
 
 // RegisterSuite generates a structural twin of one of the paper's Table 3
@@ -409,12 +411,13 @@ func (s *Server) RegisterSuite(id, suite string, scale float64, seed int64) (Mat
 	return s.Register(id, suite, m)
 }
 
-// prepare compiles the entry's default operator and shard plan. The
-// storage family comes from opts.Symmetric (see RegisterOptions): when
-// symmetric storage is wanted, the parallel symmetric operator is
-// compiled and — in auto mode — kept only if its footprint beats the
-// tuned general plan, the same footprint-minimizing rule the §4.2
-// heuristic applies between formats.
+// prepare compiles the entry's default operator and publishes its first
+// serving snapshot. The storage family comes from opts.Symmetric (see
+// RegisterOptions): when symmetric storage is wanted, the parallel
+// symmetric operator is compiled and — in auto mode — kept only if its
+// footprint beats the tuned general plan, the same footprint-minimizing
+// rule the §4.2 heuristic applies between formats. The comparison's loser
+// is unreachable once the snapshot is built.
 func (s *Server) prepare(e *Entry, opts RegisterOptions) error {
 	rows, cols := e.Dims()
 	wantSym := s.cfg.AutoSymmetric
@@ -422,101 +425,93 @@ func (s *Server) prepare(e *Entry, opts RegisterOptions) error {
 	if opts.Symmetric != nil {
 		wantSym, required = *opts.Symmetric, *opts.Symmetric
 	}
-	var symOp *spmv.Operator
+	var def *spmv.Operator
 	if wantSym {
 		if rows != cols {
 			if required {
 				return fmt.Errorf("%w: matrix is %dx%d", ErrNotSymmetric, rows, cols)
 			}
 		} else {
-			op, err := e.SymOperator(s.cfg.Threads, &s.st)
+			op, err := spmv.CompileSymmetricParallel(e.m, s.cfg.Threads)
 			if err != nil {
 				if required {
 					return fmt.Errorf("%w: %v", ErrNotSymmetric, err)
 				}
 			} else {
-				symOp = op
+				s.st.compiles.Add(1)
+				def = op
 			}
 		}
 	}
-
-	def := symOp
-	if symOp == nil || !required {
-		op, err := e.Operator(s.cfg.Tune, s.cfg.Threads, &s.st)
+	if def == nil || !required {
+		op, err := spmv.CompileParallel(e.m, s.cfg.Tune, s.cfg.Threads, 1)
 		if err != nil {
 			return err
 		}
-		if symOp == nil || op.FootprintBytes() <= symOp.FootprintBytes() {
+		s.st.compiles.Add(1)
+		if def == nil || op.FootprintBytes() <= def.FootprintBytes() {
 			def = op
 		}
-		// Evict the comparison's loser: it is unreachable once def is
-		// chosen and would otherwise hold a matrix-sized encoding for
-		// the entry's lifetime.
-		if symOp != nil {
-			if def == symOp {
-				e.dropOperator(s.cfg.Tune, s.cfg.Threads)
-			} else {
-				e.dropSymOperator(s.cfg.Threads)
-			}
-		}
 	}
-
-	var shards []spmv.RowRange
-	if !def.Symmetric() {
-		// The symmetric sweep parallelizes internally (its scatter escapes
-		// any row range), so only general operators get an external
-		// fused-sweep shard plan.
-		var err error
-		shards, err = def.RowPartition(s.cfg.Shards)
-		if err != nil {
-			return err
-		}
-	}
-	// Account the traffic of what the serving paths actually stream: the
-	// symmetric kernel's halved store for symmetric entries; for general
-	// ones, the retained CSR fallback on the fused path (Multi's views
-	// stream it regardless of the tuned single-vector encoding) and the
-	// tuned encoding itself on the non-deterministic width-1 fast path.
-	// Serial and parallel operators then report identically — which also
-	// keeps the re-tuner's incumbent score honest on single-thread
-	// servers.
-	var tr, lone spmv.TrafficSummary
-	var err error
-	if def.Symmetric() {
-		tr, err = def.Traffic(spmv.TrafficOptions{})
-		lone = tr
-	} else {
-		if tr, err = def.MultiTraffic(spmv.TrafficOptions{}); err == nil {
-			lone, err = def.WideTraffic(spmv.TrafficOptions{})
-		}
-	}
+	sv, err := s.newServing(def, 0, 1, false, nil)
 	if err != nil {
 		return err
-	}
-	sv := &serving{
-		op: def, sym: def.Symmetric(), width: 1, shards: shards,
-		matrixBytes: tr.MatrixBytes, sourceBytes: tr.SourceBytes, destBytes: tr.DestBytes,
-		lone: lone, roof: new(obs.Roofline),
-	}
-	if !sv.sym {
-		sv.cacheKey = &opKey{opts: s.cfg.Tune, threads: s.cfg.Threads}
 	}
 	e.cur.Store(sv)
 	return nil
 }
 
-// Mul computes y = A·x for the registered matrix id as the default
-// tenant and class with no deadline.
+// newServing builds the serving snapshot every promoter publishes —
+// registration, re-tune promotion and recompaction differ only in the
+// operator, generation, tuned width and overlay they hand it. wide marks
+// a workload-tuned general operator whose fused sweeps stream its own
+// encoding through the wide kernels; otherwise general operators get the
+// external fused-sweep shard plan (the symmetric sweep parallelizes
+// internally — its scatter escapes any row range). Every snapshot starts
+// a fresh roofline accumulator: a generation's achieved bandwidth is
+// measured on its own sweeps.
 //
-// Deprecated: use MulOpts, which carries the request's tenant, SLO
-// class, and deadline. Mul remains for existing callers and is exactly
-// MulOpts with zero options.
-func (s *Server) Mul(id string, x []float64) ([]float64, error) {
-	return s.MulOpts(id, x, MulOptions{})
+// The traffic accounted is what the serving paths actually stream: the
+// symmetric kernel's halved store; a wide operator's tuned encoding; and
+// for default general operators the retained CSR fallback on the fused
+// path (Multi's views stream it regardless of the tuned single-vector
+// encoding) plus the tuned encoding on the non-deterministic width-1
+// fast path — the only case where lone differs. Serial and parallel
+// operators then report identically, which also keeps the re-tuner's
+// incumbent score honest on single-thread servers.
+func (s *Server) newServing(op *spmv.Operator, gen, width int, wide bool, ov *delta.Overlay) (*serving, error) {
+	sv := &serving{
+		op: op, sym: op.Symmetric(), wide: wide, width: width, gen: gen,
+		roof: new(obs.Roofline),
+	}
+	sv.setOverlay(ov)
+	var tr spmv.TrafficSummary
+	var err error
+	switch {
+	case sv.sym:
+		tr, err = op.Traffic(spmv.TrafficOptions{})
+		sv.lone = tr
+	case wide:
+		tr, err = op.WideTraffic(spmv.TrafficOptions{})
+		sv.lone = tr
+	default:
+		if sv.shards, err = op.RowPartition(s.cfg.Shards); err != nil {
+			return nil, err
+		}
+		if tr, err = op.MultiTraffic(spmv.TrafficOptions{}); err == nil {
+			sv.lone, err = op.WideTraffic(spmv.TrafficOptions{})
+		}
+	}
+	if err != nil {
+		return nil, err
+	}
+	sv.matrixBytes, sv.sourceBytes, sv.destBytes = tr.MatrixBytes, tr.SourceBytes, tr.DestBytes
+	return sv, nil
 }
 
-// MulOpts computes y = A·x for the registered matrix id under the
-// request options: the tenant's token bucket admits or rejects the
+// MulOpts computes y = A·x for the matrix id — registered here or sharded
+// over the attached cluster — under the request options: the tenant's
+// token bucket admits or rejects the
 // request (ErrAdmissionLimited carries the retry estimate), the SLO
 // class orders its sweep at the priority gate, and an expired deadline
 // fails it with ErrDeadlineExceeded instead of executing. Concurrent
@@ -532,50 +527,45 @@ func (s *Server) MulOpts(id string, x []float64, opts MulOptions) ([]float64, er
 // JSON, frames or sharded alike: such a value would meet the blocked
 // kernels' explicit zero fill as 0·Inf = NaN where CSR has no term at
 // all, and the bitwise contract would depend on the encoding. The scan
-// runs where x is streamed anyway (executeBatch's interleave; clusterMul
-// before the fan-out), not ahead of batcher admission: a per-caller pass
-// over x there spreads a burst's arrivals past the linger window and
+// runs where x is streamed anyway (executeBatch's interleave; the sharded
+// mul before its fan-out), not ahead of batcher admission: a per-caller
+// pass over x there spreads a burst's arrivals past the linger window and
 // costs fused traffic a fifth of its batch width.
 var errNonFiniteX = fmt.Errorf("%w: x has a NaN or infinite element", ErrInvalidArgument)
 
 // mulSpan is where a served Mul's stage timeline begins (batcher
 // admission) and ends (results handed back): what the HTTP handler needs
 // to cut decode and encode stages that tile its endpoint latency. Both
-// stay zero when observability is off, the request failed, or a cluster
-// served it.
+// stay zero when observability is off or the request failed; sent also
+// when a cluster served it, and the handler then cuts no codec stages.
 type mulSpan struct{ enq, sent time.Time }
 
 // mulOpts is MulOpts reporting the request's stage span into a non-nil
-// span.
+// span. It is the one front door of every Mul, local or sharded: shape,
+// class, tenant admission, deadline stamp, and afterwards the ledger and
+// latency accounting happen here; only the execution in between is the
+// servable's.
 func (s *Server) mulOpts(id string, x []float64, opts MulOptions, span *mulSpan) ([]float64, error) {
-	e, err := s.reg.Get(id)
+	m, err := s.lookup(id)
 	if err != nil {
-		// Cluster-sharded matrices live in the coordinator, not the local
-		// registry; they go through the same admission front (tenant
-		// bucket, priority gate, deadline) before the fan-out.
-		if s.cluster != nil && s.cluster.Has(id) {
-			return s.clusterMul(id, x, opts)
-		}
 		return nil, err
 	}
-	if len(x) != e.cols {
-		return nil, fmt.Errorf("server: matrix %q is %dx%d, len(x)=%d", id, e.rows, e.cols, len(x))
+	if rows, cols := m.Dims(); len(x) != cols {
+		return nil, fmt.Errorf("server: matrix %q is %dx%d, len(x)=%d", id, rows, cols, len(x))
 	}
-	sv := e.cur.Load()
-	if sv == nil {
-		return nil, fmt.Errorf("server: matrix %q is still compiling", id)
+	// The admission cost is the request's single-RHS modeled sweep bytes.
+	// Fusion makes the actual cost cheaper (the matrix streams once per
+	// batch), so the buckets meter the demand a tenant presents, not the
+	// discount coalescing happens to find.
+	cost, _, err := m.model()
+	if err != nil {
+		return nil, err
 	}
 	class, err := s.resolveClass(opts.Class)
 	if err != nil {
 		return nil, err
 	}
-	p := &pending{x: x, ch: make(chan mulResult, 1)}
-	// The admission cost is the request's single-RHS modeled sweep bytes
-	// (plus the overlay stream every sweep of a patched matrix pays).
-	// Fusion makes the actual cost cheaper (the matrix streams once per
-	// batch), so the buckets meter the demand a tenant presents, not the
-	// discount coalescing happens to find.
-	p.cost = sv.matrixBytes + sv.sourceBytes + sv.destBytes + sv.ovBytes
+	p := &pending{x: x, cost: cost}
 	if sc := s.sched; sc != nil {
 		p.acct, err = sc.admit(opts.Tenant, class, p.cost)
 		if err != nil {
@@ -590,13 +580,17 @@ func (s *Server) mulOpts(id string, x []float64, opts MulOptions, span *mulSpan)
 		p.enq = time.Now()
 		p.traced = s.obs.sampler.Sample()
 	}
-	y, err := s.batcherFor(e, class).mul(p)
+	y, err := m.mul(s, p, class, opts.Affinity)
 	if err == nil {
 		if sc := s.sched; sc != nil && p.acct != nil {
 			sc.complete(p.acct, class, p.cost)
 		}
 	} else if s.sched != nil && errors.Is(err, ErrDeadlineExceeded) {
 		s.sched.classes[class].expired.Add(1)
+	} else if p.acct != nil && p.acct.bucket != nil && errors.Is(err, ErrInvalidArgument) {
+		// A refused x ran nothing; the scan that found it only happens
+		// after admission (see errNonFiniteX), so hand the tokens back.
+		p.acct.bucket.Refund(p.cost)
 	}
 	if s.obs != nil {
 		lat := time.Since(p.enq)
@@ -853,6 +847,15 @@ func (s *Server) executeBatch(e *Entry, class sched.Class, reqs []*pending) {
 	}
 }
 
+// setOverlay installs a delta overlay (nil for none) and its modeled
+// per-sweep stream on a snapshot that is not published yet.
+func (sv *serving) setOverlay(ov *delta.Overlay) {
+	sv.ov, sv.ovBytes = ov, 0
+	if ov != nil {
+		sv.ovBytes = traffic.OverlaySweepBytes(ov.DirtyRows(), ov.Entries())
+	}
+}
+
 // fusedView returns the snapshot's width-k multi-RHS view: the tuned wide
 // kernels for promoted snapshots, the CSR (or symmetric) fallback
 // otherwise. Views are cached inside the operator, so this is cheap after
@@ -908,49 +911,3 @@ func (s *Server) runFused(sv *serving, mo *spmv.MultiOperator, yBlock, xBlock []
 	}
 	return sweepErr
 }
-
-// Client is the in-process API of the serving subsystem — the same
-// operations cmd/spmv-serve exposes over HTTP, without the transport.
-type Client struct{ s *Server }
-
-// Client returns an in-process client bound to the server.
-func (s *Server) Client() *Client { return &Client{s: s} }
-
-// Register ingests and tunes a matrix.
-func (c *Client) Register(id, name string, m *spmv.Matrix) (MatrixInfo, error) {
-	return c.s.Register(id, name, m)
-}
-
-// RegisterSuite ingests a generated Table 3 twin.
-func (c *Client) RegisterSuite(id, suite string, scale float64, seed int64) (MatrixInfo, error) {
-	return c.s.RegisterSuite(id, suite, scale, seed)
-}
-
-// Mul computes y = A·x, transparently coalescing with concurrent callers.
-//
-// Deprecated: use MulOpts, which carries the request's tenant, SLO
-// class, and deadline. Mul is exactly MulOpts with zero options.
-func (c *Client) Mul(id string, x []float64) ([]float64, error) { return c.s.Mul(id, x) }
-
-// MulOpts computes y = A·x under the request options (tenant admission,
-// SLO class scheduling, deadline), transparently coalescing with
-// concurrent same-class callers.
-func (c *Client) MulOpts(id string, x []float64, opts MulOptions) ([]float64, error) {
-	return c.s.MulOpts(id, x, opts)
-}
-
-// Matrices lists the registered matrices.
-func (c *Client) Matrices() []MatrixInfo {
-	entries := c.s.reg.List()
-	out := make([]MatrixInfo, len(entries))
-	for i, e := range entries {
-		out[i] = c.s.info(e)
-	}
-	return out
-}
-
-// Stats snapshots the serving counters.
-func (c *Client) Stats() Stats { return c.s.Stats() }
-
-// Tuning returns the online re-tuner's state for a registered matrix.
-func (c *Client) Tuning(id string) (TuningReport, error) { return c.s.Tuning(id) }

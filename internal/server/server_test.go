@@ -64,6 +64,10 @@ func maxAbsDiff(a, b []float64) float64 {
 	return d
 }
 
+// TestRegistryOperatorCache pins what the per-entry operator cache used to
+// guarantee, now that the serving snapshot is the only holder: registration
+// runs the tuner exactly once, serving never compiles, and a rejected
+// duplicate registration compiles nothing.
 func TestRegistryOperatorCache(t *testing.T) {
 	s := New(DefaultConfig())
 	defer s.Close()
@@ -71,47 +75,24 @@ func TestRegistryOperatorCache(t *testing.T) {
 	if _, err := s.Register("a", "test", m); err != nil {
 		t.Fatal(err)
 	}
-	e, err := s.Registry().Get("a")
-	if err != nil {
-		t.Fatal(err)
+	if got := s.Stats().Compiles; got != 1 {
+		t.Fatalf("register ran %d compiles, want exactly 1 (tune once per matrix)", got)
 	}
-	st0 := s.Stats()
-	if st0.Compiles != 1 {
-		t.Fatalf("register ran %d compiles, want exactly 1 (tune once per matrix)", st0.Compiles)
+	for i := 0; i < 3; i++ {
+		if _, err := s.MulOpts("a", testVector(200, int64(i)), MulOptions{}); err != nil {
+			t.Fatal(err)
+		}
 	}
-
-	// Same options + threads: cache hit, identical operator.
-	op1, err := e.Operator(s.cfg.Tune, s.cfg.Threads, &s.st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	op2, err := e.Operator(s.cfg.Tune, s.cfg.Threads, &s.st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if op1 != op2 {
-		t.Error("same (options, threads) returned distinct operators")
-	}
-	st := s.Stats()
-	if st.Compiles != 1 || st.CompileHits != st0.CompileHits+2 {
-		t.Errorf("compiles=%d hits=%d, want 1 compile and %d hits", st.Compiles, st.CompileHits, st0.CompileHits+2)
-	}
-
-	// Different options: a fresh compile.
-	op3, err := e.Operator(spmv.NaiveOptions(), s.cfg.Threads, &s.st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if op3 == op1 {
-		t.Error("different tune options returned the cached operator")
-	}
-	if got := s.Stats().Compiles; got != 2 {
-		t.Errorf("compiles=%d after second option set, want 2", got)
+	if got := s.Stats().Compiles; got != 1 {
+		t.Errorf("compiles=%d after serving, want 1", got)
 	}
 
 	// Duplicate registration is rejected.
 	if _, err := s.Register("a", "test", m); err == nil {
 		t.Error("duplicate id accepted")
+	}
+	if got := s.Stats().Compiles; got != 1 {
+		t.Errorf("compiles=%d after a rejected duplicate, want 1", got)
 	}
 }
 
@@ -146,7 +127,7 @@ func TestBatcherFusesConcurrentRequests(t *testing.T) {
 	for v := 0; v < k; v++ {
 		go func(v int) {
 			defer wg.Done()
-			got[v], errs[v] = s.Mul("a", xs[v])
+			got[v], errs[v] = s.MulOpts("a", xs[v], MulOptions{})
 		}(v)
 	}
 	wg.Wait()
@@ -190,7 +171,7 @@ func TestSingleRequestFallsBack(t *testing.T) {
 	}
 	x := testVector(100, 5)
 	want := reference(t, m, x)
-	y, err := s.Mul("a", x)
+	y, err := s.MulOpts("a", x, MulOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,14 +187,14 @@ func TestSingleRequestFallsBack(t *testing.T) {
 func TestMulValidation(t *testing.T) {
 	s := New(DefaultConfig())
 	defer s.Close()
-	if _, err := s.Mul("nope", make([]float64, 3)); err == nil {
+	if _, err := s.MulOpts("nope", make([]float64, 3), MulOptions{}); err == nil {
 		t.Error("unknown matrix accepted")
 	}
 	m := testMatrix(t, 10, 10, 20, 4)
 	if _, err := s.Register("a", "test", m); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Mul("a", make([]float64, 9)); err == nil {
+	if _, err := s.MulOpts("a", make([]float64, 9), MulOptions{}); err == nil {
 		t.Error("wrong-length x accepted")
 	}
 	if _, err := s.Register("", "test", testMatrix(t, 5, 5, 5, 5)); err != nil {
@@ -256,7 +237,7 @@ func TestConcurrentHammer(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
-				y, err := s.Mul("hot", xs[g])
+				y, err := s.MulOpts("hot", xs[g], MulOptions{})
 				if err != nil {
 					errCh <- fmt.Errorf("goroutine %d iter %d: %w", g, i, err)
 					return
@@ -317,7 +298,7 @@ func benchServer(b *testing.B, batched bool) {
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			if _, err := s.Mul("bench", x); err != nil {
+			if _, err := s.MulOpts("bench", x, MulOptions{}); err != nil {
 				b.Error(err)
 				return
 			}

@@ -229,7 +229,7 @@ type ClusterMulOptions struct {
 // gathering the disjoint y bands — the same row-block decomposition the
 // paper's OSKI-PETSc baseline runs over MPI ranks (§6.2), here behind a
 // Transport so members can be in-process servers or remote spmv-serve
-// nodes. Each member keeps its own tuner cache, adaptive batcher, and
+// nodes. Each member keeps its own tuned snapshots, adaptive batcher, and
 // fused sweeps, so concurrent cluster requests still coalesce into
 // multi-RHS sweeps on every member.
 //
@@ -353,45 +353,14 @@ func (c *Cluster) entry(id string) (*shardedEntry, error) {
 	return e, nil
 }
 
-// Unregister removes a sharded matrix from the coordinator and tears its
-// band registrations down on the members, returning how many member band
-// registrations it removed. The entry leaves the routing table first (new
-// requests see ErrUnknownMatrix), then each current-topology band is
-// unregistered on every replica, best-effort: member faults are collected
-// into one ErrMemberFault, but the matrix is gone from the coordinator
-// regardless — an unreachable member keeps a dangling band registration,
-// surfaced by the error so an operator can retry against it. Bands from
-// superseded topology generations are out of scope: their generation-
-// stamped subIDs are never routed to again.
-func (c *Cluster) Unregister(id string) (int, error) {
+// detach removes a sharded matrix from the routing table, reporting
+// whether it was there: the first step of its teardown.
+func (c *Cluster) detach(id string) bool {
 	c.mu.Lock()
-	e, ok := c.byID[id]
-	if ok {
-		delete(c.byID, id)
-	}
+	_, ok := c.byID[id]
+	delete(c.byID, id)
 	c.mu.Unlock()
-	if !ok {
-		return 0, fmt.Errorf("%w %q (sharded)", ErrUnknownMatrix, id)
-	}
-	t := e.topo.Load()
-	if t == nil {
-		return 0, nil
-	}
-	removed := 0
-	var faults []error
-	for _, b := range t.bands {
-		for _, m := range b.replicas {
-			if err := m.t.Unregister(b.subID); err != nil {
-				faults = append(faults, fmt.Errorf("member %s band %s: %w", m.name, b.subID, err))
-				continue
-			}
-			removed++
-		}
-	}
-	if len(faults) > 0 {
-		return removed, fmt.Errorf("%w: %d band teardown(s) failed (first: %v)", ErrMemberFault, len(faults), faults[0])
-	}
-	return removed, nil
+	return ok
 }
 
 // Info returns the sharded topology of one matrix.
@@ -401,16 +370,6 @@ func (c *Cluster) Info(id string) (ShardedMatrixInfo, error) {
 		return ShardedMatrixInfo{}, err
 	}
 	return e.info(), nil
-}
-
-// RequestBytes returns the modeled fleet-wide DRAM bytes one sharded Mul
-// of id moves — the admission cost the cluster front charges.
-func (c *Cluster) RequestBytes(id string) (int64, error) {
-	e, err := c.entry(id)
-	if err != nil {
-		return 0, err
-	}
-	return e.topo.Load().sweepBytes, nil
 }
 
 // Generation returns the matrix's current topology generation (0 until
@@ -423,27 +382,25 @@ func (c *Cluster) Generation(id string) int {
 	return e.topo.Load().gen
 }
 
-// IsSymmetric reports whether the sharded matrix is numerically
-// symmetric (computed once from the retained source; the cluster solve
-// path's CG precondition).
-func (c *Cluster) IsSymmetric(id string) (bool, error) {
-	e, err := c.entry(id)
-	if err != nil {
-		return false, err
+// sharded returns the cluster's matrices ordered by id.
+func (c *Cluster) sharded() []*shardedEntry {
+	c.mu.RLock()
+	out := make([]*shardedEntry, 0, len(c.byID))
+	for _, e := range c.byID {
+		out = append(out, e)
 	}
-	e.symOnce.Do(func() { e.symIs = e.src.IsSymmetric() })
-	return e.symIs, nil
+	c.mu.RUnlock()
+	sort.Slice(out, func(i, j int) bool { return out[i].id < out[j].id })
+	return out
 }
 
 // Matrices lists the cluster's sharded matrices ordered by id.
 func (c *Cluster) Matrices() []ShardedMatrixInfo {
-	c.mu.RLock()
-	out := make([]ShardedMatrixInfo, 0, len(c.byID))
-	for _, e := range c.byID {
-		out = append(out, e.info())
+	entries := c.sharded()
+	out := make([]ShardedMatrixInfo, len(entries))
+	for i, e := range entries {
+		out[i] = e.info()
 	}
-	c.mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
 
@@ -636,33 +593,33 @@ func (c *Cluster) servedSnapshot() []int64 {
 	return out
 }
 
-// Mul computes y = A·x for the sharded matrix id with default routing
-// options: x is broadcast to one replica of every band (scatter), the
-// disjoint y bands are gathered into one result.
-func (c *Cluster) Mul(id string, x []float64) ([]float64, error) {
-	return c.MulOpts(id, x, ClusterMulOptions{})
-}
-
-// MulOpts is Mul with per-request routing options. Band sub-requests run
-// concurrently; replica choice follows the configured policy, a failed
-// member is retried on the next-ranked replica, members ejected after
-// EjectAfter consecutive failures heal through half-open probes.
+// MulOpts computes y = A·x for the sharded matrix id: x is broadcast to
+// one replica of every band (scatter), the disjoint y bands are gathered
+// into one result. Band sub-requests run concurrently; replica choice
+// follows the configured policy, a failed member is retried on the
+// next-ranked replica, members ejected after EjectAfter consecutive
+// failures heal through half-open probes.
 func (c *Cluster) MulOpts(id string, x []float64, opts ClusterMulOptions) ([]float64, error) {
-	c.mu.RLock()
-	e, ok := c.byID[id]
-	c.mu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("%w %q (sharded)", ErrUnknownMatrix, id)
+	e, err := c.entry(id)
+	if err != nil {
+		return nil, err
 	}
 	if len(x) != e.cols {
 		return nil, fmt.Errorf("server: matrix %q is %dx%d, len(x)=%d", id, e.rows, e.cols, len(x))
 	}
-	c.requests.Add(1)
-
-	// One topology load per request: every band of this Mul comes from the
-	// same generation even if a reband swaps mid-flight.
-	t := e.topo.Load()
 	y := make([]float64, e.rows)
+	if err := c.fanOut(e, e.topo.Load(), y, x, opts.Affinity); err != nil {
+		return nil, err
+	}
+	return y, nil
+}
+
+// fanOut scatters x to one replica of every band of t and gathers the
+// bands into y, which it overwrites (the bands tile the rows). The caller
+// loads t once per request, so every band of one Mul comes from the same
+// generation even if a reband swaps mid-flight.
+func (c *Cluster) fanOut(e *shardedEntry, t *topology, y, x []float64, affinity string) error {
+	c.requests.Add(1)
 	errs := make([]error, len(t.bands))
 	var wg sync.WaitGroup
 	for i, b := range t.bands {
@@ -672,17 +629,17 @@ func (c *Cluster) MulOpts(id string, x []float64, opts ClusterMulOptions) ([]flo
 		wg.Add(1)
 		go func(i int, b *band) {
 			defer wg.Done()
-			errs[i] = c.mulBand(b, x, y, opts.Affinity)
+			errs[i] = c.mulBand(b, x, y, affinity)
 		}(i, b)
 	}
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
-			return nil, err
+			return err
 		}
 	}
 	c.maybeRebalance(e, t)
-	return y, nil
+	return nil
 }
 
 // mulBand serves one band: replicas are ranked by the routing policy,
@@ -832,7 +789,6 @@ func addStats(dst *Stats, b Stats) {
 	}
 	dst.Registered += b.Registered
 	dst.Compiles += b.Compiles
-	dst.CompileHits += b.CompileHits
 	dst.MatrixBytes += b.MatrixBytes
 	dst.SourceBytes += b.SourceBytes
 	dst.DestBytes += b.DestBytes

@@ -56,7 +56,7 @@ func TestShardedParity(t *testing.T) {
 			t.Fatal(err)
 		}
 		x := randVec(cols, 42)
-		want, err := single.Mul("m", x)
+		want, err := single.MulOpts("m", x, MulOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -77,7 +77,7 @@ func TestShardedParity(t *testing.T) {
 			if bandNNZ != info.NNZ {
 				t.Fatalf("%s K=%d: bands hold %d nnz, matrix has %d", suite, k, bandNNZ, info.NNZ)
 			}
-			got, err := c.Mul("m", x)
+			got, err := c.MulOpts("m", x, ClusterMulOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -137,7 +137,7 @@ func TestShardMemberFailover(t *testing.T) {
 		t.Fatal(err)
 	}
 	x := randVec(cols, 9)
-	want, err := single.Mul("m", x)
+	want, err := single.MulOpts("m", x, MulOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestShardMemberFailover(t *testing.T) {
 	// Every request must succeed: node0 dies after 2 sub-requests, but
 	// node1 replicates both bands.
 	for i := 0; i < 12; i++ {
-		got, err := c.Mul("m", x)
+		got, err := c.MulOpts("m", x, ClusterMulOptions{})
 		if err != nil {
 			t.Fatalf("request %d: %v", i, err)
 		}
@@ -192,7 +192,7 @@ func TestShardAllReplicasDown(t *testing.T) {
 	x := make([]float64, cols)
 	var lastErr error
 	for i := 0; i < 4; i++ {
-		if _, lastErr = c.Mul("m", x); lastErr == nil {
+		if _, lastErr = c.MulOpts("m", x, ClusterMulOptions{}); lastErr == nil {
 			t.Fatal("Mul succeeded with the only member down")
 		}
 	}
@@ -261,14 +261,14 @@ func TestShardMismatchedDims(t *testing.T) {
 	if _, err := c2.RegisterSharded("m", "QCD", m, 2); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c2.Mul("m", make([]float64, cols)); err == nil {
+	if _, err := c2.MulOpts("m", make([]float64, cols), ClusterMulOptions{}); err == nil {
 		t.Fatal("truncated band accepted")
 	} else if !strings.Contains(err.Error(), "returned") {
 		t.Errorf("unhelpful truncation error: %v", err)
 	}
 
 	// Wrong x length at the coordinator.
-	if _, err := c2.Mul("m", make([]float64, cols+1)); err == nil {
+	if _, err := c2.MulOpts("m", make([]float64, cols+1), ClusterMulOptions{}); err == nil {
 		t.Fatal("wrong-length x accepted")
 	}
 }
@@ -293,7 +293,7 @@ func TestShardedRegistryRace(t *testing.T) {
 			defer wg.Done()
 			x := randVec(cols, int64(g))
 			for i := 0; i < 20; i++ {
-				if _, err := c.Mul("m0", x); err != nil {
+				if _, err := c.MulOpts("m0", x, ClusterMulOptions{}); err != nil {
 					t.Error(err)
 					return
 				}
@@ -310,7 +310,7 @@ func TestShardedRegistryRace(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if _, err := c.Mul(id, make([]float64, cols)); err != nil {
+				if _, err := c.MulOpts(id, make([]float64, cols), ClusterMulOptions{}); err != nil {
 					t.Error(err)
 				}
 			}
@@ -348,7 +348,7 @@ func TestShardedStatsRollup(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		if _, err := c.Mul("m", make([]float64, cols)); err != nil {
+		if _, err := c.MulOpts("m", make([]float64, cols), ClusterMulOptions{}); err != nil {
 			t.Fatal(err)
 		}
 	}

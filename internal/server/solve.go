@@ -232,15 +232,20 @@ func finiteVec(v []float64) bool {
 	return carry>>63 == 0
 }
 
-// isSymmetricMatrix caches the numeric-symmetry answer: CG admission
+// symmetricMatrix caches the numeric-symmetry answer: CG admission
 // requires the matrix itself to be symmetric, whatever storage family the
-// footprint comparison picked to serve it. The answer is a property of
+// footprint comparison picked to serve it. Symmetric storage with nothing
+// pending is proof; a delta can break symmetry under SymCSR storage until
+// recompaction demotes it, so anything else is judged in full. The answer is a property of
 // the LOGICAL matrix — base plus any pending deltas — so the cache is
 // keyed by the delta log's seq: a patch can break (or create) symmetry,
 // and admission must judge the matrix the session will actually sweep.
 // With pending deltas the check folds the log into a scratch matrix;
 // recompaction resets the cache when it installs the folded base.
-func (e *Entry) isSymmetricMatrix() bool {
+func (e *Entry) symmetricMatrix() bool {
+	if sv := e.cur.Load(); sv != nil && sv.sym && sv.ov == nil {
+		return true
+	}
 	// tuneMu pins (log, seq) against concurrent patches and recompactions;
 	// the check itself is O(nnz) — the same order as one sweep — and CG
 	// admission is rare, so holding the writer lock across it is fine.
@@ -272,10 +277,14 @@ func (e *Entry) isSymmetricMatrix() bool {
 	return is
 }
 
-// SolveOpts is Solve with the session's admission identity passed as an
-// options struct: non-empty fields override the request body's own
+// SolveOpts validates one solver request against the matrix id —
+// registered here or sharded over the attached cluster — admits it under
+// the session cap and the tenant's token bucket, and starts the session
+// goroutine. Non-empty options override the request body's own
 // tenant/class, making the two call styles (wire body vs typed options)
-// equivalent. This is the method the unified API interface binds.
+// equivalent. The returned status is the session's state at admission
+// (running, iters 0); its generation fields count serving-snapshot
+// promotions for a local matrix and topology swaps for a sharded one.
 func (s *Server) SolveOpts(id string, req SolveRequest, opts SolveOptions) (SolveStatus, error) {
 	if opts.Tenant != "" {
 		req.Tenant = opts.Tenant
@@ -283,118 +292,15 @@ func (s *Server) SolveOpts(id string, req SolveRequest, opts SolveOptions) (Solv
 	if opts.Class != "" {
 		req.Class = opts.Class
 	}
-	return s.Solve(id, req)
-}
-
-// Solve validates one solver request against the registered matrix id,
-// admits it under the session cap and the tenant's token bucket, and
-// starts the session goroutine. The returned status is the session's
-// state at admission (running, iters 0).
-func (s *Server) Solve(id string, req SolveRequest) (SolveStatus, error) {
-	e, err := s.reg.Get(id)
-	if err != nil {
-		// Cluster-sharded matrices solve over the sharded Mul fan-out,
-		// with the session id as the routing affinity key.
-		if s.cluster != nil && s.cluster.Has(id) {
-			return s.clusterSolve(id, req)
-		}
-		return SolveStatus{}, err
-	}
-	sv := e.cur.Load()
-	if sv == nil {
-		return SolveStatus{}, fmt.Errorf("server: matrix %q is still compiling", id)
-	}
-	if e.rows != e.cols {
-		return SolveStatus{}, fmt.Errorf("server: solver sessions need a square matrix; %q is %dx%d", id, e.rows, e.cols)
-	}
-	if math.IsNaN(req.Tol) || math.IsInf(req.Tol, 0) || req.Tol < 0 {
-		return SolveStatus{}, fmt.Errorf("server: tolerance %g is not a finite non-negative number", req.Tol)
-	}
-	if req.MaxIters < 0 {
-		return SolveStatus{}, fmt.Errorf("server: negative step budget %d", req.MaxIters)
-	}
-	if req.MaxIters > MaxSolveIters {
-		return SolveStatus{}, fmt.Errorf("server: step budget %d exceeds the %d cap", req.MaxIters, MaxSolveIters)
-	}
-	maxIters := req.MaxIters
-	if maxIters == 0 {
-		maxIters = DefaultSolveIters
-	}
-	if req.X0 != nil && len(req.X0) != e.rows {
-		return SolveStatus{}, fmt.Errorf("server: matrix %q is %dx%d, len(x0)=%d", id, e.rows, e.cols, len(req.X0))
-	}
-	if !finiteVec(req.X0) {
-		return SolveStatus{}, fmt.Errorf("server: x0 contains non-finite values")
-	}
-	sweepBytes := sv.matrixBytes + sv.sourceBytes + sv.destBytes
-	var bytesPerIter int64
-	switch req.Method {
-	case "cg":
-		if len(req.B) != e.rows {
-			return SolveStatus{}, fmt.Errorf("server: matrix %q is %dx%d, len(b)=%d", id, e.rows, e.cols, len(req.B))
-		}
-		if !finiteVec(req.B) {
-			return SolveStatus{}, fmt.Errorf("server: b contains non-finite values")
-		}
-		if !sv.sym && !e.isSymmetricMatrix() {
-			return SolveStatus{}, fmt.Errorf("%w: conjugate gradient needs a symmetric matrix and %q is not", ErrNotSymmetric, id)
-		}
-		bytesPerIter = traffic.CGIterationBytes(sweepBytes, e.rows)
-	case "power":
-		if req.B != nil {
-			return SolveStatus{}, fmt.Errorf("server: power iteration takes x0 (a start vector), not b")
-		}
-		bytesPerIter = traffic.PowerIterationBytes(sweepBytes, e.rows)
-	default:
-		return SolveStatus{}, fmt.Errorf("server: unknown solver method %q (want cg or power)", req.Method)
-	}
-
-	class, err := s.resolveClass(req.Class)
+	m, err := s.lookup(id)
 	if err != nil {
 		return SolveStatus{}, err
 	}
-	// Admit the session's first iteration-burst against the tenant's
-	// bucket; later bursts pace inside runSolve instead of rejecting.
-	chargeIters := min(solveChargeIters, maxIters)
-	acct, err := s.admitSolveBurst(req.Tenant, class, bytesPerIter*int64(chargeIters))
+	sweepBytes, gen, err := m.model()
 	if err != nil {
 		return SolveStatus{}, err
 	}
-
-	ss := &solveSession{
-		matrixID: e.ID, method: req.Method, det: s.cfg.Deterministic,
-		tol: req.Tol, maxIters: maxIters, rows: e.rows, bytesPerIter: bytesPerIter,
-		created: time.Now(),
-		cancel:  make(chan struct{}), done: make(chan struct{}),
-		state: stateRunning, genFirst: sv.gen, genLast: sv.gen,
-		class: class, acct: acct, charged: chargeIters,
-	}
-	if err := s.registerSession(ss); err != nil {
-		return SolveStatus{}, err
-	}
-	s.log.Info("solve session created",
-		slog.String("sid", ss.id), slog.String("matrix", e.ID),
-		slog.String("method", ss.method), slog.Int("max_iters", maxIters),
-		slog.Int("generation", sv.gen))
-	go s.runSolve(e, ss, req, maxIters)
-	return ss.snapshot(true), nil
-}
-
-// clusterSolve validates and admits a solver session over a
-// cluster-sharded matrix. Iterations run the sharded Mul fan-out with
-// the session id as the routing affinity key, so under the affinity
-// policy every iteration of one solve lands on the same replica of each
-// band (warm member caches), while distinct sessions spread across
-// replicas. The generation fields record the cluster topology
-// generation: a gap means the solve iterated across a live reband. The
-// burst admission and pacing are identical to local sessions, charged at
-// the fleet-wide modeled bytes of one sharded sweep.
-func (s *Server) clusterSolve(id string, req SolveRequest) (SolveStatus, error) {
-	info, err := s.cluster.Info(id)
-	if err != nil {
-		return SolveStatus{}, err
-	}
-	rows, cols := info.Rows, info.Cols
+	rows, cols := m.Dims()
 	if rows != cols {
 		return SolveStatus{}, fmt.Errorf("server: solver sessions need a square matrix; %q is %dx%d", id, rows, cols)
 	}
@@ -417,10 +323,6 @@ func (s *Server) clusterSolve(id string, req SolveRequest) (SolveStatus, error) 
 	if !finiteVec(req.X0) {
 		return SolveStatus{}, fmt.Errorf("server: x0 contains non-finite values")
 	}
-	sweepBytes, err := s.cluster.RequestBytes(id)
-	if err != nil {
-		return SolveStatus{}, err
-	}
 	var bytesPerIter int64
 	switch req.Method {
 	case "cg":
@@ -430,11 +332,7 @@ func (s *Server) clusterSolve(id string, req SolveRequest) (SolveStatus, error) 
 		if !finiteVec(req.B) {
 			return SolveStatus{}, fmt.Errorf("server: b contains non-finite values")
 		}
-		sym, err := s.cluster.IsSymmetric(id)
-		if err != nil {
-			return SolveStatus{}, err
-		}
-		if !sym {
+		if !m.symmetricMatrix() {
 			return SolveStatus{}, fmt.Errorf("%w: conjugate gradient needs a symmetric matrix and %q is not", ErrNotSymmetric, id)
 		}
 		bytesPerIter = traffic.CGIterationBytes(sweepBytes, rows)
@@ -451,13 +349,14 @@ func (s *Server) clusterSolve(id string, req SolveRequest) (SolveStatus, error) 
 	if err != nil {
 		return SolveStatus{}, err
 	}
+	// Admit the session's first iteration-burst against the tenant's
+	// bucket; later bursts pace inside runSolve instead of rejecting.
 	chargeIters := min(solveChargeIters, maxIters)
 	acct, err := s.admitSolveBurst(req.Tenant, class, bytesPerIter*int64(chargeIters))
 	if err != nil {
 		return SolveStatus{}, err
 	}
 
-	gen := s.cluster.Generation(id)
 	ss := &solveSession{
 		matrixID: id, method: req.Method, det: s.cfg.Deterministic,
 		tol: req.Tol, maxIters: maxIters, rows: rows, bytesPerIter: bytesPerIter,
@@ -473,7 +372,7 @@ func (s *Server) clusterSolve(id string, req SolveRequest) (SolveStatus, error) 
 		slog.String("sid", ss.id), slog.String("matrix", id),
 		slog.String("method", ss.method), slog.Int("max_iters", maxIters),
 		slog.Int("generation", gen))
-	go s.runSolve(nil, ss, req, maxIters)
+	go s.runSolve(m, ss, req, maxIters)
 	return ss.snapshot(true), nil
 }
 
@@ -553,113 +452,56 @@ func (s *Server) evictFinishedLocked() bool {
 // oldest-finished eviction.
 func (s *Server) finishSeq() uint64 { return s.sessFinishSeq.Add(1) }
 
+// sessionSweep runs one solver-session sweep's work under the session's
+// gate slot and returns its measured duration (zero with observability
+// off). Session sweeps queue at the same priority gate as Mul batches,
+// under the session's class and the modeled bytes of the generation they
+// run on — a bulk solve waits behind latency traffic (until aged) — and
+// the gate wait stays out of the measured duration.
+func (s *Server) sessionSweep(ss *solveSession, bytes int64, work func() error) (time.Duration, error) {
+	if sc := s.sched; sc != nil && sc.gate != nil {
+		if !sc.gate.Acquire(ss.class, bytes, ss.cancel) {
+			return 0, errSessionCancelled
+		}
+		defer sc.gate.Release()
+	}
+	if s.obs == nil {
+		return 0, work()
+	}
+	t0 := time.Now()
+	if err := work(); err != nil {
+		return 0, err
+	}
+	d := time.Since(t0)
+	s.obs.stage.Observe(stageSolveSweep, d)
+	return d, nil
+}
+
 // runSolve is the session goroutine: it builds the solver over the
-// session's SpMV — the local serving snapshot's width-1 fused path when
-// e is non-nil, the cluster-sharded fan-out when e is nil — and steps it
-// to a terminal state, publishing progress after every iteration.
-func (s *Server) runSolve(e *Entry, ss *solveSession, req SolveRequest, maxIters int) {
+// servable's session sweep — resolved once, at creation — and steps it to
+// a terminal state, publishing progress after every iteration.
+func (s *Server) runSolve(m servable, ss *solveSession, req SolveRequest, maxIters int) {
 	defer s.sessWG.Done()
 	defer close(ss.done)
 
-	// Local apply is the entry's current snapshot, width-1 fused view,
-	// sharded through the pool — exactly what a width-1 deterministic Mul
-	// runs, so solver bits match serving bits and a concurrent promotion
-	// swaps in mid-solve without (in deterministic mode) moving them.
 	// sweepDur accumulates the iteration's measured sweep time and
 	// sweepGen the generation that sweep actually ran — the iteration
-	// trace must report the sweep's own snapshot, not whatever e.cur
-	// holds by trace time. Step calls apply synchronously on this
+	// trace must report the sweep's own generation, not whatever is
+	// current by trace time. Step calls apply synchronously on this
 	// goroutine, so plain variables suffice.
 	var sweepDur time.Duration
 	var sweepGen int
-	var apply func(y, x []float64) error
-	if e != nil {
-		apply = func(y, x []float64) error {
-			sv := e.cur.Load()
-			mo, err := fusedView(sv, 1)
-			if err != nil {
-				return err
-			}
-			clear(y)
-			// Session sweeps queue at the same priority gate as Mul batches,
-			// under the session's class — a bulk solve waits behind latency
-			// traffic (until aged), and the gate wait stays out of the sweep's
-			// roofline measurement.
-			sweepBytes := sweepModeledBytes(sv.matrixBytes, sv.sourceBytes, sv.destBytes, 1) + sv.ovBytes
-			gated := false
-			if sc := s.sched; sc != nil && sc.gate != nil {
-				if !sc.gate.Acquire(ss.class, sweepBytes, ss.cancel) {
-					return errSessionCancelled
-				}
-				gated = true
-			}
-			var t0 time.Time
-			if s.obs != nil {
-				t0 = time.Now()
-			}
-			err = s.runFused(sv, mo, y, x, 1)
-			if gated {
-				s.sched.gate.Release()
-			}
-			if err != nil {
-				return err
-			}
-			if s.obs != nil {
-				d := time.Since(t0)
-				sweepDur += d
-				s.obs.stage.Observe(stageSolveSweep, d)
-				sv.roof.Record(d, sweepBytes)
-			}
-			s.recordSweep(e, sv, 1, false)
-			sweepGen = sv.gen
-			ss.mu.Lock()
-			ss.genLast = sv.gen
-			ss.mu.Unlock()
-			return nil
+	apply := func(y, x []float64) error {
+		gen, d, err := m.sweep(s, ss, y, x)
+		if err != nil {
+			return err
 		}
-	} else {
-		// Cluster apply: the sharded fan-out under the session id as
-		// affinity key. The gate charge is the fleet-wide modeled bytes of
-		// the current topology, reloaded per sweep — a live reband changes
-		// the cost, and the generation fields record it. The row partition
-		// never changes per-row summation order, so deterministic-mode
-		// trajectory bits survive a mid-solve reband exactly as they
-		// survive a local re-tune promotion.
-		apply = func(y, x []float64) error {
-			cost, err := s.cluster.RequestBytes(ss.matrixID)
-			if err != nil {
-				return err
-			}
-			gated := false
-			if sc := s.sched; sc != nil && sc.gate != nil {
-				if !sc.gate.Acquire(ss.class, cost, ss.cancel) {
-					return errSessionCancelled
-				}
-				gated = true
-			}
-			var t0 time.Time
-			if s.obs != nil {
-				t0 = time.Now()
-			}
-			yv, err := s.cluster.MulOpts(ss.matrixID, x, ClusterMulOptions{Affinity: ss.id})
-			if gated {
-				s.sched.gate.Release()
-			}
-			if err != nil {
-				return err
-			}
-			copy(y, yv)
-			if s.obs != nil {
-				d := time.Since(t0)
-				sweepDur += d
-				s.obs.stage.Observe(stageSolveSweep, d)
-			}
-			sweepGen = s.cluster.Generation(ss.matrixID)
-			ss.mu.Lock()
-			ss.genLast = sweepGen
-			ss.mu.Unlock()
-			return nil
-		}
+		sweepDur += d
+		sweepGen = gen
+		ss.mu.Lock()
+		ss.genLast = gen
+		ss.mu.Unlock()
+		return nil
 	}
 	opt := solve.Options{
 		Tol: ss.tol, MaxIters: maxIters,
@@ -891,19 +733,9 @@ func (s *Server) handleSolveCreate(w http.ResponseWriter, r *http.Request) {
 	if !s.decodeBody(w, r, &req) {
 		return
 	}
-	st, err := s.Solve(r.PathValue("id"), req)
+	st, err := s.SolveOpts(r.PathValue("id"), req, SolveOptions{})
 	if err != nil {
-		code := http.StatusBadRequest
-		switch {
-		case errors.Is(err, ErrUnknownMatrix):
-			code = http.StatusNotFound
-		case errors.Is(err, ErrTooManySessions):
-			code = http.StatusTooManyRequests
-		case errors.Is(err, ErrAdmissionLimited):
-			code = http.StatusTooManyRequests
-			setRetryAfter(w, err)
-		}
-		writeError(w, code, err)
+		writeFailure(w, err)
 		return
 	}
 	writeJSON(w, http.StatusCreated, st)
@@ -921,7 +753,7 @@ func (s *Server) handleSolveGet(w http.ResponseWriter, r *http.Request) {
 	}
 	st, err := s.SolveStatus(r.PathValue("sid"), wait)
 	if err != nil {
-		writeError(w, http.StatusNotFound, err)
+		writeFailure(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, st)
@@ -930,7 +762,7 @@ func (s *Server) handleSolveGet(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleSolveDelete(w http.ResponseWriter, r *http.Request) {
 	st, err := s.CancelSolve(r.PathValue("sid"))
 	if err != nil {
-		writeError(w, http.StatusNotFound, err)
+		writeFailure(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, st)
@@ -939,30 +771,3 @@ func (s *Server) handleSolveDelete(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleSolveList(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, s.Sessions())
 }
-
-// Solve creates a solver session (in-process mirror of POST
-// /v1/matrices/{id}/solve).
-//
-// Deprecated: use SolveOpts, which carries the session's tenant and SLO
-// class as typed options. Solve is exactly SolveOpts with zero options.
-func (c *Client) Solve(id string, req SolveRequest) (SolveStatus, error) {
-	return c.s.Solve(id, req)
-}
-
-// SolveOpts creates a solver session under the admission options
-// (tenant bucket, SLO class); non-empty options override the request's
-// own tenant/class fields.
-func (c *Client) SolveOpts(id string, req SolveRequest, opts SolveOptions) (SolveStatus, error) {
-	return c.s.SolveOpts(id, req, opts)
-}
-
-// SolveStatus polls a session, optionally waiting for it to finish.
-func (c *Client) SolveStatus(sid string, wait time.Duration) (SolveStatus, error) {
-	return c.s.SolveStatus(sid, wait)
-}
-
-// CancelSolve cancels and removes a session.
-func (c *Client) CancelSolve(sid string) (SolveStatus, error) { return c.s.CancelSolve(sid) }
-
-// Sessions lists resident solver sessions.
-func (c *Client) Sessions() []SolveStatus { return c.s.Sessions() }

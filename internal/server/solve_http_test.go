@@ -188,7 +188,7 @@ func TestSolveHTTPRetuneMidSolve(t *testing.T) {
 	if _, err := s0.Register("a", "poisson", m); err != nil {
 		t.Fatal(err)
 	}
-	base, err := s0.Solve("a", req)
+	base, err := s0.SolveOpts("a", req, SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

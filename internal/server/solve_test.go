@@ -126,7 +126,7 @@ func TestSolveSessionCG(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := testVector(n, 99)
-	st, err := s.Solve("a", SolveRequest{Method: "cg", B: b, Tol: 1e-9, MaxIters: 5000})
+	st, err := s.SolveOpts("a", SolveRequest{Method: "cg", B: b, Tol: 1e-9, MaxIters: 5000}, SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +178,7 @@ func TestSolveSessionPower(t *testing.T) {
 	if _, err := s.Register("a", "spd", m); err != nil {
 		t.Fatal(err)
 	}
-	st, err := s.Solve("a", SolveRequest{Method: "power", Tol: 1e-8, MaxIters: 50000})
+	st, err := s.SolveOpts("a", SolveRequest{Method: "power", Tol: 1e-8, MaxIters: 50000}, SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +245,7 @@ func TestSolveValidation(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := s.Solve(tc.id, tc.req)
+			_, err := s.SolveOpts(tc.id, tc.req, SolveOptions{})
 			if err == nil {
 				t.Fatal("accepted")
 			}
@@ -289,15 +289,15 @@ func TestSolveSessionCapAndEviction(t *testing.T) {
 	}
 	b := testVector(n, 13)
 
-	s1, err := s.Solve("a", longRunningSolve(n, 41))
+	s1, err := s.SolveOpts("a", longRunningSolve(n, 41), SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, err := s.Solve("a", longRunningSolve(n, 42))
+	s2, err := s.SolveOpts("a", longRunningSolve(n, 42), SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Solve("a", longRunningSolve(n, 43)); !errors.Is(err, ErrTooManySessions) {
+	if _, err := s.SolveOpts("a", longRunningSolve(n, 43), SolveOptions{}); !errors.Is(err, ErrTooManySessions) {
 		t.Fatalf("third session: %v, want ErrTooManySessions", err)
 	}
 	// Cancel one: capacity frees immediately (cancel removes).
@@ -307,14 +307,14 @@ func TestSolveSessionCapAndEviction(t *testing.T) {
 	if _, err := s.SolveStatus(s1.SID, 0); !errors.Is(err, ErrUnknownSession) {
 		t.Fatalf("cancelled session still resident: %v", err)
 	}
-	s3, err := s.Solve("a", SolveRequest{Method: "cg", B: b, Tol: 1e-6, MaxIters: 5000})
+	s3, err := s.SolveOpts("a", SolveRequest{Method: "cg", B: b, Tol: 1e-6, MaxIters: 5000}, SolveOptions{})
 	if err != nil {
 		t.Fatalf("after cancel: %v", err)
 	}
 	// Let s3 finish; a finished resident session is evicted (not
 	// rejected) when the cap is hit again.
 	waitDone(t, s, s3.SID)
-	s4, err := s.Solve("a", longRunningSolve(n, 44))
+	s4, err := s.SolveOpts("a", longRunningSolve(n, 44), SolveOptions{})
 	if err != nil {
 		t.Fatalf("eviction of finished session failed: %v", err)
 	}
@@ -340,7 +340,7 @@ func TestSolveCloseCancels(t *testing.T) {
 	if _, err := s.Register("a", "spd", m); err != nil {
 		t.Fatal(err)
 	}
-	st, err := s.Solve("a", longRunningSolve(n, 15))
+	st, err := s.SolveOpts("a", longRunningSolve(n, 15), SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,7 +353,7 @@ func TestSolveCloseCancels(t *testing.T) {
 	if got.State != "cancelled" {
 		t.Fatalf("state %q after Close, want cancelled", got.State)
 	}
-	if _, err := s.Solve("a", SolveRequest{Method: "cg", B: testVector(n, 15)}); err == nil {
+	if _, err := s.SolveOpts("a", SolveRequest{Method: "cg", B: testVector(n, 15)}, SolveOptions{}); err == nil {
 		t.Fatal("Solve accepted after Close")
 	}
 }
@@ -370,7 +370,7 @@ func TestSolveBudgetExhausted(t *testing.T) {
 	if _, err := s.Register("a", "spd", m); err != nil {
 		t.Fatal(err)
 	}
-	st, err := s.Solve("a", SolveRequest{Method: "cg", B: testVector(n, 17), Tol: 0, MaxIters: 7})
+	st, err := s.SolveOpts("a", SolveRequest{Method: "cg", B: testVector(n, 17), Tol: 0, MaxIters: 7}, SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

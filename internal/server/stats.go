@@ -17,9 +17,8 @@ type stats struct {
 	singleFallbacks atomic.Uint64 // width-1 batches served by the parallel path
 	widthHist       [MaxTrackedWidth + 1]atomic.Uint64
 
-	registered  atomic.Uint64 // matrices in the registry
-	compiles    atomic.Uint64 // tuner+compile runs (operator-cache misses)
-	compileHits atomic.Uint64 // operator-cache hits
+	registered atomic.Uint64 // matrices in the registry
+	compiles   atomic.Uint64 // tuner+compile runs (registration and re-tune candidates)
 
 	retuneEvals      atomic.Uint64 // drifted entries shadow-benchmarked
 	retunePromotions atomic.Uint64 // candidates promoted to serving
@@ -76,9 +75,8 @@ type Stats struct {
 	// (index 0 unused; the last bucket also holds anything wider).
 	FusedWidthHist [MaxTrackedWidth + 1]uint64
 
-	Registered  uint64 // matrices currently registered
-	Compiles    uint64 // tuner+compile runs (operator-cache misses)
-	CompileHits uint64 // operator-cache hits
+	Registered uint64 // matrices currently registered
+	Compiles   uint64 // tuner+compile runs (registration and re-tune candidates)
 
 	// Online re-tuning (see retuner.go): drifted entries evaluated, and
 	// how their shadow benchmarks resolved.
@@ -132,7 +130,6 @@ func (s *stats) snapshot() Stats {
 		SingleFallbacks:  s.singleFallbacks.Load(),
 		Registered:       s.registered.Load(),
 		Compiles:         s.compiles.Load(),
-		CompileHits:      s.compileHits.Load(),
 		RetuneEvals:      s.retuneEvals.Load(),
 		RetunePromotions: s.retunePromotions.Load(),
 		RetuneRejections: s.retuneRejections.Load(),

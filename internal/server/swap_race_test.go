@@ -142,7 +142,7 @@ func TestOperatorSwapRace(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
-				y, err := s.Mul("hot", xs[g])
+				y, err := s.MulOpts("hot", xs[g], MulOptions{})
 				if err != nil {
 					errCh <- fmt.Errorf("client %d iter %d: %w", g, i, err)
 					return

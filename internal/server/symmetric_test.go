@@ -125,7 +125,7 @@ func TestSymmetricServingDeterminism(t *testing.T) {
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
-				got[i], errs[i] = s.Mul("m", xs[i])
+				got[i], errs[i] = s.MulOpts("m", xs[i], MulOptions{})
 			}(i)
 		}
 		wg.Wait()
@@ -165,7 +165,7 @@ func TestSymmetricUnderShardedCluster(t *testing.T) {
 	if _, err := gsrv.RegisterOpts("m", "m", sym, RegisterOptions{Symmetric: boolPtr(false)}); err != nil {
 		t.Fatal(err)
 	}
-	want, err := gsrv.Mul("m", x)
+	want, err := gsrv.MulOpts("m", x, MulOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func TestSymmetricUnderShardedCluster(t *testing.T) {
 	if _, err := ssrv.RegisterOpts("m", "m", sym, RegisterOptions{Symmetric: boolPtr(true)}); err != nil {
 		t.Fatal(err)
 	}
-	ysym, err := ssrv.Mul("m", x)
+	ysym, err := ssrv.MulOpts("m", x, MulOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestSymmetricUnderShardedCluster(t *testing.T) {
 		if _, err := cluster.RegisterSharded("m", "m", sym, k); err != nil {
 			t.Fatal(err)
 		}
-		got, err := cluster.Mul("m", x)
+		got, err := cluster.MulOpts("m", x, ClusterMulOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -209,7 +209,7 @@ func TestSymmetricUnderShardedCluster(t *testing.T) {
 		}
 		// Members hold general band entries even with AutoSymmetric on.
 		for _, ms := range members {
-			for _, info := range ms.Client().Matrices() {
+			for _, info := range ms.Matrices() {
 				if info.Symmetric {
 					t.Errorf("K=%d member band %q stored symmetric", k, info.ID)
 				}
@@ -229,7 +229,7 @@ func TestFailedRegistrationFreesID(t *testing.T) {
 	if _, err := s.RegisterOpts("m", "m", asym, RegisterOptions{Symmetric: boolPtr(true)}); !errors.Is(err, ErrNotSymmetric) {
 		t.Fatalf("err = %v, want ErrNotSymmetric", err)
 	}
-	if got := len(s.Client().Matrices()); got != 0 {
+	if got := len(s.Matrices()); got != 0 {
 		t.Errorf("%d entries listed after failed registration, want 0", got)
 	}
 	if st := s.Stats(); st.Registered != 0 {

@@ -25,7 +25,7 @@ type Transport interface {
 	// Mul computes y = A·x against a previously registered band.
 	Mul(id string, x []float64) ([]float64, error)
 	// Unregister tears down a previously registered band on the member,
-	// releasing its operator caches. Unknown ids are an error (the
+	// releasing its serving snapshot. Unknown ids are an error (the
 	// coordinator treats it as best-effort cleanup).
 	Unregister(id string) error
 	// Stats snapshots the member's serving counters for the cluster rollup.
@@ -33,7 +33,7 @@ type Transport interface {
 }
 
 // LocalTransport adapts an in-process Server to the Transport interface.
-// The member keeps its full serving stack — tuned-operator cache, adaptive
+// The member keeps its full serving stack — tuned snapshot, adaptive
 // batcher, sweep pool — so concurrent scattered sub-requests against one
 // band still coalesce into fused multi-RHS sweeps on the member.
 type LocalTransport struct {
@@ -58,7 +58,7 @@ func (t *LocalTransport) Register(id, name string, m *spmv.Matrix) (MatrixInfo, 
 
 // Mul multiplies against the member's band.
 func (t *LocalTransport) Mul(id string, x []float64) ([]float64, error) {
-	return t.s.Mul(id, x)
+	return t.s.MulOpts(id, x, MulOptions{})
 }
 
 // Unregister tears down the member's band.

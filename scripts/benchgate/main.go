@@ -9,11 +9,10 @@
 // Both files use the schema of scripts/benchsmoke: a "metrics" map of
 // name -> {value, unit, gated, higher_better}. Only metrics gated in the
 // BASELINE are enforced (the baseline is the contract); extra metrics in
-// the current report are informational. Deterministic metrics (modeled
-// bytes, footprint savings, sharded scaling) should gate tightly; wall-
-// clock metrics should either stay informational or gate against a
-// conservative committed floor, since CI runners are noisy and vary in
-// core count.
+// the current report are informational. The committed baseline gates only
+// deterministic model outputs (modeled bytes, footprint savings, sharded
+// scaling), which CI holds to -tolerance 0; wall-clock behaviour is
+// measured by e2ebench, whose -aa mode has a noise-aware rule.
 package main
 
 import (

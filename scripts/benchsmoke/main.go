@@ -1,70 +1,43 @@
-// benchsmoke is the scripted micro-benchmark behind the bench-smoke CI
-// job. It exercises the three performance layers of the repo on small
-// generated matrices and writes a JSON report (BENCH_ci.json) that
-// scripts/benchgate compares against the committed bench_baseline.json:
+// benchsmoke computes the deterministic model outputs behind the
+// bench-smoke CI job on small generated matrices and writes a JSON report
+// (BENCH_ci.json) that scripts/benchgate compares, exactly, against the
+// committed bench_baseline.json. Everything here is a function of the
+// generated matrix, the tuner and the traffic model — no wall clock — so a
+// value moves only when one of those genuinely changed. Measured
+// throughput, latency and overhead ratios are e2ebench's job (bash
+// e2ebench/run.sh; its -aa mode holds two runs to noise-aware bounds).
 //
-//   - kernel: naive CSR vs the §4.2-tuned operator on a Cantilever twin —
-//     measured GFlop/s for both (informational: absolute numbers track the
-//     runner's hardware) plus the deterministic footprint saving (gated).
-//   - serving: examples/serve-loadgen's comparison in miniature — batched
-//     vs unbatched closed-loop serving of an LP twin (the batched:unbatched
-//     ratio is gated against a conservative floor).
+//   - kernel: the §4.2-tuned operator's footprint saving over naive CSR on
+//     a Cantilever twin.
 //   - sharding: the K=4 cluster of internal/server over in-process
-//     members — modeled bandwidth-bound aggregate speedup (deterministic,
-//     gated) with bitwise parity against single-node serving enforced as a
-//     hard failure.
+//     members — modeled bandwidth-bound aggregate speedup, with bitwise
+//     parity against single-node serving enforced as a hard failure.
 //   - routing: the 2-fast/1-slow K=3 fleet under round-robin vs
 //     least-loaded — modeled bandwidth-bound throughput of each policy on
-//     the registered band placement (deterministic; the speedup is gated).
+//     the registered band placement.
 //   - symmetry: a symmetrized Cantilever twin served from upper-triangle
 //     (SymCSR) storage vs its general-CSR twin — the modeled matrix-stream
-//     ratio (deterministic, gated at ≈0.5) with numerical agreement
-//     enforced as a hard failure.
-//   - mutation: the batched serving workload against a clean LP twin vs
-//     the same twin carrying a live ~1.5%-dirty-row delta overlay
-//     (recompaction held off) — the throughput ratio is gated against a
-//     committed floor, with bitwise parity against a from-scratch rebuild
-//     enforced as a hard failure.
-//   - observability: the batched serving workload with the default
-//     instrumentation (histograms + 1-in-16 trace sampling) vs ObsSample=0
-//     (layer off, no hot-path timestamps) — the throughput ratio is gated
-//     against a committed floor encoding the ≤2% overhead budget.
-//   - wire codec: one loopback POST /mul on the LP twin at scale 0.1
-//     (428×110 000, the shape whose request is almost all x) through the
-//     JSON tier and through binary frames — measured median latency of
-//     each (reported, not gated: both track the runner), with bitwise
-//     parity between the codecs and in-process enforced as a hard failure.
+//     ratio (≈0.5), with numerical agreement enforced as a hard failure.
 //
 // Refresh the baseline with:
 //
 //	go run ./scripts/benchsmoke -out bench_baseline.json
 //
-// then review the diff before committing: deterministic metrics should
-// move only when the modeled traffic or tuner genuinely changed, and
-// wall-clock floors should stay conservative (see README "benchmark
-// gate").
+// then review the diff before committing.
 package main
 
 import (
-	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
-	"math"
 	"math/rand"
-	"net/http"
-	"net/http/httptest"
 	"os"
 	"runtime"
 	"sort"
-	"sync"
-	"time"
 
 	spmv "repro"
 	"repro/internal/machine"
-	"repro/internal/matrix/delta"
-	"repro/internal/sched"
 	"repro/internal/server"
 	"repro/internal/traffic"
 )
@@ -93,32 +66,9 @@ func randVec(n int, seed int64) []float64 {
 	return x
 }
 
-// timeSweeps returns the best-of-three median time per y += A·x sweep.
-func timeSweeps(op *spmv.Operator, x []float64, sweeps int) time.Duration {
-	rows, _ := op.Dims()
-	y := make([]float64, rows)
-	times := make([]time.Duration, 3)
-	for t := range times {
-		t0 := time.Now()
-		for s := 0; s < sweeps; s++ {
-			if err := op.MulAdd(y, x); err != nil {
-				log.Fatal(err)
-			}
-		}
-		times[t] = time.Since(t0) / time.Duration(sweeps)
-	}
-	sort.Slice(times, func(i, j int) bool { return times[i] < times[j] })
-	return times[1]
-}
-
-// kernelMetrics benchmarks naive vs tuned operators (cmd/spmv-bench's
-// measured-kernel layer, reduced to a smoke check).
+// kernelMetrics reports the tuner's deterministic footprint saving.
 func kernelMetrics(metrics map[string]Metric) {
 	m, err := spmv.GenerateSuite("FEM/Cantilever", 0.05, 7)
-	if err != nil {
-		log.Fatal(err)
-	}
-	naive, err := spmv.Compile(m, spmv.NaiveOptions())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -126,229 +76,9 @@ func kernelMetrics(metrics map[string]Metric) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	_, cols := m.Dims()
-	x := randVec(cols, 3)
-	flops := float64(2 * m.NNZ())
-	tn := timeSweeps(naive, x, 10)
-	tt := timeSweeps(tuned, x, 10)
-	metrics["kernel_naive_gflops"] = Metric{Value: flops / tn.Seconds() / 1e9, Unit: "GFlop/s"}
-	metrics["kernel_tuned_gflops"] = Metric{Value: flops / tt.Seconds() / 1e9, Unit: "GFlop/s"}
-	metrics["kernel_tuned_speedup"] = Metric{Value: tn.Seconds() / tt.Seconds(), Unit: "x", HigherBetter: true}
 	metrics["tuned_footprint_savings"] = Metric{
 		Value: tuned.Savings(), Unit: "frac", Gated: true, HigherBetter: true,
 	}
-}
-
-// serveThroughput drives the serving subsystem closed-loop and returns
-// wall req/s (examples/serve-loadgen in miniature).
-func serveThroughput(cfg server.Config, clients, requests int) float64 {
-	s := server.New(cfg)
-	defer s.Close()
-	info, err := s.RegisterSuite("m", "LP", 0.05, 7)
-	if err != nil {
-		log.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	t0 := time.Now()
-	for g := 0; g < clients; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			x := randVec(info.Cols, int64(g))
-			for i := 0; i < requests; i++ {
-				if _, err := s.Mul("m", x); err != nil {
-					log.Fatal(err)
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	return float64(clients*requests) / time.Since(t0).Seconds()
-}
-
-func servingMetrics(metrics map[string]Metric) {
-	unbatched := server.DefaultConfig()
-	unbatched.MaxBatch = 1
-	batched := server.DefaultConfig()
-	batched.Adaptive = false
-
-	u := serveThroughput(unbatched, 8, 50)
-	b := serveThroughput(batched, 8, 50)
-	metrics["serve_unbatched_req_s"] = Metric{Value: u, Unit: "req/s"}
-	metrics["serve_batched_req_s"] = Metric{Value: b, Unit: "req/s"}
-	// Emitted ungated: benchgate enforces only metrics the BASELINE gates,
-	// and bench_baseline.json gates this ratio against a hand-set
-	// conservative floor. Writing the measured value ungated here keeps a
-	// baseline refresh from replacing that floor with one noisy run.
-	metrics["serve_batched_speedup"] = Metric{Value: b / u, Unit: "x", HigherBetter: true}
-}
-
-// obsOverheadMetrics measures what the observability layer costs the
-// serving hot path: the same batched closed-loop workload once with
-// DefaultConfig's instrumentation on and once with ObsSample=0. Best of
-// three per side so one scheduler hiccup doesn't decide the ratio; the
-// ratio itself is emitted ungated (wall-clock) — bench_baseline.json
-// gates it against a hand-set conservative floor.
-func obsOverheadMetrics(metrics map[string]Metric) {
-	on := server.DefaultConfig()
-	on.Adaptive = false
-	off := on
-	off.ObsSample = 0
-	best := func(cfg server.Config) float64 {
-		var b float64
-		for i := 0; i < 3; i++ {
-			if v := serveThroughput(cfg, 8, 50); v > b {
-				b = v
-			}
-		}
-		return b
-	}
-	o := best(off)
-	i := best(on)
-	metrics["serve_obs_off_req_s"] = Metric{Value: o, Unit: "req/s"}
-	metrics["serve_obs_on_req_s"] = Metric{Value: i, Unit: "req/s"}
-	metrics["obs_overhead_ratio"] = Metric{Value: i / o, Unit: "x", HigherBetter: true}
-}
-
-// overlayOverheadMetrics measures what a live delta overlay costs the
-// serving hot path: the same batched closed-loop LP workload once clean
-// and once carrying a ~1.5%-dirty-row overlay with recompaction disabled
-// (the worst steady state a mutated matrix is allowed to serve from —
-// past the default threshold the background recompactor folds the log).
-// Bitwise parity between the overlay path and a from-scratch rebuild is
-// enforced as a hard failure; the throughput ratio is emitted ungated —
-// bench_baseline.json gates it against a hand-set conservative floor.
-func overlayOverheadMetrics(metrics map[string]Metric) {
-	m, err := spmv.GenerateSuite("LP", 0.05, 7)
-	if err != nil {
-		log.Fatal(err)
-	}
-	rows, cols := m.Dims()
-	rng := rand.New(rand.NewSource(17))
-	n := rows / 64
-	if n < 16 {
-		n = 16
-	}
-	deltas := make([]server.Delta, n)
-	ops := make([]delta.Op, n)
-	for i := range deltas {
-		r, c, v := int32(rng.Intn(rows)), int32(rng.Intn(cols)), rng.NormFloat64()
-		deltas[i] = server.Delta{Op: "set", Row: r, Col: c, Val: v}
-		ops[i] = delta.Op{Kind: delta.Set, Row: r, Col: c, Val: v}
-	}
-
-	// From-scratch rebuild for the parity check.
-	l := delta.NewLog(rows, cols, func(yield func(i, j int32, v float64)) {
-		m.Entries(func(i, j int, v float64) { yield(int32(i), int32(j), v) })
-	})
-	if err := l.Apply(ops); err != nil {
-		log.Fatal(err)
-	}
-	folded := spmv.NewMatrix(rows, cols)
-	l.Fold(func(i, j int32, v float64) { _ = folded.Set(int(i), int(j), v) })
-
-	newServer := func(withOverlay bool) *server.Server {
-		cfg := server.DefaultConfig()
-		cfg.Adaptive = false
-		cfg.RecompactThreshold = -1 // hold the overlay live for the whole run
-		s := server.New(cfg)
-		if _, err := s.Register("m", "LP", m); err != nil {
-			log.Fatal(err)
-		}
-		if withOverlay {
-			if _, err := s.Client().Patch("m", deltas); err != nil {
-				log.Fatal(err)
-			}
-		}
-		return s
-	}
-
-	x := randVec(cols, 19)
-	patched := newServer(true)
-	got, err := patched.Mul("m", x)
-	if err != nil {
-		log.Fatal(err)
-	}
-	rebuild := newServer(false)
-	if _, err := rebuild.DeleteMatrix("m"); err != nil {
-		log.Fatal(err)
-	}
-	if _, err := rebuild.Register("m", "LP", folded); err != nil {
-		log.Fatal(err)
-	}
-	want, err := rebuild.Mul("m", x)
-	if err != nil {
-		log.Fatal(err)
-	}
-	rebuild.Close()
-	patched.Close()
-	for i := range got {
-		if got[i] != want[i] {
-			log.Fatalf("benchsmoke: overlay serving diverged from the rebuilt matrix at y[%d]", i)
-		}
-	}
-
-	loop := func(s *server.Server) float64 {
-		defer s.Close()
-		const clients, requests = 8, 50
-		var wg sync.WaitGroup
-		t0 := time.Now()
-		for g := 0; g < clients; g++ {
-			wg.Add(1)
-			go func(g int) {
-				defer wg.Done()
-				x := randVec(cols, int64(g))
-				for i := 0; i < requests; i++ {
-					if _, err := s.Mul("m", x); err != nil {
-						log.Fatal(err)
-					}
-				}
-			}(g)
-		}
-		wg.Wait()
-		return float64(clients*requests) / time.Since(t0).Seconds()
-	}
-	best := func(withOverlay bool) float64 {
-		var b float64
-		for i := 0; i < 3; i++ {
-			if v := loop(newServer(withOverlay)); v > b {
-				b = v
-			}
-		}
-		return b
-	}
-	clean := best(false)
-	overlaid := best(true)
-	metrics["serve_overlay_off_req_s"] = Metric{Value: clean, Unit: "req/s"}
-	metrics["serve_overlay_on_req_s"] = Metric{Value: overlaid, Unit: "req/s"}
-	metrics["overlay_overhead_ratio"] = Metric{Value: overlaid / clean, Unit: "x", HigherBetter: true}
-}
-
-// schedOverheadMetrics measures what the admission/scheduling layer
-// costs a workload that doesn't need it: the same batched closed-loop
-// single-tenant run once FIFO and once with the class scheduler enabled
-// (unmetered — buckets off, so the cost measured is the priority gate
-// and per-class accounting on every request). Best of three per side;
-// bench_baseline.json gates the ratio against a hand-set floor.
-func schedOverheadMetrics(metrics map[string]Metric) {
-	off := server.DefaultConfig()
-	off.Adaptive = false
-	on := off
-	on.Sched = sched.Config{Enabled: true}
-	best := func(cfg server.Config) float64 {
-		var b float64
-		for i := 0; i < 3; i++ {
-			if v := serveThroughput(cfg, 8, 50); v > b {
-				b = v
-			}
-		}
-		return b
-	}
-	o := best(off)
-	s := best(on)
-	metrics["serve_sched_off_req_s"] = Metric{Value: o, Unit: "req/s"}
-	metrics["serve_sched_on_req_s"] = Metric{Value: s, Unit: "req/s"}
-	metrics["sched_overhead_ratio"] = Metric{Value: s / o, Unit: "x", HigherBetter: true}
 }
 
 // pinnedConfig is DefaultConfig with the parallel widths pinned to 1 so
@@ -395,11 +125,11 @@ func shardingMetrics(metrics map[string]Metric) {
 	}
 
 	x := randVec(info.Cols, 11)
-	want, err := single.Mul("m", x)
+	want, err := single.MulOpts("m", x, server.MulOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	got, err := cluster.Mul("m", x)
+	got, err := cluster.MulOpts("m", x, server.ClusterMulOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -526,11 +256,11 @@ func symmetricMetrics(metrics map[string]Metric) {
 	}
 
 	x := randVec(sinfo.Cols, 13)
-	want, err := gen.Mul("m", x)
+	want, err := gen.MulOpts("m", x, server.MulOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	got, err := ssrv.Mul("m", x)
+	got, err := ssrv.MulOpts("m", x, server.MulOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -545,83 +275,15 @@ func symmetricMetrics(metrics map[string]Metric) {
 	metrics["sym_matrix_stream_ratio"] = Metric{Value: ratio, Unit: "frac", Gated: true, HigherBetter: false}
 }
 
-// httpCodecMetrics measures what the wire codec costs a wide-x request:
-// the same Mul over loopback HTTP as JSON and as binary frames.
-func httpCodecMetrics(metrics map[string]Metric) {
-	s := server.New(server.DefaultConfig())
-	defer s.Close()
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-	hc := server.NewHTTPClient(ts.URL, nil)
-	info, err := hc.RegisterSuite("lp", "LP", 0.1, 7)
-	if err != nil {
-		log.Fatal(err)
-	}
-	x := randVec(info.Cols, 11)
-	want, err := s.MulOpts("lp", x, server.MulOptions{})
-	if err != nil {
-		log.Fatal(err)
-	}
-	jsonBody, err := json.Marshal(map[string]any{"x": x})
-	if err != nil {
-		log.Fatal(err)
-	}
-	codecs := []struct {
-		metric string
-		mul    func() ([]float64, error)
-	}{
-		{"http_mul_json_ms", func() ([]float64, error) {
-			resp, err := http.Post(ts.URL+"/v1/matrices/lp/mul", "application/json", bytes.NewReader(jsonBody))
-			if err != nil {
-				return nil, err
-			}
-			defer resp.Body.Close()
-			var out struct {
-				Y []float64 `json:"y"`
-			}
-			err = json.NewDecoder(resp.Body).Decode(&out)
-			return out.Y, err
-		}},
-		{"http_mul_frame_ms", func() ([]float64, error) { return hc.MulOpts("lp", x, server.MulOptions{}) }},
-	}
-	for _, c := range codecs {
-		const reps = 15
-		times := make([]time.Duration, reps)
-		for r := range times {
-			t0 := time.Now()
-			y, err := c.mul()
-			times[r] = time.Since(t0)
-			if err != nil {
-				log.Fatalf("%s: %v", c.metric, err)
-			}
-			if len(y) != len(want) {
-				log.Fatalf("%s: %d rows, want %d", c.metric, len(y), len(want))
-			}
-			for i := range y {
-				if math.Float64bits(y[i]) != math.Float64bits(want[i]) {
-					log.Fatalf("%s: y[%d] differs from in-process serving", c.metric, i)
-				}
-			}
-		}
-		sort.Slice(times, func(i, j int) bool { return times[i] < times[j] })
-		metrics[c.metric] = Metric{Value: float64(times[reps/2]) / float64(time.Millisecond), Unit: "ms"}
-	}
-}
-
 func main() {
 	out := flag.String("out", "BENCH_ci.json", "report path")
 	flag.Parse()
 
 	metrics := make(map[string]Metric)
 	kernelMetrics(metrics)
-	servingMetrics(metrics)
 	shardingMetrics(metrics)
 	routeSkewMetrics(metrics)
 	symmetricMetrics(metrics)
-	obsOverheadMetrics(metrics)
-	schedOverheadMetrics(metrics)
-	overlayOverheadMetrics(metrics)
-	httpCodecMetrics(metrics)
 
 	r := Report{
 		Schema:  1,
