@@ -20,7 +20,9 @@
 //
 // The serving layer adds the wire codec as one more axis of the bitwise
 // contract: a Mul answers the same bits in-process, over the JSON tier
-// and over binary frames, for local and for HTTP-sharded matrices.
+// and over binary frames, for local and for HTTP-sharded matrices. And a
+// solver session adds the topology: a CG trajectory is the same bits on one
+// node and on K members behind either transport's session sweep.
 package spmv_test
 
 import (
@@ -965,5 +967,155 @@ func TestDifferentialCodecParity(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// ---- sharded solver trajectories ----
+
+// poissonGrid assembles the 2-D 5-point Poisson stencil on a side × side
+// grid: SPD, and slow enough for CG that a trajectory has a few hundred
+// points to disagree on.
+func poissonGrid(t *testing.T, side int) *spmv.Matrix {
+	t.Helper()
+	m := spmv.NewMatrix(side*side, side*side)
+	set := func(i, j int, v float64) {
+		if err := m.Set(i, j, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for r := 0; r < side; r++ {
+		for c := 0; c < side; c++ {
+			i := r*side + c
+			set(i, i, 4)
+			for _, d := range [4][2]int{{-1, 0}, {1, 0}, {0, -1}, {0, 1}} {
+				if rr, cc := r+d[0], c+d[1]; rr >= 0 && rr < side && cc >= 0 && cc < side {
+					set(i, rr*side+cc, -1)
+				}
+			}
+		}
+	}
+	return m
+}
+
+// femSPD symmetrizes a FEM/Cantilever twin and sets its diagonal strictly
+// dominant: a certificate of positive definiteness, whatever the generator
+// produced.
+func femSPD(t *testing.T) *spmv.Matrix {
+	t.Helper()
+	g, err := spmv.GenerateSuite("FEM/Cantilever", 0.02, 31)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := spmv.Symmetrize(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, _ := m.Dims()
+	off, diag := make([]float64, rows), make([]float64, rows)
+	m.Entries(func(i, j int, v float64) {
+		if i == j {
+			diag[i] += v
+		} else {
+			off[i] += math.Abs(v)
+		}
+	})
+	for i := range off {
+		// Duplicates sum at compile: the diagonal ends just above the row's
+		// off-diagonal mass.
+		if err := m.Set(i, i, 1.001*off[i]+1e-3-diag[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return m
+}
+
+// cgTrajectory runs one CG session on s to convergence.
+func cgTrajectory(t *testing.T, s *server.Server, id string, b []float64) server.SolveStatus {
+	t.Helper()
+	st, err := s.SolveOpts(id, server.SolveRequest{Method: "cg", B: b, Tol: 1e-8, MaxIters: 4000}, server.SolveOptions{})
+	for err == nil && st.State == "running" {
+		st, err = s.SolveStatus(st.SID, 30*time.Second)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.State != "converged" {
+		t.Fatalf("%s: solve ended %s after %d iterations: %s", id, st.State, st.Iters, st.Error)
+	}
+	return st
+}
+
+// poissonFinalResidualBits pins the Poisson case's last History entry: the
+// trajectory of the commit before session sweeps and the fused CG step
+// existed, so neither moved a bit of it.
+const poissonFinalResidualBits = 0x3e424928b13908dd
+
+// TestDifferentialShardedTrajectories: a CG session iterates the same bits
+// whatever serves its sweeps — one node's general storage, K = 1/2/4
+// in-process members behind Transport.Sweep, or K = 2 HTTP members behind
+// its Mul-and-copy fallback. History, Iters and X are compared bit for
+// bit, and one trajectory's end is pinned to the parent commit's.
+func TestDifferentialShardedTrajectories(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		m    *spmv.Matrix
+		pin  uint64
+	}{
+		{"poisson", poissonGrid(t, 32), poissonFinalResidualBits},
+		{"fem", femSPD(t), 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rows, _ := tc.m.Dims()
+			b := laneVectors(rows, 1, 99)[0]
+
+			single := server.New(server.DefaultConfig())
+			t.Cleanup(single.Close)
+			general := false
+			if _, err := single.RegisterOpts("m", tc.name, tc.m, server.RegisterOptions{Symmetric: &general}); err != nil {
+				t.Fatal(err)
+			}
+			want := cgTrajectory(t, single, "m", b)
+			if tc.pin != 0 {
+				if got := math.Float64bits(want.History[len(want.History)-1]); got != tc.pin {
+					t.Errorf("final residual bits %#x after %d iterations, the parent commit's trajectory ends at %#x",
+						got, want.Iters, tc.pin)
+				}
+			}
+
+			sharded := func(path string, k int, member func(ms *server.Server) server.Transport) {
+				transports := make([]server.Transport, k)
+				for i := range transports {
+					ms := server.New(server.DefaultConfig())
+					t.Cleanup(ms.Close)
+					transports[i] = member(ms)
+				}
+				cluster, err := server.NewCluster(transports, server.ClusterConfig{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				front := server.New(server.DefaultConfig())
+				t.Cleanup(front.Close)
+				front.AttachCluster(cluster)
+				if _, err := cluster.RegisterSharded("m", tc.name, tc.m, k); err != nil {
+					t.Fatal(err)
+				}
+				got := cgTrajectory(t, front, "m", b)
+				if got.Iters != want.Iters {
+					t.Errorf("%s: %d iterations, single-node took %d", path, got.Iters, want.Iters)
+				}
+				checkBitwise(t, path+"/history", got.History, want.History)
+				checkBitwise(t, path+"/x", got.X, want.X)
+			}
+			for _, k := range []int{1, 2, 4} {
+				sharded(fmt.Sprintf("local/K=%d", k), k, func(ms *server.Server) server.Transport {
+					return server.NewLocalTransport("member", ms)
+				})
+			}
+			sharded("http/K=2", 2, func(ms *server.Server) server.Transport {
+				mts := httptest.NewServer(ms.Handler())
+				t.Cleanup(mts.Close)
+				return server.NewHTTPTransport(mts.URL, nil)
+			})
+		})
 	}
 }

@@ -172,19 +172,17 @@ func affinityScore(key, member string) uint64 {
 	return h
 }
 
-// gatherBand validates and copies one band's result into its disjoint
-// rows of the gathered y, reporting whether the row count matched. It is
-// the only routing-layer code that touches response numerics: a straight
-// copy, so K-sharded bits stay identical to single-node regardless of
-// policy, probe, or reband.
+// gatherBand copies one band's result into its disjoint rows y of the
+// gathered vector, reporting whether the row count matched. It is the only
+// routing-layer code that touches response numerics: a straight copy, so
+// K-sharded bits equal single-node bits whatever the policy, probe or reband.
 //
 //spmv:deterministic
-func gatherBand(y, yb []float64, lo, hi int) bool {
-	if len(yb) != hi-lo {
-		return false
+func gatherBand(y, yb []float64) bool {
+	if len(yb) == len(y) {
+		copy(y, yb)
 	}
-	copy(y[lo:hi], yb)
-	return true
+	return len(yb) == len(y)
 }
 
 // rankReplicas returns the band's replicas in routing-preference order:

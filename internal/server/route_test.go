@@ -128,20 +128,35 @@ func TestWeightedAvoidsFailureWindow(t *testing.T) {
 	}
 }
 
-// alternatingTransport fails every other Mul: the pattern that never
-// accumulates EjectAfter consecutive failures and so, before the
-// windowed failure rate existed, kept absorbing half the traffic and
-// failing it.
+// alternatingTransport fails every period-th Mul or Sweep, starting with
+// the first (period 0 means 2: every other call — the pattern that never
+// accumulates EjectAfter consecutive failures and so, before the windowed
+// failure rate existed, kept absorbing half the traffic and failing it).
 type alternatingTransport struct {
 	Transport
-	calls atomic.Int64
+	calls  atomic.Int64
+	period int64
+}
+
+func (a *alternatingTransport) flap() error {
+	if (a.calls.Add(1)-1)%max(a.period, 2) == 0 {
+		return fmt.Errorf("member flapping: connection reset")
+	}
+	return nil
 }
 
 func (a *alternatingTransport) Mul(id string, x []float64) ([]float64, error) {
-	if a.calls.Add(1)%2 == 1 {
-		return nil, fmt.Errorf("member flapping: connection reset")
+	if err := a.flap(); err != nil {
+		return nil, err
 	}
 	return a.Transport.Mul(id, x)
+}
+
+func (a *alternatingTransport) Sweep(id string, y, x []float64) error {
+	if err := a.flap(); err != nil {
+		return err
+	}
+	return a.Transport.Sweep(id, y, x)
 }
 
 // TestAlternatingFailureRoutedAround: an alternating success/failure
@@ -179,18 +194,32 @@ func TestAlternatingFailureRoutedAround(t *testing.T) {
 	}
 }
 
-// gateTransport fails Mul while down is set (a transport-level outage
-// that later heals).
+// gateTransport fails Mul and Sweep while down is set (a transport-level
+// outage that later heals).
 type gateTransport struct {
 	Transport
 	down atomic.Bool
 }
 
-func (g *gateTransport) Mul(id string, x []float64) ([]float64, error) {
+func (g *gateTransport) outage() error {
 	if g.down.Load() {
-		return nil, fmt.Errorf("member down: connection refused")
+		return fmt.Errorf("member down: connection refused")
+	}
+	return nil
+}
+
+func (g *gateTransport) Mul(id string, x []float64) ([]float64, error) {
+	if err := g.outage(); err != nil {
+		return nil, err
 	}
 	return g.Transport.Mul(id, x)
+}
+
+func (g *gateTransport) Sweep(id string, y, x []float64) error {
+	if err := g.outage(); err != nil {
+		return err
+	}
+	return g.Transport.Sweep(id, y, x)
 }
 
 // TestHalfOpenRecovery drives the full circuit on a fake clock: eject

@@ -98,19 +98,33 @@ func (e *Entry) mul(s *Server, p *pending, class sched.Class, _ string) ([]float
 	return s.batcherFor(e, class).mul(p)
 }
 
-// sweep is the entry's current snapshot, width-1 fused view, sharded
-// through the pool — exactly what a width-1 deterministic Mul runs, so
-// solver bits match serving bits and a concurrent promotion swaps in
-// mid-solve without (in deterministic mode) moving them.
 func (e *Entry) sweep(s *Server, ss *solveSession, y, x []float64) (int, time.Duration, error) {
+	return e.sweepInto(s, ss.class, ss.cancel, y, x)
+}
+
+// sweepInto is the one width-1 session sweep y = A·x, a local session's or
+// (through LocalTransport.Sweep) a sharded session's on this member: the
+// current snapshot, width-1 fused view, sharded through the pool — exactly
+// what a width-1 deterministic Mul runs, and refuses, so solver bits match
+// serving bits and a promotion mid-solve (in deterministic mode) moves none.
+func (e *Entry) sweepInto(s *Server, class sched.Class, cancel <-chan struct{}, y, x []float64) (int, time.Duration, error) {
 	sv := e.cur.Load()
+	if sv == nil {
+		return 0, 0, fmt.Errorf("server: matrix %q is still compiling", e.ID)
+	}
+	if len(x) != e.cols || len(y) != e.rows {
+		return 0, 0, fmt.Errorf("server: matrix %q is %dx%d, len(x)=%d, len(y)=%d", e.ID, e.rows, e.cols, len(x), len(y))
+	}
+	if !finiteVec(x) {
+		return 0, 0, errNonFiniteX
+	}
 	mo, err := fusedView(sv, 1)
 	if err != nil {
 		return 0, 0, err
 	}
 	clear(y)
 	bytes := sweepModeledBytes(sv.matrixBytes, sv.sourceBytes, sv.destBytes, 1) + sv.ovBytes
-	d, err := s.sessionSweep(ss, bytes, func() error { return s.runFused(sv, mo, y, x, 1) })
+	d, err := s.sessionSweep(class, cancel, bytes, func() error { return s.runFused(sv, mo, y, x, 1) })
 	if err != nil {
 		return 0, 0, err
 	}
@@ -163,21 +177,20 @@ func (e *shardedEntry) mul(s *Server, p *pending, class sched.Class, affinity st
 		return nil, errNonFiniteX
 	}
 	y := make([]float64, e.rows)
-	if err := s.cluster.fanOut(e, e.topo.Load(), y, p.x, affinity); err != nil {
+	if err := s.cluster.fanOut(e, e.topo.Load(), y, p.x, affinity, false); err != nil {
 		return nil, err
 	}
 	return y, nil
 }
 
-// sweep fans one session iteration out under the session id as affinity
-// key, so under the affinity policy every iteration of a solve lands on
-// the same replica of each band. The gate charge and the reported
-// generation are the topology's that ran: a live reband changes the cost
-// but never a row's summation order, so deterministic-mode trajectory
-// bits survive it exactly as they survive a local promotion.
+// sweep fans one session iteration out under the session id as affinity key,
+// so under the affinity policy every iteration of a solve lands on the same
+// replica of each band. The gate charge and the reported generation are the
+// topology's that ran: a live reband changes the cost but never a row's
+// summation order, so deterministic-mode trajectory bits survive it.
 func (e *shardedEntry) sweep(s *Server, ss *solveSession, y, x []float64) (int, time.Duration, error) {
 	t := e.topo.Load()
-	d, err := s.sessionSweep(ss, t.sweepBytes, func() error { return s.cluster.fanOut(e, t, y, x, ss.id) })
+	d, err := s.sessionSweep(ss.class, ss.cancel, t.sweepBytes, func() error { return s.cluster.fanOut(e, t, y, x, ss.id, true) })
 	return t.gen, d, err
 }
 

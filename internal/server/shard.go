@@ -608,29 +608,67 @@ func (c *Cluster) MulOpts(id string, x []float64, opts ClusterMulOptions) ([]flo
 		return nil, fmt.Errorf("server: matrix %q is %dx%d, len(x)=%d", id, e.rows, e.cols, len(x))
 	}
 	y := make([]float64, e.rows)
-	if err := c.fanOut(e, e.topo.Load(), y, x, opts.Affinity); err != nil {
+	if err := c.fanOut(e, e.topo.Load(), y, x, opts.Affinity, false); err != nil {
 		return nil, err
 	}
 	return y, nil
 }
 
-// fanOut scatters x to one replica of every band of t and gathers the
-// bands into y, which it overwrites (the bands tile the rows). The caller
-// loads t once per request, so every band of one Mul comes from the same
-// generation even if a reband swaps mid-flight.
-func (c *Cluster) fanOut(e *shardedEntry, t *topology, y, x []float64, affinity string) error {
+// mulInto is t.Mul copied into y, the band's rows: a Mul's band call.
+func mulInto(t Transport, id string, y, x []float64) error {
+	yb, err := t.Mul(id, x)
+	if err == nil && !gatherBand(y, yb) {
+		err = fmt.Errorf("server: member %s returned %d rows for the %d-row band %q", t.Name(), len(yb), len(y), id)
+	}
+	return err
+}
+
+// sweptInline reports whether a solver session sweeps t's bands in order on
+// its own goroutine: every replica computes on the caller's thread (a remote
+// sweep is a wait worth overlapping), and the bands other goroutines would take
+// off its hands model under what a handoff's spawn and two thread wake-ups
+// cost on the 2-vCPU host (handoffBytes; DESIGN.md, "Cluster routing").
+func (t *topology) sweptInline() bool {
+	const handoffBytes = 2 << 20
+	var own int64
+	for _, b := range t.bands {
+		for _, m := range b.replicas {
+			if _, local := m.t.(*LocalTransport); !local {
+				return false
+			}
+		}
+		own = max(own, b.sweepBytes)
+	}
+	return t.sweepBytes-own < handoffBytes
+}
+
+// fanOut scatters x to one replica of every band of t — through Transport.Mul,
+// where concurrent Muls coalesce, or a solver session's through Sweep — and
+// gathers the bands into y, which it overwrites (the bands tile the rows). The
+// caller loads t once, so every band comes from one generation even if a reband
+// swaps mid-flight. The last non-empty band runs on the calling goroutine, like
+// Pool.RunSweep's last shard; so do all of a session's when t is swept in line.
+func (c *Cluster) fanOut(e *shardedEntry, t *topology, y, x []float64, affinity string, session bool) error {
+	spawn := !session || !t.sweptInline()
 	c.requests.Add(1)
 	errs := make([]error, len(t.bands))
+	last := len(t.bands) - 1
+	for last >= 0 && len(t.bands[last].replicas) == 0 {
+		last--
+	}
 	var wg sync.WaitGroup
-	for i, b := range t.bands {
-		if len(b.replicas) == 0 {
-			continue
+	for i, b := range t.bands[:last+1] {
+		switch {
+		case len(b.replicas) == 0:
+		case i == last || !spawn:
+			errs[i] = c.mulBand(b, x, y, affinity, session)
+		default:
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				errs[i] = c.mulBand(b, x, y, affinity, session)
+			}()
 		}
-		wg.Add(1)
-		go func(i int, b *band) {
-			defer wg.Done()
-			errs[i] = c.mulBand(b, x, y, affinity)
-		}(i, b)
 	}
 	wg.Wait()
 	for _, err := range errs {
@@ -649,8 +687,12 @@ func (c *Cluster) fanOut(e *shardedEntry, t *topology, y, x []float64, affinity 
 // when every replica is ejected and no window is open, the
 // least-recently-failed member gets a forced probe rather than failing
 // the request outright.
-func (c *Cluster) mulBand(b *band, x, y []float64, affinity string) error {
+func (c *Cluster) mulBand(b *band, x, y []float64, affinity string, session bool) error {
 	c.scatters.Add(1)
+	call := mulInto
+	if session {
+		call = Transport.Sweep
+	}
 	cands := c.rankReplicas(b, affinity, c.now())
 	forced := false
 	if len(cands) == 0 {
@@ -673,13 +715,9 @@ func (c *Cluster) mulBand(b *band, x, y []float64, affinity string) error {
 		tried++
 		start := c.now()
 		mem.inflight.Add(b.sweepBytes)
-		yb, err := mem.t.Mul(b.subID, x)
+		err := call(mem.t, b.subID, y[b.lo:b.hi], x) // a retry overwrites the same rows
 		mem.inflight.Add(-b.sweepBytes)
 		elapsed := c.now().Sub(start)
-		if err == nil && !gatherBand(y, yb, b.lo, b.hi) {
-			err = fmt.Errorf("server: member %s returned %d rows for band [%d,%d)",
-				mem.name, len(yb), b.lo, b.hi)
-		}
 		mem.observeOutcome(err == nil)
 		if err == nil {
 			mem.requests.Add(1)

@@ -93,19 +93,33 @@ func TestShardedParity(t *testing.T) {
 	}
 }
 
-// flakyTransport wraps a Transport and fails Mul after failAfter calls —
-// the "member goes down mid-request" scenario.
+// flakyTransport wraps a Transport and fails Mul and Sweep after failAfter
+// calls — the "member goes down mid-request" scenario.
 type flakyTransport struct {
 	Transport
 	calls     atomic.Int64
 	failAfter int64
 }
 
-func (f *flakyTransport) Mul(id string, x []float64) ([]float64, error) {
+func (f *flakyTransport) lost() error {
 	if f.calls.Add(1) > f.failAfter {
-		return nil, fmt.Errorf("member lost: connection refused")
+		return fmt.Errorf("member lost: connection refused")
+	}
+	return nil
+}
+
+func (f *flakyTransport) Mul(id string, x []float64) ([]float64, error) {
+	if err := f.lost(); err != nil {
+		return nil, err
 	}
 	return f.Transport.Mul(id, x)
+}
+
+func (f *flakyTransport) Sweep(id string, y, x []float64) error {
+	if err := f.lost(); err != nil {
+		return err
+	}
+	return f.Transport.Sweep(id, y, x)
 }
 
 // TestShardMemberFailover kills one member mid-stream and checks that its
@@ -226,6 +240,10 @@ func (f *shrinkTransport) Mul(id string, x []float64) ([]float64, error) {
 	}
 	return y[:len(y)-1], nil
 }
+
+// Sweep is the truncated Mul behind the length check a remote transport
+// runs before it copies an answer into the caller's band.
+func (f *shrinkTransport) Sweep(id string, y, x []float64) error { return mulInto(f, id, y, x) }
 
 func TestShardMismatchedDims(t *testing.T) {
 	m, err := spmv.GenerateSuite("QCD", 0.02, 5)

@@ -452,15 +452,14 @@ func (s *Server) evictFinishedLocked() bool {
 // oldest-finished eviction.
 func (s *Server) finishSeq() uint64 { return s.sessFinishSeq.Add(1) }
 
-// sessionSweep runs one solver-session sweep's work under the session's
-// gate slot and returns its measured duration (zero with observability
-// off). Session sweeps queue at the same priority gate as Mul batches,
-// under the session's class and the modeled bytes of the generation they
-// run on — a bulk solve waits behind latency traffic (until aged) — and
-// the gate wait stays out of the measured duration.
-func (s *Server) sessionSweep(ss *solveSession, bytes int64, work func() error) (time.Duration, error) {
+// sessionSweep runs one solver-session sweep's work under a gate slot and
+// returns its measured duration (zero with observability off). Session sweeps
+// queue at the same priority gate as Mul batches, under the session's class
+// and the modeled bytes of the generation they run on — a bulk solve waits
+// behind latency traffic (until aged) — until cancel closes; the wait is not timed.
+func (s *Server) sessionSweep(class sched.Class, cancel <-chan struct{}, bytes int64, work func() error) (time.Duration, error) {
 	if sc := s.sched; sc != nil && sc.gate != nil {
-		if !sc.gate.Acquire(ss.class, bytes, ss.cancel) {
+		if !sc.gate.Acquire(class, bytes, cancel) {
 			return 0, errSessionCancelled
 		}
 		defer sc.gate.Release()

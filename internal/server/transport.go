@@ -6,11 +6,10 @@ import (
 	spmv "repro"
 )
 
-// Transport is one shard member node as seen by the coordinator: the
-// minimal surface the scatter/gather layer needs — register a row band,
-// multiply against it, snapshot its counters. LocalTransport serves the
-// in-process topology (one process modeling a fleet, like internal/mpi
-// models ranks); HTTPTransport fronts a real remote spmv-serve node.
+// Transport is one shard member node as seen by the coordinator: the minimal
+// surface the scatter/gather layer needs — register a row band, multiply
+// against it, sweep it for a solver session, snapshot its counters.
+// LocalTransport is an in-process member, HTTPTransport a remote spmv-serve.
 type Transport interface {
 	// Name labels the member in topology and stats views.
 	Name() string
@@ -24,6 +23,10 @@ type Transport interface {
 	Register(id, name string, m *spmv.Matrix) (MatrixInfo, error)
 	// Mul computes y = A·x against a previously registered band.
 	Mul(id string, x []float64) ([]float64, error)
+	// Sweep is one width-1 solver-session sweep of the band into the
+	// caller's y (the band's rows long), which it overwrites: the bits of a
+	// deterministic width-1 Mul, refused for what Mul refuses.
+	Sweep(id string, y, x []float64) error
 	// Unregister tears down a previously registered band on the member,
 	// releasing its serving snapshot. Unknown ids are an error (the
 	// coordinator treats it as best-effort cleanup).
@@ -59,6 +62,20 @@ func (t *LocalTransport) Register(id, name string, m *spmv.Matrix) (MatrixInfo, 
 // Mul multiplies against the member's band.
 func (t *LocalTransport) Mul(id string, x []float64) ([]float64, error) {
 	return t.s.MulOpts(id, x, MulOptions{})
+}
+
+// Sweep runs the body a local solver session runs (Entry.sweepInto) straight
+// into y: no batcher (serial iterations have nothing to coalesce with), result
+// vector or tenant bucket (the front's runSolve charged the session); the
+// member's gate (default class) and Stats still see the sweep.
+func (t *LocalTransport) Sweep(id string, y, x []float64) error {
+	e, err := t.s.reg.Get(id)
+	if err != nil {
+		return err
+	}
+	t.s.st.requests.Add(1)
+	_, _, err = e.sweepInto(t.s, t.s.cfg.Sched.DefaultClass, nil, y, x)
+	return err
 }
 
 // Unregister tears down the member's band.
@@ -100,6 +117,9 @@ func (t *HTTPTransport) Register(id, name string, m *spmv.Matrix) (MatrixInfo, e
 func (t *HTTPTransport) Mul(id string, x []float64) ([]float64, error) {
 	return t.hc.MulOpts(id, x, MulOptions{})
 }
+
+// Sweep is a Mul copied into y: the wire has no cheaper verb.
+func (t *HTTPTransport) Sweep(id string, y, x []float64) error { return mulInto(t, id, y, x) }
 
 // Unregister deletes the band on the remote member.
 func (t *HTTPTransport) Unregister(id string) error {

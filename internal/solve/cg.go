@@ -72,10 +72,17 @@ func (o *Options) normalize() error {
 }
 
 // CG is an unpreconditioned Conjugate Gradient iteration over a symmetric
-// positive definite operator: per step one Apply, two ordered dot
-// products, and three fused vector updates. The classic bandwidth-bound
-// consumer of tuned SpMV — §2.1's motivation for every byte the tuner
-// shaves off the matrix stream.
+// positive definite operator: per step one Apply and three passes over the
+// vectors — pᵀAp; then x += αp, r −= α·Ap and rᵀr together; then
+// p = r + βp. The classic bandwidth-bound consumer of tuned SpMV — §2.1's
+// motivation for every byte the tuner shaves off the matrix stream.
+//
+// The passes walk the reduction partition of BLAS.Dot (fixed 1024-element
+// blocks in deterministic mode, one chunk per thread otherwise) and sum
+// its partials in the same ascending order, and every element sees the
+// operations Axpy, Axpy, Dot and Xpay would apply to it, in that order —
+// so a trajectory has the bits of one composed from those primitives,
+// while streaming x, r, p and Ap once per step instead of up to three times.
 type CG struct {
 	apply Apply
 	blas  BLAS
@@ -88,6 +95,14 @@ type CG struct {
 	status      Status
 	err         error
 	history     []float64 // relative residual after each step
+
+	// The step's passes, bound once so a Step allocates nothing but history
+	// growth: each fills or reads its part of the partition, with the
+	// step's scalars handed over in alpha and beta.
+	parts                     int
+	partials                  []float64
+	alpha, beta               float64
+	papPass, updPass, dirPass func(part int)
 }
 
 // NewCG prepares a CG solve of A·x = b from initial guess x0 (zero when
@@ -112,6 +127,9 @@ func NewCG(apply Apply, b, x0 []float64, opt Options) (*CG, error) {
 		r:     append([]float64(nil), b...),
 		ap:    make([]float64, n),
 	}
+	c.parts = c.blas.reduceParts(n)
+	c.partials = make([]float64, c.parts)
+	c.papPass, c.updPass, c.dirPass = c.papPart, c.updatePart, c.directionPart
 	if x0 != nil {
 		copy(c.x, x0)
 		if err := apply(c.ap, x0); err != nil {
@@ -155,28 +173,26 @@ func (c *CG) Step() (done bool, err error) {
 		c.status = Converged
 		return true, nil
 	}
-	clear(c.ap)
 	if err := c.apply(c.ap, c.p); err != nil {
 		return c.fail(fmt.Errorf("solve: apply: %w", err))
 	}
-	pap := c.blas.Dot(c.p, c.ap)
+	pap := c.reducePass(c.papPass)
 	if !(pap > 0) || math.IsInf(pap, 0) {
 		// For SPD A, pᵀAp > 0 for every non-zero p; anything else is a
 		// breakdown (indefinite operator, or the residual vanished to
 		// exactly zero between the convergence test and this step).
 		return c.fail(fmt.Errorf("solve: CG breakdown at iteration %d: pᵀAp = %g (operator not positive definite?)", c.iters, pap))
 	}
-	alpha := c.rr / pap
-	c.blas.Axpy(alpha, c.p, c.x)
-	c.blas.Axpy(-alpha, c.ap, c.r)
-	rrNew := c.blas.Dot(c.r, c.r)
+	c.alpha = c.rr / pap
+	rrNew := c.reducePass(c.updPass)
 	c.iters++
 	relres := math.Sqrt(rrNew) / c.bnorm
 	c.history = append(c.history, relres)
 	if !isFiniteVal(relres) {
 		return c.fail(fmt.Errorf("solve: residual diverged at iteration %d", c.iters))
 	}
-	c.blas.Xpay(rrNew/c.rr, c.r, c.p) // p = r + β·p
+	c.beta = rrNew / c.rr
+	runParts(c.parts, c.blas.threads(), len(c.x), c.dirPass)
 	c.rr = rrNew
 	switch {
 	case c.opt.Tol > 0 && relres <= c.opt.Tol:
@@ -185,6 +201,56 @@ func (c *CG) Step() (done bool, err error) {
 		c.status = BudgetExhausted
 	}
 	return c.status != Running, nil
+}
+
+// reducePass runs one of the step's reducing passes over the partition and
+// returns the ordered sum of the partials it left.
+func (c *CG) reducePass(part func(part int)) float64 {
+	runParts(c.parts, c.blas.threads(), len(c.x), part)
+	return sumOrdered(c.partials)
+}
+
+// papPart leaves part's share of pᵀ(Ap).
+//
+//spmv:deterministic
+func (c *CG) papPart(part int) {
+	lo, hi := c.blas.reducePart(len(c.x), c.parts, part)
+	p, ap := c.p[lo:hi], c.ap[lo:hi]
+	var s float64
+	for i := range p {
+		s += p[i] * ap[i]
+	}
+	c.partials[part] = s
+}
+
+// updatePart applies x += α·p and r += (−α)·Ap to part's elements and
+// leaves its share of the new rᵀr.
+//
+//spmv:deterministic
+func (c *CG) updatePart(part int) {
+	lo, hi := c.blas.reducePart(len(c.x), c.parts, part)
+	x, r, p, ap := c.x[lo:hi], c.r[lo:hi], c.p[lo:hi], c.ap[lo:hi]
+	alpha, negAlpha := c.alpha, -c.alpha
+	var s float64
+	for i := range x {
+		x[i] += alpha * p[i]
+		ri := r[i] + negAlpha*ap[i]
+		r[i] = ri
+		s += ri * ri
+	}
+	c.partials[part] = s
+}
+
+// directionPart applies p = r + β·p to part's elements.
+//
+//spmv:deterministic
+func (c *CG) directionPart(part int) {
+	lo, hi := c.blas.reducePart(len(c.x), c.parts, part)
+	r, p := c.r[lo:hi], c.p[lo:hi]
+	beta := c.beta
+	for i := range p {
+		p[i] = r[i] + beta*p[i]
+	}
 }
 
 func (c *CG) fail(err error) (bool, error) {
