@@ -56,13 +56,11 @@ import (
 
 func main() {
 	addr := flag.String("addr", ":8707", "listen address")
-	threads := flag.Int("threads", 0, "parallel width of the per-request path (0 = GOMAXPROCS)")
+	threads := flag.Int("threads", 0, "row parts each matrix is compiled into and each sweep fans out over (0 = GOMAXPROCS)")
 	workers := flag.Int("workers", 0, "sweep pool workers (0 = GOMAXPROCS)")
-	shards := flag.Int("shards", 0, "row shards per fused sweep (0 = workers)")
 	maxBatch := flag.Int("max-batch", 8, "widest fused sweep (1 disables batching)")
 	window := flag.Duration("batch-window", 200*time.Microsecond, "batch linger window")
 	adaptive := flag.Bool("adaptive", true, "skip the linger for lone requests when traffic is sparse")
-	deterministic := flag.Bool("deterministic", true, "topology-invariant numerics: identical bits regardless of batch width or shard count")
 	autoSymmetric := flag.Bool("auto-symmetric", true, "serve numerically symmetric matrices from upper-triangle storage (half the matrix stream); per-request \"symmetric\" overrides")
 	maxBodyBytes := flag.Int64("max-body-bytes", 0, "request body cap, 413 beyond it (0 = 256 MiB); raise on members sharding very large matrices")
 	maxSweeps := flag.Int("max-concurrent-sweeps", 0, "concurrent sweep limit (0 = workers)")
@@ -103,11 +101,9 @@ func main() {
 	cfg := server.DefaultConfig()
 	cfg.Threads = *threads
 	cfg.Workers = *workers
-	cfg.Shards = *shards
 	cfg.MaxBatch = *maxBatch
 	cfg.BatchWindow = *window
 	cfg.Adaptive = *adaptive
-	cfg.Deterministic = *deterministic
 	cfg.AutoSymmetric = *autoSymmetric
 	cfg.MaxBodyBytes = *maxBodyBytes
 	cfg.MaxConcurrentSweeps = *maxSweeps
@@ -191,7 +187,6 @@ func main() {
 		slog.Int("max_batch", cfg.MaxBatch),
 		slog.Duration("batch_window", cfg.BatchWindow),
 		slog.Bool("adaptive", cfg.Adaptive),
-		slog.Bool("deterministic", cfg.Deterministic),
 		slog.Duration("retune_interval", cfg.RetuneInterval),
 		slog.Int("obs_sample", cfg.ObsSample),
 		slog.Bool("sched", cfg.Sched.Active()),

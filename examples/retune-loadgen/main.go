@@ -5,18 +5,18 @@
 // observed request mix and re-tunes when it drifts.
 //
 // The scenario: a matrix is registered while traffic is lone width-1
-// requests — the registration-time tune guesses a single-vector workload.
-// Then the workload shifts to wide bursts (width-16 fused sweeps, e.g. a
-// block-Krylov client or a traffic spike the batcher coalesces). The
-// background re-tuner notices the fused-width histogram drifting, re-runs
-// the tuner with workload-derived options off the hot path, shadow-
-// benchmarks the candidate on the captured request shapes, and promotes
-// it atomically — after which every fused sweep streams the workload-
-// tuned encoding (register-blocked / compact-index / symmetric) instead
-// of the plain CSR fallback, cutting the modeled matrix stream per sweep
-// (~1.5x on a register-blocked twin, ~2x when symmetry wins).
+// requests — registration compiles for a single-vector workload, with
+// 32-bit indices. Then the workload shifts to wide bursts (width-16 fused
+// sweeps, e.g. a block-Krylov client or a traffic spike the batcher
+// coalesces). The background re-tuner notices the fused-width histogram
+// drifting, re-runs the tuner over the serving candidate set off the hot
+// path, shadow-benchmarks the candidate on the captured request shapes,
+// and promotes it atomically — after which every sweep streams the
+// index-narrowed encoding (16-bit columns where the matrix is at most
+// 65536 wide), cutting the modeled matrix stream per sweep ~1.2x without
+// moving a single response bit.
 //
-//	go run ./examples/retune-loadgen [-suite Dense] [-scale 0.05] [-burst 16] [-symmetrize]
+//	go run ./examples/retune-loadgen [-suite Dense] [-scale 0.05] [-burst 16]
 package main
 
 import (
@@ -37,19 +37,9 @@ func main() {
 	burst := flag.Int("burst", 16, "concurrent clients per burst (the shifted workload's fused width)")
 	phase1 := flag.Int("phase1", 64, "lone width-1 requests before the shift")
 	rounds := flag.Int("rounds", 40, "max bursts to run while waiting for the promotion")
-	symmetrize := flag.Bool("symmetrize", true, "serve the symmetrized twin so the symmetric candidate competes too")
 	flag.Parse()
 
 	cfg := server.DefaultConfig()
-	// Full candidate family: with determinism off the re-tuner may change
-	// the fused summation order, so register-blocked wide kernels and the
-	// symmetric operator are all on the table. (Deterministic servers
-	// re-tune too, restricted to bit-identical CSR-family candidates.)
-	cfg.Deterministic = false
-	// The point of the demo: registration guesses, the workload decides.
-	// Auto-symmetric detection off means even a symmetric matrix starts
-	// on general storage until observed traffic justifies the switch.
-	cfg.AutoSymmetric = false
 	cfg.MaxBatch = *burst
 	cfg.BatchWindow = 2 * time.Millisecond
 	cfg.Adaptive = true
@@ -63,12 +53,6 @@ func main() {
 		log.Fatal(err)
 	}
 	name := *suite
-	if *symmetrize {
-		if m, err = spmv.Symmetrize(m); err != nil {
-			log.Fatal(err)
-		}
-		name += " (symmetrized)"
-	}
 	info, err := s.Register("m", name, m)
 	if err != nil {
 		log.Fatal(err)
@@ -84,7 +68,7 @@ func main() {
 		}
 	}
 
-	// Phase 1: lone width-1 requests — the workload the tuner guessed.
+	// Phase 1: lone width-1 requests — the workload registration guessed.
 	for i := 0; i < *phase1; i++ {
 		if _, err := s.MulOpts("m", xs[i%len(xs)], server.MulOptions{}); err != nil {
 			log.Fatal(err)

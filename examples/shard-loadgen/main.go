@@ -19,7 +19,8 @@
 // Sharding scales because the nonzero-balanced row bands split the matrix
 // stream ~K ways while each member still runs its own tuner, batcher and
 // fused sweeps. Results are bitwise identical across topologies (verified
-// on every run here; see Config.Deterministic).
+// on every run here): bands are served general, and every general sweep
+// sums a row in the same order.
 //
 // The run ends with a skewed-member scenario: a 2-fast/1-slow fleet
 // (one member's transport delayed, standing in for a degraded node)

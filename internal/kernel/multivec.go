@@ -35,10 +35,6 @@ func (mv *MultiVec) Vectors() int { return mv.nv }
 // one cache line serves k kernels, which is where the traffic saving comes
 // from.
 //
-// The inner loop is unrolled for the common widths 1, 2, 4 and 8
-// (mirroring the register-block code generation) and falls back to a
-// generic loop.
-//
 //spmv:deterministic
 func (mv *MultiVec) MulAdd(y, x []float64) error {
 	return mv.MulAddRows(y, x, 0, mv.m.R)
@@ -47,8 +43,7 @@ func (mv *MultiVec) MulAdd(y, x []float64) error {
 // MulAddRows computes the rows [lo, hi) of Y ← Y + A·X over the same
 // interleaved block layout as MulAdd. Disjoint row ranges write disjoint
 // regions of y, so concurrent calls over a row partition parallelize one
-// fused sweep without synchronization — the serving layer's sharded
-// multi-RHS path.
+// fused sweep without synchronization.
 //
 //spmv:deterministic
 func (mv *MultiVec) MulAddRows(y, x []float64, lo, hi int) error {
@@ -62,25 +57,42 @@ func (mv *MultiVec) MulAddRows(y, x []float64, lo, hi int) error {
 		return fmt.Errorf("%w: rows [%d,%d) outside matrix with %d rows",
 			matrix.ErrShape, lo, hi, m.R)
 	}
+	csrMultiRows(m, nv, y, x, lo, hi)
+	return nil
+}
+
+// csrMultiRows is the one CSR multi-RHS loop nest: rows [lo, hi) of
+// Y ← Y + A·X over interleaved width-nv blocks, at either index width.
+// MultiVec and the CSR-backed Wide kernels both run it, so they cannot
+// differ in bits or in speed. Each lane sums its row's products in stored
+// (ascending column) order into one accumulator and adds the sum into y
+// once — the same per-lane operation order at every width, which is why
+// lane v of a width-k sweep equals the width-1 sweep bit for bit. The
+// inner loop is unrolled for the common widths 1, 2, 4 and 8 (mirroring
+// the register-block code generation) and falls back to a generic loop.
+// A row's values and columns are sliced once, so the compiler drops the
+// per-nonzero bounds checks on both streams.
+//
+//spmv:deterministic
+func csrMultiRows[I matrix.Index](m *matrix.CSR[I], nv int, y, x []float64, lo, hi int) {
 	switch nv {
 	case 1:
-		k := m.RowPtr[lo]
 		for i := lo; i < hi; i++ {
-			end := m.RowPtr[i+1]
+			k, end := m.RowPtr[i], m.RowPtr[i+1]
+			val, col := m.Val[k:end], m.Col[k:end]
 			sum := 0.0
-			for ; k < end; k++ {
-				sum += m.Val[k] * x[m.Col[k]]
+			for n, v := range val {
+				sum += v * x[col[n]]
 			}
 			y[i] += sum
 		}
 	case 2:
-		k := m.RowPtr[lo]
 		for i := lo; i < hi; i++ {
-			end := m.RowPtr[i+1]
+			k, end := m.RowPtr[i], m.RowPtr[i+1]
+			val, col := m.Val[k:end], m.Col[k:end]
 			s0, s1 := 0.0, 0.0
-			for ; k < end; k++ {
-				v := m.Val[k]
-				c := int(m.Col[k]) * 2
+			for n, v := range val {
+				c := int(col[n]) * 2
 				s0 += v * x[c]
 				s1 += v * x[c+1]
 			}
@@ -88,13 +100,12 @@ func (mv *MultiVec) MulAddRows(y, x []float64, lo, hi int) error {
 			y[i*2+1] += s1
 		}
 	case 4:
-		k := m.RowPtr[lo]
 		for i := lo; i < hi; i++ {
-			end := m.RowPtr[i+1]
+			k, end := m.RowPtr[i], m.RowPtr[i+1]
+			val, col := m.Val[k:end], m.Col[k:end]
 			s0, s1, s2, s3 := 0.0, 0.0, 0.0, 0.0
-			for ; k < end; k++ {
-				v := m.Val[k]
-				c := int(m.Col[k]) * 4
+			for n, v := range val {
+				c := int(col[n]) * 4
 				s0 += v * x[c]
 				s1 += v * x[c+1]
 				s2 += v * x[c+2]
@@ -106,14 +117,13 @@ func (mv *MultiVec) MulAddRows(y, x []float64, lo, hi int) error {
 			y[i*4+3] += s3
 		}
 	case 8:
-		k := m.RowPtr[lo]
 		for i := lo; i < hi; i++ {
-			end := m.RowPtr[i+1]
+			k, end := m.RowPtr[i], m.RowPtr[i+1]
+			val, col := m.Val[k:end], m.Col[k:end]
 			s0, s1, s2, s3 := 0.0, 0.0, 0.0, 0.0
 			s4, s5, s6, s7 := 0.0, 0.0, 0.0, 0.0
-			for ; k < end; k++ {
-				v := m.Val[k]
-				c := int(m.Col[k]) * 8
+			for n, v := range val {
+				c := int(col[n]) * 8
 				s0 += v * x[c]
 				s1 += v * x[c+1]
 				s2 += v * x[c+2]
@@ -135,26 +145,22 @@ func (mv *MultiVec) MulAddRows(y, x []float64, lo, hi int) error {
 		}
 	default:
 		sums := make([]float64, nv)
-		k := m.RowPtr[lo]
 		for i := lo; i < hi; i++ {
-			end := m.RowPtr[i+1]
-			for v := range sums {
-				sums[v] = 0
-			}
-			for ; k < end; k++ {
-				val := m.Val[k]
-				c := int(m.Col[k]) * nv
-				for v := 0; v < nv; v++ {
-					sums[v] += val * x[c+v]
+			k, end := m.RowPtr[i], m.RowPtr[i+1]
+			val, col := m.Val[k:end], m.Col[k:end]
+			clear(sums)
+			for n, v := range val {
+				c := int(col[n]) * nv
+				for l := range sums {
+					sums[l] += v * x[c+l]
 				}
 			}
 			base := i * nv
-			for v := 0; v < nv; v++ {
-				y[base+v] += sums[v]
+			for l, s := range sums {
+				y[base+l] += s
 			}
 		}
 	}
-	return nil
 }
 
 // Interleave packs k column vectors into the row-major block layout

@@ -17,10 +17,9 @@ import (
 //
 // Lanes are independent and each lane accumulates in the same order at
 // every width, so lane v of a width-k sweep is bitwise identical to the
-// width-1 sweep of the same kernel. CSR-backed Wide kernels additionally
-// reproduce MultiVec's bits exactly (identical per-lane operation order),
-// which is what lets a serving layer swap one for the other without
-// changing a single response bit.
+// width-1 sweep of the same kernel. CSR-backed Wide kernels run MultiVec's
+// own loop nest (csrMultiRows), so at either index width their bits and
+// their speed are MultiVec's.
 type Wide interface {
 	// MulAddBlock computes Y ← Y + A·X over interleaved width-k blocks.
 	// Safe for concurrent use.
@@ -149,9 +148,8 @@ func (w *wideSerial) MulAddBlock(y, x []float64) error {
 	return nil
 }
 
-// wideCSR fuses k vectors over a CSR stream. The per-lane accumulation
-// order (row sums in column order, then one add into y) is exactly
-// MultiVec's, so its bits match MultiVec at every width and index size.
+// wideCSR fuses k vectors over a CSR stream: MultiVec's loop nest
+// (csrMultiRows) over all rows, at either index width.
 type wideCSR[I matrix.Index] struct {
 	m  *matrix.CSR[I]
 	nv int
@@ -160,40 +158,7 @@ type wideCSR[I matrix.Index] struct {
 func (e *wideCSR[I]) rPad() int { return e.m.R }
 func (e *wideCSR[I]) cPad() int { return e.m.C }
 
-func (e *wideCSR[I]) run(y, x []float64) {
-	m, nv := e.m, e.nv
-	if nv == 1 {
-		k := m.RowPtr[0]
-		for i := 0; i < m.R; i++ {
-			end := m.RowPtr[i+1]
-			sum := 0.0
-			for ; k < end; k++ {
-				sum += m.Val[k] * x[m.Col[k]]
-			}
-			y[i] += sum
-		}
-		return
-	}
-	sums := make([]float64, nv)
-	k := m.RowPtr[0]
-	for i := 0; i < m.R; i++ {
-		end := m.RowPtr[i+1]
-		for v := range sums {
-			sums[v] = 0
-		}
-		for ; k < end; k++ {
-			val := m.Val[k]
-			c := int(m.Col[k]) * nv
-			for v := 0; v < nv; v++ {
-				sums[v] += val * x[c+v]
-			}
-		}
-		base := i * nv
-		for v := 0; v < nv; v++ {
-			y[base+v] += sums[v]
-		}
-	}
-}
+func (e *wideCSR[I]) run(y, x []float64) { csrMultiRows(e.m, e.nv, y, x, 0, e.m.R) }
 
 // wideBCSR fuses k vectors over register-blocked storage: each tile is
 // streamed once and applied to all k lanes. One generic body covers every

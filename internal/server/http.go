@@ -656,7 +656,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	e.Counter("spmv_serve_sweeps_total", "Kernel sweeps executed.", float64(st.Sweeps))
 	e.Counter("spmv_serve_fused_sweeps_total", "Sweeps that coalesced >= 2 requests.", float64(st.FusedSweeps))
 	e.Counter("spmv_serve_fused_requests_total", "Requests served by fused sweeps.", float64(st.FusedRequests))
-	e.Counter("spmv_serve_single_fallbacks_total", "Requests served by the per-request parallel path.", float64(st.SingleFallbacks))
+	e.Counter("spmv_serve_single_fallbacks_total", "Requests served alone, by a width-1 sweep.", float64(st.SingleFallbacks))
 	e.Gauge("spmv_serve_matrices_registered", "Matrices in the registry.", float64(st.Registered))
 	e.Counter("spmv_serve_compiles_total", "Tuner+compile runs.", float64(st.Compiles))
 	e.Counter("spmv_serve_retune_evals_total", "Drifted matrices shadow-benchmarked by the re-tuner.", float64(st.RetuneEvals))

@@ -8,15 +8,15 @@
 // (internal/matrix/delta), which publishes an immutable per-row overlay
 // into the entry's serving snapshot. Every sweep applies the overlay
 // after the base-operator pass by OVERWRITING dirty rows with their
-// canonical merged content — on the deterministic CSR-family paths the
-// result is bitwise identical to a from-scratch rebuild of the mutated
-// matrix, at any thread count, fused width, or delta batch split (see
+// canonical merged content — for a matrix served general the result is
+// bitwise identical to a from-scratch rebuild of the mutated matrix, at
+// any thread count, fused width, or delta batch split (see
 // kernel.OverlayRows for the argument). Recompaction then folds the log
-// into a new base matrix, re-tunes it, and promotes via the same
+// into a new base matrix, compiles it, and promotes via the same
 // copy-on-write snapshot swap re-tuning uses: in-flight sweeps drain on
-// the old generation while new arrivals see the folded one, and — again
-// on the deterministic paths — the swap moves no bits, so a promotion
-// landing mid-solve leaves the trajectory exactly where a rebuild would.
+// the old generation while new arrivals see the folded one, and the swap
+// moves no bits, so a promotion landing mid-solve leaves the trajectory
+// exactly where a rebuild would.
 package server
 
 import (
@@ -241,15 +241,15 @@ func (s *Server) recompactEntry(e *Entry) error {
 		}
 	}
 	if def == nil {
-		op, err := spmv.CompileParallel(folded, s.cfg.Tune, s.cfg.Threads, 1)
+		op, err := spmv.CompileParallel(folded, s.servingTune(1, false), s.cfg.Threads, 1)
 		if err != nil {
 			return fmt.Errorf("server: recompact %q: %w", e.ID, err)
 		}
 		def = op
 	}
-	// Generation and overlay are only known under the lock; everything
-	// else about the snapshot (shard plan, traffic model) is built here.
-	nsv, err := s.newServing(def, 0, 1, false, nil)
+	// Generation and overlay are only known under the lock; the snapshot's
+	// traffic model is built here.
+	nsv, err := newServing(def, 0, 1, nil)
 	if err != nil {
 		return fmt.Errorf("server: recompact %q: %w", e.ID, err)
 	}

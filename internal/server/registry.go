@@ -1,10 +1,11 @@
 // Package server is the SpMV serving subsystem: a matrix registry that
-// tunes (§4.2) each matrix into a serving snapshot, an adaptive batcher that
-// coalesces concurrent single-vector requests into fused multi-RHS sweeps
-// (§2.1's multiple-vectors optimization — the matrix streams once for k
-// requests), and a worker pool that shards each sweep over nonzero-balanced
-// row partitions (§4.3). *Server is the in-process API and, via Handler,
-// the HTTP service behind cmd/spmv-serve.
+// compiles (§4.2) each matrix into the one encoding its serving snapshot
+// streams, an adaptive batcher that coalesces concurrent single-vector
+// requests into fused multi-RHS sweeps (§2.1's multiple-vectors
+// optimization — the matrix streams once for k requests), and a worker pool
+// that runs each sweep over the operator's nonzero-balanced row parts
+// (§4.3). *Server is the in-process API and, via Handler, the HTTP service
+// behind cmd/spmv-serve.
 package server
 
 import (
@@ -19,33 +20,24 @@ import (
 )
 
 // serving is one immutable serving configuration for an entry: the
-// operator answering requests, how its fused sweeps execute, and the
-// modeled traffic they move. Entries swap configurations atomically
+// operator answering requests — the one resident encoding of the matrix,
+// swept at every width through its wide multi-RHS views — and the modeled
+// traffic those sweeps move. Entries swap configurations atomically
 // (copy-on-write): a sweep loads the pointer once and runs entirely on
 // that snapshot, so in-flight sweeps drain on the old operator while new
 // arrivals see the promoted one — no locks on the hot path, no torn
-// reads of operator/shard-plan pairs.
+// reads of operator/overlay pairs.
 type serving struct {
 	op  *spmv.Operator
-	sym bool // fused sweeps run the internally-parallel symmetric kernel
-	// wide routes fused sweeps through the operator's tuned wide views
-	// (Operator.WideMulti) instead of the CSR multi-RHS fallback — set by
-	// the re-tuner when it promotes a workload-tuned encoding.
-	wide bool
+	sym bool // the operator is the symmetric (upper-triangle) family
 	// width is the fused-RHS width this operator was tuned for; the
 	// re-tuner measures workload drift against it.
 	width int
-	// gen counts promotions: 0 is the registration-time tune.
-	gen    int
-	shards []spmv.RowRange // row partition for CSR fused sweeps (nil when sym/wide)
-	// Modeled single-RHS sweep traffic (internal/traffic) of the serving
-	// path, the basis for the server's bytes-moved counters.
+	// gen counts promotions: 0 is the registration-time compile.
+	gen int
+	// Modeled single-RHS sweep traffic (internal/traffic) of the operator's
+	// encoding, the basis for the server's bytes-moved counters.
 	matrixBytes, sourceBytes, destBytes int64
-	// lone is the traffic of the non-deterministic width-1 fast path,
-	// which runs the tuned operator directly instead of the fused-path
-	// stream the fields above model. Equal to them whenever the lone
-	// path streams the same structure (sym and wide snapshots).
-	lone spmv.TrafficSummary
 	// ov is the delta overlay sweeps apply after the base-operator pass
 	// (nil when the entry has no pending deltas), and ovBytes its modeled
 	// per-sweep stream (traffic.OverlaySweepBytes) — the extra bandwidth
@@ -66,7 +58,7 @@ type serving struct {
 	roof *obs.Roofline
 }
 
-// summary returns the snapshot's modeled per-sweep fused-path traffic.
+// summary returns the snapshot's modeled per-sweep traffic.
 func (sv *serving) summary() spmv.TrafficSummary {
 	return spmv.TrafficSummary{
 		MatrixBytes: sv.matrixBytes,
@@ -93,7 +85,7 @@ type Entry struct {
 	nnz        atomic.Int64
 
 	// cur is the entry's serving snapshot; nil until the registration-time
-	// tune finishes. See serving.
+	// compile finishes. See serving.
 	cur atomic.Pointer[serving]
 
 	// work observes the entry's request mix (fused-width histogram and a

@@ -69,10 +69,8 @@ func burst(t *testing.T, s *Server, id string, xs [][]float64) [][]float64 {
 // visible in /v1/stats counters and GET /v1/matrices/{id}/tuning.
 func TestRetunePromotionDeterministicBitwise(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.Deterministic = true
 	cfg.Threads = 2
 	cfg.Workers = 2
-	cfg.Shards = 2
 	cfg.MaxBatch = 16
 	cfg.BatchWindow = 5 * time.Millisecond
 	cfg.Adaptive = true
@@ -124,8 +122,8 @@ func TestRetunePromotionDeterministicBitwise(t *testing.T) {
 		t.Fatalf("drifted workload promoted %d operators, want 1", got)
 	}
 	sv := e.cur.Load()
-	if sv.gen != 1 || !sv.wide || sv.sym {
-		t.Fatalf("post-promotion snapshot gen=%d wide=%v sym=%v, want gen=1 wide=true sym=false", sv.gen, sv.wide, sv.sym)
+	if sv.gen != 1 || sv.sym {
+		t.Fatalf("post-promotion snapshot gen=%d sym=%v, want gen=1 sym=false", sv.gen, sv.sym)
 	}
 	if sv.matrixBytes >= preBytes {
 		t.Errorf("promotion did not shrink the modeled matrix stream: %d -> %d bytes", preBytes, sv.matrixBytes)
@@ -270,66 +268,6 @@ func TestRegisterDimensionGuards(t *testing.T) {
 	_ = wide.Set(0, 0, 1)
 	if _, err := reg.Register("wide", "", wide); err == nil {
 		t.Error("cols beyond MaxDeclaredDim accepted")
-	}
-}
-
-// TestRetuneSymmetricPromotion: with determinism off, a symmetric matrix
-// pinned to general storage at registration is promoted to the symmetric
-// operator once the workload justifies re-evaluation — "observed symmetry
-// wins": the halved matrix stream beats any general candidate.
-func TestRetuneSymmetricPromotion(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Deterministic = false
-	cfg.AutoSymmetric = false // registration guesses general...
-	cfg.Threads = 2
-	cfg.MaxBatch = 8
-	cfg.BatchWindow = 5 * time.Millisecond
-	cfg.RetuneMinRequests = 8
-	s := New(cfg)
-	defer s.Close()
-
-	sym, err := spmv.Symmetrize(testMatrix(t, 240, 240, 2400, 9))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Register("a", "sym", sym); err != nil {
-		t.Fatal(err)
-	}
-	want := make([][]float64, 8)
-	xs := make([][]float64, 8)
-	for v := range xs {
-		xs[v] = testVector(240, int64(40+v))
-		want[v] = reference(t, sym, xs[v])
-	}
-	for round := 0; round < 4; round++ {
-		burst(t, s, "a", xs)
-	}
-	if got := s.RetuneOnce(); got != 1 {
-		rep, _ := s.Tuning("a")
-		t.Fatalf("symmetric promotion did not happen: %+v", rep)
-	}
-	rep, err := s.Tuning("a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Symmetric {
-		t.Fatalf("promoted operator is not symmetric: %+v", rep)
-	}
-	// Correctness after the family switch (bits legitimately differ).
-	for v := range xs {
-		y, err := s.MulOpts("a", xs[v], MulOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d := maxAbsDiff(y, want[v]); d > 1e-10 {
-			t.Errorf("lane %d off by %g after symmetric promotion", v, d)
-		}
-	}
-	got := burst(t, s, "a", xs)
-	for v := range got {
-		if d := maxAbsDiff(got[v], want[v]); d > 1e-10 {
-			t.Errorf("fused lane %d off by %g after symmetric promotion", v, d)
-		}
 	}
 }
 

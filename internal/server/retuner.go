@@ -1,7 +1,7 @@
 // Online workload-aware re-tuning. Williams et al. show the best SpMV
 // format/blocking choice depends on the workload as well as the matrix —
 // the reason OSKI-style systems keep re-tuning as usage evolves. The
-// serving layer tunes each matrix once at registration with a width-1
+// serving layer compiles each matrix once at registration with a width-1
 // guess; the re-tuner closes the loop:
 //
 //  1. Observe: every executed sweep records its fused width in the
@@ -12,10 +12,9 @@
 //     past Config.RetuneDrift (and RetuneMinRequests of fresh signal) the
 //     entry is re-evaluated.
 //  3. Re-tune off the hot path: the scanner's goroutine re-runs the §4.2
-//     tuner with workload-derived options — VectorWidth from the
-//     histogram median, and (when bit changes are allowed) a symmetric
-//     candidate for square matrices.
-//  4. Shadow benchmark: each candidate is scored on the captured sample
+//     tuner over the serving candidate set (servingTune) for the observed
+//     width — VectorWidth from the histogram median, index narrowing open.
+//  4. Shadow benchmark: the candidate is scored on the captured sample
 //     of real request shapes with the traffic model — modeled DRAM bytes
 //     per request, the same currency as the paper's §5.1 bound — against
 //     the incumbent's serving traffic.
@@ -25,13 +24,14 @@
 //     and rejections) land in a bounded per-entry event log exposed at
 //     GET /v1/matrices/{id}/tuning and in the /v1/stats counters.
 //
-// Determinism: when Config.Deterministic is set the candidate search is
-// restricted to the CSR family (row-partitioned, any index width), whose
-// wide kernels are bit-identical to the default CSR multi-RHS path at
-// every width — so a promotion can shrink the fused matrix stream (e.g.
-// 16-bit indices) without changing a single response bit. With
-// determinism off, the full workload-tuned blocked encoding and the
-// symmetric operator are on the table.
+// Determinism: the candidate set holds only encodings whose sweeps
+// reproduce the incumbent's bits at every width — today the CSR family
+// (row-partitioned, either index width), all of it one loop nest — so a
+// promotion shrinks the fused matrix stream (16-bit indices) without
+// changing a single response bit. A storage-family switch (general ↔
+// symmetric) changes the summation order, so the re-tuner never proposes
+// one; the family is chosen at registration and re-judged only by
+// recompaction when deltas break symmetry.
 package server
 
 import (
@@ -76,8 +76,8 @@ type TuningReport struct {
 	Generation int    `json:"generation"`
 	Kernel     string `json:"kernel"`
 	Symmetric  bool   `json:"symmetric"`
-	// Wide reports that fused sweeps stream the tuned encoding (wide
-	// kernels) rather than the CSR fallback.
+	// Wide reports that sweeps stream the general operator's own encoding
+	// through the wide kernels: every general matrix, so !Symmetric.
 	Wide       bool `json:"wide"`
 	TunedWidth int  `json:"tuned_width"`
 	// Observed workload since registration.
@@ -114,7 +114,7 @@ func (s *Server) Tuning(id string) (TuningReport, error) {
 		rep.Generation = sv.gen
 		rep.Kernel = sv.op.KernelName()
 		rep.Symmetric = sv.sym
-		rep.Wide = sv.wide
+		rep.Wide = !sv.sym
 		rep.TunedWidth = sv.width
 		rep.MatrixBytes = sv.matrixBytes
 		rep.Drift = widthDrift(sv.width, rep.ObservedMedianWidth)
@@ -158,15 +158,6 @@ func (s *Server) RetuneOnce() int {
 	return promoted
 }
 
-// retuneCandidate is one compiled contender in a shadow benchmark: the
-// snapshot that would serve it, and its modeled bytes per request on the
-// sample. A contender that is not promoted is dropped with its
-// matrix-sized encoding.
-type retuneCandidate struct {
-	sv    *serving
-	score float64
-}
-
 // evaluateEntry runs steps 2-5 for one entry, reporting whether a
 // promotion happened. Evaluations of the same entry are serialized by
 // tuneMu — the snapshot is loaded under it, so concurrent RetuneOnce
@@ -205,14 +196,11 @@ func (s *Server) evaluateEntry(e *Entry) bool {
 	if len(sample) == 0 {
 		sample = []int{med}
 	}
-	incumbentScore := incumbentBlended(sv, !s.cfg.Deterministic && !sv.sym && !sv.wide, sample)
-
-	cands := s.buildCandidates(e, sv, med, sample)
-	var best *retuneCandidate
-	for i := range cands {
-		if best == nil || cands[i].score < best.score {
-			best = &cands[i]
-		}
+	incumbentScore := sv.summary().BlendedPerRequest(sample)
+	cand := s.buildCandidate(e, sv, med)
+	var candScore float64
+	if cand != nil {
+		candScore = cand.summary().BlendedPerRequest(sample)
 	}
 	ev := TuningEvent{
 		Time: time.Now(), ObservedWidth: med, Drift: drift,
@@ -220,21 +208,21 @@ func (s *Server) evaluateEntry(e *Entry) bool {
 		Generation:               sv.gen,
 	}
 	switch {
-	case best == nil:
+	case cand == nil:
 		ev.Decision = "rejected"
 		ev.Reason = "no viable candidate encoding"
 		ev.Kernel = sv.op.KernelName()
-	case best.score < incumbentScore*(1-retunePromoteMargin):
-		e.cur.Store(best.sv)
+	case candScore < incumbentScore*(1-retunePromoteMargin):
+		e.cur.Store(cand)
 		ev.Decision = "promoted"
-		ev.Kernel = best.sv.op.KernelName()
-		ev.CandidateBytesPerRequest = best.score
-		ev.Generation = best.sv.gen
+		ev.Kernel = cand.op.KernelName()
+		ev.CandidateBytesPerRequest = candScore
+		ev.Generation = cand.gen
 	default:
 		ev.Decision = "rejected"
 		ev.Reason = fmt.Sprintf("modeled improvement below the %.0f%% promotion margin", 100*retunePromoteMargin)
-		ev.Kernel = best.sv.op.KernelName()
-		ev.CandidateBytesPerRequest = best.score
+		ev.Kernel = cand.op.KernelName()
+		ev.CandidateBytesPerRequest = candScore
 	}
 	e.events = append(e.events, ev)
 	if len(e.events) > maxTuningEvents {
@@ -250,75 +238,28 @@ func (s *Server) evaluateEntry(e *Entry) bool {
 	return false
 }
 
-// incumbentBlended scores the serving snapshot on the sampled widths.
-// When the lone fast path is live (non-deterministic general snapshots
-// run the tuned operator for width-1 batches), width-1 sweeps are
-// charged at its traffic; everything else at the fused path's.
-func incumbentBlended(sv *serving, loneLive bool, widths []int) float64 {
-	fused := sv.summary()
-	loneTotal := float64(sv.lone.TotalBytes())
-	var total float64
-	for _, w := range widths {
-		if w <= 1 && loneLive {
-			total += loneTotal
-			continue
-		}
-		total += fused.BlendedPerRequest([]int{w})
+// buildCandidate compiles the workload-derived contender for an entry as
+// the snapshot it would be promoted as — generation+1, tuned for the
+// observed width, modeled by the traffic it would actually stream — or nil
+// when there is none: a symmetric-served matrix has no candidate inside its
+// family, and a failed compile is no candidate. A contender that is not
+// promoted is dropped with its matrix-sized encoding; lastRejectedWidth
+// keeps an unchanged median from recompiling it. The overlay rides along:
+// a re-tune changes how the BASE is served, not the pending deltas, and
+// dropping them would silently revert the matrix (recompaction, not
+// promotion, is what retires an overlay).
+func (s *Server) buildCandidate(e *Entry, sv *serving, width int) *serving {
+	if sv.sym {
+		return nil
 	}
-	return total / float64(len(widths))
-}
-
-// buildCandidates compiles the workload-derived contenders for an entry
-// and builds the snapshot each would be promoted as — generation+1, tuned
-// for the observed width, scored on the captured sample by the traffic it
-// would actually stream. lastRejectedWidth keeps an unchanged median from
-// recompiling an already-rejected candidate. Promoted operators never take
-// the lone fast path (wide and symmetric snapshots fuse every width). The
-// overlay rides along: a re-tune changes how the BASE is served, not the
-// pending deltas, and dropping them would silently revert the matrix
-// (recompaction, not promotion, is what retires an overlay).
-func (s *Server) buildCandidates(e *Entry, sv *serving, width int, sample []int) []retuneCandidate {
-	var cands []retuneCandidate
-	add := func(op *spmv.Operator, err error) {
-		if err != nil {
-			return
-		}
-		s.st.compiles.Add(1)
-		nsv, err := s.newServing(op, sv.gen+1, width, !op.Symmetric(), sv.ov)
-		if err != nil {
-			return
-		}
-		cands = append(cands, retuneCandidate{sv: nsv, score: nsv.summary().BlendedPerRequest(sample)})
+	op, err := spmv.CompileParallel(e.m, s.servingTune(width, true), s.cfg.Threads, 1)
+	if err != nil {
+		return nil
 	}
-	// General candidate: the tuner re-run with workload-derived options.
-	// Its fused sweeps stream the tuned encoding through the wide kernels,
-	// so it is scored on that encoding's own traffic.
-	add(spmv.CompileParallel(e.m, s.retuneOptions(width), s.cfg.Threads, 1))
-	// Symmetric candidate: only when family switches are allowed — the
-	// symmetric reduction order differs from the CSR family's, so under
-	// Deterministic it would break the bitwise-stable-responses contract.
-	if !s.cfg.Deterministic && !sv.sym && e.rows == e.cols {
-		add(spmv.CompileSymmetricParallel(e.m, s.cfg.Threads))
+	s.st.compiles.Add(1)
+	nsv, err := newServing(op, sv.gen+1, width, sv.ov)
+	if err != nil {
+		return nil
 	}
-	return cands
-}
-
-// retuneOptions derives tuner options from the observed workload: the
-// blocking heuristics target the observed fused width. Deterministic
-// serving additionally restricts the search to the CSR family (whose wide
-// kernels reproduce the default path's bits at every width), leaving
-// index-width reduction as the only lever — re-tuning then trims the
-// fused matrix stream without moving a single response bit.
-func (s *Server) retuneOptions(width int) spmv.TuneOptions {
-	opts := s.cfg.Tune
-	opts.VectorWidth = width
-	if s.cfg.Deterministic {
-		opts.RegisterBlock = false
-		opts.AllowBCOO = false
-		opts.CacheBlock = false
-		opts.TLBBlock = false
-		opts.FixedColumnSpan = 0
-		opts.TrySymmetric = false
-	}
-	return opts
+	return nsv
 }

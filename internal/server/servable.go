@@ -32,7 +32,7 @@ type servable interface {
 	// sweep runs one width-1 solver-session sweep y = A·x on the current
 	// generation, inside Server.sessionSweep's gate slot and timing, and
 	// reports that generation and the measured duration. The bits are those
-	// of a deterministic width-1 Mul.
+	// of a width-1 Mul.
 	sweep(s *Server, ss *solveSession, y, x []float64) (gen int, d time.Duration, err error)
 	// listing is the matrix's row in GET /v1/matrices.
 	listing() MatrixInfo
@@ -104,9 +104,9 @@ func (e *Entry) sweep(s *Server, ss *solveSession, y, x []float64) (int, time.Du
 
 // sweepInto is the one width-1 session sweep y = A·x, a local session's or
 // (through LocalTransport.Sweep) a sharded session's on this member: the
-// current snapshot, width-1 fused view, sharded through the pool — exactly
-// what a width-1 deterministic Mul runs, and refuses, so solver bits match
-// serving bits and a promotion mid-solve (in deterministic mode) moves none.
+// current snapshot's width-1 sweep through the pool — exactly what a
+// width-1 Mul runs, and refuses, so solver bits match serving bits and a
+// promotion mid-solve moves none.
 func (e *Entry) sweepInto(s *Server, class sched.Class, cancel <-chan struct{}, y, x []float64) (int, time.Duration, error) {
 	sv := e.cur.Load()
 	if sv == nil {
@@ -118,20 +118,16 @@ func (e *Entry) sweepInto(s *Server, class sched.Class, cancel <-chan struct{}, 
 	if !finiteVec(x) {
 		return 0, 0, errNonFiniteX
 	}
-	mo, err := fusedView(sv, 1)
-	if err != nil {
-		return 0, 0, err
-	}
 	clear(y)
 	bytes := sweepModeledBytes(sv.matrixBytes, sv.sourceBytes, sv.destBytes, 1) + sv.ovBytes
-	d, err := s.sessionSweep(class, cancel, bytes, func() error { return s.runFused(sv, mo, y, x, 1) })
+	d, err := s.sessionSweep(class, cancel, bytes, func() error { return s.runFused(sv, y, x, 1) })
 	if err != nil {
 		return 0, 0, err
 	}
 	if s.obs != nil {
 		sv.roof.Record(d, bytes)
 	}
-	s.recordSweep(e, sv, 1, false)
+	s.recordSweep(e, sv, 1)
 	return sv.gen, d, nil
 }
 
@@ -187,7 +183,7 @@ func (e *shardedEntry) mul(s *Server, p *pending, class sched.Class, affinity st
 // so under the affinity policy every iteration of a solve lands on the same
 // replica of each band. The gate charge and the reported generation are the
 // topology's that ran: a live reband changes the cost but never a row's
-// summation order, so deterministic-mode trajectory bits survive it.
+// summation order, so trajectory bits survive it.
 func (e *shardedEntry) sweep(s *Server, ss *solveSession, y, x []float64) (int, time.Duration, error) {
 	t := e.topo.Load()
 	d, err := s.sessionSweep(ss.class, ss.cancel, t.sweepBytes, func() error { return s.cluster.fanOut(e, t, y, x, ss.id, true) })

@@ -20,21 +20,19 @@ import (
 
 // Config sizes the serving subsystem.
 type Config struct {
-	// Tune is the tuner configuration used for every matrix's default
-	// serving operator (DefaultTuneOptions when zero-valued configs use
-	// DefaultConfig).
+	// Tune is the tuner configuration the serving candidate set is drawn
+	// from (see servingTune, which today takes its index-width policy and
+	// nothing else); DefaultConfig sets DefaultTuneOptions.
 	Tune spmv.TuneOptions
-	// Threads is the parallel width of the per-request fallback operator.
-	// <= 0 means GOMAXPROCS.
+	// Threads is the one parallel width of a sweep: every served operator
+	// is compiled into this many nonzero-balanced row parts (§4.3), which
+	// each fused sweep fans out over the pool. <= 0 means GOMAXPROCS.
 	Threads int
 	// Workers is the sweep pool size. <= 0 means GOMAXPROCS.
 	Workers int
 	// MaxConcurrentSweeps bounds sweeps executing at once. <= 0 means
 	// Workers.
 	MaxConcurrentSweeps int
-	// Shards is the number of nonzero-balanced row shards each fused sweep
-	// fans out over. <= 0 means Workers.
-	Shards int
 	// MaxBatch is the widest fused sweep (k requests coalesced). <= 1
 	// disables batching.
 	MaxBatch int
@@ -43,32 +41,15 @@ type Config struct {
 	// Adaptive lets lone requests skip the linger when traffic is sparse
 	// (see batcher). Dense traffic still coalesces.
 	Adaptive bool
-	// Deterministic pins the serving numerics: every request — lone or
-	// fused, served by one node or scattered over a sharded fleet — is
-	// computed by the CSR multi-RHS kernels, which accumulate each row
-	// strictly in column order. Responses are then bitwise identical
-	// regardless of batch width, shard count, or replica choice, the
-	// consistency a fleet needs for caching and verification downstream.
-	// When false, lone requests run the tuned (register/cache-blocked)
-	// operator instead: a smaller matrix stream on the sparse-traffic
-	// path, at the cost of low-order bits that vary with the tuner's
-	// blocking decisions (tile-local partial sums reassociate the row
-	// reductions).
-	//
-	// Matrices served by the symmetric operator are deterministic under
-	// either setting: the symmetric kernel's canonical segmented
-	// reduction fixes every bit regardless of thread count or batch
-	// width (see kernel.SymSweep). Their bits do differ from the same
-	// matrix served general — symmetry changes the summation order once,
-	// at registration, never per request.
-	Deterministic bool
-
 	// AutoSymmetric tries upper-triangle (SymCSR) storage for every
 	// square registered matrix: when the symmetric compile succeeds
 	// (the matrix is numerically symmetric) and its footprint beats the
-	// tuned general plan, the matrix is served by the parallel symmetric
-	// operator — half the matrix stream per sweep. A per-request
-	// "symmetric" field overrides the auto-detection either way.
+	// general encoding that would otherwise stream, the matrix is served by
+	// the parallel symmetric operator — half the matrix stream per sweep.
+	// Its bits differ from the same matrix served general: symmetry changes
+	// the summation order once, at registration, never per request. A
+	// per-request "symmetric" field overrides the auto-detection either
+	// way.
 	AutoSymmetric bool
 
 	// MaxBodyBytes caps HTTP request bodies (registrations and mul
@@ -169,16 +150,15 @@ const DefaultRecompactThreshold = 0.10
 // MatrixMarket) while still bounding a hostile request's memory.
 const DefaultMaxBodyBytes = 256 << 20
 
-// DefaultConfig serves with the full §4.2 tuner, GOMAXPROCS workers, up to
-// 8-wide fusion, a 200µs linger with adaptive fallback, deterministic
-// (topology-invariant) numerics, and symmetric storage auto-detection.
+// DefaultConfig serves with GOMAXPROCS row parts and workers, up to 8-wide
+// fusion, a 200µs linger with adaptive fallback, index narrowing open to
+// the re-tuner, and symmetric storage auto-detection.
 func DefaultConfig() Config {
 	return Config{
 		Tune:          spmv.DefaultTuneOptions(),
 		MaxBatch:      8,
 		BatchWindow:   200 * time.Microsecond,
 		Adaptive:      true,
-		Deterministic: true,
 		AutoSymmetric: true,
 		ObsSample:     DefaultObsSample,
 	}
@@ -226,9 +206,6 @@ func New(cfg Config) *Server {
 	}
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
-	}
-	if cfg.Shards <= 0 {
-		cfg.Shards = cfg.Workers
 	}
 	if cfg.MaxBatch < 1 {
 		cfg.MaxBatch = 1
@@ -353,7 +330,7 @@ func (e *Entry) listing() MatrixInfo {
 		Kernel: sv.op.KernelName(), Symmetric: sv.sym,
 		Footprint: sv.op.FootprintBytes(),
 		Baseline:  sv.op.BaselineBytes(), Savings: sv.op.Savings(),
-		Threads: sv.op.Threads(), Shards: len(sv.shards),
+		Threads: sv.op.Threads(), Shards: sv.op.Threads(),
 		SweepBytes:  sv.matrixBytes + sv.sourceBytes + sv.destBytes,
 		MatrixBytes: sv.matrixBytes,
 		Generation:  sv.gen,
@@ -378,9 +355,9 @@ type RegisterOptions struct {
 	Symmetric *bool
 }
 
-// Register ingests a matrix, runs the tuner once, compiles the default
-// serving operator, and precomputes the fused-sweep shard plan. The empty
-// id asks the registry to generate one.
+// Register ingests a matrix, compiles the operator that will serve it
+// (see prepare) and publishes its first serving snapshot. The empty id asks
+// the registry to generate one.
 func (s *Server) Register(id, name string, m *spmv.Matrix) (MatrixInfo, error) {
 	return s.RegisterOpts(id, name, m, RegisterOptions{})
 }
@@ -411,13 +388,15 @@ func (s *Server) RegisterSuite(id, suite string, scale float64, seed int64) (Mat
 	return s.Register(id, suite, m)
 }
 
-// prepare compiles the entry's default operator and publishes its first
-// serving snapshot. The storage family comes from opts.Symmetric (see
+// prepare compiles the operator that will serve the entry and publishes
+// its first serving snapshot: what is built here is what every sweep
+// streams. The storage family comes from opts.Symmetric (see
 // RegisterOptions): when symmetric storage is wanted, the parallel
 // symmetric operator is compiled and — in auto mode — kept only if its
-// footprint beats the tuned general plan, the same footprint-minimizing
-// rule the §4.2 heuristic applies between formats. The comparison's loser
-// is unreachable once the snapshot is built.
+// footprint beats the general encoding that would stream instead, the same
+// footprint-minimizing rule the §4.2 heuristic applies between formats
+// (general wins ties). The comparison's loser is unreachable once the
+// snapshot is built.
 func (s *Server) prepare(e *Entry, opts RegisterOptions) error {
 	rows, cols := e.Dims()
 	wantSym := s.cfg.AutoSymmetric
@@ -444,7 +423,7 @@ func (s *Server) prepare(e *Entry, opts RegisterOptions) error {
 		}
 	}
 	if def == nil || !required {
-		op, err := spmv.CompileParallel(e.m, s.cfg.Tune, s.cfg.Threads, 1)
+		op, err := spmv.CompileParallel(e.m, s.servingTune(1, false), s.cfg.Threads, 1)
 		if err != nil {
 			return err
 		}
@@ -453,7 +432,7 @@ func (s *Server) prepare(e *Entry, opts RegisterOptions) error {
 			def = op
 		}
 	}
-	sv, err := s.newServing(def, 0, 1, false, nil)
+	sv, err := newServing(def, 0, 1, nil)
 	if err != nil {
 		return err
 	}
@@ -461,51 +440,46 @@ func (s *Server) prepare(e *Entry, opts RegisterOptions) error {
 	return nil
 }
 
+// servingTune is the serving candidate set: the tuner options every served
+// general operator is compiled with, at registration, recompaction and
+// re-tune alike. Today it admits the row-partitioned CSR family only —
+// each row's products summed in ascending column order into one
+// accumulator — because that is the one accumulation order every width,
+// index size, thread count and shard topology is known to reproduce bit
+// for bit; register and cache blocking reassociate the row sums and stay
+// out until they honor the same order (ROADMAP direction 1(a)), at which
+// point they join here and nowhere else. width is the fused width the
+// encoding is tuned for. Inside the CSR family the only choice left is the
+// index width, and narrow opens it (to Config.Tune.ReduceIndices): the
+// re-tuner's candidates narrow, registration and recompaction do not —
+// were they to, every candidate would equal its incumbent and the re-tuner
+// would have nothing to promote.
+func (s *Server) servingTune(width int, narrow bool) spmv.TuneOptions {
+	return spmv.TuneOptions{
+		VectorWidth:   width,
+		ReduceIndices: narrow && s.cfg.Tune.ReduceIndices,
+	}
+}
+
 // newServing builds the serving snapshot every promoter publishes —
 // registration, re-tune promotion and recompaction differ only in the
-// operator, generation, tuned width and overlay they hand it. wide marks
-// a workload-tuned general operator whose fused sweeps stream its own
-// encoding through the wide kernels; otherwise general operators get the
-// external fused-sweep shard plan (the symmetric sweep parallelizes
-// internally — its scatter escapes any row range). Every snapshot starts
-// a fresh roofline accumulator: a generation's achieved bandwidth is
-// measured on its own sweeps.
-//
-// The traffic accounted is what the serving paths actually stream: the
-// symmetric kernel's halved store; a wide operator's tuned encoding; and
-// for default general operators the retained CSR fallback on the fused
-// path (Multi's views stream it regardless of the tuned single-vector
-// encoding) plus the tuned encoding on the non-deterministic width-1
-// fast path — the only case where lone differs. Serial and parallel
-// operators then report identically, which also keeps the re-tuner's
-// incumbent score honest on single-thread servers.
-func (s *Server) newServing(op *spmv.Operator, gen, width int, wide bool, ov *delta.Overlay) (*serving, error) {
-	sv := &serving{
-		op: op, sym: op.Symmetric(), wide: wide, width: width, gen: gen,
-		roof: new(obs.Roofline),
-	}
-	sv.setOverlay(ov)
-	var tr spmv.TrafficSummary
-	var err error
-	switch {
-	case sv.sym:
-		tr, err = op.Traffic(spmv.TrafficOptions{})
-		sv.lone = tr
-	case wide:
-		tr, err = op.WideTraffic(spmv.TrafficOptions{})
-		sv.lone = tr
-	default:
-		if sv.shards, err = op.RowPartition(s.cfg.Shards); err != nil {
-			return nil, err
-		}
-		if tr, err = op.MultiTraffic(spmv.TrafficOptions{}); err == nil {
-			sv.lone, err = op.WideTraffic(spmv.TrafficOptions{})
-		}
-	}
+// operator, generation, tuned width and overlay they hand it. General and
+// symmetric operators alike are swept through their wide multi-RHS views
+// (Operator.WideMulti) and accounted at WideTraffic: the bytes of the one
+// resident encoding, which is what MatrixInfo reports as both footprint and
+// matrix stream. Every snapshot starts a fresh roofline accumulator: a
+// generation's achieved bandwidth is measured on its own sweeps.
+func newServing(op *spmv.Operator, gen, width int, ov *delta.Overlay) (*serving, error) {
+	tr, err := op.WideTraffic(spmv.TrafficOptions{})
 	if err != nil {
 		return nil, err
 	}
-	sv.matrixBytes, sv.sourceBytes, sv.destBytes = tr.MatrixBytes, tr.SourceBytes, tr.DestBytes
+	sv := &serving{
+		op: op, sym: op.Symmetric(), width: width, gen: gen,
+		matrixBytes: tr.MatrixBytes, sourceBytes: tr.SourceBytes, destBytes: tr.DestBytes,
+		roof: new(obs.Roofline),
+	}
+	sv.setOverlay(ov)
 	return sv, nil
 }
 
@@ -631,15 +605,9 @@ func (s *Server) batcherFor(e *Entry, class sched.Class) *batcher {
 }
 
 // recordSweep accounts one executed sweep in the global counters and the
-// entry's workload observation (the re-tuner's drift signal). lonePath
-// marks the non-deterministic width-1 fast path, which streams the tuned
-// operator's own encoding rather than the fused path's.
-func (s *Server) recordSweep(e *Entry, sv *serving, width int, lonePath bool) {
-	if lonePath {
-		s.st.recordSweep(width, sv.lone.MatrixBytes, sv.lone.SourceBytes, sv.lone.DestBytes)
-	} else {
-		s.st.recordSweep(width, sv.matrixBytes, sv.sourceBytes, sv.destBytes)
-	}
+// entry's workload observation (the re-tuner's drift signal).
+func (s *Server) recordSweep(e *Entry, sv *serving, width int) {
+	s.st.recordSweep(width, sv.matrixBytes, sv.sourceBytes, sv.destBytes)
 	if sv.ovBytes > 0 {
 		// The overlay stream is charged once per sweep, whatever the fused
 		// width — the scan runs once over the block, like the matrix stream.
@@ -648,12 +616,11 @@ func (s *Server) recordSweep(e *Entry, sv *serving, width int, lonePath bool) {
 	e.work.record(width)
 }
 
-// executeBatch runs one closed batch as a multi-RHS sweep sharded over the
-// pool. Width-1 batches take the same CSR sweep path when Deterministic
-// (so lone and fused requests produce identical bits) and the per-request
-// tuned parallel operator otherwise. The whole batch runs on one serving
-// snapshot loaded up front, so a concurrent re-tune promotion never
-// mixes operators within a sweep — in-flight sweeps drain on the
+// executeBatch runs one closed batch as a multi-RHS sweep fanned out over
+// the pool. A width-1 batch takes the same path as any other (so lone and
+// fused requests produce identical bits). The whole batch runs on one
+// serving snapshot loaded up front, so a concurrent re-tune promotion
+// never mixes operators within a sweep — in-flight sweeps drain on the
 // snapshot they started with.
 //
 // When the priority gate is on, the batch first acquires an execution
@@ -709,43 +676,6 @@ func (s *Server) executeBatch(e *Entry, class sched.Class, reqs []*pending) {
 		fail(errNonFiniteX)
 		return
 	}
-	// Symmetric and wide entries always take the multi-RHS path below:
-	// their operator IS the deterministic kernel, and the path lets its
-	// internal tasks run under the pool's concurrency bounds. Entries with
-	// a live overlay do too — the overlay overwrite belongs to the fused
-	// path (runFused), and the lone path's tuned encoding would serve the
-	// unpatched base.
-	if width == 1 && !s.cfg.Deterministic && !sv.sym && !sv.wide && sv.ov == nil {
-		var y []float64
-		var err error
-		s.pool.RunSweep([]func(){func() { y, err = sv.op.Mul(reqs[0].x) }})
-		s.recordSweep(e, sv, 1, true)
-		var execDone time.Time
-		if o != nil {
-			execDone = time.Now()
-			sv.roof.Record(execDone.Sub(execStart),
-				sweepModeledBytes(sv.lone.MatrixBytes, sv.lone.SourceBytes, sv.lone.DestBytes, 1))
-		}
-		p := reqs[0]
-		p.sent = execDone
-		p.ch <- mulResult{y: y, err: err}
-		if o != nil {
-			o.stage.Observe(stageQueue, execStart.Sub(p.enq))
-			o.stage.Observe(stageExecute, execDone.Sub(execStart))
-			if p.traced && err == nil {
-				// The lone fast path has no interleave/gather work; zero-width
-				// spans keep the timeline tiled.
-				o.traceMul(e.ID, sv.gen, 1, p.enq, execStart, execStart, execDone, execDone)
-			}
-		}
-		return
-	}
-
-	mo, err := fusedView(sv, width)
-	if err != nil {
-		fail(err)
-		return
-	}
 	// At width 1 the interleaved block IS the request's x (the kernels and
 	// the overlay pass only read it) and the sweep accumulates straight into
 	// the zeroed result vector — no copy in, no copy out. Wider batches
@@ -793,7 +723,7 @@ func (s *Server) executeBatch(e *Entry, class sched.Class, reqs []*pending) {
 	if o != nil {
 		interDone = time.Now()
 	}
-	if err := s.runFused(sv, mo, yBlock, xBlock, width); err != nil {
+	if err := s.runFused(sv, yBlock, xBlock, width); err != nil {
 		fail(err)
 		return
 	}
@@ -803,7 +733,7 @@ func (s *Server) executeBatch(e *Entry, class sched.Class, reqs []*pending) {
 		sv.roof.Record(execDone.Sub(interDone),
 			sweepModeledBytes(sv.matrixBytes, sv.sourceBytes, sv.destBytes, width)+sv.ovBytes)
 	}
-	s.recordSweep(e, sv, width, false)
+	s.recordSweep(e, sv, width)
 	if width > 1 {
 		// Deinterleave with one sequential pass over the block, into
 		// result vectors allocated only now: still cache-warm when written.
@@ -856,58 +786,30 @@ func (sv *serving) setOverlay(ov *delta.Overlay) {
 	}
 }
 
-// fusedView returns the snapshot's width-k multi-RHS view: the tuned wide
-// kernels for promoted snapshots, the CSR (or symmetric) fallback
-// otherwise. Views are cached inside the operator, so this is cheap after
-// first use.
-func fusedView(sv *serving, width int) (*spmv.MultiOperator, error) {
-	if sv.wide {
-		return sv.op.WideMulti(width)
+// runFused executes one fused sweep of the snapshot over interleaved
+// width-k blocks: the operator's wide view for that width (cached inside
+// the operator, so fetching it is cheap after first use) schedules its row
+// parts — or the symmetric kernel its segment tasks — through the worker
+// pool, and the snapshot's delta overlay (if any) is applied after the
+// base pass: each dirty row's slots are overwritten with the row's
+// canonical merged content, making the result bitwise equal to a
+// from-scratch rebuild (see kernel.OverlayRows). Both the batcher's batches
+// and the solver sessions' per-iteration sweeps run through here, so they
+// share the same concurrency bounds and the same bits.
+func (s *Server) runFused(sv *serving, yBlock, xBlock []float64, width int) error {
+	mo, err := sv.op.WideMulti(width)
+	if err != nil {
+		return err
 	}
-	return sv.op.Multi(width)
-}
-
-// runFused executes one fused sweep of the view over interleaved blocks
-// through the worker pool: symmetric and tuned wide sweeps schedule their
-// internal task sets (the symmetric scatter escapes any row range; wide
-// kernels carry their own part decomposition), everything else fans out
-// over the snapshot's precomputed row shards. width is the interleaved
-// block width, which the snapshot's delta overlay (if any) is applied at
-// after the base pass: each dirty row's slots are overwritten with the
-// row's canonical merged content, making the result bitwise equal to a
-// from-scratch rebuild on the deterministic CSR-family paths (see
-// kernel.OverlayRows). Both the batcher's fused path and the solver
-// sessions' per-iteration sweeps run through here, so they share the same
-// concurrency bounds and the same bits.
-func (s *Server) runFused(sv *serving, mo *spmv.MultiOperator, yBlock, xBlock []float64, width int) error {
-	var errMu sync.Mutex
-	var sweepErr error
-	if sv.sym || sv.wide {
-		if err := mo.MulAddBlockExec(yBlock, xBlock, s.pool.RunSweep); err != nil {
-			errMu.Lock()
-			sweepErr = err
-			errMu.Unlock()
-		}
-	} else {
-		shards := make([]func(), len(sv.shards))
-		for i, rg := range sv.shards {
-			lo, hi := rg.Lo, rg.Hi
-			shards[i] = func() {
-				if err := mo.MulAddRows(yBlock, xBlock, lo, hi); err != nil {
-					errMu.Lock()
-					sweepErr = err
-					errMu.Unlock()
-				}
-			}
-		}
-		s.pool.RunSweep(shards)
+	if err := mo.MulAddBlockExec(yBlock, xBlock, s.pool.RunSweep); err != nil {
+		return err
 	}
-	if sweepErr == nil && sv.ov != nil {
-		// Serial overwrite after the parallel base pass: dirty rows are a
-		// small fraction of the matrix by construction (recompaction folds
-		// the overlay before it grows past a threshold share of the base
-		// stream), and row independence means no ordering races to manage.
-		sweepErr = kernel.OverlayRows(yBlock, xBlock, width, sv.ov.Rows())
+	if sv.ov == nil {
+		return nil
 	}
-	return sweepErr
+	// Serial overwrite after the parallel base pass: dirty rows are a
+	// small fraction of the matrix by construction (recompaction folds
+	// the overlay before it grows past a threshold share of the base
+	// stream), and row independence means no ordering races to manage.
+	return kernel.OverlayRows(yBlock, xBlock, width, sv.ov.Rows())
 }

@@ -9,15 +9,14 @@
 // snapshot-swapped serving path as Mul traffic, and the client polls a
 // compact residual history.
 //
-// Determinism contract: session sweeps take the width-1 fused path of the
-// entry's current serving snapshot — never the non-deterministic lone
-// fast path — and the solver's reductions run in deterministic
-// ordered-block mode whenever the server is configured Deterministic. In
-// that mode a mid-solve re-tune promotion cannot change trajectory bits:
-// deterministic promotions are restricted to the CSR family, whose wide
-// kernels reproduce the default path's bits at every width (the same
-// guarantee Mul responses rely on), and the ordered reductions are
-// invariant to thread count. The solver session state machine is
+// Determinism contract: session sweeps are width-1 sweeps of the entry's
+// current serving snapshot — the path a width-1 Mul takes — and the
+// solver's reductions run in ordered-block mode. A mid-solve re-tune
+// promotion or recompaction therefore cannot change trajectory bits: the
+// serving candidate set (servingTune) holds only encodings that reproduce
+// one accumulation order at every width (the same guarantee Mul responses
+// rely on), and the ordered reductions are invariant to thread count. The
+// solver session state machine is
 //
 //	running ──▶ converged | budget_exhausted | failed
 //	   │
@@ -95,8 +94,9 @@ type SolveStatus struct {
 	// State is the session lifecycle: running, converged,
 	// budget_exhausted, cancelled, or failed.
 	State string `json:"state"`
-	// Deterministic records the mode the session iterates under: ordered
-	// reductions and the bit-stable CSR family path.
+	// Deterministic reports that the session iterates with ordered
+	// reductions over bit-stable sweeps — every session does, so it is
+	// always true; the field stays for clients that read it.
 	Deterministic bool    `json:"deterministic"`
 	Iters         int     `json:"iters"`
 	MaxIters      int     `json:"max_iters"`
@@ -130,7 +130,6 @@ type solveSession struct {
 	id           string
 	matrixID     string
 	method       string
-	det          bool
 	tol          float64
 	maxIters     int
 	rows         int
@@ -198,7 +197,7 @@ func (ss *solveSession) snapshot(full bool) SolveStatus {
 	defer ss.mu.Unlock()
 	st := SolveStatus{
 		SID: ss.id, MatrixID: ss.matrixID, Method: ss.method,
-		State: ss.state, Deterministic: ss.det,
+		State: ss.state, Deterministic: true,
 		Iters: ss.iters, MaxIters: ss.maxIters, Tol: ss.tol,
 		Residual: ss.residual, Eigenvalue: ss.lambda, Error: ss.errMsg,
 		ServingGenerationFirst: ss.genFirst, ServingGenerationLast: ss.genLast,
@@ -358,7 +357,7 @@ func (s *Server) SolveOpts(id string, req SolveRequest, opts SolveOptions) (Solv
 	}
 
 	ss := &solveSession{
-		matrixID: id, method: req.Method, det: s.cfg.Deterministic,
+		matrixID: id, method: req.Method,
 		tol: req.Tol, maxIters: maxIters, rows: rows, bytesPerIter: bytesPerIter,
 		created: time.Now(),
 		cancel:  make(chan struct{}), done: make(chan struct{}),
@@ -504,7 +503,7 @@ func (s *Server) runSolve(m servable, ss *solveSession, req SolveRequest, maxIte
 	}
 	opt := solve.Options{
 		Tol: ss.tol, MaxIters: maxIters,
-		Threads: s.cfg.Threads, Deterministic: s.cfg.Deterministic,
+		Threads: s.cfg.Threads, Deterministic: true,
 	}
 
 	type stepper interface {

@@ -88,7 +88,6 @@ func TestSolveHTTPThreadInvariance(t *testing.T) {
 	var refFin SolveStatus
 	for _, threads := range []int{1, 2, 4} {
 		cfg := DefaultConfig()
-		cfg.Deterministic = true
 		cfg.Threads = threads
 		cfg.Workers = threads
 		s := New(cfg)
@@ -155,11 +154,9 @@ func httpSolveWait(t *testing.T, base, sid string) SolveStatus {
 // re-tuner its bit-preserving CSR16 promotion.
 func solveServerConfig() Config {
 	cfg := DefaultConfig()
-	cfg.Deterministic = true
 	cfg.AutoSymmetric = false
 	cfg.Threads = 2
 	cfg.Workers = 2
-	cfg.Shards = 2
 	cfg.MaxBatch = 4
 	cfg.BatchWindow = 5 * time.Millisecond
 	cfg.RetuneMinRequests = 16

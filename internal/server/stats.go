@@ -14,7 +14,7 @@ type stats struct {
 	sweeps          atomic.Uint64 // kernel sweeps executed (any width)
 	fusedSweeps     atomic.Uint64 // sweeps with width >= 2
 	fusedRequests   atomic.Uint64 // requests served by fused sweeps
-	singleFallbacks atomic.Uint64 // width-1 batches served by the parallel path
+	singleFallbacks atomic.Uint64 // width-1 sweeps: requests that fused with nothing
 	widthHist       [MaxTrackedWidth + 1]atomic.Uint64
 
 	registered atomic.Uint64 // matrices in the registry
@@ -70,7 +70,7 @@ type Stats struct {
 	Sweeps          uint64 // kernel sweeps executed
 	FusedSweeps     uint64 // sweeps that coalesced >= 2 requests
 	FusedRequests   uint64 // requests served by fused sweeps
-	SingleFallbacks uint64 // requests served by the per-request parallel path
+	SingleFallbacks uint64 // requests served alone, by a width-1 sweep
 	// FusedWidthHist[k] counts sweeps that fused exactly k requests
 	// (index 0 unused; the last bucket also holds anything wider).
 	FusedWidthHist [MaxTrackedWidth + 1]uint64

@@ -2,9 +2,11 @@ package server
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	spmv "repro"
 )
@@ -79,10 +81,131 @@ func TestSymmetricRegistration(t *testing.T) {
 	}
 }
 
+// TestServedFamilyIsWhatStreams pins the storage-family rule and its
+// outside-visible consequence. Auto mode keeps the symmetric store only when
+// it is smaller than the general encoding that would otherwise stream
+// (general wins ties); "symmetric": true requires it or refuses typed;
+// false pins general. Whatever family serves, MatrixInfo.Footprint (what
+// was built) equals MatrixInfo.MatrixBytes (what each sweep streams) at
+// registration, after a re-tune promotion and after recompaction — one
+// resident encoding per snapshot. The diagonal matrix is the tie: its
+// symmetric store costs exactly a one-part CSR32, so a single-thread server
+// serves it general, while every further row part adds a row pointer to the
+// general encoding and hands symmetric the win.
+func TestServedFamilyIsWhatStreams(t *testing.T) {
+	fem, err := spmv.GenerateSuite("FEM/Cantilever", 0.01, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fem, err = spmv.Symmetrize(fem); err != nil {
+		t.Fatal(err)
+	}
+	diag := spmv.NewMatrix(90, 90)
+	for i := 0; i < 90; i++ {
+		_ = diag.Set(i, i, float64(i+1))
+	}
+	const general, symmetric, refused = "general", "symmetric", "refused"
+	modes := []struct {
+		name string
+		opts RegisterOptions
+	}{{"auto", RegisterOptions{}}, {"required", RegisterOptions{Symmetric: boolPtr(true)}}, {"pinned", RegisterOptions{Symmetric: boolPtr(false)}}}
+	for _, threads := range []int{1, 2} {
+		diagAuto := general
+		if threads > 1 {
+			diagAuto = symmetric
+		}
+		cfg := DefaultConfig()
+		cfg.Threads = threads
+		cfg.Workers = threads
+		cfg.MaxBatch = 8
+		cfg.BatchWindow = 5 * time.Millisecond
+		cfg.RetuneMinRequests = 8
+		s := New(cfg)
+		for _, tc := range []struct {
+			name string
+			m    *spmv.Matrix
+			want [3]string // the family served under each of modes
+		}{
+			{"poisson", poissonMatrix(t, 12), [3]string{symmetric, symmetric, general}},
+			{"fem", fem, [3]string{symmetric, symmetric, general}},
+			{"diagonal", diag, [3]string{diagAuto, symmetric, general}},
+			{"asymmetric", testMatrix(t, 120, 120, 900, 6), [3]string{general, refused, general}},
+			{"rectangular", testMatrix(t, 60, 140, 700, 8), [3]string{general, refused, general}},
+		} {
+			for k, mode := range modes {
+				family := tc.want[k]
+				id := fmt.Sprintf("%s/%s/threads=%d", tc.name, mode.name, threads)
+				info, err := s.RegisterOpts(id, tc.name, tc.m, mode.opts)
+				if family == refused {
+					if !errors.Is(err, ErrNotSymmetric) {
+						t.Errorf("%s: err = %v, want ErrNotSymmetric", id, err)
+					}
+					continue
+				}
+				if err != nil {
+					t.Fatalf("%s: %v", id, err)
+				}
+				if info.Symmetric != (family == symmetric) {
+					t.Errorf("%s: served symmetric=%v, want the %s family (footprint %d B)", id, info.Symmetric, family, info.Footprint)
+				}
+				built := func(stage string, wantGen int) {
+					t.Helper()
+					info := mustEntry(t, s, id).listing()
+					if info.Footprint != info.MatrixBytes || info.Generation != wantGen || info.Symmetric != (family == symmetric) {
+						t.Errorf("%s %s: footprint %d B, matrix stream %d B, generation %d, symmetric=%v; want equal bytes, generation %d, the %s family",
+							id, stage, info.Footprint, info.MatrixBytes, info.Generation, info.Symmetric, wantGen, family)
+					}
+				}
+				built("at registration", 0)
+
+				// A wide workload: general matrices are promoted to narrowed
+				// indices (bar the diagonal, where narrowing saves 2 of a
+				// row's 20 bytes — under the promotion margin once the
+				// vectors are counted); a symmetric one has no candidate
+				// inside its family and the re-tuner never switches families.
+				_, cols := tc.m.Dims()
+				xs := make([][]float64, 8)
+				for v := range xs {
+					xs[v] = testVector(cols, int64(v))
+				}
+				for round := 0; round < 4; round++ {
+					burst(t, s, id, xs)
+				}
+				gen := 0
+				if s.evaluateEntry(mustEntry(t, s, id)) {
+					gen++
+				}
+				if promoted := gen == 1; promoted != (family == general && tc.name != "diagonal") {
+					t.Errorf("%s: re-tune promoted=%v under the %s family", id, promoted, family)
+				}
+				built("after the re-tune", gen)
+
+				if _, err := s.Patch(id, []Delta{{Op: "add", Row: 1, Col: 1, Val: 0.5}}); err != nil {
+					t.Fatal(err)
+				}
+				if err := s.Recompact(id); err != nil {
+					t.Fatal(err)
+				}
+				built("after recompaction", gen+1)
+			}
+		}
+		s.Close()
+	}
+}
+
+func mustEntry(t testing.TB, s *Server, id string) *Entry {
+	t.Helper()
+	e, err := s.Registry().Get(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
 // TestSymmetricServingDeterminism: a symmetric matrix served by servers
 // with different thread counts, worker pools, and batch widths returns
-// bitwise-identical responses — the Config.Deterministic contract
-// extended to the symmetric operator.
+// bitwise-identical responses — the bitwise serving contract extended to
+// the symmetric operator.
 func TestSymmetricServingDeterminism(t *testing.T) {
 	sym := testSymmetric(t, 300, 3000, 4)
 	xs := make([][]float64, 6)

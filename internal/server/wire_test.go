@@ -177,8 +177,7 @@ func TestMulFrameMalformed(t *testing.T) {
 }
 
 // TestNonFiniteClosedBothEnds: a non-finite x is refused whatever carried
-// it (in-process, frames, a sharded id, the non-deterministic lone path),
-// and a y
+// it (in-process, frames, a sharded id), and a y
 // that overflowed to ±Inf — which finite inputs can produce — travels in a
 // frame but becomes an enveloped error on the JSON tier instead of the
 // empty 200 json.Encoder used to leave behind.
@@ -206,17 +205,7 @@ func TestNonFiniteClosedBothEnds(t *testing.T) {
 	defer ts.Close()
 	hc := NewHTTPClient(ts.URL, nil)
 
-	loneCfg := DefaultConfig()
-	loneCfg.Deterministic = false
-	lone := New(loneCfg)
-	defer lone.Close()
-	if _, err := lone.Register("big", "big", big); err != nil {
-		t.Fatal(err)
-	}
 	for _, bad := range [][]float64{{math.NaN(), 1}, {1, math.Inf(1)}} {
-		if _, err := lone.MulOpts("big", bad, MulOptions{}); !errors.Is(err, ErrInvalidArgument) {
-			t.Errorf("lone path x=%v: err %v, want ErrInvalidArgument", bad, err)
-		}
 		for _, id := range []string{"big", "sh"} {
 			if _, err := s.MulOpts(id, bad, MulOptions{}); !errors.Is(err, ErrInvalidArgument) {
 				t.Errorf("in-process %s x=%v: err %v, want ErrInvalidArgument", id, bad, err)

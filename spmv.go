@@ -182,10 +182,11 @@ type Operator struct {
 	baseline   int64
 	threads    int
 
-	// src points at the source matrix's entries so the multi-RHS hooks
-	// (Multi, RowPartition, Traffic fallback) can rebuild CSR storage on
-	// first use. The CSR itself is NOT retained eagerly: callers that
-	// never touch the hooks pay nothing beyond the tuned encoding. nil
+	// src points at the source matrix's entries so the CSR hooks (Multi,
+	// RowPartition, Traffic fallback) can rebuild CSR storage on first
+	// use. The CSR itself is NOT retained eagerly: callers that never
+	// touch those hooks — a serving layer sweeps WideMulti views and
+	// models them with WideTraffic — hold the tuned encoding alone. nil
 	// for operators without a coordinate source (CompileSymmetric).
 	src *matrix.COO
 
@@ -363,10 +364,11 @@ func (o *Operator) Multi(width int) (*MultiOperator, error) {
 // Bits: each lane of a wide view accumulates in the encoding's own order,
 // so lane results match the operator's single-vector MulAdd (per tuned
 // block), not necessarily Multi's CSR bits. Wide views over plain CSR
-// encodings (any index width, serial or row-partitioned) reproduce
-// Multi's bits exactly — the property the serving layer's re-tuner relies
-// on to promote a compacted encoding without changing responses. Views
-// are cached per width and safe for concurrent use.
+// encodings (any index width, serial or row-partitioned) run the very
+// loop nest Multi's views run, so their bits are Multi's — the property
+// that lets a serving layer move between CSR-family encodings without
+// changing responses. Views are cached per width and safe for concurrent
+// use.
 func (o *Operator) WideMulti(width int) (*MultiOperator, error) {
 	if width < 1 {
 		return nil, fmt.Errorf("spmv: need at least 1 vector, got %d", width)
@@ -470,52 +472,37 @@ func (o *Operator) Traffic(opt TrafficOptions) (TrafficSummary, error) {
 	return s, err
 }
 
-// MultiTraffic models the DRAM traffic of one sweep through Multi's
-// CSR-backed fused views — the retained CSR stream, whatever the tuner
-// chose for the single-vector kernel. A serving layer that fuses requests
-// over the CSR fallback accounts its sweeps with this, not with the tuned
-// encoding Traffic reports for serial operators.
-func (o *Operator) MultiTraffic(opt TrafficOptions) (TrafficSummary, error) {
-	o.multiMu.Lock()
-	csr, err := o.csrLocked()
-	o.multiMu.Unlock()
-	if err != nil {
-		return TrafficSummary{}, err
-	}
-	return traffic.Analyze(csr, opt)
-}
-
 // WideTraffic models the DRAM traffic of one fused sweep through the
-// tuned wide views (WideMulti): the tuned encodings themselves stream —
-// summed across the thread parts of a parallel operator — rather than the
+// wide views (WideMulti): the operator's own encodings stream — summed
+// across the thread parts of a parallel operator — rather than the
 // retained-CSR fallback Traffic reports for parallel composites. It is the
 // single-RHS basis; scale with TrafficSummary.MultiRHS or score a request
 // mix with BlendedPerRequest.
 func (o *Operator) WideTraffic(opt TrafficOptions) (TrafficSummary, error) {
-	if p, ok := o.k.(*kernel.Parallel); ok && o.sym == nil {
-		var total traffic.Summary
-		for _, part := range p.Parts() {
-			s, err := traffic.Analyze(part.Enc, opt)
-			if err != nil {
-				return TrafficSummary{}, err
-			}
-			total.Add(s)
-		}
-		// The parts of one fused sweep share the broadcast source block, so
-		// x's compulsory traffic is the whole-matrix gather, not the
-		// per-part sum (which would charge the shared columns once per
-		// part). The retained CSR gives the union of touched columns.
-		o.multiMu.Lock()
-		csr, err := o.csrLocked()
-		o.multiMu.Unlock()
-		if err == nil {
-			if whole, werr := traffic.Analyze(csr, opt); werr == nil {
-				total.SourceBytes = whole.SourceBytes
-			}
-		}
-		return total, nil
+	p, ok := o.k.(*kernel.Parallel)
+	if !ok {
+		return traffic.Analyze(o.k.Format(), opt)
 	}
-	return traffic.Analyze(o.k.Format(), opt)
+	var total traffic.Summary
+	for _, part := range p.Parts() {
+		s, err := traffic.Analyze(part.Enc, opt)
+		if err != nil {
+			return TrafficSummary{}, err
+		}
+		total.Add(s)
+	}
+	// The parts of one fused sweep share the broadcast source block, so
+	// x's compulsory traffic is the whole-matrix gather, not the per-part
+	// sum (which would charge the shared columns once per part). The source
+	// entries name the union of touched columns as they stand, so no CSR
+	// copy is built or kept for it; under a bounded SourceCapacityLines the
+	// window scan then follows their insertion order.
+	whole, err := traffic.Analyze(o.src, opt)
+	if err != nil {
+		return TrafficSummary{}, err
+	}
+	total.SourceBytes = whole.SourceBytes
+	return total, nil
 }
 
 // CompileSymmetric compiles a numerically symmetric matrix into a serial
@@ -665,8 +652,9 @@ func (o *MultiOperator) MulAddBlock(yBlock, xBlock []float64) error {
 // MulAddBlockExec is MulAddBlock with the view's internal parallel task
 // sets scheduled through run (which must execute every task and return
 // once all complete — e.g. a serving worker pool). Scheduling never
-// changes result bits. Only symmetric views parallelize internally;
-// CSR-backed views have no internal tasks and run the plain sweep.
+// changes result bits. Symmetric and wide views carry internal tasks (a
+// serial wide kernel's one task is the sweep itself); Multi's CSR-backed
+// views have none and run the plain sweep.
 func (o *MultiOperator) MulAddBlockExec(yBlock, xBlock []float64, run func(tasks []func())) error {
 	if o.sym != nil {
 		return o.sym.MulAddWidthExec(yBlock, xBlock, o.nv, kernel.Exec(run))
