@@ -287,7 +287,7 @@ func wideLanes(t *testing.T, w kernel.Wide, rows int, xs [][]float64) [][]float6
 
 // TestDifferentialCSRFamily checks the deterministic family bitwise:
 // serial and parallel CSR at both index widths, the CSR multi-RHS views,
-// and the wide kernels over CSR — across widths 1/4/8/5 and threads 1/2/4.
+// and the wide kernels over CSR — across widths 1-8 and threads 1/2/4.
 func TestDifferentialCSRFamily(t *testing.T) {
 	for _, tc := range diffCases(t) {
 		t.Run(tc.name, func(t *testing.T) {
@@ -316,7 +316,7 @@ func TestDifferentialCSRFamily(t *testing.T) {
 
 					// Width 5 has no unrolled body: it takes the CSR multi-RHS
 					// loop's generic default case, at both index widths.
-					for _, width := range []int{1, 4, 8, 5} {
+					for _, width := range []int{1, 2, 3, 4, 5, 6, 7, 8} {
 						// CSR fallback views (MultiVec).
 						mo, err := op.Multi(width)
 						if err != nil {

@@ -15,6 +15,12 @@ import (
 // (unspecified order). A map range whose result is explicitly
 // order-normalized (collect keys, sort, then index) can be waived with
 // //spmv:nondet-ok on the range line.
+//
+// Only Go bodies are walked: a function declared without one, such as
+// internal/kernel's amd64 vector body of csrMultiRows, is assembly this
+// analyzer cannot see. That assembly is fenced by TestVectorBodyHasNoFMA
+// (no fused multiply-add mnemonic in the package's *_amd64.s) and held to
+// the Go bodies' bits by FuzzCSRMultiRows.
 var DetPure = &Analyzer{
 	Name: "detpure",
 	Doc:  "forbid time.Now, math/rand, and map iteration in //spmv:deterministic call paths",

@@ -67,25 +67,36 @@ func (mv *MultiVec) MulAddRows(y, x []float64, lo, hi int) error {
 // differ in bits or in speed. Each lane sums its row's products in stored
 // (ascending column) order into one accumulator and adds the sum into y
 // once — the same per-lane operation order at every width, which is why
-// lane v of a width-k sweep equals the width-1 sweep bit for bit. The
-// inner loop is unrolled for the common widths 1, 2, 4 and 8 (mirroring
-// the register-block code generation) and falls back to a generic loop.
-// A row's values and columns are sliced once, so the compiler drops the
-// per-nonzero bounds checks on both streams.
+// lane v of a width-k sweep equals the width-1 sweep bit for bit. Each
+// product is rounded to float64 before it is added (the explicit
+// conversion forbids fusing it into a multiply-add on any architecture).
+//
+// Width 1 is one dependent add chain with nothing to vectorize and stays
+// the Go loop. Wider blocks run the amd64 vector body when the CPU has AVX
+// (csrmulti_amd64.s: the same operations in the same order, so the same
+// bits); otherwise the Go bodies run, unrolled for widths 2, 4 and 8
+// (mirroring the register-block code generation) with a generic loop for
+// the rest. A row's values and columns are sliced once, so the compiler
+// drops the per-nonzero bounds checks on both streams.
 //
 //spmv:deterministic
 func csrMultiRows[I matrix.Index](m *matrix.CSR[I], nv int, y, x []float64, lo, hi int) {
-	switch nv {
-	case 1:
+	if nv == 1 {
 		for i := lo; i < hi; i++ {
 			k, end := m.RowPtr[i], m.RowPtr[i+1]
 			val, col := m.Val[k:end], m.Col[k:end]
 			sum := 0.0
 			for n, v := range val {
-				sum += v * x[col[n]]
+				sum += float64(v * x[col[n]])
 			}
 			y[i] += sum
 		}
+		return
+	}
+	if vectorBody && csrMultiRowsVec(m, nv, y, x, lo, hi) {
+		return
+	}
+	switch nv {
 	case 2:
 		for i := lo; i < hi; i++ {
 			k, end := m.RowPtr[i], m.RowPtr[i+1]
@@ -93,8 +104,8 @@ func csrMultiRows[I matrix.Index](m *matrix.CSR[I], nv int, y, x []float64, lo, 
 			s0, s1 := 0.0, 0.0
 			for n, v := range val {
 				c := int(col[n]) * 2
-				s0 += v * x[c]
-				s1 += v * x[c+1]
+				s0 += float64(v * x[c])
+				s1 += float64(v * x[c+1])
 			}
 			y[i*2] += s0
 			y[i*2+1] += s1
@@ -106,10 +117,10 @@ func csrMultiRows[I matrix.Index](m *matrix.CSR[I], nv int, y, x []float64, lo, 
 			s0, s1, s2, s3 := 0.0, 0.0, 0.0, 0.0
 			for n, v := range val {
 				c := int(col[n]) * 4
-				s0 += v * x[c]
-				s1 += v * x[c+1]
-				s2 += v * x[c+2]
-				s3 += v * x[c+3]
+				s0 += float64(v * x[c])
+				s1 += float64(v * x[c+1])
+				s2 += float64(v * x[c+2])
+				s3 += float64(v * x[c+3])
 			}
 			y[i*4] += s0
 			y[i*4+1] += s1
@@ -124,14 +135,14 @@ func csrMultiRows[I matrix.Index](m *matrix.CSR[I], nv int, y, x []float64, lo, 
 			s4, s5, s6, s7 := 0.0, 0.0, 0.0, 0.0
 			for n, v := range val {
 				c := int(col[n]) * 8
-				s0 += v * x[c]
-				s1 += v * x[c+1]
-				s2 += v * x[c+2]
-				s3 += v * x[c+3]
-				s4 += v * x[c+4]
-				s5 += v * x[c+5]
-				s6 += v * x[c+6]
-				s7 += v * x[c+7]
+				s0 += float64(v * x[c])
+				s1 += float64(v * x[c+1])
+				s2 += float64(v * x[c+2])
+				s3 += float64(v * x[c+3])
+				s4 += float64(v * x[c+4])
+				s5 += float64(v * x[c+5])
+				s6 += float64(v * x[c+6])
+				s7 += float64(v * x[c+7])
 			}
 			b := i * 8
 			y[b] += s0
@@ -152,7 +163,7 @@ func csrMultiRows[I matrix.Index](m *matrix.CSR[I], nv int, y, x []float64, lo, 
 			for n, v := range val {
 				c := int(col[n]) * nv
 				for l := range sums {
-					sums[l] += v * x[c+l]
+					sums[l] += float64(v * x[c+l])
 				}
 			}
 			base := i * nv

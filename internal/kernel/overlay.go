@@ -52,7 +52,7 @@ func OverlayRows(y, x []float64, nv int, rows []delta.Row) error {
 				if int(c) >= xCols {
 					return overlayRange(int(c), xCols)
 				}
-				sum += row.Val[k] * x[c]
+				sum += float64(row.Val[k] * x[c])
 			}
 			y[i] = sum
 		}
@@ -69,10 +69,10 @@ func OverlayRows(y, x []float64, nv int, rows []delta.Row) error {
 				}
 				v := row.Val[k]
 				c := int(col) * 4
-				s0 += v * x[c]
-				s1 += v * x[c+1]
-				s2 += v * x[c+2]
-				s3 += v * x[c+3]
+				s0 += float64(v * x[c])
+				s1 += float64(v * x[c+1])
+				s2 += float64(v * x[c+2])
+				s3 += float64(v * x[c+3])
 			}
 			b := i * 4
 			y[b] = s0
@@ -98,7 +98,7 @@ func OverlayRows(y, x []float64, nv int, rows []delta.Row) error {
 				v := row.Val[k]
 				c := int(col) * nv
 				for lane := 0; lane < nv; lane++ {
-					sums[lane] += v * x[c+lane]
+					sums[lane] += float64(v * x[c+lane])
 				}
 			}
 			b := i * nv
