@@ -6,14 +6,18 @@
 //
 // Agreement comes in two strengths:
 //
-//   - bitwise for the deterministic CSR family (serial/parallel CSR at
-//     either index width, MultiVec, and the wide kernels over CSR): these
-//     all accumulate each row strictly in column order, so their bits are
-//     the reference's bits — the property the serving layer's
-//     Deterministic mode and the re-tuner's bit-preserving promotions
-//     stand on;
-//   - ULP-bounded for reassociating paths (register/cache blocking,
-//     symmetry): |y - ref| <= ~nnz_row * eps * sum|a_ij x_j| per row.
+//   - bitwise for the deterministic family — serial/parallel CSR at either
+//     index width, MultiVec and the wide kernels over CSR, and BCSR in
+//     every tile shape: these all add each row's rounded products strictly
+//     in column order into one accumulator that starts at +0, so their
+//     bits are the reference's bits (BCSR's fill adds exact zeros for
+//     finite x) — the property the serving layer's bit-preserving
+//     promotions and its register-blocked encodings stand on;
+//   - ULP-bounded for reassociating paths: BCOO adds each tile's partial
+//     row sums into y, a cache-blocked composite adds each cache block's
+//     partial into y, and symmetric storage scatters the transposed half
+//     in segment order, so none of them sums a row as CSR does:
+//     |y - ref| <= ~nnz_row * eps * sum|a_ij x_j| per row.
 //
 // Additionally every wide kernel must be width-invariant: lane v of a
 // width-k sweep reproduces the width-1 sweep bit for bit.
@@ -42,6 +46,7 @@ import (
 	"repro/internal/kernel"
 	"repro/internal/matrix"
 	"repro/internal/matrix/delta"
+	"repro/internal/partition"
 	"repro/internal/server"
 	"repro/internal/solve"
 )
@@ -214,7 +219,7 @@ func refMul(coo *matrix.COO, x []float64) (y, tol []float64) {
 	abs := make([]float64, coo.R)
 	rowNNZ := make([]int, coo.R)
 	for _, e := range canon {
-		t := e.v * x[e.j]
+		t := float64(e.v * x[e.j])
 		y[e.i] += t
 		abs[e.i] += math.Abs(t)
 		rowNNZ[e.i]++
@@ -351,10 +356,46 @@ func TestDifferentialCSRFamily(t *testing.T) {
 	}
 }
 
+// blockedParallel row-partitions csr into threads nonzero-balanced parts,
+// each register-blocked into shape at the given index width — a tuned
+// parallel operator's parts, with the shape forced.
+func blockedParallel(t *testing.T, csr *matrix.CSR32, shape matrix.BlockShape, bits16 bool, threads int) *kernel.Parallel {
+	t.Helper()
+	part, err := partition.ByNNZ(csr.RowPtr, threads)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var parts []kernel.Part
+	for _, r := range part.Ranges {
+		sub, err := matrix.NewCSR[uint32](csr.SubmatrixCOO(r.Lo, r.Hi, 0, csr.C))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var enc matrix.Format
+		if bits16 {
+			enc, err = matrix.NewBCSR[uint16](sub, shape)
+		} else {
+			enc, err = matrix.NewBCSR[uint32](sub, shape)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		parts = append(parts, kernel.Part{Range: r, Enc: enc})
+	}
+	p, err := kernel.NewParallel(csr.R, csr.C, parts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
 // TestDifferentialBlockedFormats checks every register-blocked and
 // block-coordinate compile path — all shapes × both index widths — plus
-// their wide kernels: ULP-bounded against the reference, and bitwise
-// width-invariant (lane v of width k == the width-1 sweep).
+// their wide kernels. BCSR is bitwise against the reference (the CSR
+// family's bits) through the scalar kernel and the wide kernels at widths
+// 1-8, serial and row-partitioned over threads 1/2/4. BCOO is ULP-bounded
+// against the reference and bitwise width-invariant (lane v of width k ==
+// the width-1 sweep).
 func TestDifferentialBlockedFormats(t *testing.T) {
 	shapes := []matrix.BlockShape{{R: 1, C: 1}, {R: 1, C: 4}, {R: 2, C: 2}, {R: 4, C: 1}, {R: 4, C: 4}}
 	if !testing.Short() {
@@ -376,13 +417,25 @@ func TestDifferentialBlockedFormats(t *testing.T) {
 
 			var encs []matrix.Format
 			for _, shape := range shapes {
-				b16, err := matrix.NewBCSR[uint16](csr, shape)
-				if err != nil {
-					t.Fatal(err)
-				}
-				b32, err := matrix.NewBCSR[uint32](csr, shape)
-				if err != nil {
-					t.Fatal(err)
+				for _, bits16 := range []bool{false, true} {
+					for _, threads := range diffThreads {
+						p := blockedParallel(t, csr, shape, bits16, threads)
+						path := fmt.Sprintf("bcsr%v/16=%v/threads=%d", shape, bits16, threads)
+						y := make([]float64, csr.R)
+						if err := p.MulAdd(y, xs[0]); err != nil {
+							t.Fatal(err)
+						}
+						checkBitwise(t, path+"/muladd", y, refs[0])
+						for width := 1; width <= 8; width++ {
+							w, err := kernel.NewWideParallel(p, width)
+							if err != nil {
+								t.Fatal(err)
+							}
+							for v, y := range wideLanes(t, w, csr.R, xs[:width]) {
+								checkBitwise(t, fmt.Sprintf("%s/wide%d/lane%d", path, width, v), y, refs[v])
+							}
+						}
+					}
 				}
 				c16, err := matrix.NewBCOO[uint16](csr, shape)
 				if err != nil {
@@ -392,7 +445,7 @@ func TestDifferentialBlockedFormats(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				encs = append(encs, b16, b32, c16, c32)
+				encs = append(encs, c16, c32)
 			}
 			for _, enc := range encs {
 				k, err := kernel.Compile(enc)
@@ -559,7 +612,7 @@ func refOrderedDot(x, y []float64) float64 {
 		hi := min(lo+block, len(x))
 		var partial float64
 		for i := lo; i < hi; i++ {
-			partial += x[i] * y[i]
+			partial += float64(x[i] * y[i])
 		}
 		total += partial
 	}
@@ -610,7 +663,7 @@ func TestDifferentialBLAS1(t *testing.T) {
 				for _, mode := range []solve.BLAS{det, par} {
 					naive := append([]float64(nil), y...)
 					for i := range naive {
-						naive[i] += alpha * x[i]
+						naive[i] += float64(alpha * x[i])
 					}
 					got := append([]float64(nil), y...)
 					mode.Axpy(alpha, x, got)
@@ -618,7 +671,7 @@ func TestDifferentialBLAS1(t *testing.T) {
 
 					naive = append(naive[:0:0], y...)
 					for i := range naive {
-						naive[i] = x[i] + alpha*naive[i]
+						naive[i] = x[i] + float64(alpha*naive[i])
 					}
 					got = append(got[:0:0], y...)
 					mode.Xpay(alpha, x, got)

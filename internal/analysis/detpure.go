@@ -17,10 +17,11 @@ import (
 // //spmv:nondet-ok on the range line.
 //
 // Only Go bodies are walked: a function declared without one, such as
-// internal/kernel's amd64 vector body of csrMultiRows, is assembly this
-// analyzer cannot see. That assembly is fenced by TestVectorBodyHasNoFMA
-// (no fused multiply-add mnemonic in the package's *_amd64.s) and held to
-// the Go bodies' bits by FuzzCSRMultiRows.
+// internal/kernel's amd64 vector body of csrMultiRows or the tile body of
+// bcsrMultiRows, is assembly this analyzer cannot see. That assembly is
+// fenced by TestVectorBodyHasNoFMA (no fused multiply-add mnemonic in the
+// package's *_amd64.s) and held to the CSR bits by FuzzCSRMultiRows and
+// FuzzBCSRMultiRows.
 var DetPure = &Analyzer{
 	Name: "detpure",
 	Doc:  "forbid time.Now, math/rand, and map iteration in //spmv:deterministic call paths",

@@ -6,12 +6,26 @@ import (
 	"repro/internal/matrix"
 )
 
-// The unrolled register-block kernels below are the Go equivalent of the
+// The unrolled register-block bodies below are the Go equivalent of the
 // paper's Perl-generated SpMV inner loops: one fully unrolled body per tile
-// shape, with the tile's destination values held in locals (registers)
-// across the block row and column accesses grouped to expose the
-// SIMDizable structure. Vectors are padded to the tile grid by the serial
-// wrapper, so no edge branches appear in any body.
+// shape, with the tile rows' sums held in locals (registers) across the
+// block row.
+//
+// Every BCSR body — the width-1 bodies here, the generic width-k body and
+// the amd64 tile body (bcsrmulti_amd64.s) — obeys the CSR family's
+// contract: each scalar row's products are rounded to float64 and added in
+// ascending column order into one accumulator that starts at +0, fill
+// included, and the sum is added into y once. Fill is an exact no-op for
+// finite x: an accumulator that starts at +0 never becomes -0 under
+// round-to-nearest (a sum is -0 only when both addends are), so adding a
+// fill product ±0 leaves it unchanged. A BCSR sweep therefore returns
+// csrMultiRows' bits on the same matrix, at every width. (A non-finite x
+// turns a fill product into NaN, which then spreads across the tile row;
+// the serving layer refuses such vectors.)
+//
+// A tile of r ≥ 2 rows gives r independent add chains, where a CSR row is
+// one dependent chain: that, with one column index per tile, is why a
+// width-1 sweep over tiles that fill beats CSR.
 
 // compileBCSR selects the unrolled kernel for the matrix's tile shape.
 func compileBCSR[I matrix.Index](m *matrix.BCSR[I]) (Kernel, error) {
@@ -23,190 +37,331 @@ func compileBCSR[I matrix.Index](m *matrix.BCSR[I]) (Kernel, error) {
 	return newSerial(eng, m, name), nil
 }
 
+// bcsrEngine runs the width-1 body of the matrix's shape over every block
+// row. The bodies never write past row R, so only x is padded, to whole
+// tile columns.
 type bcsrEngine[I matrix.Index] struct {
 	m  *matrix.BCSR[I]
-	fn func(m *matrix.BCSR[I], y, x []float64)
-	rp int
-	cp int
+	fn bcsrBody[I]
 }
+
+// bcsrBody sweeps block rows [lo, hi) at width 1.
+type bcsrBody[I matrix.Index] func(m *matrix.BCSR[I], y, x []float64, lo, hi int)
 
 func newBCSREngine[I matrix.Index](m *matrix.BCSR[I]) (*bcsrEngine[I], error) {
-	fn, ok := bcsrBodies[I]()[m.Shape]
-	if !ok {
+	fn := bcsrWidth1[I](m.Shape)
+	if fn == nil {
 		return nil, fmt.Errorf("kernel: no unrolled BCSR body for shape %v", m.Shape)
 	}
-	return &bcsrEngine[I]{
-		m:  m,
-		fn: fn,
-		rp: m.BlockRows * m.Shape.R,
-		cp: (m.C + m.Shape.C - 1) / m.Shape.C * m.Shape.C,
-	}, nil
+	return &bcsrEngine[I]{m: m, fn: fn}, nil
 }
 
-func (e *bcsrEngine[I]) run(y, x []float64) { e.fn(e.m, y, x) }
-func (e *bcsrEngine[I]) rPad() int          { return e.rp }
-func (e *bcsrEngine[I]) cPad() int          { return e.cp }
+func (e *bcsrEngine[I]) run(y, x []float64) { e.fn(e.m, y, x, 0, e.m.BlockRows) }
+func (e *bcsrEngine[I]) rPad() int          { return e.m.R }
+func (e *bcsrEngine[I]) cPad() int          { return bcsrColsPadded(e.m) }
 
-// bcsrBodies maps each tile shape to its unrolled body.
-func bcsrBodies[I matrix.Index]() map[matrix.BlockShape]func(*matrix.BCSR[I], []float64, []float64) {
-	return map[matrix.BlockShape]func(*matrix.BCSR[I], []float64, []float64){
-		{R: 1, C: 1}: bcsr1x1[I],
-		{R: 1, C: 2}: bcsr1x2[I],
-		{R: 1, C: 4}: bcsr1x4[I],
-		{R: 2, C: 1}: bcsr2x1[I],
-		{R: 2, C: 2}: bcsr2x2[I],
-		{R: 2, C: 4}: bcsr2x4[I],
-		{R: 4, C: 1}: bcsr4x1[I],
-		{R: 4, C: 2}: bcsr4x2[I],
-		{R: 4, C: 4}: bcsr4x4[I],
+// bcsrColsPadded is the x length (per lane) a BCSR body reads: whole tile
+// columns.
+func bcsrColsPadded[I matrix.Index](m *matrix.BCSR[I]) int {
+	return (m.C + m.Shape.C - 1) / m.Shape.C * m.Shape.C
+}
+
+// bcsrWidth1 returns the unrolled width-1 body of a tile shape, or nil when
+// the shape is not one of the nine.
+func bcsrWidth1[I matrix.Index](s matrix.BlockShape) bcsrBody[I] {
+	switch s {
+	case matrix.BlockShape{R: 1, C: 1}:
+		return bcsr1x1[I]
+	case matrix.BlockShape{R: 1, C: 2}:
+		return bcsr1x2[I]
+	case matrix.BlockShape{R: 1, C: 4}:
+		return bcsr1x4[I]
+	case matrix.BlockShape{R: 2, C: 1}:
+		return bcsr2x1[I]
+	case matrix.BlockShape{R: 2, C: 2}:
+		return bcsr2x2[I]
+	case matrix.BlockShape{R: 2, C: 4}:
+		return bcsr2x4[I]
+	case matrix.BlockShape{R: 4, C: 1}:
+		return bcsr4x1[I]
+	case matrix.BlockShape{R: 4, C: 2}:
+		return bcsr4x2[I]
+	case matrix.BlockShape{R: 4, C: 4}:
+		return bcsr4x4[I]
 	}
+	return nil
 }
 
-func bcsr1x1[I matrix.Index](m *matrix.BCSR[I], y, x []float64) {
-	val, col, ptr := m.Val, m.BCol, m.RowPtr
-	for br := 0; br < m.BlockRows; br++ {
-		sum := 0.0
-		for t := ptr[br]; t < ptr[br+1]; t++ {
-			sum += val[t] * x[col[t]]
+// bcsrMultiRows is the one BCSR multi-RHS loop nest: block rows [lo, hi)
+// of Y ← Y + A·X over interleaved width-nv blocks, which writes y rows
+// [lo·R, min(hi·R, m.R)). x holds whole tile columns (bcsrColsPadded(m)·nv
+// values). Width 1 runs the shape's unrolled body; wider blocks run the
+// amd64 tile body when the CPU has AVX, otherwise the generic Go body. All
+// of them give csrMultiRows' bits on the same matrix (see the contract
+// above).
+//
+//spmv:deterministic
+func bcsrMultiRows[I matrix.Index](m *matrix.BCSR[I], nv int, y, x []float64, lo, hi int) {
+	if nv == 1 {
+		if fn := bcsrWidth1[I](m.Shape); fn != nil {
+			fn(m, y, x, lo, hi)
+			return
 		}
-		y[br] += sum
 	}
+	if vectorBody && bcsrMultiRowsVec(m, nv, y, x, lo, hi) {
+		return
+	}
+	bcsrMultiGo(m, nv, y, x, lo, hi)
 }
 
-func bcsr1x2[I matrix.Index](m *matrix.BCSR[I], y, x []float64) {
-	val, col, ptr := m.Val, m.BCol, m.RowPtr
-	for br := 0; br < m.BlockRows; br++ {
-		sum := 0.0
-		for t := ptr[br]; t < ptr[br+1]; t++ {
-			c := int(col[t]) * 2
-			v := t * 2
-			sum += val[v]*x[c] + val[v+1]*x[c+1]
+// bcsrMultiGo is the generic body, for any shape and width: each scalar
+// row of the block rows sums its lanes, at most eight at a time, into a
+// stack accumulator in ascending column order. The unrolled bodies hand it
+// a trailing block row with fewer than Shape.R rows.
+//
+//spmv:deterministic
+func bcsrMultiGo[I matrix.Index](m *matrix.BCSR[I], nv int, y, x []float64, lo, hi int) {
+	R, C := m.Shape.R, m.Shape.C
+	rc := int64(R * C)
+	var acc [8]float64
+	for br := lo; br < hi; br++ {
+		t0, t1 := m.RowPtr[br], m.RowPtr[br+1]
+		col, val := m.BCol[t0:t1], m.Val[t0*rc:t1*rc]
+		for r := 0; r < R && br*R+r < m.R; r++ {
+			yb := (br*R + r) * nv
+			for g := 0; g < nv; g += len(acc) {
+				sums := acc[:min(len(acc), nv-g)]
+				clear(sums)
+				for n, bc := range col {
+					v0 := n*R*C + r*C
+					xb := int(bc)*C*nv + g
+					for c, v := range val[v0 : v0+C] {
+						xs := x[xb+c*nv : xb+c*nv+len(sums)]
+						for l := range sums {
+							sums[l] += float64(v * xs[l])
+						}
+					}
+				}
+				for l, s := range sums {
+					y[yb+g+l] += s
+				}
+			}
 		}
-		y[br] += sum
 	}
 }
 
-func bcsr1x4[I matrix.Index](m *matrix.BCSR[I], y, x []float64) {
-	val, col, ptr := m.Val, m.BCol, m.RowPtr
-	for br := 0; br < m.BlockRows; br++ {
-		sum := 0.0
-		for t := ptr[br]; t < ptr[br+1]; t++ {
-			c := int(col[t]) * 4
-			v := t * 4
-			sum += val[v]*x[c] + val[v+1]*x[c+1] + val[v+2]*x[c+2] + val[v+3]*x[c+3]
+// fullBlockRows is where the block rows of [lo, hi) that hold Shape.R rows
+// end: the unrolled bodies sweep [lo, fullBlockRows) and hand the rest to
+// bcsrMultiGo.
+func fullBlockRows[I matrix.Index](m *matrix.BCSR[I], lo, hi int) int {
+	return max(lo, min(hi, m.R/m.Shape.R))
+}
+
+// Each width-1 body slices a block row's columns and values once, so the
+// per-tile bounds checks are one per slice of x and of the tile.
+
+func bcsr1x1[I matrix.Index](m *matrix.BCSR[I], y, x []float64, lo, hi int) {
+	full := fullBlockRows(m, lo, hi)
+	for br := lo; br < full; br++ {
+		t0, t1 := m.RowPtr[br], m.RowPtr[br+1]
+		col, val := m.BCol[t0:t1], m.Val[t0:t1]
+		y0 := 0.0
+		for n, bc := range col {
+			y0 += float64(val[n] * x[bc])
 		}
-		y[br] += sum
+		y[br] += y0
 	}
+	bcsrMultiGo(m, 1, y, x, full, hi)
 }
 
-func bcsr2x1[I matrix.Index](m *matrix.BCSR[I], y, x []float64) {
-	val, col, ptr := m.Val, m.BCol, m.RowPtr
-	for br := 0; br < m.BlockRows; br++ {
-		r := br * 2
+func bcsr1x2[I matrix.Index](m *matrix.BCSR[I], y, x []float64, lo, hi int) {
+	full := fullBlockRows(m, lo, hi)
+	for br := lo; br < full; br++ {
+		t0, t1 := m.RowPtr[br], m.RowPtr[br+1]
+		col, val := m.BCol[t0:t1], m.Val[t0*2:t1*2]
+		y0 := 0.0
+		for n, bc := range col {
+			c := int(bc) * 2
+			xs := x[c : c+2 : c+2]
+			v := val[n*2 : n*2+2 : n*2+2]
+			y0 += float64(v[0] * xs[0])
+			y0 += float64(v[1] * xs[1])
+		}
+		y[br] += y0
+	}
+	bcsrMultiGo(m, 1, y, x, full, hi)
+}
+
+func bcsr1x4[I matrix.Index](m *matrix.BCSR[I], y, x []float64, lo, hi int) {
+	full := fullBlockRows(m, lo, hi)
+	for br := lo; br < full; br++ {
+		t0, t1 := m.RowPtr[br], m.RowPtr[br+1]
+		col, val := m.BCol[t0:t1], m.Val[t0*4:t1*4]
+		y0 := 0.0
+		for n, bc := range col {
+			c := int(bc) * 4
+			xs := x[c : c+4 : c+4]
+			v := val[n*4 : n*4+4 : n*4+4]
+			y0 += float64(v[0] * xs[0])
+			y0 += float64(v[1] * xs[1])
+			y0 += float64(v[2] * xs[2])
+			y0 += float64(v[3] * xs[3])
+		}
+		y[br] += y0
+	}
+	bcsrMultiGo(m, 1, y, x, full, hi)
+}
+
+func bcsr2x1[I matrix.Index](m *matrix.BCSR[I], y, x []float64, lo, hi int) {
+	full := fullBlockRows(m, lo, hi)
+	for br := lo; br < full; br++ {
+		t0, t1 := m.RowPtr[br], m.RowPtr[br+1]
+		col, val := m.BCol[t0:t1], m.Val[t0*2:t1*2]
 		y0, y1 := 0.0, 0.0
-		for t := ptr[br]; t < ptr[br+1]; t++ {
-			xv := x[col[t]]
-			v := t * 2
-			y0 += val[v] * xv
-			y1 += val[v+1] * xv
+		for n, bc := range col {
+			xv := x[bc]
+			v := val[n*2 : n*2+2 : n*2+2]
+			y0 += float64(v[0] * xv)
+			y1 += float64(v[1] * xv)
 		}
+		r := br * 2
 		y[r] += y0
 		y[r+1] += y1
 	}
+	bcsrMultiGo(m, 1, y, x, full, hi)
 }
 
-func bcsr2x2[I matrix.Index](m *matrix.BCSR[I], y, x []float64) {
-	val, col, ptr := m.Val, m.BCol, m.RowPtr
-	for br := 0; br < m.BlockRows; br++ {
-		r := br * 2
+func bcsr2x2[I matrix.Index](m *matrix.BCSR[I], y, x []float64, lo, hi int) {
+	full := fullBlockRows(m, lo, hi)
+	for br := lo; br < full; br++ {
+		t0, t1 := m.RowPtr[br], m.RowPtr[br+1]
+		col, val := m.BCol[t0:t1], m.Val[t0*4:t1*4]
 		y0, y1 := 0.0, 0.0
-		for t := ptr[br]; t < ptr[br+1]; t++ {
-			c := int(col[t]) * 2
-			x0, x1 := x[c], x[c+1]
-			v := t * 4
-			y0 += val[v]*x0 + val[v+1]*x1
-			y1 += val[v+2]*x0 + val[v+3]*x1
+		for n, bc := range col {
+			c := int(bc) * 2
+			xs := x[c : c+2 : c+2]
+			v := val[n*4 : n*4+4 : n*4+4]
+			y0 += float64(v[0] * xs[0])
+			y1 += float64(v[2] * xs[0])
+			y0 += float64(v[1] * xs[1])
+			y1 += float64(v[3] * xs[1])
 		}
+		r := br * 2
 		y[r] += y0
 		y[r+1] += y1
 	}
+	bcsrMultiGo(m, 1, y, x, full, hi)
 }
 
-func bcsr2x4[I matrix.Index](m *matrix.BCSR[I], y, x []float64) {
-	val, col, ptr := m.Val, m.BCol, m.RowPtr
-	for br := 0; br < m.BlockRows; br++ {
-		r := br * 2
+func bcsr2x4[I matrix.Index](m *matrix.BCSR[I], y, x []float64, lo, hi int) {
+	full := fullBlockRows(m, lo, hi)
+	for br := lo; br < full; br++ {
+		t0, t1 := m.RowPtr[br], m.RowPtr[br+1]
+		col, val := m.BCol[t0:t1], m.Val[t0*8:t1*8]
 		y0, y1 := 0.0, 0.0
-		for t := ptr[br]; t < ptr[br+1]; t++ {
-			c := int(col[t]) * 4
-			x0, x1, x2, x3 := x[c], x[c+1], x[c+2], x[c+3]
-			v := t * 8
-			y0 += val[v]*x0 + val[v+1]*x1 + val[v+2]*x2 + val[v+3]*x3
-			y1 += val[v+4]*x0 + val[v+5]*x1 + val[v+6]*x2 + val[v+7]*x3
+		for n, bc := range col {
+			c := int(bc) * 4
+			xs := x[c : c+4 : c+4]
+			v := val[n*8 : n*8+8 : n*8+8]
+			y0 += float64(v[0] * xs[0])
+			y1 += float64(v[4] * xs[0])
+			y0 += float64(v[1] * xs[1])
+			y1 += float64(v[5] * xs[1])
+			y0 += float64(v[2] * xs[2])
+			y1 += float64(v[6] * xs[2])
+			y0 += float64(v[3] * xs[3])
+			y1 += float64(v[7] * xs[3])
 		}
+		r := br * 2
 		y[r] += y0
 		y[r+1] += y1
 	}
+	bcsrMultiGo(m, 1, y, x, full, hi)
 }
 
-func bcsr4x1[I matrix.Index](m *matrix.BCSR[I], y, x []float64) {
-	val, col, ptr := m.Val, m.BCol, m.RowPtr
-	for br := 0; br < m.BlockRows; br++ {
-		r := br * 4
+func bcsr4x1[I matrix.Index](m *matrix.BCSR[I], y, x []float64, lo, hi int) {
+	full := fullBlockRows(m, lo, hi)
+	for br := lo; br < full; br++ {
+		t0, t1 := m.RowPtr[br], m.RowPtr[br+1]
+		col, val := m.BCol[t0:t1], m.Val[t0*4:t1*4]
 		y0, y1, y2, y3 := 0.0, 0.0, 0.0, 0.0
-		for t := ptr[br]; t < ptr[br+1]; t++ {
-			xv := x[col[t]]
-			v := t * 4
-			y0 += val[v] * xv
-			y1 += val[v+1] * xv
-			y2 += val[v+2] * xv
-			y3 += val[v+3] * xv
+		for n, bc := range col {
+			xv := x[bc]
+			v := val[n*4 : n*4+4 : n*4+4]
+			y0 += float64(v[0] * xv)
+			y1 += float64(v[1] * xv)
+			y2 += float64(v[2] * xv)
+			y3 += float64(v[3] * xv)
 		}
+		r := br * 4
 		y[r] += y0
 		y[r+1] += y1
 		y[r+2] += y2
 		y[r+3] += y3
 	}
+	bcsrMultiGo(m, 1, y, x, full, hi)
 }
 
-func bcsr4x2[I matrix.Index](m *matrix.BCSR[I], y, x []float64) {
-	val, col, ptr := m.Val, m.BCol, m.RowPtr
-	for br := 0; br < m.BlockRows; br++ {
-		r := br * 4
+func bcsr4x2[I matrix.Index](m *matrix.BCSR[I], y, x []float64, lo, hi int) {
+	full := fullBlockRows(m, lo, hi)
+	for br := lo; br < full; br++ {
+		t0, t1 := m.RowPtr[br], m.RowPtr[br+1]
+		col, val := m.BCol[t0:t1], m.Val[t0*8:t1*8]
 		y0, y1, y2, y3 := 0.0, 0.0, 0.0, 0.0
-		for t := ptr[br]; t < ptr[br+1]; t++ {
-			c := int(col[t]) * 2
-			x0, x1 := x[c], x[c+1]
-			v := t * 8
-			y0 += val[v]*x0 + val[v+1]*x1
-			y1 += val[v+2]*x0 + val[v+3]*x1
-			y2 += val[v+4]*x0 + val[v+5]*x1
-			y3 += val[v+6]*x0 + val[v+7]*x1
+		for n, bc := range col {
+			c := int(bc) * 2
+			xs := x[c : c+2 : c+2]
+			v := val[n*8 : n*8+8 : n*8+8]
+			y0 += float64(v[0] * xs[0])
+			y1 += float64(v[2] * xs[0])
+			y2 += float64(v[4] * xs[0])
+			y3 += float64(v[6] * xs[0])
+			y0 += float64(v[1] * xs[1])
+			y1 += float64(v[3] * xs[1])
+			y2 += float64(v[5] * xs[1])
+			y3 += float64(v[7] * xs[1])
 		}
+		r := br * 4
 		y[r] += y0
 		y[r+1] += y1
 		y[r+2] += y2
 		y[r+3] += y3
 	}
+	bcsrMultiGo(m, 1, y, x, full, hi)
 }
 
-func bcsr4x4[I matrix.Index](m *matrix.BCSR[I], y, x []float64) {
-	val, col, ptr := m.Val, m.BCol, m.RowPtr
-	for br := 0; br < m.BlockRows; br++ {
-		r := br * 4
+func bcsr4x4[I matrix.Index](m *matrix.BCSR[I], y, x []float64, lo, hi int) {
+	full := fullBlockRows(m, lo, hi)
+	for br := lo; br < full; br++ {
+		t0, t1 := m.RowPtr[br], m.RowPtr[br+1]
+		col, val := m.BCol[t0:t1], m.Val[t0*16:t1*16]
 		y0, y1, y2, y3 := 0.0, 0.0, 0.0, 0.0
-		for t := ptr[br]; t < ptr[br+1]; t++ {
-			c := int(col[t]) * 4
-			x0, x1, x2, x3 := x[c], x[c+1], x[c+2], x[c+3]
-			v := t * 16
-			y0 += val[v]*x0 + val[v+1]*x1 + val[v+2]*x2 + val[v+3]*x3
-			y1 += val[v+4]*x0 + val[v+5]*x1 + val[v+6]*x2 + val[v+7]*x3
-			y2 += val[v+8]*x0 + val[v+9]*x1 + val[v+10]*x2 + val[v+11]*x3
-			y3 += val[v+12]*x0 + val[v+13]*x1 + val[v+14]*x2 + val[v+15]*x3
+		for n, bc := range col {
+			c := int(bc) * 4
+			xs := x[c : c+4 : c+4]
+			v := val[n*16 : n*16+16 : n*16+16]
+			y0 += float64(v[0] * xs[0])
+			y1 += float64(v[4] * xs[0])
+			y2 += float64(v[8] * xs[0])
+			y3 += float64(v[12] * xs[0])
+			y0 += float64(v[1] * xs[1])
+			y1 += float64(v[5] * xs[1])
+			y2 += float64(v[9] * xs[1])
+			y3 += float64(v[13] * xs[1])
+			y0 += float64(v[2] * xs[2])
+			y1 += float64(v[6] * xs[2])
+			y2 += float64(v[10] * xs[2])
+			y3 += float64(v[14] * xs[2])
+			y0 += float64(v[3] * xs[3])
+			y1 += float64(v[7] * xs[3])
+			y2 += float64(v[11] * xs[3])
+			y3 += float64(v[15] * xs[3])
 		}
+		r := br * 4
 		y[r] += y0
 		y[r+1] += y1
 		y[r+2] += y2
 		y[r+3] += y3
 	}
+	bcsrMultiGo(m, 1, y, x, full, hi)
 }

@@ -11,3 +11,7 @@ var vectorBody = false
 func csrMultiRowsVec[I matrix.Index](m *matrix.CSR[I], nv int, y, x []float64, lo, hi int) bool {
 	return false
 }
+
+func bcsrMultiRowsVec[I matrix.Index](m *matrix.BCSR[I], nv int, y, x []float64, lo, hi int) bool {
+	return false
+}

@@ -33,7 +33,8 @@ type Kernel interface {
 // zero on entry for x and ignored on exit for y. Padding lets register-
 // blocked kernels stay fully unrolled with no edge-case branches, the same
 // trick the paper's generated kernels use by rounding the vectors up to the
-// tile size.
+// tile size. (BCSR pads x only: its bodies hand a short last tile row to a
+// generic loop.)
 type engine interface {
 	run(ypad, xpad []float64)
 	rPad() int

@@ -18,6 +18,9 @@ import (
 // bodies, unrolled at widths 1, 2, 4 and 8 and generic elsewhere. Width 1
 // is the Go loop on both levels. The two doors share one loop nest, so
 // their ns/op must agree at every width; a gap means they have drifted.
+// Wide/bcsr4x4/16 is the register-blocked encoding the server streams for
+// this matrix, through bcsrMultiRows: the unrolled 4×4 Go body at width 1,
+// the tile body (vec) or the generic Go body (go) above it.
 func BenchmarkCSRMultiRHS(b *testing.B) {
 	coo, err := gen.GenerateByName("FEM/Cantilever", 0.5, 7)
 	if err != nil {
@@ -28,6 +31,10 @@ func BenchmarkCSRMultiRHS(b *testing.B) {
 		b.Fatal(err)
 	}
 	csr16, err := matrix.NewCSR[uint16](coo)
+	if err != nil {
+		b.Fatal(err)
+	}
+	bcsr, err := matrix.NewBCSR[uint16](csr32, matrix.BlockShape{R: 4, C: 4})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -44,12 +51,16 @@ func BenchmarkCSRMultiRHS(b *testing.B) {
 		}
 		names := []string{"MultiVec/csr32"}
 		sweeps := []func(y, x []float64) error{mv.MulAdd}
-		for _, enc := range []matrix.Format{csr32, csr16} {
+		for _, enc := range []matrix.Format{csr32, csr16, bcsr} {
 			w, err := NewWide(enc, width)
 			if err != nil {
 				b.Fatal(err)
 			}
-			names = append(names, "Wide/"+enc.FormatName())
+			name := enc.FormatName()
+			if enc == bcsr {
+				name = "bcsr4x4/16"
+			}
+			names = append(names, "Wide/"+name)
 			sweeps = append(sweeps, w.MulAddBlock)
 		}
 		for _, body := range []string{"vec", "go"} {

@@ -233,12 +233,12 @@ func (s *SymSweep) scanSegment(sg symSeg, y, x, spill []float64, nv int) {
 			for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
 				j := int(m.Col[k])
 				v := m.Val[k]
-				sum += v * x[j]
+				sum += float64(v * x[j])
 				if j != i {
 					if j < sg.hi {
-						y[j] += v * xi
+						y[j] += float64(v * xi)
 					} else {
-						spill[sg.spillOff+j-sg.hi] += v * xi
+						spill[sg.spillOff+j-sg.hi] += float64(v * xi)
 					}
 				}
 			}
@@ -257,17 +257,17 @@ func (s *SymSweep) scanSegment(sg symSeg, y, x, spill []float64, nv int) {
 			v := m.Val[k]
 			jb := j * nv
 			for l := 0; l < nv; l++ {
-				sums[l] += v * x[jb+l]
+				sums[l] += float64(v * x[jb+l])
 			}
 			if j != i {
 				if j < sg.hi {
 					for l := 0; l < nv; l++ {
-						y[jb+l] += v * x[ib+l]
+						y[jb+l] += float64(v * x[ib+l])
 					}
 				} else {
 					sb := (sg.spillOff + j - sg.hi) * nv
 					for l := 0; l < nv; l++ {
-						spill[sb+l] += v * x[ib+l]
+						spill[sb+l] += float64(v * x[ib+l])
 					}
 				}
 			}

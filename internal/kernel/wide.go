@@ -19,7 +19,8 @@ import (
 // every width, so lane v of a width-k sweep is bitwise identical to the
 // width-1 sweep of the same kernel. CSR-backed Wide kernels run MultiVec's
 // own loop nest (csrMultiRows), so at either index width their bits and
-// their speed are MultiVec's.
+// their speed are MultiVec's; BCSR-backed ones run bcsrMultiRows, which
+// sums each row in the same order and so returns the same bits.
 type Wide interface {
 	// MulAddBlock computes Y ← Y + A·X over interleaved width-k blocks.
 	// Safe for concurrent use.
@@ -71,9 +72,9 @@ func newWideEngine(fm matrix.Format, nv int) (wideEngine, string, error) {
 	case *matrix.CSR32:
 		return &wideCSR[uint32]{m: m, nv: nv}, "csr32", nil
 	case *matrix.BCSR[uint16]:
-		return newWideBCSR(m, nv), fmt.Sprintf("bcsr%dx%d/16", m.Shape.R, m.Shape.C), nil
+		return &wideBCSR[uint16]{m: m, nv: nv}, fmt.Sprintf("bcsr%dx%d/16", m.Shape.R, m.Shape.C), nil
 	case *matrix.BCSR[uint32]:
-		return newWideBCSR(m, nv), fmt.Sprintf("bcsr%dx%d/32", m.Shape.R, m.Shape.C), nil
+		return &wideBCSR[uint32]{m: m, nv: nv}, fmt.Sprintf("bcsr%dx%d/32", m.Shape.R, m.Shape.C), nil
 	case *matrix.BCOO[uint16]:
 		return newWideBCOO(m, nv), fmt.Sprintf("bcoo%dx%d/16", m.Shape.R, m.Shape.C), nil
 	case *matrix.BCOO[uint32]:
@@ -160,56 +161,19 @@ func (e *wideCSR[I]) cPad() int { return e.m.C }
 
 func (e *wideCSR[I]) run(y, x []float64) { csrMultiRows(e.m, e.nv, y, x, 0, e.m.R) }
 
-// wideBCSR fuses k vectors over register-blocked storage: each tile is
-// streamed once and applied to all k lanes. One generic body covers every
-// tile shape (the scalar kernels' unrolled bodies stand in for generated
-// SIMD; the wide variant's win is bandwidth, not instruction scheduling).
+// wideBCSR fuses k vectors over register-blocked storage: the BCSR
+// multi-RHS loop nest (bcsrMultiRows) over every block row, so its bits
+// are csrMultiRows' on the same matrix at every width, and its width-1
+// sweep is the scalar kernel's body.
 type wideBCSR[I matrix.Index] struct {
 	m  *matrix.BCSR[I]
 	nv int
-	rp int
-	cp int
 }
 
-func newWideBCSR[I matrix.Index](m *matrix.BCSR[I], nv int) *wideBCSR[I] {
-	return &wideBCSR[I]{
-		m: m, nv: nv,
-		rp: m.BlockRows * m.Shape.R,
-		cp: (m.C + m.Shape.C - 1) / m.Shape.C * m.Shape.C,
-	}
-}
+func (e *wideBCSR[I]) rPad() int { return e.m.R }
+func (e *wideBCSR[I]) cPad() int { return bcsrColsPadded(e.m) }
 
-func (e *wideBCSR[I]) rPad() int { return e.rp }
-func (e *wideBCSR[I]) cPad() int { return e.cp }
-
-func (e *wideBCSR[I]) run(y, x []float64) {
-	m, nv := e.m, e.nv
-	R, C := m.Shape.R, m.Shape.C
-	acc := make([]float64, R*nv)
-	for br := 0; br < m.BlockRows; br++ {
-		for i := range acc {
-			acc[i] = 0
-		}
-		for t := m.RowPtr[br]; t < m.RowPtr[br+1]; t++ {
-			c0 := int(m.BCol[t]) * C * nv
-			v0 := int(t) * R * C
-			for r := 0; r < R; r++ {
-				ab := r * nv
-				for c := 0; c < C; c++ {
-					val := m.Val[v0+r*C+c]
-					xb := c0 + c*nv
-					for v := 0; v < nv; v++ {
-						acc[ab+v] += val * x[xb+v]
-					}
-				}
-			}
-		}
-		yb := br * R * nv
-		for i := range acc {
-			y[yb+i] += acc[i]
-		}
-	}
-}
+func (e *wideBCSR[I]) run(y, x []float64) { bcsrMultiRows(e.m, e.nv, y, x, 0, e.m.BlockRows) }
 
 // wideBCOO fuses k vectors over block-coordinate storage: one flat pass
 // over the tiles, accumulating each tile row locally before the add.
@@ -247,7 +211,7 @@ func (e *wideBCOO[I]) run(y, x []float64) {
 				val := m.Val[v0+r*C+c]
 				xb := c0 + c*nv
 				for v := 0; v < nv; v++ {
-					acc[v] += val * x[xb+v]
+					acc[v] += float64(val * x[xb+v])
 				}
 			}
 			yb := r0 + r*nv
@@ -275,7 +239,7 @@ func (e *wideCOO) run(y, x []float64) {
 		yb := int(m.RowIdx[k]) * nv
 		xb := int(m.ColIdx[k]) * nv
 		for v := 0; v < nv; v++ {
-			y[yb+v] += val * x[xb+v]
+			y[yb+v] += float64(val * x[xb+v])
 		}
 	}
 }

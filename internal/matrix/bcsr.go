@@ -2,7 +2,7 @@ package matrix
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // BlockShape is a register-blocking tile shape. The paper restricts itself
@@ -71,33 +71,41 @@ func NewBCSR[I Index](src *CSR32, shape BlockShape) (*BCSR[I], error) {
 		nnz:       src.NNZ(),
 	}
 	area := shape.Area()
-	// Per tile row: merge the participating scalar rows' nonzeros by tile
-	// column. Rows are already column-sorted, so a k-way scan suffices; we
-	// use a map then sort tile columns, which is simple and O(nnz log nnz).
+	// Per tile row: collect the distinct tile columns its scalar rows touch
+	// (slot marks a tile column seen in this tile row), sort them, give
+	// each its tile, then scatter the values into the zero-filled tiles.
+	slot := make([]int, bcols)
+	for i := range slot {
+		slot[i] = -1
+	}
+	var bcs []int
 	for br := 0; br < brows; br++ {
 		r0 := br * shape.R
 		r1 := min(r0+shape.R, src.R)
-		tiles := map[int][]float64{}
+		cols := src.Col[src.RowPtr[r0]:src.RowPtr[r1]]
+		bcs = bcs[:0]
+		for _, j := range cols {
+			if bc := int(j) / shape.C; slot[bc] < 0 {
+				slot[bc] = 0
+				bcs = append(bcs, bc)
+			}
+		}
+		slices.Sort(bcs)
+		first := len(out.BCol)
+		for t, bc := range bcs {
+			slot[bc] = first + t
+			out.BCol = append(out.BCol, I(bc))
+		}
+		out.Val = append(out.Val, make([]float64, len(bcs)*area)...)
 		for i := r0; i < r1; i++ {
 			for k := src.RowPtr[i]; k < src.RowPtr[i+1]; k++ {
 				j := int(src.Col[k])
 				bc := j / shape.C
-				t, ok := tiles[bc]
-				if !ok {
-					t = make([]float64, area)
-					tiles[bc] = t
-				}
-				t[(i-r0)*shape.C+(j-bc*shape.C)] = src.Val[k]
+				out.Val[slot[bc]*area+(i-r0)*shape.C+j-bc*shape.C] = src.Val[k]
 			}
 		}
-		bcs := make([]int, 0, len(tiles))
-		for bc := range tiles {
-			bcs = append(bcs, bc)
-		}
-		sort.Ints(bcs)
 		for _, bc := range bcs {
-			out.BCol = append(out.BCol, I(bc))
-			out.Val = append(out.Val, tiles[bc]...)
+			slot[bc] = -1
 		}
 		out.RowPtr[br+1] = int64(len(out.BCol))
 	}

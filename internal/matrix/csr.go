@@ -1,7 +1,9 @@
 package matrix
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -36,21 +38,31 @@ func NewCSR[I Index](m *COO) (*CSR[I], error) {
 			ErrIndexOverflow, m.C, IndexBytes[I]())
 	}
 	n := len(m.Val)
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	// Stable sort: duplicate (row, col) entries keep their insertion order,
-	// so they are summed in a deterministic sequence. Any sub-matrix that
-	// preserves insertion order (e.g. a shard coordinator's row bands)
+	// Stable sort by (row, col): duplicate entries keep their insertion
+	// order, so they are summed in a deterministic sequence. Any sub-matrix
+	// that preserves insertion order (e.g. a shard coordinator's row bands)
 	// then reproduces the full matrix's per-row accumulation bit for bit.
-	sort.SliceStable(order, func(a, b int) bool {
-		ka, kb := order[a], order[b]
-		if m.RowIdx[ka] != m.RowIdx[kb] {
-			return m.RowIdx[ka] < m.RowIdx[kb]
+	// A counting sort buckets the entries by row in insertion order; a row
+	// is then sorted by column, stably, only if it arrived out of order.
+	start := make([]int, m.R+1)
+	for _, r := range m.RowIdx {
+		start[r+1]++
+	}
+	for i := 0; i < m.R; i++ {
+		start[i+1] += start[i]
+	}
+	order := make([]int, n)
+	next := slices.Clone(start[:m.R])
+	for k, r := range m.RowIdx {
+		order[next[r]] = k
+		next[r]++
+	}
+	byCol := func(a, b int) int { return cmp.Compare(m.ColIdx[a], m.ColIdx[b]) }
+	for i := 0; i < m.R; i++ {
+		if row := order[start[i]:start[i+1]]; !slices.IsSortedFunc(row, byCol) {
+			slices.SortStableFunc(row, byCol)
 		}
-		return m.ColIdx[ka] < m.ColIdx[kb]
-	})
+	}
 
 	out := &CSR[I]{
 		R:      m.R,

@@ -442,21 +442,27 @@ func (s *Server) prepare(e *Entry, opts RegisterOptions) error {
 
 // servingTune is the serving candidate set: the tuner options every served
 // general operator is compiled with, at registration, recompaction and
-// re-tune alike. Today it admits the row-partitioned CSR family only —
-// each row's products summed in ascending column order into one
-// accumulator — because that is the one accumulation order every width,
-// index size, thread count and shard topology is known to reproduce bit
-// for bit; register and cache blocking reassociate the row sums and stay
-// out until they honor the same order (ROADMAP direction 1(a)), at which
-// point they join here and nowhere else. width is the fused width the
-// encoding is tuned for. Inside the CSR family the only choice left is the
-// index width, and narrow opens it (to Config.Tune.ReduceIndices): the
-// re-tuner's candidates narrow, registration and recompaction do not —
-// were they to, every candidate would equal its incumbent and the re-tuner
-// would have nothing to promote.
+// re-tune alike. It admits the encodings whose every body sums each row's
+// rounded products in ascending column order into one accumulator that
+// starts at +0 — the order every width, index size, thread count and shard
+// topology reproduces bit for bit: row-partitioned CSR, and BCSR (with
+// Config.Tune.RegisterBlock), whose fill adds exact zeros. Cache blocking
+// and BCOO reassociate the row sums and stay out. BCSR is limited to tiles
+// of two or more rows: a width-1 sweep, every lone request and solver
+// iteration, runs one dependent add chain per row, so a 1×c tile's smaller
+// stream buys nothing and its fill lengthens the chain (the LP twin's
+// best, 1×2/16, streams 0.84x CSR32's bytes and ran 1.45–1.6x slower),
+// while an r×c tile runs r chains at once (the Cantilever twin's 4×4
+// streams 0.67x and runs in about 0.65x the time). width is the fused
+// width the encoding is tuned for. narrow opens the index width (to
+// Config.Tune.ReduceIndices): the re-tuner's candidates narrow,
+// registration and recompaction do not — were they to, every candidate
+// would equal its incumbent and the re-tuner would have nothing to promote.
 func (s *Server) servingTune(width int, narrow bool) spmv.TuneOptions {
 	return spmv.TuneOptions{
 		VectorWidth:   width,
+		RegisterBlock: s.cfg.Tune.RegisterBlock,
+		MinBlockRows:  2,
 		ReduceIndices: narrow && s.cfg.Tune.ReduceIndices,
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	spmv "repro"
+	"repro/internal/matrix"
 )
 
 // testSymmetric builds a small deterministic symmetric matrix.
@@ -158,11 +159,18 @@ func TestServedFamilyIsWhatStreams(t *testing.T) {
 				}
 				built("at registration", 0)
 
-				// A wide workload: general matrices are promoted to narrowed
-				// indices (bar the diagonal, where narrowing saves 2 of a
-				// row's 20 bytes — under the promotion margin once the
-				// vectors are counted); a symmetric one has no candidate
-				// inside its family and the re-tuner never switches families.
+				// A wide workload: general matrices served CSR are promoted
+				// to narrowed indices (bar the diagonal, where narrowing
+				// saves 2 of a row's 20 bytes — under the promotion margin
+				// once the vectors are counted); a symmetric one has no
+				// candidate inside its family and the re-tuner never switches
+				// families. A register-blocked part narrows 2 of a 4×4 tile's
+				// 132 bytes, so whether a blocked matrix clears the margin
+				// depends on its other parts; only its bytes are pinned.
+				blocked := false
+				for _, d := range mustEntry(t, s, id).cur.Load().op.Decisions() {
+					blocked = blocked || d.Format == "BCSR"
+				}
 				_, cols := tc.m.Dims()
 				xs := make([][]float64, 8)
 				for v := range xs {
@@ -175,7 +183,7 @@ func TestServedFamilyIsWhatStreams(t *testing.T) {
 				if s.evaluateEntry(mustEntry(t, s, id)) {
 					gen++
 				}
-				if promoted := gen == 1; promoted != (family == general && tc.name != "diagonal") {
+				if promoted := gen == 1; !blocked && promoted != (family == general && tc.name != "diagonal") {
 					t.Errorf("%s: re-tune promoted=%v under the %s family", id, promoted, family)
 				}
 				built("after the re-tune", gen)
@@ -190,6 +198,41 @@ func TestServedFamilyIsWhatStreams(t *testing.T) {
 			}
 		}
 		s.Close()
+	}
+
+	// The register-blocked side of the general family: BCSR with tiles of
+	// two or more rows. A Cantilever twin's 4×4 tiles fill completely, so
+	// it registers 4×4 in every part; an LP twin's best such tile costs
+	// more than CSR32 (its best tile overall, 1×2, is the one the r ≥ 2
+	// rule keeps out), so it stays CSR32.
+	s := New(DefaultConfig())
+	defer s.Close()
+	for _, tc := range []struct {
+		suite  string
+		format string
+		shape  matrix.BlockShape
+		bits   int
+	}{
+		{"FEM/Cantilever", "BCSR", matrix.BlockShape{R: 4, C: 4}, 32},
+		{"LP", "CSR", matrix.BlockShape{R: 1, C: 1}, 32},
+	} {
+		m, err := spmv.GenerateSuite(tc.suite, 0.02, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		info, err := s.RegisterOpts(tc.suite, tc.suite, m, RegisterOptions{Symmetric: boolPtr(false)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.Footprint != info.MatrixBytes {
+			t.Errorf("%s: footprint %d B, matrix stream %d B", tc.suite, info.Footprint, info.MatrixBytes)
+		}
+		for _, d := range mustEntry(t, s, tc.suite).cur.Load().op.Decisions() {
+			if d.Format != tc.format || d.Shape != tc.shape || d.IndexBits != tc.bits {
+				t.Errorf("%s: a part registered %s %v/%d, want %s %v/%d",
+					tc.suite, d.Format, d.Shape, d.IndexBits, tc.format, tc.shape, tc.bits)
+			}
+		}
 	}
 }
 

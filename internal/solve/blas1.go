@@ -161,7 +161,7 @@ func (b BLAS) Dot(x, y []float64) float64 {
 	return b.reduce(len(x), func(lo, hi int) float64 {
 		var s float64
 		for i := lo; i < hi; i++ {
-			s += x[i] * y[i]
+			s += float64(x[i] * y[i])
 		}
 		return s
 	})
@@ -184,7 +184,7 @@ func (b BLAS) Axpy(alpha float64, x, y []float64) {
 	}
 	b.each(len(x), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			y[i] += alpha * x[i]
+			y[i] += float64(alpha * x[i])
 		}
 	})
 }
@@ -199,7 +199,7 @@ func (b BLAS) Xpay(alpha float64, x, y []float64) {
 	}
 	b.each(len(x), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			y[i] = x[i] + alpha*y[i]
+			y[i] = x[i] + float64(alpha*y[i])
 		}
 	})
 }

@@ -218,7 +218,7 @@ func (c *CG) papPart(part int) {
 	p, ap := c.p[lo:hi], c.ap[lo:hi]
 	var s float64
 	for i := range p {
-		s += p[i] * ap[i]
+		s += float64(p[i] * ap[i])
 	}
 	c.partials[part] = s
 }
@@ -233,10 +233,10 @@ func (c *CG) updatePart(part int) {
 	alpha, negAlpha := c.alpha, -c.alpha
 	var s float64
 	for i := range x {
-		x[i] += alpha * p[i]
-		ri := r[i] + negAlpha*ap[i]
+		x[i] += float64(alpha * p[i])
+		ri := r[i] + float64(negAlpha*ap[i])
 		r[i] = ri
-		s += ri * ri
+		s += float64(ri * ri)
 	}
 	c.partials[part] = s
 }
@@ -249,7 +249,7 @@ func (c *CG) directionPart(part int) {
 	r, p := c.r[lo:hi], c.p[lo:hi]
 	beta := c.beta
 	for i := range p {
-		p[i] = r[i] + beta*p[i]
+		p[i] = r[i] + float64(beta*p[i])
 	}
 }
 

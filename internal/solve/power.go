@@ -55,7 +55,7 @@ func NewPower(apply Apply, n int, v0 []float64, opt Options) (*Power, error) {
 			z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 			z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 			z ^= z >> 31
-			p.q[i] = float64(z>>11)/float64(1<<53) - 0.5
+			p.q[i] = float64(float64(z>>11)/float64(1<<53)) - 0.5
 		}
 	}
 	norm := p.blas.Norm2(p.q)

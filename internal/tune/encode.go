@@ -2,7 +2,6 @@ package tune
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/matrix"
 )
@@ -19,11 +18,7 @@ type candidate struct {
 
 // encodeBest runs the paper's one-pass footprint minimization over a
 // sub-matrix (local coordinates) and materializes only the winner.
-func encodeBest(sub *matrix.COO, opt Options) (matrix.Format, Decision, error) {
-	csr, err := matrix.NewCSR[uint32](sub)
-	if err != nil {
-		return nil, Decision{}, err
-	}
+func encodeBest(csr *matrix.CSR32, opt Options) (matrix.Format, Decision, error) {
 	nnz := csr.NNZ()
 
 	cands := enumerate(csr, opt)
@@ -77,6 +72,9 @@ func enumerate(csr *matrix.CSR32, opt Options) []candidate {
 		return cands
 	}
 	for _, shape := range matrix.BlockShapes {
+		if shape.R < opt.MinBlockRows {
+			continue
+		}
 		tiles := countTiles(csr, shape)
 		stored := tiles * int64(shape.Area())
 		brows := (csr.R + shape.R - 1) / shape.R
@@ -106,28 +104,19 @@ func enumerate(csr *matrix.CSR32, opt Options) []candidate {
 
 // countTiles returns the number of distinct shape-aligned tiles containing
 // at least one nonzero — the quantity behind the fill-ratio gamble. It is
-// the "one pass over the nonzeros" of §4.2: per block row, the distinct
-// block columns are counted by merging the (already sorted) member rows.
+// the "one pass over the nonzeros" of §4.2: a block row's nonzeros are
+// contiguous in CSR, and a tile is new the first time its block column is
+// seen in the block row (seen holds the last block row, plus one, that
+// touched each block column).
 func countTiles(csr *matrix.CSR32, shape matrix.BlockShape) int64 {
 	var tiles int64
-	var scratch []int32
-	for r0 := 0; r0 < csr.R; r0 += shape.R {
-		r1 := r0 + shape.R
-		if r1 > csr.R {
-			r1 = csr.R
-		}
-		scratch = scratch[:0]
-		for i := r0; i < r1; i++ {
-			for k := csr.RowPtr[i]; k < csr.RowPtr[i+1]; k++ {
-				scratch = append(scratch, int32(int(csr.Col[k])/shape.C))
-			}
-		}
-		sort.Slice(scratch, func(a, b int) bool { return scratch[a] < scratch[b] })
-		var prev int32 = -1
-		for _, bc := range scratch {
-			if bc != prev {
+	seen := make([]int32, (csr.C+shape.C-1)/shape.C)
+	for br, r0 := int32(1), 0; r0 < csr.R; br, r0 = br+1, r0+shape.R {
+		r1 := min(r0+shape.R, csr.R)
+		for _, c := range csr.Col[csr.RowPtr[r0]:csr.RowPtr[r1]] {
+			if bc := int(c) / shape.C; seen[bc] != br {
+				seen[bc] = br
 				tiles++
-				prev = bc
 			}
 		}
 	}

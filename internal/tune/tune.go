@@ -38,6 +38,12 @@ import (
 type Options struct {
 	// RegisterBlock enables BCSR/BCOO tile-shape selection.
 	RegisterBlock bool
+	// MinBlockRows limits register blocking to tile shapes of at least this
+	// many rows; 0 admits all nine. At width 1 a tile row is one dependent
+	// add chain, as a CSR row is, so a 1×c tile only adds its fill to the
+	// chain, while r ≥ 2 rows run r independent chains (a serving layer
+	// sets 2; see server.servingTune).
+	MinBlockRows int
 	// ReduceIndices enables 16-bit indices when dimensions permit.
 	ReduceIndices bool
 	// AllowBCOO enables block-coordinate storage (chosen on footprint,
@@ -174,7 +180,7 @@ func tuneGeneral(csr *matrix.CSR32, opt Options) (*Result, error) {
 
 	if len(blocks) == 1 && blocks[0] == (span{0, csr.R, 0, csr.C}) {
 		// No blocking: encode the whole matrix directly.
-		enc, dec, err := encodeBest(csr.ToCOO(), opt)
+		enc, dec, err := encodeBest(csr, opt)
 		if err != nil {
 			return nil, err
 		}
@@ -190,7 +196,11 @@ func tuneGeneral(csr *matrix.CSR32, opt Options) (*Result, error) {
 		if sub.NNZ() == 0 {
 			continue // empty cache blocks are simply not stored
 		}
-		enc, dec, err := encodeBest(sub, opt)
+		subCSR, err := matrix.NewCSR[uint32](sub)
+		if err != nil {
+			return nil, err
+		}
+		enc, dec, err := encodeBest(subCSR, opt)
 		if err != nil {
 			return nil, err
 		}

@@ -272,7 +272,12 @@ func compile(m *Matrix, opt TuneOptions, threads, numaNodes int) (*Operator, err
 	return op, nil
 }
 
-// MulAdd computes y ← y + A·x.
+// MulAdd computes y ← y + A·x. Over CSR and BCSR encodings each row's
+// products are summed in ascending column order, so its bits are the CSR
+// family's and those of the operator's WideMulti(1) view. A register-blocked
+// encoding also multiplies its explicit zero fill, so a non-finite x[j]
+// (0·Inf = NaN) can turn every row of a tile row that touches column j into
+// NaN, not only the rows holding a nonzero there.
 func (o *Operator) MulAdd(y, x []float64) error { return o.k.MulAdd(y, x) }
 
 // Mul returns A·x as a fresh vector.
@@ -361,14 +366,17 @@ func (o *Operator) Multi(width int) (*MultiOperator, error) {
 // compression, §4.2, and multiple vectors, §2.1) in one sweep: the fused
 // matrix stream shrinks by the tuner's footprint saving.
 //
-// Bits: each lane of a wide view accumulates in the encoding's own order,
-// so lane results match the operator's single-vector MulAdd (per tuned
-// block), not necessarily Multi's CSR bits. Wide views over plain CSR
-// encodings (any index width, serial or row-partitioned) run the very
-// loop nest Multi's views run, so their bits are Multi's — the property
-// that lets a serving layer move between CSR-family encodings without
-// changing responses. Views are cached per width and safe for concurrent
-// use.
+// Bits: each lane of a wide view accumulates in the encoding's own order.
+// Wide views over plain CSR encodings (any index width, serial or
+// row-partitioned) run the very loop nest Multi's views run, and views over
+// register-blocked BCSR sum each row in the same ascending column order, so
+// both return Multi's bits, and the operator's MulAdd bits at width 1 — the
+// property that lets a serving layer move between these encodings without
+// changing responses. Cache-blocked and BCOO encodings reassociate row
+// sums and match only to rounding. For finite x only: a BCSR view
+// multiplies its zero fill, so a non-finite x can spread NaN across a tile
+// row (the serving layer refuses such vectors). Views are cached per width
+// and safe for concurrent use.
 func (o *Operator) WideMulti(width int) (*MultiOperator, error) {
 	if width < 1 {
 		return nil, fmt.Errorf("spmv: need at least 1 vector, got %d", width)
