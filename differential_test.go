@@ -427,7 +427,7 @@ func TestDifferentialBlockedFormats(t *testing.T) {
 						}
 						checkBitwise(t, path+"/muladd", y, refs[0])
 						for width := 1; width <= 8; width++ {
-							w, err := kernel.NewWideParallel(p, width)
+							w, err := p.Wide(width)
 							if err != nil {
 								t.Fatal(err)
 							}
@@ -471,8 +471,12 @@ func TestDifferentialBlockedFormats(t *testing.T) {
 							base[v] = ys[v]
 						}
 					}
-					// Width invariance: lane 0 bits never depend on width.
+					// Width invariance: lane 0 bits never depend on width,
+					// and the scalar kernel is the width-1 sweep.
 					checkBitwise(t, w.Name()+"/lane0-width-invariance", ys[0], base[0])
+					if width == 1 {
+						checkBitwise(t, k.Name()+"/muladd-is-width1", y, base[0])
+					}
 				}
 			}
 		})
@@ -481,7 +485,9 @@ func TestDifferentialBlockedFormats(t *testing.T) {
 
 // TestDifferentialTunedAndCacheBlocked checks the full §4.2 tuner output
 // (register + cache + TLB blocking, serial and parallel) and a forced
-// cache-blocked encoding, at every width.
+// cache-blocked encoding, at every width: ULP-bounded against the
+// reference, and one operator, one answer — lane v of every WideMulti
+// width is bitwise op.Mul of vector v.
 func TestDifferentialTunedAndCacheBlocked(t *testing.T) {
 	small := spmv.DefaultTuneOptions()
 	small.CacheBudgetBytes = 1 << 12 // force cache blocking on tiny matrices
@@ -506,11 +512,13 @@ func TestDifferentialTunedAndCacheBlocked(t *testing.T) {
 						t.Fatal(err)
 					}
 					path := fmt.Sprintf("%s/threads=%d", name, threads)
-					y, err := op.Mul(xs[0])
-					if err != nil {
-						t.Fatal(err)
+					muls := make([][]float64, len(xs))
+					for v := range xs {
+						if muls[v], err = op.Mul(xs[v]); err != nil {
+							t.Fatal(err)
+						}
 					}
-					checkBounded(t, path+"/mul", y, refs[0], tols[0])
+					checkBounded(t, path+"/mul", muls[0], refs[0], tols[0])
 					for _, width := range diffWidths {
 						mo, err := op.WideMulti(width)
 						if err != nil {
@@ -521,7 +529,9 @@ func TestDifferentialTunedAndCacheBlocked(t *testing.T) {
 							t.Fatal(err)
 						}
 						for v := range ys {
-							checkBounded(t, fmt.Sprintf("%s/wide%d/lane%d", path, width, v), ys[v], refs[v], tols[v])
+							lane := fmt.Sprintf("%s/wide%d/lane%d", path, width, v)
+							checkBounded(t, lane, ys[v], refs[v], tols[v])
+							checkBitwise(t, lane+"/is-mul", ys[v], muls[v])
 						}
 					}
 				}
@@ -589,17 +599,15 @@ func TestDifferentialSymmetric(t *testing.T) {
 // ---- BLAS-1 differential section ------------------------------------
 //
 // The solver layer (internal/solve) builds CG and power iteration on
-// fused BLAS-1 helpers with two reduction modes. Their contracts mirror
-// the kernel table above:
+// fused BLAS-1 helpers with one reduction, the ordered one. Their
+// contracts mirror the kernel table above:
 //
-//   - bitwise in deterministic (ordered-reduction) mode against an
-//     independent re-implementation of the canonical summation tree —
-//     fixed 1024-element blocks, partials combined in ascending block
-//     order — at every thread count;
-//   - ULP-bounded in parallel mode against the plain sequential sum
-//     (per-thread chunking reassociates the reduction);
+//   - bitwise against an independent re-implementation of the canonical
+//     summation tree — fixed 1024-element blocks, partials combined in
+//     ascending block order — at every thread count;
+//   - ULP-bounded against the plain sequential sum;
 //   - element-wise operations (Axpy, Xpay, Scale) bitwise against naive
-//     loops at every thread count and in both modes.
+//     loops at every thread count.
 
 // refOrderedDot is the independent reference for the deterministic
 // reduction contract. The 1024-element block length is part of the
@@ -640,51 +648,45 @@ func TestDifferentialBLAS1(t *testing.T) {
 			const eps = 2.220446049250313e-16
 			bound := 4 * float64(n+4) * eps * absSum
 			for _, threads := range blasThreads {
-				det := solve.BLAS{Threads: threads, Deterministic: true}
-				if got := det.Dot(x, y); math.Float64bits(got) != math.Float64bits(ordered) {
-					t.Fatalf("threads=%d: deterministic Dot %x, reference %x",
+				blas := solve.BLAS{Threads: threads}
+				if got := blas.Dot(x, y); math.Float64bits(got) != math.Float64bits(ordered) {
+					t.Fatalf("threads=%d: Dot %x, reference %x",
 						threads, math.Float64bits(got), math.Float64bits(ordered))
 				}
+				if got := blas.Dot(x, y); math.Abs(got-seq) > bound {
+					t.Fatalf("threads=%d: Dot %g vs sequential %g (bound %g)", threads, got, seq, bound)
+				}
 				wantNorm := math.Sqrt(refOrderedDot(x, x))
-				if got := det.Norm2(x); math.Float64bits(got) != math.Float64bits(wantNorm) {
-					t.Fatalf("threads=%d: deterministic Norm2 %x, reference %x",
+				if got := blas.Norm2(x); math.Float64bits(got) != math.Float64bits(wantNorm) {
+					t.Fatalf("threads=%d: Norm2 %x, reference %x",
 						threads, math.Float64bits(got), math.Float64bits(wantNorm))
 				}
-				par := solve.BLAS{Threads: threads}
-				if got := par.Dot(x, y); math.Abs(got-seq) > bound {
-					t.Fatalf("threads=%d: parallel Dot %g vs sequential %g (bound %g)", threads, got, seq, bound)
-				}
-				if got := par.Norm2(x); n > 0 && math.Abs(got*got-par.Dot(x, x)) > bound {
-					t.Fatalf("threads=%d: parallel Norm2 inconsistent with Dot", threads)
-				}
 
-				// Element-wise ops: bitwise against naive loops in both modes.
+				// Element-wise ops: bitwise against naive loops.
 				const alpha = 1.5625e-2 // exact in binary
-				for _, mode := range []solve.BLAS{det, par} {
-					naive := append([]float64(nil), y...)
-					for i := range naive {
-						naive[i] += float64(alpha * x[i])
-					}
-					got := append([]float64(nil), y...)
-					mode.Axpy(alpha, x, got)
-					checkBitwise(t, fmt.Sprintf("Axpy/threads=%d/det=%v", threads, mode.Deterministic), got, naive)
-
-					naive = append(naive[:0:0], y...)
-					for i := range naive {
-						naive[i] = x[i] + float64(alpha*naive[i])
-					}
-					got = append(got[:0:0], y...)
-					mode.Xpay(alpha, x, got)
-					checkBitwise(t, fmt.Sprintf("Xpay/threads=%d/det=%v", threads, mode.Deterministic), got, naive)
-
-					naive = append(naive[:0:0], y...)
-					for i := range naive {
-						naive[i] *= alpha
-					}
-					got = append(got[:0:0], y...)
-					mode.Scale(alpha, got)
-					checkBitwise(t, fmt.Sprintf("Scale/threads=%d/det=%v", threads, mode.Deterministic), got, naive)
+				naive := append([]float64(nil), y...)
+				for i := range naive {
+					naive[i] += float64(alpha * x[i])
 				}
+				got := append([]float64(nil), y...)
+				blas.Axpy(alpha, x, got)
+				checkBitwise(t, fmt.Sprintf("Axpy/threads=%d", threads), got, naive)
+
+				naive = append(naive[:0:0], y...)
+				for i := range naive {
+					naive[i] = x[i] + float64(alpha*naive[i])
+				}
+				got = append(got[:0:0], y...)
+				blas.Xpay(alpha, x, got)
+				checkBitwise(t, fmt.Sprintf("Xpay/threads=%d", threads), got, naive)
+
+				naive = append(naive[:0:0], y...)
+				for i := range naive {
+					naive[i] *= alpha
+				}
+				got = append(got[:0:0], y...)
+				blas.Scale(alpha, got)
+				checkBitwise(t, fmt.Sprintf("Scale/threads=%d", threads), got, naive)
 			}
 		})
 	}

@@ -1,10 +1,6 @@
 package kernel
 
-import (
-	"fmt"
-
-	"repro/internal/matrix"
-)
+import "repro/internal/matrix"
 
 // The unrolled register-block bodies below are the Go equivalent of the
 // paper's Perl-generated SpMV inner loops: one fully unrolled body per tile
@@ -27,38 +23,8 @@ import (
 // one dependent chain: that, with one column index per tile, is why a
 // width-1 sweep over tiles that fill beats CSR.
 
-// compileBCSR selects the unrolled kernel for the matrix's tile shape.
-func compileBCSR[I matrix.Index](m *matrix.BCSR[I]) (Kernel, error) {
-	eng, err := newBCSREngine(m)
-	if err != nil {
-		return nil, err
-	}
-	name := fmt.Sprintf("bcsr%dx%d/%d", m.Shape.R, m.Shape.C, 8*matrix.IndexBytes[I]())
-	return newSerial(eng, m, name), nil
-}
-
-// bcsrEngine runs the width-1 body of the matrix's shape over every block
-// row. The bodies never write past row R, so only x is padded, to whole
-// tile columns.
-type bcsrEngine[I matrix.Index] struct {
-	m  *matrix.BCSR[I]
-	fn bcsrBody[I]
-}
-
 // bcsrBody sweeps block rows [lo, hi) at width 1.
 type bcsrBody[I matrix.Index] func(m *matrix.BCSR[I], y, x []float64, lo, hi int)
-
-func newBCSREngine[I matrix.Index](m *matrix.BCSR[I]) (*bcsrEngine[I], error) {
-	fn := bcsrWidth1[I](m.Shape)
-	if fn == nil {
-		return nil, fmt.Errorf("kernel: no unrolled BCSR body for shape %v", m.Shape)
-	}
-	return &bcsrEngine[I]{m: m, fn: fn}, nil
-}
-
-func (e *bcsrEngine[I]) run(y, x []float64) { e.fn(e.m, y, x, 0, e.m.BlockRows) }
-func (e *bcsrEngine[I]) rPad() int          { return e.m.R }
-func (e *bcsrEngine[I]) cPad() int          { return bcsrColsPadded(e.m) }
 
 // bcsrColsPadded is the x length (per lane) a BCSR body reads: whole tile
 // columns.

@@ -28,21 +28,16 @@ type ColPart struct {
 // vectors — profitable for short-wide matrices (LP) where x dwarfs y.
 type ParallelColumns struct {
 	rows, cols int
-	nnz        int64
-	parts      []colPart
+	parts      []widePart  // lo, hi bound the part's columns
 	priv       [][]float64 // per-thread private y
-}
-
-type colPart struct {
-	lo, hi int
-	eng    engine
-	xpad   []float64 // non-nil when the engine needs padded columns
+	fm         *partsFormat
 }
 
 // NewParallelColumns assembles the kernel. Parts must tile [0, cols) in
 // order, each encoding having dimensions rows × Span width.
 func NewParallelColumns(rows, cols int, parts []ColPart) (*ParallelColumns, error) {
-	p := &ParallelColumns{rows: rows, cols: cols}
+	p := &ParallelColumns{rows: rows, cols: cols, fm: &partsFormat{rows: rows, cols: cols,
+		name: fmt.Sprintf("parallel-columns[%d]", len(parts))}}
 	at := 0
 	for i, cp := range parts {
 		if cp.Span.Lo != at {
@@ -54,22 +49,13 @@ func NewParallelColumns(rows, cols int, parts []ColPart) (*ParallelColumns, erro
 			return nil, fmt.Errorf("kernel: column part %d encoding %dx%d, want %dx%d",
 				i, er, ec, rows, cp.Span.Hi-cp.Span.Lo)
 		}
-		eng, _, err := compileEngine(cp.Enc)
+		k, err := compileWide(cp.Enc, 1)
 		if err != nil {
 			return nil, fmt.Errorf("kernel: column part %d: %w", i, err)
 		}
-		pp := colPart{lo: cp.Span.Lo, hi: cp.Span.Hi, eng: eng}
-		if eng.cPad() > cp.Span.Hi-cp.Span.Lo {
-			pp.xpad = make([]float64, eng.cPad())
-		}
-		p.nnz += cp.Enc.NNZ()
-		p.parts = append(p.parts, pp)
-		// Private destination sized to the engine's padded row extent.
-		rp := eng.rPad()
-		if rp < rows {
-			rp = rows
-		}
-		p.priv = append(p.priv, make([]float64, rp))
+		p.parts = append(p.parts, widePart{lo: cp.Span.Lo, hi: cp.Span.Hi, k: k})
+		p.priv = append(p.priv, make([]float64, rows))
+		p.fm.encs = append(p.fm.encs, cp.Enc)
 	}
 	if at != cols {
 		return nil, fmt.Errorf("kernel: column parts end at %d, want %d", at, cols)
@@ -92,16 +78,8 @@ func (p *ParallelColumns) MulAdd(y, x []float64) error {
 		go func(i int) {
 			defer wg.Done()
 			pp := &p.parts[i]
-			priv := p.priv[i]
-			for j := range priv {
-				priv[j] = 0
-			}
-			xs := x[pp.lo:pp.hi]
-			if pp.xpad != nil {
-				copy(pp.xpad, xs)
-				xs = pp.xpad
-			}
-			pp.eng.run(priv, xs)
+			clear(p.priv[i])
+			pp.k.sweep(p.priv[i], x[pp.lo:pp.hi])
 		}(i)
 	}
 	wg.Wait()
@@ -132,22 +110,12 @@ func (p *ParallelColumns) MulAdd(y, x []float64) error {
 	return nil
 }
 
-// Format implements Kernel.
-func (p *ParallelColumns) Format() matrix.Format {
-	var stored, foot int64
-	for _, pp := range p.parts {
-		if fm := engineFormat(pp.eng); fm != nil {
-			stored += fm.Stored()
-			foot += fm.FootprintBytes()
-		}
-	}
-	return &syntheticFormat{r: p.rows, c: p.cols, stored: stored, foot: foot}
-}
+// Format implements Kernel: a Format whose accounting is the sum of the
+// slabs' own encodings.
+func (p *ParallelColumns) Format() matrix.Format { return p.fm }
 
 // Name implements Kernel.
-func (p *ParallelColumns) Name() string {
-	return fmt.Sprintf("parallel-columns[%d]", len(p.parts))
-}
+func (p *ParallelColumns) Name() string { return p.fm.name }
 
 // SegmentedScan is the dynamic-by-nonzeros parallelization: the nonzero
 // stream is split into equal contiguous chunks with no regard for row
@@ -245,7 +213,7 @@ func (s *SegmentedScan) MulAdd(y, x []float64) error {
 					row++
 					end = m.RowPtr[row+1]
 				}
-				sum += m.Val[k] * x[m.Col[k]]
+				sum += float64(m.Val[k] * x[m.Col[k]])
 			}
 			s.flush(t, row, first, last, sum, y)
 		}(t)

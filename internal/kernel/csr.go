@@ -6,21 +6,20 @@ import (
 	"repro/internal/matrix"
 )
 
-// compileCSR builds one of the three §4.1 CSR kernel variants.
+// compileCSR builds one of the three §4.1 CSR kernel variants. SingleLoop
+// is the CSR family's width-1 wide kernel — the width-1 loop of
+// csrMultiRows; Naive and Branchless are width-1-only study engines.
 func compileCSR[I matrix.Index](m *matrix.CSR[I], v Variant) Kernel {
-	var eng engine
+	var eng wideEngine
 	switch v {
 	case Naive:
 		eng = &naiveCSREngine[I]{m}
-	case SingleLoop:
-		eng = &singleLoopCSREngine[I]{m}
 	case Branchless:
 		eng = &branchlessCSREngine[I]{m}
 	default:
-		eng = &singleLoopCSREngine[I]{m}
+		v, eng = SingleLoop, &wideCSR[I]{m: m, nv: 1}
 	}
-	name := fmt.Sprintf("csr%d/%s", 8*matrix.IndexBytes[I](), v)
-	return newSerial(eng, m, name)
+	return newWideSerial(eng, m, 1, fmt.Sprintf("csr%d/%s", 8*matrix.IndexBytes[I](), v))
 }
 
 // naiveCSREngine is the conventional nested-loop CSR SpMV: per row, reload
@@ -32,35 +31,13 @@ func (e *naiveCSREngine[I]) run(y, x []float64) {
 	m := e.m
 	for i := 0; i < m.R; i++ {
 		for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
-			y[i] += m.Val[k] * x[m.Col[k]]
+			y[i] += float64(m.Val[k] * x[m.Col[k]])
 		}
 	}
 }
 
 func (e *naiveCSREngine[I]) rPad() int { return e.m.R }
 func (e *naiveCSREngine[I]) cPad() int { return e.m.C }
-
-// singleLoopCSREngine exploits the streaming property of CSR: the end of
-// one row is immediately followed by the beginning of the next, so a single
-// loop variable k walks Col/Val once while a register accumulator collects
-// each row's partial sum and is stored exactly once per row.
-type singleLoopCSREngine[I matrix.Index] struct{ m *matrix.CSR[I] }
-
-func (e *singleLoopCSREngine[I]) run(y, x []float64) {
-	m := e.m
-	k := int64(0)
-	for i := 0; i < m.R; i++ {
-		end := m.RowPtr[i+1]
-		sum := 0.0
-		for ; k < end; k++ {
-			sum += m.Val[k] * x[m.Col[k]]
-		}
-		y[i] += sum
-	}
-}
-
-func (e *singleLoopCSREngine[I]) rPad() int { return e.m.R }
-func (e *singleLoopCSREngine[I]) cPad() int { return e.m.C }
 
 // branchlessCSREngine is the segmented-scan-of-vector-length-one
 // formulation [Blelloch et al. 93]: one flat pass over the nonzeros with
@@ -86,7 +63,7 @@ func (e *branchlessCSREngine[I]) run(y, x []float64) {
 			row++
 			end = m.RowPtr[row+1]
 		}
-		sum += m.Val[k] * x[m.Col[k]]
+		sum += float64(m.Val[k] * x[m.Col[k]])
 	}
 	y[row] += sum // flush the final segment
 }

@@ -5,11 +5,16 @@
 // (loop structure, branch behaviour, register-tile unrolling that stands in
 // for the Perl code generator's SIMDized output) and parallelization
 // (row-partitioned threading with one goroutine per simulated core) — over
-// the data structures of internal/matrix (the second class). Optimizations
-// that cannot be expressed in portable Go (SIMD intrinsics, software
-// prefetch, DMA) are accounted for by the platform model in internal/sim.
+// the data structures of internal/matrix (the second class). On amd64 the
+// fused multi-RHS sweeps of CSR and BCSR also run AVX bodies written in
+// assembly (csrmulti_amd64.s, bcsrmulti_amd64.s) with the Go bodies' bits.
+// Software prefetch and DMA are accounted for by the platform model in
+// internal/sim.
 //
-// Every kernel computes y ← y + A·x and is bit-for-bit deterministic.
+// Each encoding has one engine — one loop nest, run at any fused width —
+// and the scalar Kernel of an encoding is its width-1 sweep, so MulAdd and
+// lane v of every wide sweep return the same bits. Every kernel computes
+// y ← y + A·x and is bit-for-bit deterministic.
 package kernel
 
 import (
@@ -27,70 +32,6 @@ type Kernel interface {
 	// Name identifies the kernel variant, e.g. "bcsr2x4/16".
 	Name() string
 }
-
-// engine is the internal compute interface. run operates on padded vectors:
-// len(ypad) >= rPad() and len(xpad) >= cPad(), where the pad regions are
-// zero on entry for x and ignored on exit for y. Padding lets register-
-// blocked kernels stay fully unrolled with no edge-case branches, the same
-// trick the paper's generated kernels use by rounding the vectors up to the
-// tile size. (BCSR pads x only: its bodies hand a short last tile row to a
-// generic loop.)
-type engine interface {
-	run(ypad, xpad []float64)
-	rPad() int
-	cPad() int
-}
-
-// serial wraps an engine into a Kernel, managing pad buffers.
-type serial struct {
-	eng  engine
-	fm   matrix.Format
-	name string
-	ypad []float64 // nil when rPad == rows
-	xpad []float64 // nil when cPad == cols
-}
-
-func newSerial(eng engine, fm matrix.Format, name string) *serial {
-	r, c := fm.Dims()
-	s := &serial{eng: eng, fm: fm, name: name}
-	if eng.rPad() > r {
-		s.ypad = make([]float64, eng.rPad())
-	}
-	if eng.cPad() > c {
-		s.xpad = make([]float64, eng.cPad())
-	}
-	return s
-}
-
-// MulAdd implements Kernel.
-func (s *serial) MulAdd(y, x []float64) error {
-	r, c := s.fm.Dims()
-	if len(y) != r || len(x) != c {
-		return fmt.Errorf("%w: matrix %dx%d with len(y)=%d len(x)=%d",
-			matrix.ErrShape, r, c, len(y), len(x))
-	}
-	xp := x
-	if s.xpad != nil {
-		copy(s.xpad, x)
-		xp = s.xpad
-	}
-	yp := y
-	if s.ypad != nil {
-		copy(s.ypad, y)
-		yp = s.ypad
-	}
-	s.eng.run(yp, xp)
-	if s.ypad != nil {
-		copy(y, s.ypad[:r])
-	}
-	return nil
-}
-
-// Format implements Kernel.
-func (s *serial) Format() matrix.Format { return s.fm }
-
-// Name implements Kernel.
-func (s *serial) Name() string { return s.name }
 
 // Variant selects among the CSR code-optimization levels of §4.1.
 type Variant int
@@ -126,32 +67,24 @@ func (v Variant) String() string {
 	}
 }
 
-// Compile builds the best available kernel for an encoded matrix. CSR
-// formats get the SingleLoop variant (use CompileCSR for explicit variant
-// control); blocked and composite formats get their unrolled kernels.
+// Compile builds the kernel of an encoded matrix: the width-1 sweep of
+// its encoding's engine (CSR formats get the SingleLoop variant; use
+// CompileCSR for explicit variant control). Concurrent MulAdd calls are
+// safe: pad scratch is pooled per call.
 func Compile(fm matrix.Format) (Kernel, error) {
 	switch m := fm.(type) {
-	case *matrix.COO:
-		return newSerial(&cooEngine{m}, m, "coo"), nil
 	case *matrix.CSR16:
 		return compileCSR(m, SingleLoop), nil
 	case *matrix.CSR32:
 		return compileCSR(m, SingleLoop), nil
-	case *matrix.BCSR[uint16]:
-		return compileBCSR(m)
-	case *matrix.BCSR[uint32]:
-		return compileBCSR(m)
-	case *matrix.BCOO[uint16]:
-		return compileBCOO(m)
-	case *matrix.BCOO[uint32]:
-		return compileBCOO(m)
-	case *matrix.CacheBlocked:
-		return compileCacheBlocked(m)
 	case *matrix.SymCSR:
 		return NewSymSweep(m, 1)
-	default:
-		return nil, fmt.Errorf("kernel: no kernel for format %T", fm)
 	}
+	k, err := compileWide(fm, 1)
+	if err != nil {
+		return nil, err
+	}
+	return k, nil
 }
 
 // CompileCSR builds a CSR kernel with an explicit code-optimization
@@ -166,17 +99,3 @@ func CompileCSR(fm matrix.Format, v Variant) (Kernel, error) {
 		return nil, fmt.Errorf("kernel: CompileCSR needs a CSR matrix, got %T", fm)
 	}
 }
-
-// cooEngine is the reference triplet engine (used for testing and as the
-// encoding of last resort inside cache blocks).
-type cooEngine struct{ m *matrix.COO }
-
-func (e *cooEngine) run(y, x []float64) {
-	m := e.m
-	for k := range m.Val {
-		y[m.RowIdx[k]] += m.Val[k] * x[m.ColIdx[k]]
-	}
-}
-
-func (e *cooEngine) rPad() int { return e.m.R }
-func (e *cooEngine) cPad() int { return e.m.C }

@@ -162,6 +162,10 @@ func TestBCSRKernelsMatchReferenceAllShapes(t *testing.T) {
 	}
 }
 
+// TestBCOOKernelsMatchReferenceAllShapes holds every BCOO shape, at both
+// index widths, to the reference within rounding, and its one loop nest to
+// itself bitwise: lane v of the width-k sweep, k = 1..8, is the width-1
+// body's answer for vector v.
 func TestBCOOKernelsMatchReferenceAllShapes(t *testing.T) {
 	for name, m := range testMatrices(t) {
 		csr, err := matrix.NewCSR[uint32](m)
@@ -169,17 +173,63 @@ func TestBCOOKernelsMatchReferenceAllShapes(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, shape := range matrix.BlockShapes {
-			b, err := matrix.NewBCOO[uint32](csr, shape)
+			b32, err := matrix.NewBCOO[uint32](csr, shape)
 			if err != nil {
 				t.Fatalf("%s %v: %v", name, shape, err)
 			}
-			k, err := Compile(b)
+			b16, err := matrix.NewBCOO[uint16](csr, shape)
 			if err != nil {
 				t.Fatalf("%s %v: %v", name, shape, err)
 			}
 			t.Run(name+"/bcoo"+shape.String(), func(t *testing.T) {
-				checkKernel(t, k, m, 1e-12)
+				for _, b := range []matrix.Format{b32, b16} {
+					k, err := Compile(b)
+					if err != nil {
+						t.Fatal(err)
+					}
+					checkKernel(t, k, m, 1e-12)
+					checkLanesAreWidth1(t, k, b)
+				}
 			})
+		}
+	}
+}
+
+// checkLanesAreWidth1 asserts that lane v of fm's width-k sweep, for
+// k = 1..8, is bitwise the scalar kernel's answer for vector v.
+func checkLanesAreWidth1(t *testing.T, k Kernel, fm matrix.Format) {
+	t.Helper()
+	rows, cols := fm.Dims()
+	rng := rand.New(rand.NewSource(5))
+	xs := make([][]float64, 8)
+	want := make([][]float64, 8)
+	for v := range xs {
+		xs[v] = make([]float64, cols)
+		for j := range xs[v] {
+			xs[v][j] = rng.NormFloat64()
+		}
+		want[v] = make([]float64, rows)
+		if err := k.MulAdd(want[v], xs[v]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for width := 1; width <= 8; width++ {
+		w, err := NewWide(fm, width)
+		if err != nil {
+			t.Fatal(err)
+		}
+		x, err := Interleave(xs[:width])
+		if err != nil {
+			t.Fatal(err)
+		}
+		y := make([]float64, rows*width)
+		if err := w.MulAddBlock(y, x); err != nil {
+			t.Fatal(err)
+		}
+		for i, got := range y {
+			if r, v := i/width, i%width; math.Float64bits(got) != math.Float64bits(want[v][r]) {
+				t.Fatalf("%s: lane %d row %d: %v, width-1 body %v", w.Name(), v, r, got, want[v][r])
+			}
 		}
 	}
 }
@@ -296,7 +346,8 @@ func TestParallelKernel(t *testing.T) {
 			t.Errorf("threads=%d: got %d", threads, pk.Threads())
 		}
 		checkKernel(t, pk, m, 1e-12)
-		// Sequential mode must agree exactly with parallel mode.
+		// Parts run one after another must agree exactly with parts run
+		// on their own goroutines.
 		x := make([]float64, 173)
 		for i := range x {
 			x[i] = rng.NormFloat64()
@@ -306,13 +357,19 @@ func TestParallelKernel(t *testing.T) {
 		if err := pk.MulAdd(y1, x); err != nil {
 			t.Fatal(err)
 		}
-		pk.SetSequential(true)
-		if err := pk.MulAdd(y2, x); err != nil {
+		if err := pk.MulAddBlockExec(y2, x, serialExec); err != nil {
 			t.Fatal(err)
 		}
 		if d := maxAbsDiff(y1, y2); d != 0 {
 			t.Errorf("threads=%d: parallel vs sequential diff %g", threads, d)
 		}
+	}
+}
+
+// serialExec runs tasks one after another on the calling goroutine.
+func serialExec(tasks []func()) {
+	for _, task := range tasks {
+		task()
 	}
 }
 

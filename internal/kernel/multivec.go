@@ -63,8 +63,8 @@ func (mv *MultiVec) MulAddRows(y, x []float64, lo, hi int) error {
 
 // csrMultiRows is the one CSR multi-RHS loop nest: rows [lo, hi) of
 // Y ← Y + A·X over interleaved width-nv blocks, at either index width.
-// MultiVec and the CSR-backed Wide kernels both run it, so they cannot
-// differ in bits or in speed. Each lane sums its row's products in stored
+// MultiVec, the CSR-backed Wide kernels and the scalar CSR kernel all run
+// it, so they cannot differ in bits or in speed. Each lane sums its row's products in stored
 // (ascending column) order into one accumulator and adds the sum into y
 // once — the same per-lane operation order at every width, which is why
 // lane v of a width-k sweep equals the width-1 sweep bit for bit. Each

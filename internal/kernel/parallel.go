@@ -18,60 +18,37 @@ type Part struct {
 	Enc   matrix.Format
 }
 
-// Parallel is a row-partitioned multithreaded SpMV kernel. Each part is
-// executed by its own goroutine (standing in for a pinned Pthread); parts
-// own disjoint destination ranges, so the only shared state is the
-// read-only source vector. Concurrent MulAdd calls are safe: the padded
-// source and destination copies a call needs are its own, drawn from
-// scratch.
+// Parallel is a row-partitioned multithreaded SpMV kernel over interleaved
+// width-k blocks: each part's encoding runs its own engine, on its own
+// goroutine (standing in for a pinned Pthread), over the part's disjoint
+// destination rows, so the only shared state is the read-only source.
+// NewParallel builds the width-1 kernel, whose MulAdd is y ← y + A·x;
+// Wide(k) is the width-k view of the same parts. Rows being disjoint, the bits are those
+// of running the parts one after another, at every width and under any
+// scheduling. Concurrent calls are safe: the padded source a call needs
+// comes from pooled scratch, as does each part's padded destination.
 type Parallel struct {
 	rows, cols int
-	nnz        int64
-	parts      []parallelPart
-	src        []Part // the encoded parts as assembled (for wide views)
-	cpad       int
-	scratch    sync.Pool // *parallelScratch, one per MulAdd in flight
+	nv         int
+	parts      []widePart
+	src        []Part // the encoded parts as assembled
+	xlen       int    // padded x block length: the widest part's cPad·nv
+	pads       sync.Pool
+	fm         *partsFormat
 	name       string
-	seq        bool // run parts sequentially (for deterministic profiling)
 }
 
-type parallelPart struct {
+// widePart is one part's row range and its width-nv kernel.
+type widePart struct {
 	lo, hi int
-	eng    engine
-}
-
-// parallelScratch is the padding one MulAdd call works in: the source
-// extended with zeros to the widest engine's padded column extent (nil
-// when no engine reads past cols) and, per part, a private destination
-// whose padded extent would otherwise spill into the next part's rows
-// (nil when the engine fits its row range). Pad elements beyond the
-// copied-in data are never read back, so recycled scratch needs no
-// clearing: xpad's tail is allocated zero and never written.
-type parallelScratch struct {
-	xpad []float64
-	ypad [][]float64
-}
-
-func (p *Parallel) newScratch() *parallelScratch {
-	sc := &parallelScratch{ypad: make([][]float64, len(p.parts))}
-	if p.cpad > p.cols {
-		sc.xpad = make([]float64, p.cpad)
-	}
-	for i := range p.parts {
-		pp := &p.parts[i]
-		if rp := pp.eng.rPad(); rp > pp.hi-pp.lo {
-			sc.ypad[i] = make([]float64, rp)
-		}
-	}
-	return sc
+	k      *wideSerial
 }
 
 // NewParallel assembles a parallel kernel from encoded parts. The parts
 // must tile the row space in order.
 func NewParallel(rows, cols int, parts []Part) (*Parallel, error) {
-	p := &Parallel{rows: rows, cols: cols, cpad: cols,
-		name: fmt.Sprintf("parallel[%d]", len(parts))}
 	at := 0
+	encs := make([]matrix.Format, len(parts))
 	for i, pt := range parts {
 		if pt.Range.Lo != at {
 			return nil, fmt.Errorf("kernel: part %d starts at row %d, want %d", i, pt.Range.Lo, at)
@@ -82,182 +59,155 @@ func NewParallel(rows, cols int, parts []Part) (*Parallel, error) {
 			return nil, fmt.Errorf("kernel: part %d encoding %dx%d, want %dx%d",
 				i, er, ec, pt.Range.Rows(), cols)
 		}
-		eng, _, err := compileEngine(pt.Enc)
-		if err != nil {
-			return nil, fmt.Errorf("kernel: part %d: %w", i, err)
-		}
-		if eng.cPad() > p.cpad {
-			p.cpad = eng.cPad()
-		}
-		p.nnz += pt.Enc.NNZ()
-		p.parts = append(p.parts, parallelPart{lo: pt.Range.Lo, hi: pt.Range.Hi, eng: eng})
+		encs[i] = pt.Enc
 	}
 	if at != rows {
 		return nil, fmt.Errorf("kernel: parts end at row %d, want %d", at, rows)
 	}
-	p.src = append([]Part(nil), parts...)
+	p := &Parallel{
+		rows: rows, cols: cols,
+		src: append([]Part(nil), parts...),
+		fm: &partsFormat{rows: rows, cols: cols, encs: encs,
+			name: fmt.Sprintf("parallel[%d]", len(parts))},
+	}
+	if err := p.compile(1); err != nil {
+		return nil, err
+	}
 	return p, nil
 }
 
-// Parts returns the encoded row parts the kernel was assembled from, in
-// row order. NewWideParallel builds width-k views of the same
-// decomposition from them.
-func (p *Parallel) Parts() []Part { return p.src }
+// compile builds the parts' width-nv kernels.
+func (p *Parallel) compile(nv int) error {
+	p.nv, p.name, p.xlen = nv, p.fm.name, p.cols*nv
+	if nv > 1 {
+		p.name = fmt.Sprintf("%s/wide%d", p.name, nv)
+	}
+	p.parts = make([]widePart, len(p.src))
+	for i, pt := range p.src {
+		k, err := compileWide(pt.Enc, nv)
+		if err != nil {
+			return fmt.Errorf("kernel: part %d: %w", i, err)
+		}
+		p.xlen = max(p.xlen, k.xlen)
+		p.parts[i] = widePart{lo: pt.Range.Lo, hi: pt.Range.Hi, k: k}
+	}
+	return nil
+}
 
-// SetSequential forces the parts to run one after another on the calling
-// goroutine. The simulator uses this to obtain deterministic per-part
-// traces; results are identical either way.
-func (p *Parallel) SetSequential(seq bool) { p.seq = seq }
+// Wide returns the width-k view of the kernel: the same parts, each with
+// its width-k engine.
+func (p *Parallel) Wide(width int) (*Parallel, error) {
+	if width < 1 {
+		return nil, fmt.Errorf("kernel: need at least 1 vector, got %d", width)
+	}
+	if width == p.nv {
+		return p, nil
+	}
+	w := &Parallel{rows: p.rows, cols: p.cols, src: p.src, fm: p.fm}
+	if err := w.compile(width); err != nil {
+		return nil, err
+	}
+	return w, nil
+}
+
+// Parts returns the encoded row parts the kernel was assembled from, in
+// row order.
+func (p *Parallel) Parts() []Part { return p.src }
 
 // Threads returns the number of parts (one goroutine each).
 func (p *Parallel) Threads() int { return len(p.parts) }
 
-// MulAdd implements Kernel. Parts own disjoint destination rows, so the
-// per-row reduction order is fixed regardless of scheduling — the
-// bitwise thread-invariance contract spmv-vet's detpure analyzer guards.
+// Width returns the fused vector count k.
+func (p *Parallel) Width() int { return p.nv }
+
+// MulAdd implements Kernel; it is MulAddBlock, which at width 1 computes
+// y ← y + A·x.
 //
 //spmv:deterministic
-func (p *Parallel) MulAdd(y, x []float64) error {
-	if len(y) != p.rows || len(x) != p.cols {
-		return fmt.Errorf("%w: matrix %dx%d with len(y)=%d len(x)=%d",
-			matrix.ErrShape, p.rows, p.cols, len(y), len(x))
+func (p *Parallel) MulAdd(y, x []float64) error { return p.MulAddBlockExec(y, x, nil) }
+
+// MulAddBlock computes Y ← Y + A·X over interleaved width-k blocks,
+// running the parts on their own goroutines.
+//
+//spmv:deterministic
+func (p *Parallel) MulAddBlock(y, x []float64) error { return p.MulAddBlockExec(y, x, nil) }
+
+// MulAddBlockExec is MulAddBlock with the per-part tasks scheduled through
+// exec (nil runs them on the kernel's own goroutines). Scheduling never
+// changes result bits: parts own disjoint destination rows, so each row's
+// reduction order is fixed — the bitwise thread-invariance contract
+// spmv-vet's detpure analyzer guards.
+//
+//spmv:deterministic
+func (p *Parallel) MulAddBlockExec(y, x []float64, exec Exec) error {
+	if len(y) != p.rows*p.nv || len(x) != p.cols*p.nv {
+		return fmt.Errorf("%w: matrix %dx%d with %d vectors: len(y)=%d len(x)=%d",
+			matrix.ErrShape, p.rows, p.cols, p.nv, len(y), len(x))
 	}
-	sc, _ := p.scratch.Get().(*parallelScratch)
-	if sc == nil {
-		sc = p.newScratch()
-	}
-	defer p.scratch.Put(sc)
+	// Pad x once for every part. The scratch is this view's alone and
+	// only its first len(x) elements are ever written, so its zero tail
+	// needs no clearing.
 	xp := x
-	if sc.xpad != nil {
-		copy(sc.xpad, x)
-		xp = sc.xpad
-	}
-	if p.seq {
-		for i := range p.parts {
-			p.parts[i].mulAdd(y, xp, sc.ypad[i])
+	if p.xlen > len(x) {
+		sc, _ := p.pads.Get().(*[]float64)
+		if sc == nil {
+			sc = new([]float64)
+			*sc = make([]float64, p.xlen)
 		}
+		defer p.pads.Put(sc)
+		xp = *sc
+		copy(xp, x)
+	}
+	if exec == nil {
+		var wg sync.WaitGroup
+		wg.Add(len(p.parts))
+		for i := range p.parts {
+			go func(pt *widePart) {
+				defer wg.Done()
+				pt.k.sweep(y[pt.lo*p.nv:pt.hi*p.nv], xp)
+			}(&p.parts[i])
+		}
+		wg.Wait()
 		return nil
 	}
-	var wg sync.WaitGroup
-	wg.Add(len(p.parts))
+	tasks := make([]func(), len(p.parts))
 	for i := range p.parts {
-		go func(pp *parallelPart, ypad []float64) {
-			defer wg.Done()
-			pp.mulAdd(y, xp, ypad)
-		}(&p.parts[i], sc.ypad[i])
+		pt := &p.parts[i]
+		tasks[i] = func() { pt.k.sweep(y[pt.lo*p.nv:pt.hi*p.nv], xp) }
 	}
-	wg.Wait()
+	exec(tasks)
 	return nil
 }
 
-// mulAdd runs one part against the full-length destination and padded
-// source. A private ypad is used whenever the engine's padded extent would
-// spill into a neighbouring part's rows, which would otherwise be a data
-// race (even though the spilled contributions are arithmetically zero).
-func (pp *parallelPart) mulAdd(y, xp, ypad []float64) {
-	if ypad == nil {
-		pp.eng.run(y[pp.lo:pp.hi], xp)
-		return
-	}
-	copy(ypad, y[pp.lo:pp.hi])
-	pp.eng.run(ypad, xp)
-	copy(y[pp.lo:pp.hi], ypad[:pp.hi-pp.lo])
-}
-
-// Format implements Kernel. The parallel kernel is itself a composite; it
-// reports a synthetic Format describing the union of its parts.
-func (p *Parallel) Format() matrix.Format { return (*parallelFormat)(p) }
+// Format implements Kernel: a Format whose accounting is the sum of the
+// parts' own encodings.
+func (p *Parallel) Format() matrix.Format { return p.fm }
 
 // Name implements Kernel.
 func (p *Parallel) Name() string { return p.name }
 
-// parallelFormat adapts Parallel to the matrix.Format interface so that
-// footprint accounting can treat threaded matrices uniformly.
-type parallelFormat Parallel
+// partsFormat adapts a kernel assembled from separately encoded parts to
+// the matrix.Format interface, so footprint accounting can treat threaded
+// matrices uniformly.
+type partsFormat struct {
+	rows, cols int
+	name       string
+	encs       []matrix.Format
+}
 
-func (f *parallelFormat) Dims() (int, int) { return f.rows, f.cols }
-func (f *parallelFormat) NNZ() int64       { return f.nnz }
+func (f *partsFormat) Dims() (int, int)   { return f.rows, f.cols }
+func (f *partsFormat) FormatName() string { return f.name }
 
-func (f *parallelFormat) Stored() int64 {
+func (f *partsFormat) NNZ() int64 { return f.sum(matrix.Format.NNZ) }
+
+func (f *partsFormat) Stored() int64 { return f.sum(matrix.Format.Stored) }
+
+func (f *partsFormat) FootprintBytes() int64 { return f.sum(matrix.Format.FootprintBytes) }
+
+func (f *partsFormat) sum(of func(matrix.Format) int64) int64 {
 	var s int64
-	for _, pp := range f.parts {
-		s += engineStored(pp.eng)
+	for _, e := range f.encs {
+		s += of(e)
 	}
 	return s
 }
-
-func (f *parallelFormat) FootprintBytes() int64 {
-	var s int64
-	for _, pp := range f.parts {
-		s += engineFootprint(pp.eng)
-	}
-	return s
-}
-
-func (f *parallelFormat) FormatName() string { return (*Parallel)(f).name }
-
-// engineStored and engineFootprint recover the Format carried by an engine.
-func engineStored(e engine) int64 {
-	if fm := engineFormat(e); fm != nil {
-		return fm.Stored()
-	}
-	return 0
-}
-
-func engineFootprint(e engine) int64 {
-	if fm := engineFormat(e); fm != nil {
-		return fm.FootprintBytes()
-	}
-	return 0
-}
-
-func engineFormat(e engine) matrix.Format {
-	switch t := e.(type) {
-	case *cooEngine:
-		return t.m
-	case *naiveCSREngine[uint16]:
-		return t.m
-	case *naiveCSREngine[uint32]:
-		return t.m
-	case *singleLoopCSREngine[uint16]:
-		return t.m
-	case *singleLoopCSREngine[uint32]:
-		return t.m
-	case *branchlessCSREngine[uint16]:
-		return t.m
-	case *branchlessCSREngine[uint32]:
-		return t.m
-	case *bcsrEngine[uint16]:
-		return t.m
-	case *bcsrEngine[uint32]:
-		return t.m
-	case *bcooEngine[uint16]:
-		return t.m
-	case *bcooEngine[uint32]:
-		return t.m
-	case *compositeEngine:
-		var s, f int64
-		for _, b := range t.blocks {
-			if fm := engineFormat(b.eng); fm != nil {
-				s += fm.Stored()
-				f += fm.FootprintBytes()
-			}
-		}
-		return &syntheticFormat{r: t.rp, c: t.cp, stored: s, foot: f}
-	default:
-		return nil
-	}
-}
-
-// syntheticFormat carries aggregate accounting for composite engines.
-type syntheticFormat struct {
-	r, c   int
-	stored int64
-	foot   int64
-}
-
-func (f *syntheticFormat) Dims() (int, int)      { return f.r, f.c }
-func (f *syntheticFormat) NNZ() int64            { return f.stored }
-func (f *syntheticFormat) Stored() int64         { return f.stored }
-func (f *syntheticFormat) FootprintBytes() int64 { return f.foot }
-func (f *syntheticFormat) FormatName() string    { return "composite" }

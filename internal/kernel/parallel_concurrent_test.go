@@ -12,13 +12,16 @@ import (
 	"repro/internal/tune"
 )
 
-// TestParallelConcurrentMulAdd runs one tuned two-part kernel — what
-// spmv.CompileParallel builds — from several goroutines at once, each with
-// its own x. The FEM twin tunes to register blocks whose padded extents
-// pass the part boundaries, so every call needs padded copies of x and of
-// each part's y; when calls shared those copies they overwrote each
-// other's vectors. Every result must equal the serial tuned kernel's bit
-// for bit.
+// TestParallelConcurrentMulAdd runs one compiled kernel from several
+// goroutines at once, each with its own x. Every kernel here reads or
+// writes past the matrix edge, so every call needs padded copies of x or
+// of y; when calls shared those copies they overwrote each other's
+// vectors. The cases are a tuned two-part kernel — what
+// spmv.CompileParallel builds; the FEM twin tunes to register blocks
+// whose padded extents pass the part boundaries — and serial kernels from
+// Compile: BCSR 4×4 over 63 columns, BCOO over ragged edges, and a
+// cache-blocked matrix whose last tile is padded. Every result must equal
+// the kernel's own single-goroutine answer bit for bit.
 func TestParallelConcurrentMulAdd(t *testing.T) {
 	coo, err := gen.GenerateByName("FEM/Cantilever", 0.013, 7)
 	if err != nil {
@@ -32,22 +35,42 @@ func TestParallelConcurrentMulAdd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial, err := serialTwin(pk)
+	ragged := randomCSR(t, 201, 63, 3000, 5)
+	b4x4, err := matrix.NewBCSR[uint32](ragged, matrix.BlockShape{R: 4, C: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
+	bcoo, err := matrix.NewBCOO[uint16](ragged, matrix.BlockShape{R: 2, C: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name string
+		k    kernel.Kernel
+	}{
+		{"tuned-parallel", pk},
+		{"bcsr4x4", compile(t, b4x4)},
+		{"bcoo2x4", compile(t, bcoo)},
+		{"cacheblocked", compile(t, paddedCacheBlocked(t))},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) { checkConcurrentMulAdd(t, tc.k) })
+	}
+}
 
+func checkConcurrentMulAdd(t *testing.T, k kernel.Kernel) {
+	rows, cols := k.Format().Dims()
 	const goroutines, rounds = 6, 40
 	rng := rand.New(rand.NewSource(11))
 	xs := make([][]float64, goroutines)
 	want := make([][]float64, goroutines)
 	for g := range xs {
-		xs[g] = make([]float64, csr.C)
+		xs[g] = make([]float64, cols)
 		for j := range xs[g] {
 			xs[g][j] = rng.NormFloat64()
 		}
-		want[g] = make([]float64, csr.R)
-		if err := serial.MulAdd(want[g], xs[g]); err != nil {
+		want[g] = make([]float64, rows)
+		if err := k.MulAdd(want[g], xs[g]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -58,10 +81,10 @@ func TestParallelConcurrentMulAdd(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			y := make([]float64, csr.R)
+			y := make([]float64, rows)
 			for r := 0; r < rounds; r++ {
 				clear(y)
-				if err := pk.MulAdd(y, xs[g]); err != nil {
+				if err := k.MulAdd(y, xs[g]); err != nil {
 					t.Error(err)
 					return
 				}
@@ -77,21 +100,69 @@ func TestParallelConcurrentMulAdd(t *testing.T) {
 	wg.Wait()
 	for g, n := range wrong {
 		if n > 0 {
-			t.Errorf("goroutine %d: %d of %d concurrent results differ from the serial kernel", g, n, rounds)
+			t.Errorf("goroutine %d: %d of %d concurrent results differ from the single-goroutine ones", g, n, rounds)
 		}
 	}
 }
 
-// serialTwin assembles the same encoded parts into a kernel that runs them
-// one after another on the caller's goroutine: the serial reference.
-func serialTwin(pk *kernel.Parallel) (*kernel.Parallel, error) {
-	parts := pk.Parts()
-	rows := parts[len(parts)-1].Range.Hi
-	_, cols := parts[0].Enc.Dims()
-	s, err := kernel.NewParallel(rows, cols, parts)
+func compile(t *testing.T, fm matrix.Format) kernel.Kernel {
+	t.Helper()
+	k, err := kernel.Compile(fm)
 	if err != nil {
-		return nil, err
+		t.Fatal(err)
 	}
-	s.SetSequential(true)
-	return s, nil
+	return k
+}
+
+// randomCSR draws nnz entries (duplicates summed) of a rows×cols matrix.
+func randomCSR(t *testing.T, rows, cols, nnz int, seed int64) *matrix.CSR32 {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	coo := matrix.NewCOO(rows, cols)
+	for n := 0; n < nnz; n++ {
+		if err := coo.Append(rng.Intn(rows), rng.Intn(cols), rng.NormFloat64()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	csr, err := matrix.NewCSR[uint32](coo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return csr
+}
+
+// paddedCacheBlocked is a 101×151 matrix in a 2×2 grid of cache blocks,
+// BCSR and BCOO tiles, whose last block (51×76 in 4×4 BCOO tiles) pads
+// both vectors past the matrix edge.
+func paddedCacheBlocked(t *testing.T) *matrix.CacheBlocked {
+	t.Helper()
+	csr := randomCSR(t, 101, 151, 2500, 9)
+	var blocks []matrix.CacheBlock
+	for i, rb := range [][2]int{{0, 50}, {50, 101}} {
+		for j, cb := range [][2]int{{0, 75}, {75, 151}} {
+			sub, err := matrix.NewCSR[uint32](csr.SubmatrixCOO(rb[0], rb[1], cb[0], cb[1]))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var enc matrix.Format
+			if (i+j)%2 == 0 {
+				enc, err = matrix.NewBCOO[uint16](sub, matrix.BlockShape{R: 4, C: 4})
+			} else {
+				enc, err = matrix.NewBCSR[uint16](sub, matrix.BlockShape{R: 2, C: 4})
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			blocks = append(blocks, matrix.CacheBlock{
+				RowOff: rb[0], ColOff: cb[0],
+				Rows: rb[1] - rb[0], Cols: cb[1] - cb[0],
+				Enc: enc,
+			})
+		}
+	}
+	cb := matrix.NewCacheBlocked(101, 151, blocks)
+	if err := cb.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	return cb
 }

@@ -15,12 +15,14 @@ import (
 // symmetric — combining the paper's two biggest bandwidth reductions
 // (data-structure compression and multiple vectors, §2.1) in one sweep.
 //
-// Lanes are independent and each lane accumulates in the same order at
-// every width, so lane v of a width-k sweep is bitwise identical to the
-// width-1 sweep of the same kernel. CSR-backed Wide kernels run MultiVec's
-// own loop nest (csrMultiRows), so at either index width their bits and
-// their speed are MultiVec's; BCSR-backed ones run bcsrMultiRows, which
-// sums each row in the same order and so returns the same bits.
+// Every encoding has one loop nest, and the scalar Kernel Compile returns
+// is its width-1 sweep. Lanes are independent and each lane accumulates
+// in the same order at every width, so lane v of a width-k sweep is
+// bitwise identical to the width-1 sweep — to the scalar kernel's MulAdd.
+// CSR-backed Wide kernels run MultiVec's own loop nest (csrMultiRows), so
+// at either index width their bits and their speed are MultiVec's;
+// BCSR-backed ones run bcsrMultiRows, which sums each row in the same
+// order and so returns the same bits.
 type Wide interface {
 	// MulAddBlock computes Y ← Y + A·X over interleaved width-k blocks.
 	// Safe for concurrent use.
@@ -32,8 +34,8 @@ type Wide interface {
 }
 
 // NewWide compiles a width-k multi-RHS kernel for an encoded matrix. Every
-// format internal/tune can produce is supported; parallel composites are
-// built with NewWideParallel instead.
+// format internal/tune can produce is supported; the width-k view of a
+// parallel kernel is Parallel.Wide.
 func NewWide(fm matrix.Format, width int) (Wide, error) {
 	if width < 1 {
 		return nil, fmt.Errorf("kernel: need at least 1 vector, got %d", width)
@@ -45,17 +47,21 @@ func NewWide(fm matrix.Format, width int) (Wide, error) {
 		}
 		return &wideSym{sw: sw, nv: width}, nil
 	}
-	eng, name, err := newWideEngine(fm, width)
+	w, err := compileWide(fm, width)
 	if err != nil {
 		return nil, err
 	}
-	r, c := fm.Dims()
-	return newWideSerial(eng, r, c, width, fmt.Sprintf("%s/wide%d", name, width)), nil
+	w.name = fmt.Sprintf("%s/wide%d", w.name, width)
+	return w, nil
 }
 
-// wideEngine is the internal compute interface, the width-k analogue of
-// engine: run operates on padded interleaved blocks of len >= rPad()*k and
-// cPad()*k, with x's pad region zero on entry and y's ignored on exit.
+// wideEngine is the internal compute interface of every encoding: run
+// operates on padded interleaved blocks of len >= rPad()*k and cPad()*k,
+// with x's pad region zero on entry and y's ignored on exit. Padding lets
+// the unrolled bodies run without edge-case branches, the same trick the
+// paper's generated kernels use by rounding the vectors up to the tile
+// size. (BCSR pads x only: its bodies hand a short last tile row to the
+// generic body.)
 type wideEngine interface {
 	run(ypad, xpad []float64)
 	rPad() int
@@ -83,15 +89,27 @@ func newWideEngine(fm matrix.Format, nv int) (wideEngine, string, error) {
 		eng, err := newWideComposite(m, nv)
 		return eng, fmt.Sprintf("cacheblocked[%d]", len(m.Blocks)), err
 	default:
-		return nil, "", fmt.Errorf("kernel: no wide kernel for format %T", fm)
+		return nil, "", fmt.Errorf("kernel: no kernel for format %T", fm)
 	}
 }
 
-// wideSerial wraps a wideEngine into a Wide, managing pad scratch. Unlike
-// the scalar serial wrapper, pad buffers come from a pool so concurrent
-// sweeps (a serving layer's overlapping batches) never share scratch.
+// compileWide builds the width-nv serial kernel of an encoding, named
+// after the encoding.
+func compileWide(fm matrix.Format, nv int) (*wideSerial, error) {
+	eng, name, err := newWideEngine(fm, nv)
+	if err != nil {
+		return nil, err
+	}
+	return newWideSerial(eng, fm, nv, name), nil
+}
+
+// wideSerial wraps a wideEngine into a Wide — and, at width 1, into the
+// scalar Kernel. Pad buffers come from a pool, so concurrent sweeps (a
+// serving layer's overlapping batches, or goroutines sharing one compiled
+// kernel) never share scratch.
 type wideSerial struct {
 	eng        wideEngine
+	fm         matrix.Format
 	rows, cols int
 	nv         int
 	name       string
@@ -101,9 +119,10 @@ type wideSerial struct {
 
 type wideScratch struct{ y, x []float64 }
 
-func newWideSerial(eng wideEngine, rows, cols, nv int, name string) *wideSerial {
+func newWideSerial(eng wideEngine, fm matrix.Format, nv int, name string) *wideSerial {
+	rows, cols := fm.Dims()
 	return &wideSerial{
-		eng: eng, rows: rows, cols: cols, nv: nv, name: name,
+		eng: eng, fm: fm, rows: rows, cols: cols, nv: nv, name: name,
 		ylen: eng.rPad() * nv, xlen: eng.cPad() * nv,
 	}
 }
@@ -111,14 +130,29 @@ func newWideSerial(eng wideEngine, rows, cols, nv int, name string) *wideSerial 
 func (w *wideSerial) Width() int   { return w.nv }
 func (w *wideSerial) Name() string { return w.name }
 
+// Format implements Kernel.
+func (w *wideSerial) Format() matrix.Format { return w.fm }
+
+// MulAdd implements Kernel; it is MulAddBlock, which at width 1 computes
+// y ← y + A·x.
+func (w *wideSerial) MulAdd(y, x []float64) error { return w.MulAddBlock(y, x) }
+
 func (w *wideSerial) MulAddBlock(y, x []float64) error {
 	if len(y) != w.rows*w.nv || len(x) != w.cols*w.nv {
 		return fmt.Errorf("%w: matrix %dx%d with %d vectors: len(y)=%d len(x)=%d",
 			matrix.ErrShape, w.rows, w.cols, w.nv, len(y), len(x))
 	}
-	if w.ylen == len(y) && w.xlen == len(x) {
+	w.sweep(y, x)
+	return nil
+}
+
+// sweep runs the engine over y and x, each padded from pooled scratch
+// only when it is shorter than the engine's extent. A parallel kernel
+// hands its parts an x it already padded and its own rows of y.
+func (w *wideSerial) sweep(y, x []float64) {
+	if w.ylen <= len(y) && w.xlen <= len(x) {
 		w.eng.run(y, x)
-		return nil
+		return
 	}
 	sc, _ := w.pads.Get().(*wideScratch)
 	if sc == nil {
@@ -146,7 +180,6 @@ func (w *wideSerial) MulAddBlock(y, x []float64) error {
 		copy(y, yp[:len(y)])
 	}
 	w.pads.Put(sc)
-	return nil
 }
 
 // wideCSR fuses k vectors over a CSR stream: MultiVec's loop nest
@@ -163,8 +196,7 @@ func (e *wideCSR[I]) run(y, x []float64) { csrMultiRows(e.m, e.nv, y, x, 0, e.m.
 
 // wideBCSR fuses k vectors over register-blocked storage: the BCSR
 // multi-RHS loop nest (bcsrMultiRows) over every block row, so its bits
-// are csrMultiRows' on the same matrix at every width, and its width-1
-// sweep is the scalar kernel's body.
+// are csrMultiRows' on the same matrix at every width.
 type wideBCSR[I matrix.Index] struct {
 	m  *matrix.BCSR[I]
 	nv int
@@ -175,8 +207,9 @@ func (e *wideBCSR[I]) cPad() int { return bcsrColsPadded(e.m) }
 
 func (e *wideBCSR[I]) run(y, x []float64) { bcsrMultiRows(e.m, e.nv, y, x, 0, e.m.BlockRows) }
 
-// wideBCOO fuses k vectors over block-coordinate storage: one flat pass
-// over the tiles, accumulating each tile row locally before the add.
+// wideBCOO fuses k vectors over block-coordinate storage: the BCOO loop
+// nest (bcooMulti), one flat pass over the tiles. Both vectors are padded
+// to whole tiles.
 type wideBCOO[I matrix.Index] struct {
 	m  *matrix.BCOO[I]
 	nv int
@@ -195,32 +228,7 @@ func newWideBCOO[I matrix.Index](m *matrix.BCOO[I], nv int) *wideBCOO[I] {
 func (e *wideBCOO[I]) rPad() int { return e.rp }
 func (e *wideBCOO[I]) cPad() int { return e.cp }
 
-func (e *wideBCOO[I]) run(y, x []float64) {
-	m, nv := e.m, e.nv
-	R, C := m.Shape.R, m.Shape.C
-	acc := make([]float64, nv)
-	for t := range m.BCol {
-		r0 := int(m.BRow[t]) * R * nv
-		c0 := int(m.BCol[t]) * C * nv
-		v0 := t * R * C
-		for r := 0; r < R; r++ {
-			for v := range acc {
-				acc[v] = 0
-			}
-			for c := 0; c < C; c++ {
-				val := m.Val[v0+r*C+c]
-				xb := c0 + c*nv
-				for v := 0; v < nv; v++ {
-					acc[v] += float64(val * x[xb+v])
-				}
-			}
-			yb := r0 + r*nv
-			for v := 0; v < nv; v++ {
-				y[yb+v] += acc[v]
-			}
-		}
-	}
-}
+func (e *wideBCOO[I]) run(y, x []float64) { bcooMulti(e.m, e.nv, y, x) }
 
 // wideCOO is the width-k triplet engine (encoding of last resort inside
 // cache blocks, and the reference for the differential tests).
@@ -244,9 +252,15 @@ func (e *wideCOO) run(y, x []float64) {
 	}
 }
 
-// wideComposite runs a cache-blocked matrix width-k: each block's engine
-// dispatches at its (RowOff, ColOff) origin within the shared padded
-// blocks, in the same block order as the scalar composite engine.
+// wideComposite runs a cache-blocked matrix: each block's engine
+// dispatches, in block order, at its (RowOff, ColOff) origin within the
+// shared padded blocks.
+//
+// Tiles whose padded extent spills past their logical edge write only
+// zero-fill contributions (y += 0·x) into neighbouring rows, which is
+// arithmetically harmless. (The one caveat: if x contains Inf/NaN in a
+// spill column, 0·x poisons the sum. SpMV over non-finite vectors is
+// outside the study's scope.)
 type wideComposite struct {
 	blocks []wideCompBlock
 	rp, cp int
@@ -295,97 +309,3 @@ type wideSym struct {
 func (w *wideSym) MulAddBlock(y, x []float64) error { return w.sw.MulAddWidth(y, x, w.nv) }
 func (w *wideSym) Width() int                       { return w.nv }
 func (w *wideSym) Name() string                     { return fmt.Sprintf("symcsr/wide%d", w.nv) }
-
-// WideParallel is the width-k view of a row-partitioned parallel kernel:
-// each thread part's encoding gets its own Wide kernel over the part's
-// disjoint destination rows, so the parts of one fused sweep run
-// concurrently with no synchronization — and, rows being disjoint, with
-// bits identical to sequential execution.
-type WideParallel struct {
-	rows, cols int
-	nv         int
-	parts      []widePart
-	name       string
-}
-
-type widePart struct {
-	lo, hi int
-	k      Wide
-}
-
-// NewWideParallel builds the width-k view of a parallel kernel from the
-// parts it was assembled from.
-func NewWideParallel(p *Parallel, width int) (*WideParallel, error) {
-	if width < 1 {
-		return nil, fmt.Errorf("kernel: need at least 1 vector, got %d", width)
-	}
-	src := p.Parts()
-	if len(src) == 0 {
-		return nil, fmt.Errorf("kernel: parallel kernel retains no parts")
-	}
-	wp := &WideParallel{
-		rows: p.rows, cols: p.cols, nv: width,
-		name: fmt.Sprintf("%s/wide%d", p.Name(), width),
-	}
-	for i, pt := range src {
-		k, err := NewWide(pt.Enc, width)
-		if err != nil {
-			return nil, fmt.Errorf("kernel: part %d: %w", i, err)
-		}
-		wp.parts = append(wp.parts, widePart{lo: pt.Range.Lo, hi: pt.Range.Hi, k: k})
-	}
-	return wp, nil
-}
-
-// Width returns the fused vector count k.
-func (p *WideParallel) Width() int { return p.nv }
-
-// Name identifies the kernel variant.
-func (p *WideParallel) Name() string { return p.name }
-
-// MulAddBlock computes Y ← Y + A·X over interleaved width-k blocks,
-// running the parts on their own goroutines.
-//
-//spmv:deterministic
-func (p *WideParallel) MulAddBlock(y, x []float64) error {
-	return p.MulAddBlockExec(y, x, nil)
-}
-
-// MulAddBlockExec is MulAddBlock with the per-part tasks scheduled through
-// exec (nil runs them on the kernel's own goroutines). Scheduling never
-// changes result bits: parts own disjoint destination rows.
-func (p *WideParallel) MulAddBlockExec(y, x []float64, exec Exec) error {
-	if len(y) != p.rows*p.nv || len(x) != p.cols*p.nv {
-		return fmt.Errorf("%w: matrix %dx%d with %d vectors: len(y)=%d len(x)=%d",
-			matrix.ErrShape, p.rows, p.cols, p.nv, len(y), len(x))
-	}
-	var mu sync.Mutex
-	var firstErr error
-	tasks := make([]func(), len(p.parts))
-	for i := range p.parts {
-		pt := p.parts[i]
-		tasks[i] = func() {
-			if err := pt.k.MulAddBlock(y[pt.lo*p.nv:pt.hi*p.nv], x); err != nil {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				mu.Unlock()
-			}
-		}
-	}
-	if exec == nil {
-		var wg sync.WaitGroup
-		wg.Add(len(tasks))
-		for _, t := range tasks {
-			go func(t func()) {
-				defer wg.Done()
-				t()
-			}(t)
-		}
-		wg.Wait()
-	} else {
-		exec(tasks)
-	}
-	return firstErr
-}

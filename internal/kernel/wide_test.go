@@ -47,9 +47,10 @@ func TestNewWideValidation(t *testing.T) {
 	}
 }
 
-// TestWideParallelExec checks the parallel wide kernel both on its own
-// goroutines and through an external executor, against MultiVec bits, and
-// with concurrent sweeps sharing the kernel (the serving pattern).
+// TestWideParallelExec checks the width-k view of a parallel kernel both
+// on its own goroutines and through an external executor, against
+// MultiVec bits, and with concurrent sweeps sharing the kernel (the
+// serving pattern).
 func TestWideParallelExec(t *testing.T) {
 	csr := wideTestCSR(t, 200, 180, 2500, 2)
 	part, err := partition.ByNNZ(csr.RowPtr, 3)
@@ -69,7 +70,7 @@ func TestWideParallelExec(t *testing.T) {
 		t.Fatal(err)
 	}
 	const width = 4
-	wp, err := NewWideParallel(p, width)
+	wp, err := p.Wide(width)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,11 +105,7 @@ func TestWideParallelExec(t *testing.T) {
 
 	// External executor (a worker pool stand-in running tasks serially).
 	clear(y)
-	if err := wp.MulAddBlockExec(y, x, func(tasks []func()) {
-		for _, task := range tasks {
-			task()
-		}
-	}); err != nil {
+	if err := wp.MulAddBlockExec(y, x, serialExec); err != nil {
 		t.Fatal(err)
 	}
 	check("external-exec", y)

@@ -501,10 +501,7 @@ func (s *Server) runSolve(m servable, ss *solveSession, req SolveRequest, maxIte
 		ss.mu.Unlock()
 		return nil
 	}
-	opt := solve.Options{
-		Tol: ss.tol, MaxIters: maxIters,
-		Threads: s.cfg.Threads, Deterministic: true,
-	}
+	opt := solve.Options{Tol: ss.tol, MaxIters: maxIters, Threads: s.cfg.Threads}
 
 	type stepper interface {
 		Step() (bool, error)

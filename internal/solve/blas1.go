@@ -13,14 +13,11 @@
 // any SpMV path works: a compiled spmv.Operator, the serving layer's
 // snapshot-swapped fused path, or a test stub.
 //
-// Determinism: the BLAS-1 reductions (Dot, Norm2) come in two modes. In
-// deterministic mode every reduction is computed over fixed 1024-element
-// blocks whose partials are summed in ascending block order — a summation
-// tree that depends only on the vector length, never on the thread count,
-// so solver trajectories are bit-reproducible across Threads settings
-// whenever Apply is too. In parallel (non-deterministic) mode each thread
-// sums one contiguous chunk and the chunk partials are added in chunk
-// order: fastest, but the bits shift with Threads.
+// Determinism: every BLAS-1 reduction (Dot, Norm2) is computed over fixed
+// 1024-element blocks whose partials are summed in ascending block order —
+// a summation tree that depends only on the vector length, never on the
+// thread count, so solver trajectories are bit-reproducible across Threads
+// settings whenever Apply is too.
 package solve
 
 import (
@@ -28,8 +25,7 @@ import (
 	"sync"
 )
 
-// detBlockLen is the fixed reduction-block length of deterministic mode.
-// The summation tree is (⌈n/1024⌉ ordered partials, each a sequential
+// detBlockLen is the fixed reduction-block length. The summation tree is (⌈n/1024⌉ ordered partials, each a sequential
 // 1024-element sum) for every thread count — small enough that partials
 // parallelize, large enough that the serial combine is noise.
 const detBlockLen = 1024
@@ -45,14 +41,11 @@ const detBlockLen = 1024
 const parallelGrain = 1 << 16
 
 // BLAS is a configured set of fused BLAS-1 operations. The zero value is
-// serial and non-deterministic-mode (which coincide: one thread's chunked
-// reduction is the plain sequential sum).
+// serial.
 type BLAS struct {
-	// Threads is the parallel width; <= 1 means serial.
+	// Threads is the parallel width; <= 1 means serial. It never changes
+	// result bits.
 	Threads int
-	// Deterministic selects the ordered fixed-block reduction whose bits
-	// are invariant to Threads.
-	Deterministic bool
 }
 
 func (b BLAS) threads() int {
@@ -68,28 +61,19 @@ func chunks(n, parts int) int { return max(1, min(parts, n)) }
 
 func chunk(n, parts, p int) (lo, hi int) { return n * p / parts, n * (p + 1) / parts }
 
-// reduceParts is how many ordered partial sums a length-n reduction has
-// under the mode — fixed blocks in deterministic mode, one chunk per thread
-// otherwise — and reducePart the bounds of partial p of them.
-func (b BLAS) reduceParts(n int) int {
-	if b.Deterministic {
-		return (n + detBlockLen - 1) / detBlockLen
-	}
-	return chunks(n, b.threads())
-}
+// reduceParts is how many ordered partial sums a length-n reduction has —
+// one per fixed block — and reducePart the bounds of partial p of them.
+func reduceParts(n int) int { return (n + detBlockLen - 1) / detBlockLen }
 
-func (b BLAS) reducePart(n, parts, p int) (lo, hi int) {
-	if b.Deterministic {
-		lo = p * detBlockLen
-		return lo, min(lo+detBlockLen, n)
-	}
-	return chunk(n, parts, p)
+func reducePart(n, p int) (lo, hi int) {
+	lo = p * detBlockLen
+	return lo, min(lo+detBlockLen, n)
 }
 
 // runParts executes f(part) for every part index, spreading parts over at
 // most threads goroutines when each goroutine's share of totalWork (in
-// elements) is large enough to pay for it — deterministic mode has many
-// small fixed blocks, so the gate must look at the per-goroutine batch,
+// elements) is large enough to pay for it — a reduction has many small
+// fixed blocks, so the gate must look at the per-goroutine batch,
 // not the per-part size. The assignment of parts to goroutines never
 // affects results: every part writes only its own slot.
 func runParts(parts, threads, totalWork int, f func(part int)) {
@@ -118,16 +102,16 @@ func runParts(parts, threads, totalWork int, f func(part int)) {
 	wg.Wait()
 }
 
-// reduce computes the sum of partial(lo, hi) over [0, n) under the
-// configured mode. partial must be a pure sequential sum of its range.
+// reduce computes the sum of partial(lo, hi) over [0, n) in fixed-block
+// order. partial must be a pure sequential sum of its range.
 func (b BLAS) reduce(n int, partial func(lo, hi int) float64) float64 {
 	if n == 0 {
 		return 0
 	}
-	parts := b.reduceParts(n)
+	parts := reduceParts(n)
 	partials := make([]float64, parts)
 	runParts(parts, b.threads(), n, func(p int) {
-		partials[p] = partial(b.reducePart(n, parts, p))
+		partials[p] = partial(reducePart(n, p))
 	})
 	return sumOrdered(partials)
 }
@@ -167,7 +151,7 @@ func (b BLAS) Dot(x, y []float64) float64 {
 	})
 }
 
-// Norm2 returns ‖x‖₂, the square root of the mode's Dot(x, x).
+// Norm2 returns ‖x‖₂, the square root of Dot(x, x).
 //
 //spmv:deterministic
 func (b BLAS) Norm2(x []float64) float64 {
@@ -175,7 +159,7 @@ func (b BLAS) Norm2(x []float64) float64 {
 }
 
 // Axpy computes y ← y + α·x. Element-wise, so its bits never depend on
-// mode or thread count.
+// the thread count.
 //
 //spmv:deterministic
 func (b BLAS) Axpy(alpha float64, x, y []float64) {
@@ -190,7 +174,7 @@ func (b BLAS) Axpy(alpha float64, x, y []float64) {
 }
 
 // Xpay computes y ← x + α·y — the CG search-direction update
-// p = r + β·p. Element-wise, bit-stable under any mode.
+// p = r + β·p. Element-wise, bit-stable at any thread count.
 //
 //spmv:deterministic
 func (b BLAS) Xpay(alpha float64, x, y []float64) {
@@ -204,7 +188,7 @@ func (b BLAS) Xpay(alpha float64, x, y []float64) {
 	})
 }
 
-// Scale computes x ← α·x. Element-wise, bit-stable under any mode.
+// Scale computes x ← α·x. Element-wise, bit-stable at any thread count.
 //
 //spmv:deterministic
 func (b BLAS) Scale(alpha float64, x []float64) {

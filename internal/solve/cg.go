@@ -20,13 +20,10 @@ type Options struct {
 	Tol float64
 	// MaxIters is the step budget; <= 0 means DefaultMaxIters.
 	MaxIters int
-	// Threads is the BLAS-1 parallel width; <= 1 means serial.
+	// Threads is the BLAS-1 parallel width; <= 1 means serial. The
+	// reductions' bits are invariant to it (see BLAS), so with a
+	// thread-invariant Apply the whole trajectory is bit-reproducible.
 	Threads int
-	// Deterministic selects the ordered fixed-block reductions whose bits
-	// are invariant to Threads (see BLAS). With a thread-invariant Apply —
-	// the symmetric kernel, or the serving layer's deterministic CSR path —
-	// the whole trajectory is bit-reproducible.
-	Deterministic bool
 }
 
 // DefaultMaxIters is the step budget applied when Options.MaxIters <= 0.
@@ -78,7 +75,7 @@ func (o *Options) normalize() error {
 // motivation for every byte the tuner shaves off the matrix stream.
 //
 // The passes walk the reduction partition of BLAS.Dot (fixed 1024-element
-// blocks in deterministic mode, one chunk per thread otherwise) and sum
+// blocks) and sum
 // its partials in the same ascending order, and every element sees the
 // operations Axpy, Axpy, Dot and Xpay would apply to it, in that order —
 // so a trajectory has the bits of one composed from those primitives,
@@ -121,13 +118,13 @@ func NewCG(apply Apply, b, x0 []float64, opt Options) (*CG, error) {
 	}
 	c := &CG{
 		apply: apply,
-		blas:  BLAS{Threads: opt.Threads, Deterministic: opt.Deterministic},
+		blas:  BLAS{Threads: opt.Threads},
 		opt:   opt,
 		x:     make([]float64, n),
 		r:     append([]float64(nil), b...),
 		ap:    make([]float64, n),
 	}
-	c.parts = c.blas.reduceParts(n)
+	c.parts = reduceParts(n)
 	c.partials = make([]float64, c.parts)
 	c.papPass, c.updPass, c.dirPass = c.papPart, c.updatePart, c.directionPart
 	if x0 != nil {
@@ -214,7 +211,7 @@ func (c *CG) reducePass(part func(part int)) float64 {
 //
 //spmv:deterministic
 func (c *CG) papPart(part int) {
-	lo, hi := c.blas.reducePart(len(c.x), c.parts, part)
+	lo, hi := reducePart(len(c.x), part)
 	p, ap := c.p[lo:hi], c.ap[lo:hi]
 	var s float64
 	for i := range p {
@@ -228,7 +225,7 @@ func (c *CG) papPart(part int) {
 //
 //spmv:deterministic
 func (c *CG) updatePart(part int) {
-	lo, hi := c.blas.reducePart(len(c.x), c.parts, part)
+	lo, hi := reducePart(len(c.x), part)
 	x, r, p, ap := c.x[lo:hi], c.r[lo:hi], c.p[lo:hi], c.ap[lo:hi]
 	alpha, negAlpha := c.alpha, -c.alpha
 	var s float64
@@ -245,7 +242,7 @@ func (c *CG) updatePart(part int) {
 //
 //spmv:deterministic
 func (c *CG) directionPart(part int) {
-	lo, hi := c.blas.reducePart(len(c.x), c.parts, part)
+	lo, hi := reducePart(len(c.x), part)
 	r, p := c.r[lo:hi], c.p[lo:hi]
 	beta := c.beta
 	for i := range p {

@@ -61,7 +61,7 @@ func (c *composedCG) step() {
 
 // TestCGStepMatchesComposedPrimitives: the fused step's residual history
 // and iterate carry the bits of the step composed from Dot, Axpy and Xpay,
-// at every thread count, in both reduction modes, at lengths around the
+// at every thread count, at lengths around the
 // fixed-block boundary, the serving benchmarks' size, and (300 000) one
 // long enough that every thread count runs its passes on goroutines.
 func TestCGStepMatchesComposedPrimitives(t *testing.T) {
@@ -69,32 +69,30 @@ func TestCGStepMatchesComposedPrimitives(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, n := range []int{1, 1000, 1024, 1025, 22500, 70000, 300000} {
 		b := randVec(rng, n)
-		for _, det := range []bool{true, false} {
-			for _, threads := range []int{1, 2, 4} {
-				name := fmt.Sprintf("n=%d/det=%v/threads=%d", n, det, threads)
-				ref := newComposedCG(b, solve.BLAS{Threads: threads, Deterministic: det})
-				cg, err := solve.NewCG(laplace1D, b, nil, solve.Options{MaxIters: steps, Threads: threads, Deterministic: det})
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
+		for _, threads := range []int{1, 2, 4} {
+			name := fmt.Sprintf("n=%d/threads=%d", n, threads)
+			ref := newComposedCG(b, solve.BLAS{Threads: threads})
+			cg, err := solve.NewCG(laplace1D, b, nil, solve.Options{MaxIters: steps, Threads: threads})
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			for k := 1; k <= steps; k++ {
+				if _, err := cg.Step(); err != nil {
+					t.Fatalf("%s: step %d: %v", name, k, err)
 				}
-				for k := 1; k <= steps; k++ {
-					if _, err := cg.Step(); err != nil {
-						t.Fatalf("%s: step %d: %v", name, k, err)
-					}
-					if cg.Iters() < k {
-						break // n = 1 is solved exactly by the first step
-					}
-					ref.step()
-					if !bitsEqual(cg.History(), ref.history) {
-						t.Fatalf("%s: step %d: history %x, composed %x", name, k, cg.History(), ref.history)
-					}
-					if !bitsEqual(cg.X(), ref.x) {
-						t.Fatalf("%s: step %d: iterate differs from the composed step's", name, k)
-					}
+				if cg.Iters() < k {
+					break // n = 1 is solved exactly by the first step
 				}
-				if n > 1 && cg.Iters() != steps {
-					t.Fatalf("%s: ran %d of %d steps", name, cg.Iters(), steps)
+				ref.step()
+				if !bitsEqual(cg.History(), ref.history) {
+					t.Fatalf("%s: step %d: history %x, composed %x", name, k, cg.History(), ref.history)
 				}
+				if !bitsEqual(cg.X(), ref.x) {
+					t.Fatalf("%s: step %d: iterate differs from the composed step's", name, k)
+				}
+			}
+			if n > 1 && cg.Iters() != steps {
+				t.Fatalf("%s: ran %d of %d steps", name, cg.Iters(), steps)
 			}
 		}
 	}
@@ -105,23 +103,21 @@ func TestCGStepMatchesComposedPrimitives(t *testing.T) {
 func TestCGStepAllocations(t *testing.T) {
 	const n = 22500
 	b := randVec(rand.New(rand.NewSource(8)), n)
-	for _, det := range []bool{true, false} {
-		for _, threads := range []int{1, 2, 4} {
-			cg, err := solve.NewCG(laplace1D, b, nil, solve.Options{MaxIters: 1 << 20, Threads: threads, Deterministic: det})
-			if err != nil {
+	for _, threads := range []int{1, 2, 4} {
+		cg, err := solve.NewCG(laplace1D, b, nil, solve.Options{MaxIters: 1 << 20, Threads: threads})
+		if err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(200, func() {
+			if _, err := cg.Step(); err != nil {
 				t.Fatal(err)
 			}
-			allocs := testing.AllocsPerRun(200, func() {
-				if _, err := cg.Step(); err != nil {
-					t.Fatal(err)
-				}
-			})
-			if cg.Status() != solve.Running {
-				t.Fatalf("det=%v threads=%d: solver left Running (%v) while being measured", det, threads, cg.Status())
-			}
-			if allocs > 1 {
-				t.Errorf("det=%v threads=%d: %.1f allocations per Step, want at most 1", det, threads, allocs)
-			}
+		})
+		if cg.Status() != solve.Running {
+			t.Fatalf("threads=%d: solver left Running (%v) while being measured", threads, cg.Status())
+		}
+		if allocs > 1 {
+			t.Errorf("threads=%d: %.1f allocations per Step, want at most 1", threads, allocs)
 		}
 	}
 }
@@ -133,7 +129,7 @@ func BenchmarkCGStep(b *testing.B) {
 		rhs := randVec(rand.New(rand.NewSource(9)), n)
 		for _, threads := range []int{1, 2} {
 			b.Run(fmt.Sprintf("n=%d/threads=%d", n, threads), func(b *testing.B) {
-				cg, err := solve.NewCG(laplace1D, rhs, nil, solve.Options{MaxIters: 1 << 30, Threads: threads, Deterministic: true})
+				cg, err := solve.NewCG(laplace1D, rhs, nil, solve.Options{MaxIters: 1 << 30, Threads: threads})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -38,7 +38,7 @@ func NewPower(apply Apply, n int, v0 []float64, opt Options) (*Power, error) {
 	}
 	p := &Power{
 		apply: apply,
-		blas:  BLAS{Threads: opt.Threads, Deterministic: opt.Deterministic},
+		blas:  BLAS{Threads: opt.Threads},
 		opt:   opt,
 		q:     make([]float64, n),
 		aq:    make([]float64, n),

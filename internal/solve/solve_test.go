@@ -1,9 +1,8 @@
 // Property-based tests of the iterative solvers: CG on random SPD
 // matrices (suite twins from gen, symmetrized and diagonally shifted)
-// must converge at every thread count, with bit-identical trajectories in
-// deterministic mode; power iteration must recover a known dominant
-// eigenpair; the BLAS-1 reductions must be thread-invariant in ordered
-// mode. Runs under -race in CI.
+// must converge at every thread count, with bit-identical trajectories;
+// power iteration must recover a known dominant eigenpair; the BLAS-1
+// reductions must be thread-invariant. Runs under -race in CI.
 package solve_test
 
 import (
@@ -108,10 +107,9 @@ func bitsEqual(a, b []float64) bool {
 }
 
 // TestCGRandomSPD is the headline property: for random SPD systems, CG
-// converges to the requested tolerance at threads 1/2/4 with
-// deterministic reductions on and off, and in deterministic mode the
-// whole trajectory — residual history and final iterate — is bitwise
-// identical across thread counts.
+// converges to the requested tolerance at threads 1/2/4, and the whole
+// trajectory — residual history and final iterate — is bitwise identical
+// across thread counts.
 func TestCGRandomSPD(t *testing.T) {
 	const tol = 1e-8
 	cases := []struct {
@@ -128,50 +126,46 @@ func TestCGRandomSPD(t *testing.T) {
 			m := suiteSPD(t, tc.suite, tc.scale, tc.seed)
 			n, _ := m.Dims()
 			b := randVec(rand.New(rand.NewSource(tc.seed)), n)
-			for _, det := range []bool{true, false} {
-				var refHist, refX []float64
-				for _, threads := range []int{1, 2, 4} {
-					t.Run(fmt.Sprintf("det=%v/threads=%d", det, threads), func(t *testing.T) {
-						apply := symApply(t, m, threads)
-						cg, err := solve.NewCG(apply, b, nil, solve.Options{
-							Tol: tol, MaxIters: 3 * n, Threads: threads, Deterministic: det,
-						})
-						if err != nil {
-							t.Fatalf("NewCG: %v", err)
-						}
-						if err := cg.Solve(); err != nil {
-							t.Fatalf("Solve: %v", err)
-						}
-						if cg.Status() != solve.Converged {
-							t.Fatalf("status %v after %d iters, residual %g", cg.Status(), cg.Iters(), cg.Residual())
-						}
-						if got := cg.Residual(); got > tol {
-							t.Fatalf("reported residual %g > tol %g", got, tol)
-						}
-						// Independent residual check: the recurrence can drift
-						// from the true residual, but not by much at 1e-8.
-						if got := residual(t, apply, cg.X(), b); got > 100*tol {
-							t.Fatalf("true residual %g, want <= %g", got, 100*tol)
-						}
-						if len(cg.History()) != cg.Iters() {
-							t.Fatalf("history has %d entries, %d iters", len(cg.History()), cg.Iters())
-						}
-						if !det {
-							return
-						}
-						if refHist == nil {
-							refHist = append([]float64(nil), cg.History()...)
-							refX = append([]float64(nil), cg.X()...)
-							return
-						}
-						if !bitsEqual(refHist, cg.History()) {
-							t.Fatalf("deterministic residual history differs from threads=1 bits")
-						}
-						if !bitsEqual(refX, cg.X()) {
-							t.Fatalf("deterministic solution differs from threads=1 bits")
-						}
+			var refHist, refX []float64
+			for _, threads := range []int{1, 2, 4} {
+				// det=true names the contract checked: the bits below.
+				t.Run(fmt.Sprintf("det=true/threads=%d", threads), func(t *testing.T) {
+					apply := symApply(t, m, threads)
+					cg, err := solve.NewCG(apply, b, nil, solve.Options{
+						Tol: tol, MaxIters: 3 * n, Threads: threads,
 					})
-				}
+					if err != nil {
+						t.Fatalf("NewCG: %v", err)
+					}
+					if err := cg.Solve(); err != nil {
+						t.Fatalf("Solve: %v", err)
+					}
+					if cg.Status() != solve.Converged {
+						t.Fatalf("status %v after %d iters, residual %g", cg.Status(), cg.Iters(), cg.Residual())
+					}
+					if got := cg.Residual(); got > tol {
+						t.Fatalf("reported residual %g > tol %g", got, tol)
+					}
+					// Independent residual check: the recurrence can drift
+					// from the true residual, but not by much at 1e-8.
+					if got := residual(t, apply, cg.X(), b); got > 100*tol {
+						t.Fatalf("true residual %g, want <= %g", got, 100*tol)
+					}
+					if len(cg.History()) != cg.Iters() {
+						t.Fatalf("history has %d entries, %d iters", len(cg.History()), cg.Iters())
+					}
+					if refHist == nil {
+						refHist = append([]float64(nil), cg.History()...)
+						refX = append([]float64(nil), cg.X()...)
+						return
+					}
+					if !bitsEqual(refHist, cg.History()) {
+						t.Fatalf("deterministic residual history differs from threads=1 bits")
+					}
+					if !bitsEqual(refX, cg.X()) {
+						t.Fatalf("deterministic solution differs from threads=1 bits")
+					}
+				})
 			}
 		})
 	}
@@ -336,7 +330,7 @@ func TestPowerDominantEigenpair(t *testing.T) {
 	var refHist []float64
 	for _, threads := range []int{1, 2, 4} {
 		pw, err := solve.NewPower(apply, n, nil, solve.Options{
-			Tol: 1e-10, MaxIters: 20000, Threads: threads, Deterministic: true,
+			Tol: 1e-10, MaxIters: 20000, Threads: threads,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -416,14 +410,14 @@ func TestPowerValidation(t *testing.T) {
 	}
 }
 
-// TestBLASThreadInvariance: deterministic-mode reductions are bitwise
-// identical at every thread count; parallel mode stays within a
-// reassociation bound of the sequential sum.
+// TestBLASThreadInvariance: reductions are bitwise identical at every
+// thread count and stay within a reassociation bound of the sequential
+// sum.
 func TestBLASThreadInvariance(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for _, n := range []int{1, 7, 1023, 1024, 1025, 100000} {
 		x, y := randVec(rng, n), randVec(rng, n)
-		ref := solve.BLAS{Threads: 1, Deterministic: true}.Dot(x, y)
+		ref := solve.BLAS{Threads: 1}.Dot(x, y)
 		var seq float64
 		for i := range x {
 			seq += x[i] * y[i]
@@ -434,13 +428,12 @@ func TestBLASThreadInvariance(t *testing.T) {
 		}
 		tolerance := 4 * float64(n) * 1e-16 * absSum
 		for _, threads := range []int{2, 3, 4, 8} {
-			det := solve.BLAS{Threads: threads, Deterministic: true}
-			if got := det.Dot(x, y); math.Float64bits(got) != math.Float64bits(ref) {
-				t.Fatalf("n=%d threads=%d: det Dot %x != %x", n, threads, math.Float64bits(got), math.Float64bits(ref))
+			blas := solve.BLAS{Threads: threads}
+			if got := blas.Dot(x, y); math.Float64bits(got) != math.Float64bits(ref) {
+				t.Fatalf("n=%d threads=%d: Dot %x != %x", n, threads, math.Float64bits(got), math.Float64bits(ref))
 			}
-			par := solve.BLAS{Threads: threads}
-			if got := par.Dot(x, y); math.Abs(got-seq) > tolerance {
-				t.Fatalf("n=%d threads=%d: parallel Dot %g vs %g (tol %g)", n, threads, got, seq, tolerance)
+			if got := blas.Dot(x, y); math.Abs(got-seq) > tolerance {
+				t.Fatalf("n=%d threads=%d: Dot %g vs sequential %g (tol %g)", n, threads, got, seq, tolerance)
 			}
 		}
 	}

@@ -272,12 +272,12 @@ func compile(m *Matrix, opt TuneOptions, threads, numaNodes int) (*Operator, err
 	return op, nil
 }
 
-// MulAdd computes y ← y + A·x. Over CSR and BCSR encodings each row's
-// products are summed in ascending column order, so its bits are the CSR
-// family's and those of the operator's WideMulti(1) view. A register-blocked
-// encoding also multiplies its explicit zero fill, so a non-finite x[j]
-// (0·Inf = NaN) can turn every row of a tile row that touches column j into
-// NaN, not only the rows holding a nonzero there.
+// MulAdd computes y ← y + A·x: the width-1 sweep of the encoding's one
+// loop nest, so for every encoding family its bits are those of lane v of
+// every WideMulti(k) view. A register-blocked encoding also multiplies its
+// explicit zero fill, so a non-finite x[j] (0·Inf = NaN) can turn every
+// row of a tile row that touches column j into NaN, not only the rows
+// holding a nonzero there.
 func (o *Operator) MulAdd(y, x []float64) error { return o.k.MulAdd(y, x) }
 
 // Mul returns A·x as a fresh vector.
@@ -366,14 +366,14 @@ func (o *Operator) Multi(width int) (*MultiOperator, error) {
 // compression, §4.2, and multiple vectors, §2.1) in one sweep: the fused
 // matrix stream shrinks by the tuner's footprint saving.
 //
-// Bits: each lane of a wide view accumulates in the encoding's own order.
-// Wide views over plain CSR encodings (any index width, serial or
-// row-partitioned) run the very loop nest Multi's views run, and views over
-// register-blocked BCSR sum each row in the same ascending column order, so
-// both return Multi's bits, and the operator's MulAdd bits at width 1 — the
-// property that lets a serving layer move between these encodings without
-// changing responses. Cache-blocked and BCOO encodings reassociate row
-// sums and match only to rounding. For finite x only: a BCSR view
+// Bits: a wide view runs the loop nest MulAdd runs, so for every encoding
+// family lane v returns MulAdd's bits on vector v. Over plain CSR (any
+// index width, serial or row-partitioned) that is the loop nest Multi's
+// views run, and BCSR sums each row in the same ascending column order, so
+// both return Multi's bits — the property that lets a serving layer move
+// between these encodings without changing responses. Cache-blocked and
+// BCOO encodings reassociate row sums and match the reference only to
+// rounding. For finite x only: a BCSR view
 // multiplies its zero fill, so a non-finite x can spread NaN across a tile
 // row (the serving layer refuses such vectors). Views are cached per width
 // and safe for concurrent use.
@@ -390,7 +390,7 @@ func (o *Operator) WideMulti(width int) (*MultiOperator, error) {
 	if o.sym != nil {
 		mo = &MultiOperator{sym: o.sym, nv: width, rows: o.rows, cols: o.cols}
 	} else if p, ok := o.k.(*kernel.Parallel); ok {
-		wp, err := kernel.NewWideParallel(p, width)
+		wp, err := p.Wide(width)
 		if err != nil {
 			return nil, err
 		}
@@ -668,7 +668,7 @@ func (o *MultiOperator) MulAddBlockExec(yBlock, xBlock []float64, run func(tasks
 		return o.sym.MulAddWidthExec(yBlock, xBlock, o.nv, kernel.Exec(run))
 	}
 	if o.w != nil {
-		if wp, ok := o.w.(*kernel.WideParallel); ok {
+		if wp, ok := o.w.(*kernel.Parallel); ok {
 			return wp.MulAddBlockExec(yBlock, xBlock, kernel.Exec(run))
 		}
 		// Serial wide kernels have one internal task: the sweep itself.
