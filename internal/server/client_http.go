@@ -16,6 +16,7 @@ import (
 	"net/url"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	spmv "repro"
@@ -102,7 +103,7 @@ func (hc *HTTPClient) apiError(r *http.Response) error {
 }
 
 // do runs one JSON round trip: method+path with an optional request
-// body, decoding the response into resp when the status is 2xx.
+// body, decoding the 2xx response into resp.
 func (hc *HTTPClient) do(method, path string, req, resp any) error {
 	var body []byte
 	contentType := ""
@@ -118,20 +119,29 @@ func (hc *HTTPClient) do(method, path string, req, resp any) error {
 		return err
 	}
 	defer r.Body.Close()
-	if resp == nil {
-		return nil
-	}
 	return json.NewDecoder(r.Body).Decode(resp)
 }
 
 // send is the one wire round trip under every method of the client: it
 // posts body under contentType (either may be empty), asks for accept when
 // non-empty, and turns every non-2xx answer into the typed error its
-// envelope names. The caller closes the returned response's body.
+// envelope names. The caller closes the returned response's body; that
+// Close, like an error return, waits until the transport has closed every
+// reader of body it was handed: body may be the caller's x, which net/http
+// can still be writing after Do returns (a 413 sent before it was read).
 func (hc *HTTPClient) send(method, path, contentType, accept string, body []byte) (*http.Response, error) {
-	httpReq, err := http.NewRequest(method, hc.base+path, bytes.NewReader(body))
+	httpReq, err := http.NewRequest(method, hc.base+path, nil)
 	if err != nil {
 		return nil, err
+	}
+	var open sync.WaitGroup // GetBody runs only inside Do: every Add precedes Wait
+	if len(body) > 0 {
+		httpReq.GetBody = func() (io.ReadCloser, error) {
+			open.Add(1)
+			return &onClose{Reader: bytes.NewReader(body), then: open.Done}, nil
+		}
+		httpReq.Body, _ = httpReq.GetBody()
+		httpReq.ContentLength = int64(len(body))
 	}
 	if contentType != "" {
 		httpReq.Header.Set("Content-Type", contentType)
@@ -141,14 +151,26 @@ func (hc *HTTPClient) send(method, path, contentType, accept string, body []byte
 	}
 	r, err := hc.c.Do(httpReq)
 	if err != nil {
+		open.Wait()
 		return nil, fmt.Errorf("server %s: %w", hc.base, err)
 	}
+	rb := r.Body
+	r.Body = &onClose{Reader: rb, then: func() { rb.Close(); open.Wait() }}
 	if r.StatusCode >= 300 {
 		defer r.Body.Close()
 		return nil, hc.apiError(r)
 	}
 	return r, nil
 }
+
+// onClose is a body whose first Close runs then.
+type onClose struct {
+	io.Reader
+	once sync.Once
+	then func()
+}
+
+func (b *onClose) Close() error { b.once.Do(b.then); return nil }
 
 // RegisterSuite registers a generated suite twin on the remote server.
 func (hc *HTTPClient) RegisterSuite(id, suite string, scale float64, seed int64) (MatrixInfo, error) {
@@ -176,8 +198,14 @@ func (hc *HTTPClient) registerBand(id, name string, m *spmv.Matrix) (MatrixInfo,
 // options (tenant admission, SLO class, deadline). x and y cross the wire
 // as raw little-endian float64 frames — 8 bytes an element, bit-exact,
 // including values JSON cannot carry — and the options as query
-// parameters.
+// parameters. x is sent from its own memory and y read into its own, and
+// MulOpts returns only once the transport is done with x.
 func (hc *HTTPClient) MulOpts(id string, x []float64, opts MulOptions) ([]float64, error) {
+	return hc.mul(id, x, opts, nil)
+}
+
+// mul is MulOpts reading y into the band rows y (or, if nil, a new vector).
+func (hc *HTTPClient) mul(id string, x []float64, opts MulOptions, y []float64) ([]float64, error) {
 	q := url.Values{}
 	if opts.Tenant != "" {
 		q.Set("tenant", opts.Tenant)
@@ -195,7 +223,7 @@ func (hc *HTTPClient) MulOpts(id string, x []float64, opts MulOptions) ([]float6
 	if len(q) > 0 {
 		path += "?" + q.Encode()
 	}
-	r, err := hc.send(http.MethodPost, path, mediaF64LE, mediaF64LE, appendF64LE(make([]byte, 0, 8*len(x)), x))
+	r, err := hc.send(http.MethodPost, path, mediaF64LE, mediaF64LE, vecBytes(x))
 	if err != nil {
 		return nil, err
 	}
@@ -204,11 +232,18 @@ func (hc *HTTPClient) MulOpts(id string, x []float64, opts MulOptions) ([]float6
 		return nil, fmt.Errorf("server %s: mul answered %q with Content-Length %d, want a %s frame",
 			hc.base, r.Header.Get("Content-Type"), r.ContentLength, mediaF64LE)
 	}
-	frame := make([]byte, r.ContentLength)
-	if _, err := io.ReadFull(r.Body, frame); err != nil {
-		return nil, fmt.Errorf("server %s: reading the %d-byte result frame: %w", hc.base, len(frame), err)
+	n := int(r.ContentLength / 8)
+	if y == nil {
+		y = make([]float64, n)
+	} else if n != len(y) {
+		return nil, fmt.Errorf("server: member %s returned %d rows for the %d-row band %q", hc.base, n, len(y), id)
 	}
-	return decodeF64LE(frame), nil
+	b := vecBytes(y)
+	if _, err := io.ReadFull(r.Body, b); err != nil {
+		return nil, fmt.Errorf("server %s: reading the %d-byte result frame: %w", hc.base, len(b), err)
+	}
+	setVec(y, b)
+	return y, nil
 }
 
 // Patch applies one atomic batch of COO deltas on the remote server. A

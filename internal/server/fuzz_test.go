@@ -208,11 +208,16 @@ func TestMulFuzzSeedsStatuses(t *testing.T) {
 }
 
 // FuzzMulFrame exercises the binary tier of POST /v1/matrices/{id}/mul:
-// an arbitrary body declared with an arbitrary Content-Length under an
+// an arbitrary body declared with an arbitrary Content-Length (len(body) +
+// lenDelta, so the declaration can disagree with the body) under an
 // arbitrary query string. The handler must never panic, and must answer
 // either a complete frame — exactly 8·rows bytes holding the in-process
 // bits for the x the body decodes to — or an enveloped JSON error: never
-// a partial vector. Seeds are TestMulFrameMalformed's table.
+// a partial vector. A declaration over MaxBodyBytes is refused before any
+// of the body is read. The request reads x into a vector recycled from a
+// request served just before it, and the explicit little-endian codec
+// answers with the in-place path's status and frame bytes. Seeds are
+// TestMulFrameMalformed's table.
 func FuzzMulFrame(f *testing.F) {
 	good := appendF64LE(nil, []float64{1, 2, 3, 4})
 	f.Add(good, "", 0)
@@ -232,6 +237,9 @@ func FuzzMulFrame(f *testing.F) {
 	f.Add(appendF64LE(nil, []float64{1, 2, math.Inf(-1), 4}), "", 0)
 	f.Add(appendF64LE(nil, []float64{1e308, 1e308, 1e308, -1e308}), "", 0) // y overflows; frames carry it
 	f.Add(make([]byte, 1<<17), "", 0)                                      // over MaxBodyBytes
+	f.Add(good[:8], "", 1<<16)                                             // declared over MaxBodyBytes, body short
+	f.Add(good[:13], "", 3)                                                // short body, declared a whole frame
+	f.Add(good, "", -19)                                                   // long body, declared not whole
 
 	f.Fuzz(func(t *testing.T, body []byte, query string, lenDelta int) {
 		cfg := DefaultConfig()
@@ -242,19 +250,41 @@ func FuzzMulFrame(f *testing.F) {
 		s := New(cfg)
 		defer s.Close()
 		registerTridiag(t, s)
-
-		req, err := http.NewRequest("POST", "/v1/matrices/a/mul?"+query, bytes.NewReader(body))
-		if err != nil {
-			t.Skip("query does not form a URL")
+		warm := httptest.NewRecorder()
+		s.Handler().ServeHTTP(warm, frameRequest("/v1/matrices/a/mul", appendF64LE(nil, []float64{-7, 0.5, 9, 1e-3})))
+		if warm.Code != 200 {
+			t.Fatalf("warm-up mul: status %d", warm.Code)
 		}
-		req.Header.Set("Content-Type", mediaF64LE)
-		req.ContentLength = max(int64(len(body))+int64(lenDelta), -1)
-		rec := httptest.NewRecorder()
-		s.Handler().ServeHTTP(rec, req)
 
+		declared := max(int64(len(body))+int64(lenDelta), -1)
+		var recs [2]*httptest.ResponseRecorder
+		for i, native := range []bool{true, false} {
+			withCodec(native, func() {
+				cr := &countingReader{r: bytes.NewReader(body)}
+				req, err := http.NewRequest("POST", "/v1/matrices/a/mul?"+query, cr)
+				if err != nil {
+					t.Skip("query does not form a URL")
+				}
+				req.Header.Set("Content-Type", mediaF64LE)
+				req.ContentLength = declared
+				recs[i] = httptest.NewRecorder()
+				s.Handler().ServeHTTP(recs[i], req)
+				if declared > cfg.MaxBodyBytes && (recs[i].Code != 413 && recs[i].Code != 400 || cr.reads != 0) {
+					t.Fatalf("%d bytes declared over the %d-byte cap: status %d after %d body reads, want 413 (or a query's 400) unread",
+						declared, cfg.MaxBodyBytes, recs[i].Code, cr.reads)
+				}
+			})
+		}
+		rec := recs[0]
+		if rec.Code != recs[1].Code || rec.Code == 200 && !bytes.Equal(rec.Body.Bytes(), recs[1].Body.Bytes()) {
+			t.Fatalf("in place: %d %q; explicit codec: %d %q", rec.Code, rec.Body.Bytes(), recs[1].Code, recs[1].Body.Bytes())
+		}
+		if declared >= 0 && declared != int64(len(body)) && rec.Code != 400 && rec.Code != 413 {
+			t.Fatalf("a %d-byte body declared %d answered %d, want 400 or 413", len(body), declared, rec.Code)
+		}
 		if rec.Code == 200 {
-			if req.ContentLength != 32 || len(body) != 32 {
-				t.Fatalf("200 for a %d-byte body declared %d, want both 32", len(body), req.ContentLength)
+			if declared != 32 || len(body) != 32 {
+				t.Fatalf("200 for a %d-byte body declared %d, want both 32", len(body), declared)
 			}
 			want, err := s.MulOpts("a", decodeF64LE(body), MulOptions{})
 			if err != nil {

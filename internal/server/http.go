@@ -96,26 +96,18 @@ func errorCode(status int, err error) string {
 			return row.code
 		}
 	}
-	switch status {
-	case http.StatusNotFound:
-		return "not_found"
-	case http.StatusMethodNotAllowed:
-		return "method_not_allowed"
-	case http.StatusConflict:
-		return "conflict"
-	case http.StatusRequestEntityTooLarge:
-		return "payload_too_large"
-	case http.StatusTooManyRequests:
-		return "too_many_requests"
-	case http.StatusBadGateway:
-		return "bad_gateway"
-	case http.StatusGatewayTimeout:
-		return "gateway_timeout"
-	case http.StatusInternalServerError:
-		return "internal"
-	default:
-		return "bad_request"
+	if code, ok := codeByStatus[status]; ok {
+		return code
 	}
+	return "bad_request"
+}
+
+// codeByStatus is the envelope code of an error no sentinel classifies.
+var codeByStatus = map[int]string{
+	http.StatusNotFound: "not_found", http.StatusMethodNotAllowed: "method_not_allowed",
+	http.StatusConflict: "conflict", http.StatusRequestEntityTooLarge: "payload_too_large",
+	http.StatusTooManyRequests: "too_many_requests", http.StatusBadGateway: "bad_gateway",
+	http.StatusGatewayTimeout: "gateway_timeout", http.StatusInternalServerError: "internal",
 }
 
 // writeFailure answers a failed API call with the status errorTable
@@ -131,6 +123,15 @@ func writeFailure(w http.ResponseWriter, err error) {
 		w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
 	}
 	writeError(w, statusOf(err), err)
+}
+
+// reply answers one API call: v as JSON under code, or the call's failure.
+func reply(w http.ResponseWriter, code int, v any, err error) {
+	if err != nil {
+		writeFailure(w, err)
+		return
+	}
+	writeJSON(w, code, v)
 }
 
 // Handler returns the HTTP API of the serving subsystem:
@@ -214,9 +215,9 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	_, _ = w.Write(append(b, '\n')) // a failed write means the client left; nobody to tell
 }
 
-// writeFrame answers with v as one vector frame.
+// writeFrame answers with v as one vector frame, written from v's memory.
 func writeFrame(w http.ResponseWriter, v []float64) {
-	b := appendF64LE(make([]byte, 0, 8*len(v)), v)
+	b := vecBytes(v)
 	w.Header().Set("Content-Type", mediaF64LE)
 	w.Header().Set("Content-Length", strconv.Itoa(len(b)))
 	w.WriteHeader(http.StatusOK)
@@ -257,17 +258,7 @@ func (s *Server) handleNotFound(w http.ResponseWriter, r *http.Request) {
 func (s *Server) allowedMethods(path string) []string {
 	var allowed []string
 	for _, rt := range s.routes() {
-		if !pathMatches(rt.pattern, path) {
-			continue
-		}
-		dup := false
-		for _, m := range allowed {
-			if m == rt.method {
-				dup = true
-				break
-			}
-		}
-		if !dup {
+		if pathMatches(rt.pattern, path) && !slices.Contains(allowed, rt.method) {
 			allowed = append(allowed, rt.method)
 		}
 	}
@@ -345,7 +336,7 @@ func (s *Server) handleRegisterBand(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	frame, status, err := s.readFrame(r)
+	frame, status, err := s.readFrame(r, func(n int) []byte { return make([]byte, n) })
 	if err != nil {
 		writeError(w, status, err)
 		return
@@ -355,13 +346,8 @@ func (s *Server) handleRegisterBand(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
 		return
 	}
-	general := false
-	info, err := s.RegisterOpts(q.Get("id"), q.Get("name"), m, RegisterOptions{Symmetric: &general})
-	if err != nil {
-		writeFailure(w, err)
-		return
-	}
-	writeJSON(w, http.StatusCreated, info)
+	info, err := s.RegisterOpts(q.Get("id"), q.Get("name"), m, RegisterOptions{Symmetric: new(bool)})
+	reply(w, http.StatusCreated, info, err)
 }
 
 func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
@@ -390,19 +376,11 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		info, err := s.cluster.RegisterSharded(req.ID, name, m, req.Shards)
-		if err != nil {
-			writeFailure(w, err)
-			return
-		}
-		writeJSON(w, http.StatusCreated, info)
+		reply(w, http.StatusCreated, info, err)
 		return
 	}
 	info, err := s.RegisterOpts(req.ID, name, m, RegisterOptions{Symmetric: req.Symmetric})
-	if err != nil {
-		writeFailure(w, err)
-		return
-	}
-	writeJSON(w, http.StatusCreated, info)
+	reply(w, http.StatusCreated, info, err)
 }
 
 // matrixFromRequest builds the matrix named by one register request. A
@@ -470,8 +448,8 @@ func (s *Server) handleList(w http.ResponseWriter, _ *http.Request) {
 }
 
 // decodeMulFrame fills req from a frame-coded mul request: x is the body,
-// the options are query parameters named as the JSON fields are. The
-// status is the HTTP code a non-nil error should answer with.
+// read into a pooled vector, the options are query parameters named as the
+// JSON fields are. The status is the HTTP code a non-nil error answers with.
 func (s *Server) decodeMulFrame(r *http.Request, req *mulRequest) (int, error) {
 	q, err := queryParams(r, "tenant", "class", "deadline_ms", "affinity")
 	if err != nil {
@@ -483,14 +461,17 @@ func (s *Server) decodeMulFrame(r *http.Request, req *mulRequest) (int, error) {
 		}
 	}
 	req.Tenant, req.Class, req.Affinity = q.Get("tenant"), q.Get("class"), q.Get("affinity")
-	frame, status, err := s.readFrame(r)
+	frame, status, err := s.readFrame(r, func(n int) []byte {
+		req.X = getVec((n + 7) / 8)
+		return vecBytes(req.X)[:n]
+	})
 	if err != nil {
 		return status, err
 	}
 	if len(frame)%8 != 0 {
 		return http.StatusBadRequest, fmt.Errorf("bad request body: %d bytes is not a whole number of float64s", len(frame))
 	}
-	req.X = decodeF64LE(frame)
+	setVec(req.X, frame)
 	return 0, nil
 }
 
@@ -544,15 +525,12 @@ func (s *Server) handleMul(w http.ResponseWriter, r *http.Request) {
 		span = &sw.span
 	}
 	y, err := s.mulOpts(id, req.X, opts, span)
-	if err != nil {
-		writeFailure(w, err)
-		return
-	}
-	if wantsFrame(r, codec) {
+	xPool.Put(&req.X) // no sweep reads x once mulOpts has returned
+	if err == nil && wantsFrame(r, codec) {
 		writeFrame(w, y)
 		return
 	}
-	writeJSON(w, http.StatusOK, mulResponse{Y: y})
+	reply(w, http.StatusOK, mulResponse{Y: y}, err)
 }
 
 // patchRequest is the body of PATCH /v1/matrices/{id}: one atomic,
@@ -569,29 +547,17 @@ func (s *Server) handlePatchMatrix(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	res, err := s.Patch(id, req.Deltas)
-	if err != nil {
-		writeFailure(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, res)
+	reply(w, http.StatusOK, res, err)
 }
 
 func (s *Server) handleDeleteMatrix(w http.ResponseWriter, r *http.Request) {
 	res, err := s.DeleteMatrix(r.PathValue("id"))
-	if err != nil {
-		writeFailure(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, res)
+	reply(w, http.StatusOK, res, err)
 }
 
 func (s *Server) handleTuning(w http.ResponseWriter, r *http.Request) {
 	rep, err := s.Tuning(r.PathValue("id"))
-	if err != nil {
-		writeFailure(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, rep)
+	reply(w, http.StatusOK, rep, err)
 }
 
 // StatsReport is /v1/stats: the local serving counters, the measured

@@ -729,11 +729,7 @@ func (s *Server) handleSolveCreate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	st, err := s.SolveOpts(r.PathValue("id"), req, SolveOptions{})
-	if err != nil {
-		writeFailure(w, err)
-		return
-	}
-	writeJSON(w, http.StatusCreated, st)
+	reply(w, http.StatusCreated, st, err)
 }
 
 func (s *Server) handleSolveGet(w http.ResponseWriter, r *http.Request) {
@@ -747,20 +743,12 @@ func (s *Server) handleSolveGet(w http.ResponseWriter, r *http.Request) {
 		wait = min(d, solveWaitCap)
 	}
 	st, err := s.SolveStatus(r.PathValue("sid"), wait)
-	if err != nil {
-		writeFailure(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, st)
+	reply(w, http.StatusOK, st, err)
 }
 
 func (s *Server) handleSolveDelete(w http.ResponseWriter, r *http.Request) {
 	st, err := s.CancelSolve(r.PathValue("sid"))
-	if err != nil {
-		writeFailure(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, st)
+	reply(w, http.StatusOK, st, err)
 }
 
 func (s *Server) handleSolveList(w http.ResponseWriter, _ *http.Request) {

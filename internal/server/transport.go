@@ -55,8 +55,7 @@ func (t *LocalTransport) Name() string { return t.label }
 // Register ingests the band on the member server, pinned to general
 // storage (see Transport.Register).
 func (t *LocalTransport) Register(id, name string, m *spmv.Matrix) (MatrixInfo, error) {
-	general := false
-	return t.s.RegisterOpts(id, name, m, RegisterOptions{Symmetric: &general})
+	return t.s.RegisterOpts(id, name, m, RegisterOptions{Symmetric: new(bool)}) // a pointer to false
 }
 
 // Mul multiplies against the member's band.
@@ -118,8 +117,11 @@ func (t *HTTPTransport) Mul(id string, x []float64) ([]float64, error) {
 	return t.hc.MulOpts(id, x, MulOptions{})
 }
 
-// Sweep is a Mul copied into y: the wire has no cheaper verb.
-func (t *HTTPTransport) Sweep(id string, y, x []float64) error { return mulInto(t, id, y, x) }
+// Sweep is a Mul whose result frame is read straight into y.
+func (t *HTTPTransport) Sweep(id string, y, x []float64) error {
+	_, err := t.hc.mul(id, x, MulOptions{}, y)
+	return err
+}
 
 // Unregister deletes the band on the remote member.
 func (t *HTTPTransport) Unregister(id string) error {

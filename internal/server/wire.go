@@ -12,6 +12,8 @@ import (
 	"math"
 	"mime"
 	"net/http"
+	"sync"
+	"unsafe"
 
 	spmv "repro"
 )
@@ -69,20 +71,44 @@ func appendF64LE(b []byte, v []float64) []byte {
 	return b
 }
 
-// decodeF64LE decodes a vector frame; len(b) must be a multiple of 8.
-func decodeF64LE(b []byte) []float64 {
-	v := make([]float64, len(b)/8)
-	for i := range v {
-		v[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+// nativeLE reports whether a float64's memory is its frame's bytes, so
+// frames need no codec; a variable so tests can run the codec anyway.
+var nativeLE = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// vecBytes is v's vector frame: where nativeLE, v's own memory (the
+// package's one unsafe view: 8·len(v) bytes of pointer-free data that
+// live as long as v), elsewhere an encoded copy to be read with setVec.
+func vecBytes(v []float64) []byte {
+	if !nativeLE {
+		return appendF64LE(make([]byte, 0, 8*len(v)), v)
 	}
-	return v
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(v))), 8*len(v))
 }
 
-// readFrame reads a request body of exactly Content-Length bytes under
-// the server's body cap with a single io.ReadFull into a buffer of the
-// declared size, so a frame is never grown or copied while it arrives.
-// The status is the HTTP code a non-nil error should answer with.
-func (s *Server) readFrame(r *http.Request) ([]byte, int, error) {
+// setVec finishes filling v from b = vecBytes(v): a no-op where nativeLE.
+func setVec(v []float64, b []byte) {
+	for i := 0; !nativeLE && i < len(v); i++ {
+		v[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+	}
+}
+
+// xPool recycles the x vectors mul frames are read into; one goes back
+// when mulOpts returns (DESIGN.md, "Wire format").
+var xPool sync.Pool // of *[]float64
+
+// getVec returns an n-long vector of arbitrary contents.
+func getVec(n int) []float64 {
+	if p, _ := xPool.Get().(*[]float64); p != nil && cap(*p) >= n {
+		return (*p)[:n]
+	}
+	return make([]float64, n)
+}
+
+// readFrame reads a request body of exactly Content-Length bytes n under
+// the server's body cap with a single io.ReadFull into dst(n), so a frame
+// is never grown or copied while it arrives, and returns it. The status is
+// the HTTP code a non-nil error should answer with.
+func (s *Server) readFrame(r *http.Request, dst func(n int) []byte) ([]byte, int, error) {
 	n := r.ContentLength
 	switch {
 	case n < 0:
@@ -91,7 +117,7 @@ func (s *Server) readFrame(r *http.Request) ([]byte, int, error) {
 		return nil, http.StatusRequestEntityTooLarge,
 			fmt.Errorf("request body exceeds the %d-byte limit", s.cfg.MaxBodyBytes)
 	}
-	buf := make([]byte, n)
+	buf := dst(int(n))
 	if _, err := io.ReadFull(r.Body, buf); err != nil {
 		return nil, http.StatusBadRequest, fmt.Errorf("bad request body: %d-byte frame declared: %w", n, err)
 	}

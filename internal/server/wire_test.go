@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"net/http"
@@ -31,6 +32,15 @@ func registerTridiag(t testing.TB, s *Server) {
 	if _, err := s.Register("a", "tiny", m); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// decodeF64LE decodes a vector frame; len(b) must be a multiple of 8.
+func decodeF64LE(b []byte) []float64 {
+	v := make([]float64, len(b)/8)
+	for i := range v {
+		v[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+	}
+	return v
 }
 
 // frameRequest builds a mul request carrying body as a vector frame.
@@ -547,5 +557,278 @@ func TestHTTPTransportIsHTTPClient(t *testing.T) {
 	}
 	if err := tr.Unregister("m.s0"); !errors.Is(err, ErrUnknownMatrix) {
 		t.Errorf("double unregister: err %v, want ErrUnknownMatrix", err)
+	}
+}
+
+// withCodec runs f with nativeLE forced to native, so a little-endian host
+// also runs the explicit codec a big-endian host serves frames with.
+func withCodec(native bool, f func()) {
+	defer func(was bool) { nativeLE = was }(nativeLE)
+	nativeLE = native
+	f()
+}
+
+// TestFrameEdgeValuesBitwise: IEEE-754's edge values cross the wire as bits
+// — NaN payloads (quiet and signalling) and ±Inf in y, −0, subnormals and
+// ±MaxFloat64 in x and y — through HTTPClient → server → HTTPClient and
+// HTTPTransport.Sweep, bitwise equal to in-process MulOpts, both on the
+// in-place path and through the explicit little-endian codec; and a NaN or
+// ±Inf in x is refused over the wire as in-process.
+func TestFrameEdgeValuesBitwise(t *testing.T) {
+	s := New(DefaultConfig())
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	sub := math.Float64frombits(1) // the smallest subnormal
+	diag := []float64{
+		math.Float64frombits(0x7ff8_0000_0000_beef), // quiet NaN with a payload
+		math.Float64frombits(0xfff0_0000_0000_0001), // signalling NaN, sign set
+		math.Float64frombits(0x7ff4_dead_beef_0000), // signalling NaN
+		math.Inf(1), math.Inf(-1), math.Copysign(0, -1), // −0
+		sub, -sub, math.SmallestNonzeroFloat64 * 3, 0x1p-1022, // subnormals, smallest normal
+		math.MaxFloat64, -math.MaxFloat64, 1,
+	}
+	xEdge := []float64{math.Copysign(0, -1), sub, math.MaxFloat64, -math.MaxFloat64, 0x1p-1022, 1}
+	// Row i < len(diag) is diag[i]·x[i] with x[i] = 1; the rows after it
+	// take x's edge values through ×2 (overflow to ±Inf), ×0.5 (subnormal
+	// rounding) and a sum that cancels to zero.
+	n, k := len(diag), len(xEdge)
+	m := spmv.NewMatrix(n+k+1, n+k)
+	for i, v := range diag {
+		_ = m.Set(i, i, v)
+	}
+	for j := range xEdge {
+		_ = m.Set(n+j, n+j, 2)
+		_ = m.Set(n+j, n+(j+1)%k, 0.5)
+	}
+	_ = m.Set(n+k, n+2, 1)
+	_ = m.Set(n+k, n+3, 1)
+	if _, err := s.Register("edge", "edge", m); err != nil {
+		t.Fatal(err)
+	}
+	x := make([]float64, n+k)
+	for i := range diag {
+		x[i] = 1
+	}
+	copy(x[n:], xEdge)
+	want, err := s.MulOpts("edge", x, MulOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !math.IsNaN(want[0]) || !math.IsNaN(want[1]) || !math.IsInf(want[3], 1) || want[6] != sub ||
+		!math.IsInf(want[n+2], 1) || !math.IsInf(want[n+3], -1) {
+		t.Fatalf("the fixture lost its edge values: y = %v", want)
+	}
+
+	hc := NewHTTPClient(ts.URL, nil)
+	tr := NewHTTPTransport(ts.URL, nil)
+	for _, native := range []bool{true, false} {
+		withCodec(native, func() {
+			got, err := hc.MulOpts("edge", x, MulOptions{})
+			if err != nil {
+				t.Fatalf("nativeLE=%v: %v", native, err)
+			}
+			mustBitwise(t, "HTTPClient.MulOpts", got, want)
+			swept := make([]float64, len(want))
+			if err := tr.Sweep("edge", swept, x); err != nil {
+				t.Fatalf("nativeLE=%v: Sweep: %v", native, err)
+			}
+			mustBitwise(t, "HTTPTransport.Sweep", swept, want)
+			for _, bad := range []float64{diag[0], diag[1], diag[2], math.Inf(1), math.Inf(-1)} {
+				xb := append([]float64(nil), x...)
+				xb[n+1] = bad
+				_, inErr := s.MulOpts("edge", xb, MulOptions{})
+				_, wireErr := hc.MulOpts("edge", xb, MulOptions{})
+				if !errors.Is(inErr, ErrInvalidArgument) || !errors.Is(wireErr, ErrInvalidArgument) {
+					t.Errorf("nativeLE=%v: x[%d] = %x: in-process %v, wire %v; want both ErrInvalidArgument",
+						native, n+1, math.Float64bits(bad), inErr, wireErr)
+				}
+			}
+		})
+	}
+}
+
+// countingReader counts the Read calls made on it.
+type countingReader struct {
+	r     io.Reader
+	reads int
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	c.reads++
+	return c.r.Read(p)
+}
+
+// TestMulFrameBodyLengths: every body length from 0 to 17 bytes gets its
+// fixed answer — the 16-byte frame a vector, a length that is not a whole
+// number of float64s the 400 envelope naming it, word for word, the other
+// lengths the dimension 400 — and a declared length is held to: one over
+// MaxBodyBytes is 413 without a byte of the body read, a body shorter or
+// longer than declared is 400.
+func TestMulFrameBodyLengths(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.MaxBodyBytes = 64
+	s := New(cfg)
+	defer s.Close()
+	m := spmv.NewMatrix(2, 2)
+	_ = m.Set(0, 0, 2)
+	_ = m.Set(0, 1, -1)
+	_ = m.Set(1, 1, 0.5)
+	if _, err := s.Register("b", "b", m); err != nil {
+		t.Fatal(err)
+	}
+	h := s.Handler()
+	body := appendF64LE(nil, []float64{3, -4, 5})
+	want, err := s.MulOpts("b", decodeF64LE(body[:16]), MulOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for n := 0; n <= 17; n++ {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, frameRequest("/v1/matrices/b/mul", body[:n]))
+		name := fmt.Sprintf("%d-byte body", n)
+		switch {
+		case n == 16:
+			if rec.Code != 200 || !bytes.Equal(rec.Body.Bytes(), appendF64LE(nil, want)) {
+				t.Errorf("%s: status %d body %x, want the frame %x", name, rec.Code, rec.Body.Bytes(), appendF64LE(nil, want))
+			}
+		case n%8 != 0:
+			wantEnvelope(t, name, rec, 400, "bad_request")
+			var e errorResponse
+			_ = json.Unmarshal(rec.Body.Bytes(), &e)
+			if msg := fmt.Sprintf("bad request body: %d bytes is not a whole number of float64s", n); e.Error.Message != msg {
+				t.Errorf("%s: message %q, want %q", name, e.Error.Message, msg)
+			}
+		default:
+			wantEnvelope(t, name, rec, 400, "bad_request")
+		}
+	}
+
+	for _, tc := range []struct {
+		name     string
+		body     int
+		declared int64
+		status   int
+		code     string
+	}{
+		{"declared over MaxBodyBytes", 72, 72, 413, "payload_too_large"},
+		{"declared over MaxBodyBytes, body short", 8, 1 << 20, 413, "payload_too_large"},
+		{"body shorter than declared", 8, 16, 400, "bad_request"},
+		{"body longer than declared", 24, 16, 400, "bad_request"},
+		{"body shorter, declared not whole", 8, 13, 400, "bad_request"},
+	} {
+		cr := &countingReader{r: bytes.NewReader(make([]byte, tc.body))}
+		req := httptest.NewRequest("POST", "/v1/matrices/b/mul", cr)
+		req.Header.Set("Content-Type", mediaF64LE)
+		req.ContentLength = tc.declared
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		wantEnvelope(t, tc.name, rec, tc.status, tc.code)
+		if tc.status == 413 && cr.reads != 0 {
+			t.Errorf("%s: the body was read %d times before the 413", tc.name, cr.reads)
+		}
+	}
+}
+
+// TestHTTPMulConcurrentDistinctX: concurrent frame muls, each with its own
+// x, fused into shared sweeps and reading x into recycled vectors, each
+// answer the in-process bits of their own x — a pooled vector reused
+// before its request finished would hand one request another's x. Run
+// under -race.
+func TestHTTPMulConcurrentDistinctX(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Adaptive = false
+	cfg.BatchWindow = 2 * time.Millisecond
+	s := New(cfg)
+	defer s.Close()
+	const rows, cols, clients, rounds = 70, 300, 6, 12
+	if _, err := s.Register("m", "m", testMatrix(t, rows, cols, 1500, 3)); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	hc := NewHTTPClient(ts.URL, nil)
+	xs := make([][]float64, clients*rounds)
+	wants := make([][]float64, len(xs))
+	for i := range xs {
+		xs[i] = testVector(cols, int64(100+i))
+		var err error
+		if wants[i], err = s.MulOpts("m", xs[i], MulOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				i := r*clients + c
+				y, err := hc.MulOpts("m", xs[i], MulOptions{})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for j := range y {
+					if math.Float64bits(y[j]) != math.Float64bits(wants[i][j]) {
+						t.Errorf("request %d: y[%d] = %x, want %x", i, j, y[j], wants[i][j])
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if st := s.Stats(); st.FusedSweeps == 0 {
+		t.Logf("no sweep fused (%d sweeps for %d requests); the pool still recycled across requests", st.Sweeps, st.Requests)
+	}
+}
+
+// TestHTTPMulEarly413LeavesX: a server that answers 413 before reading the
+// body leaves net/http still writing x after Do returns; MulOpts must not
+// return until the transport has closed the body, so the caller may
+// overwrite x at once. Under -race, a transport still reading x is a
+// reported race.
+func TestHTTPMulEarly413LeavesX(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.MaxBodyBytes = 1 << 10
+	s := New(cfg)
+	defer s.Close()
+	registerTridiag(t, s)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	hc := NewHTTPClient(ts.URL, nil)
+	x := make([]float64, 1<<18) // 2 MB: far more than the socket buffers hold
+	for round := 0; round < 4; round++ {
+		_, err := hc.MulOpts("a", x, MulOptions{})
+		if err == nil || !strings.Contains(err.Error(), "exceeds the 1024-byte limit") {
+			t.Fatalf("round %d: err %v, want the 413", round, err)
+		}
+		for i := range x {
+			x[i] = float64(round*len(x) + i)
+		}
+	}
+}
+
+// TestHTTPMulBadBaseReturns: MulOpts against an unreachable or malformed
+// base URL returns an error promptly instead of waiting for a request body
+// the transport never took, or already closed.
+func TestHTTPMulBadBaseReturns(t *testing.T) {
+	x := []float64{1, 2, 3, 4}
+	for _, base := range []string{"http://127.0.0.1:1", "http://[::1", "ftp://example.invalid", "http://", "127.0.0.1"} {
+		done := make(chan error, 1)
+		go func() {
+			_, err := NewHTTPClient(base, nil).MulOpts("a", x, MulOptions{})
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err == nil {
+				t.Errorf("%q: MulOpts succeeded", base)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%q: MulOpts still waiting after 10s", base)
+		}
 	}
 }
