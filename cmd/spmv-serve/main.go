@@ -24,7 +24,7 @@
 //	GET  /v1/matrices          list registered matrices (local and sharded)
 //	POST /v1/matrices/{id}/mul {"x":[...]} -> {"y":[...]}
 //	                           + optional {"tenant":"acme","class":"latency|standard|bulk","deadline_ms":250}
-//	GET  /v1/matrices/{id}/tuning online re-tuner state + measured-vs-modeled roofline
+//	GET  /v1/matrices/{id}/tuning registration decision, recompactions + measured-vs-modeled roofline
 //	POST /v1/matrices/{id}/solve {"method":"cg","b":[...],"tol":1e-8,"max_iters":500} -> session
 //	                           + optional {"tenant":"acme","class":"bulk"}
 //	GET  /v1/solve             list resident solver sessions
@@ -65,8 +65,6 @@ func main() {
 	maxBodyBytes := flag.Int64("max-body-bytes", 0, "request body cap, 413 beyond it (0 = 256 MiB); raise on members sharding very large matrices")
 	maxSweeps := flag.Int("max-concurrent-sweeps", 0, "concurrent sweep limit (0 = workers)")
 	maxSessions := flag.Int("max-sessions", 0, "resident solver-session cap, 429 beyond it (0 = 16)")
-	retuneInterval := flag.Duration("retune-interval", 30*time.Second, "online re-tune scan interval; 0 disables workload-aware re-tuning")
-	retuneDrift := flag.Float64("retune-drift", server.DefaultRetuneDrift, "fused-width drift (1 - min/max) that triggers a re-tune evaluation")
 	recompactThreshold := flag.Float64("recompact-threshold", server.DefaultRecompactThreshold, "overlay-to-matrix modeled-bytes ratio that triggers background delta recompaction (negative disables)")
 	members := flag.Int("members", 0, "in-process shard member nodes (forms a cluster; for demos and smoke tests)")
 	peers := flag.String("peers", "", "comma-separated member base URLs (http://host:port) forming a cluster")
@@ -108,8 +106,6 @@ func main() {
 	cfg.MaxBodyBytes = *maxBodyBytes
 	cfg.MaxConcurrentSweeps = *maxSweeps
 	cfg.MaxSessions = *maxSessions
-	cfg.RetuneInterval = *retuneInterval
-	cfg.RetuneDrift = *retuneDrift
 	cfg.RecompactThreshold = *recompactThreshold
 	cfg.ObsSample = *obsSample
 	cfg.ObsRing = *obsRing
@@ -187,7 +183,6 @@ func main() {
 		slog.Int("max_batch", cfg.MaxBatch),
 		slog.Duration("batch_window", cfg.BatchWindow),
 		slog.Bool("adaptive", cfg.Adaptive),
-		slog.Duration("retune_interval", cfg.RetuneInterval),
 		slog.Int("obs_sample", cfg.ObsSample),
 		slog.Bool("sched", cfg.Sched.Active()),
 		slog.Bool("admission", cfg.Sched.AdmissionControlled()))

@@ -335,8 +335,8 @@ func TestDifferentialCSRFamily(t *testing.T) {
 							checkBitwise(t, fmt.Sprintf("%s/multi%d/lane%d", path, width, v), ys[v], refs[v])
 						}
 						// Tuned wide views — over CSR encodings these must
-						// reproduce the same bits (the re-tuner's
-						// bit-preserving promotion contract).
+						// reproduce the same bits (what lets registration
+						// narrow indices without moving a served bit).
 						wmo, err := op.WideMulti(width)
 						if err != nil {
 							t.Fatal(err)

@@ -5,8 +5,8 @@ import (
 	"go/types"
 )
 
-// SnapshotOnce enforces the copy-on-write snapshot discipline the
-// re-tuner's promotion path depends on: a request path loads the
+// SnapshotOnce enforces the copy-on-write snapshot discipline promotion
+// depends on: a request path loads the
 // serving snapshot (an atomic.Pointer field) exactly once and carries
 // the loaded value through the whole sweep. A second Load of the same
 // pointer inside one function can observe a different generation — the
@@ -14,7 +14,7 @@ import (
 // admission priced on one generation while the sweep runs another, a
 // trace attributing a sweep to the wrong generation). Closures count as
 // part of their enclosing declaration: the visible re-load is what
-// matters, not the call boundary. Intentional re-reads (a retuner
+// matters, not the call boundary. Intentional re-reads (a writer
 // checking whether an operator is still the serving one after a
 // promotion) are waived line-by-line with //spmv:reload-ok.
 //

@@ -89,6 +89,25 @@ func NewCSR[I Index](m *COO) (*CSR[I], error) {
 	return out, nil
 }
 
+// NarrowCSR returns src with 16-bit column indices: what
+// NewCSR[uint16](src.ToCOO()) builds, without the COO round trip and row
+// sort. It returns ErrIndexOverflow when src has more than 65 536 columns.
+// Col is converted element-wise; RowPtr and Val are shared with src, not
+// copied. Sharing is safe because no encoding is written after its
+// constructor returns — the same reason the tuner may serve a CSR32
+// source as its own encoding.
+func NarrowCSR(src *CSR32) (*CSR16, error) {
+	if src.C > MaxIndex[uint16]()+1 {
+		return nil, fmt.Errorf("%w: %d columns with %d-byte indices",
+			ErrIndexOverflow, src.C, IndexBytes[uint16]())
+	}
+	col := make([]uint16, len(src.Col))
+	for k, c := range src.Col {
+		col[k] = uint16(c)
+	}
+	return &CSR16{R: src.R, C: src.C, RowPtr: src.RowPtr, Col: col, Val: src.Val}, nil
+}
+
 // Dims implements Format.
 func (m *CSR[I]) Dims() (int, int) { return m.R, m.C }
 

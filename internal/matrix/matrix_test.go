@@ -1,6 +1,7 @@
 package matrix
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"sort"
@@ -147,6 +148,16 @@ func TestCSR16Overflow(t *testing.T) {
 	m2 := NewCOO(2, 65536)
 	if _, err := NewCSR[uint16](m2); err != nil {
 		t.Errorf("CSR16 rejected 65536 columns: %v", err)
+	}
+	// NarrowCSR draws the same line.
+	for _, m := range []*COO{m, m2} {
+		src, err := NewCSR[uint32](m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := NarrowCSR(src); (m.C > 65536) != errors.Is(err, ErrIndexOverflow) {
+			t.Errorf("NarrowCSR of %d columns: err = %v", m.C, err)
+		}
 	}
 }
 

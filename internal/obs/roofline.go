@@ -10,9 +10,9 @@ import (
 // bandwidth-bound, modeled bytes over measured seconds should approach
 // the machine's sustained DRAM bandwidth. Each serving snapshot carries
 // its own accumulator, so attribution is naturally per matrix, per
-// kernel, and per re-tune generation: a promotion starts a fresh
+// kernel, and per serving generation: a recompaction starts a fresh
 // accumulator and its achieved GB/s can be compared against the
-// incumbent's, closing the loop the shadow benchmark only models.
+// replaced generation's.
 type Roofline struct {
 	sweeps atomic.Uint64
 	nanos  atomic.Int64 // measured sweep wall time

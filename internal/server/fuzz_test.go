@@ -100,7 +100,6 @@ func TestRegisterFuzzSeedsStatuses(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Threads = 1
 	cfg.Workers = 1
-	cfg.RetuneInterval = time.Hour // exercise the scanner's lifecycle too
 	s := New(cfg)
 	defer s.Close()
 	for _, tc := range cases {

@@ -141,7 +141,7 @@ func reply(w http.ResponseWriter, code int, v any, err error) {
 //	PATCH /v1/matrices/{id}       apply a batch of COO deltas (set | add | del)
 //	DELETE /v1/matrices/{id}      tear a matrix down (drains its solver sessions)
 //	POST /v1/matrices/{id}/mul    compute y = A·x (coalesced with concurrent calls); JSON or binary vector frames
-//	GET  /v1/matrices/{id}/tuning online re-tuner state: generation, drift, decision log
+//	GET  /v1/matrices/{id}/tuning serving decision: generation, kernel, roofline, recompaction log
 //	POST /v1/matrices/{id}/solve  start a server-resident solver session (cg | power)
 //	GET  /v1/solve                list resident solver sessions
 //	GET  /v1/solve/{sid}          session state + residual history (?wait=dur blocks until done)
@@ -625,9 +625,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	e.Counter("spmv_serve_single_fallbacks_total", "Requests served alone, by a width-1 sweep.", float64(st.SingleFallbacks))
 	e.Gauge("spmv_serve_matrices_registered", "Matrices in the registry.", float64(st.Registered))
 	e.Counter("spmv_serve_compiles_total", "Tuner+compile runs.", float64(st.Compiles))
-	e.Counter("spmv_serve_retune_evals_total", "Drifted matrices shadow-benchmarked by the re-tuner.", float64(st.RetuneEvals))
-	e.Counter("spmv_serve_retune_promotions_total", "Re-tuned operators promoted to serving.", float64(st.RetunePromotions))
-	e.Counter("spmv_serve_retune_rejections_total", "Re-tune candidates rejected by the shadow benchmark.", float64(st.RetuneRejections))
 	e.Counter("spmv_serve_solve_sessions_total", "Solver sessions created.", float64(st.SolveSessions))
 	e.Counter("spmv_serve_solve_iters_total", "Solver iterations executed (each one width-1 sweep).", float64(st.SolveIters))
 	e.Counter("spmv_serve_patches_total", "PATCH batches applied.", float64(st.Patches))
@@ -676,7 +673,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		achieved = append(achieved, obs.Sample{Labels: labels, Value: rs.AchievedGBs})
 		ratio = append(ratio, obs.Sample{Labels: labels, Value: rs.ModelRatio})
 	}
-	e.GaugeVec("spmv_serve_matrix_generation", "Serving snapshot generation (re-tune promotions).", gens)
+	e.GaugeVec("spmv_serve_matrix_generation", "Serving snapshot generation (recompactions).", gens)
 	e.GaugeVec("spmv_serve_matrix_overlay_bytes", "Modeled per-sweep overlay cost of the pending delta log.", overlay)
 	e.GaugeVec("spmv_serve_matrix_achieved_gbs", "Measured-vs-modeled roofline: modeled bytes over measured sweep seconds.", achieved)
 	e.GaugeVec("spmv_serve_matrix_roofline_ratio", "Achieved bandwidth over the configured sustained-DRAM reference.", ratio)

@@ -12,8 +12,8 @@
 // bitwise identical to a from-scratch rebuild of the mutated matrix, at
 // any thread count, fused width, or delta batch split (see
 // kernel.OverlayRows for the argument). Recompaction then folds the log
-// into a new base matrix, compiles it, and promotes via the same
-// copy-on-write snapshot swap re-tuning uses: in-flight sweeps drain on
+// into a new base matrix, compiles it, and promotes it by a copy-on-write
+// snapshot swap: in-flight sweeps drain on
 // the old generation while new arrivals see the folded one, and the swap
 // moves no bits, so a promotion landing mid-solve leaves the trajectory
 // exactly where a rebuild would.
@@ -187,7 +187,7 @@ func (s *Server) Recompact(id string) error {
 }
 
 // recompactEntry folds the entry's delta log into a fresh base matrix,
-// re-tunes it, and promotes the result. The caller holds the entry's
+// compiles it, and promotes the result. The caller holds the entry's
 // recompacting latch; it is released on every exit.
 //
 // Three phases keep the expensive work off the entry's writer lock:
@@ -241,7 +241,7 @@ func (s *Server) recompactEntry(e *Entry) error {
 		}
 	}
 	if def == nil {
-		op, err := spmv.CompileParallel(folded, s.servingTune(1, false), s.cfg.Threads, 1)
+		op, err := spmv.CompileParallel(folded, s.servingTune(), s.cfg.Threads, 1)
 		if err != nil {
 			return fmt.Errorf("server: recompact %q: %w", e.ID, err)
 		}
@@ -249,14 +249,15 @@ func (s *Server) recompactEntry(e *Entry) error {
 	}
 	// Generation and overlay are only known under the lock; the snapshot's
 	// traffic model is built here.
-	nsv, err := newServing(def, 0, 1, nil)
+	nsv, err := newServing(def, 0, nil)
 	if err != nil {
 		return fmt.Errorf("server: recompact %q: %w", e.ID, err)
 	}
 
-	// Phase 3: promote.
+	// Phase 3: promote. Patches during phase 2 changed only the overlay:
+	// recompaction alone bumps the generation, and the latch keeps it
+	// single-flight, so sv's generation is still the current one.
 	e.tuneMu.Lock()
-	sv = e.cur.Load() //spmv:reload-ok a re-tune may have promoted during phase 2; the fold must stack on the latest generation
 	tail := l.Tail(seq)
 	var newLog *delta.Log
 	var ov *delta.Overlay

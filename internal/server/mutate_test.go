@@ -231,7 +231,7 @@ func TestRecompactionPromotes(t *testing.T) {
 		t.Fatalf("nnz unchanged at %d; dels/sets should have moved it", nnzBefore)
 	}
 	// Recompaction has its own counter; Compiles keeps counting only
-	// registrations and re-tune candidates.
+	// registrations.
 	if got := s.Stats().Compiles; got != compiles0 || got != 1 {
 		t.Fatalf("Compiles = %d after recompaction (was %d), want 1", got, compiles0)
 	}

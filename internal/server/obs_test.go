@@ -448,20 +448,15 @@ func TestObsDisabled(t *testing.T) {
 }
 
 // TestRooflineResetsOnPromotion checks the per-generation attribution: a
-// re-tune promotion installs a fresh accumulator, so the promoted
-// generation's roofline starts from zero sweeps.
+// recompaction promotes a new generation with a fresh accumulator, so its
+// roofline starts from zero sweeps.
 func TestRooflineResetsOnPromotion(t *testing.T) {
 	cfg := obsConfig()
 	cfg.MaxBatch = 8
-	cfg.RetuneMinRequests = 1
 	s := New(cfg)
 	defer s.Close()
 	c := s
 	info, err := c.RegisterSuite("qcd", "QCD", 0.05, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, err := s.reg.Get("qcd")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -478,12 +473,11 @@ func TestRooflineResetsOnPromotion(t *testing.T) {
 	if before.Measured.Sweeps == 0 {
 		t.Fatal("no sweeps measured before promotion")
 	}
-	// Force a promotable drift: pretend the workload fused wide.
-	for i := 0; i < 200; i++ {
-		e.work.record(8)
+	if _, err := s.Patch("qcd", []Delta{{Op: "add", Row: 0, Col: 0, Val: 1}}); err != nil {
+		t.Fatal(err)
 	}
-	if s.RetuneOnce() == 0 {
-		t.Skip("re-tuner declined to promote on this workload; reset covered only on promotion")
+	if err := s.Recompact("qcd"); err != nil {
+		t.Fatal(err)
 	}
 	after, err := c.Tuning("qcd")
 	if err != nil {

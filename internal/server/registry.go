@@ -30,9 +30,6 @@ import (
 type serving struct {
 	op  *spmv.Operator
 	sym bool // the operator is the symmetric (upper-triangle) family
-	// width is the fused-RHS width this operator was tuned for; the
-	// re-tuner measures workload drift against it.
-	width int
 	// gen counts promotions: 0 is the registration-time compile.
 	gen int
 	// Modeled single-RHS sweep traffic (internal/traffic) of the operator's
@@ -45,33 +42,23 @@ type serving struct {
 	// The overlay lives inside the snapshot for the same reason the
 	// operator does: a sweep loads e.cur once and must see a coherent
 	// (operator, overlay) pair, never a new overlay against an old base or
-	// vice versa. Every swap of e.cur — patch, re-tune promotion,
-	// recompaction — happens under tuneMu, which is what keeps the pair
+	// vice versa. Every swap of e.cur — patch or recompaction — happens
+	// under tuneMu, which is what keeps the pair
 	// coherent across writers.
 	ov      *delta.Overlay
 	ovBytes int64
 	// roof joins each executed sweep's measured wall time with its modeled
 	// bytes. Hanging the accumulator on the snapshot makes attribution
-	// per matrix, per kernel, AND per re-tune generation for free: a
-	// promotion installs a fresh accumulator, so its achieved GB/s is
-	// never diluted by the demoted operator's history.
+	// per matrix, per kernel, AND per generation for free: a
+	// recompaction installs a fresh accumulator, so its achieved GB/s is
+	// never diluted by the replaced operator's history.
 	roof *obs.Roofline
-}
-
-// summary returns the snapshot's modeled per-sweep traffic.
-func (sv *serving) summary() spmv.TrafficSummary {
-	return spmv.TrafficSummary{
-		MatrixBytes: sv.matrixBytes,
-		SourceBytes: sv.sourceBytes,
-		DestBytes:   sv.destBytes,
-	}
 }
 
 // Entry is one registered matrix with its serving snapshot and
 // precomputed serving metadata. The only compiled operator an entry keeps
-// alive is the one its snapshot serves: comparison losers, rejected
-// re-tune candidates and demoted incumbents are simply dropped for the
-// garbage collector.
+// alive is the one its snapshot serves: comparison losers and replaced
+// generations are simply dropped for the garbage collector.
 type Entry struct {
 	ID   string
 	Name string // human label (suite name, "upload", ...)
@@ -88,23 +75,13 @@ type Entry struct {
 	// compile finishes. See serving.
 	cur atomic.Pointer[serving]
 
-	// work observes the entry's request mix (fused-width histogram and a
-	// ring of recent sweep shapes) — the drift signal and shadow-benchmark
-	// sample the re-tuner consumes.
-	work workload
-
-	// tuneMu serializes every writer of the entry's serving state: re-tune
-	// evaluations, delta patches, and recompaction promotions all load
-	// e.cur, build a successor, and Store it under this mutex — so no swap
-	// ever clobbers another writer's. events is the bounded decision log
-	// behind GET /v1/matrices/{id}/tuning. lastEvalRequests paces
-	// evaluations by fresh traffic; lastRejectedWidth suppresses
-	// re-evaluating (and recompiling) the identical candidate while the
-	// observed median hasn't moved since a rejection.
-	tuneMu            sync.Mutex
-	events            []TuningEvent
-	lastEvalRequests  uint64
-	lastRejectedWidth int
+	// tuneMu serializes every writer of the entry's serving state: delta
+	// patches and recompaction promotions both load e.cur, build a
+	// successor, and Store it under this mutex — so no swap ever clobbers
+	// another writer's. events is the bounded recompaction log behind
+	// GET /v1/matrices/{id}/tuning.
+	tuneMu sync.Mutex
+	events []TuningEvent
 
 	// log accumulates the entry's COO deltas (nil until the first PATCH).
 	// Guarded by tuneMu, like every other mutation of serving state; the
@@ -116,7 +93,7 @@ type Entry struct {
 
 	// recompacting is the single-flight latch for the background
 	// recompactor: the patch that crosses the traffic-modeled threshold
-	// wins the CAS and spawns the fold+retune, later patches see it set
+	// wins the CAS and spawns the fold+compile, later patches see it set
 	// and leave the in-flight run alone.
 	recompacting atomic.Bool
 

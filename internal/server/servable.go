@@ -127,7 +127,7 @@ func (e *Entry) sweepInto(s *Server, class sched.Class, cancel <-chan struct{}, 
 	if s.obs != nil {
 		sv.roof.Record(d, bytes)
 	}
-	s.recordSweep(e, sv, 1)
+	s.recordSweep(sv, 1)
 	return sv.gen, d, nil
 }
 

@@ -21,8 +21,9 @@ import (
 // Config sizes the serving subsystem.
 type Config struct {
 	// Tune is the tuner configuration the serving candidate set is drawn
-	// from (see servingTune, which today takes its index-width policy and
-	// nothing else); DefaultConfig sets DefaultTuneOptions.
+	// from (see servingTune, which takes its register-blocking and
+	// index-width policy and nothing else); DefaultConfig sets
+	// DefaultTuneOptions.
 	Tune spmv.TuneOptions
 	// Threads is the one parallel width of a sweep: every served operator
 	// is compiled into this many nonzero-balanced row parts (§4.3), which
@@ -46,6 +47,10 @@ type Config struct {
 	// (the matrix is numerically symmetric) and its footprint beats the
 	// general encoding that would otherwise stream, the matrix is served by
 	// the parallel symmetric operator — half the matrix stream per sweep.
+	// Against 16-bit general indices that holds whenever the diagonal is
+	// under ⅔ of the nonzeros: SymCSR stores the (nnz+d)/2 upper entries
+	// at 12 bytes, CSR16 all nnz at 10, and 6(nnz+d) < 10·nnz iff
+	// d < ⅔·nnz (the general side never has fewer row pointers).
 	// Its bits differ from the same matrix served general: symmetry changes
 	// the summation order once, at registration, never per request. A
 	// per-request "symmetric" field overrides the auto-detection either
@@ -60,33 +65,12 @@ type Config struct {
 	// step with their band sizes.
 	MaxBodyBytes int64
 
-	// RetuneInterval enables workload-aware online re-tuning: a background
-	// scanner wakes at this interval, measures each matrix's observed
-	// request mix against the width its serving operator was tuned for,
-	// and — past the drift threshold — re-runs the tuner with workload-
-	// derived options in a worker off the hot path, promoting the
-	// candidate only when it wins a modeled shadow benchmark on captured
-	// request shapes (see retuner.go). <= 0 disables the scanner;
-	// RetuneOnce still evaluates on demand.
-	RetuneInterval time.Duration
-
-	// RetuneDrift is the width-drift threshold in (0, 1] that triggers a
-	// re-tune evaluation: 1 - min/max of tuned vs observed median width,
-	// so 0.5 fires on a 2× shift. <= 0 means the 0.5 default.
-	RetuneDrift float64
-
-	// RetuneMinRequests is how many fresh requests an entry must serve
-	// between re-tune evaluations — both the drift signal's sample floor
-	// and the pacing that keeps rejected candidates from being recompiled
-	// every scan. <= 0 means the default of 64.
-	RetuneMinRequests int
-
 	// RecompactThreshold triggers background recompaction of a patched
 	// matrix once its delta overlay's modeled per-sweep stream
 	// (traffic.OverlaySweepBytes) reaches this fraction of the base
 	// operator's matrix stream: past that point every sweep pays more than
 	// the fraction in extra bandwidth, so folding the deltas into a fresh
-	// base and re-tuning amortizes after ~1/threshold sweeps. 0 means
+	// base and recompiling amortizes after ~1/threshold sweeps. 0 means
 	// DefaultRecompactThreshold; negative disables recompaction (the
 	// overlay then grows until an explicit Recompact call).
 	RecompactThreshold float64
@@ -128,16 +112,9 @@ type Config struct {
 	Sched sched.Config
 
 	// Logger receives the server's structured logs (request access lines,
-	// re-tune decisions, solver session lifecycle). nil discards.
+	// recompactions, solver session lifecycle). nil discards.
 	Logger *slog.Logger
 }
-
-// DefaultRetuneDrift and DefaultRetuneMinRequests back the zero values of
-// the re-tuning knobs.
-const (
-	DefaultRetuneDrift       = 0.5
-	DefaultRetuneMinRequests = 64
-)
 
 // DefaultRecompactThreshold backs Config.RecompactThreshold's zero value:
 // recompact once the overlay stream costs every sweep 10% extra bandwidth
@@ -151,8 +128,9 @@ const DefaultRecompactThreshold = 0.10
 const DefaultMaxBodyBytes = 256 << 20
 
 // DefaultConfig serves with GOMAXPROCS row parts and workers, up to 8-wide
-// fusion, a 200µs linger with adaptive fallback, index narrowing open to
-// the re-tuner, and symmetric storage auto-detection.
+// fusion, a 200µs linger with adaptive fallback, the paper's tuner options
+// (register blocking and 16-bit indices where they shrink the encoding),
+// and symmetric storage auto-detection.
 func DefaultConfig() Config {
 	return Config{
 		Tune:          spmv.DefaultTuneOptions(),
@@ -183,11 +161,6 @@ type Server struct {
 	// route through it. Set once before serving (AttachCluster).
 	cluster *Cluster
 
-	// retuneStop/retuneDone bracket the background re-tune scanner's
-	// lifetime (nil when RetuneInterval <= 0).
-	retuneStop chan struct{}
-	retuneDone chan struct{}
-
 	// Solver sessions (see solve.go): server-resident CG / power-iteration
 	// state, keyed by session id. sessWG tracks the session goroutines so
 	// Close can drain them before stopping the pool.
@@ -212,12 +185,6 @@ func New(cfg Config) *Server {
 	}
 	if cfg.MaxBodyBytes <= 0 {
 		cfg.MaxBodyBytes = DefaultMaxBodyBytes
-	}
-	if cfg.RetuneDrift <= 0 {
-		cfg.RetuneDrift = DefaultRetuneDrift
-	}
-	if cfg.RetuneMinRequests <= 0 {
-		cfg.RetuneMinRequests = DefaultRetuneMinRequests
 	}
 	if cfg.MaxSessions <= 0 {
 		cfg.MaxSessions = DefaultMaxSessions
@@ -252,22 +219,12 @@ func New(cfg Config) *Server {
 		started:  time.Now(),
 	}
 	s.reg = NewRegistry(&s.st)
-	if cfg.RetuneInterval > 0 {
-		s.retuneStop = make(chan struct{})
-		s.retuneDone = make(chan struct{})
-		go s.retuneLoop()
-	}
 	return s
 }
 
-// Close stops the re-tune scanner, cancels and drains solver sessions,
-// and stops the worker pool. In-flight requests must have drained.
+// Close cancels and drains solver sessions, and stops the worker pool.
+// In-flight requests must have drained.
 func (s *Server) Close() {
-	if s.retuneStop != nil {
-		close(s.retuneStop)
-		<-s.retuneDone
-		s.retuneStop = nil
-	}
 	// Refuse new sessions, cancel the running ones, and wait for their
 	// goroutines — they schedule sweeps, so the pool must outlive them.
 	s.sessMu.Lock()
@@ -312,8 +269,8 @@ type MatrixInfo struct {
 	Replicas    int     `json:"replicas,omitempty"` // > 0 only for cluster-sharded matrices
 	SweepBytes  int64   `json:"sweep_bytes"`        // modeled DRAM bytes per single-RHS sweep
 	MatrixBytes int64   `json:"matrix_bytes"`       // matrix-stream share of SweepBytes
-	// Generation counts serving-snapshot promotions (re-tunes and
-	// recompactions); mutable-matrix state describes the live overlay.
+	// Generation counts serving-snapshot promotions (recompactions);
+	// mutable-matrix state describes the live overlay.
 	Generation   int   `json:"generation"`
 	DeltaSeq     int   `json:"delta_seq,omitempty"`     // ops the serving overlay reflects
 	OverlayRows  int   `json:"overlay_rows,omitempty"`  // dirty rows sweeps overwrite
@@ -341,6 +298,62 @@ func (e *Entry) listing() MatrixInfo {
 		info.OverlayBytes = sv.ovBytes
 	}
 	return info
+}
+
+// maxTuningEvents bounds each entry's recompaction log.
+const maxTuningEvents = 32
+
+// TuningEvent is one recompaction of a matrix: the deltas it folded and
+// the kernel and generation it promoted.
+type TuningEvent struct {
+	Time       time.Time `json:"time"`
+	Decision   string    `json:"decision"` // "recompacted"
+	Reason     string    `json:"reason,omitempty"`
+	Kernel     string    `json:"kernel"`
+	Generation int       `json:"generation"`
+}
+
+// TuningReport is GET /v1/matrices/{id}/tuning: the encoding registration
+// decided for one matrix, the recompactions since, and what its sweeps
+// measure.
+type TuningReport struct {
+	ID         string `json:"id"`
+	Generation int    `json:"generation"`
+	Kernel     string `json:"kernel"`
+	Symmetric  bool   `json:"symmetric"`
+	// MatrixBytes is the modeled per-sweep matrix stream as served.
+	MatrixBytes int64         `json:"matrix_bytes"`
+	Events      []TuningEvent `json:"events,omitempty"`
+
+	// Measured is the roofline attribution of the current serving
+	// generation: measured sweep wall time joined with the traffic model's
+	// bytes into achieved GB/s and a ratio against RooflineGBs, the
+	// configured sustained-bandwidth reference. It resets on recompaction —
+	// each generation's bandwidth is measured on its own sweeps.
+	Measured    *obs.RooflineStats `json:"measured,omitempty"`
+	RooflineGBs float64            `json:"roofline_gbs,omitempty"`
+}
+
+// Tuning reports one registered matrix's serving decision and history.
+func (s *Server) Tuning(id string) (TuningReport, error) {
+	e, err := s.reg.Get(id)
+	if err != nil {
+		return TuningReport{}, err
+	}
+	rep := TuningReport{ID: e.ID}
+	if sv := e.cur.Load(); sv != nil {
+		rep.Generation = sv.gen
+		rep.Kernel = sv.op.KernelName()
+		rep.Symmetric = sv.sym
+		rep.MatrixBytes = sv.matrixBytes
+		measured := sv.roof.Stats(s.cfg.RooflineGBs)
+		rep.Measured = &measured
+		rep.RooflineGBs = s.cfg.RooflineGBs
+	}
+	e.tuneMu.Lock()
+	rep.Events = append([]TuningEvent(nil), e.events...)
+	e.tuneMu.Unlock()
+	return rep, nil
 }
 
 // RegisterOptions modifies one registration.
@@ -423,7 +436,7 @@ func (s *Server) prepare(e *Entry, opts RegisterOptions) error {
 		}
 	}
 	if def == nil || !required {
-		op, err := spmv.CompileParallel(e.m, s.servingTune(1, false), s.cfg.Threads, 1)
+		op, err := spmv.CompileParallel(e.m, s.servingTune(), s.cfg.Threads, 1)
 		if err != nil {
 			return err
 		}
@@ -432,7 +445,7 @@ func (s *Server) prepare(e *Entry, opts RegisterOptions) error {
 			def = op
 		}
 	}
-	sv, err := newServing(def, 0, 1, nil)
+	sv, err := newServing(def, 0, nil)
 	if err != nil {
 		return err
 	}
@@ -441,8 +454,9 @@ func (s *Server) prepare(e *Entry, opts RegisterOptions) error {
 }
 
 // servingTune is the serving candidate set: the tuner options every served
-// general operator is compiled with, at registration, recompaction and
-// re-tune alike. It admits the encodings whose every body sums each row's
+// general operator is compiled with, at registration and recompaction
+// alike: the one place the encoding is decided, from the matrix alone. It
+// admits the encodings whose every body sums each row's
 // rounded products in ascending column order into one accumulator that
 // starts at +0 — the order every width, index size, thread count and shard
 // topology reproduces bit for bit: row-partitioned CSR, and BCSR (with
@@ -453,35 +467,33 @@ func (s *Server) prepare(e *Entry, opts RegisterOptions) error {
 // stream buys nothing and its fill lengthens the chain (the LP twin's
 // best, 1×2/16, streams 0.84x CSR32's bytes and ran 1.45–1.6x slower),
 // while an r×c tile runs r chains at once (the Cantilever twin's 4×4
-// streams 0.67x and runs in about 0.65x the time). width is the fused
-// width the encoding is tuned for. narrow opens the index width (to
-// Config.Tune.ReduceIndices): the re-tuner's candidates narrow,
-// registration and recompaction do not — were they to, every candidate
-// would equal its incumbent and the re-tuner would have nothing to promote.
-func (s *Server) servingTune(width int, narrow bool) spmv.TuneOptions {
+// streams 0.67x and runs in about 0.65x the time). Config.Tune.ReduceIndices
+// opens 16-bit indices, which sum in the 32-bit order. No choice here
+// depends on the fused width a matrix will see: VectorWidth only sizes
+// cache and TLB blocks, and the set enables neither.
+func (s *Server) servingTune() spmv.TuneOptions {
 	return spmv.TuneOptions{
-		VectorWidth:   width,
 		RegisterBlock: s.cfg.Tune.RegisterBlock,
 		MinBlockRows:  2,
-		ReduceIndices: narrow && s.cfg.Tune.ReduceIndices,
+		ReduceIndices: s.cfg.Tune.ReduceIndices,
 	}
 }
 
 // newServing builds the serving snapshot every promoter publishes —
-// registration, re-tune promotion and recompaction differ only in the
-// operator, generation, tuned width and overlay they hand it. General and
+// registration and recompaction differ only in the operator, generation
+// and overlay they hand it. General and
 // symmetric operators alike are swept through their wide multi-RHS views
 // (Operator.WideMulti) and accounted at WideTraffic: the bytes of the one
 // resident encoding, which is what MatrixInfo reports as both footprint and
 // matrix stream. Every snapshot starts a fresh roofline accumulator: a
 // generation's achieved bandwidth is measured on its own sweeps.
-func newServing(op *spmv.Operator, gen, width int, ov *delta.Overlay) (*serving, error) {
+func newServing(op *spmv.Operator, gen int, ov *delta.Overlay) (*serving, error) {
 	tr, err := op.WideTraffic(spmv.TrafficOptions{})
 	if err != nil {
 		return nil, err
 	}
 	sv := &serving{
-		op: op, sym: op.Symmetric(), width: width, gen: gen,
+		op: op, sym: op.Symmetric(), gen: gen,
 		matrixBytes: tr.MatrixBytes, sourceBytes: tr.SourceBytes, destBytes: tr.DestBytes,
 		roof: new(obs.Roofline),
 	}
@@ -610,23 +622,21 @@ func (s *Server) batcherFor(e *Entry, class sched.Class) *batcher {
 	return b
 }
 
-// recordSweep accounts one executed sweep in the global counters and the
-// entry's workload observation (the re-tuner's drift signal).
-func (s *Server) recordSweep(e *Entry, sv *serving, width int) {
+// recordSweep accounts one executed sweep in the global counters.
+func (s *Server) recordSweep(sv *serving, width int) {
 	s.st.recordSweep(width, sv.matrixBytes, sv.sourceBytes, sv.destBytes)
 	if sv.ovBytes > 0 {
 		// The overlay stream is charged once per sweep, whatever the fused
 		// width — the scan runs once over the block, like the matrix stream.
 		s.st.overlayBytes.Add(sv.ovBytes)
 	}
-	e.work.record(width)
 }
 
 // executeBatch runs one closed batch as a multi-RHS sweep fanned out over
 // the pool. A width-1 batch takes the same path as any other (so lone and
 // fused requests produce identical bits). The whole batch runs on one
-// serving snapshot loaded up front, so a concurrent re-tune promotion
-// never mixes operators within a sweep — in-flight sweeps drain on the
+// serving snapshot loaded up front, so a concurrent recompaction never
+// mixes operators within a sweep — in-flight sweeps drain on the
 // snapshot they started with.
 //
 // When the priority gate is on, the batch first acquires an execution
@@ -637,7 +647,7 @@ func (s *Server) recordSweep(e *Entry, sv *serving, width int) {
 // work that can no longer meet its SLO.
 func (s *Server) executeBatch(e *Entry, class sched.Class, reqs []*pending) {
 	// One snapshot load for the entire batch: gate admission is priced on
-	// the same generation the sweep streams, so a re-tune promotion racing
+	// the same generation the sweep streams, so a recompaction racing
 	// the batch can't charge the gate for one operator's bytes and then
 	// run another (the torn-generation class snapshotonce vets statically).
 	sv := e.cur.Load()
@@ -739,7 +749,7 @@ func (s *Server) executeBatch(e *Entry, class sched.Class, reqs []*pending) {
 		sv.roof.Record(execDone.Sub(interDone),
 			sweepModeledBytes(sv.matrixBytes, sv.sourceBytes, sv.destBytes, width)+sv.ovBytes)
 	}
-	s.recordSweep(e, sv, width)
+	s.recordSweep(sv, width)
 	if width > 1 {
 		// Deinterleave with one sequential pass over the block, into
 		// result vectors allocated only now: still cache-warm when written.

@@ -4,11 +4,13 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"net/http/httptest"
 	"sync"
 	"testing"
 	"time"
 
 	spmv "repro"
+	"repro/internal/matrix"
 )
 
 // testMatrix builds a small deterministic sparse matrix.
@@ -40,6 +42,83 @@ func testVector(cols int, seed int64) []float64 {
 }
 
 // reference computes y = A·x through the public serial API.
+// mulBits fetches y = A·x through the server and returns it for bitwise
+// comparison.
+func mulBits(t *testing.T, s *Server, id string, x []float64) []float64 {
+	t.Helper()
+	y, err := s.MulOpts(id, x, MulOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return y
+}
+
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// burst fires width concurrent Muls of the same inputs and returns the
+// results in input order. A start barrier makes the requests land inside
+// one batch window so the batcher fuses them.
+func burst(t *testing.T, s *Server, id string, xs [][]float64) [][]float64 {
+	t.Helper()
+	start := make(chan struct{})
+	out := make([][]float64, len(xs))
+	errs := make([]error, len(xs))
+	var wg sync.WaitGroup
+	wg.Add(len(xs))
+	for v := range xs {
+		go func(v int) {
+			defer wg.Done()
+			<-start
+			out[v], errs[v] = s.MulOpts(id, xs[v], MulOptions{})
+		}(v)
+	}
+	close(start)
+	wg.Wait()
+	for v, err := range errs {
+		if err != nil {
+			t.Fatalf("burst request %d: %v", v, err)
+		}
+	}
+	return out
+}
+
+// fusedBits runs one fused sweep of width len(xs) over the entry's serving
+// snapshot — the sweep a full batch runs, without depending on the
+// batcher to coalesce — and returns each lane's y.
+func fusedBits(t *testing.T, s *Server, id string, xs [][]float64) [][]float64 {
+	t.Helper()
+	e := mustEntry(t, s, id)
+	k := len(xs)
+	xBlock := make([]float64, e.cols*k)
+	for v, x := range xs {
+		for j, xj := range x {
+			xBlock[j*k+v] = xj
+		}
+	}
+	yBlock := make([]float64, e.rows*k)
+	if err := s.runFused(e.cur.Load(), yBlock, xBlock, k); err != nil {
+		t.Fatal(err)
+	}
+	ys := make([][]float64, k)
+	for v := range ys {
+		ys[v] = make([]float64, e.rows)
+		for i := range ys[v] {
+			ys[v][i] = yBlock[i*k+v]
+		}
+	}
+	return ys
+}
+
 func reference(t testing.TB, m *spmv.Matrix, x []float64) []float64 {
 	t.Helper()
 	op, err := spmv.Compile(m, spmv.NaiveOptions())
@@ -314,3 +393,135 @@ func benchServer(b *testing.B, batched bool) {
 
 func BenchmarkServeUnbatched(b *testing.B) { benchServer(b, false) }
 func BenchmarkServeBatched(b *testing.B)   { benchServer(b, true) }
+
+// TestRegistrationNarrowingDeterministicBitwise: registration decides the
+// index width once, from the matrix alone, and 16-bit indices sum in the
+// 32-bit order. The same matrix registered with Tune.ReduceIndices on and
+// off streams fewer bytes narrowed and returns the same bits at widths 1
+// and 8 — lone requests, batcher bursts and full fused sweeps alike — on a
+// CSR matrix and on a BCSR 4×4 one. GET /v1/matrices/{id}/tuning reports
+// the registration decision.
+func TestRegistrationNarrowingDeterministicBitwise(t *testing.T) {
+	cant, err := spmv.GenerateSuite("FEM/Cantilever", 0.02, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	servers := make([]*Server, 2) // [0] 32-bit, [1] narrowed
+	for n := range servers {
+		cfg := DefaultConfig()
+		cfg.Threads = 2
+		cfg.Workers = 2
+		cfg.MaxBatch = 8
+		cfg.BatchWindow = 5 * time.Millisecond
+		cfg.Tune.ReduceIndices = n == 1
+		servers[n] = New(cfg)
+		defer servers[n].Close()
+	}
+	for _, tc := range []struct {
+		id     string
+		m      *spmv.Matrix
+		format string
+		shape  matrix.BlockShape
+	}{
+		{"csr", testMatrix(t, 300, 280, 6000, 21), "CSR", matrix.BlockShape{R: 1, C: 1}},
+		{"bcsr", cant, "BCSR", matrix.BlockShape{R: 4, C: 4}},
+	} {
+		var infos [2]MatrixInfo
+		for n, s := range servers {
+			if infos[n], err = s.RegisterOpts(tc.id, tc.id, tc.m, RegisterOptions{Symmetric: new(bool)}); err != nil {
+				t.Fatal(err)
+			}
+			for _, d := range mustEntry(t, s, tc.id).cur.Load().op.Decisions() {
+				if bits := 32 >> n; d.Format != tc.format || d.Shape != tc.shape || d.IndexBits != bits {
+					t.Errorf("%s, ReduceIndices=%v: a part registered %s %v/%d, want %s %v/%d",
+						tc.id, n == 1, d.Format, d.Shape, d.IndexBits, tc.format, tc.shape, bits)
+				}
+			}
+		}
+		if infos[1].MatrixBytes >= infos[0].MatrixBytes {
+			t.Errorf("%s: narrowed matrix stream %d B, 32-bit %d B", tc.id, infos[1].MatrixBytes, infos[0].MatrixBytes)
+		}
+
+		_, cols := tc.m.Dims()
+		xs := make([][]float64, 8)
+		for v := range xs {
+			xs[v] = testVector(cols, int64(500+v))
+		}
+		var lone [2][][]float64
+		for n, s := range servers {
+			for _, x := range xs {
+				lone[n] = append(lone[n], mulBits(t, s, tc.id, x))
+			}
+			fused, bursted := fusedBits(t, s, tc.id, xs), burst(t, s, tc.id, xs)
+			for v := range xs {
+				if !sameBits(fused[v], lone[n][v]) || !sameBits(bursted[v], lone[n][v]) {
+					t.Fatalf("%s, ReduceIndices=%v, lane %d: fused bits differ from lone bits", tc.id, n == 1, v)
+				}
+			}
+		}
+		for v := range xs {
+			if !sameBits(lone[1][v], lone[0][v]) {
+				t.Fatalf("%s lane %d: narrowed indices moved served bits", tc.id, v)
+			}
+		}
+	}
+
+	srv := httptest.NewServer(servers[1].Handler())
+	defer srv.Close()
+	resp, err := srv.Client().Get(srv.URL + "/v1/matrices/bcsr/tuning")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != 200 {
+		t.Fatalf("GET /v1/matrices/bcsr/tuning: status %d", resp.StatusCode)
+	}
+	rep := decode[TuningReport](t, resp)
+	if want := mustEntry(t, servers[1], "bcsr").listing(); rep.Generation != 0 || rep.Symmetric ||
+		rep.Kernel != want.Kernel || rep.MatrixBytes != want.MatrixBytes || len(rep.Events) != 0 {
+		t.Errorf("tuning report %+v, want generation 0, kernel %s, %d matrix bytes, no events", rep, want.Kernel, want.MatrixBytes)
+	}
+	if resp404, err := srv.Client().Get(srv.URL + "/v1/matrices/nope/tuning"); err != nil {
+		t.Fatal(err)
+	} else {
+		resp404.Body.Close()
+		if resp404.StatusCode != 404 {
+			t.Errorf("tuning endpoint for unknown matrix: status %d, want 404", resp404.StatusCode)
+		}
+	}
+}
+
+// TestRegisterDimensionGuards pins the registration sanity checks: row
+// counts may exceed stored entries only within the 64x empty-row
+// allowance, both dimensions are capped absolutely, and a shard-band
+// shape (few rows, full column width, few entries) stays registrable.
+func TestRegisterDimensionGuards(t *testing.T) {
+	s := New(Config{Threads: 1, Workers: 1, MaxBatch: 1})
+	defer s.Close()
+	reg := s.Registry()
+
+	band := spmv.NewMatrix(4000, 500000) // a coordinator's row band: wide, sparse
+	for i := 0; i < 4000; i++ {
+		if err := band.Set(i, i*100, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := reg.Register("band", "band", band); err != nil {
+		t.Errorf("legitimate shard-band shape rejected: %v", err)
+	}
+
+	blowup := spmv.NewMatrix(50_000_000, 10)
+	_ = blowup.Set(0, 0, 1)
+	if _, err := reg.Register("blowup", "", blowup); err == nil {
+		t.Error("50M near-empty rows accepted")
+	}
+	huge := spmv.NewMatrix(MaxDeclaredDim+1, 10)
+	_ = huge.Set(0, 0, 1)
+	if _, err := reg.Register("huge", "", huge); err == nil {
+		t.Error("rows beyond MaxDeclaredDim accepted")
+	}
+	wide := spmv.NewMatrix(10, MaxDeclaredDim+1)
+	_ = wide.Set(0, 0, 1)
+	if _, err := reg.Register("wide", "", wide); err == nil {
+		t.Error("cols beyond MaxDeclaredDim accepted")
+	}
+}

@@ -11,11 +11,11 @@
 //
 // Determinism contract: session sweeps are width-1 sweeps of the entry's
 // current serving snapshot — the path a width-1 Mul takes — and the
-// solver's reductions run in ordered-block mode. A mid-solve re-tune
-// promotion or recompaction therefore cannot change trajectory bits: the
-// serving candidate set (servingTune) holds only encodings that reproduce
-// one accumulation order at every width (the same guarantee Mul responses
-// rely on), and the ordered reductions are invariant to thread count. The
+// solver's reductions run in ordered-block mode. A mid-solve recompaction
+// therefore cannot change trajectory bits: the serving candidate set
+// (servingTune) holds only encodings that reproduce one accumulation
+// order at every width (the same guarantee Mul responses rely on), and
+// the ordered reductions are invariant to thread count. The
 // solver session state machine is
 //
 //	running ──▶ converged | budget_exhausted | failed
@@ -112,9 +112,9 @@ type SolveStatus struct {
 	// included once the session leaves running.
 	X     []float64 `json:"x,omitempty"`
 	Error string    `json:"error,omitempty"`
-	// ServingGenerationFirst/Last are the entry's re-tune generations
+	// ServingGenerationFirst/Last are the entry's serving generations
 	// observed at the session's first and latest sweeps: a gap between
-	// them is a promotion the solve iterated across.
+	// them is a recompaction the solve iterated across.
 	ServingGenerationFirst int `json:"serving_generation_first"`
 	ServingGenerationLast  int `json:"serving_generation_last"`
 	// ModeledBytesPerIter is the traffic model's DRAM bytes per solver

@@ -1,7 +1,7 @@
 // End-to-end HTTP tests of the solver-session API, including the
-// headline retune-safety property: a session that iterates across a
-// forced RetuneOnce promotion in deterministic mode produces the exact
-// trajectory bits of an undisturbed server.
+// headline promotion-safety property: a session that iterates across a
+// recompaction in deterministic mode produces the exact trajectory bits
+// of a server that never recompacted.
 package server
 
 import (
@@ -149,9 +149,10 @@ func httpSolveWait(t *testing.T, base, sid string) SolveStatus {
 }
 
 // solveServerConfig is the shared deterministic config of the mid-solve
-// promotion test and its undisturbed baseline twin. AutoSymmetric is off
-// so the SPD matrix is served by the general CSR32 path, leaving the
-// re-tuner its bit-preserving CSR16 promotion.
+// recompaction test and its baseline twin. AutoSymmetric is off so the SPD
+// matrix is served general, where an overlay sweep and the recompacted
+// base sum each row in one order; background recompaction is off so only
+// the test's explicit Recompact promotes.
 func solveServerConfig() Config {
 	cfg := DefaultConfig()
 	cfg.AutoSymmetric = false
@@ -159,17 +160,17 @@ func solveServerConfig() Config {
 	cfg.Workers = 2
 	cfg.MaxBatch = 4
 	cfg.BatchWindow = 5 * time.Millisecond
-	cfg.RetuneMinRequests = 16
+	cfg.RecompactThreshold = -1
 	return cfg
 }
 
-// TestSolveHTTPRetuneMidSolve: drive a wide Mul workload so the re-tuner
-// has a promotable CSR16 candidate, start a CG session over HTTP, force
-// the promotion while the session is mid-solve, and require (a) the
+// TestSolveHTTPRecompactMidSolve: patch a matrix, start a CG session over
+// HTTP, recompact while the session is mid-solve, and require (a) the
 // session iterates across the generation bump and (b) its residual
-// history and solution bits equal those of a baseline server that never
-// re-tuned.
-func TestSolveHTTPRetuneMidSolve(t *testing.T) {
+// history and solution bits equal those of a baseline server that got the
+// same patches and never recompacted — its sweeps apply the overlay to
+// the first generation's base throughout.
+func TestSolveHTTPRecompactMidSolve(t *testing.T) {
 	// 150×150 Poisson: condition number O(side²), so CG needs hundreds of
 	// iterations to 1e-12 — ample room for the promotion to land
 	// mid-solve long before convergence.
@@ -178,11 +179,23 @@ func TestSolveHTTPRetuneMidSolve(t *testing.T) {
 	m := poissonMatrix(t, side)
 	b := testVector(n, 22)
 	req := SolveRequest{Method: "cg", B: b, Tol: 1e-12, MaxIters: 5000}
+	// Symmetric edits that keep the matrix SPD: a heavier diagonal in a
+	// few rows and one weakened coupling, both ways.
+	patch := []Delta{
+		{Op: "add", Row: 0, Col: 0, Val: 0.5},
+		{Op: "add", Row: 7000, Col: 7000, Val: 2},
+		{Op: "set", Row: 300, Col: 301, Val: -0.5},
+		{Op: "set", Row: 301, Col: 300, Val: -0.5},
+	}
 
-	// Baseline: same config, no bursts, no re-tune — generation stays 0.
+	// Baseline: same config and patches, no recompaction — generation
+	// stays 0.
 	s0 := New(solveServerConfig())
 	defer s0.Close()
 	if _, err := s0.Register("a", "poisson", m); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s0.Patch("a", patch); err != nil {
 		t.Fatal(err)
 	}
 	base, err := s0.SolveOpts("a", req, SolveOptions{})
@@ -200,8 +213,6 @@ func TestSolveHTTPRetuneMidSolve(t *testing.T) {
 		t.Fatalf("baseline crossed generations: %d", baseFin.ServingGenerationLast)
 	}
 
-	// Test server: same matrix, wide workload first so the drift signal
-	// points at a width-16 mix.
 	s := New(solveServerConfig())
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
@@ -209,25 +220,11 @@ func TestSolveHTTPRetuneMidSolve(t *testing.T) {
 	if _, err := s.Register("a", "poisson", m); err != nil {
 		t.Fatal(err)
 	}
-	// Many rounds: the drift signal is request-weighted, and the session
-	// about to start records width-1 sweeps that compete with this wide
-	// history — the fused weight must stay in the majority at eval time.
-	xs := make([][]float64, 4)
-	for v := range xs {
-		xs[v] = testVector(n, int64(700+v))
-	}
-	for round := 0; round < 100; round++ {
-		burst(t, s, "a", xs)
-	}
-	rep, err := s.Tuning("a")
-	if err != nil {
+	if _, err := s.Patch("a", patch); err != nil {
 		t.Fatal(err)
 	}
-	if rep.ObservedMedianWidth < 3 {
-		t.Fatalf("observed median width %d, want >= 3", rep.ObservedMedianWidth)
-	}
 
-	// Start the session over HTTP, then force the promotion mid-solve.
+	// Start the session over HTTP, then recompact mid-solve.
 	resp := postJSON(t, ts.URL+"/v1/matrices/a/solve", req)
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("solve create status %d", resp.StatusCode)
@@ -236,8 +233,8 @@ func TestSolveHTTPRetuneMidSolve(t *testing.T) {
 	if created.State != "running" || created.SID == "" {
 		t.Fatalf("created %+v", created)
 	}
-	if got := s.RetuneOnce(); got != 1 {
-		t.Fatalf("RetuneOnce promoted %d operators, want 1", got)
+	if err := s.Recompact("a"); err != nil {
+		t.Fatal(err)
 	}
 	mid, err := s.SolveStatus(created.SID, 0)
 	if err != nil {
@@ -250,8 +247,9 @@ func TestSolveHTTPRetuneMidSolve(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep := decode[TuningReport](t, resp); rep.Generation != 1 || !rep.Wide {
-		t.Fatalf("post-promotion tuning report %+v", rep)
+	if rep := decode[TuningReport](t, resp); rep.Generation != 1 || rep.Symmetric ||
+		len(rep.Events) != 1 || rep.Events[0].Decision != "recompacted" {
+		t.Fatalf("post-recompaction tuning report %+v", rep)
 	}
 
 	fin := httpSolveWait(t, ts.URL, created.SID)
@@ -266,10 +264,10 @@ func TestSolveHTTPRetuneMidSolve(t *testing.T) {
 			fin.ServingGenerationFirst, fin.ServingGenerationLast)
 	}
 	if !sameBits(fin.History, baseFin.History) {
-		t.Fatal("residual-history bits differ from the undisturbed baseline across the promotion")
+		t.Fatal("residual-history bits differ from the never-recompacted baseline across the promotion")
 	}
 	if !sameBits(fin.X, baseFin.X) {
-		t.Fatal("solution bits differ from the undisturbed baseline across the promotion")
+		t.Fatal("solution bits differ from the never-recompacted baseline across the promotion")
 	}
 }
 

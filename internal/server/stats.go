@@ -18,11 +18,7 @@ type stats struct {
 	widthHist       [MaxTrackedWidth + 1]atomic.Uint64
 
 	registered atomic.Uint64 // matrices in the registry
-	compiles   atomic.Uint64 // tuner+compile runs (registration and re-tune candidates)
-
-	retuneEvals      atomic.Uint64 // drifted entries shadow-benchmarked
-	retunePromotions atomic.Uint64 // candidates promoted to serving
-	retuneRejections atomic.Uint64 // candidates rejected by the benchmark
+	compiles   atomic.Uint64 // tuner+compile runs at registration
 
 	solveSessions atomic.Uint64 // solver sessions created
 	solveIters    atomic.Uint64 // solver iterations executed
@@ -76,13 +72,7 @@ type Stats struct {
 	FusedWidthHist [MaxTrackedWidth + 1]uint64
 
 	Registered uint64 // matrices currently registered
-	Compiles   uint64 // tuner+compile runs (registration and re-tune candidates)
-
-	// Online re-tuning (see retuner.go): drifted entries evaluated, and
-	// how their shadow benchmarks resolved.
-	RetuneEvals      uint64
-	RetunePromotions uint64
-	RetuneRejections uint64
+	Compiles   uint64 // tuner+compile runs at registration
 
 	// Solver sessions (see solve.go): sessions created and iterations
 	// executed server-side. Each iteration is one width-1 fused sweep, so
@@ -123,28 +113,25 @@ func (s Stats) MeanFusedWidth() float64 {
 
 func (s *stats) snapshot() Stats {
 	out := Stats{
-		Requests:         s.requests.Load(),
-		Sweeps:           s.sweeps.Load(),
-		FusedSweeps:      s.fusedSweeps.Load(),
-		FusedRequests:    s.fusedRequests.Load(),
-		SingleFallbacks:  s.singleFallbacks.Load(),
-		Registered:       s.registered.Load(),
-		Compiles:         s.compiles.Load(),
-		RetuneEvals:      s.retuneEvals.Load(),
-		RetunePromotions: s.retunePromotions.Load(),
-		RetuneRejections: s.retuneRejections.Load(),
-		SolveSessions:    s.solveSessions.Load(),
-		SolveIters:       s.solveIters.Load(),
-		Patches:          s.patches.Load(),
-		DeltasApplied:    s.deltasApplied.Load(),
-		Recompactions:    s.recompactions.Load(),
-		SymDemotions:     s.symDemotions.Load(),
-		Deletes:          s.deletes.Load(),
-		MatrixBytes:      s.matrixBytes.Load(),
-		SourceBytes:      s.sourceBytes.Load(),
-		DestBytes:        s.destBytes.Load(),
-		SavedBytes:       s.savedBytes.Load(),
-		OverlayBytes:     s.overlayBytes.Load(),
+		Requests:        s.requests.Load(),
+		Sweeps:          s.sweeps.Load(),
+		FusedSweeps:     s.fusedSweeps.Load(),
+		FusedRequests:   s.fusedRequests.Load(),
+		SingleFallbacks: s.singleFallbacks.Load(),
+		Registered:      s.registered.Load(),
+		Compiles:        s.compiles.Load(),
+		SolveSessions:   s.solveSessions.Load(),
+		SolveIters:      s.solveIters.Load(),
+		Patches:         s.patches.Load(),
+		DeltasApplied:   s.deltasApplied.Load(),
+		Recompactions:   s.recompactions.Load(),
+		SymDemotions:    s.symDemotions.Load(),
+		Deletes:         s.deletes.Load(),
+		MatrixBytes:     s.matrixBytes.Load(),
+		SourceBytes:     s.sourceBytes.Load(),
+		DestBytes:       s.destBytes.Load(),
+		SavedBytes:      s.savedBytes.Load(),
+		OverlayBytes:    s.overlayBytes.Load(),
 	}
 	for i := range s.widthHist {
 		out.FusedWidthHist[i] = s.widthHist[i].Load()

@@ -11,8 +11,8 @@ import (
 )
 
 // TestOperatorSwapRace hammers one matrix from many clients while the
-// serving snapshot is swapped under them — by the re-tuner's real
-// promotion path and by a tight swap loop flipping between two
+// serving snapshot is swapped under them — by patches and recompactions,
+// the real promotion path, and by a tight swap loop flipping between two
 // generations — and while other registrations churn the registry
 // (including the auto-symmetric footprint comparison and its loser
 // eviction, and failed registrations backing entries out). Run under
@@ -24,8 +24,7 @@ func TestOperatorSwapRace(t *testing.T) {
 	cfg.MaxBatch = 8
 	cfg.BatchWindow = 100 * time.Microsecond
 	cfg.Adaptive = true
-	cfg.RetuneMinRequests = 8
-	cfg.RetuneDrift = 0.2
+	cfg.RecompactThreshold = -1 // only the test's own recompactions run
 	s := New(cfg)
 	defer s.Close()
 
@@ -50,25 +49,27 @@ func TestOperatorSwapRace(t *testing.T) {
 		want[g] = mulBits(t, s, "hot", xs[g]) // deterministic: these bits are the contract
 	}
 
+	// Every patch rewrites a diagonal entry to the 1 testMatrix put
+	// there: the overlay and the recompacted bases it produces all serve
+	// the registered matrix, so any snapshot pairing is coherent and the
+	// bits must not move.
+	noop := func(i int) error {
+		if _, err := s.Patch("hot", []Delta{{Op: "set", Row: int32(i), Col: int32(i), Val: 1}}); err != nil {
+			return err
+		}
+		return s.Recompact("hot")
+	}
+
 	// Drive one real promotion so both generations exist, then flip
 	// between the two snapshots while the hammer runs: every interleaving
-	// of load-snapshot / swap must serve one coherent generation. How well
-	// a burst coalesces depends on the scheduler (and -race slows it), so
-	// keep bursting until the drift signal is strong enough to promote.
+	// of load-snapshot / swap must serve one coherent generation.
 	gen0 := e.cur.Load()
-	promoted := 0
-	for round := 0; round < 40 && promoted == 0; round++ {
-		burst(t, s, "hot", xs)
-		if round >= 3 {
-			promoted = s.RetuneOnce()
-		}
-	}
-	if promoted != 1 {
-		t.Fatalf("setup promotion did not happen")
+	if err := noop(0); err != nil {
+		t.Fatal(err)
 	}
 	gen1 := e.cur.Load()
-	if gen0 == gen1 {
-		t.Fatalf("promotion produced no new snapshot")
+	if gen1.gen != 1 {
+		t.Fatalf("recompaction promoted generation %d, want 1", gen1.gen)
 	}
 
 	stop := make(chan struct{})
@@ -94,15 +95,18 @@ func TestOperatorSwapRace(t *testing.T) {
 			swaps.Add(1)
 		}
 	}()
-	// Background re-tune scans racing the flipper and the clients.
+	// Patches and recompactions racing the flipper and the clients.
 	go func() {
 		defer bg.Done()
-		for {
+		for i := 1; ; i++ {
 			select {
 			case <-stop:
 				return
 			case <-time.After(time.Millisecond):
-				s.RetuneOnce()
+			}
+			if err := noop(i % 280); err != nil {
+				t.Error(err)
+				return
 			}
 		}
 	}()

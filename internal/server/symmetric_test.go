@@ -6,7 +6,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	spmv "repro"
 	"repro/internal/matrix"
@@ -88,11 +87,12 @@ func TestSymmetricRegistration(t *testing.T) {
 // (general wins ties); "symmetric": true requires it or refuses typed;
 // false pins general. Whatever family serves, MatrixInfo.Footprint (what
 // was built) equals MatrixInfo.MatrixBytes (what each sweep streams) at
-// registration, after a re-tune promotion and after recompaction — one
-// resident encoding per snapshot. The diagonal matrix is the tie: its
-// symmetric store costs exactly a one-part CSR32, so a single-thread server
-// serves it general, while every further row part adds a row pointer to the
-// general encoding and hands symmetric the win.
+// registration and after recompaction — one resident encoding per
+// snapshot. The diagonal matrix sits nearest the line: its symmetric store
+// holds every entry (12 bytes each with 32-bit indices, plus n+1 row
+// pointers), the general one holds the same entries at 10 bytes with 16-bit
+// indices plus one row pointer per row and part. Its y is one rounded
+// product per row in either family, so which family wins moves no bit.
 func TestServedFamilyIsWhatStreams(t *testing.T) {
 	fem, err := spmv.GenerateSuite("FEM/Cantilever", 0.01, 3)
 	if err != nil {
@@ -111,16 +111,15 @@ func TestServedFamilyIsWhatStreams(t *testing.T) {
 		opts RegisterOptions
 	}{{"auto", RegisterOptions{}}, {"required", RegisterOptions{Symmetric: boolPtr(true)}}, {"pinned", RegisterOptions{Symmetric: boolPtr(false)}}}
 	for _, threads := range []int{1, 2} {
-		diagAuto := general
-		if threads > 1 {
-			diagAuto = symmetric
+		const n = 90
+		diagBytes := map[string]int64{symmetric: 12*n + 8*(n+1), general: 10*n + 8*int64(n+threads)}
+		diagAuto := symmetric
+		if diagBytes[general] <= diagBytes[symmetric] { // general wins ties
+			diagAuto = general
 		}
 		cfg := DefaultConfig()
 		cfg.Threads = threads
 		cfg.Workers = threads
-		cfg.MaxBatch = 8
-		cfg.BatchWindow = 5 * time.Millisecond
-		cfg.RetuneMinRequests = 8
 		s := New(cfg)
 		for _, tc := range []struct {
 			name string
@@ -149,6 +148,9 @@ func TestServedFamilyIsWhatStreams(t *testing.T) {
 				if info.Symmetric != (family == symmetric) {
 					t.Errorf("%s: served symmetric=%v, want the %s family (footprint %d B)", id, info.Symmetric, family, info.Footprint)
 				}
+				if tc.name == "diagonal" && info.Footprint != diagBytes[family] {
+					t.Errorf("%s: footprint %d B, want %d B for the %s family", id, info.Footprint, diagBytes[family], family)
+				}
 				built := func(stage string, wantGen int) {
 					t.Helper()
 					info := mustEntry(t, s, id).listing()
@@ -159,42 +161,13 @@ func TestServedFamilyIsWhatStreams(t *testing.T) {
 				}
 				built("at registration", 0)
 
-				// A wide workload: general matrices served CSR are promoted
-				// to narrowed indices (bar the diagonal, where narrowing
-				// saves 2 of a row's 20 bytes — under the promotion margin
-				// once the vectors are counted); a symmetric one has no
-				// candidate inside its family and the re-tuner never switches
-				// families. A register-blocked part narrows 2 of a 4×4 tile's
-				// 132 bytes, so whether a blocked matrix clears the margin
-				// depends on its other parts; only its bytes are pinned.
-				blocked := false
-				for _, d := range mustEntry(t, s, id).cur.Load().op.Decisions() {
-					blocked = blocked || d.Format == "BCSR"
-				}
-				_, cols := tc.m.Dims()
-				xs := make([][]float64, 8)
-				for v := range xs {
-					xs[v] = testVector(cols, int64(v))
-				}
-				for round := 0; round < 4; round++ {
-					burst(t, s, id, xs)
-				}
-				gen := 0
-				if s.evaluateEntry(mustEntry(t, s, id)) {
-					gen++
-				}
-				if promoted := gen == 1; !blocked && promoted != (family == general && tc.name != "diagonal") {
-					t.Errorf("%s: re-tune promoted=%v under the %s family", id, promoted, family)
-				}
-				built("after the re-tune", gen)
-
 				if _, err := s.Patch(id, []Delta{{Op: "add", Row: 1, Col: 1, Val: 0.5}}); err != nil {
 					t.Fatal(err)
 				}
 				if err := s.Recompact(id); err != nil {
 					t.Fatal(err)
 				}
-				built("after recompaction", gen+1)
+				built("after recompaction", 1)
 			}
 		}
 		s.Close()
@@ -203,8 +176,10 @@ func TestServedFamilyIsWhatStreams(t *testing.T) {
 	// The register-blocked side of the general family: BCSR with tiles of
 	// two or more rows. A Cantilever twin's 4×4 tiles fill completely, so
 	// it registers 4×4 in every part; an LP twin's best such tile costs
-	// more than CSR32 (its best tile overall, 1×2, is the one the r ≥ 2
-	// rule keeps out), so it stays CSR32.
+	// more than CSR (its best tile overall, 1×2, is the one the r ≥ 2 rule
+	// keeps out), so it stays CSR. Both twins have under 65 536 columns at
+	// this scale (Cantilever 1 240, LP 22 000), so registration narrows
+	// both to 16-bit indices.
 	s := New(DefaultConfig())
 	defer s.Close()
 	for _, tc := range []struct {
@@ -213,8 +188,8 @@ func TestServedFamilyIsWhatStreams(t *testing.T) {
 		shape  matrix.BlockShape
 		bits   int
 	}{
-		{"FEM/Cantilever", "BCSR", matrix.BlockShape{R: 4, C: 4}, 32},
-		{"LP", "CSR", matrix.BlockShape{R: 1, C: 1}, 32},
+		{"FEM/Cantilever", "BCSR", matrix.BlockShape{R: 4, C: 4}, 16},
+		{"LP", "CSR", matrix.BlockShape{R: 1, C: 1}, 16},
 	} {
 		m, err := spmv.GenerateSuite(tc.suite, 0.02, 7)
 		if err != nil {

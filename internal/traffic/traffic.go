@@ -118,28 +118,6 @@ func (s Summary) MultiRHS(k int) Summary {
 	return out
 }
 
-// BlendedPerRequest returns the mean modeled DRAM bytes per request when
-// the sampled sweep widths are served against this per-sweep summary: a
-// width-w fused sweep pays the matrix stream once and the vector traffic w
-// times, so each of its w requests costs (MatrixBytes + w·vector)/w. The
-// serving layer's re-tuner uses it as the shadow-benchmark score — the
-// modeled cost of a candidate encoding on a captured sample of real
-// request shapes. An empty sample scores a single width-1 sweep.
-func (s Summary) BlendedPerRequest(widths []int) float64 {
-	if len(widths) == 0 {
-		return float64(s.TotalBytes())
-	}
-	vector := float64(s.SourceBytes + s.DestBytes)
-	var total float64
-	for _, w := range widths {
-		if w < 1 {
-			w = 1
-		}
-		total += float64(s.MatrixBytes)/float64(w) + vector
-	}
-	return total / float64(len(widths))
-}
-
 // Add accumulates b into s.
 func (s *Summary) Add(b Summary) {
 	s.MatrixBytes += b.MatrixBytes

@@ -128,7 +128,7 @@ func materialize(csr *matrix.CSR32, c candidate) (matrix.Format, error) {
 	switch c.format {
 	case "CSR":
 		if c.indexBits == 16 {
-			return matrix.NewCSR[uint16](csr.ToCOO())
+			return matrix.NarrowCSR(csr)
 		}
 		return csr, nil
 	case "BCSR":

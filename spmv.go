@@ -409,19 +409,6 @@ func (o *Operator) WideMulti(width int) (*MultiOperator, error) {
 	return mo, nil
 }
 
-// Retune re-runs the tuner on the operator's retained source matrix with
-// new options, returning a fresh operator with the same thread count. The
-// receiver is untouched (operators are immutable); callers swap the new
-// operator in when they like what they got — the online re-tuning hook the
-// serving layer builds on when the observed workload drifts from what the
-// operator was tuned for.
-func (o *Operator) Retune(opt TuneOptions) (*Operator, error) {
-	if o.src == nil {
-		return nil, fmt.Errorf("spmv: operator retains no source matrix to re-tune")
-	}
-	return compile(&Matrix{coo: o.src}, opt, o.threads, 1)
-}
-
 // Symmetric reports whether the operator is backed by upper-triangle
 // (SymCSR) storage.
 func (o *Operator) Symmetric() bool { return o.sym != nil }
@@ -484,8 +471,7 @@ func (o *Operator) Traffic(opt TrafficOptions) (TrafficSummary, error) {
 // wide views (WideMulti): the operator's own encodings stream — summed
 // across the thread parts of a parallel operator — rather than the
 // retained-CSR fallback Traffic reports for parallel composites. It is the
-// single-RHS basis; scale with TrafficSummary.MultiRHS or score a request
-// mix with BlendedPerRequest.
+// single-RHS basis; scale with TrafficSummary.MultiRHS.
 func (o *Operator) WideTraffic(opt TrafficOptions) (TrafficSummary, error) {
 	p, ok := o.k.(*kernel.Parallel)
 	if !ok {
