@@ -61,7 +61,7 @@ func main() {
 	maxBatch := flag.Int("max-batch", 8, "widest fused sweep (1 disables batching)")
 	window := flag.Duration("batch-window", 200*time.Microsecond, "batch linger window")
 	adaptive := flag.Bool("adaptive", true, "skip the linger for lone requests when traffic is sparse")
-	autoSymmetric := flag.Bool("auto-symmetric", true, "serve numerically symmetric matrices from upper-triangle storage (half the matrix stream); per-request \"symmetric\" overrides")
+	autoSymmetric := flag.Bool("auto-symmetric", true, "serve numerically symmetric matrices from upper-triangle storage when it is smaller than the general encoding (sets the tuner's TrySymmetric); per-request \"symmetric\" overrides")
 	maxBodyBytes := flag.Int64("max-body-bytes", 0, "request body cap, 413 beyond it (0 = 256 MiB); raise on members sharding very large matrices")
 	maxSweeps := flag.Int("max-concurrent-sweeps", 0, "concurrent sweep limit (0 = workers)")
 	maxSessions := flag.Int("max-sessions", 0, "resident solver-session cap, 429 beyond it (0 = 16)")
@@ -102,7 +102,7 @@ func main() {
 	cfg.MaxBatch = *maxBatch
 	cfg.BatchWindow = *window
 	cfg.Adaptive = *adaptive
-	cfg.AutoSymmetric = *autoSymmetric
+	cfg.Tune.TrySymmetric = *autoSymmetric
 	cfg.MaxBodyBytes = *maxBodyBytes
 	cfg.MaxConcurrentSweeps = *maxSweeps
 	cfg.MaxSessions = *maxSessions

@@ -19,65 +19,87 @@ type SymCSR struct {
 	nnz    int64 // logical nonzeros of the full matrix
 }
 
-// NewSymCSR builds symmetric storage from a COO matrix, verifying
-// numerical symmetry exactly (a_ij must equal a_ji; entries may appear in
-// either or both triangles, duplicates summed first).
+// NewSymCSR builds symmetric storage from a COO matrix: it canonicalizes
+// the entries (sorted, duplicates summed) and stores the upper triangle of
+// the result (see SymFromCSR).
 func NewSymCSR(m *COO) (*SymCSR, error) {
 	if m.R != m.C {
 		return nil, fmt.Errorf("matrix: symmetric storage needs a square matrix, got %dx%d", m.R, m.C)
 	}
-	full, err := NewCSR[uint32](m) // canonicalize: sorted, duplicates summed
+	full, err := NewCSR[uint32](m)
 	if err != nil {
 		return nil, err
 	}
-	// Verify symmetry by comparing (i,j) against (j,i).
-	lookup := func(i, j int) (float64, bool) {
-		lo, hi := full.RowPtr[i], full.RowPtr[i+1]
-		for k := lo; k < hi; k++ { // rows are short; linear scan is fine
-			if int(full.Col[k]) == j {
-				return full.Val[k], true
-			}
-		}
-		return 0, false
+	return SymFromCSR(full)
+}
+
+// SymFromCSR stores the upper triangle (diagonal included) of a canonical
+// CSR matrix, as NewCSR builds it. It fails unless the matrix IsSymmetric.
+func SymFromCSR(full *CSR32) (*SymCSR, error) {
+	if full.R != full.C {
+		return nil, fmt.Errorf("matrix: symmetric storage needs a square matrix, got %dx%d", full.R, full.C)
 	}
-	out := &SymCSR{N: m.R, RowPtr: make([]int64, m.R+1)}
+	if !full.IsSymmetric() {
+		return nil, fmt.Errorf("matrix: %dx%d matrix is not numerically symmetric", full.R, full.C)
+	}
+	// The upper triangle holds (nnz+d)/2 entries for d diagonal entries.
+	upper := (len(full.Val) + full.R) / 2
+	out := &SymCSR{N: full.R, RowPtr: make([]int64, full.R+1),
+		Col: make([]uint32, 0, upper), Val: make([]float64, 0, upper)}
 	for i := 0; i < full.R; i++ {
 		for k := full.RowPtr[i]; k < full.RowPtr[i+1]; k++ {
 			j := int(full.Col[k])
-			v := full.Val[k]
 			if j < i {
-				continue // lower triangle: checked from the mirror side
+				continue
 			}
 			if j > i {
-				mv, ok := lookup(j, i)
-				if !ok || mv != v {
-					return nil, fmt.Errorf("matrix: not symmetric at (%d,%d): %g vs %g", i, j, v, mv)
-				}
 				out.nnz += 2
 			} else {
 				out.nnz++
 			}
 			out.Col = append(out.Col, uint32(j))
-			out.Val = append(out.Val, v)
-			out.RowPtr[i+1]++
+			out.Val = append(out.Val, full.Val[k])
 		}
-	}
-	// Also ensure no lower-triangle entry lacks an upper mirror.
-	for i := 0; i < full.R; i++ {
-		for k := full.RowPtr[i]; k < full.RowPtr[i+1]; k++ {
-			j := int(full.Col[k])
-			if j >= i {
-				continue
-			}
-			if mv, ok := lookup(j, i); !ok || mv != full.Val[k] {
-				return nil, fmt.Errorf("matrix: not symmetric at (%d,%d)", i, j)
-			}
-		}
-	}
-	for i := 0; i < m.R; i++ {
-		out.RowPtr[i+1] += out.RowPtr[i]
+		out.RowPtr[i+1] = int64(len(out.Val))
 	}
 	return out, nil
+}
+
+// IsSymmetric reports whether a canonical CSR matrix (columns ascending
+// within each row, no duplicates, as NewCSR builds it) equals its
+// transpose: it is square, and wherever an off-diagonal (i,j) is stored,
+// (j,i) is stored too with a value that compares equal (== on float64, so
+// −0 matches +0 and NaN matches nothing). A diagonal entry is its own
+// mirror. One pass in row order that stops at the first mismatch: row
+// j's strictly-upper entries are met in ascending column order as the rows
+// they mirror into are scanned, so a cursor per row marks the next upper
+// entry still owed its mirror, and every cursor must reach its row's end.
+func (m *CSR[I]) IsSymmetric() bool {
+	if m.R != m.C {
+		return false
+	}
+	next := make([]int64, m.R)
+	for i := 0; i < m.R; i++ {
+		k, end := m.RowPtr[i], m.RowPtr[i+1]
+		for ; k < end && int(m.Col[k]) < i; k++ {
+			j := m.Col[k]
+			p := next[j]
+			if p == m.RowPtr[j+1] || int(m.Col[p]) != i || m.Val[p] != m.Val[k] {
+				return false
+			}
+			next[j] = p + 1
+		}
+		if k < end && int(m.Col[k]) == i {
+			k++
+		}
+		next[i] = k
+	}
+	for j, p := range next {
+		if p != m.RowPtr[j+1] {
+			return false
+		}
+	}
+	return true
 }
 
 // Dims implements Format.
@@ -137,42 +159,4 @@ func (m *SymCSR) ToCOO() *COO {
 		}
 	}
 	return out
-}
-
-// IsNumericallySymmetric reports whether the matrix equals its transpose
-// exactly — entry for entry, bit for bit, after the same canonicalization
-// (stable sort, duplicates summed in insertion order) compile time
-// applies. It is the admission check for workloads that require symmetry
-// semantically rather than as a storage choice: Conjugate Gradient is
-// only defined on symmetric operators, whatever format ends up serving
-// them. O(nnz log nnz), no symmetric storage is built.
-func IsNumericallySymmetric(m *COO) bool {
-	if m.R != m.C {
-		return false
-	}
-	a, err := NewCSR[uint32](m)
-	if err != nil {
-		return false
-	}
-	// The transposed view reuses the entry slices with rows and columns
-	// swapped; canonicalization sums duplicates in the same insertion
-	// order on both sides, so equal matrices produce identical floats.
-	t, err := NewCSR[uint32](&COO{R: m.C, C: m.R, RowIdx: m.ColIdx, ColIdx: m.RowIdx, Val: m.Val})
-	if err != nil {
-		return false
-	}
-	if len(a.Col) != len(t.Col) {
-		return false
-	}
-	for i := range a.RowPtr {
-		if a.RowPtr[i] != t.RowPtr[i] {
-			return false
-		}
-	}
-	for k := range a.Col {
-		if a.Col[k] != t.Col[k] || a.Val[k] != t.Val[k] {
-			return false
-		}
-	}
-	return true
 }

@@ -181,3 +181,117 @@ func TestQuickSymCSRCorrect(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// FuzzSymmetric holds the one symmetry check — CSR.IsSymmetric, which
+// NewSymCSR runs — to a dense transpose reference. Inputs are mirrored pairs that then may be perturbed: a
+// duplicate is split into pieces summed in opposite orders on the two
+// sides (0.1+0.2+0.3 rounds differently from 0.3+0.2+0.1), values come
+// from a palette with explicit zeros, −0, NaN and an overflowing 1e308,
+// and one entry may be added unmirrored, changed or dropped. Some shapes
+// are rectangular, which is never symmetric.
+func FuzzSymmetric(f *testing.F) {
+	f.Add(int64(1), uint8(12), uint8(1), uint8(40), uint8(0))
+	f.Add(int64(2), uint8(9), uint8(1), uint8(30), uint8(1))
+	f.Add(int64(3), uint8(5), uint8(8), uint8(10), uint8(0))
+	f.Add(int64(4), uint8(1), uint8(1), uint8(3), uint8(2))
+	f.Add(int64(5), uint8(20), uint8(3), uint8(60), uint8(3))
+	palette := []float64{1, -1, 0.1, 0.2, 0.3, 3, 0, math.Copysign(0, -1), math.NaN(), 1e308}
+	f.Fuzz(func(t *testing.T, seed int64, rows8, cols8, pairs8, perturb uint8) {
+		rng := rand.New(rand.NewSource(seed))
+		rows, cols := 1+int(rows8)%24, 1+int(rows8)%24
+		if cols8%4 == 0 {
+			cols = 1 + int(cols8/4)%24
+		}
+		val := func() float64 { return palette[rng.Intn(len(palette))] }
+		m := NewCOO(rows, cols)
+		for p := 0; p < int(pairs8)%64; p++ {
+			i, j := rng.Intn(rows), rng.Intn(cols)
+			pieces := []float64{val()}
+			if rng.Intn(3) == 0 {
+				pieces = append(pieces, val(), val())
+			}
+			for _, v := range pieces {
+				_ = m.Append(i, j, v)
+			}
+			if i != j && j < rows && i < cols {
+				for k := len(pieces) - 1; k >= 0; k-- {
+					_ = m.Append(j, i, pieces[k])
+				}
+			}
+		}
+		if k := len(m.Val); k > 0 {
+			switch k = rng.Intn(k); perturb % 4 {
+			case 1:
+				_ = m.Append(rng.Intn(rows), rng.Intn(cols), val())
+			case 2:
+				m.Val[k] = val()
+			case 3:
+				m.RowIdx = append(m.RowIdx[:k], m.RowIdx[k+1:]...)
+				m.ColIdx = append(m.ColIdx[:k], m.ColIdx[k+1:]...)
+				m.Val = append(m.Val[:k], m.Val[k+1:]...)
+			}
+		}
+
+		stored, dense := denseOf(m)
+		want := rows == cols
+		for i := 0; i < rows && want; i++ {
+			for j := 0; j < i; j++ {
+				if stored[i][j] != stored[j][i] || stored[i][j] && dense[i][j] != dense[j][i] {
+					want = false
+					break
+				}
+			}
+		}
+		csr, err := NewCSR[uint32](m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := csr.IsSymmetric(); got != want {
+			t.Fatalf("%dx%d: IsSymmetric %v, dense transpose says %v", rows, cols, got, want)
+		}
+		sym, err := NewSymCSR(m)
+		if (err == nil) != want {
+			t.Fatalf("%dx%d: NewSymCSR err %v, dense transpose says symmetric=%v", rows, cols, err, want)
+		}
+		if err != nil {
+			return
+		}
+		// The upper triangle mirrors back to the matrix: upper entries bit
+		// for bit, lower ones equal to what was stored there.
+		gotStored, got := denseOf(sym.ToCOO())
+		for i := range got {
+			for j := range got[i] {
+				same := math.Float64bits(got[i][j]) == math.Float64bits(dense[i][j])
+				if j < i {
+					same = got[i][j] == dense[i][j]
+				}
+				if gotStored[i][j] != stored[i][j] || stored[i][j] && !same {
+					t.Fatalf("(%d,%d): SymCSR mirrors stored=%v %v, matrix stored=%v %v",
+						i, j, gotStored[i][j], got[i][j], stored[i][j], dense[i][j])
+				}
+			}
+		}
+		if sym.NNZ() != csr.NNZ() {
+			t.Fatalf("SymCSR logical nnz %d, CSR %d", sym.NNZ(), csr.NNZ())
+		}
+	})
+}
+
+// denseOf is the dense reference of a COO matrix: which positions hold an
+// entry, and each position's duplicates summed in insertion order from
+// the first one, as NewCSR sums them.
+func denseOf(m *COO) (stored [][]bool, val [][]float64) {
+	stored, val = make([][]bool, m.R), make([][]float64, m.R)
+	for i := range val {
+		stored[i], val[i] = make([]bool, m.C), make([]float64, m.C)
+	}
+	for k, v := range m.Val {
+		i, j := m.RowIdx[k], m.ColIdx[k]
+		if stored[i][j] {
+			val[i][j] += v
+		} else {
+			stored[i][j], val[i][j] = true, v
+		}
+	}
+	return stored, val
+}

@@ -30,7 +30,7 @@ type registerRequest struct {
 	// Symmetric selects the storage family: true requires upper-triangle
 	// (SymCSR) storage and fails with 400 when the matrix is not
 	// numerically symmetric; false pins general storage; omitted defers
-	// to the server's AutoSymmetric config. Sharded registrations cannot
+	// to the server's Tune.TrySymmetric config. Sharded registrations cannot
 	// honor true — row bands are rectangular and always stored general
 	// (keeping sharded bits identical to general single-node serving) —
 	// so "symmetric": true with shards >= 2 is rejected with 400 rather

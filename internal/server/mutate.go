@@ -20,6 +20,7 @@
 package server
 
 import (
+	"errors"
 	"fmt"
 	"log/slog"
 	"time"
@@ -201,11 +202,12 @@ func (s *Server) Recompact(id string) error {
 //     entry's base, and promote a new serving snapshot (gen+1) carrying
 //     whatever overlay the replay left.
 //
-// Symmetric-served entries re-verify symmetry on the folded matrix:
-// deltas that broke it demote the entry to general storage (the
-// symmetric kernel would silently compute with the wrong half), and the
-// seq-keyed symmetry cache is reset either way so CG admission re-judges
-// the new base.
+// The entry keeps its storage family (compileServed with it pinned): a
+// general entry stays general, and a symmetric-served one stays symmetric
+// while the folded matrix is — deltas that broke symmetry demote it to
+// general storage (the symmetric kernel would silently compute with the
+// wrong half). The seq-keyed symmetry cache is reset either way so CG
+// admission re-judges the new base.
 func (s *Server) recompactEntry(e *Entry) error {
 	defer e.recompacting.Store(false)
 
@@ -223,29 +225,14 @@ func (s *Server) recompactEntry(e *Entry) error {
 	wasSym := sv.sym
 	e.tuneMu.Unlock()
 
-	// Phase 2: compile off-lock.
-	var def *spmv.Operator
-	demoted := false
-	if wasSym {
-		if folded.IsSymmetric() {
-			op, err := spmv.CompileSymmetricParallel(folded, s.cfg.Threads)
-			if err != nil {
-				return fmt.Errorf("server: recompact %q: %w", e.ID, err)
-			}
-			def = op
-		} else {
-			// The deltas broke symmetry: the folded matrix must leave
-			// SymCSR storage or the symmetric kernel would mirror entries
-			// the matrix no longer has.
-			demoted = true
-		}
+	// Phase 2: compile off-lock, in the family the entry has.
+	def, err := s.compileServed(folded, &wasSym)
+	demoted := wasSym && errors.Is(err, ErrNotSymmetric)
+	if demoted {
+		def, err = s.compileServed(folded, new(bool))
 	}
-	if def == nil {
-		op, err := spmv.CompileParallel(folded, s.servingTune(), s.cfg.Threads, 1)
-		if err != nil {
-			return fmt.Errorf("server: recompact %q: %w", e.ID, err)
-		}
-		def = op
+	if err != nil {
+		return fmt.Errorf("server: recompact %q: %w", e.ID, err)
 	}
 	// Generation and overlay are only known under the lock; the snapshot's
 	// traffic model is built here.

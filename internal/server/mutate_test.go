@@ -299,7 +299,8 @@ func TestRecompactionAutoTrigger(t *testing.T) {
 
 // TestRecompactionSymmetry: a symmetric-served matrix re-verifies
 // symmetry at recompaction — preserved when the deltas kept it, demoted
-// to general storage when they broke it.
+// to general storage when they broke it. Both subtests register with
+// symmetric storage required, so neither depends on the footprint rule.
 func TestRecompactionSymmetry(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.RecompactThreshold = -1
@@ -312,12 +313,12 @@ func TestRecompactionSymmetry(t *testing.T) {
 	t.Run("preserved", func(t *testing.T) {
 		s := New(cfg)
 		defer s.Close()
-		if _, err := s.Register("s", "sym", sym); err != nil {
+		if _, err := s.RegisterOpts("s", "sym", sym, RegisterOptions{Symmetric: boolPtr(true)}); err != nil {
 			t.Fatal(err)
 		}
 		e, _ := s.Registry().Get("s")
 		if !e.cur.Load().sym {
-			t.Skip("auto-symmetric declined SymCSR for this matrix")
+			t.Fatal("symmetric-required registration is not served symmetric")
 		}
 		// A symmetric pair of deltas keeps A == Aᵀ.
 		batch := []Delta{
@@ -344,12 +345,12 @@ func TestRecompactionSymmetry(t *testing.T) {
 	t.Run("demoted", func(t *testing.T) {
 		s := New(cfg)
 		defer s.Close()
-		if _, err := s.Register("s", "sym", sym); err != nil {
+		if _, err := s.RegisterOpts("s", "sym", sym, RegisterOptions{Symmetric: boolPtr(true)}); err != nil {
 			t.Fatal(err)
 		}
 		e, _ := s.Registry().Get("s")
 		if !e.cur.Load().sym {
-			t.Skip("auto-symmetric declined SymCSR for this matrix")
+			t.Fatal("symmetric-required registration is not served symmetric")
 		}
 		// One one-sided set breaks symmetry.
 		if _, err := s.Patch("s", []Delta{{Op: "set", Row: 0, Col: 5, Val: 3.5}}); err != nil {

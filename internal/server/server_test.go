@@ -173,6 +173,21 @@ func TestRegistryOperatorCache(t *testing.T) {
 	if got := s.Stats().Compiles; got != 1 {
 		t.Errorf("compiles=%d after a rejected duplicate, want 1", got)
 	}
+
+	// A symmetric matrix is compiled once too: the family is decided
+	// inside the one compile, not by compiling it both ways.
+	s2 := New(DefaultConfig())
+	defer s2.Close()
+	info, err := s2.Register("sym", "poisson", poissonMatrix(t, 20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !info.Symmetric {
+		t.Errorf("Poisson-20 served general: %+v", info)
+	}
+	if got := s2.Stats().Compiles; got != 1 {
+		t.Errorf("symmetric register ran %d compiles, want exactly 1", got)
+	}
 }
 
 // TestBatcherFusesConcurrentRequests is the acceptance demonstration: 4

@@ -149,13 +149,13 @@ func httpSolveWait(t *testing.T, base, sid string) SolveStatus {
 }
 
 // solveServerConfig is the shared deterministic config of the mid-solve
-// recompaction test and its baseline twin. AutoSymmetric is off so the SPD
+// recompaction test and its baseline twin. TrySymmetric is off so the SPD
 // matrix is served general, where an overlay sweep and the recompacted
 // base sum each row in one order; background recompaction is off so only
 // the test's explicit Recompact promotes.
 func solveServerConfig() Config {
 	cfg := DefaultConfig()
-	cfg.AutoSymmetric = false
+	cfg.Tune.TrySymmetric = false
 	cfg.Threads = 2
 	cfg.Workers = 2
 	cfg.MaxBatch = 4

@@ -109,7 +109,7 @@ func waitDone(t *testing.T, s *Server, sid string) SolveStatus {
 }
 
 // TestSolveSessionCG runs a CG session end to end in process: converges
-// on an SPD matrix served by the auto-symmetric path, reports a residual
+// on an SPD matrix served from symmetric storage (TrySymmetric), reports a residual
 // history, and the returned solution satisfies the system under an
 // independent triplet check.
 func TestSolveSessionCG(t *testing.T) {

@@ -14,8 +14,8 @@ import (
 // serving snapshot is swapped under them — by patches and recompactions,
 // the real promotion path, and by a tight swap loop flipping between two
 // generations — and while other registrations churn the registry
-// (including the auto-symmetric footprint comparison and its loser
-// eviction, and failed registrations backing entries out). Run under
+// (including the symmetric-storage footprint decision, and failed
+// registrations backing entries out). Run under
 // -race in CI. The server is deterministic, so every response must stay
 // bitwise identical no matter which snapshot a sweep landed on.
 func TestOperatorSwapRace(t *testing.T) {
@@ -110,8 +110,8 @@ func TestOperatorSwapRace(t *testing.T) {
 			}
 		}
 	}()
-	// Registry churn: auto-symmetric comparisons (with loser eviction)
-	// and rejected registrations backing out, concurrent with serving.
+	// Registry churn: symmetric-storage footprint decisions and rejected
+	// registrations backing out, concurrent with serving.
 	go func() {
 		defer bg.Done()
 		for i := 0; ; i++ {

@@ -1,8 +1,11 @@
 package server
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/fnv"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -55,7 +58,7 @@ func TestSymmetricRegistration(t *testing.T) {
 			info.MatrixBytes, ginfo.MatrixBytes)
 	}
 
-	// AutoSymmetric (on in DefaultConfig) detects symmetry without the flag.
+	// TrySymmetric (on in DefaultConfig) detects symmetry without the flag.
 	ainfo, err := s.Register("auto", "auto", sym)
 	if err != nil {
 		t.Fatal(err)
@@ -209,6 +212,130 @@ func TestServedFamilyIsWhatStreams(t *testing.T) {
 			}
 		}
 	}
+	checkDecisionPins(t)
+}
+
+// checkDecisionPins is the last part of TestServedFamilyIsWhatStreams: it
+// pins what registration serves under the default configuration —
+// kernel, family, footprint and the bits of y for a seeded x — for every
+// suite twin, every square twin symmetrized, Poisson-150 and the 90×90
+// diagonal, at 1 and 2 threads. The literals are independent of how the
+// decision is made: any change to which family wins, to either family's
+// encoding or to its bits shows here.
+func checkDecisionPins(t *testing.T) {
+	inputs := map[string]*spmv.Matrix{"poisson150": poissonMatrix(t, 150)}
+	for _, name := range spmv.SuiteNames() {
+		m, err := spmv.GenerateSuite(name, 0.01, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inputs[name] = m
+		if r, c := m.Dims(); r == c {
+			if inputs[name+"+sym"], err = spmv.Symmetrize(m); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	diag := spmv.NewMatrix(90, 90)
+	for i := 0; i < 90; i++ {
+		_ = diag.Set(i, i, float64(i+1))
+	}
+	inputs["diagonal90"] = diag
+	pins := []struct {
+		name      string
+		threads   int
+		kernel    string
+		symmetric bool
+		footprint int64
+		yHash     uint64
+	}{
+		{"Dense", 1, "bcsr4x4/16", false, 3298, 0x4271204a1aff63e},
+		{"Dense+sym", 1, "symcsr", true, 2688, 0xf1629a410f3c53b4},
+		{"Protein", 1, "bcsr2x2/16", false, 368648, 0xcdc42eeef73270c4},
+		{"Protein+sym", 1, "symcsr", true, 361016, 0x2dee4e5a141a63ea},
+		{"FEM/Spheres", 1, "bcsr2x2/16", false, 509792, 0x8f97cde1d07340f8},
+		{"FEM/Spheres+sym", 1, "symcsr", true, 527748, 0x3cfef0314777c55c},
+		{"FEM/Cantilever", 1, "bcsr4x4/16", false, 323648, 0x1134628ea8d08f89},
+		{"FEM/Cantilever+sym", 1, "symcsr", true, 356496, 0x76ef204dc97449ac},
+		{"Wind Tunnel", 1, "bcsr2x2/16", false, 1008056, 0x802536debd0eec53},
+		{"Wind Tunnel+sym", 1, "symcsr", true, 1222368, 0xd53d5493d7123dd0},
+		{"FEM/Harbor", 1, "csr16/singleloop", false, 243058, 0x8bd3c1d493107ba2},
+		{"FEM/Harbor+sym", 1, "symcsr", true, 213144, 0x5d3d4a79c5db695b},
+		{"QCD", 1, "csr16/singleloop", false, 194288, 0x82be04e34dda343f},
+		{"QCD+sym", 1, "symcsr", true, 121084, 0x6c952d03b2acb3d7},
+		{"FEM/Ship", 1, "bcsr2x2/16", false, 365198, 0x26bbbc151996475e},
+		{"FEM/Ship+sym", 1, "symcsr", true, 445052, 0x6b2ea707844e1b0},
+		{"Economics", 1, "csr16/singleloop", false, 142778, 0x483c3ac2d157fcd4},
+		{"Economics+sym", 1, "symcsr", true, 167852, 0x46a4a3e56d61138f},
+		{"Epidemiology", 1, "csr16/singleloop", false, 253270, 0x434c95b42774929a},
+		{"Epidemiology+sym", 1, "symcsr", true, 224620, 0xff692a2347663d32},
+		{"FEM/Accelerator", 1, "csr16/singleloop", false, 270168, 0x570cd7caf890cd24},
+		{"FEM/Accelerator+sym", 1, "symcsr", true, 319876, 0xce52707f43b099d9},
+		{"Circuit", 1, "csr16/singleloop", false, 88698, 0xb9184500c5b43121},
+		{"Circuit+sym", 1, "symcsr", true, 103628, 0xcfa80bd5ac9cdab0},
+		{"webbase", 1, "csr16/singleloop", false, 362788, 0x2f07b95b666885d1},
+		{"webbase+sym", 1, "symcsr", true, 419272, 0x3a0f2fb79b4d60e},
+		{"LP", 1, "csr16/singleloop", false, 1044654, 0xc2f6c946c8d69b36},
+		{"poisson150", 1, "symcsr", true, 986408, 0x23c1bc28f970289e},
+		{"diagonal90", 1, "csr16/singleloop", false, 1628, 0x13d7b0e13f5c12fd},
+		{"Dense", 2, "parallel[2]", false, 3396, 0x4271204a1aff63e},
+		{"Dense+sym", 2, "symcsr[2]", true, 2688, 0xf1629a410f3c53b4},
+		{"Protein", 2, "parallel[2]", false, 368656, 0xcdc42eeef73270c4},
+		{"Protein+sym", 2, "symcsr[2]", true, 361016, 0x2dee4e5a141a63ea},
+		{"FEM/Spheres", 2, "parallel[2]", false, 509800, 0x8f97cde1d07340f8},
+		{"FEM/Spheres+sym", 2, "symcsr[2]", true, 527748, 0x3cfef0314777c55c},
+		{"FEM/Cantilever", 2, "parallel[2]", false, 327800, 0x1134628ea8d08f89},
+		{"FEM/Cantilever+sym", 2, "symcsr[2]", true, 356496, 0x76ef204dc97449ac},
+		{"Wind Tunnel", 2, "parallel[2]", false, 1101034, 0x802536debd0eec53},
+		{"Wind Tunnel+sym", 2, "symcsr[2]", true, 1222368, 0xd53d5493d7123dd0},
+		{"FEM/Harbor", 2, "parallel[2]", false, 243066, 0x8bd3c1d493107ba2},
+		{"FEM/Harbor+sym", 2, "symcsr[2]", true, 213144, 0x5d3d4a79c5db695b},
+		{"QCD", 2, "parallel[2]", false, 194296, 0x82be04e34dda343f},
+		{"QCD+sym", 2, "symcsr[2]", true, 121084, 0x6c952d03b2acb3d7},
+		{"FEM/Ship", 2, "parallel[2]", false, 400010, 0x26bbbc151996475e},
+		{"FEM/Ship+sym", 2, "symcsr[2]", true, 445052, 0x6b2ea707844e1b0},
+		{"Economics", 2, "parallel[2]", false, 142786, 0x483c3ac2d157fcd4},
+		{"Economics+sym", 2, "symcsr[2]", true, 167852, 0x46a4a3e56d61138f},
+		{"Epidemiology", 2, "parallel[2]", false, 253278, 0x434c95b42774929a},
+		{"Epidemiology+sym", 2, "symcsr[2]", true, 224620, 0xff692a2347663d32},
+		{"FEM/Accelerator", 2, "parallel[2]", false, 270176, 0x570cd7caf890cd24},
+		{"FEM/Accelerator+sym", 2, "symcsr[2]", true, 319876, 0xce52707f43b099d9},
+		{"Circuit", 2, "parallel[2]", false, 88706, 0xb9184500c5b43121},
+		{"Circuit+sym", 2, "symcsr[2]", true, 103628, 0xcfa80bd5ac9cdab0},
+		{"webbase", 2, "parallel[2]", false, 362796, 0x2f07b95b666885d1},
+		{"webbase+sym", 2, "symcsr[2]", true, 419272, 0x3a0f2fb79b4d60e},
+		{"LP", 2, "parallel[2]", false, 1044662, 0xc2f6c946c8d69b36},
+		{"poisson150", 2, "symcsr[2]", true, 986408, 0x23c1bc28f970289e},
+		{"diagonal90", 2, "parallel[2]", false, 1636, 0x13d7b0e13f5c12fd},
+	}
+	servers := map[int]*Server{}
+	for _, threads := range []int{1, 2} {
+		cfg := DefaultConfig()
+		cfg.Threads, cfg.Workers = threads, threads
+		servers[threads] = New(cfg)
+		defer servers[threads].Close()
+	}
+	for _, p := range pins {
+		m := inputs[p.name]
+		if m == nil {
+			t.Fatalf("no input %q", p.name)
+		}
+		s := servers[p.threads]
+		info, err := s.Register(p.name, p.name, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, cols := m.Dims()
+		h := fnv.New64a()
+		for _, v := range mulBits(t, s, p.name, testVector(cols, 11)) {
+			h.Write(binary.LittleEndian.AppendUint64(nil, math.Float64bits(v)))
+		}
+		if info.Kernel != p.kernel || info.Symmetric != p.symmetric || info.Footprint != p.footprint || h.Sum64() != p.yHash {
+			t.Errorf("%s threads=%d: %s symmetric=%v %d B y=%#x; pinned %s symmetric=%v %d B y=%#x",
+				p.name, p.threads, info.Kernel, info.Symmetric, info.Footprint, h.Sum64(),
+				p.kernel, p.symmetric, p.footprint, p.yHash)
+		}
+	}
 }
 
 func mustEntry(t testing.TB, s *Server, id string) *Entry {
@@ -348,7 +475,7 @@ func TestSymmetricUnderShardedCluster(t *testing.T) {
 				t.Fatalf("K=%d sharded row %d: %x vs general single-node %x", k, i, got[i], want[i])
 			}
 		}
-		// Members hold general band entries even with AutoSymmetric on.
+		// Members hold general band entries even with TrySymmetric on.
 		for _, ms := range members {
 			for _, info := range ms.Matrices() {
 				if info.Symmetric {

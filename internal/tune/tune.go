@@ -83,14 +83,14 @@ type Options struct {
 	// serving layer before it has observed any traffic).
 	VectorWidth int
 
-	// TrySymmetric additionally considers upper-triangle (SymCSR) storage
-	// for square, numerically symmetric matrices: when the symmetric build
-	// succeeds and its footprint beats the blocked plan, the whole matrix
-	// is encoded symmetric instead — the bandwidth-reduction extension the
-	// paper's conclusions recommend (§7) and OSKI implements. The choice
-	// is recorded as a single "SymCSR" Decision. Thread blocks of a
-	// parallel tune are rectangular row bands and never qualify, so the
-	// option only fires on whole-matrix (serial) tunes.
+	// TrySymmetric lets the compile path (spmv.Compile, CompileParallel)
+	// serve a square, numerically symmetric matrix from upper-triangle
+	// (SymCSR) storage when that footprint is strictly smaller than the
+	// plan Tune returns — the bandwidth-reduction extension the paper's
+	// conclusions recommend (§7) and OSKI implements — at any thread
+	// count. Tune itself never reads it: the choice is made once, on the
+	// whole matrix's canonical CSR, and recorded as a single "SymCSR"
+	// Decision.
 	TrySymmetric bool
 }
 
@@ -149,27 +149,6 @@ func (r *Result) Savings() float64 {
 // Tune encodes a matrix according to the options, returning the composite
 // encoding and the per-block decision log.
 func Tune(csr *matrix.CSR32, opt Options) (*Result, error) {
-	res, err := tuneGeneral(csr, opt)
-	if err != nil {
-		return nil, err
-	}
-	if opt.TrySymmetric && csr.R == csr.C {
-		if sym, err := matrix.NewSymCSR(csr.ToCOO()); err == nil && sym.FootprintBytes() < res.TotalFootprint {
-			res.Enc = sym
-			res.TotalFootprint = sym.FootprintBytes()
-			res.Decisions = []Decision{{
-				Rows: sym.N, Cols: sym.N, NNZ: sym.NNZ(),
-				Format: "SymCSR", IndexBits: 32,
-				Footprint: sym.FootprintBytes(),
-				Fill:      float64(sym.Stored()) / float64(max(sym.NNZ(), 1)),
-			}}
-		}
-	}
-	return res, nil
-}
-
-// tuneGeneral runs the §4.2 blocking/format/index-width heuristic.
-func tuneGeneral(csr *matrix.CSR32, opt Options) (*Result, error) {
 	normalize(&opt)
 	res := &Result{BaselineFootprint: csr.FootprintBytes()}
 

@@ -296,84 +296,3 @@ func TestQuickTuneConsistency(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-// symmetrizeCOO mirrors a random matrix into exact numerical symmetry.
-func symmetrizeCOO(rng *rand.Rand, n, pairs int) *matrix.COO {
-	m := matrix.NewCOO(n, n)
-	type pos struct{ r, c int }
-	seen := map[pos]bool{}
-	for len(seen) < pairs {
-		i, j := rng.Intn(n), rng.Intn(n)
-		if i > j {
-			i, j = j, i
-		}
-		if seen[pos{i, j}] {
-			continue
-		}
-		seen[pos{i, j}] = true
-		v := rng.NormFloat64()
-		_ = m.Append(i, j, v)
-		if i != j {
-			_ = m.Append(j, i, v)
-		}
-	}
-	return m
-}
-
-// TestTrySymmetricPicksSymCSR: on a numerically symmetric scatter matrix
-// (no register-block structure to exploit), upper-triangle storage beats
-// the blocked plan and the tuner records a SymCSR decision.
-func TestTrySymmetricPicksSymCSR(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	m := symmetrizeCOO(rng, 600, 4000)
-	csr, err := matrix.NewCSR[uint32](m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt := DefaultOptions()
-	opt.TrySymmetric = true
-	res, err := Tune(csr, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := res.Enc.(*matrix.SymCSR); !ok {
-		t.Fatalf("encoding %T, want *matrix.SymCSR", res.Enc)
-	}
-	if len(res.Decisions) != 1 || res.Decisions[0].Format != "SymCSR" {
-		t.Fatalf("decisions %+v", res.Decisions)
-	}
-	if res.Decisions[0].Fill > 0.6 {
-		t.Errorf("symmetric fill %.2f, want ~0.5 (stored/logical)", res.Decisions[0].Fill)
-	}
-	general, err := Tune(csr, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.TotalFootprint >= general.TotalFootprint {
-		t.Errorf("symmetric footprint %d not below general %d", res.TotalFootprint, general.TotalFootprint)
-	}
-	verify(t, res, m)
-}
-
-// TestTrySymmetricSkipsAsymmetric: the option must be a no-op for
-// asymmetric or rectangular matrices.
-func TestTrySymmetricSkipsAsymmetric(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	opt := DefaultOptions()
-	opt.TrySymmetric = true
-	for _, dims := range [][2]int{{300, 300}, {200, 400}} {
-		m := fillRandom(matrix.NewCOO(dims[0], dims[1]), rng, 2000)
-		csr, err := matrix.NewCSR[uint32](m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := Tune(csr, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, ok := res.Enc.(*matrix.SymCSR); ok {
-			t.Fatalf("%dx%d asymmetric matrix encoded symmetric", dims[0], dims[1])
-		}
-		verify(t, res, m)
-	}
-}

@@ -86,8 +86,12 @@ func (m *Matrix) Stats() MatrixStats { return m.coo.ComputeStats() }
 // (numerical symmetry, not just the structural symmetry Stats reports).
 // It is the admission test for symmetry-requiring consumers — Conjugate
 // Gradient sessions, CompileSymmetric — independent of which storage
-// family ends up serving the matrix.
-func (m *Matrix) IsSymmetric() bool { return matrix.IsNumericallySymmetric(m.coo) }
+// family ends up serving the matrix. It canonicalizes the entries as
+// compile does and runs the one symmetry check, matrix.CSR.IsSymmetric.
+func (m *Matrix) IsSymmetric() bool {
+	csr, err := matrix.NewCSR[uint32](m.coo)
+	return err == nil && csr.IsSymmetric()
+}
 
 // MatrixStats re-exports the structural summary used by Table 3.
 type MatrixStats = matrix.Stats
@@ -220,7 +224,8 @@ func (o *Operator) csrLocked() (*matrix.CSR32, error) {
 	return csr, nil
 }
 
-// Compile tunes and compiles the matrix into a serial operator.
+// Compile tunes and compiles the matrix into a serial operator: it is
+// CompileParallel(m, opt, 1, 1).
 func Compile(m *Matrix, opt TuneOptions) (*Operator, error) {
 	return compile(m, opt, 1, 1)
 }
@@ -228,6 +233,10 @@ func Compile(m *Matrix, opt TuneOptions) (*Operator, error) {
 // CompileParallel tunes each thread's row block independently (balanced by
 // nonzeros) and compiles a parallel operator with one goroutine per block.
 // numaNodes tags blocks for NUMA placement accounting (use 1 if unsure).
+// With opt.TrySymmetric, a square, numerically symmetric matrix whose
+// upper-triangle footprint is strictly smaller than the tuned plan's is
+// compiled as CompileSymmetricParallel compiles it instead, at the same
+// thread count.
 func CompileParallel(m *Matrix, opt TuneOptions, threads, numaNodes int) (*Operator, error) {
 	if threads < 1 {
 		return nil, fmt.Errorf("spmv: threads must be >= 1, got %d", threads)
@@ -235,10 +244,19 @@ func CompileParallel(m *Matrix, opt TuneOptions, threads, numaNodes int) (*Opera
 	return compile(m, opt, threads, numaNodes)
 }
 
+// compile canonicalizes the matrix once: the general plan and, under
+// opt.TrySymmetric, the upper-triangle store (matrix.SymFromCSR, the one
+// symmetry check) are built from that CSR. It is the §4.2 footprint rule
+// extended by one family — general wins ties — and the symmetric sweep is
+// built only when it wins.
 func compile(m *Matrix, opt TuneOptions, threads, numaNodes int) (*Operator, error) {
 	csr, err := matrix.NewCSR[uint32](m.coo)
 	if err != nil {
 		return nil, err
+	}
+	var sym *matrix.SymCSR
+	if opt.TrySymmetric {
+		sym, _ = matrix.SymFromCSR(csr) // nil unless square and numerically symmetric
 	}
 	op := &Operator{
 		rows: csr.R, cols: csr.C, nnz: csr.NNZ(),
@@ -251,23 +269,23 @@ func compile(m *Matrix, opt TuneOptions, threads, numaNodes int) (*Operator, err
 		if err != nil {
 			return nil, err
 		}
-		k, err := kernel.Compile(res.Enc)
+		if op.k, err = kernel.Compile(res.Enc); err != nil {
+			return nil, err
+		}
+		op.decisions, op.footprint = res.Decisions, res.TotalFootprint
+	} else {
+		pk, results, err := tune.TuneParallel(csr, opt, threads, numaNodes)
 		if err != nil {
 			return nil, err
 		}
-		op.k = k
-		op.decisions = res.Decisions
-		op.footprint = res.TotalFootprint
-		return op, nil
+		op.k = pk
+		for _, r := range results {
+			op.decisions = append(op.decisions, r.Decisions...)
+			op.footprint += r.TotalFootprint
+		}
 	}
-	pk, results, err := tune.TuneParallel(csr, opt, threads, numaNodes)
-	if err != nil {
-		return nil, err
-	}
-	op.k = pk
-	for _, r := range results {
-		op.decisions = append(op.decisions, r.Decisions...)
-		op.footprint += r.TotalFootprint
+	if sym != nil && sym.FootprintBytes() < op.footprint {
+		return symmetricOperator(sym, op.baseline, threads)
 	}
 	return op, nil
 }
@@ -521,14 +539,20 @@ func CompileSymmetricParallel(m *Matrix, threads int) (*Operator, error) {
 	if threads < 1 {
 		return nil, fmt.Errorf("spmv: threads must be >= 1, got %d", threads)
 	}
-	sym, err := matrix.NewSymCSR(m.coo)
+	csr, err := matrix.NewCSR[uint32](m.coo)
 	if err != nil {
 		return nil, err
 	}
-	csrBaseline, err := matrix.NewCSR[uint32](m.coo)
+	sym, err := matrix.SymFromCSR(csr)
 	if err != nil {
 		return nil, err
 	}
+	return symmetricOperator(sym, csr.FootprintBytes(), threads)
+}
+
+// symmetricOperator serves upper-triangle storage through the parallel
+// symmetric sweep; baseline is the matrix's CSR32 footprint.
+func symmetricOperator(sym *matrix.SymCSR, baseline int64, threads int) (*Operator, error) {
 	sw, err := kernel.NewSymSweep(sym, threads)
 	if err != nil {
 		return nil, err
@@ -539,7 +563,7 @@ func CompileSymmetricParallel(m *Matrix, threads int) (*Operator, error) {
 		rows: sym.N, cols: sym.N,
 		nnz:       sym.NNZ(),
 		footprint: sym.FootprintBytes(),
-		baseline:  csrBaseline.FootprintBytes(),
+		baseline:  baseline,
 		threads:   threads,
 		decisions: []Decision{{
 			Rows: sym.N, Cols: sym.N, NNZ: sym.NNZ(),

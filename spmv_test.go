@@ -675,3 +675,109 @@ func TestSymmetricTrafficHalvesMatrixStream(t *testing.T) {
 		t.Errorf("flops %d, want %d", st.Flops, 2*sop.NNZ())
 	}
 }
+
+// TestTrySymmetricPicksSymCSR: on a numerically symmetric scatter matrix
+// (no register-block structure to exploit), upper-triangle storage beats
+// the tuned plan, so CompileParallel with TrySymmetric returns the
+// symmetric operator at every thread count: one SymCSR decision, a
+// smaller footprint than the general plan, and CompileSymmetricParallel's
+// bits.
+func TestTrySymmetricPicksSymCSR(t *testing.T) {
+	m, err := spmv.Symmetrize(buildRandom(t, rand.New(rand.NewSource(7)), 600, 600, 4000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := make([]float64, 600)
+	for i := range x {
+		x[i] = float64(i%17) - 8
+	}
+	want := naiveMul(m, x)
+	opt := spmv.DefaultTuneOptions()
+	opt.TrySymmetric = true
+	for _, threads := range []int{1, 2} {
+		op, err := spmv.CompileParallel(m, opt, threads, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := op.Decisions()
+		if !op.Symmetric() || len(d) != 1 || d[0].Format != "SymCSR" {
+			t.Fatalf("threads=%d: symmetric=%v, decisions %+v; want one SymCSR decision", threads, op.Symmetric(), d)
+		}
+		if d[0].Fill > 0.6 {
+			t.Errorf("threads=%d: symmetric fill %.2f, want ~0.5 (stored/logical)", threads, d[0].Fill)
+		}
+		general, err := spmv.CompileParallel(m, spmv.DefaultTuneOptions(), threads, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if op.FootprintBytes() >= general.FootprintBytes() {
+			t.Errorf("threads=%d: symmetric footprint %d not below general %d", threads, op.FootprintBytes(), general.FootprintBytes())
+		}
+		sym, err := spmv.CompileSymmetricParallel(m, threads)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if op.KernelName() != sym.KernelName() || op.FootprintBytes() != sym.FootprintBytes() {
+			t.Errorf("threads=%d: %s/%d B, CompileSymmetricParallel %s/%d B", threads, op.KernelName(), op.FootprintBytes(), sym.KernelName(), sym.FootprintBytes())
+		}
+		got, err := op.Mul(x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := sym.Mul(x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range got {
+			if math.Float64bits(got[i]) != math.Float64bits(ref[i]) {
+				t.Fatalf("threads=%d row %d: %g, CompileSymmetricParallel %g", threads, i, got[i], ref[i])
+			}
+			if math.Abs(got[i]-want[i]) > 1e-9 {
+				t.Fatalf("threads=%d row %d: %g, reference %g", threads, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// TestTrySymmetricSkipsAsymmetric: the option is a no-op for asymmetric
+// or rectangular matrices at every thread count — the general plan,
+// byte for byte and bit for bit.
+func TestTrySymmetricSkipsAsymmetric(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	opt := spmv.DefaultTuneOptions()
+	opt.TrySymmetric = true
+	for _, dims := range [][2]int{{300, 300}, {200, 400}} {
+		m := buildRandom(t, rng, dims[0], dims[1], 2000)
+		x := make([]float64, dims[1])
+		for i := range x {
+			x[i] = rng.NormFloat64()
+		}
+		for _, threads := range []int{1, 2} {
+			op, err := spmv.CompileParallel(m, opt, threads, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			general, err := spmv.CompileParallel(m, spmv.DefaultTuneOptions(), threads, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if op.Symmetric() || op.KernelName() != general.KernelName() || op.FootprintBytes() != general.FootprintBytes() {
+				t.Fatalf("%dx%d threads=%d: symmetric=%v %s/%d B, want the general %s/%d B",
+					dims[0], dims[1], threads, op.Symmetric(), op.KernelName(), op.FootprintBytes(), general.KernelName(), general.FootprintBytes())
+			}
+			got, err := op.Mul(x)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := general.Mul(x)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range got {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("%dx%d threads=%d row %d: %g, general %g", dims[0], dims[1], threads, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
