@@ -378,7 +378,7 @@ func BenchmarkAblationMultiVec(b *testing.B) {
 			y := make([]float64, csr.R*nv)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := mv.MulAdd(y, x); err != nil {
+				if err := mv.MulAddBlock(y, x); err != nil {
 					b.Fatal(err)
 				}
 			}

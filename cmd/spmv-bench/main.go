@@ -15,7 +15,6 @@ import (
 	"os"
 
 	"repro/internal/bench"
-	"repro/internal/machine"
 )
 
 func main() {
@@ -50,54 +49,24 @@ func main() {
 }
 
 func run(r *bench.Runner, experiment string) ([]*bench.Table, error) {
-	mk := map[string]func() (*bench.Table, error){
-		"table1": func() (*bench.Table, error) { return bench.Table1(), nil },
-		"table2": func() (*bench.Table, error) { return bench.Table2(), nil },
-		"table3": r.Table3,
-		"table4": r.Table4,
-		"figure1-amd": func() (*bench.Table, error) {
-			return r.Figure1(machine.AMDX2())
-		},
-		"figure1-clovertown": func() (*bench.Table, error) {
-			return r.Figure1(machine.Clovertown())
-		},
-		"figure1-niagara": func() (*bench.Table, error) {
-			return r.Figure1(machine.Niagara())
-		},
-		"figure1-ps3": func() (*bench.Table, error) {
-			return r.Figure1(machine.CellPS3())
-		},
-		"figure1-blade": func() (*bench.Table, error) {
-			return r.Figure1(machine.CellBlade())
-		},
-		"figure2a": r.Figure2a,
-		"figure2b": r.Figure2b,
-		"speedups": r.Speedups,
-	}
-	order := []string{
-		"table1", "table2", "table3", "table4",
-		"figure1-amd", "figure1-clovertown", "figure1-niagara",
-		"figure1-ps3", "figure1-blade",
-		"figure2a", "figure2b", "speedups",
-	}
-	if experiment == "all" {
-		var out []*bench.Table
-		for _, name := range order {
-			t, err := mk[name]()
-			if err != nil {
-				return nil, fmt.Errorf("%s: %w", name, err)
-			}
-			out = append(out, t)
+	var out []*bench.Table
+	var names []string
+	for _, e := range bench.Experiments {
+		names = append(names, e.Name)
+		if experiment != "all" && experiment != e.Name {
+			continue
 		}
-		return out, nil
+		t, err := e.Build(r)
+		if err != nil {
+			if experiment == "all" {
+				err = fmt.Errorf("%s: %w", e.Name, err)
+			}
+			return nil, err
+		}
+		out = append(out, t)
 	}
-	f, ok := mk[experiment]
-	if !ok {
-		return nil, fmt.Errorf("unknown experiment %q (want one of %v or all)", experiment, order)
+	if len(out) == 0 {
+		return nil, fmt.Errorf("unknown experiment %q (want one of %v or all)", experiment, names)
 	}
-	t, err := f()
-	if err != nil {
-		return nil, err
-	}
-	return []*bench.Table{t}, nil
+	return out, nil
 }

@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"repro/internal/bench"
-	"repro/internal/machine"
 )
 
 func main() {
@@ -43,82 +42,22 @@ names its targets and whether they hold.
 
 `, time.Now().UTC().Format("2006-01-02 15:04 UTC"), *scale, *seed)
 
-	section := func(title string, notes []string, mk func() (*bench.Table, error)) {
-		t, err := mk()
+	for _, e := range bench.Experiments {
+		t, err := e.Build(r)
 		if err != nil {
-			fatal(fmt.Errorf("%s: %w", title, err))
+			fatal(fmt.Errorf("%s: %w", e.Name, err))
 		}
 		if err := t.Render(&buf); err != nil {
 			fatal(err)
 		}
-		if len(notes) > 0 {
+		if len(e.Targets) > 0 {
 			fmt.Fprintln(&buf, "Shape targets:")
-			for _, n := range notes {
+			for _, n := range e.Targets {
 				fmt.Fprintf(&buf, "  * %s\n", n)
 			}
 			fmt.Fprintln(&buf)
 		}
 	}
-
-	section("table1", []string{
-		"static parameter sheet; every derived value (peak Gflop/s, GB/s, flop:byte, Watts) matches Table 1 — asserted by internal/machine tests",
-	}, func() (*bench.Table, error) { return bench.Table1(), nil })
-
-	section("table2", []string{
-		"optimization applicability matches the paper's Table 2, including the 'implemented but no speedup' entries (branchless/pipelining on x86)",
-	}, func() (*bench.Table, error) { return bench.Table2(), nil })
-
-	section("table3", []string{
-		"14 matrices with the paper's dimensions/nnz as specs; twins preserve nnz/row, block structure, skew, and aspect ratio at the chosen scale",
-	}, r.Table3)
-
-	section("table4", []string{
-		"Cell blade sustains the highest fraction of socket bandwidth (paper: 91%); full blade ~62% due to page interleaving",
-		"Niagara single-thread bandwidth is ~1% of peak (latency bound), scaling to ~20% at 32 threads",
-		"AMD X2 and Clovertown reach nearly identical socket Gflop/s despite the 4.2x peak-flops gap",
-		"Clovertown single core uses only ~34% of its FSB",
-	}, r.Table4)
-
-	section("figure1-amd", []string{
-		"median serial optimization gain ~1.4x over naive, ~1.2x over OSKI (prefetch helps on the Opteron)",
-		"parallel gains dominate serial gains: ~1.7x (2 cores), ~3.3x (full system) over optimized serial",
-		"full system ~3.2x OSKI-PETSc",
-		"FEM/Ship gains from register blocking but not cache blocking; LP is the reverse (needs scale where its vectors exceed cache)",
-	}, func() (*bench.Table, error) { return r.Figure1(machine.AMDX2()) })
-
-	section("figure1-clovertown", []string{
-		"serial optimization gain only ~1.1x (hardware prefetch already good)",
-		"2 cores ~1.6x one core; 4 cores only slightly better (FSB saturated)",
-		"full system only ~2.3x serial — dual-socket bandwidth does not scale",
-	}, func() (*bench.Table, error) { return r.Figure1(machine.Clovertown()) })
-
-	section("figure1-niagara", []string{
-		"single thread extremely poor (~32-37 Mflop/s median), ~15% serial optimization gain",
-		"7.6x / 13.8x / 21.2x speedups at 8 / 16 / 32 threads",
-	}, func() (*bench.Table, error) { return r.Figure1(machine.Niagara()) })
-
-	section("figure1-ps3", []string{
-		"near-perfect scaling to 6 SPEs (paper: 5.7x) — the PS3 is kernel-bound, not memory-bound",
-	}, func() (*bench.Table, error) { return r.Figure1(machine.CellPS3()) })
-
-	section("figure1-blade", []string{
-		"blade reaches 7.4x (8 SPEs) and 9.9x (16 SPEs) over one PS3 SPE; short-row matrices (Economics, Circuit) heavily penalized",
-	}, func() (*bench.Table, error) { return r.Figure1(machine.CellBlade()) })
-
-	section("figure2a", []string{
-		"Cell blade fastest overall (paper: 3.4x / 3.6x / 12.8x single-socket advantage over Clovertown / AMD X2 / Niagara)",
-		"Clovertown no faster than AMD X2 at full system despite 4.2x peak flops",
-	}, r.Figure2a)
-
-	section("figure2b", []string{
-		"Cell blade leads power efficiency, PS3 close; Niagara lowest despite the lowest chip power",
-	}, r.Figure2b)
-
-	section("speedups", []string{
-		"every §6.2-6.5 median-speedup claim, paper vs. measured, in one table",
-		"known deviation: the AMD 1→2-core speedup under-reproduces (paper 1.7x) because the model's single-core sustained bandwidth is matrix-independent, pinned to Table 4's dense-case 5.40 GB/s; the paper's 1-core median is weaker than its dense case, so its parallel speedup is larger",
-		"known deviation: Cell-vs-Niagara socket ratio (paper 12.8x) is sensitive to Niagara's thread count at the 'socket' level; with the paper's 8c×1t socket definition the reproduction gives ~10x",
-	}, r.Speedups)
 
 	if err := os.WriteFile(*out, buf.Bytes(), 0o644); err != nil {
 		fatal(err)

@@ -322,3 +322,21 @@ func TestOptLevelStrings(t *testing.T) {
 		}
 	}
 }
+
+// TestExperimentsRegistry pins the list spmv-bench and spmv-report both
+// iterate: the twelve experiments in report order, each with a constructor
+// and the shape targets EXPERIMENTS.md records.
+func TestExperimentsRegistry(t *testing.T) {
+	want := "table1 table2 table3 table4 figure1-amd figure1-clovertown figure1-niagara " +
+		"figure1-ps3 figure1-blade figure2a figure2b speedups"
+	var names []string
+	for _, e := range Experiments {
+		names = append(names, e.Name)
+		if e.Build == nil || len(e.Targets) == 0 {
+			t.Errorf("%s: constructor or shape targets missing", e.Name)
+		}
+	}
+	if got := strings.Join(names, " "); got != want {
+		t.Errorf("experiments %q, want %q", got, want)
+	}
+}

@@ -23,13 +23,14 @@ type ColPart struct {
 
 // ParallelColumns is a column-partitioned SpMV kernel: each thread owns a
 // vertical slab and a private destination buffer; buffers are summed into
-// y after the slabs complete. Column partitioning trades the row version's
+// y after the slabs complete. Each call draws its buffers from a pool, so
+// concurrent calls are safe. Column partitioning trades the row version's
 // replicated source-vector traffic for a reduction over destination
 // vectors — profitable for short-wide matrices (LP) where x dwarfs y.
 type ParallelColumns struct {
 	rows, cols int
-	parts      []widePart  // lo, hi bound the part's columns
-	priv       [][]float64 // per-thread private y
+	parts      []widePart // lo, hi bound the part's columns
+	priv       sync.Pool  // *[]float64: one private y per part, end to end
 	fm         *partsFormat
 }
 
@@ -54,7 +55,6 @@ func NewParallelColumns(rows, cols int, parts []ColPart) (*ParallelColumns, erro
 			return nil, fmt.Errorf("kernel: column part %d: %w", i, err)
 		}
 		p.parts = append(p.parts, widePart{lo: cp.Span.Lo, hi: cp.Span.Hi, k: k})
-		p.priv = append(p.priv, make([]float64, rows))
 		p.fm.encs = append(p.fm.encs, cp.Enc)
 	}
 	if at != cols {
@@ -72,41 +72,31 @@ func (p *ParallelColumns) MulAdd(y, x []float64) error {
 		return fmt.Errorf("%w: matrix %dx%d with len(y)=%d len(x)=%d",
 			matrix.ErrShape, p.rows, p.cols, len(y), len(x))
 	}
-	var wg sync.WaitGroup
-	wg.Add(len(p.parts))
-	for i := range p.parts {
-		go func(i int) {
-			defer wg.Done()
-			pp := &p.parts[i]
-			clear(p.priv[i])
-			pp.k.sweep(p.priv[i], x[pp.lo:pp.hi])
-		}(i)
+	buf, _ := p.priv.Get().(*[]float64)
+	if buf == nil {
+		buf = new([]float64)
+		*buf = make([]float64, p.rows*len(p.parts))
 	}
-	wg.Wait()
-	// Reduction: sum private buffers into y. Parallelized over row chunks
-	// so the reduction itself scales (each goroutine owns a disjoint y
-	// range across all buffers).
-	chunk := (p.rows + len(p.parts) - 1) / len(p.parts)
-	if chunk < 1 {
-		chunk = 1
-	}
-	var rg sync.WaitGroup
-	for lo := 0; lo < p.rows; lo += chunk {
-		hi := lo + chunk
-		if hi > p.rows {
-			hi = p.rows
-		}
-		rg.Add(1)
-		go func(lo, hi int) {
-			defer rg.Done()
-			for _, priv := range p.priv {
-				for j := lo; j < hi; j++ {
-					y[j] += priv[j]
-				}
+	defer p.priv.Put(buf)
+	priv := *buf
+	Run(len(p.parts), len(p.parts), func(i int) {
+		pp, py := &p.parts[i], priv[i*p.rows:(i+1)*p.rows]
+		clear(py)
+		pp.k.sweep(py, x[pp.lo:pp.hi])
+	})
+	// Reduction: sum private buffers into y in part order. Parallelized
+	// over row chunks so the reduction itself scales (each goroutine owns
+	// a disjoint y range across all buffers).
+	chunk := max(1, (p.rows+len(p.parts)-1)/len(p.parts))
+	chunks := (p.rows + chunk - 1) / chunk
+	Run(chunks, chunks, func(c int) {
+		lo, hi := c*chunk, min((c+1)*chunk, p.rows)
+		for i := range p.parts {
+			for j, v := range priv[i*p.rows+lo : i*p.rows+hi] {
+				y[lo+j] += v
 			}
-		}(lo, hi)
-	}
-	rg.Wait()
+		}
+	})
 	return nil
 }
 
@@ -131,8 +121,6 @@ type SegmentedScan struct {
 	bounds  []int64 // len threads+1, nonzero-range boundaries
 	firstRw []int   // first row touched by each thread
 	lastRw  []int
-	headSum []float64 // partial sum of each thread's first (shared) row
-	tailSum []float64 // partial sum of each thread's last (shared) row
 }
 
 // NewSegmentedScan splits the CSR nonzero stream into `threads` equal
@@ -148,8 +136,6 @@ func NewSegmentedScan(m *matrix.CSR32, threads int) (*SegmentedScan, error) {
 		bounds:  make([]int64, threads+1),
 		firstRw: make([]int, threads),
 		lastRw:  make([]int, threads),
-		headSum: make([]float64, threads),
-		tailSum: make([]float64, threads),
 	}
 	for t := 0; t <= threads; t++ {
 		s.bounds[t] = nnz * int64(t) / int64(threads)
@@ -192,59 +178,51 @@ func (s *SegmentedScan) MulAdd(y, x []float64) error {
 		return fmt.Errorf("%w: matrix %dx%d with len(y)=%d len(x)=%d",
 			matrix.ErrShape, m.R, m.C, len(y), len(x))
 	}
-	var wg sync.WaitGroup
-	wg.Add(s.threads)
-	for t := 0; t < s.threads; t++ {
-		go func(t int) {
-			defer wg.Done()
-			k0, k1 := s.bounds[t], s.bounds[t+1]
-			s.headSum[t], s.tailSum[t] = 0, 0
-			if k0 >= k1 {
-				return
-			}
-			first, last := s.firstRw[t], s.lastRw[t]
-			row := first
-			end := m.RowPtr[row+1]
-			sum := 0.0
-			for k := k0; k < k1; k++ {
-				for k == end {
-					s.flush(t, row, first, last, sum, y)
-					sum = 0
-					row++
-					end = m.RowPtr[row+1]
-				}
-				sum += float64(m.Val[k] * x[m.Col[k]])
-			}
-			s.flush(t, row, first, last, sum, y)
-		}(t)
-	}
-	wg.Wait()
+	// Each call's boundary partials are its own: head[t] and tail[t] sum
+	// thread t's first and last (possibly shared) rows.
+	head, tail := make([]float64, s.threads), make([]float64, s.threads)
+	Run(s.threads, s.threads, func(t int) { s.scan(t, y, x, head, tail) })
 	// Merge boundary partials: rows shared between adjacent threads were
 	// accumulated privately; one sequential pass combines them. A row can
 	// span several threads (a huge LP row), in which case every interior
 	// thread contributed tail/head sums to the same row.
 	for t := 0; t < s.threads; t++ {
 		if s.firstRw[t] < s.m.R {
-			y[s.firstRw[t]] += s.headSum[t]
+			y[s.firstRw[t]] += head[t]
 		}
 		if s.lastRw[t] < s.m.R && s.lastRw[t] != s.firstRw[t] {
-			y[s.lastRw[t]] += s.tailSum[t]
+			y[s.lastRw[t]] += tail[t]
 		}
 	}
 	return nil
 }
 
-// flush routes a completed row sum: boundary rows go to the private
-// accumulators (they may be shared with neighbouring threads), interior
-// rows go straight to y (this thread is their only writer).
-func (s *SegmentedScan) flush(t, row, first, last int, sum float64, y []float64) {
-	switch {
-	case row == first:
-		s.headSum[t] += sum
-	case row == last:
-		s.tailSum[t] += sum
-	default:
-		y[row] += sum
+// scan sums thread t's nonzero chunk row by row. The chunk's first and
+// last rows may be shared with neighbouring threads, so their sums go to
+// the call's private partials; every row between goes straight to y, of
+// which this thread is the only writer.
+func (s *SegmentedScan) scan(t int, y, x, head, tail []float64) {
+	k0, k1 := s.bounds[t], s.bounds[t+1]
+	if k0 >= k1 {
+		return
+	}
+	m := s.m
+	first, last := s.firstRw[t], s.lastRw[t]
+	for row := first; row <= last; row++ {
+		lo, hi := max(k0, m.RowPtr[row]), min(k1, m.RowPtr[row+1])
+		col := m.Col[lo:hi]
+		sum := 0.0
+		for n, v := range m.Val[lo:hi] {
+			sum += float64(v * x[col[n]])
+		}
+		switch row {
+		case first:
+			head[t] += sum
+		case last:
+			tail[t] += sum
+		default:
+			y[row] += sum
+		}
 	}
 }
 

@@ -50,7 +50,7 @@ func BenchmarkCSRMultiRHS(b *testing.B) {
 			b.Fatal(err)
 		}
 		names := []string{"MultiVec/csr32"}
-		sweeps := []func(y, x []float64) error{mv.MulAdd}
+		sweeps := []func(y, x []float64) error{mv.MulAddBlock}
 		for _, enc := range []matrix.Format{csr32, csr16, bcsr} {
 			w, err := NewWide(enc, width)
 			if err != nil {

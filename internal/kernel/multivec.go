@@ -26,22 +26,30 @@ func NewMultiVec(m *matrix.CSR32, vectors int) (*MultiVec, error) {
 	return &MultiVec{m: m, nv: vectors}, nil
 }
 
-// Vectors returns the vector-block width k.
-func (mv *MultiVec) Vectors() int { return mv.nv }
+// Width returns the vector-block width k.
+func (mv *MultiVec) Width() int { return mv.nv }
 
-// MulAdd computes Y ← Y + A·X where X and Y are column blocks stored
+// Name implements Wide.
+func (mv *MultiVec) Name() string { return fmt.Sprintf("csr32/multi%d", mv.nv) }
+
+// MulAddBlockExec implements Wide: the sweep is exec's one task.
+func (mv *MultiVec) MulAddBlockExec(y, x []float64, exec Exec) error {
+	return oneTask(exec, mv.MulAddBlock, y, x)
+}
+
+// MulAddBlock computes Y ← Y + A·X where X and Y are column blocks stored
 // row-major (interleaved: X[j*nv+v] is element j of vector v). The
 // interleaved layout keeps each gather of x_j adjacent for all k vectors —
 // one cache line serves k kernels, which is where the traffic saving comes
 // from.
 //
 //spmv:deterministic
-func (mv *MultiVec) MulAdd(y, x []float64) error {
+func (mv *MultiVec) MulAddBlock(y, x []float64) error {
 	return mv.MulAddRows(y, x, 0, mv.m.R)
 }
 
 // MulAddRows computes the rows [lo, hi) of Y ← Y + A·X over the same
-// interleaved block layout as MulAdd. Disjoint row ranges write disjoint
+// interleaved block layout as MulAddBlock. Disjoint row ranges write disjoint
 // regions of y, so concurrent calls over a row partition parallelize one
 // fused sweep without synchronization.
 //
@@ -155,27 +163,32 @@ func csrMultiRows[I matrix.Index](m *matrix.CSR[I], nv int, y, x []float64, lo, 
 			y[b+7] += s7
 		}
 	default:
-		sums := make([]float64, nv)
+		// At most eight lanes at a time, in a stack accumulator, as
+		// bcsrMultiGo sums them.
+		var acc [8]float64
 		for i := lo; i < hi; i++ {
 			k, end := m.RowPtr[i], m.RowPtr[i+1]
 			val, col := m.Val[k:end], m.Col[k:end]
-			clear(sums)
-			for n, v := range val {
-				c := int(col[n]) * nv
-				for l := range sums {
-					sums[l] += float64(v * x[c+l])
+			for g := 0; g < nv; g += len(acc) {
+				sums := acc[:min(len(acc), nv-g)]
+				clear(sums)
+				for n, v := range val {
+					c := int(col[n])*nv + g
+					for l, xv := range x[c : c+len(sums)] {
+						sums[l] += float64(v * xv)
+					}
 				}
-			}
-			base := i * nv
-			for l, s := range sums {
-				y[base+l] += s
+				base := i*nv + g
+				for l, s := range sums {
+					y[base+l] += s
+				}
 			}
 		}
 	}
 }
 
 // Interleave packs k column vectors into the row-major block layout
-// MulAdd expects.
+// MulAddBlock expects.
 func Interleave(vectors [][]float64) ([]float64, error) {
 	if len(vectors) == 0 {
 		return nil, fmt.Errorf("kernel: no vectors")

@@ -17,8 +17,8 @@ func TestMultiVecMatchesPerVectorReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if mv.Vectors() != nv {
-			t.Errorf("vectors %d", mv.Vectors())
+		if mv.Width() != nv {
+			t.Errorf("vectors %d", mv.Width())
 		}
 		xs := make([][]float64, nv)
 		wants := make([][]float64, nv)
@@ -35,7 +35,7 @@ func TestMultiVecMatchesPerVectorReference(t *testing.T) {
 			t.Fatal(err)
 		}
 		yBlock := make([]float64, 80*nv)
-		if err := mv.MulAdd(yBlock, xBlock); err != nil {
+		if err := mv.MulAddBlock(yBlock, xBlock); err != nil {
 			t.Fatal(err)
 		}
 		got, err := Deinterleave(yBlock, nv)
@@ -66,7 +66,7 @@ func TestMultiVecRowRangesTileFullSweep(t *testing.T) {
 			x[i] = rng.NormFloat64()
 		}
 		want := make([]float64, 97*nv)
-		if err := mv.MulAdd(want, x); err != nil {
+		if err := mv.MulAddBlock(want, x); err != nil {
 			t.Fatal(err)
 		}
 		for _, bounds := range [][]int{
@@ -101,10 +101,10 @@ func TestMultiVecValidation(t *testing.T) {
 		t.Error("0 vectors accepted")
 	}
 	mv, _ := NewMultiVec(csr, 2)
-	if err := mv.MulAdd(make([]float64, 8), make([]float64, 7)); err == nil {
+	if err := mv.MulAddBlock(make([]float64, 8), make([]float64, 7)); err == nil {
 		t.Error("bad x length accepted")
 	}
-	if err := mv.MulAdd(make([]float64, 7), make([]float64, 8)); err == nil {
+	if err := mv.MulAddBlock(make([]float64, 7), make([]float64, 8)); err == nil {
 		t.Error("bad y length accepted")
 	}
 }
@@ -169,7 +169,7 @@ func TestQuickMultiVecAgreesWithSingle(t *testing.T) {
 			return false
 		}
 		yBlock := make([]float64, rows*nv)
-		if err := mv.MulAdd(yBlock, xBlock); err != nil {
+		if err := mv.MulAddBlock(yBlock, xBlock); err != nil {
 			return false
 		}
 		got, err := Deinterleave(yBlock, nv)

@@ -82,28 +82,29 @@ func OverlayRows(y, x []float64, nv int, rows []delta.Row) error {
 		}
 	default:
 		// Generic width: per-lane accumulators in ascending column order,
-		// the same per-lane summation order as every unrolled case (lanes
-		// are independent, so lane order is immaterial to the bits).
-		sums := make([]float64, nv)
+		// at most eight lanes at a time in a stack accumulator — the same
+		// per-lane summation order as every unrolled case (lanes are
+		// independent, so lane order is immaterial to the bits).
+		var acc [8]float64
 		for _, row := range rows {
 			i := int(row.Index)
 			if i >= yRows {
 				return overlayRange(i, yRows)
 			}
-			clear(sums)
-			for k, col := range row.Col {
-				if int(col) >= xCols {
-					return overlayRange(int(col), xCols)
+			for g := 0; g < nv; g += len(acc) {
+				sums := acc[:min(len(acc), nv-g)]
+				clear(sums)
+				for k, col := range row.Col {
+					if int(col) >= xCols {
+						return overlayRange(int(col), xCols)
+					}
+					v := row.Val[k]
+					c := int(col)*nv + g
+					for lane, xv := range x[c : c+len(sums)] {
+						sums[lane] += float64(v * xv)
+					}
 				}
-				v := row.Val[k]
-				c := int(col) * nv
-				for lane := 0; lane < nv; lane++ {
-					sums[lane] += float64(v * x[c+lane])
-				}
-			}
-			b := i * nv
-			for lane := 0; lane < nv; lane++ {
-				y[b+lane] = sums[lane]
+				copy(y[i*nv+g:], sums)
 			}
 		}
 	}

@@ -3,10 +3,57 @@ package kernel
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/matrix"
 	"repro/internal/partition"
 )
+
+// Run calls f(i) for every i in [0, n) and returns once all have returned:
+// the one fork-join of the kernels, the solver and the cluster fan-out.
+// With workers <= 1 (or n <= 1) the calls run in order on the caller and
+// allocate nothing. Otherwise the caller only waits — a call of its own
+// would make it the straggler the others wait for: with n <= workers each
+// call gets its own goroutine; with more, workers goroutines claim indices
+// from a shared counter, so calls of uneven cost balance. f(i) writes only
+// what index i owns, which keeps the bits independent of the schedule.
+func Run(workers, n int, f func(i int)) {
+	if workers <= 1 || n <= 1 {
+		for i := range n {
+			f(i)
+		}
+		return
+	}
+	var wg sync.WaitGroup
+	if n <= workers {
+		wg.Add(n)
+		for i := range n {
+			go func() { defer wg.Done(); f(i) }()
+		}
+	} else {
+		var next atomic.Int64
+		wg.Add(workers)
+		for range workers {
+			go func() {
+				defer wg.Done()
+				for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+					f(i)
+				}
+			}()
+		}
+	}
+	wg.Wait()
+}
+
+// Exec runs a set of independent tasks and returns when all are done. A
+// kernel hands it one sweep's tasks, so an external executor — a serving
+// worker pool — owns the sweep's parallelism and bounds it. Scheduling
+// never affects result bits; only the task decomposition does.
+type Exec func(tasks []func())
+
+// Go is the default Exec: every task on its own goroutine, the caller
+// waiting (Run with one worker per task).
+func Go(tasks []func()) { Run(len(tasks), len(tasks), func(i int) { tasks[i]() }) }
 
 // Part pairs a row range of the full matrix with the independently encoded
 // sub-matrix (dimensions Range.Rows() × cols) owned by one thread. The
@@ -133,7 +180,7 @@ func (p *Parallel) MulAdd(y, x []float64) error { return p.MulAddBlockExec(y, x,
 func (p *Parallel) MulAddBlock(y, x []float64) error { return p.MulAddBlockExec(y, x, nil) }
 
 // MulAddBlockExec is MulAddBlock with the per-part tasks scheduled through
-// exec (nil runs them on the kernel's own goroutines). Scheduling never
+// exec (nil is Go: one goroutine per part). Scheduling never
 // changes result bits: parts own disjoint destination rows, so each row's
 // reduction order is fixed — the bitwise thread-invariance contract
 // spmv-vet's detpure analyzer guards.
@@ -159,16 +206,7 @@ func (p *Parallel) MulAddBlockExec(y, x []float64, exec Exec) error {
 		copy(xp, x)
 	}
 	if exec == nil {
-		var wg sync.WaitGroup
-		wg.Add(len(p.parts))
-		for i := range p.parts {
-			go func(pt *widePart) {
-				defer wg.Done()
-				pt.k.sweep(y[pt.lo*p.nv:pt.hi*p.nv], xp)
-			}(&p.parts[i])
-		}
-		wg.Wait()
-		return nil
+		exec = Go
 	}
 	tasks := make([]func(), len(p.parts))
 	for i := range p.parts {

@@ -9,6 +9,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/kernel"
 	"repro/internal/matrix"
+	"repro/internal/partition"
 	"repro/internal/tune"
 )
 
@@ -20,8 +21,10 @@ import (
 // spmv.CompileParallel builds; the FEM twin tunes to register blocks
 // whose padded extents pass the part boundaries — and serial kernels from
 // Compile: BCSR 4×4 over 63 columns, BCOO over ragged edges, and a
-// cache-blocked matrix whose last tile is padded. Every result must equal
-// the kernel's own single-goroutine answer bit for bit.
+// cache-blocked matrix whose last tile is padded. The §4.3 study kernels
+// join them, on the LP twin: ParallelColumns' private destination slabs
+// and SegmentedScan's boundary partials must be each call's own. Every
+// result must equal the kernel's own single-goroutine answer bit for bit.
 func TestParallelConcurrentMulAdd(t *testing.T) {
 	coo, err := gen.GenerateByName("FEM/Cantilever", 0.013, 7)
 	if err != nil {
@@ -44,6 +47,30 @@ func TestParallelConcurrentMulAdd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	lp, err := gen.GenerateByName("LP", 0.01, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lpCSR, err := matrix.NewCSR[uint32](lp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var slabs []kernel.ColPart
+	for _, sp := range partition.FixedWidthSpans(lpCSR.C, (lpCSR.C+1)/2) {
+		enc, err := matrix.NewCSR[uint32](lpCSR.SubmatrixCOO(0, lpCSR.R, sp.Lo, sp.Hi))
+		if err != nil {
+			t.Fatal(err)
+		}
+		slabs = append(slabs, kernel.ColPart{Span: sp, Enc: enc})
+	}
+	columns, err := kernel.NewParallelColumns(lpCSR.R, lpCSR.C, slabs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	segscan, err := kernel.NewSegmentedScan(lpCSR, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		name string
 		k    kernel.Kernel
@@ -52,6 +79,8 @@ func TestParallelConcurrentMulAdd(t *testing.T) {
 		{"bcsr4x4", compile(t, b4x4)},
 		{"bcoo2x4", compile(t, bcoo)},
 		{"cacheblocked", compile(t, paddedCacheBlocked(t))},
+		{"columns", columns},
+		{"segscan", segscan},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) { checkConcurrentMulAdd(t, tc.k) })

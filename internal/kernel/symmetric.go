@@ -3,7 +3,6 @@ package kernel
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/matrix"
 	"repro/internal/partition"
@@ -83,7 +82,7 @@ func NewSymSweep(sym *matrix.SymCSR, threads int) (*SymSweep, error) {
 func (s *SymSweep) Threads() int { return s.threads }
 
 // MulAdd implements Kernel: y ← y + A·x.
-func (s *SymSweep) MulAdd(y, x []float64) error { return s.MulAddWidth(y, x, 1) }
+func (s *SymSweep) MulAdd(y, x []float64) error { return s.mulAdd(y, x, 1, nil) }
 
 // Format implements Kernel.
 func (s *SymSweep) Format() matrix.Format { return s.m }
@@ -96,31 +95,17 @@ func (s *SymSweep) Name() string {
 	return fmt.Sprintf("symcsr[%d]", s.threads)
 }
 
-// Exec runs a set of independent tasks to completion before returning.
-// SymSweep hands its phase-1 (segment scan) and phase-2 (row-chunk
-// reduction) task sets to one: external executors — a serving worker
-// pool, say — then own the sweep's CPU parallelism, keeping kernel work
-// under the caller's concurrency bounds. Scheduling never affects result
-// bits; only the canonical task decomposition does.
-type Exec func(tasks []func())
-
-// MulAddWidth computes Y ← Y + A·X over nv interleaved vectors
-// (X[j*nv+v] is element j of vector v, the layout of MultiVec): the
-// multi-RHS symmetric sweep, streaming the halved matrix once for all nv
-// vectors. Safe for concurrent use; each call draws its own spill scratch.
+// mulAdd computes Y ← Y + A·X over nv interleaved vectors (X[j*nv+v] is
+// element j of vector v, the layout of MultiVec): the multi-RHS symmetric
+// sweep, streaming the halved matrix once for all nv vectors. Its two
+// parallel phases run through exec (nil runs each phase's tasks on the
+// kernel's threads, through Run). The ordered segment-then-reduce phases
+// make the result bits invariant to scheduling, which is the contract the
+// directive pins. Safe for concurrent use; each call draws its own spill
+// scratch.
 //
 //spmv:deterministic
-func (s *SymSweep) MulAddWidth(y, x []float64, nv int) error {
-	return s.MulAddWidthExec(y, x, nv, nil)
-}
-
-// MulAddWidthExec is MulAddWidth with the sweep's two parallel phases
-// scheduled through exec (nil runs them on the kernel's own goroutines).
-// The ordered segment-then-reduce phases make the result bits invariant
-// to scheduling, which is the contract the directive pins.
-//
-//spmv:deterministic
-func (s *SymSweep) MulAddWidthExec(y, x []float64, nv int, exec Exec) error {
+func (s *SymSweep) mulAdd(y, x []float64, nv int, exec Exec) error {
 	if nv < 1 {
 		return fmt.Errorf("kernel: need at least 1 vector, got %d", nv)
 	}
@@ -130,15 +115,20 @@ func (s *SymSweep) MulAddWidthExec(y, x []float64, nv int, exec Exec) error {
 			matrix.ErrShape, n, n, nv, len(y), len(x))
 	}
 	if exec == nil {
-		exec = s.ownExec
+		exec = func(tasks []func()) { Run(s.threads, len(tasks), func(i int) { tasks[i]() }) }
 	}
-	spill := s.getScratch(s.spillLen * nv)
+	spill, _ := s.scratch.Get().(*[]float64)
+	if spill == nil || cap(*spill) < s.spillLen*nv {
+		spill = new([]float64)
+		*spill = make([]float64, s.spillLen*nv)
+	}
 	defer s.scratch.Put(spill)
+	*spill = (*spill)[:s.spillLen*nv]
+	clear(*spill)
 
 	// Phase 1: scan segments (disjoint writes; scheduling-invariant).
 	scans := make([]func(), 0, len(s.segs))
-	for i := range s.segs {
-		sg := s.segs[i]
+	for _, sg := range s.segs {
 		if sg.hi > sg.lo {
 			scans = append(scans, func() { s.scanSegment(sg, y, x, *spill, nv) })
 		}
@@ -149,76 +139,19 @@ func (s *SymSweep) MulAddWidthExec(y, x []float64, nv int, exec Exec) error {
 	// chunking follows the kernel's thread width; any chunking yields the
 	// same bits (rows are independent, each folds its spills in segment
 	// order).
-	workers := s.threads
-	if workers > n {
-		workers = n
-	}
+	workers := min(s.threads, n)
 	if workers <= 1 {
 		s.reduceRows(y, *spill, nv, 0, n)
 		return nil
 	}
 	chunk := (n + workers - 1) / workers
 	reduces := make([]func(), 0, workers)
-	for w := 0; w < workers; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > n {
-			hi = n
-		}
-		if lo < hi {
-			reduces = append(reduces, func() { s.reduceRows(y, *spill, nv, lo, hi) })
-		}
+	for lo := 0; lo < n; lo += chunk {
+		hi := min(lo+chunk, n)
+		reduces = append(reduces, func() { s.reduceRows(y, *spill, nv, lo, hi) })
 	}
 	exec(reduces)
 	return nil
-}
-
-// ownExec runs tasks on the kernel's own goroutines, s.threads at a time.
-func (s *SymSweep) ownExec(tasks []func()) {
-	s.parallelDo(len(tasks), func(i int) { tasks[i]() })
-}
-
-// parallelDo runs f(0..n-1), inline when the kernel is single-threaded.
-func (s *SymSweep) parallelDo(n int, f func(int)) {
-	workers := s.threads
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			f(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				f(i)
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-// getScratch returns a zeroed buffer of at least need elements.
-func (s *SymSweep) getScratch(need int) *[]float64 {
-	b, _ := s.scratch.Get().(*[]float64)
-	if b == nil {
-		b = new([]float64)
-	}
-	if cap(*b) < need {
-		*b = make([]float64, need)
-	}
-	*b = (*b)[:need]
-	clear(*b)
-	return b
 }
 
 // scanSegment executes phase 1 for one segment: the serial symmetric
@@ -246,34 +179,38 @@ func (s *SymSweep) scanSegment(sg symSeg, y, x, spill []float64, nv int) {
 		}
 		return
 	}
-	sums := make([]float64, nv)
+	// At most eight lanes at a time, in a stack accumulator; lanes are
+	// independent, so each keeps the width-1 operation order.
+	var acc [8]float64
 	for i := sg.lo; i < sg.hi; i++ {
-		ib := i * nv
-		for l := range sums {
-			sums[l] = 0
-		}
-		for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
-			j := int(m.Col[k])
-			v := m.Val[k]
-			jb := j * nv
-			for l := 0; l < nv; l++ {
-				sums[l] += float64(v * x[jb+l])
-			}
-			if j != i {
-				if j < sg.hi {
-					for l := 0; l < nv; l++ {
-						y[jb+l] += float64(v * x[ib+l])
-					}
-				} else {
-					sb := (sg.spillOff + j - sg.hi) * nv
-					for l := 0; l < nv; l++ {
-						spill[sb+l] += float64(v * x[ib+l])
+		for g := 0; g < nv; g += len(acc) {
+			w := min(len(acc), nv-g)
+			sums := acc[:w]
+			clear(sums)
+			ib := i*nv + g
+			for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
+				j := int(m.Col[k])
+				v := m.Val[k]
+				jb := j*nv + g
+				for l := 0; l < w; l++ {
+					sums[l] += float64(v * x[jb+l])
+				}
+				if j != i {
+					if j < sg.hi {
+						for l := 0; l < w; l++ {
+							y[jb+l] += float64(v * x[ib+l])
+						}
+					} else {
+						sb := (sg.spillOff+j-sg.hi)*nv + g
+						for l := 0; l < w; l++ {
+							spill[sb+l] += float64(v * x[ib+l])
+						}
 					}
 				}
 			}
-		}
-		for l := 0; l < nv; l++ {
-			y[ib+l] += sums[l]
+			for l := 0; l < w; l++ {
+				y[ib+l] += sums[l]
+			}
 		}
 	}
 }
@@ -307,4 +244,27 @@ func (s *SymSweep) reduceRows(y, spill []float64, nv, lo, hi int) {
 			}
 		}
 	}
+}
+
+// Wide returns the width-k view of the sweep: the same two phases over k
+// interleaved vectors, each lane returning the width-1 bits.
+func (s *SymSweep) Wide(width int) (Wide, error) {
+	if width < 1 {
+		return nil, fmt.Errorf("kernel: need at least 1 vector, got %d", width)
+	}
+	return &wideSym{sw: s, nv: width}, nil
+}
+
+// wideSym is SymSweep's width-k view.
+type wideSym struct {
+	sw *SymSweep
+	nv int
+}
+
+func (w *wideSym) MulAddBlock(y, x []float64) error { return w.sw.mulAdd(y, x, w.nv, nil) }
+func (w *wideSym) Width() int                       { return w.nv }
+func (w *wideSym) Name() string                     { return fmt.Sprintf("symcsr/wide%d", w.nv) }
+
+func (w *wideSym) MulAddBlockExec(y, x []float64, exec Exec) error {
+	return w.sw.mulAdd(y, x, w.nv, exec)
 }

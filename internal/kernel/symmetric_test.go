@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -125,7 +126,7 @@ func TestSymSweepBitDeterminism(t *testing.T) {
 				t.Fatal(err)
 			}
 			yb := make([]float64, n*4)
-			if err := sw.MulAddWidth(yb, xb, 4); err != nil {
+			if err := sw.mulAdd(yb, xb, 4, nil); err != nil {
 				t.Fatal(err)
 			}
 			ys, err := Deinterleave(yb, 4)
@@ -195,10 +196,10 @@ func TestSymSweepShapeErrors(t *testing.T) {
 	if err := sw.MulAdd(make([]float64, 9), make([]float64, 10)); err == nil {
 		t.Error("short y accepted")
 	}
-	if err := sw.MulAddWidth(make([]float64, 40), make([]float64, 30), 4); err == nil {
+	if err := sw.mulAdd(make([]float64, 40), make([]float64, 30), 4, nil); err == nil {
 		t.Error("short x block accepted")
 	}
-	if err := sw.MulAddWidth(make([]float64, 10), make([]float64, 10), 0); err == nil {
+	if err := sw.mulAdd(make([]float64, 10), make([]float64, 10), 0, nil); err == nil {
 		t.Error("width 0 accepted")
 	}
 }
@@ -253,3 +254,66 @@ var errMismatch = errorString("concurrent sweep diverged")
 type errorString string
 
 func (e errorString) Error() string { return string(e) }
+
+// poisson2D is the 5-point Laplacian on a side×side grid in upper-triangle
+// storage: the symmetric matrix the shard-cg workload solves.
+func poisson2D(tb testing.TB, side int) *matrix.SymCSR {
+	tb.Helper()
+	n := side * side
+	coo := matrix.NewCOO(n, n)
+	for i := 0; i < n; i++ {
+		_ = coo.Append(i, i, 4)
+		if i%side+1 < side {
+			_ = coo.Append(i, i+1, -1)
+			_ = coo.Append(i+1, i, -1)
+		}
+		if i+side < n {
+			_ = coo.Append(i, i+side, -1)
+			_ = coo.Append(i+side, i, -1)
+		}
+	}
+	csr, err := matrix.NewCSR[uint32](coo)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	sym, err := matrix.SymFromCSR(csr)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return sym
+}
+
+// BenchmarkSymSweep times one two-phase symmetric sweep at 2 threads over
+// Poisson grids of side 150 and 600, at widths 1, 2, 4 and 8, with the
+// kernel's own scheduling (exec=default: each phase through Run) and with
+// every task run in order on the caller (exec=serial), which isolates the
+// scan and reduction from the fork-join.
+func BenchmarkSymSweep(b *testing.B) {
+	for _, side := range []int{150, 600} {
+		sw, err := NewSymSweep(poisson2D(b, side), 2)
+		if err != nil {
+			b.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(3))
+		for _, width := range []int{1, 2, 4, 8} {
+			w, err := sw.Wide(width)
+			if err != nil {
+				b.Fatal(err)
+			}
+			x := randVec(rng, side*side*width)
+			y := make([]float64, side*side*width)
+			for _, ex := range []struct {
+				name string
+				exec Exec
+			}{{"default", nil}, {"serial", serialExec}} {
+				b.Run(fmt.Sprintf("n=%d/width=%d/exec=%s", side, width, ex.name), func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						if err := w.MulAddBlockExec(y, x, ex.exec); err != nil {
+							b.Fatal(err)
+						}
+					}
+				})
+			}
+		}
+	}
+}

@@ -27,6 +27,10 @@ type Wide interface {
 	// MulAddBlock computes Y ← Y + A·X over interleaved width-k blocks.
 	// Safe for concurrent use.
 	MulAddBlock(yBlock, xBlock []float64) error
+	// MulAddBlockExec is MulAddBlock with the sweep's tasks run by exec: a
+	// serial view is one task, a Parallel one per part, the symmetric view
+	// its two phases. A nil exec schedules them the view's own way.
+	MulAddBlockExec(yBlock, xBlock []float64, exec Exec) error
 	// Width returns the fused vector count k.
 	Width() int
 	// Name identifies the kernel variant, e.g. "bcsr2x2/16/wide4".
@@ -35,7 +39,7 @@ type Wide interface {
 
 // NewWide compiles a width-k multi-RHS kernel for an encoded matrix. Every
 // format internal/tune can produce is supported; the width-k view of a
-// parallel kernel is Parallel.Wide.
+// parallel kernel is Parallel.Wide, that of a symmetric one SymSweep.Wide.
 func NewWide(fm matrix.Format, width int) (Wide, error) {
 	if width < 1 {
 		return nil, fmt.Errorf("kernel: need at least 1 vector, got %d", width)
@@ -45,7 +49,7 @@ func NewWide(fm matrix.Format, width int) (Wide, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &wideSym{sw: sw, nv: width}, nil
+		return sw.Wide(width)
 	}
 	w, err := compileWide(fm, width)
 	if err != nil {
@@ -136,6 +140,20 @@ func (w *wideSerial) Format() matrix.Format { return w.fm }
 // MulAdd implements Kernel; it is MulAddBlock, which at width 1 computes
 // y ← y + A·x.
 func (w *wideSerial) MulAdd(y, x []float64) error { return w.MulAddBlock(y, x) }
+
+func (w *wideSerial) MulAddBlockExec(y, x []float64, exec Exec) error {
+	return oneTask(exec, w.MulAddBlock, y, x)
+}
+
+// oneTask runs a serial sweep as exec's one task, in line when exec is nil.
+func oneTask(exec Exec, sweep func(y, x []float64) error, y, x []float64) error {
+	if exec == nil {
+		return sweep(y, x)
+	}
+	var err error
+	exec([]func(){func() { err = sweep(y, x) }})
+	return err
+}
 
 func (w *wideSerial) MulAddBlock(y, x []float64) error {
 	if len(y) != w.rows*w.nv || len(x) != w.cols*w.nv {
@@ -298,14 +316,3 @@ func (e *wideComposite) run(y, x []float64) {
 		b.eng.run(y[b.rowOff*e.nv:], x[b.colOff*e.nv:])
 	}
 }
-
-// wideSym adapts the parallel symmetric sweep (which already fuses any
-// width with canonical, width-invariant bits) to the Wide interface.
-type wideSym struct {
-	sw *SymSweep
-	nv int
-}
-
-func (w *wideSym) MulAddBlock(y, x []float64) error { return w.sw.MulAddWidth(y, x, w.nv) }
-func (w *wideSym) Width() int                       { return w.nv }
-func (w *wideSym) Name() string                     { return fmt.Sprintf("symcsr/wide%d", w.nv) }

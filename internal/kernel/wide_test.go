@@ -85,7 +85,7 @@ func TestWideParallelExec(t *testing.T) {
 		x[i] = rng.NormFloat64()
 	}
 	want := make([]float64, csr.R*width)
-	if err := mv.MulAdd(want, x); err != nil {
+	if err := mv.MulAddBlock(want, x); err != nil {
 		t.Fatal(err)
 	}
 

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	spmv "repro"
+	"repro/internal/kernel"
 	"repro/internal/obs"
 	"repro/internal/partition"
 )
@@ -646,31 +647,20 @@ func (t *topology) sweptInline() bool {
 // where concurrent Muls coalesce, or a solver session's through Sweep — and
 // gathers the bands into y, which it overwrites (the bands tile the rows). The
 // caller loads t once, so every band comes from one generation even if a reband
-// swaps mid-flight. The last non-empty band runs on the calling goroutine, like
-// Pool.RunSweep's last shard; so do all of a session's when t is swept in line.
+// swaps mid-flight. Every band gets its own goroutine (kernel.Run), the caller
+// waiting, unless t is a session's swept in line.
 func (c *Cluster) fanOut(e *shardedEntry, t *topology, y, x []float64, affinity string, session bool) error {
-	spawn := !session || !t.sweptInline()
+	workers := len(t.bands)
+	if session && t.sweptInline() {
+		workers = 1
+	}
 	c.requests.Add(1)
 	errs := make([]error, len(t.bands))
-	last := len(t.bands) - 1
-	for last >= 0 && len(t.bands[last].replicas) == 0 {
-		last--
-	}
-	var wg sync.WaitGroup
-	for i, b := range t.bands[:last+1] {
-		switch {
-		case len(b.replicas) == 0:
-		case i == last || !spawn:
+	kernel.Run(workers, len(t.bands), func(i int) {
+		if b := t.bands[i]; len(b.replicas) > 0 {
 			errs[i] = c.mulBand(b, x, y, affinity, session)
-		default:
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				errs[i] = c.mulBand(b, x, y, affinity, session)
-			}()
 		}
-	}
-	wg.Wait()
+	})
 	for _, err := range errs {
 		if err != nil {
 			return err

@@ -22,7 +22,8 @@ package solve
 
 import (
 	"math"
-	"sync"
+
+	"repro/internal/kernel"
 )
 
 // detBlockLen is the fixed reduction-block length. The summation tree is (⌈n/1024⌉ ordered partials, each a sequential
@@ -70,36 +71,18 @@ func reducePart(n, p int) (lo, hi int) {
 	return lo, min(lo+detBlockLen, n)
 }
 
-// runParts executes f(part) for every part index, spreading parts over at
-// most threads goroutines when each goroutine's share of totalWork (in
-// elements) is large enough to pay for it — a reduction has many small
-// fixed blocks, so the gate must look at the per-goroutine batch,
-// not the per-part size. The assignment of parts to goroutines never
-// affects results: every part writes only its own slot.
+// runParts executes f(part) for every part index through kernel.Run, on
+// at most threads goroutines when each one's share of totalWork (in
+// elements) is large enough to pay for it, else in line — a reduction has
+// many small fixed blocks, so the gate must look at the per-goroutine
+// batch, not the per-part size. The assignment of parts to goroutines
+// never affects results: every part writes only its own slot.
 func runParts(parts, threads, totalWork int, f func(part int)) {
-	// workers is never reassigned, so the goroutines below capture it by
-	// value and the serial path allocates nothing.
 	workers := min(threads, parts)
-	if workers <= 1 || totalWork/workers < parallelGrain {
-		for p := 0; p < parts; p++ {
-			f(p)
-		}
-		return
+	if workers > 1 && totalWork/workers < parallelGrain {
+		workers = 1
 	}
-	var wg sync.WaitGroup
-	wg.Add(workers - 1)
-	for w := 1; w < workers; w++ {
-		go func(w int) {
-			defer wg.Done()
-			for p := w; p < parts; p += workers {
-				f(p)
-			}
-		}(w)
-	}
-	for p := 0; p < parts; p += workers {
-		f(p)
-	}
-	wg.Wait()
+	kernel.Run(workers, parts, f)
 }
 
 // reduce computes the sum of partial(lo, hi) over [0, n) in fixed-block

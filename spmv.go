@@ -194,11 +194,6 @@ type Operator struct {
 	// for operators without a coordinate source (CompileSymmetric).
 	src *matrix.COO
 
-	// sym is the symmetric sweep kernel when this operator is backed by
-	// upper-triangle storage (CompileSymmetric*); its multi-RHS hooks
-	// route through it instead of rebuilding CSR.
-	sym *kernel.SymSweep
-
 	multiMu sync.Mutex
 	lazyCSR *matrix.CSR32          // built on first hook use, then shared
 	multi   map[int]*MultiOperator // CSR-backed multi-RHS views, by width
@@ -356,20 +351,19 @@ func (o *Operator) Multi(width int) (*MultiOperator, error) {
 	if mo, ok := o.multi[width]; ok {
 		return mo, nil
 	}
-	var mo *MultiOperator
-	if o.sym != nil {
-		mo = &MultiOperator{sym: o.sym, nv: width, rows: o.rows, cols: o.cols}
+	var w kernel.Wide
+	if sw, ok := o.k.(*kernel.SymSweep); ok {
+		w, _ = sw.Wide(width) // fails only for width < 1, refused above
 	} else {
 		csr, err := o.csrLocked()
 		if err != nil {
 			return nil, err
 		}
-		mv, err := kernel.NewMultiVec(csr, width)
-		if err != nil {
+		if w, err = kernel.NewMultiVec(csr, width); err != nil {
 			return nil, err
 		}
-		mo = &MultiOperator{mv: mv, nv: width, rows: o.rows, cols: o.cols}
 	}
+	mo := &MultiOperator{w: w, rows: o.rows, cols: o.cols}
 	if o.multi == nil {
 		o.multi = make(map[int]*MultiOperator)
 	}
@@ -404,22 +398,20 @@ func (o *Operator) WideMulti(width int) (*MultiOperator, error) {
 	if mo, ok := o.wide[width]; ok {
 		return mo, nil
 	}
-	var mo *MultiOperator
-	if o.sym != nil {
-		mo = &MultiOperator{sym: o.sym, nv: width, rows: o.rows, cols: o.cols}
-	} else if p, ok := o.k.(*kernel.Parallel); ok {
-		wp, err := p.Wide(width)
-		if err != nil {
-			return nil, err
-		}
-		mo = &MultiOperator{w: wp, nv: width, rows: o.rows, cols: o.cols}
-	} else {
-		wk, err := kernel.NewWide(o.k.Format(), width)
-		if err != nil {
-			return nil, err
-		}
-		mo = &MultiOperator{w: wk, nv: width, rows: o.rows, cols: o.cols}
+	var w kernel.Wide
+	var err error
+	switch k := o.k.(type) {
+	case *kernel.SymSweep:
+		w, err = k.Wide(width)
+	case *kernel.Parallel:
+		w, err = k.Wide(width)
+	default:
+		w, err = kernel.NewWide(k.Format(), width)
 	}
+	if err != nil {
+		return nil, err
+	}
+	mo := &MultiOperator{w: w, rows: o.rows, cols: o.cols}
 	if o.wide == nil {
 		o.wide = make(map[int]*MultiOperator)
 	}
@@ -429,7 +421,10 @@ func (o *Operator) WideMulti(width int) (*MultiOperator, error) {
 
 // Symmetric reports whether the operator is backed by upper-triangle
 // (SymCSR) storage.
-func (o *Operator) Symmetric() bool { return o.sym != nil }
+func (o *Operator) Symmetric() bool {
+	_, ok := o.k.(*kernel.SymSweep)
+	return ok
+}
 
 // RowRange is a half-open row interval [Lo, Hi) with its nonzero count,
 // produced by RowPartition for shard planning.
@@ -559,7 +554,6 @@ func symmetricOperator(sym *matrix.SymCSR, baseline int64, threads int) (*Operat
 	}
 	return &Operator{
 		k:    sw,
-		sym:  sw,
 		rows: sym.N, cols: sym.N,
 		nnz:       sym.NNZ(),
 		footprint: sym.FootprintBytes(),
@@ -608,14 +602,12 @@ func Symmetrize(m *Matrix) (*Matrix, error) {
 // MultiOperator multiplies a block of k vectors in one matrix sweep — the
 // multiple-vectors optimization (OSKI, §2.1), which raises the effective
 // flop:byte ratio by nearly k for bandwidth-bound SpMV. It is backed by
-// either the CSR block kernel or, for symmetric operators, the parallel
-// symmetric sweep (which streams the halved upper-triangle store once for
-// all k vectors).
+// one width-k kernel: the CSR block kernel (Multi, CompileMulti), the
+// tuned encoding's wide view (WideMulti), or, for symmetric operators, the
+// parallel symmetric sweep (which streams the halved upper-triangle store
+// once for all k vectors).
 type MultiOperator struct {
-	mv         *kernel.MultiVec // CSR-backed views
-	sym        *kernel.SymSweep // symmetric-operator views
-	w          kernel.Wide      // tuned-encoding views (WideMulti)
-	nv         int
+	w          kernel.Wide
 	rows, cols int
 }
 
@@ -629,26 +621,27 @@ func CompileMulti(m *Matrix, vectors int) (*MultiOperator, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &MultiOperator{mv: mv, nv: vectors, rows: csr.R, cols: csr.C}, nil
+	return &MultiOperator{w: mv, rows: csr.R, cols: csr.C}, nil
 }
 
 // Vectors returns the block width k.
-func (o *MultiOperator) Vectors() int { return o.nv }
+func (o *MultiOperator) Vectors() int { return o.w.Width() }
 
 // MulAll computes Y_v = A·X_v for all k vectors in one sweep.
 func (o *MultiOperator) MulAll(xs [][]float64) ([][]float64, error) {
-	if len(xs) != o.nv {
-		return nil, fmt.Errorf("spmv: %d vectors, operator compiled for %d", len(xs), o.nv)
+	nv := o.w.Width()
+	if len(xs) != nv {
+		return nil, fmt.Errorf("spmv: %d vectors, operator compiled for %d", len(xs), nv)
 	}
 	xBlock, err := kernel.Interleave(xs)
 	if err != nil {
 		return nil, err
 	}
-	yBlock := make([]float64, o.rows*o.nv)
+	yBlock := make([]float64, o.rows*nv)
 	if err := o.MulAddBlock(yBlock, xBlock); err != nil {
 		return nil, err
 	}
-	return kernel.Deinterleave(yBlock, o.nv)
+	return kernel.Deinterleave(yBlock, nv)
 }
 
 // Dims returns (rows, cols).
@@ -658,53 +651,30 @@ func (o *MultiOperator) Dims() (rows, cols int) { return o.rows, o.cols }
 // element j of vector v; see Interleave). Callers that keep vectors in
 // block layout avoid the pack/unpack of MulAll.
 func (o *MultiOperator) MulAddBlock(yBlock, xBlock []float64) error {
-	if o.sym != nil {
-		return o.sym.MulAddWidth(yBlock, xBlock, o.nv)
-	}
-	if o.w != nil {
-		return o.w.MulAddBlock(yBlock, xBlock)
-	}
-	return o.mv.MulAdd(yBlock, xBlock)
+	return o.w.MulAddBlock(yBlock, xBlock)
 }
 
-// MulAddBlockExec is MulAddBlock with the view's internal parallel task
-// sets scheduled through run (which must execute every task and return
-// once all complete — e.g. a serving worker pool). Scheduling never
-// changes result bits. Symmetric and wide views carry internal tasks (a
-// serial wide kernel's one task is the sweep itself); Multi's CSR-backed
-// views have none and run the plain sweep.
+// MulAddBlockExec is MulAddBlock with the view's tasks scheduled through
+// run (which must execute every task and return once all complete — e.g.
+// a serving worker pool): a serial view's one task is the sweep itself, a
+// row-partitioned view has one per part, a symmetric view its two phases.
+// Scheduling never changes result bits.
 func (o *MultiOperator) MulAddBlockExec(yBlock, xBlock []float64, run func(tasks []func())) error {
-	if o.sym != nil {
-		return o.sym.MulAddWidthExec(yBlock, xBlock, o.nv, kernel.Exec(run))
-	}
-	if o.w != nil {
-		if wp, ok := o.w.(*kernel.Parallel); ok {
-			return wp.MulAddBlockExec(yBlock, xBlock, kernel.Exec(run))
-		}
-		// Serial wide kernels have one internal task: the sweep itself.
-		// Routing it through run keeps it under the executor's bounds.
-		var err error
-		run([]func(){func() { err = o.w.MulAddBlock(yBlock, xBlock) }})
-		return err
-	}
-	return o.mv.MulAdd(yBlock, xBlock)
+	return o.w.MulAddBlockExec(yBlock, xBlock, run)
 }
 
 // MulAddRows computes rows [lo, hi) of Y ← Y + A·X over interleaved
 // blocks. Disjoint row ranges write disjoint regions of yBlock, so the
 // shards of one fused sweep (see Operator.RowPartition) run concurrently
-// without synchronization. Symmetric views reject it: the symmetric
-// scatter writes outside [lo, hi), so a symmetric sweep cannot be
-// row-sharded externally — use MulAddBlock, which parallelizes
-// internally with a deterministic reduction.
+// without synchronization. Only Multi's CSR views take it: a symmetric
+// sweep scatters outside [lo, hi), and tuned wide views parallelize
+// internally — use MulAddBlock for both.
 func (o *MultiOperator) MulAddRows(yBlock, xBlock []float64, lo, hi int) error {
-	if o.sym != nil {
-		return fmt.Errorf("spmv: symmetric multi-RHS sweeps cannot be row-sharded externally; use MulAddBlock")
+	mv, ok := o.w.(*kernel.MultiVec)
+	if !ok {
+		return fmt.Errorf("spmv: only Multi's CSR views can be row-sharded externally; use MulAddBlock")
 	}
-	if o.w != nil {
-		return fmt.Errorf("spmv: tuned wide sweeps parallelize internally and cannot be row-sharded externally; use MulAddBlock")
-	}
-	return o.mv.MulAddRows(yBlock, xBlock, lo, hi)
+	return mv.MulAddRows(yBlock, xBlock, lo, hi)
 }
 
 // Interleave packs k equal-length column vectors into the row-major block
