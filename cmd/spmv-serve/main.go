@@ -11,7 +11,7 @@
 //
 //	go run ./cmd/spmv-serve [-addr :8707] [-preload FEM/Cantilever:0.05,LP:0.05]
 //	go run ./cmd/spmv-serve -members 4 -replicas 2 -preload LP:0.1:4   # in-process fleet
-//	go run ./cmd/spmv-serve -members 3 -replicas 2 -route-policy least-loaded -rebalance-skew 0.9
+//	go run ./cmd/spmv-serve -members 3 -replicas 2 -route-policy least-loaded
 //	go run ./cmd/spmv-serve -peers http://n1:8707,http://n2:8707       # remote fleet
 //	go run ./cmd/spmv-serve -log-format json -log-level debug -pprof-addr :6060
 //	go run ./cmd/spmv-serve -sched -admit-bytes-per-sec 2e9 -tenants 'acme:5e8,batch:1e8:3e8'
@@ -72,7 +72,6 @@ func main() {
 	ejectAfter := flag.Int("eject-after", 3, "consecutive member failures before ejection from routing")
 	routePolicy := flag.String("route-policy", "round-robin", "replica routing policy: round-robin, least-loaded, weighted, or affinity")
 	probeInterval := flag.Duration("probe-interval", server.DefaultProbeInterval, "base backoff before an ejected member's half-open recovery probe (doubles per failed probe, capped at 30s)")
-	rebalanceSkew := flag.Float64("rebalance-skew", 0, "Jain fairness threshold on per-member served bytes below which row bands are re-split online (0 disables)")
 	preload := flag.String("preload", "", "comma-separated suite matrices to register at startup, name[:scale[:shards]] each")
 	seed := flag.Int64("seed", 1, "generator seed for preloaded matrices")
 	obsSample := flag.Int("obs-sample", server.DefaultObsSample, "trace 1 in N requests into the /v1/traces ring; 0 disables the observability layer entirely")
@@ -143,7 +142,6 @@ func main() {
 			Replicas: *replicas, EjectAfter: *ejectAfter,
 			Policy:        policy,
 			ProbeInterval: *probeInterval,
-			RebalanceSkew: *rebalanceSkew,
 		})
 		if err != nil {
 			fatal(logger, "cluster setup failed", err)
@@ -154,8 +152,7 @@ func main() {
 		}
 		logger.Info("cluster routing configured",
 			slog.String("policy", string(policy)),
-			slog.Duration("probe_interval", *probeInterval),
-			slog.Float64("rebalance_skew", *rebalanceSkew))
+			slog.Duration("probe_interval", *probeInterval))
 	}
 
 	if *preload != "" {

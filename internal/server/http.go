@@ -734,7 +734,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		e.Counter("spmv_cluster_ejections_total", "Member ejections.", float64(cs.Ejections))
 		e.Counter("spmv_cluster_probes_total", "Half-open probe trials issued to ejected members.", float64(cs.Probes))
 		e.Counter("spmv_cluster_recoveries_total", "Ejected members restored to rotation by a probe.", float64(cs.Recoveries))
-		e.Counter("spmv_cluster_rebalances_total", "Band-topology swaps (manual and skew-triggered).", float64(cs.Rebalances))
 		var rInflight, rServed, rRequests, rFailRate []obs.Sample
 		for _, ms := range cs.Member {
 			l := map[string]string{"member": ms.Name}
@@ -744,7 +743,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 			rFailRate = append(rFailRate, obs.Sample{Labels: l, Value: ms.FailureRate})
 		}
 		e.GaugeVec("spmv_cluster_route_inflight_bytes", "Modeled sweep bytes dispatched and not yet completed, by member.", rInflight)
-		e.CounterVec("spmv_cluster_route_served_bytes_total", "Modeled sweep bytes served, by member (the rebalance skew signal).", rServed)
+		e.CounterVec("spmv_cluster_route_served_bytes_total", "Modeled sweep bytes served, by member.", rServed)
 		e.CounterVec("spmv_cluster_route_requests_total", "Successful band sub-requests, by member.", rRequests)
 		e.GaugeVec("spmv_cluster_route_failure_rate", "Decayed windowed failure rate, by member.", rFailRate)
 	}

@@ -175,7 +175,7 @@ func affinityScore(key, member string) uint64 {
 // gatherBand copies one band's result into its disjoint rows y of the
 // gathered vector, reporting whether the row count matched. It is the only
 // routing-layer code that touches response numerics: a straight copy, so
-// K-sharded bits equal single-node bits whatever the policy, probe or reband.
+// K-sharded bits equal single-node bits whatever the policy or probe.
 //
 //spmv:deterministic
 func gatherBand(y, yb []float64) bool {

@@ -118,7 +118,7 @@ func TestWeightedAvoidsFailureWindow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := e.topo.Load().bands[0]
+	b := e.bands[0]
 	ranked := c.rankReplicas(b, "", c.now())
 	if len(ranked) != 2 || ranked[0] != c.members[1] {
 		t.Errorf("weighted ranking put the 50%%-failure member first")

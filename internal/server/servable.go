@@ -19,7 +19,8 @@ type servable interface {
 	Dims() (rows, cols int)
 	// model returns the modeled DRAM bytes one single-RHS request moves —
 	// a Mul's admission cost and a solver session's per-sweep charge — and
-	// the generation (serving snapshot or band topology) it was read from.
+	// the serving generation it was read from (always 0 for a sharded
+	// matrix, whose bands are fixed at registration).
 	// It fails while the matrix cannot serve yet.
 	model() (bytes int64, gen int, err error)
 	// symmetricMatrix reports whether the logical matrix is numerically
@@ -142,10 +143,10 @@ func (e *shardedEntry) Dims() (rows, cols int) { return e.rows, e.cols }
 
 // model charges the fleet-wide bytes of one sharded request (the sum of
 // band sweep bytes), so a tenant's sharded traffic draws down the same
-// budget as its local traffic.
+// budget as its local traffic. Its bands never change, so its
+// generation is always 0.
 func (e *shardedEntry) model() (int64, int, error) {
-	t := e.topo.Load()
-	return t.sweepBytes, t.gen, nil
+	return e.sweepBytes, 0, nil
 }
 
 func (e *shardedEntry) symmetricMatrix() bool {
@@ -173,7 +174,7 @@ func (e *shardedEntry) mul(s *Server, p *pending, class sched.Class, affinity st
 		return nil, errNonFiniteX
 	}
 	y := make([]float64, e.rows)
-	if err := s.cluster.fanOut(e, e.topo.Load(), y, p.x, affinity, false); err != nil {
+	if err := s.cluster.fanOut(e, y, p.x, affinity, false); err != nil {
 		return nil, err
 	}
 	return y, nil
@@ -181,13 +182,11 @@ func (e *shardedEntry) mul(s *Server, p *pending, class sched.Class, affinity st
 
 // sweep fans one session iteration out under the session id as affinity key,
 // so under the affinity policy every iteration of a solve lands on the same
-// replica of each band. The gate charge and the reported generation are the
-// topology's that ran: a live reband changes the cost but never a row's
-// summation order, so trajectory bits survive it.
+// replica of each band. The bands are fixed at registration, so the
+// generation is always 0.
 func (e *shardedEntry) sweep(s *Server, ss *solveSession, y, x []float64) (int, time.Duration, error) {
-	t := e.topo.Load()
-	d, err := s.sessionSweep(ss.class, ss.cancel, t.sweepBytes, func() error { return s.cluster.fanOut(e, t, y, x, ss.id, true) })
-	return t.gen, d, err
+	d, err := s.sessionSweep(ss.class, ss.cancel, e.sweepBytes, func() error { return s.cluster.fanOut(e, y, x, ss.id, true) })
+	return 0, d, err
 }
 
 func (e *shardedEntry) listing() MatrixInfo {
@@ -199,28 +198,21 @@ func (e *shardedEntry) listing() MatrixInfo {
 	}
 }
 
-// teardown additionally unregisters the current topology's bands on every
-// replica, best-effort: member faults are collected into one
-// ErrMemberFault, but the matrix is gone from the coordinator regardless
-// — an unreachable member keeps a dangling band registration, surfaced by
-// the error so an operator can retry against it. Bands of superseded
-// topology generations are out of scope: their generation-stamped sub-ids
-// are never routed to again.
+// teardown additionally unregisters the bands on every replica,
+// best-effort: member faults are collected into one ErrMemberFault, but
+// the matrix is gone from the coordinator regardless — an unreachable
+// member keeps a dangling band registration, surfaced by the error so an
+// operator can retry against it.
 func (e *shardedEntry) teardown(s *Server) (DeleteResult, error) {
 	if !s.cluster.detach(e.id) {
 		return DeleteResult{}, fmt.Errorf("%w %q (sharded)", ErrUnknownMatrix, e.id)
 	}
 	res := DeleteResult{Sharded: true, CancelledSessions: s.drain(e.id)}
-	var faults []error
-	for _, b := range e.topo.Load().bands {
-		for _, m := range b.replicas {
-			if err := m.t.Unregister(b.subID); err != nil {
-				faults = append(faults, fmt.Errorf("member %s band %s: %w", m.name, b.subID, err))
-				continue
-			}
-			res.Bands++
-		}
+	faults := unregisterBands(e.bands)
+	for _, b := range e.bands {
+		res.Bands += len(b.replicas)
 	}
+	res.Bands -= len(faults)
 	if len(faults) > 0 {
 		return res, fmt.Errorf("%w: %d band teardown(s) failed (first: %v)", ErrMemberFault, len(faults), faults[0])
 	}

@@ -33,13 +33,6 @@ type ClusterConfig struct {
 	// ProbeMaxBackoff caps the exponential probe backoff. <= 0 means
 	// DefaultProbeMaxBackoff.
 	ProbeMaxBackoff time.Duration
-	// RebalanceSkew arms online rebanding: when the Jain fairness index of
-	// per-member served bytes (since the last topology swap) drops below
-	// this threshold, the coordinator re-splits the matrix's row bands
-	// over observed per-band costs and swaps the topology copy-on-write.
-	// 0 (or anything <= 0) disables automatic rebalancing; sensible
-	// values sit in (0.5, 1) — e.g. 0.9.
-	RebalanceSkew float64
 }
 
 // Member is one node of the cluster with its routing health state.
@@ -53,8 +46,8 @@ type Member struct {
 	ejected  atomic.Bool
 
 	// Routing load state: modeled sweep bytes currently in flight
-	// (charged at dispatch, released at completion) and total bytes
-	// served — the least-loaded signal and the rebalance skew input.
+	// (charged at dispatch, released at completion; the least-loaded
+	// signal) and total bytes served (MemberInfo.ServedBytes).
 	inflight atomic.Int64
 	served   atomic.Int64
 
@@ -137,50 +130,30 @@ type band struct {
 
 	replicas []*Member
 	next     atomic.Uint32 // round-robin cursor over replicas
-
-	// Observed serving cost (successful sub-requests and their summed
-	// wall time): the rebalancer's per-band cost signal.
-	served   atomic.Int64
-	servedNS atomic.Int64
 }
 
-// topology is one immutable generation of a sharded matrix's band layout.
-// Rebalancing builds a new topology and swaps the atomic pointer; requests
-// in flight keep serving on the generation they loaded (member registries
-// are append-only, so old sub-ids stay valid while they drain).
-type topology struct {
-	gen   int
-	bands []*band
-	// sweepBytes sums the bands' modeled per-request bytes: the fleet-wide
-	// cost of one sharded Mul, and the admission charge on the cluster
-	// front.
-	sweepBytes int64
-	// baseline snapshots per-member served bytes at the swap, so skew is
-	// measured over traffic this topology routed, not the fleet's history.
-	baseline []int64
-}
-
-// shardedEntry is one matrix split across the cluster.
+// shardedEntry is one matrix split across the cluster. Its bands are
+// fixed at registration and set before the entry is published under
+// Cluster.mu, so readers use them without atomics. Re-banding a matrix
+// is DELETE plus register.
 type shardedEntry struct {
 	id, name   string
 	rows, cols int
 	nnz        int64
 	replicas   int
 
-	// src is the registered matrix, retained so online rebanding can
-	// re-split rows without a client round-trip (doubles coordinator
-	// memory for the matrix — the price of elasticity).
+	// src is the registered matrix, retained for the lazy symmetry check
+	// a CG solve asks for (symmetricMatrix); registration does not pay it.
 	src *spmv.Matrix
 
 	symOnce sync.Once
 	symIs   bool
 
-	topo atomic.Pointer[topology]
-
-	muls        atomic.Uint64 // cluster Muls served (rebalance check cadence)
-	lastCheck   atomic.Uint64 // muls count at the last auto-rebalance trigger
-	rebalancing atomic.Bool   // single-flight latch for the async auto-reband
-	rebalanceMu sync.Mutex    // serializes topology swaps for this matrix
+	bands []*band
+	// sweepBytes sums the bands' modeled per-request bytes: the fleet-wide
+	// cost of one sharded Mul, and the admission charge on the cluster
+	// front.
+	sweepBytes int64
 }
 
 // BandInfo is the topology view of one shard band.
@@ -196,16 +169,14 @@ type BandInfo struct {
 
 // ShardedMatrixInfo describes one matrix served by the cluster.
 type ShardedMatrixInfo struct {
-	ID       string `json:"id"`
-	Name     string `json:"name,omitempty"`
-	Rows     int    `json:"rows"`
-	Cols     int    `json:"cols"`
-	NNZ      int64  `json:"nnz"`
-	Shards   int    `json:"shards"`
-	Replicas int    `json:"replicas"`
-	// Generation counts topology swaps: 0 at registration, +1 per reband.
-	Generation int        `json:"generation"`
-	Bands      []BandInfo `json:"bands"`
+	ID       string     `json:"id"`
+	Name     string     `json:"name,omitempty"`
+	Rows     int        `json:"rows"`
+	Cols     int        `json:"cols"`
+	NNZ      int64      `json:"nnz"`
+	Shards   int        `json:"shards"`
+	Replicas int        `json:"replicas"`
+	Bands    []BandInfo `json:"bands"`
 	// MaxBandSweepBytes is the modeled per-request DRAM bytes on the
 	// most-loaded member — the bottleneck of the bandwidth-bound aggregate
 	// throughput model (a node sustaining BW serves at most
@@ -234,10 +205,9 @@ type ClusterMulOptions struct {
 // fused sweeps, so concurrent cluster requests still coalesce into
 // multi-RHS sweeps on every member.
 //
-// Replica selection is policy-driven (ClusterConfig.Policy), member
-// ejection heals through a half-open probe loop, and band layouts can be
-// rebalanced online (Rebalance / ClusterConfig.RebalanceSkew) — see
-// route.go and rebalance.go.
+// Replica selection is policy-driven (ClusterConfig.Policy) and member
+// ejection heals through a half-open probe loop (route.go). A matrix's
+// bands are fixed at registration, like the paper's row blocks.
 //
 // All methods are safe for concurrent use.
 type Cluster struct {
@@ -262,7 +232,6 @@ type Cluster struct {
 	ejections  atomic.Uint64 // members ejected
 	probes     atomic.Uint64 // half-open probe trials issued
 	recoveries atomic.Uint64 // probes that restored a member
-	rebalances atomic.Uint64 // topology swaps (manual + automatic)
 }
 
 // NewCluster builds a coordinator over the given member transports.
@@ -373,16 +342,6 @@ func (c *Cluster) Info(id string) (ShardedMatrixInfo, error) {
 	return e.info(), nil
 }
 
-// Generation returns the matrix's current topology generation (0 until
-// the first reband), or -1 if id is unknown.
-func (c *Cluster) Generation(id string) int {
-	e, err := c.entry(id)
-	if err != nil {
-		return -1
-	}
-	return e.topo.Load().gen
-}
-
 // sharded returns the cluster's matrices ordered by id.
 func (c *Cluster) sharded() []*shardedEntry {
 	c.mu.RLock()
@@ -406,12 +365,11 @@ func (c *Cluster) Matrices() []ShardedMatrixInfo {
 }
 
 func (e *shardedEntry) info() ShardedMatrixInfo {
-	t := e.topo.Load()
 	info := ShardedMatrixInfo{
 		ID: e.id, Name: e.name, Rows: e.rows, Cols: e.cols, NNZ: e.nnz,
-		Shards: len(t.bands), Replicas: e.replicas, Generation: t.gen,
+		Shards: len(e.bands), Replicas: e.replicas,
 	}
-	for _, b := range t.bands {
+	for _, b := range e.bands {
 		bi := BandInfo{
 			Shard: b.shard, Lo: b.lo, Hi: b.hi, NNZ: b.nnz,
 			SubID: b.subID, SweepBytes: b.sweepBytes,
@@ -430,10 +388,9 @@ func (e *shardedEntry) info() ShardedMatrixInfo {
 // RegisterSharded splits m into `shards` nonzero-balanced row bands,
 // registers each band on Replicas members (round-robin placement, distinct
 // members per band), and serves the matrix under id from then on. The
-// empty id asks the coordinator to generate one. Registration is not
-// atomic across members: on failure the coordinator reports the error and
-// the id stays free, but bands already registered remain on their members
-// under id-derived sub-ids (member registries are append-only).
+// empty id asks the coordinator to generate one. On failure the
+// coordinator reports the error, unregisters the bands it already placed
+// (best-effort) and leaves the id free for a retry.
 func (c *Cluster) RegisterSharded(id, name string, m *spmv.Matrix, shards int) (ShardedMatrixInfo, error) {
 	if m == nil {
 		return ShardedMatrixInfo{}, fmt.Errorf("server: nil matrix")
@@ -476,32 +433,16 @@ func (c *Cluster) RegisterSharded(id, name string, m *spmv.Matrix, shards int) (
 	return e.info(), nil
 }
 
-// buildSharded bands the matrix over per-row nonzero counts (generation
-// 0) and registers every band on its replicas.
+// buildSharded splits m's rows into shards bands balanced over per-row
+// nonzero counts and registers band k on members (k+rep)%len(members),
+// rep < Replicas. A failed registration unregisters every band placed so
+// far before it returns.
 func (c *Cluster) buildSharded(id, name string, m *spmv.Matrix, rows, cols, shards int) (*shardedEntry, error) {
 	counts := make([]int64, rows)
 	m.Entries(func(i, j int, v float64) { counts[i]++ })
-	bands, total, err := c.buildBands(id, name, 0, m, rows, cols, counts, shards, c.members, c.cfg.Replicas)
+	p, err := partition.ByNNZCounts(counts, shards)
 	if err != nil {
 		return nil, err
-	}
-	e := &shardedEntry{
-		id: id, name: name, rows: rows, cols: cols,
-		nnz: m.NNZ(), replicas: c.cfg.Replicas, src: m,
-	}
-	e.topo.Store(&topology{bands: bands, sweepBytes: total, baseline: c.servedSnapshot()})
-	return e, nil
-}
-
-// buildBands splits m's rows into shards bands balanced over weights and
-// registers each band on replicas members from pool. Generation 0 keeps
-// the legacy (k+rep)%len(pool) placement; later generations place
-// greedily onto the least-assigned members (by weight), which is what
-// moves load toward idle or freshly recovered nodes.
-func (c *Cluster) buildBands(id, name string, gen int, m *spmv.Matrix, rows, cols int, weights []int64, shards int, pool []*Member, replicas int) ([]*band, int64, error) {
-	p, err := partition.ByNNZCounts(weights, shards)
-	if err != nil {
-		return nil, 0, err
 	}
 
 	// Split the entries into per-band coordinate matrices. bandOf maps a
@@ -524,74 +465,55 @@ func (c *Cluster) buildBands(id, name string, gen int, m *spmv.Matrix, rows, col
 		}
 	})
 	if setErr != nil {
-		return nil, 0, setErr
+		return nil, setErr
 	}
 
-	assigned := make([]int64, len(pool)) // greedy placement tallies (gen > 0)
-	var bands []*band
-	var total int64
+	e := &shardedEntry{
+		id: id, name: name, rows: rows, cols: cols,
+		nnz: m.NNZ(), replicas: c.cfg.Replicas, src: m,
+	}
+	fail := func(err error) (*shardedEntry, error) {
+		unregisterBands(e.bands)
+		return nil, err
+	}
 	for k, r := range p.Ranges {
-		subID := fmt.Sprintf("%s.s%d", id, k)
-		if gen > 0 {
-			subID = fmt.Sprintf("%s.g%d.s%d", id, gen, k)
-		}
-		b := &band{shard: k, lo: r.Lo, hi: r.Hi, nnz: r.NNZ, subID: subID}
-		bands = append(bands, b)
+		b := &band{shard: k, lo: r.Lo, hi: r.Hi, nnz: r.NNZ, subID: fmt.Sprintf("%s.s%d", id, k)}
+		e.bands = append(e.bands, b)
 		if bandMs[k] == nil {
 			continue // empty band: no rows to serve
 		}
-		targets := placeBand(pool, assigned, k, r.NNZ, replicas, gen)
-		for rep, mem := range targets {
+		for rep := 0; rep < c.cfg.Replicas; rep++ {
+			mem := c.members[(k+rep)%len(c.members)]
 			info, err := mem.t.Register(b.subID, fmt.Sprintf("%s/shard%d", name, k), bandMs[k])
 			if err != nil {
-				return nil, 0, fmt.Errorf("%w: shard %d on member %s: %w", ErrMemberFault, k, mem.name, err)
+				return fail(fmt.Errorf("%w: shard %d on member %s: %w", ErrMemberFault, k, mem.name, err))
 			}
+			b.replicas = append(b.replicas, mem)
 			if info.Rows != r.Rows() || info.Cols != cols {
-				return nil, 0, fmt.Errorf("server: shard %d on member %s registered as %dx%d, want %dx%d",
-					k, mem.name, info.Rows, info.Cols, r.Rows(), cols)
+				return fail(fmt.Errorf("server: shard %d on member %s registered as %dx%d, want %dx%d",
+					k, mem.name, info.Rows, info.Cols, r.Rows(), cols))
 			}
 			if rep == 0 {
 				b.sweepBytes = info.SweepBytes
 			}
-			b.replicas = append(b.replicas, mem)
 		}
-		total += b.sweepBytes
+		e.sweepBytes += b.sweepBytes
 	}
-	return bands, total, nil
+	return e, nil
 }
 
-// placeBand picks the band's replica members. Generation 0 reproduces
-// the legacy rotation; rebands assign each band to the replicas with
-// the smallest cumulative assigned weight (deterministic ties by index),
-// so a re-split also re-spreads load.
-func placeBand(pool []*Member, assigned []int64, k int, weight int64, replicas, gen int) []*Member {
-	out := make([]*Member, 0, replicas)
-	if gen == 0 {
-		for rep := 0; rep < replicas; rep++ {
-			out = append(out, pool[(k+rep)%len(pool)])
+// unregisterBands removes every band from each replica that holds it,
+// best-effort, and returns the removals that failed.
+func unregisterBands(bands []*band) []error {
+	var faults []error
+	for _, b := range bands {
+		for _, m := range b.replicas {
+			if err := m.t.Unregister(b.subID); err != nil {
+				faults = append(faults, fmt.Errorf("member %s band %s: %w", m.name, b.subID, err))
+			}
 		}
-		return out
 	}
-	idx := make([]int, len(pool))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool { return assigned[idx[a]] < assigned[idx[b]] })
-	for rep := 0; rep < replicas && rep < len(idx); rep++ {
-		i := idx[rep]
-		assigned[i] += weight
-		out = append(out, pool[i])
-	}
-	return out
-}
-
-// servedSnapshot captures per-member served bytes (a topology baseline).
-func (c *Cluster) servedSnapshot() []int64 {
-	out := make([]int64, len(c.members))
-	for i, m := range c.members {
-		out[i] = m.served.Load()
-	}
-	return out
+	return faults
 }
 
 // MulOpts computes y = A·x for the sharded matrix id: x is broadcast to
@@ -609,7 +531,7 @@ func (c *Cluster) MulOpts(id string, x []float64, opts ClusterMulOptions) ([]flo
 		return nil, fmt.Errorf("server: matrix %q is %dx%d, len(x)=%d", id, e.rows, e.cols, len(x))
 	}
 	y := make([]float64, e.rows)
-	if err := c.fanOut(e, e.topo.Load(), y, x, opts.Affinity, false); err != nil {
+	if err := c.fanOut(e, y, x, opts.Affinity, false); err != nil {
 		return nil, err
 	}
 	return y, nil
@@ -624,15 +546,15 @@ func mulInto(t Transport, id string, y, x []float64) error {
 	return err
 }
 
-// sweptInline reports whether a solver session sweeps t's bands in order on
+// sweptInline reports whether a solver session sweeps e's bands in order on
 // its own goroutine: every replica computes on the caller's thread (a remote
 // sweep is a wait worth overlapping), and the bands other goroutines would take
 // off its hands model under what a handoff's spawn and two thread wake-ups
 // cost on the 2-vCPU host (handoffBytes; DESIGN.md, "Cluster routing").
-func (t *topology) sweptInline() bool {
+func (e *shardedEntry) sweptInline() bool {
 	const handoffBytes = 2 << 20
 	var own int64
-	for _, b := range t.bands {
+	for _, b := range e.bands {
 		for _, m := range b.replicas {
 			if _, local := m.t.(*LocalTransport); !local {
 				return false
@@ -640,24 +562,23 @@ func (t *topology) sweptInline() bool {
 		}
 		own = max(own, b.sweepBytes)
 	}
-	return t.sweepBytes-own < handoffBytes
+	return e.sweepBytes-own < handoffBytes
 }
 
-// fanOut scatters x to one replica of every band of t — through Transport.Mul,
+// fanOut scatters x to one replica of every band of e — through Transport.Mul,
 // where concurrent Muls coalesce, or a solver session's through Sweep — and
-// gathers the bands into y, which it overwrites (the bands tile the rows). The
-// caller loads t once, so every band comes from one generation even if a reband
-// swaps mid-flight. Every band gets its own goroutine (kernel.Run), the caller
-// waiting, unless t is a session's swept in line.
-func (c *Cluster) fanOut(e *shardedEntry, t *topology, y, x []float64, affinity string, session bool) error {
-	workers := len(t.bands)
-	if session && t.sweptInline() {
+// gathers the bands into y, which it overwrites (the bands tile the rows).
+// Every band gets its own goroutine (kernel.Run), the caller waiting, unless
+// e is a session's swept in line.
+func (c *Cluster) fanOut(e *shardedEntry, y, x []float64, affinity string, session bool) error {
+	workers := len(e.bands)
+	if session && e.sweptInline() {
 		workers = 1
 	}
 	c.requests.Add(1)
-	errs := make([]error, len(t.bands))
-	kernel.Run(workers, len(t.bands), func(i int) {
-		if b := t.bands[i]; len(b.replicas) > 0 {
+	errs := make([]error, len(e.bands))
+	kernel.Run(workers, len(e.bands), func(i int) {
+		if b := e.bands[i]; len(b.replicas) > 0 {
 			errs[i] = c.mulBand(b, x, y, affinity, session)
 		}
 	})
@@ -666,7 +587,6 @@ func (c *Cluster) fanOut(e *shardedEntry, t *topology, y, x []float64, affinity 
 			return err
 		}
 	}
-	c.maybeRebalance(e, t)
 	return nil
 }
 
@@ -714,8 +634,6 @@ func (c *Cluster) mulBand(b *band, x, y []float64, affinity string, session bool
 			mem.consec.Store(0)
 			mem.served.Add(b.sweepBytes)
 			mem.noteLatency(elapsed)
-			b.served.Add(1)
-			b.servedNS.Add(int64(elapsed))
 			if probe {
 				c.restore(mem)
 			}
@@ -760,7 +678,6 @@ type ClusterStats struct {
 	Ejections  uint64 `json:"ejections"`
 	Probes     uint64 `json:"probes"`
 	Recoveries uint64 `json:"recoveries"`
-	Rebalances uint64 `json:"rebalances"`
 
 	Member []MemberStats `json:"member"`
 	// Aggregate sums the reachable members' serving counters: fleet-wide
@@ -782,7 +699,6 @@ func (c *Cluster) Stats() ClusterStats {
 		Ejections:  c.ejections.Load(),
 		Probes:     c.probes.Load(),
 		Recoveries: c.recoveries.Load(),
-		Rebalances: c.rebalances.Load(),
 	}
 	c.mu.RLock()
 	out.Matrices = len(c.byID)

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -351,6 +352,138 @@ func TestShardedRegistryRace(t *testing.T) {
 	}
 	if got := len(c.Matrices()); got != 7 {
 		t.Fatalf("%d matrices registered, want 7", got)
+	}
+}
+
+// TestShardedParityUnderLoad: concurrent Muls stream through K=2 and K=3
+// registrations of the same matrix, and every response is bitwise
+// identical to single-node serving — band boundaries move row ranges,
+// never a row's summation order. Run under -race this also vets the
+// concurrent fan-out.
+func TestShardedParityUnderLoad(t *testing.T) {
+	m, err := spmv.GenerateSuite("LP", 0.02, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, cols := m.Dims()
+	single := New(DefaultConfig())
+	defer single.Close()
+	if _, err := single.Register("m", "LP", m); err != nil {
+		t.Fatal(err)
+	}
+	x := randVec(cols, 3)
+	want, err := single.MulOpts("m", x, MulOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	c, _ := newLocalCluster(t, 3, 2)
+	ids := []string{"k2", "k3"}
+	for k, id := range ids {
+		if _, err := c.RegisterSharded(id, "LP", m, k+2); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	const clients, perClient = 4, 30
+	var wg sync.WaitGroup
+	errc := make(chan error, clients)
+	for g := 0; g < clients; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perClient; i++ {
+				id := ids[(g+i)%len(ids)]
+				got, err := c.MulOpts(id, x, ClusterMulOptions{})
+				if err != nil {
+					errc <- err
+					return
+				}
+				for j := range got {
+					if got[j] != want[j] {
+						errc <- fmt.Errorf("%s: y[%d] diverged from single-node", id, j)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errc)
+	for err := range errc {
+		t.Fatal(err)
+	}
+	for k, id := range ids {
+		if info, err := c.Info(id); err != nil || info.Shards != k+2 {
+			t.Errorf("%s: %d shards (%v), want %d", id, info.Shards, err, k+2)
+		}
+	}
+}
+
+// failOnceTransport fails its first Register, then passes through.
+type failOnceTransport struct {
+	Transport
+	failed atomic.Bool
+}
+
+func (f *failOnceTransport) Register(id, name string, m *spmv.Matrix) (MatrixInfo, error) {
+	if f.failed.CompareAndSwap(false, true) {
+		return MatrixInfo{}, fmt.Errorf("injected register fault")
+	}
+	return f.Transport.Register(id, name, m)
+}
+
+// TestRegisterShardedRetryAfterPartialFailure: a registration that fails
+// on one member after others took their bands unregisters those bands,
+// so a retry under the same id succeeds and every member then holds
+// exactly the bands its topology lists.
+func TestRegisterShardedRetryAfterPartialFailure(t *testing.T) {
+	transports := make([]Transport, 3)
+	servers := make([]*Server, 3)
+	for i := range transports {
+		servers[i] = New(DefaultConfig())
+		t.Cleanup(servers[i].Close)
+		transports[i] = NewLocalTransport(fmt.Sprintf("node%d", i), servers[i])
+	}
+	// Band 1's second replica lands on node2, after node0 and node1 hold
+	// band 0 and node1 holds band 1.
+	transports[2] = &failOnceTransport{Transport: transports[2]}
+	c, err := NewCluster(transports, ClusterConfig{Replicas: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := tridiag(t, 30)
+	if _, err := c.RegisterSharded("m", "tri", m, 3); !errors.Is(err, ErrMemberFault) {
+		t.Fatalf("registration over a failing member: err = %v, want ErrMemberFault", err)
+	}
+	for i, s := range servers {
+		if got := s.Matrices(); len(got) != 0 {
+			t.Errorf("node%d kept %d bands of the failed registration", i, len(got))
+		}
+	}
+
+	info, err := c.RegisterSharded("m", "tri", m, 3)
+	if err != nil {
+		t.Fatalf("retry of the same id: %v", err)
+	}
+	want := map[string][]string{}
+	for _, b := range info.Bands {
+		for _, name := range b.Members {
+			want[name] = append(want[name], b.SubID)
+		}
+	}
+	for i, s := range servers {
+		var got []string
+		for _, mi := range s.Matrices() {
+			got = append(got, mi.ID)
+		}
+		name := transports[i].Name()
+		if fmt.Sprint(got) != fmt.Sprint(want[name]) {
+			t.Errorf("%s holds %v, topology lists %v", name, got, want[name])
+		}
+	}
+	if _, err := c.MulOpts("m", make([]float64, 30), ClusterMulOptions{}); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -283,7 +283,7 @@ func (e *Entry) symmetricMatrix() bool {
 // tenant/class, making the two call styles (wire body vs typed options)
 // equivalent. The returned status is the session's state at admission
 // (running, iters 0); its generation fields count serving-snapshot
-// promotions for a local matrix and topology swaps for a sharded one.
+// promotions for a local matrix and stay 0 for a sharded one.
 func (s *Server) SolveOpts(id string, req SolveRequest, opts SolveOptions) (SolveStatus, error) {
 	if opts.Tenant != "" {
 		req.Tenant = opts.Tenant

@@ -139,7 +139,7 @@ func TestShardedSolveFaults(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return e.topo.Load().sweptInline()
+		return e.sweptInline()
 	}
 
 	// Small bands on in-process members: the session sweeps them in line.
@@ -179,7 +179,7 @@ func TestShardedSolveFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = sc.fanOut(e, e.topo.Load(), make([]float64, n), req.B, "", true)
+	err = sc.fanOut(e, make([]float64, n), req.B, "", true)
 	if !errors.Is(err, ErrMemberFault) {
 		t.Errorf("short band: fan-out err = %v, want ErrMemberFault", err)
 	}

@@ -68,14 +68,13 @@ func BenchmarkHTTPBandSweep(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	t := e.topo.Load()
 	rows, cols := m.Dims()
 	x, y := testVector(cols, 7), make([]float64, rows)
 	b.SetBytes(int64(8 * cols))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := c.fanOut(e, t, y, x, "", true); err != nil {
+		if err := c.fanOut(e, y, x, "", true); err != nil {
 			b.Fatal(err)
 		}
 	}
