@@ -275,7 +275,7 @@ func checkBounded(t *testing.T, path string, got, want, tol []float64) {
 // the de-interleaved per-lane results.
 func wideLanes(t *testing.T, w kernel.Wide, rows int, xs [][]float64) [][]float64 {
 	t.Helper()
-	xBlock, err := kernel.Interleave(xs)
+	xBlock, err := spmv.Interleave(xs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +283,7 @@ func wideLanes(t *testing.T, w kernel.Wide, rows int, xs [][]float64) [][]float6
 	if err := w.MulAddBlock(yBlock, xBlock); err != nil {
 		t.Fatal(err)
 	}
-	ys, err := kernel.Deinterleave(yBlock, len(xs))
+	ys, err := spmv.Deinterleave(yBlock, len(xs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -748,7 +748,7 @@ func foldToMatrix(t *testing.T, l *delta.Log, rows, cols int) *spmv.Matrix {
 func overlayLanes(t *testing.T, mo *spmv.MultiOperator, ov *delta.Overlay, rows int, xs [][]float64) [][]float64 {
 	t.Helper()
 	width := len(xs)
-	xBlock, err := kernel.Interleave(xs)
+	xBlock, err := spmv.Interleave(xs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -759,7 +759,7 @@ func overlayLanes(t *testing.T, mo *spmv.MultiOperator, ov *delta.Overlay, rows 
 	if err := kernel.OverlayRows(yBlock, xBlock, width, ov.Rows()); err != nil {
 		t.Fatal(err)
 	}
-	ys, err := kernel.Deinterleave(yBlock, width)
+	ys, err := spmv.Deinterleave(yBlock, width)
 	if err != nil {
 		t.Fatal(err)
 	}

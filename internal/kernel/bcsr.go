@@ -23,18 +23,15 @@ import "repro/internal/matrix"
 // one dependent chain: that, with one column index per tile, is why a
 // width-1 sweep over tiles that fill beats CSR.
 
-// bcsrBody sweeps block rows [lo, hi) at width 1.
-type bcsrBody[I matrix.Index] func(m *matrix.BCSR[I], y, x []float64, lo, hi int)
-
 // bcsrColsPadded is the x length (per lane) a BCSR body reads: whole tile
 // columns.
 func bcsrColsPadded[I matrix.Index](m *matrix.BCSR[I]) int {
 	return (m.C + m.Shape.C - 1) / m.Shape.C * m.Shape.C
 }
 
-// bcsrWidth1 returns the unrolled width-1 body of a tile shape, or nil when
-// the shape is not one of the nine.
-func bcsrWidth1[I matrix.Index](s matrix.BlockShape) bcsrBody[I] {
+// bcsrWidth1 returns the unrolled width-1 body of a tile shape, which sweeps
+// full block rows [lo, hi), or nil when the shape is not one of the nine.
+func bcsrWidth1[I matrix.Index](s matrix.BlockShape) func(m *matrix.BCSR[I], y, x []float64, lo, hi int) {
 	switch s {
 	case matrix.BlockShape{R: 1, C: 1}:
 		return bcsr1x1[I]
@@ -62,28 +59,27 @@ func bcsrWidth1[I matrix.Index](s matrix.BlockShape) bcsrBody[I] {
 // of Y ← Y + A·X over interleaved width-nv blocks, which writes y rows
 // [lo·R, min(hi·R, m.R)). x holds whole tile columns (bcsrColsPadded(m)·nv
 // values). Width 1 runs the shape's unrolled body; wider blocks run the
-// amd64 tile body when the CPU has AVX, otherwise the generic Go body. All
-// of them give csrMultiRows' bits on the same matrix (see the contract
-// above).
+// amd64 tile body when the CPU has AVX, otherwise the generic Go body. The
+// unrolled and tile bodies sweep only block rows that hold Shape.R rows; a
+// trailing shorter one runs the generic body. All of them give
+// csrMultiRows' bits on the same matrix (see the contract above).
 //
 //spmv:deterministic
 func bcsrMultiRows[I matrix.Index](m *matrix.BCSR[I], nv int, y, x []float64, lo, hi int) {
-	if nv == 1 {
-		if fn := bcsrWidth1[I](m.Shape); fn != nil {
-			fn(m, y, x, lo, hi)
-			return
-		}
+	full := max(lo, min(hi, m.R/m.Shape.R)) // block rows [lo, full) hold Shape.R rows
+	switch fn := bcsrWidth1[I](m.Shape); {
+	case nv == 1 && fn != nil:
+		fn(m, y, x, lo, full)
+	case vectorBody && bcsrMultiRowsVec(m, nv, y, x, lo, full): // the tile body swept them
+	default:
+		full = lo
 	}
-	if vectorBody && bcsrMultiRowsVec(m, nv, y, x, lo, hi) {
-		return
-	}
-	bcsrMultiGo(m, nv, y, x, lo, hi)
+	bcsrMultiGo(m, nv, y, x, full, hi)
 }
 
 // bcsrMultiGo is the generic body, for any shape and width: each scalar
 // row of the block rows sums its lanes, at most eight at a time, into a
-// stack accumulator in ascending column order. The unrolled bodies hand it
-// a trailing block row with fewer than Shape.R rows.
+// stack accumulator in ascending column order.
 //
 //spmv:deterministic
 func bcsrMultiGo[I matrix.Index](m *matrix.BCSR[I], nv int, y, x []float64, lo, hi int) {
@@ -116,19 +112,11 @@ func bcsrMultiGo[I matrix.Index](m *matrix.BCSR[I], nv int, y, x []float64, lo, 
 	}
 }
 
-// fullBlockRows is where the block rows of [lo, hi) that hold Shape.R rows
-// end: the unrolled bodies sweep [lo, fullBlockRows) and hand the rest to
-// bcsrMultiGo.
-func fullBlockRows[I matrix.Index](m *matrix.BCSR[I], lo, hi int) int {
-	return max(lo, min(hi, m.R/m.Shape.R))
-}
-
 // Each width-1 body slices a block row's columns and values once, so the
 // per-tile bounds checks are one per slice of x and of the tile.
 
 func bcsr1x1[I matrix.Index](m *matrix.BCSR[I], y, x []float64, lo, hi int) {
-	full := fullBlockRows(m, lo, hi)
-	for br := lo; br < full; br++ {
+	for br := lo; br < hi; br++ {
 		t0, t1 := m.RowPtr[br], m.RowPtr[br+1]
 		col, val := m.BCol[t0:t1], m.Val[t0:t1]
 		y0 := 0.0
@@ -137,12 +125,10 @@ func bcsr1x1[I matrix.Index](m *matrix.BCSR[I], y, x []float64, lo, hi int) {
 		}
 		y[br] += y0
 	}
-	bcsrMultiGo(m, 1, y, x, full, hi)
 }
 
 func bcsr1x2[I matrix.Index](m *matrix.BCSR[I], y, x []float64, lo, hi int) {
-	full := fullBlockRows(m, lo, hi)
-	for br := lo; br < full; br++ {
+	for br := lo; br < hi; br++ {
 		t0, t1 := m.RowPtr[br], m.RowPtr[br+1]
 		col, val := m.BCol[t0:t1], m.Val[t0*2:t1*2]
 		y0 := 0.0
@@ -155,12 +141,10 @@ func bcsr1x2[I matrix.Index](m *matrix.BCSR[I], y, x []float64, lo, hi int) {
 		}
 		y[br] += y0
 	}
-	bcsrMultiGo(m, 1, y, x, full, hi)
 }
 
 func bcsr1x4[I matrix.Index](m *matrix.BCSR[I], y, x []float64, lo, hi int) {
-	full := fullBlockRows(m, lo, hi)
-	for br := lo; br < full; br++ {
+	for br := lo; br < hi; br++ {
 		t0, t1 := m.RowPtr[br], m.RowPtr[br+1]
 		col, val := m.BCol[t0:t1], m.Val[t0*4:t1*4]
 		y0 := 0.0
@@ -175,12 +159,10 @@ func bcsr1x4[I matrix.Index](m *matrix.BCSR[I], y, x []float64, lo, hi int) {
 		}
 		y[br] += y0
 	}
-	bcsrMultiGo(m, 1, y, x, full, hi)
 }
 
 func bcsr2x1[I matrix.Index](m *matrix.BCSR[I], y, x []float64, lo, hi int) {
-	full := fullBlockRows(m, lo, hi)
-	for br := lo; br < full; br++ {
+	for br := lo; br < hi; br++ {
 		t0, t1 := m.RowPtr[br], m.RowPtr[br+1]
 		col, val := m.BCol[t0:t1], m.Val[t0*2:t1*2]
 		y0, y1 := 0.0, 0.0
@@ -194,12 +176,10 @@ func bcsr2x1[I matrix.Index](m *matrix.BCSR[I], y, x []float64, lo, hi int) {
 		y[r] += y0
 		y[r+1] += y1
 	}
-	bcsrMultiGo(m, 1, y, x, full, hi)
 }
 
 func bcsr2x2[I matrix.Index](m *matrix.BCSR[I], y, x []float64, lo, hi int) {
-	full := fullBlockRows(m, lo, hi)
-	for br := lo; br < full; br++ {
+	for br := lo; br < hi; br++ {
 		t0, t1 := m.RowPtr[br], m.RowPtr[br+1]
 		col, val := m.BCol[t0:t1], m.Val[t0*4:t1*4]
 		y0, y1 := 0.0, 0.0
@@ -216,12 +196,10 @@ func bcsr2x2[I matrix.Index](m *matrix.BCSR[I], y, x []float64, lo, hi int) {
 		y[r] += y0
 		y[r+1] += y1
 	}
-	bcsrMultiGo(m, 1, y, x, full, hi)
 }
 
 func bcsr2x4[I matrix.Index](m *matrix.BCSR[I], y, x []float64, lo, hi int) {
-	full := fullBlockRows(m, lo, hi)
-	for br := lo; br < full; br++ {
+	for br := lo; br < hi; br++ {
 		t0, t1 := m.RowPtr[br], m.RowPtr[br+1]
 		col, val := m.BCol[t0:t1], m.Val[t0*8:t1*8]
 		y0, y1 := 0.0, 0.0
@@ -242,12 +220,10 @@ func bcsr2x4[I matrix.Index](m *matrix.BCSR[I], y, x []float64, lo, hi int) {
 		y[r] += y0
 		y[r+1] += y1
 	}
-	bcsrMultiGo(m, 1, y, x, full, hi)
 }
 
 func bcsr4x1[I matrix.Index](m *matrix.BCSR[I], y, x []float64, lo, hi int) {
-	full := fullBlockRows(m, lo, hi)
-	for br := lo; br < full; br++ {
+	for br := lo; br < hi; br++ {
 		t0, t1 := m.RowPtr[br], m.RowPtr[br+1]
 		col, val := m.BCol[t0:t1], m.Val[t0*4:t1*4]
 		y0, y1, y2, y3 := 0.0, 0.0, 0.0, 0.0
@@ -265,12 +241,10 @@ func bcsr4x1[I matrix.Index](m *matrix.BCSR[I], y, x []float64, lo, hi int) {
 		y[r+2] += y2
 		y[r+3] += y3
 	}
-	bcsrMultiGo(m, 1, y, x, full, hi)
 }
 
 func bcsr4x2[I matrix.Index](m *matrix.BCSR[I], y, x []float64, lo, hi int) {
-	full := fullBlockRows(m, lo, hi)
-	for br := lo; br < full; br++ {
+	for br := lo; br < hi; br++ {
 		t0, t1 := m.RowPtr[br], m.RowPtr[br+1]
 		col, val := m.BCol[t0:t1], m.Val[t0*8:t1*8]
 		y0, y1, y2, y3 := 0.0, 0.0, 0.0, 0.0
@@ -293,12 +267,10 @@ func bcsr4x2[I matrix.Index](m *matrix.BCSR[I], y, x []float64, lo, hi int) {
 		y[r+2] += y2
 		y[r+3] += y3
 	}
-	bcsrMultiGo(m, 1, y, x, full, hi)
 }
 
 func bcsr4x4[I matrix.Index](m *matrix.BCSR[I], y, x []float64, lo, hi int) {
-	full := fullBlockRows(m, lo, hi)
-	for br := lo; br < full; br++ {
+	for br := lo; br < hi; br++ {
 		t0, t1 := m.RowPtr[br], m.RowPtr[br+1]
 		col, val := m.BCol[t0:t1], m.Val[t0*16:t1*16]
 		y0, y1, y2, y3 := 0.0, 0.0, 0.0, 0.0
@@ -329,5 +301,4 @@ func bcsr4x4[I matrix.Index](m *matrix.BCSR[I], y, x []float64, lo, hi int) {
 		y[r+2] += y2
 		y[r+3] += y3
 	}
-	bcsrMultiGo(m, 1, y, x, full, hi)
 }

@@ -82,22 +82,21 @@ var (
 // bcsrMultiRowsVec runs bcsrMultiRows' tile body and reports whether it
 // did, by csrMultiRowsVec's rules: it declines, leaving y untouched, when an
 // O(1) precondition the assembly relies on does not hold, and panics when
-// the assembly meets a row pointer or tile column outside the matrix. The
-// assembly sweeps the block rows that hold Shape.R rows, in chunks of
-// vecChunkRows rows; a trailing shorter block row runs the Go body.
+// the assembly meets a row pointer or tile column outside the matrix. Every
+// block row of [lo, hi) must hold Shape.R rows; the assembly sweeps them in
+// chunks of vecChunkRows rows.
 func bcsrMultiRowsVec[I matrix.Index](m *matrix.BCSR[I], nv int, y, x []float64, lo, hi int) bool {
 	if bcsrWidth1[I](m.Shape) == nil || nv < 1 {
 		return false
 	}
 	R, C := m.Shape.R, m.Shape.C
 	bcols := (m.C + C - 1) / C
-	full := fullBlockRows(m, lo, hi)
 	if lo < 0 || lo > hi || hi >= len(m.RowPtr) || len(m.Val)/(R*C) < len(m.BCol) ||
-		m.C < 0 || bcols > len(x)/nv/C || full > len(y)/nv/R {
+		m.C < 0 || bcols > len(x)/nv/C || hi > len(y)/nv/R {
 		return false
 	}
-	for lo < full {
-		end := min(full, lo+vecChunkRows/R)
+	for lo < hi {
+		end := min(hi, lo+vecChunkRows/R)
 		var next int
 		switch col := any(m.BCol).(type) {
 		case []uint32:
@@ -113,6 +112,5 @@ func bcsrMultiRowsVec[I matrix.Index](m *matrix.BCSR[I], nv int, y, x []float64,
 		}
 		lo = end
 	}
-	bcsrMultiGo(m, nv, y, x, lo, hi)
 	return true
 }

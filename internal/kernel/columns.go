@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"fmt"
+	"sort"
 	"sync"
 
 	"repro/internal/matrix"
@@ -142,16 +143,7 @@ func NewSegmentedScan(m *matrix.CSR32, threads int) (*SegmentedScan, error) {
 	}
 	// Locate the row containing each boundary (binary search over RowPtr).
 	rowOf := func(k int64) int {
-		lo, hi := 0, m.R
-		for lo < hi {
-			mid := (lo + hi) / 2
-			if m.RowPtr[mid+1] <= k {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		return lo
+		return sort.Search(m.R, func(i int) bool { return m.RowPtr[i+1] > k })
 	}
 	for t := 0; t < threads; t++ {
 		if s.bounds[t] >= nnz {

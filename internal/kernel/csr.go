@@ -13,9 +13,9 @@ func compileCSR[I matrix.Index](m *matrix.CSR[I], v Variant) Kernel {
 	var eng wideEngine
 	switch v {
 	case Naive:
-		eng = &naiveCSREngine[I]{m}
+		eng = &naiveCSREngine[I]{wideCSR[I]{m: m, nv: 1}}
 	case Branchless:
-		eng = &branchlessCSREngine[I]{m}
+		eng = &branchlessCSREngine[I]{wideCSR[I]{m: m, nv: 1}}
 	default:
 		v, eng = SingleLoop, &wideCSR[I]{m: m, nv: 1}
 	}
@@ -24,8 +24,9 @@ func compileCSR[I matrix.Index](m *matrix.CSR[I], v Variant) Kernel {
 
 // naiveCSREngine is the conventional nested-loop CSR SpMV: per row, reload
 // the row bounds and accumulate directly into y[i]. This is the baseline
-// every optimization in the paper is measured against.
-type naiveCSREngine[I matrix.Index] struct{ m *matrix.CSR[I] }
+// every optimization in the paper is measured against. It is a width-1
+// CSR engine with its own loop: wideCSR's extents, not its run.
+type naiveCSREngine[I matrix.Index] struct{ wideCSR[I] }
 
 func (e *naiveCSREngine[I]) run(y, x []float64) {
 	m := e.m
@@ -36,9 +37,6 @@ func (e *naiveCSREngine[I]) run(y, x []float64) {
 	}
 }
 
-func (e *naiveCSREngine[I]) rPad() int { return e.m.R }
-func (e *naiveCSREngine[I]) cPad() int { return e.m.C }
-
 // branchlessCSREngine is the segmented-scan-of-vector-length-one
 // formulation [Blelloch et al. 93]: one flat pass over the nonzeros with
 // row advancement folded in, removing the per-row inner-loop setup that
@@ -46,7 +44,7 @@ func (e *naiveCSREngine[I]) cPad() int { return e.m.C }
 // intrinsic, so the row-advance remains a (highly predictable) compare; the
 // microarchitectural benefit on in-order cores is captured by the platform
 // model.
-type branchlessCSREngine[I matrix.Index] struct{ m *matrix.CSR[I] }
+type branchlessCSREngine[I matrix.Index] struct{ wideCSR[I] }
 
 func (e *branchlessCSREngine[I]) run(y, x []float64) {
 	m := e.m
@@ -67,6 +65,3 @@ func (e *branchlessCSREngine[I]) run(y, x []float64) {
 	}
 	y[row] += sum // flush the final segment
 }
-
-func (e *branchlessCSREngine[I]) rPad() int { return e.m.R }
-func (e *branchlessCSREngine[I]) cPad() int { return e.m.C }

@@ -218,10 +218,7 @@ func checkLanesAreWidth1(t *testing.T, k Kernel, fm matrix.Format) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		x, err := Interleave(xs[:width])
-		if err != nil {
-			t.Fatal(err)
-		}
+		x := interleave(xs[:width])
 		y := make([]float64, rows*width)
 		if err := w.MulAddBlock(y, x); err != nil {
 			t.Fatal(err)

@@ -186,41 +186,3 @@ func csrMultiRows[I matrix.Index](m *matrix.CSR[I], nv int, y, x []float64, lo, 
 		}
 	}
 }
-
-// Interleave packs k column vectors into the row-major block layout
-// MulAddBlock expects.
-func Interleave(vectors [][]float64) ([]float64, error) {
-	if len(vectors) == 0 {
-		return nil, fmt.Errorf("kernel: no vectors")
-	}
-	n := len(vectors[0])
-	for i, v := range vectors {
-		if len(v) != n {
-			return nil, fmt.Errorf("kernel: vector %d has length %d, want %d", i, len(v), n)
-		}
-	}
-	nv := len(vectors)
-	out := make([]float64, n*nv)
-	for j := 0; j < n; j++ {
-		for v := 0; v < nv; v++ {
-			out[j*nv+v] = vectors[v][j]
-		}
-	}
-	return out, nil
-}
-
-// Deinterleave unpacks the block layout back into k column vectors.
-func Deinterleave(block []float64, nv int) ([][]float64, error) {
-	if nv < 1 || len(block)%nv != 0 {
-		return nil, fmt.Errorf("kernel: block length %d not divisible by %d vectors", len(block), nv)
-	}
-	n := len(block) / nv
-	out := make([][]float64, nv)
-	for v := range out {
-		out[v] = make([]float64, n)
-		for j := 0; j < n; j++ {
-			out[v][j] = block[j*nv+v]
-		}
-	}
-	return out, nil
-}

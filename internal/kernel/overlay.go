@@ -56,35 +56,12 @@ func OverlayRows(y, x []float64, nv int, rows []delta.Row) error {
 			}
 			y[i] = sum
 		}
-	case 4:
-		for _, row := range rows {
-			i := int(row.Index)
-			if i >= yRows {
-				return overlayRange(i, yRows)
-			}
-			s0, s1, s2, s3 := 0.0, 0.0, 0.0, 0.0
-			for k, col := range row.Col {
-				if int(col) >= xCols {
-					return overlayRange(int(col), xCols)
-				}
-				v := row.Val[k]
-				c := int(col) * 4
-				s0 += float64(v * x[c])
-				s1 += float64(v * x[c+1])
-				s2 += float64(v * x[c+2])
-				s3 += float64(v * x[c+3])
-			}
-			b := i * 4
-			y[b] = s0
-			y[b+1] = s1
-			y[b+2] = s2
-			y[b+3] = s3
-		}
 	default:
-		// Generic width: per-lane accumulators in ascending column order,
-		// at most eight lanes at a time in a stack accumulator — the same
-		// per-lane summation order as every unrolled case (lanes are
-		// independent, so lane order is immaterial to the bits).
+		// Wider blocks: per-lane accumulators in ascending column order,
+		// at most eight lanes at a time in a stack accumulator — the
+		// width-1 case's per-lane summation order (lanes are independent,
+		// so lane order is immaterial to the bits). Only dirty rows run
+		// here, so no width has an unrolled body of its own.
 		var acc [8]float64
 		for _, row := range rows {
 			i := int(row.Index)

@@ -121,18 +121,12 @@ func TestSymSweepBitDeterminism(t *testing.T) {
 				}
 			}
 			// Width 4: every lane must reproduce its width-1 bits.
-			xb, err := Interleave(xs)
-			if err != nil {
-				t.Fatal(err)
-			}
+			xb := interleave(xs)
 			yb := make([]float64, n*4)
 			if err := sw.mulAdd(yb, xb, 4, nil); err != nil {
 				t.Fatal(err)
 			}
-			ys, err := Deinterleave(yb, 4)
-			if err != nil {
-				t.Fatal(err)
-			}
+			ys := deinterleave(yb, 4)
 			for v := range ys {
 				for i := range ys[v] {
 					if ys[v][i] != want[v][i] {

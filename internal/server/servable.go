@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/kernel"
 	"repro/internal/sched"
 )
 
@@ -116,7 +117,7 @@ func (e *Entry) sweepInto(s *Server, class sched.Class, cancel <-chan struct{}, 
 	if len(x) != e.cols || len(y) != e.rows {
 		return 0, 0, fmt.Errorf("server: matrix %q is %dx%d, len(x)=%d, len(y)=%d", e.ID, e.rows, e.cols, len(x), len(y))
 	}
-	if !finiteVec(x) {
+	if !kernel.Finite(x) {
 		return 0, 0, errNonFiniteX
 	}
 	clear(y)
@@ -170,7 +171,7 @@ func (e *shardedEntry) mul(s *Server, p *pending, class sched.Class, affinity st
 	if !p.deadline.IsZero() && time.Now().After(p.deadline) {
 		return nil, fmt.Errorf("%w: request expired while queued", ErrDeadlineExceeded)
 	}
-	if !finiteVec(p.x) {
+	if !kernel.Finite(p.x) {
 		return nil, errNonFiniteX
 	}
 	y := make([]float64, e.rows)

@@ -666,18 +666,17 @@ func (s *Server) executeBatch(e *Entry, class sched.Class, reqs []*pending) {
 		fail(fmt.Errorf("server: matrix %q is still compiling", e.ID))
 		return
 	}
-	if width == 1 && !finiteVec(reqs[0].x) { // wider batches check while they interleave
+	if width == 1 && !kernel.Finite(reqs[0].x) { // wider batches check while they interleave
 		fail(errNonFiniteX)
 		return
 	}
 	// At width 1 the interleaved block IS the request's x (the kernels and
 	// the overlay pass only read it) and the sweep accumulates straight into
 	// the zeroed result vector — no copy in, no copy out. Wider batches
-	// interleave into pooled scratch: xBlock[j*width+v] = x_v[j]. The blocks
-	// are recycled across sweeps, so the hot path's only allocations are
-	// the result vectors handed back to callers. j stays the outer loop so
-	// the big block is written sequentially (one pass) while the k inputs
-	// stream.
+	// interleave into pooled scratch (kernel.InterleaveInto, which also
+	// finds any NaN or ±Inf). The blocks are recycled across sweeps, so the
+	// hot path's only allocations are the result vectors handed back to
+	// callers.
 	ys := make([][]float64, width)
 	var xBlock, yBlock []float64
 	var nonFinite []bool // set only when some request's x holds a NaN or ±Inf
@@ -692,21 +691,12 @@ func (s *Server) executeBatch(e *Entry, class sched.Class, reqs []*pending) {
 			xs[i] = p.x
 		}
 		xBlock = buf.x[:e.cols*width]
-		var carry uint64
-		for j := 0; j < e.cols; j++ {
-			base := j * width
-			for v := range xs {
-				d := xs[v][j]
-				xBlock[base+v] = d
-				carry |= nonFiniteCarry(d)
-			}
-		}
-		if carry>>63 != 0 {
+		if !kernel.InterleaveInto(xBlock, xs) {
 			// Lanes are independent, so the sweep still serves the finite
 			// requests; the others get the error instead of their lane.
 			nonFinite = make([]bool, width)
 			for v, x := range xs {
-				nonFinite[v] = !finiteVec(x)
+				nonFinite[v] = !kernel.Finite(x)
 			}
 		}
 		yBlock = buf.y[:e.rows*width]
@@ -729,17 +719,12 @@ func (s *Server) executeBatch(e *Entry, class sched.Class, reqs []*pending) {
 	}
 	s.recordSweep(sv, width)
 	if width > 1 {
-		// Deinterleave with one sequential pass over the block, into
-		// result vectors allocated only now: still cache-warm when written.
+		// Deinterleave into result vectors allocated only now: still
+		// cache-warm when written.
 		for v := range ys {
 			ys[v] = make([]float64, e.rows)
 		}
-		for j := 0; j < e.rows; j++ {
-			base := j * width
-			for v := range ys {
-				ys[v][j] = yBlock[base+v]
-			}
-		}
+		kernel.DeinterleaveInto(ys, yBlock)
 	}
 	var sent time.Time // results ready; stamped before delivery so each requester can read it
 	if o != nil {

@@ -37,6 +37,7 @@ import (
 	"time"
 
 	spmv "repro"
+	"repro/internal/kernel"
 	"repro/internal/sched"
 	"repro/internal/solve"
 	"repro/internal/traffic"
@@ -212,25 +213,6 @@ func (ss *solveSession) snapshot(full bool) SolveStatus {
 	return st
 }
 
-// nonFiniteCarry has bit 63 set exactly when x is NaN or ±Inf: those are
-// the values whose exponent field is all ones, and only then does adding
-// the field's lowest bit carry out of it. OR-ing the carries of a whole
-// vector tests it branch-free — one AND, ADD and OR per element, cheap
-// enough for every Mul's x (and free inside a loop already streaming x).
-func nonFiniteCarry(x float64) uint64 {
-	const expMask, expLSB = 0x7FF << 52, 1 << 52
-	return math.Float64bits(x)&expMask + expLSB
-}
-
-// finiteVec reports whether v holds no NaN and no ±Inf.
-func finiteVec(v []float64) bool {
-	var carry uint64
-	for _, x := range v {
-		carry |= nonFiniteCarry(x)
-	}
-	return carry>>63 == 0
-}
-
 // symmetricMatrix caches the numeric-symmetry answer: CG admission
 // requires the matrix itself to be symmetric, whatever storage family the
 // footprint comparison picked to serve it. Symmetric storage with nothing
@@ -319,7 +301,7 @@ func (s *Server) SolveOpts(id string, req SolveRequest, opts SolveOptions) (Solv
 	if req.X0 != nil && len(req.X0) != rows {
 		return SolveStatus{}, fmt.Errorf("server: matrix %q is %dx%d, len(x0)=%d", id, rows, cols, len(req.X0))
 	}
-	if !finiteVec(req.X0) {
+	if !kernel.Finite(req.X0) {
 		return SolveStatus{}, fmt.Errorf("server: x0 contains non-finite values")
 	}
 	var bytesPerIter int64
@@ -328,7 +310,7 @@ func (s *Server) SolveOpts(id string, req SolveRequest, opts SolveOptions) (Solv
 		if len(req.B) != rows {
 			return SolveStatus{}, fmt.Errorf("server: matrix %q is %dx%d, len(b)=%d", id, rows, cols, len(req.B))
 		}
-		if !finiteVec(req.B) {
+		if !kernel.Finite(req.B) {
 			return SolveStatus{}, fmt.Errorf("server: b contains non-finite values")
 		}
 		if !m.symmetricMatrix() {
@@ -640,7 +622,7 @@ func (ss *solveSession) finish(s *Server, state, errMsg string, history []float6
 	if !math.IsNaN(residual) && !math.IsInf(residual, 0) {
 		ss.residual = residual
 	}
-	if x != nil && finiteVec(x) {
+	if x != nil && kernel.Finite(x) {
 		// A diverged iterate is useless and unencodable; the error field
 		// carries the diagnosis instead.
 		ss.x = append([]float64(nil), x...)

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	spmv "repro"
+	"repro/internal/kernel"
 )
 
 // registerTridiag registers the 4x4 tridiagonal fixture as "a".
@@ -243,44 +244,84 @@ func TestNonFiniteClosedBothEnds(t *testing.T) {
 }
 
 // TestNonFiniteLaneInFusedBatch: the finite check rides the interleave
-// loop, so a fused batch can discover one bad x among good ones. The bad
-// request alone fails; its batch-mates get the bits a lone sweep gives.
+// copy (kernel.InterleaveInto), so a fused batch can discover one bad x
+// among good ones. The bad request alone fails; its batch-mates get the
+// bits a lone sweep gives. The copy moves lanes in groups of eight, then
+// four, then one per pass, so the widths put the bad lane in single-lane
+// passes (width 3, lane 6 of width 7, lane 8 of width 9), in a group of
+// four (width 4, lane 1 of width 7) and in a group of eight (width 8, lane
+// 1 of width 9).
 func TestNonFiniteLaneInFusedBatch(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.MaxBatch = 4
-	cfg.Adaptive = false
-	cfg.BatchWindow = 50 * time.Millisecond // closes early once the four have joined
-	s := New(cfg)
-	defer s.Close()
-	registerTridiag(t, s)
-	xs := [][]float64{{1, 2, 3, 4}, {0.5, math.Inf(-1), 0, 1}, {-1, 0.25, 8, 1e-3}, {4, 3, math.NaN(), 1}}
-	ys := make([][]float64, len(xs))
-	errs := make([]error, len(xs))
-	var wg sync.WaitGroup
-	for v := range xs {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			ys[v], errs[v] = s.MulOpts("a", xs[v], MulOptions{})
-		}()
-	}
-	wg.Wait()
-	if st := s.Stats(); st.FusedSweeps != 1 || st.Sweeps != 1 {
-		t.Fatalf("%d sweeps, %d fused: the four requests did not share one sweep", st.Sweeps, st.FusedSweeps)
-	}
-	for v := range xs {
-		if finiteVec(xs[v]) {
-			want, err := s.MulOpts("a", xs[v], MulOptions{}) // lone: lingers, then sweeps at width 1
-			if err != nil || errs[v] != nil {
-				t.Fatalf("lane %d: fused err %v, lone err %v", v, errs[v], err)
+	lone := New(DefaultConfig())
+	defer lone.Close()
+	registerTridiag(t, lone)
+	bad := []float64{math.Inf(-1), math.NaN(), math.Float64frombits(0x7FF0_0000_0000_0001), math.Inf(1)}
+	for _, width := range []int{3, 4, 7, 8, 9} {
+		for _, badLane := range []int{1, width - 1} {
+			cfg := DefaultConfig()
+			cfg.MaxBatch = width
+			cfg.Adaptive = false
+			cfg.BatchWindow = 5 * time.Second // closes early once the batch is full
+			s := New(cfg)
+			registerTridiag(t, s)
+			// joined counts the requests in the one open batch: each request
+			// is sent once the previous one joined, so request v is lane v.
+			joined := func() int {
+				s.mu.Lock()
+				defer s.mu.Unlock()
+				for _, b := range s.batchers {
+					b.mu.Lock()
+					defer b.mu.Unlock()
+					if b.open != nil {
+						return len(b.open.reqs)
+					}
+				}
+				return 0
 			}
-			for i := range want {
-				if math.Float64bits(ys[v][i]) != math.Float64bits(want[i]) {
-					t.Errorf("lane %d: y[%d] = %x beside a non-finite lane, %x alone", v, i, ys[v][i], want[i])
+			xs := make([][]float64, width)
+			for v := range xs {
+				xs[v] = []float64{float64(v) - 1.5, math.Copysign(0, -1), 1e-310 * float64(v+1), 0.25 * float64(v)}
+			}
+			xs[badLane][(badLane+width)%4] = bad[(badLane+width)%len(bad)]
+			ys := make([][]float64, width)
+			errs := make([]error, width)
+			var wg sync.WaitGroup
+			for v := range xs {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					ys[v], errs[v] = s.MulOpts("a", xs[v], MulOptions{})
+				}()
+				for deadline := time.Now().Add(time.Second); v < width-1 && joined() <= v; time.Sleep(100 * time.Microsecond) {
+					if time.Now().After(deadline) {
+						t.Fatalf("width %d: request %d never joined the batch", width, v)
+					}
 				}
 			}
-		} else if !errors.Is(errs[v], ErrInvalidArgument) || ys[v] != nil {
-			t.Errorf("lane %d: got %v, %v; want ErrInvalidArgument", v, ys[v], errs[v])
+			wg.Wait()
+			st := s.Stats()
+			s.Close()
+			if st.FusedSweeps != 1 || st.Sweeps != 1 {
+				t.Fatalf("width %d: %d sweeps, %d fused: the requests did not share one sweep", width, st.Sweeps, st.FusedSweeps)
+			}
+			for v := range xs {
+				if !kernel.Finite(xs[v]) {
+					if !errors.Is(errs[v], ErrInvalidArgument) || ys[v] != nil {
+						t.Errorf("width %d lane %d: got %v, %v; want ErrInvalidArgument", width, v, ys[v], errs[v])
+					}
+					continue
+				}
+				want, err := lone.MulOpts("a", xs[v], MulOptions{})
+				if err != nil || errs[v] != nil {
+					t.Fatalf("width %d lane %d: fused err %v, lone err %v", width, v, errs[v], err)
+				}
+				for i := range want {
+					if math.Float64bits(ys[v][i]) != math.Float64bits(want[i]) {
+						t.Errorf("width %d lane %d: y[%d] = %x beside a non-finite lane %d, %x alone",
+							width, v, i, ys[v][i], badLane, want[i])
+					}
+				}
+			}
 		}
 	}
 }

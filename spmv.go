@@ -633,7 +633,7 @@ func (o *MultiOperator) MulAll(xs [][]float64) ([][]float64, error) {
 	if len(xs) != nv {
 		return nil, fmt.Errorf("spmv: %d vectors, operator compiled for %d", len(xs), nv)
 	}
-	xBlock, err := kernel.Interleave(xs)
+	xBlock, err := Interleave(xs)
 	if err != nil {
 		return nil, err
 	}
@@ -641,7 +641,7 @@ func (o *MultiOperator) MulAll(xs [][]float64) ([][]float64, error) {
 	if err := o.MulAddBlock(yBlock, xBlock); err != nil {
 		return nil, err
 	}
-	return kernel.Deinterleave(yBlock, nv)
+	return Deinterleave(yBlock, nv)
 }
 
 // Dims returns (rows, cols).
@@ -679,10 +679,31 @@ func (o *MultiOperator) MulAddRows(yBlock, xBlock []float64, lo, hi int) error {
 
 // Interleave packs k equal-length column vectors into the row-major block
 // layout the multi-RHS kernels consume.
-func Interleave(xs [][]float64) ([]float64, error) { return kernel.Interleave(xs) }
+func Interleave(xs [][]float64) ([]float64, error) {
+	if len(xs) == 0 {
+		return nil, fmt.Errorf("spmv: no vectors")
+	}
+	n := len(xs[0])
+	for i, x := range xs {
+		if len(x) != n {
+			return nil, fmt.Errorf("spmv: vector %d has length %d, want %d", i, len(x), n)
+		}
+	}
+	block := make([]float64, n*len(xs))
+	kernel.InterleaveInto(block, xs)
+	return block, nil
+}
 
 // Deinterleave unpacks a block produced by the multi-RHS kernels back into
 // k column vectors.
 func Deinterleave(block []float64, k int) ([][]float64, error) {
-	return kernel.Deinterleave(block, k)
+	if k < 1 || len(block)%k != 0 {
+		return nil, fmt.Errorf("spmv: block length %d not divisible by %d vectors", len(block), k)
+	}
+	ys := make([][]float64, k)
+	for v := range ys {
+		ys[v] = make([]float64, len(block)/k)
+	}
+	kernel.DeinterleaveInto(ys, block)
+	return ys, nil
 }

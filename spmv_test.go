@@ -374,6 +374,18 @@ func TestCompileMulti(t *testing.T) {
 	if _, err := multi.MulAll(xs[:2]); err == nil {
 		t.Error("wrong vector count accepted")
 	}
+	if _, err := multi.MulAll([][]float64{xs[0], xs[1], xs[2][:79]}); err == nil {
+		t.Error("ragged vectors accepted")
+	}
+	if _, err := spmv.Interleave(nil); err == nil {
+		t.Error("empty interleave accepted")
+	}
+	if _, err := spmv.Deinterleave([]float64{1, 2, 3}, 2); err == nil {
+		t.Error("indivisible deinterleave accepted")
+	}
+	if _, err := spmv.Deinterleave([]float64{1, 2}, 0); err == nil {
+		t.Error("zero-width deinterleave accepted")
+	}
 	if _, err := spmv.CompileMulti(m, 0); err == nil {
 		t.Error("0 vectors accepted")
 	}
