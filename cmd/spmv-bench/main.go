@@ -1,5 +1,7 @@
 // Command spmv-bench regenerates the paper's tables and figures from the
 // synthetic suite, the auto-tuner, the baselines, and the platform model.
+// The aligned-text output lists each experiment's shape targets under its
+// table.
 //
 // Usage:
 //
@@ -26,12 +28,12 @@ func main() {
 	flag.Parse()
 
 	r := bench.NewRunner(*scale, *seed)
-	tables, err := run(r, *experiment)
+	exps, tables, err := run(r, *experiment)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "spmv-bench: %v\n", err)
 		os.Exit(1)
 	}
-	for _, t := range tables {
+	for i, t := range tables {
 		var renderErr error
 		switch {
 		case *csv:
@@ -39,7 +41,9 @@ func main() {
 		case *chart:
 			renderErr = (&bench.Chart{Table: t}).Render(os.Stdout)
 		default:
-			renderErr = t.Render(os.Stdout)
+			if renderErr = t.Render(os.Stdout); renderErr == nil {
+				printTargets(exps[i].Targets)
+			}
 		}
 		if renderErr != nil {
 			fmt.Fprintf(os.Stderr, "spmv-bench: %v\n", renderErr)
@@ -48,7 +52,10 @@ func main() {
 	}
 }
 
-func run(r *bench.Runner, experiment string) ([]*bench.Table, error) {
+// run builds the named experiment (or all of them, in registry order) and
+// returns each with its table.
+func run(r *bench.Runner, experiment string) ([]bench.Experiment, []*bench.Table, error) {
+	var exps []bench.Experiment
 	var out []*bench.Table
 	var names []string
 	for _, e := range bench.Experiments {
@@ -61,12 +68,26 @@ func run(r *bench.Runner, experiment string) ([]*bench.Table, error) {
 			if experiment == "all" {
 				err = fmt.Errorf("%s: %w", e.Name, err)
 			}
-			return nil, err
+			return nil, nil, err
 		}
-		out = append(out, t)
+		exps, out = append(exps, e), append(out, t)
 	}
 	if len(out) == 0 {
-		return nil, fmt.Errorf("unknown experiment %q (want one of %v or all)", experiment, names)
+		return nil, nil, fmt.Errorf("unknown experiment %q (want one of %v or all)", experiment, names)
 	}
-	return out, nil
+	return exps, out, nil
+}
+
+// printTargets lists an experiment's shape targets: what the paper shows
+// and the reproduction must match in shape (who wins, by what factor,
+// where the crossovers fall).
+func printTargets(targets []string) {
+	if len(targets) == 0 {
+		return
+	}
+	fmt.Println("Shape targets:")
+	for _, n := range targets {
+		fmt.Printf("  * %s\n", n)
+	}
+	fmt.Println()
 }

@@ -323,9 +323,9 @@ func TestOptLevelStrings(t *testing.T) {
 	}
 }
 
-// TestExperimentsRegistry pins the list spmv-bench and spmv-report both
-// iterate: the twelve experiments in report order, each with a constructor
-// and the shape targets EXPERIMENTS.md records.
+// TestExperimentsRegistry pins the list spmv-bench iterates: the twelve
+// experiments in report order, each with a constructor and the shape
+// targets spmv-bench prints under its table.
 func TestExperimentsRegistry(t *testing.T) {
 	want := "table1 table2 table3 table4 figure1-amd figure1-clovertown figure1-niagara " +
 		"figure1-ps3 figure1-blade figure2a figure2b speedups"

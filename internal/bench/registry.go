@@ -4,15 +4,15 @@ import "repro/internal/machine"
 
 // Experiment is one table or figure of the paper's evaluation: its name on
 // spmv-bench's command line, how a Runner builds it, and the shape targets
-// EXPERIMENTS.md records under it.
+// spmv-bench prints under its table.
 type Experiment struct {
 	Name    string
 	Build   func(r *Runner) (*Table, error)
 	Targets []string
 }
 
-// Experiments lists every experiment in report order. spmv-bench runs them
-// by name and spmv-report writes them all, in this order.
+// Experiments lists every experiment in report order. spmv-bench runs one
+// by name, or all of them in this order.
 var Experiments = []Experiment{
 	{"table1", func(*Runner) (*Table, error) { return Table1(), nil }, []string{
 		"static parameter sheet; every derived value (peak Gflop/s, GB/s, flop:byte, Watts) matches Table 1 — asserted by internal/machine tests",

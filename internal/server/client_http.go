@@ -3,8 +3,8 @@
 // options (tenant, SLO class, deadline) carried as typed structs instead
 // of growing positional signatures. Code written against API runs
 // unchanged in-process (tests, embedded serving) and over the wire
-// (tools, load generators) — examples/slo-loadgen drives both through
-// the same functions.
+// (tools, load generators) — examples/loadgen's cg mode drives a session
+// through HTTPClient.
 package server
 
 import (

@@ -7,7 +7,7 @@
 // policies here rank a band's replicas before each sub-request:
 //
 //   - round-robin: the legacy rotation, blind to load (the baseline the
-//     loadgen skew scenario measures against);
+//     skewed fleet of examples/loadgen -mode shard measures against);
 //   - least-loaded: ascending in-flight modeled sweep bytes, charged at
 //     dispatch and released at completion;
 //   - weighted: a blended score of queue depth, recent p99, and the

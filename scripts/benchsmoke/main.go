@@ -160,8 +160,8 @@ func shardingMetrics(metrics map[string]Metric) {
 // bytes drain slower on the slow node, so the router steers away until
 // drain rates match). Both rates fall out of the bandwidth-bound model
 // applied to the registered topology's real band placement, so the
-// speedup is deterministic and gated. examples/shard-loadgen runs the
-// measured (wall-clock) twin of this scenario.
+// speedup is deterministic and gated. examples/loadgen -mode shard runs
+// the measured (wall-clock) twin of this scenario.
 func routeSkewMetrics(metrics map[string]Metric) {
 	const k = 3
 	m, err := spmv.GenerateSuite("LP", 0.05, 7)

@@ -26,8 +26,7 @@
 //
 // The cross-platform performance study (the paper's evaluation on AMD X2,
 // Intel Clovertown, Sun Niagara and STI Cell) is reproduced by the
-// cmd/spmv-bench and cmd/spmv-report tools backed by the platform model in
-// internal/perf. An online serving layer (internal/server, cmd/spmv-serve)
+// cmd/spmv-bench tool backed by the platform model in internal/perf. An online serving layer (internal/server, cmd/spmv-serve)
 // applies the multiple-vectors optimization to concurrent traffic and
 // scales across nodes with a shard coordinator. See DESIGN.md for the
 // architecture and EXPERIMENTS.md for reproducing the evaluation.
