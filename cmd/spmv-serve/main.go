@@ -59,8 +59,8 @@ func main() {
 	threads := flag.Int("threads", 0, "row parts each matrix is compiled into and each sweep fans out over (0 = GOMAXPROCS)")
 	workers := flag.Int("workers", 0, "sweep pool workers (0 = GOMAXPROCS)")
 	maxBatch := flag.Int("max-batch", 8, "widest fused sweep (1 disables batching)")
-	window := flag.Duration("batch-window", 200*time.Microsecond, "batch linger window")
-	adaptive := flag.Bool("adaptive", true, "skip the linger for lone requests when traffic is sparse")
+	window := flag.Duration("batch-window", 200*time.Microsecond, "batch linger window (under 1ms waited out by yielding, so it lasts as set)")
+	adaptive := flag.Bool("adaptive", true, "linger only while a follower can still come: every sweep slot is taken, or callers answered within the window are not all back (false: every leader lingers the full window)")
 	autoSymmetric := flag.Bool("auto-symmetric", true, "serve numerically symmetric matrices from upper-triangle storage when it is smaller than the general encoding (sets the tuner's TrySymmetric); per-request \"symmetric\" overrides")
 	maxBodyBytes := flag.Int64("max-body-bytes", 0, "request body cap, 413 beyond it (0 = 256 MiB); raise on members sharding very large matrices")
 	maxSweeps := flag.Int("max-concurrent-sweeps", 0, "concurrent sweep limit (0 = workers)")

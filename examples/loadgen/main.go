@@ -54,7 +54,7 @@ var (
 	clients     = flag.Int("clients", 8, "concurrent closed-loop clients (serve, shard)")
 	requests    = flag.Int("requests", 100, "requests per client (serve, shard)")
 	maxBatch    = flag.Int("max-batch", 8, "serve: widest fused sweep when batching")
-	window      = flag.Duration("window", 200*time.Microsecond, "serve: batch linger window")
+	window      = flag.Duration("window", time.Millisecond, "serve: batch linger window (every leader lingers it; 1ms lets all closed-loop clients rejoin)")
 	duration    = flag.Duration("duration", 5*time.Second, "slo: measured run length per scheduler")
 	latClients  = flag.Int("lat-clients", 4, "slo: open-loop latency-class clients")
 	bulkClients = flag.Int("bulk-clients", 8, "slo: closed-loop bulk-class clients")

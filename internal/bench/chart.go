@@ -9,7 +9,9 @@ import (
 
 // Chart renders a Table whose numeric columns are data series as a
 // horizontal ASCII bar chart, one group per row — the terminal analogue of
-// the paper's Figure 1/2 stacked bars. Non-numeric cells are skipped.
+// the paper's Figure 1/2 stacked bars. Non-numeric cells are skipped, and
+// a table with no numeric column at all (Table 2 lists techniques) is
+// printed as aligned text, so that every experiment can be rendered.
 type Chart struct {
 	Table *Table
 	// Width is the maximum bar length in characters (default 48).
@@ -30,8 +32,11 @@ func (c *Chart) Render(w io.Writer) error {
 		width = 48
 	}
 	cols := c.columnIndexes()
+	if len(cols) == 0 && len(c.Columns) == 0 {
+		return t.Render(w)
+	}
 	if len(cols) == 0 {
-		return fmt.Errorf("bench: no numeric columns to chart in %q", t.Title)
+		return fmt.Errorf("bench: none of the columns %q are in %q", c.Columns, t.Title)
 	}
 
 	// Global maximum for a common scale.

@@ -53,6 +53,26 @@ func TestChartColumnSelection(t *testing.T) {
 	}
 }
 
+// TestChartTextTable: a table with nothing to chart prints as text rather
+// than failing, so -chart can render every experiment in one run.
+func TestChartTextTable(t *testing.T) {
+	tb := &Table{
+		Title:  "techniques",
+		Header: []string{"Machine", "Applied"},
+		Rows:   [][]string{{"AMD X2", "RB, CB"}},
+	}
+	var chart, text bytes.Buffer
+	if err := (&Chart{Table: tb}).Render(&chart); err != nil {
+		t.Fatal(err)
+	}
+	if err := tb.Render(&text); err != nil {
+		t.Fatal(err)
+	}
+	if chart.String() != text.String() {
+		t.Errorf("non-numeric table charted as\n%s\nwant its text form\n%s", chart.String(), text.String())
+	}
+}
+
 func TestChartOnFigure2b(t *testing.T) {
 	r := testRunner()
 	tb, err := r.Figure2b()

@@ -1,8 +1,8 @@
 package server
 
 import (
+	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -49,86 +49,95 @@ type openBatch struct {
 // Followers just park on their result channel — the leader streams the
 // matrix once for all of them.
 //
-// Adaptivity: lingering buys bandwidth at the price of latency, which is a
-// bad trade when traffic is sparse. With adaptive on, a leader skips the
-// linger entirely when no sweep is in flight and the previous request
-// arrived more than 4 windows ago — lone requests keep single-request
-// latency, while any burst or backlog re-enables coalescing.
+// Lingering buys bandwidth at the price of latency, and pays only when a
+// follower can still come. With adaptive on, a leader lingers only while
+// every sweep slot of the pool is taken (its sweep would queue anyway) or
+// while callers handed results less than one window ago have not all come
+// back; otherwise it sweeps at once, so a serial client, or one whose
+// peers are all mid-sweep, never waits for a join that cannot happen.
+// With adaptive off every leader lingers the full window.
 type batcher struct {
 	maxBatch int
 	window   time.Duration
 	adaptive bool
+	busy     func() bool      // every sweep slot of the pool is taken
 	exec     func([]*pending) // executes a closed batch and delivers results
 
-	mu          sync.Mutex
-	open        *openBatch
-	lastArrival time.Time
-	inflight    atomic.Int32 // sweeps currently executing
+	mu        sync.Mutex
+	open      *openBatch
+	returning int       // callers handed results and not back yet
+	released  time.Time // when the last results were handed out
 }
 
-func newBatcher(maxBatch int, window time.Duration, adaptive bool, exec func([]*pending)) *batcher {
-	if maxBatch < 1 {
-		maxBatch = 1
-	}
-	return &batcher{maxBatch: maxBatch, window: window, adaptive: adaptive, exec: exec}
+// handOut counts n callers about to get their results (or errors) as
+// returning; executeBatch calls it before the sends, so the first caller
+// back sees its peers counted. Each arrival takes one off, whichever batch
+// it came from, so the count is exact in a closed loop; one left high by
+// callers that never return holds leaders for at most a window after a
+// hand-out.
+func (b *batcher) handOut(n int) {
+	b.mu.Lock()
+	b.returning += n
+	b.released = time.Now()
+	b.mu.Unlock()
 }
 
 // mul admits one request and blocks until its sweep completes.
 func (b *batcher) mul(p *pending) ([]float64, error) {
 	b.mu.Lock()
-	now := time.Now()
-	interval := now.Sub(b.lastArrival)
-	b.lastArrival = now
-
-	if ob := b.open; ob != nil {
-		// Join the leader's open batch.
+	if b.returning > 0 {
+		b.returning-- // this caller is back
+	}
+	switch ob := b.open; {
+	case ob != nil: // join the leader's open batch
 		ob.reqs = append(ob.reqs, p)
 		if len(ob.reqs) >= b.maxBatch {
 			b.open = nil // detach before closing: no joins after full
 			close(ob.full)
 		}
 		b.mu.Unlock()
-		r := <-p.ch
-		return r.y, r.err
-	}
-
-	// Become the leader.
-	linger := b.window
-	if b.maxBatch == 1 {
-		linger = 0
-	} else if b.adaptive && b.inflight.Load() == 0 && interval > 4*b.window {
-		linger = 0 // sparse traffic: don't tax a lone request with latency
-	}
-	if linger <= 0 {
+	case b.maxBatch == 1 || b.window <= 0 ||
+		b.adaptive && (b.returning == 0 || time.Since(b.released) >= b.window) && !b.busy():
 		b.mu.Unlock()
-		b.run([]*pending{p})
-		r := <-p.ch
-		return r.y, r.err
-	}
-	ob := &openBatch{reqs: []*pending{p}, full: make(chan struct{})}
-	b.open = ob
-	b.mu.Unlock()
-
-	timer := time.NewTimer(linger)
-	select {
-	case <-ob.full:
-		timer.Stop()
-	case <-timer.C:
-		b.mu.Lock()
-		if b.open == ob {
-			b.open = nil
-		}
+		b.exec([]*pending{p}) // no follower can come: sweep at once
+	default: // lead a batch
+		ob = &openBatch{reqs: []*pending{p}, full: make(chan struct{})}
+		b.open = ob
 		b.mu.Unlock()
+		b.linger(ob)
+		// The batch is detached: reqs is frozen and safely published to
+		// this goroutine (mutex after the deadline, channel close if full).
+		b.exec(ob.reqs)
 	}
-	// The batch is detached: reqs is frozen and safely published to this
-	// goroutine (mutex in the timer path, channel close in the full path).
-	b.run(ob.reqs)
 	r := <-p.ch
 	return r.y, r.err
 }
 
-func (b *batcher) run(reqs []*pending) {
-	b.inflight.Add(1)
-	defer b.inflight.Add(-1)
-	b.exec(reqs)
+// linger waits out the window, or less if the batch fills, then detaches
+// the batch. The runtime timer rounds every sub-millisecond wait up to about
+// a millisecond, so a shorter window is waited out by yielding until its
+// deadline instead.
+func (b *batcher) linger(ob *openBatch) {
+	if b.window >= time.Millisecond {
+		timer := time.NewTimer(b.window)
+		select {
+		case <-ob.full:
+			timer.Stop()
+			return
+		case <-timer.C:
+		}
+	} else {
+		for end := time.Now().Add(b.window); time.Now().Before(end); runtime.Gosched() {
+			select {
+			case <-ob.full:
+				return
+			default:
+			}
+		}
+	}
+	b.mu.Lock()
+	if b.open == ob {
+		b.open = nil
+	}
+	b.mu.Unlock()
 }

@@ -116,10 +116,7 @@ var codeByStatus = map[int]string{
 func writeFailure(w http.ResponseWriter, err error) {
 	var ae *AdmissionError
 	if errors.As(err, &ae) {
-		secs := int64(math.Ceil(ae.RetryAfter.Seconds()))
-		if secs < 1 {
-			secs = 1
-		}
+		secs := max(int64(math.Ceil(ae.RetryAfter.Seconds())), 1)
 		w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
 	}
 	writeError(w, statusOf(err), err)

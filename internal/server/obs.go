@@ -118,9 +118,7 @@ func (o *obsState) traceMul(matrixID string, gen, width int, enq, execStart, int
 // sweep; the trace presents them sweep-first, which preserves the two
 // durations and keeps the spans tiling the iteration wall time.
 func (o *obsState) traceSolveIter(op, matrixID string, gen int, begin time.Time, sweep, wall time.Duration) {
-	if sweep > wall {
-		sweep = wall
-	}
+	sweep = min(sweep, wall)
 	t := &obs.Trace{
 		ID: o.ring.NextID(), Op: op, Matrix: matrixID,
 		Width: 1, Gen: gen, Begin: begin, Wall: wall,

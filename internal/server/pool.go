@@ -83,6 +83,10 @@ func (p *Pool) RunSweep(shards []func()) {
 	done.Wait()
 }
 
+// Saturated reports whether every sweep slot is taken, so a sweep started
+// now would queue for one.
+func (p *Pool) Saturated() bool { return len(p.sem) == cap(p.sem) }
+
 // Close stops the workers and waits for them. The tasks channel is never
 // closed, so a straggler RunSweep racing Close degrades to inline
 // execution (its sends hit the select's default case) instead of

@@ -145,10 +145,7 @@ func (m *Member) noteLatency(d time.Duration) {
 //
 //spmv:hotpath
 func memberScore(m *Member, sweepBytes, minP99 int64) float64 {
-	if sweepBytes <= 0 {
-		sweepBytes = 1
-	}
-	score := float64(m.inflight.Load()) / float64(sweepBytes)
+	score := float64(m.inflight.Load()) / float64(max(sweepBytes, 1))
 	if p := m.p99ns.Load(); p > 0 && minP99 > 0 {
 		score += float64(p)/float64(minP99) - 1
 	}

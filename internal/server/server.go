@@ -37,10 +37,12 @@ type Config struct {
 	// MaxBatch is the widest fused sweep (k requests coalesced). <= 1
 	// disables batching.
 	MaxBatch int
-	// BatchWindow is how long a batch leader lingers for followers.
+	// BatchWindow is how long a batch leader lingers for followers (under
+	// 1 ms by yielding: the runtime timer would round it up to ≈ 1 ms).
 	BatchWindow time.Duration
-	// Adaptive lets lone requests skip the linger when traffic is sparse
-	// (see batcher). Dense traffic still coalesces.
+	// Adaptive lingers only while a follower can still come: all sweep
+	// slots are taken, or callers handed results less than one BatchWindow
+	// ago are not all back (see batcher). Off, every leader lingers.
 	Adaptive bool
 
 	// MaxBodyBytes caps HTTP request bodies (registrations and mul
@@ -168,9 +170,7 @@ func New(cfg Config) *Server {
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
-	if cfg.MaxBatch < 1 {
-		cfg.MaxBatch = 1
-	}
+	cfg.MaxBatch = max(cfg.MaxBatch, 1)
 	if cfg.MaxBodyBytes <= 0 {
 		cfg.MaxBodyBytes = DefaultMaxBodyBytes
 	}
@@ -434,7 +434,8 @@ func (s *Server) compileServed(m *spmv.Matrix, sym *bool) (*spmv.Operator, error
 // topology reproduces bit for bit: row-partitioned CSR, and BCSR (with
 // Config.Tune.RegisterBlock), whose fill adds exact zeros. Cache blocking
 // and BCOO reassociate the row sums and stay out. BCSR is limited to tiles
-// of two or more rows: a width-1 sweep, every lone request and solver
+// of two or more rows (1×1 stays a candidate, but it ties CSR's footprint
+// and the tie goes to CSR): a width-1 sweep, every lone request and solver
 // iteration, runs one dependent add chain per row, so a 1×c tile's smaller
 // stream buys nothing and its fill lengthens the chain (the LP twin's
 // best, 1×2/16, streams 0.84x CSR32's bytes and ran 1.45–1.6x slower),
@@ -593,8 +594,9 @@ func (s *Server) batcherFor(e *Entry, class sched.Class) *batcher {
 	key := batcherKey{id: e.ID, class: class}
 	b, ok := s.batchers[key]
 	if !ok {
-		b = newBatcher(s.cfg.MaxBatch, s.cfg.BatchWindow, s.cfg.Adaptive,
-			func(reqs []*pending) { s.executeBatch(e, class, reqs) })
+		b = &batcher{maxBatch: s.cfg.MaxBatch, window: s.cfg.BatchWindow,
+			adaptive: s.cfg.Adaptive, busy: s.pool.Saturated}
+		b.exec = func(reqs []*pending) { s.executeBatch(e, class, b, reqs) }
 		s.batchers[key] = b
 	}
 	return b
@@ -623,7 +625,8 @@ func (s *Server) recordSweep(sv *serving, width int) {
 // whose deadline expired while the batch waited are failed here, after
 // the wait and before the sweep, so a saturated server sheds exactly the
 // work that can no longer meet its SLO.
-func (s *Server) executeBatch(e *Entry, class sched.Class, reqs []*pending) {
+// Every result or error is counted out through b.handOut before it is sent.
+func (s *Server) executeBatch(e *Entry, class sched.Class, b *batcher, reqs []*pending) {
 	// One snapshot load for the entire batch: gate admission is priced on
 	// the same generation the sweep streams, so a recompaction racing
 	// the batch can't charge the gate for one operator's bytes and then
@@ -642,6 +645,7 @@ func (s *Server) executeBatch(e *Entry, class sched.Class, reqs []*pending) {
 			p.acct.queuedBytes.Add(-p.cost)
 		}
 		if !p.deadline.IsZero() && time.Now().After(p.deadline) {
+			b.handOut(1)
 			p.ch <- mulResult{err: fmt.Errorf("%w: request expired while queued", ErrDeadlineExceeded)}
 			continue
 		}
@@ -658,6 +662,7 @@ func (s *Server) executeBatch(e *Entry, class sched.Class, reqs []*pending) {
 		execStart = time.Now()
 	}
 	fail := func(err error) {
+		b.handOut(width)
 		for _, p := range reqs {
 			p.ch <- mulResult{err: err}
 		}
@@ -730,6 +735,7 @@ func (s *Server) executeBatch(e *Entry, class sched.Class, reqs []*pending) {
 	if o != nil {
 		sent = time.Now()
 	}
+	b.handOut(width)
 	for v, p := range reqs {
 		p.sent = sent
 		if nonFinite != nil && nonFinite[v] {

@@ -5,7 +5,9 @@ import (
 	"math"
 	"math/rand"
 	"net/http/httptest"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -278,6 +280,104 @@ func TestSingleRequestFallsBack(t *testing.T) {
 	}
 }
 
+// TestSerialCallerSkipsLinger: a caller that waits for each answer before
+// sending the next can never share a sweep, so the adaptive batcher must
+// not make it wait out the window. At a 20 ms window, a linger on every
+// request after the first would take about 400 ms.
+func TestSerialCallerSkipsLinger(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.BatchWindow = 20 * time.Millisecond
+	s := New(cfg)
+	defer s.Close()
+	m := testMatrix(t, 300, 280, 4000, 2)
+	if _, err := s.Register("a", "test", m); err != nil {
+		t.Fatal(err)
+	}
+	x := testVector(280, 3)
+	start := time.Now()
+	for i := 0; i < 20; i++ {
+		if _, err := s.MulOpts("a", x, MulOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if d := time.Since(start); d >= 200*time.Millisecond {
+		t.Errorf("20 serial requests took %v at a 20 ms window: the leaders lingered", d)
+	}
+}
+
+// TestClosedLoopKeepsFusing: 16 closed-loop callers on the default
+// configuration come back within the window of their hand-out, so the
+// return-aware linger keeps gathering them into wide sweeps. The width is
+// read after a warm-up and before the callers stop: callers that start
+// together, or finish one by one, are not a closed loop.
+func TestClosedLoopKeepsFusing(t *testing.T) {
+	s := New(DefaultConfig())
+	defer s.Close()
+	m := testMatrix(t, 400, 350, 6000, 6)
+	if _, err := s.Register("hot", "test", m); err != nil {
+		t.Fatal(err)
+	}
+	x := testVector(350, 9)
+	var wg sync.WaitGroup
+	var stop atomic.Bool
+	errCh := make(chan error, 16)
+	for g := 0; g < 16; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !stop.Load() {
+				if _, err := s.MulOpts("hot", x, MulOptions{}); err != nil {
+					errCh <- err
+					return
+				}
+			}
+		}()
+	}
+	time.Sleep(50 * time.Millisecond)
+	st0 := s.Stats()
+	time.Sleep(200 * time.Millisecond)
+	st1 := s.Stats()
+	stop.Store(true)
+	wg.Wait()
+	close(errCh)
+	for err := range errCh {
+		t.Fatal(err)
+	}
+	w := float64(st1.Requests-st0.Requests) / float64(max(st1.Sweeps-st0.Sweeps, 1))
+	if w < 6 {
+		t.Errorf("16 closed-loop callers fused a mean width of %.2f, want >= 6", w)
+	}
+	t.Logf("closed loop: mean fused width %.2f over %d sweeps", w, st1.Sweeps-st0.Sweeps)
+}
+
+// TestShortWindowLastsAsConfigured: with adaptive off every lone request
+// lingers the full window, and a sub-millisecond window must last about
+// what it says, not the ≈ 1 ms the runtime timer rounds it up to.
+func TestShortWindowLastsAsConfigured(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.BatchWindow = 300 * time.Microsecond
+	cfg.Adaptive = false
+	s := New(cfg)
+	defer s.Close()
+	m := testMatrix(t, 300, 280, 4000, 2)
+	if _, err := s.Register("a", "test", m); err != nil {
+		t.Fatal(err)
+	}
+	x := testVector(280, 3)
+	lat := make([]time.Duration, 21)
+	for i := range lat {
+		start := time.Now()
+		if _, err := s.MulOpts("a", x, MulOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		lat[i] = time.Since(start)
+	}
+	slices.Sort(lat)
+	if p50 := lat[len(lat)/2]; p50 < 300*time.Microsecond || p50 >= 700*time.Microsecond {
+		t.Errorf("lone request median %v at a 300 µs window, want [300 µs, 700 µs)", p50)
+	}
+}
+
 func TestMulValidation(t *testing.T) {
 	s := New(DefaultConfig())
 	defer s.Close()
@@ -408,6 +508,31 @@ func benchServer(b *testing.B, batched bool) {
 
 func BenchmarkServeUnbatched(b *testing.B) { benchServer(b, false) }
 func BenchmarkServeBatched(b *testing.B)   { benchServer(b, true) }
+
+// BenchmarkServeSerial is one caller on DefaultConfig: every request is a
+// lone width-1 sweep, so any linger the batcher adds shows in µs/op. The
+// LP twin at 0.02 sweeps in well under the window's four multiples that
+// the old interval rule needed to see between arrivals.
+func BenchmarkServeSerial(b *testing.B) {
+	s := New(DefaultConfig())
+	defer s.Close()
+	m, err := spmv.GenerateSuite("LP", 0.02, 9)
+	if err != nil {
+		b.Fatal(err)
+	}
+	info, err := s.Register("bench", "LP", m)
+	if err != nil {
+		b.Fatal(err)
+	}
+	x := testVector(info.Cols, 11)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.MulOpts("bench", x, MulOptions{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N), "µs/op")
+}
 
 // TestRegistrationNarrowingDeterministicBitwise: registration decides the
 // index width once, from the matrix alone, and 16-bit indices sum in the

@@ -239,9 +239,7 @@ func NewCluster(members []Transport, cfg ClusterConfig) (*Cluster, error) {
 	if len(members) == 0 {
 		return nil, fmt.Errorf("server: cluster needs at least one member")
 	}
-	if cfg.Replicas <= 0 {
-		cfg.Replicas = 1
-	}
+	cfg.Replicas = max(cfg.Replicas, 1)
 	if cfg.Replicas > len(members) {
 		cfg.Replicas = len(members)
 	}
@@ -378,9 +376,7 @@ func (e *shardedEntry) info() ShardedMatrixInfo {
 			bi.Members = append(bi.Members, m.name)
 		}
 		info.Bands = append(info.Bands, bi)
-		if b.sweepBytes > info.MaxBandSweepBytes {
-			info.MaxBandSweepBytes = b.sweepBytes
-		}
+		info.MaxBandSweepBytes = max(info.MaxBandSweepBytes, b.sweepBytes)
 	}
 	return info
 }
@@ -402,9 +398,7 @@ func (c *Cluster) RegisterSharded(id, name string, m *spmv.Matrix, shards int) (
 	if shards < 1 {
 		return ShardedMatrixInfo{}, fmt.Errorf("server: need at least 1 shard, got %d", shards)
 	}
-	if shards > rows {
-		shards = rows
-	}
+	shards = min(shards, rows)
 
 	// Reserve the id so concurrent registrations cannot race it; readers
 	// only ever see fully built entries.

@@ -40,14 +40,7 @@ type stats struct {
 // the matrix's per-sweep modeled traffic (single-RHS basis).
 func (s *stats) recordSweep(width int, matrixB, sourceB, destB int64) {
 	s.sweeps.Add(1)
-	w := width
-	if w > MaxTrackedWidth {
-		w = MaxTrackedWidth
-	}
-	if w < 1 {
-		w = 1
-	}
-	s.widthHist[w].Add(1)
+	s.widthHist[min(max(width, 1), MaxTrackedWidth)].Add(1)
 	if width >= 2 {
 		s.fusedSweeps.Add(1)
 		s.fusedRequests.Add(uint64(width))

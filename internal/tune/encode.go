@@ -72,10 +72,13 @@ func enumerate(csr *matrix.CSR32, opt Options) []candidate {
 		return cands
 	}
 	for _, shape := range matrix.BlockShapes {
-		if shape.R < opt.MinBlockRows {
-			continue
+		if shape.R < opt.MinBlockRows && shape.C > 1 {
+			continue // a one-row multi-column tile: CSR's chain plus fill
 		}
-		tiles := countTiles(csr, shape)
+		tiles := nnz // a 1×1 tile per nonzero
+		if shape.Area() > 1 {
+			tiles = countTiles(csr, shape)
+		}
 		stored := tiles * int64(shape.Area())
 		brows := (csr.R + shape.R - 1) / shape.R
 		bcols := (csr.C + shape.C - 1) / shape.C

@@ -38,11 +38,13 @@ import (
 type Options struct {
 	// RegisterBlock enables BCSR/BCOO tile-shape selection.
 	RegisterBlock bool
-	// MinBlockRows limits register blocking to tile shapes of at least this
-	// many rows; 0 admits all nine. At width 1 a tile row is one dependent
-	// add chain, as a CSR row is, so a 1×c tile only adds its fill to the
-	// chain, while r ≥ 2 rows run r independent chains (a serving layer
-	// sets 2; see server.servingTune).
+	// MinBlockRows drops the multi-column tile shapes with fewer rows than
+	// this; 0 admits all nine. At width 1 a tile row is one dependent add
+	// chain, as a CSR row is, so a 1×c tile only adds its fill to the
+	// chain, while r ≥ 2 rows run r independent chains. The 1×1 shapes
+	// always stay: they add no fill, and BCOO 1×1 is how a matrix with
+	// mostly empty rows sheds CSR's row pointers. DefaultOptions and the
+	// serving layer (server.servingTune) set 2.
 	MinBlockRows int
 	// ReduceIndices enables 16-bit indices when dimensions permit.
 	ReduceIndices bool
@@ -99,6 +101,7 @@ type Options struct {
 func DefaultOptions() Options {
 	return Options{
 		RegisterBlock:    true,
+		MinBlockRows:     2,
 		ReduceIndices:    true,
 		AllowBCOO:        true,
 		CacheBlock:       true,

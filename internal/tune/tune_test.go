@@ -296,3 +296,38 @@ func TestQuickTuneConsistency(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestDefaultOptionsSkipOneRowTiles pins the library default on the two
+// twins where the one-row rule matters. The LP twin's smallest encoding
+// under all nine shapes is BCSR 1×2/16, whose single-row tiles keep CSR's
+// dependent add chain and add fill, so it must tune to CSR. The webbase
+// twin's cache blocks are mostly empty rows, so their best is BCOO 1×1,
+// which the rule must keep: dropping every one-row shape sends them back
+// to CSR's row pointers.
+func TestDefaultOptionsSkipOneRowTiles(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		scale  float64
+		format string
+	}{
+		{"LP", 0.1, "CSR"},
+		{"webbase", 0.25, "BCOO"},
+	} {
+		m, err := gen.GenerateByName(tc.name, tc.scale, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		csr, _ := matrix.NewCSR[uint32](m)
+		res, err := Tune(csr, DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, d := range res.Decisions {
+			if d.Format != tc.format || d.Shape != (matrix.BlockShape{R: 1, C: 1}) {
+				t.Errorf("%s@%g block %d tuned to %s %v/%d, want %s 1×1",
+					tc.name, tc.scale, i, d.Format, d.Shape, d.IndexBits, tc.format)
+			}
+		}
+		verify(t, res, m)
+	}
+}
