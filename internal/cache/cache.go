@@ -109,11 +109,6 @@ func MustNew(totalBytes int64, lineBytes, assoc int) *Cache {
 // LineBytes returns the cache's line size.
 func (c *Cache) LineBytes() int { return c.lineBytes }
 
-// SizeBytes returns the total capacity.
-func (c *Cache) SizeBytes() int64 {
-	return int64(c.sets) * int64(c.ways) * int64(c.lineBytes)
-}
-
 // Stats returns the accumulated statistics.
 func (c *Cache) Stats() Stats { return c.stats }
 

@@ -146,9 +146,6 @@ func (m *CSR[I]) ToCOO() *COO {
 	return out
 }
 
-// RowNNZ returns the number of stored entries in row i.
-func (m *CSR[I]) RowNNZ(i int) int64 { return m.RowPtr[i+1] - m.RowPtr[i] }
-
 // Validate checks the structural invariants of the CSR encoding: monotone
 // row pointers, in-range ascending column indices per row.
 func (m *CSR[I]) Validate() error {

@@ -1,11 +1,15 @@
 package oski
 
 import (
+	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/gen"
+	"repro/internal/kernel"
 	"repro/internal/machine"
 	"repro/internal/matrix"
+	"repro/internal/partition"
 )
 
 func loadCSR(t *testing.T, name string, scale float64) *matrix.CSR32 {
@@ -178,5 +182,91 @@ func TestExternalColumns(t *testing.T) {
 	csr, _ := matrix.NewCSR[uint32](m)
 	if got := externalColumns(csr, 0, 2); got != 2 {
 		t.Errorf("external columns %d, want 2", got)
+	}
+}
+
+func TestPETScCommBytesCountDistinctGhosts(t *testing.T) {
+	// The model charges 2x8 bytes (pack+unpack) per distinct column a
+	// process references outside its own rows. Count them here with a map
+	// of our own, so a model that double-counts repeated columns fails.
+	csr := loadCSR(t, "Economics", 0.005)
+	if csr.R != csr.C {
+		t.Fatalf("Economics twin is %dx%d, want square", csr.R, csr.C)
+	}
+	for _, procs := range []int{1, 2, 4, 8} {
+		part, err := partition.EqualRows(csr.RowPtr, procs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ghosts int64
+		for _, r := range part.Ranges {
+			seen := make(map[uint32]bool)
+			for k := csr.RowPtr[r.Lo]; k < csr.RowPtr[r.Hi]; k++ {
+				if c := int(csr.Col[k]); c < r.Lo || c >= r.Hi {
+					seen[csr.Col[k]] = true
+				}
+			}
+			ghosts += int64(len(seen))
+		}
+		if procs > 1 && ghosts == 0 {
+			t.Fatalf("%d processes: no ghost columns on a scatter matrix", procs)
+		}
+		e, err := ModelPETSc(csr, machine.AMDX2(), procs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if e.CommBytes != 16*ghosts {
+			t.Errorf("%d processes: comm bytes %d, want %d (16 per distinct ghost column)",
+				procs, e.CommBytes, 16*ghosts)
+		}
+	}
+}
+
+func TestTuneSerialBandsMultiplyLikeCSR(t *testing.T) {
+	// OSKI-PETSc tunes each process's row band on its own. Every band's
+	// encoding, compiled, must multiply like the CSR rows it came from.
+	csr := loadCSR(t, "FEM/Cantilever", 0.01)
+	rng := rand.New(rand.NewSource(2))
+	x := make([]float64, csr.C)
+	for i := range x {
+		x[i] = rng.NormFloat64()
+	}
+	part, err := partition.EqualRows(csr.RowPtr, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blocked := 0
+	for _, r := range part.Ranges {
+		band, err := matrix.NewCSR[uint32](csr.SubmatrixCOO(r.Lo, r.Hi, 0, csr.C))
+		if err != nil {
+			t.Fatal(err)
+		}
+		tn, err := TuneSerial(band, machine.AMDX2())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tn.Shape.Area() > 1 {
+			blocked++
+		}
+		k, err := kernel.Compile(tn.Enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		y := make([]float64, r.Rows())
+		if err := k.MulAdd(y, x); err != nil {
+			t.Fatal(err)
+		}
+		for i := r.Lo; i < r.Hi; i++ {
+			var want float64
+			for p := csr.RowPtr[i]; p < csr.RowPtr[i+1]; p++ {
+				want += csr.Val[p] * x[csr.Col[p]]
+			}
+			if got := y[i-r.Lo]; math.Abs(got-want) > 1e-9 {
+				t.Fatalf("band [%d,%d) %s row %d: %g, want %g", r.Lo, r.Hi, k.Name(), i, got, want)
+			}
+		}
+	}
+	if blocked == 0 {
+		t.Error("OSKI left every Cantilever band unblocked; no tile was multiplied")
 	}
 }

@@ -240,8 +240,3 @@ func FixedWidthSpans(cols, width int) []ColumnSpan {
 	}
 	return spans
 }
-
-// RowBands tiles [0, rows) into bands of the given height.
-func RowBands(rows, height int) []ColumnSpan {
-	return FixedWidthSpans(rows, height)
-}
