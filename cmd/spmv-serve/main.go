@@ -20,7 +20,8 @@
 //
 //	POST /v1/matrices          {"suite":"QCD","scale":0.05} | {"rows","cols","entries"} | {"matrix_market"}
 //	                           + optional {"shards":4} on a cluster front
-//	                           + optional {"symmetric":true|false} (omitted = auto-detect)
+//	                           + optional {"symmetric":true|false} (false pins general storage;
+//	                             omitted = upper-triangle storage where it is smaller)
 //	GET  /v1/matrices          list registered matrices (local and sharded)
 //	POST /v1/matrices/{id}/mul {"x":[...]} -> {"y":[...]}
 //	                           + optional {"tenant":"acme","class":"latency|standard|bulk","deadline_ms":250}
@@ -57,13 +58,11 @@ import (
 func main() {
 	addr := flag.String("addr", ":8707", "listen address")
 	threads := flag.Int("threads", 0, "row parts each matrix is compiled into and each sweep fans out over (0 = GOMAXPROCS)")
-	workers := flag.Int("workers", 0, "sweep pool workers (0 = GOMAXPROCS)")
+	workers := flag.Int("workers", 0, "sweep pool workers, and sweeps executing at once (0 = GOMAXPROCS)")
 	maxBatch := flag.Int("max-batch", 8, "widest fused sweep (1 disables batching)")
 	window := flag.Duration("batch-window", 200*time.Microsecond, "batch linger window (under 1ms waited out by yielding, so it lasts as set)")
 	adaptive := flag.Bool("adaptive", true, "linger only while a follower can still come: every sweep slot is taken, or callers answered within the window are not all back (false: every leader lingers the full window)")
-	autoSymmetric := flag.Bool("auto-symmetric", true, "serve numerically symmetric matrices from upper-triangle storage when it is smaller than the general encoding (sets the tuner's TrySymmetric); per-request \"symmetric\" overrides")
 	maxBodyBytes := flag.Int64("max-body-bytes", 0, "request body cap, 413 beyond it (0 = 256 MiB); raise on members sharding very large matrices")
-	maxSweeps := flag.Int("max-concurrent-sweeps", 0, "concurrent sweep limit (0 = workers)")
 	maxSessions := flag.Int("max-sessions", 0, "resident solver-session cap, 429 beyond it (0 = 16)")
 	recompactThreshold := flag.Float64("recompact-threshold", server.DefaultRecompactThreshold, "overlay-to-matrix modeled-bytes ratio that triggers background delta recompaction (negative disables)")
 	members := flag.Int("members", 0, "in-process shard member nodes (forms a cluster; for demos and smoke tests)")
@@ -75,7 +74,6 @@ func main() {
 	preload := flag.String("preload", "", "comma-separated suite matrices to register at startup, name[:scale[:shards]] each")
 	seed := flag.Int64("seed", 1, "generator seed for preloaded matrices")
 	obsSample := flag.Int("obs-sample", server.DefaultObsSample, "trace 1 in N requests into the /v1/traces ring; 0 disables the observability layer entirely")
-	obsRing := flag.Int("obs-ring", server.DefaultObsRing, "sampled-trace ring capacity")
 	rooflineGBs := flag.Float64("roofline-gbs", 0, "sustained DRAM bandwidth reference for roofline attribution, GB/s (0 = the paper's AMD X2 socket, ~6.6)")
 	schedOn := flag.Bool("sched", false, "enable the SLO class scheduler (priority + SJF + aging batch formation)")
 	defaultClass := flag.String("default-class", "standard", "SLO class for requests that do not name one: latency, standard, or bulk")
@@ -101,13 +99,10 @@ func main() {
 	cfg.MaxBatch = *maxBatch
 	cfg.BatchWindow = *window
 	cfg.Adaptive = *adaptive
-	cfg.Tune.TrySymmetric = *autoSymmetric
 	cfg.MaxBodyBytes = *maxBodyBytes
-	cfg.MaxConcurrentSweeps = *maxSweeps
 	cfg.MaxSessions = *maxSessions
 	cfg.RecompactThreshold = *recompactThreshold
 	cfg.ObsSample = *obsSample
-	cfg.ObsRing = *obsRing
 	cfg.RooflineGBs = *rooflineGBs
 	cfg.Logger = logger
 	cfg.Sched, err = buildSchedConfig(*schedOn, *defaultClass, *admitRate, *admitBurst, *schedAging, *tenants)

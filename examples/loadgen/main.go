@@ -129,7 +129,7 @@ func sloRun(name string, sc sched.Config) (latP99 float64, bulkServed int64) {
 	cfg := server.DefaultConfig()
 	// One sweep slot and no fusion: a narrow server saturates under the
 	// bulk load, so queueing policy is the whole story.
-	cfg.Workers, cfg.MaxConcurrentSweeps, cfg.MaxBatch, cfg.Sched = 1, 1, 1, sc
+	cfg.Workers, cfg.MaxBatch, cfg.Sched = 1, 1, sc
 	s := server.New(cfg)
 	defer s.Close()
 	info := must(s.RegisterSuite("m", *suite, *scale, 7))

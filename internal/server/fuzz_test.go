@@ -358,7 +358,7 @@ func FuzzBandFrame(f *testing.F) {
 		if rec.Code < 400 || rec.Code > 599 || json.Unmarshal(rec.Body.Bytes(), &e) != nil || e.Error.Code == "" {
 			t.Fatalf("status %d body %q: want 201 or an error envelope", rec.Code, rec.Body.String())
 		}
-		if n := len(s.Registry().List()); n != 0 {
+		if n := len(s.reg.list()); n != 0 {
 			t.Fatalf("a rejected frame left %d matrices registered", n)
 		}
 	})

@@ -29,8 +29,9 @@ type registerRequest struct {
 
 	// Symmetric selects the storage family: true requires upper-triangle
 	// (SymCSR) storage and fails with 400 when the matrix is not
-	// numerically symmetric; false pins general storage; omitted defers
-	// to the server's Tune.TrySymmetric config. Sharded registrations cannot
+	// numerically symmetric; false pins general storage; omitted takes
+	// upper-triangle storage where it is strictly smaller than the general
+	// encoding (servingTune). Sharded registrations cannot
 	// honor true — row bands are rectangular and always stored general
 	// (keeping sharded bits identical to general single-node serving) —
 	// so "symmetric": true with shards >= 2 is rejected with 400 rather
@@ -653,7 +654,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	// sustained-DRAM reference. Attribution is per serving generation —
 	// the gauges reflect the current operator's own sweeps.
 	var achieved, ratio, gens, overlay []obs.Sample
-	for _, entry := range s.reg.List() {
+	for _, entry := range s.reg.list() {
 		sv := entry.cur.Load()
 		if sv == nil {
 			continue

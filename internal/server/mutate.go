@@ -177,7 +177,7 @@ func (s *Server) Patch(id string, deltas []Delta) (PatchResult, error) {
 // overlay crosses the threshold). A no-op when nothing is pending; an
 // error when a background recompaction is already in flight.
 func (s *Server) Recompact(id string) error {
-	e, err := s.reg.Get(id)
+	e, err := s.reg.get(id)
 	if err != nil {
 		return err
 	}

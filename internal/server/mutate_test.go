@@ -210,7 +210,7 @@ func TestRecompactionPromotes(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	e, err := s.Registry().Get("a")
+	e, err := s.reg.get("a")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +316,7 @@ func TestRecompactionSymmetry(t *testing.T) {
 		if _, err := s.RegisterOpts("s", "sym", sym, RegisterOptions{Symmetric: boolPtr(true)}); err != nil {
 			t.Fatal(err)
 		}
-		e, _ := s.Registry().Get("s")
+		e, _ := s.reg.get("s")
 		if !e.cur.Load().sym {
 			t.Fatal("symmetric-required registration is not served symmetric")
 		}
@@ -348,7 +348,7 @@ func TestRecompactionSymmetry(t *testing.T) {
 		if _, err := s.RegisterOpts("s", "sym", sym, RegisterOptions{Symmetric: boolPtr(true)}); err != nil {
 			t.Fatal(err)
 		}
-		e, _ := s.Registry().Get("s")
+		e, _ := s.reg.get("s")
 		if !e.cur.Load().sym {
 			t.Fatal("symmetric-required registration is not served symmetric")
 		}

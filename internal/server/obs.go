@@ -23,8 +23,9 @@ import (
 // atomic adds; only trace assembly allocates.
 const DefaultObsSample = 16
 
-// DefaultObsRing is the trace ring capacity when Config.ObsRing is unset.
-const DefaultObsRing = 256
+// obsRingSize is the trace ring capacity: the most recent sampled traces
+// GET /v1/traces can return.
+const obsRingSize = 256
 
 // Serving-stage names: the spans of a Mul request's timeline and the
 // histogram labels of the per-stage latency surface.
@@ -85,12 +86,8 @@ func newObsState(cfg Config) *obsState {
 	if cfg.ObsSample <= 0 {
 		return nil
 	}
-	ringSize := cfg.ObsRing
-	if ringSize <= 0 {
-		ringSize = DefaultObsRing
-	}
 	return &obsState{
-		ring:    obs.NewRing(ringSize),
+		ring:    obs.NewRing(obsRingSize),
 		sampler: obs.NewSampler(cfg.ObsSample),
 	}
 }

@@ -25,18 +25,15 @@ type poolTask struct {
 }
 
 // NewPool starts workers goroutines (GOMAXPROCS when <= 0) and admits at
-// most maxSweeps concurrent sweeps (workers when <= 0).
-func NewPool(workers, maxSweeps int) *Pool {
+// most that many concurrent sweeps.
+func NewPool(workers int) *Pool {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
-	}
-	if maxSweeps <= 0 {
-		maxSweeps = workers
 	}
 	p := &Pool{
 		tasks: make(chan poolTask),
 		quit:  make(chan struct{}),
-		sem:   make(chan struct{}, maxSweeps),
+		sem:   make(chan struct{}, workers),
 	}
 	p.wg.Add(workers)
 	for i := 0; i < workers; i++ {

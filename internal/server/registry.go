@@ -148,25 +148,25 @@ func (e *Entry) NNZ() int64 { return e.nnz.Load() }
 // traffic-model stamps) stay bounded against hostile registrations.
 const MaxDeclaredDim = 1 << 27
 
-// Registry holds the served matrices. All methods are safe for concurrent
+// registry holds the served matrices. All methods are safe for concurrent
 // use.
-type Registry struct {
+type registry struct {
 	mu   sync.RWMutex
 	byID map[string]*Entry
 	seq  int
 	st   *stats
 }
 
-// NewRegistry returns an empty registry. st may be nil.
-func NewRegistry(st *stats) *Registry {
-	return &Registry{byID: make(map[string]*Entry), st: st}
+// newRegistry returns an empty registry counting into st.
+func newRegistry(st *stats) *registry {
+	return &registry{byID: make(map[string]*Entry), st: st}
 }
 
-// Register ingests a matrix under the given id (one is generated when
+// register ingests a matrix under the given id (one is generated when
 // empty) and returns its entry. Registering an existing id is an error:
 // entries are immutable once served, matching the immutability of compiled
 // operators.
-func (r *Registry) Register(id, name string, m *spmv.Matrix) (*Entry, error) {
+func (r *registry) register(id, name string, m *spmv.Matrix) (*Entry, error) {
 	if m == nil {
 		return nil, fmt.Errorf("server: nil matrix")
 	}
@@ -201,9 +201,7 @@ func (r *Registry) Register(id, name string, m *spmv.Matrix) (*Entry, error) {
 	e := &Entry{ID: id, Name: name, m: m, rows: rows, cols: cols}
 	e.nnz.Store(m.NNZ())
 	r.byID[id] = e
-	if r.st != nil {
-		r.st.registered.Add(1)
-	}
+	r.st.registered.Add(1)
 	return e, nil
 }
 
@@ -212,21 +210,19 @@ func (r *Registry) Register(id, name string, m *spmv.Matrix) (*Entry, error) {
 // a rejected request) and implements DELETE teardown — the caller is
 // responsible for draining the entry's solver sessions first; sweeps
 // already in flight finish safely on the snapshots they loaded.
-func (r *Registry) remove(id string) bool {
+func (r *registry) remove(id string) bool {
 	r.mu.Lock()
 	_, ok := r.byID[id]
 	if ok {
 		delete(r.byID, id)
-		if r.st != nil {
-			r.st.registered.Add(^uint64(0))
-		}
+		r.st.registered.Add(^uint64(0))
 	}
 	r.mu.Unlock()
 	return ok
 }
 
-// Get returns the entry for id.
-func (r *Registry) Get(id string) (*Entry, error) {
+// get returns the entry for id.
+func (r *registry) get(id string) (*Entry, error) {
 	r.mu.RLock()
 	e, ok := r.byID[id]
 	r.mu.RUnlock()
@@ -236,8 +232,8 @@ func (r *Registry) Get(id string) (*Entry, error) {
 	return e, nil
 }
 
-// List returns all entries ordered by id.
-func (r *Registry) List() []*Entry {
+// list returns all entries ordered by id.
+func (r *registry) list() []*Entry {
 	r.mu.RLock()
 	out := make([]*Entry, 0, len(r.byID))
 	for _, e := range r.byID {

@@ -66,12 +66,12 @@ func ParseRoutePolicy(s string) (RoutePolicy, error) {
 	return "", fmt.Errorf("server: unknown route policy %q (want round-robin, least-loaded, weighted, or affinity)", s)
 }
 
-// Half-open recovery defaults: the base probe backoff applied at
-// ejection when ClusterConfig.ProbeInterval is unset, and the cap the
-// exponential doubling saturates at when ProbeMaxBackoff is unset.
+// Half-open recovery: the base probe backoff applied at ejection when
+// ClusterConfig.ProbeInterval is unset, and the cap the exponential
+// doubling saturates at.
 const (
-	DefaultProbeInterval   = time.Second
-	DefaultProbeMaxBackoff = 30 * time.Second
+	DefaultProbeInterval = time.Second
+	probeMaxBackoff      = 30 * time.Second
 )
 
 // failWindowSize is the approximate sliding-window length of the

@@ -50,7 +50,7 @@ type servable interface {
 // lookup resolves id to what serves it: the local registry first, then
 // the attached cluster.
 func (s *Server) lookup(id string) (servable, error) {
-	e, err := s.reg.Get(id)
+	e, err := s.reg.get(id)
 	if err == nil {
 		return e, nil
 	}
@@ -65,7 +65,7 @@ func (s *Server) lookup(id string) (servable, error) {
 // Matrices lists every served matrix: the registry's entries ordered by
 // id, then the attached cluster's sharded matrices ordered by id.
 func (s *Server) Matrices() []MatrixInfo {
-	entries := s.reg.List()
+	entries := s.reg.list()
 	out := make([]MatrixInfo, 0, len(entries))
 	for _, e := range entries {
 		out = append(out, e.listing())

@@ -18,22 +18,19 @@ import (
 	"repro/internal/traffic"
 )
 
-// Config sizes the serving subsystem.
+// Config sizes the serving subsystem. What a matrix is compiled into is
+// not configured here: servingTune is the one fixed candidate set, and a
+// registration's "symmetric" pin (RegisterOptions.Symmetric) is the one
+// choice of storage family.
 type Config struct {
-	// Tune is the tuner configuration the serving candidate set is drawn
-	// from (see servingTune, which takes its register-blocking,
-	// index-width and symmetric-storage policy and nothing else);
-	// DefaultConfig sets DefaultTuneOptions with TrySymmetric.
-	Tune spmv.TuneOptions
 	// Threads is the one parallel width of a sweep: every served operator
 	// is compiled into this many nonzero-balanced row parts (§4.3), which
 	// each fused sweep fans out over the pool. <= 0 means GOMAXPROCS.
 	Threads int
-	// Workers is the sweep pool size. <= 0 means GOMAXPROCS.
+	// Workers is the sweep pool size and the number of sweeps that
+	// execute at once (the priority gate's slot count). <= 0 means
+	// GOMAXPROCS.
 	Workers int
-	// MaxConcurrentSweeps bounds sweeps executing at once. <= 0 means
-	// Workers.
-	MaxConcurrentSweeps int
 	// MaxBatch is the widest fused sweep (k requests coalesced). <= 1
 	// disables batching.
 	MaxBatch int
@@ -81,10 +78,6 @@ type Config struct {
 	// DefaultObsSample.
 	ObsSample int
 
-	// ObsRing is the trace ring capacity (most recent sampled traces
-	// kept). <= 0 means DefaultObsRing.
-	ObsRing int
-
 	// RooflineGBs is the sustained DRAM bandwidth reference (GB/s) the
 	// roofline attribution divides achieved bandwidth by. <= 0 means the
 	// paper's AMD X2 sustained socket bandwidth (Table 4: ~6.6 GB/s).
@@ -116,15 +109,9 @@ const DefaultRecompactThreshold = 0.10
 const DefaultMaxBodyBytes = 256 << 20
 
 // DefaultConfig serves with GOMAXPROCS row parts and workers, up to 8-wide
-// fusion, a 200µs linger with adaptive fallback, and the paper's tuner
-// options (register blocking and 16-bit indices where they shrink the
-// encoding) plus TrySymmetric (upper-triangle storage where that is
-// smaller still).
+// fusion, and a 200µs linger with adaptive fallback.
 func DefaultConfig() Config {
-	tune := spmv.DefaultTuneOptions()
-	tune.TrySymmetric = true
 	return Config{
-		Tune:        tune,
 		MaxBatch:    8,
 		BatchWindow: 200 * time.Microsecond,
 		Adaptive:    true,
@@ -135,7 +122,7 @@ func DefaultConfig() Config {
 // Server is the SpMV serving subsystem: registry + batchers + sweep pool.
 type Server struct {
 	cfg     Config
-	reg     *Registry
+	reg     *registry
 	pool    *Pool
 	st      stats
 	obs     *obsState   // nil when Config.ObsSample == 0
@@ -193,20 +180,16 @@ func New(cfg Config) *Server {
 	// The gate owns the same slot count the pool's sweep semaphore
 	// enforces, so the gate is the single queueing point: a job that
 	// holds a gate slot never blocks again at the pool.
-	gateSlots := cfg.MaxConcurrentSweeps
-	if gateSlots <= 0 {
-		gateSlots = cfg.Workers
-	}
 	s := &Server{
-		cfg: cfg, pool: NewPool(cfg.Workers, cfg.MaxConcurrentSweeps),
+		cfg: cfg, pool: NewPool(cfg.Workers),
 		batchers: make(map[batcherKey]*batcher),
 		sessions: make(map[string]*solveSession),
 		obs:      newObsState(cfg),
-		sched:    newSchedState(cfg.Sched, gateSlots),
+		sched:    newSchedState(cfg.Sched, cfg.Workers),
 		log:      logger,
 		started:  time.Now(),
 	}
-	s.reg = NewRegistry(&s.st)
+	s.reg = newRegistry(&s.st)
 	return s
 }
 
@@ -224,9 +207,6 @@ func (s *Server) Close() {
 	s.sessWG.Wait()
 	s.pool.Close()
 }
-
-// Registry exposes the underlying registry (read-mostly callers: List/Get).
-func (s *Server) Registry() *Registry { return s.reg }
 
 // AttachCluster makes the server front a shard coordinator. Call it once,
 // before the server starts taking requests: the HTTP layer then accepts
@@ -324,7 +304,7 @@ type TuningReport struct {
 
 // Tuning reports one registered matrix's serving decision and history.
 func (s *Server) Tuning(id string) (TuningReport, error) {
-	e, err := s.reg.Get(id)
+	e, err := s.reg.get(id)
 	if err != nil {
 		return TuningReport{}, err
 	}
@@ -346,12 +326,12 @@ func (s *Server) Tuning(id string) (TuningReport, error) {
 
 // RegisterOptions modifies one registration.
 type RegisterOptions struct {
-	// Symmetric selects the matrix's storage family. nil lets the compile
-	// path decide under Config.Tune.TrySymmetric (see servingTune); a true
-	// pointer requires symmetric storage and fails with ErrNotSymmetric
-	// when the matrix is not numerically symmetric; a false pointer pins
-	// general storage — the setting shard members use for row bands, so
-	// a fleet's bits stay invariant to topology.
+	// Symmetric selects the matrix's storage family, the one choice of
+	// encoding a caller makes. nil lets the compile path decide (see
+	// servingTune); a true pointer requires symmetric storage and fails
+	// with ErrNotSymmetric when the matrix is not numerically symmetric; a
+	// false pointer pins general storage — the setting shard members use
+	// for row bands, so a fleet's bits stay invariant to topology.
 	Symmetric *bool
 }
 
@@ -364,7 +344,7 @@ func (s *Server) Register(id, name string, m *spmv.Matrix) (MatrixInfo, error) {
 
 // RegisterOpts is Register with per-registration options.
 func (s *Server) RegisterOpts(id, name string, m *spmv.Matrix, opts RegisterOptions) (MatrixInfo, error) {
-	e, err := s.reg.Register(id, name, m)
+	e, err := s.reg.register(id, name, m)
 	if err != nil {
 		return MatrixInfo{}, err
 	}
@@ -408,10 +388,10 @@ func (s *Server) prepare(e *Entry, opts RegisterOptions) error {
 // compileServed compiles the operator that serves m, at registration and
 // recompaction alike. sym selects the family: nil leaves it to the
 // compile path, which stores a square, numerically symmetric matrix as
-// its upper triangle when Config.Tune.TrySymmetric is set and that
-// footprint is strictly smaller than the general encoding's; true
-// requires symmetric storage (ErrNotSymmetric otherwise); false pins
-// general storage. Either family canonicalizes m once.
+// its upper triangle when that footprint is strictly smaller than the
+// general encoding's; true requires symmetric storage (ErrNotSymmetric
+// otherwise); false pins general storage. Either family canonicalizes m
+// once.
 func (s *Server) compileServed(m *spmv.Matrix, sym *bool) (*spmv.Operator, error) {
 	if sym != nil && *sym {
 		op, err := spmv.CompileSymmetricParallel(m, s.cfg.Threads)
@@ -420,41 +400,41 @@ func (s *Server) compileServed(m *spmv.Matrix, sym *bool) (*spmv.Operator, error
 		}
 		return op, nil
 	}
-	opt := s.servingTune()
-	opt.TrySymmetric = opt.TrySymmetric && sym == nil
+	opt := servingTune()
+	opt.TrySymmetric = sym == nil
 	return spmv.CompileParallel(m, opt, s.cfg.Threads, 1)
 }
 
 // servingTune is the serving candidate set: the tuner options compileServed
 // compiles every served matrix with, at registration and recompaction
 // alike: the one place the encoding is decided, from the matrix alone. It
-// admits the encodings whose every body sums each row's
-// rounded products in ascending column order into one accumulator that
-// starts at +0 — the order every width, index size, thread count and shard
-// topology reproduces bit for bit: row-partitioned CSR, and BCSR (with
-// Config.Tune.RegisterBlock), whose fill adds exact zeros. Cache blocking
-// and BCOO reassociate the row sums and stay out. BCSR is limited to tiles
+// is a constant; no setting reaches it. It admits the encodings whose
+// every body sums each row's rounded products in ascending column order
+// into one accumulator that starts at +0 — the order every width, index
+// size, thread count and shard topology reproduces bit for bit:
+// row-partitioned CSR, and BCSR, whose fill adds exact zeros. Cache
+// blocking and BCOO reassociate the row sums and stay out. BCSR is limited to tiles
 // of two or more rows (1×1 stays a candidate, but it ties CSR's footprint
 // and the tie goes to CSR): a width-1 sweep, every lone request and solver
 // iteration, runs one dependent add chain per row, so a 1×c tile's smaller
 // stream buys nothing and its fill lengthens the chain (the LP twin's
 // best, 1×2/16, streams 0.84x CSR32's bytes and ran 1.45–1.6x slower),
 // while an r×c tile runs r chains at once (the Cantilever twin's 4×4
-// streams 0.67x and runs in about 0.65x the time). Config.Tune.ReduceIndices
-// opens 16-bit indices, which sum in the 32-bit order, and
-// Config.Tune.TrySymmetric the upper-triangle family, whose reduction
-// order is canonical at every thread count and width (kernel.SymSweep)
-// but not the general one: which family serves is decided once per
-// base matrix, never per request.
+// streams 0.67x and runs in about 0.65x the time). ReduceIndices opens
+// 16-bit indices, which sum in the 32-bit order, and TrySymmetric the
+// upper-triangle family, whose reduction order is canonical at every
+// thread count and width (kernel.SymSweep) but not the general one: which
+// family serves is decided once per base matrix, never per request, and a
+// registration's "symmetric" pin overrides it (compileServed).
 // No choice here depends on the fused width a matrix will see:
 // VectorWidth only sizes cache and TLB blocks, and the set enables
 // neither.
-func (s *Server) servingTune() spmv.TuneOptions {
+func servingTune() spmv.TuneOptions {
 	return spmv.TuneOptions{
-		RegisterBlock: s.cfg.Tune.RegisterBlock,
+		RegisterBlock: true,
 		MinBlockRows:  2,
-		ReduceIndices: s.cfg.Tune.ReduceIndices,
-		TrySymmetric:  s.cfg.Tune.TrySymmetric,
+		ReduceIndices: true,
+		TrySymmetric:  true,
 	}
 }
 
@@ -462,12 +442,12 @@ func (s *Server) servingTune() spmv.TuneOptions {
 // registration and recompaction differ only in the operator, generation
 // and overlay they hand it. General and
 // symmetric operators alike are swept through their wide multi-RHS views
-// (Operator.WideMulti) and accounted at WideTraffic: the bytes of the one
+// (Operator.WideMulti) and accounted at Traffic: the bytes of the one
 // resident encoding, which is what MatrixInfo reports as both footprint and
 // matrix stream. Every snapshot starts a fresh roofline accumulator: a
 // generation's achieved bandwidth is measured on its own sweeps.
 func newServing(op *spmv.Operator, gen int, ov *delta.Overlay) (*serving, error) {
-	tr, err := op.WideTraffic(spmv.TrafficOptions{})
+	tr, err := op.Traffic(spmv.TrafficOptions{})
 	if err != nil {
 		return nil, err
 	}

@@ -536,27 +536,29 @@ func BenchmarkServeSerial(b *testing.B) {
 
 // TestRegistrationNarrowingDeterministicBitwise: registration decides the
 // index width once, from the matrix alone, and 16-bit indices sum in the
-// 32-bit order. The same matrix registered with Tune.ReduceIndices on and
-// off streams fewer bytes narrowed and returns the same bits at widths 1
-// and 8 — lone requests, batcher bursts and full fused sweeps alike — on a
-// CSR matrix and on a BCSR 4×4 one. GET /v1/matrices/{id}/tuning reports
-// the registration decision.
+// 32-bit order. The same matrix served narrowed and compiled by the
+// library with ReduceIndices off (at the same thread count) streams fewer
+// bytes narrowed and returns the same bits at widths 1 and 8 — lone
+// requests, batcher bursts and full fused sweeps alike — on a CSR matrix
+// and on a BCSR 4×4 one. GET /v1/matrices/{id}/tuning reports the
+// registration decision.
 func TestRegistrationNarrowingDeterministicBitwise(t *testing.T) {
 	cant, err := spmv.GenerateSuite("FEM/Cantilever", 0.02, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	servers := make([]*Server, 2) // [0] 32-bit, [1] narrowed
-	for n := range servers {
-		cfg := DefaultConfig()
-		cfg.Threads = 2
-		cfg.Workers = 2
-		cfg.MaxBatch = 8
-		cfg.BatchWindow = 5 * time.Millisecond
-		cfg.Tune.ReduceIndices = n == 1
-		servers[n] = New(cfg)
-		defer servers[n].Close()
-	}
+	const threads = 2
+	cfg := DefaultConfig()
+	cfg.Threads = threads
+	cfg.Workers = 2
+	cfg.MaxBatch = 8
+	cfg.BatchWindow = 5 * time.Millisecond
+	s := New(cfg)
+	defer s.Close()
+	// The 32-bit reference: the serving candidate set with general storage
+	// and 32-bit indices only.
+	opt32 := servingTune()
+	opt32.ReduceIndices, opt32.TrySymmetric = false, false
 	for _, tc := range []struct {
 		id     string
 		m      *spmv.Matrix
@@ -566,20 +568,29 @@ func TestRegistrationNarrowingDeterministicBitwise(t *testing.T) {
 		{"csr", testMatrix(t, 300, 280, 6000, 21), "CSR", matrix.BlockShape{R: 1, C: 1}},
 		{"bcsr", cant, "BCSR", matrix.BlockShape{R: 4, C: 4}},
 	} {
-		var infos [2]MatrixInfo
-		for n, s := range servers {
-			if infos[n], err = s.RegisterOpts(tc.id, tc.id, tc.m, RegisterOptions{Symmetric: new(bool)}); err != nil {
-				t.Fatal(err)
-			}
-			for _, d := range mustEntry(t, s, tc.id).cur.Load().op.Decisions() {
+		info, err := s.RegisterOpts(tc.id, tc.id, tc.m, RegisterOptions{Symmetric: new(bool)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := spmv.CompileParallel(tc.m, opt32, threads, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ops := [2]*spmv.Operator{ref, mustEntry(t, s, tc.id).cur.Load().op} // [0] 32-bit, [1] narrowed
+		for n, op := range ops {
+			for _, d := range op.Decisions() {
 				if bits := 32 >> n; d.Format != tc.format || d.Shape != tc.shape || d.IndexBits != bits {
-					t.Errorf("%s, ReduceIndices=%v: a part registered %s %v/%d, want %s %v/%d",
+					t.Errorf("%s, ReduceIndices=%v: a part compiled %s %v/%d, want %s %v/%d",
 						tc.id, n == 1, d.Format, d.Shape, d.IndexBits, tc.format, tc.shape, bits)
 				}
 			}
 		}
-		if infos[1].MatrixBytes >= infos[0].MatrixBytes {
-			t.Errorf("%s: narrowed matrix stream %d B, 32-bit %d B", tc.id, infos[1].MatrixBytes, infos[0].MatrixBytes)
+		tr32, err := ref.Traffic(spmv.TrafficOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.MatrixBytes >= tr32.MatrixBytes {
+			t.Errorf("%s: narrowed matrix stream %d B, 32-bit %d B", tc.id, info.MatrixBytes, tr32.MatrixBytes)
 		}
 
 		_, cols := tc.m.Dims()
@@ -588,25 +599,37 @@ func TestRegistrationNarrowingDeterministicBitwise(t *testing.T) {
 			xs[v] = testVector(cols, int64(500+v))
 		}
 		var lone [2][][]float64
-		for n, s := range servers {
-			for _, x := range xs {
-				lone[n] = append(lone[n], mulBits(t, s, tc.id, x))
+		for _, x := range xs {
+			y, err := ref.Mul(x)
+			if err != nil {
+				t.Fatal(err)
 			}
-			fused, bursted := fusedBits(t, s, tc.id, xs), burst(t, s, tc.id, xs)
-			for v := range xs {
-				if !sameBits(fused[v], lone[n][v]) || !sameBits(bursted[v], lone[n][v]) {
-					t.Fatalf("%s, ReduceIndices=%v, lane %d: fused bits differ from lone bits", tc.id, n == 1, v)
-				}
-			}
+			lone[0] = append(lone[0], y)
+			lone[1] = append(lone[1], mulBits(t, s, tc.id, x))
 		}
+		wide, err := ref.WideMulti(len(xs))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fused32, err := wide.MulAll(xs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fused, bursted := fusedBits(t, s, tc.id, xs), burst(t, s, tc.id, xs)
 		for v := range xs {
+			if !sameBits(fused32[v], lone[0][v]) {
+				t.Fatalf("%s, ReduceIndices=false, lane %d: fused bits differ from lone bits", tc.id, v)
+			}
+			if !sameBits(fused[v], lone[1][v]) || !sameBits(bursted[v], lone[1][v]) {
+				t.Fatalf("%s, ReduceIndices=true, lane %d: fused bits differ from lone bits", tc.id, v)
+			}
 			if !sameBits(lone[1][v], lone[0][v]) {
 				t.Fatalf("%s lane %d: narrowed indices moved served bits", tc.id, v)
 			}
 		}
 	}
 
-	srv := httptest.NewServer(servers[1].Handler())
+	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 	resp, err := srv.Client().Get(srv.URL + "/v1/matrices/bcsr/tuning")
 	if err != nil {
@@ -616,7 +639,7 @@ func TestRegistrationNarrowingDeterministicBitwise(t *testing.T) {
 		t.Fatalf("GET /v1/matrices/bcsr/tuning: status %d", resp.StatusCode)
 	}
 	rep := decode[TuningReport](t, resp)
-	if want := mustEntry(t, servers[1], "bcsr").listing(); rep.Generation != 0 || rep.Symmetric ||
+	if want := mustEntry(t, s, "bcsr").listing(); rep.Generation != 0 || rep.Symmetric ||
 		rep.Kernel != want.Kernel || rep.MatrixBytes != want.MatrixBytes || len(rep.Events) != 0 {
 		t.Errorf("tuning report %+v, want generation 0, kernel %s, %d matrix bytes, no events", rep, want.Kernel, want.MatrixBytes)
 	}
@@ -637,7 +660,7 @@ func TestRegistrationNarrowingDeterministicBitwise(t *testing.T) {
 func TestRegisterDimensionGuards(t *testing.T) {
 	s := New(Config{Threads: 1, Workers: 1, MaxBatch: 1})
 	defer s.Close()
-	reg := s.Registry()
+	reg := s.reg
 
 	band := spmv.NewMatrix(4000, 500000) // a coordinator's row band: wide, sparse
 	for i := 0; i < 4000; i++ {
@@ -645,23 +668,23 @@ func TestRegisterDimensionGuards(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := reg.Register("band", "band", band); err != nil {
+	if _, err := reg.register("band", "band", band); err != nil {
 		t.Errorf("legitimate shard-band shape rejected: %v", err)
 	}
 
 	blowup := spmv.NewMatrix(50_000_000, 10)
 	_ = blowup.Set(0, 0, 1)
-	if _, err := reg.Register("blowup", "", blowup); err == nil {
+	if _, err := reg.register("blowup", "", blowup); err == nil {
 		t.Error("50M near-empty rows accepted")
 	}
 	huge := spmv.NewMatrix(MaxDeclaredDim+1, 10)
 	_ = huge.Set(0, 0, 1)
-	if _, err := reg.Register("huge", "", huge); err == nil {
+	if _, err := reg.register("huge", "", huge); err == nil {
 		t.Error("rows beyond MaxDeclaredDim accepted")
 	}
 	wide := spmv.NewMatrix(10, MaxDeclaredDim+1)
 	_ = wide.Set(0, 0, 1)
-	if _, err := reg.Register("wide", "", wide); err == nil {
+	if _, err := reg.register("wide", "", wide); err == nil {
 		t.Error("cols beyond MaxDeclaredDim accepted")
 	}
 }

@@ -21,18 +21,16 @@ type ClusterConfig struct {
 	// EjectAfter is the number of consecutive failures after which a member
 	// stops receiving traffic. <= 0 means 3. Ejection is no longer sticky:
 	// an ejected member re-enters rotation through the half-open probe
-	// loop (ProbeInterval / ProbeMaxBackoff).
+	// loop (ProbeInterval).
 	EjectAfter int
 	// Policy selects the replica-routing policy (see RoutePolicy); the
 	// zero value is round-robin.
 	Policy RoutePolicy
 	// ProbeInterval is the base backoff before an ejected member gets its
-	// first half-open probe; each failed probe doubles it up to
-	// ProbeMaxBackoff. <= 0 means DefaultProbeInterval.
+	// first half-open probe; each failed probe doubles it up to 30 s (or
+	// ProbeInterval itself, if that is longer). <= 0 means
+	// DefaultProbeInterval.
 	ProbeInterval time.Duration
-	// ProbeMaxBackoff caps the exponential probe backoff. <= 0 means
-	// DefaultProbeMaxBackoff.
-	ProbeMaxBackoff time.Duration
 }
 
 // Member is one node of the cluster with its routing health state.
@@ -256,19 +254,13 @@ func NewCluster(members []Transport, cfg ClusterConfig) (*Cluster, error) {
 		cfg:       cfg,
 		now:       time.Now,
 		probeBase: cfg.ProbeInterval,
-		probeCap:  cfg.ProbeMaxBackoff,
 		byID:      make(map[string]*shardedEntry),
 		pending:   make(map[string]bool),
 	}
 	if c.probeBase <= 0 {
 		c.probeBase = DefaultProbeInterval
 	}
-	if c.probeCap < c.probeBase {
-		c.probeCap = DefaultProbeMaxBackoff
-	}
-	if c.probeCap < c.probeBase {
-		c.probeCap = c.probeBase
-	}
+	c.probeCap = max(probeMaxBackoff, c.probeBase)
 	for _, t := range members {
 		c.members = append(c.members, &Member{t: t, name: t.Name(), lat: obs.NewHistogram()})
 	}
@@ -727,8 +719,16 @@ func addStats(dst *Stats, b Stats) {
 	}
 	dst.Registered += b.Registered
 	dst.Compiles += b.Compiles
+	dst.SolveSessions += b.SolveSessions
+	dst.SolveIters += b.SolveIters
+	dst.Patches += b.Patches
+	dst.DeltasApplied += b.DeltasApplied
+	dst.Recompactions += b.Recompactions
+	dst.SymDemotions += b.SymDemotions
+	dst.Deletes += b.Deletes
 	dst.MatrixBytes += b.MatrixBytes
 	dst.SourceBytes += b.SourceBytes
 	dst.DestBytes += b.DestBytes
 	dst.SavedBytes += b.SavedBytes
+	dst.OverlayBytes += b.OverlayBytes
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -517,4 +518,61 @@ func TestShardedStatsRollup(t *testing.T) {
 	if st.Aggregate.Registered != 2 {
 		t.Errorf("aggregate registered %d, want 2 bands", st.Aggregate.Registered)
 	}
+}
+
+// TestAddStatsSumsEveryField fills every numeric field of two Stats —
+// histogram buckets included — with distinct values and requires addStats
+// to sum each one, so a serving counter added later and left out of the
+// cluster rollup fails here.
+func TestAddStatsSumsEveryField(t *testing.T) {
+	var a, b Stats
+	next := int64(1)
+	var fill func(v reflect.Value, scale int64)
+	fill = func(v reflect.Value, scale int64) {
+		switch v.Kind() {
+		case reflect.Struct:
+			for i := 0; i < v.NumField(); i++ {
+				fill(v.Field(i), scale)
+			}
+		case reflect.Array:
+			for i := 0; i < v.Len(); i++ {
+				fill(v.Index(i), scale)
+			}
+		case reflect.Uint64:
+			v.SetUint(uint64(next * scale))
+			next++
+		case reflect.Int64:
+			v.SetInt(next * scale)
+			next++
+		default:
+			t.Fatalf("Stats holds a %s field this test cannot fill", v.Kind())
+		}
+	}
+	fill(reflect.ValueOf(&a).Elem(), 1)
+	fill(reflect.ValueOf(&b).Elem(), 1000)
+
+	got := a
+	addStats(&got, b)
+	var check func(path string, g, x, y reflect.Value)
+	check = func(path string, g, x, y reflect.Value) {
+		switch g.Kind() {
+		case reflect.Struct:
+			for i := 0; i < g.NumField(); i++ {
+				check(path+"."+g.Type().Field(i).Name, g.Field(i), x.Field(i), y.Field(i))
+			}
+		case reflect.Array:
+			for i := 0; i < g.Len(); i++ {
+				check(fmt.Sprintf("%s[%d]", path, i), g.Index(i), x.Index(i), y.Index(i))
+			}
+		case reflect.Uint64:
+			if g.Uint() != x.Uint()+y.Uint() {
+				t.Errorf("%s = %d, want %d + %d", path, g.Uint(), x.Uint(), y.Uint())
+			}
+		case reflect.Int64:
+			if g.Int() != x.Int()+y.Int() {
+				t.Errorf("%s = %d, want %d + %d", path, g.Int(), x.Int(), y.Int())
+			}
+		}
+	}
+	check("Stats", reflect.ValueOf(got), reflect.ValueOf(a), reflect.ValueOf(b))
 }

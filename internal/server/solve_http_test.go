@@ -149,13 +149,12 @@ func httpSolveWait(t *testing.T, base, sid string) SolveStatus {
 }
 
 // solveServerConfig is the shared deterministic config of the mid-solve
-// recompaction test and its baseline twin. TrySymmetric is off so the SPD
-// matrix is served general, where an overlay sweep and the recompacted
-// base sum each row in one order; background recompaction is off so only
-// the test's explicit Recompact promotes.
+// recompaction test and its baseline twin; background recompaction is off
+// so only the test's explicit Recompact promotes. Both register the SPD
+// matrix with "symmetric": false, so it is served general, where an
+// overlay sweep and the recompacted base sum each row in one order.
 func solveServerConfig() Config {
 	cfg := DefaultConfig()
-	cfg.Tune.TrySymmetric = false
 	cfg.Threads = 2
 	cfg.Workers = 2
 	cfg.MaxBatch = 4
@@ -192,7 +191,8 @@ func TestSolveHTTPRecompactMidSolve(t *testing.T) {
 	// stays 0.
 	s0 := New(solveServerConfig())
 	defer s0.Close()
-	if _, err := s0.Register("a", "poisson", m); err != nil {
+	general := RegisterOptions{Symmetric: new(bool)}
+	if _, err := s0.RegisterOpts("a", "poisson", m, general); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s0.Patch("a", patch); err != nil {
@@ -217,7 +217,7 @@ func TestSolveHTTPRecompactMidSolve(t *testing.T) {
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	if _, err := s.Register("a", "poisson", m); err != nil {
+	if _, err := s.RegisterOpts("a", "poisson", m, general); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.Patch("a", patch); err != nil {

@@ -32,7 +32,7 @@ func TestOperatorSwapRace(t *testing.T) {
 	if _, err := s.Register("hot", "test", m); err != nil {
 		t.Fatal(err)
 	}
-	e, err := s.Registry().Get("hot")
+	e, err := s.reg.get("hot")
 	if err != nil {
 		t.Fatal(err)
 	}

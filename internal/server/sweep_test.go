@@ -39,7 +39,7 @@ func TestTransportSweepParity(t *testing.T) {
 		t.Fatalf("the patched band serves no overlay: %+v", info)
 	}
 	// A registered entry whose first snapshot is not published yet.
-	if _, err := ms.reg.Register("compiling", "c", band); err != nil {
+	if _, err := ms.reg.register("compiling", "c", band); err != nil {
 		t.Fatal(err)
 	}
 

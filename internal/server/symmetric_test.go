@@ -340,7 +340,7 @@ func checkDecisionPins(t *testing.T) {
 
 func mustEntry(t testing.TB, s *Server, id string) *Entry {
 	t.Helper()
-	e, err := s.Registry().Get(id)
+	e, err := s.reg.get(id)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -68,7 +68,7 @@ func (t *LocalTransport) Mul(id string, x []float64) ([]float64, error) {
 // vector or tenant bucket (the front's runSolve charged the session); the
 // member's gate (default class) and Stats still see the sweep.
 func (t *LocalTransport) Sweep(id string, y, x []float64) error {
-	e, err := t.s.reg.Get(id)
+	e, err := t.s.reg.get(id)
 	if err != nil {
 		return err
 	}

@@ -540,7 +540,7 @@ func TestBandFrameCorruptRejected(t *testing.T) {
 		h.ServeHTTP(rec, req)
 		wantEnvelope(t, name, rec, 400, "bad_request")
 	}
-	if n := len(s.Registry().List()); n != 0 {
+	if n := len(s.reg.list()); n != 0 {
 		t.Fatalf("%d matrices registered by corrupt frames", n)
 	}
 	req := httptest.NewRequest("POST", "/v1/matrices?id=b&shards=2", bytes.NewReader(nil))

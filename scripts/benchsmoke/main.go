@@ -220,10 +220,11 @@ func routeSkewMetrics(metrics map[string]Metric) {
 	metrics["route_skew_ll_speedup"] = Metric{Value: ll / rr, Unit: "x", Gated: true, HigherBetter: true}
 }
 
-// symmetricMetrics registers a symmetrized Cantilever twin both general
-// (naive CSR32 tuner) and symmetric (upper-triangle storage), enforces
-// numerical agreement, and reports the deterministic matrix-stream ratio —
-// the acceptance signal that symmetry halves the streamed bytes.
+// symmetricMetrics registers a symmetrized Cantilever twin with symmetric
+// (upper-triangle) storage, enforces numerical agreement with the general
+// CSR32 operator the naive tuner compiles, and reports the deterministic
+// matrix-stream ratio of the two — the acceptance signal that symmetry
+// halves the streamed bytes.
 func symmetricMetrics(metrics map[string]Metric) {
 	m, err := spmv.GenerateSuite("FEM/Cantilever", 0.05, 7)
 	if err != nil {
@@ -233,13 +234,14 @@ func symmetricMetrics(metrics map[string]Metric) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	symTrue, symFalse := true, false
+	symTrue := true
 
-	genCfg := pinnedConfig()
-	genCfg.Tune = spmv.NaiveOptions() // the general-CSR twin of the comparison
-	gen := server.New(genCfg)
-	defer gen.Close()
-	ginfo, err := gen.RegisterOpts("m", "cant-sym", sym, server.RegisterOptions{Symmetric: &symFalse})
+	// The general-CSR twin of the comparison.
+	gen, err := spmv.Compile(sym, spmv.NaiveOptions())
+	if err != nil {
+		log.Fatal(err)
+	}
+	gtr, err := gen.Traffic(spmv.TrafficOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -255,7 +257,7 @@ func symmetricMetrics(metrics map[string]Metric) {
 	}
 
 	x := randVec(sinfo.Cols, 13)
-	want, err := gen.MulOpts("m", x, server.MulOptions{})
+	want, err := gen.Mul(x)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -269,7 +271,7 @@ func symmetricMetrics(metrics map[string]Metric) {
 		}
 	}
 
-	ratio := float64(sinfo.MatrixBytes) / float64(ginfo.MatrixBytes)
+	ratio := float64(sinfo.MatrixBytes) / float64(gtr.MatrixBytes)
 	metrics["sym_matrix_stream_bytes"] = Metric{Value: float64(sinfo.MatrixBytes), Unit: "B"}
 	metrics["sym_matrix_stream_ratio"] = Metric{Value: ratio, Unit: "frac", Gated: true, HigherBetter: false}
 }

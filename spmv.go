@@ -186,11 +186,12 @@ type Operator struct {
 	threads    int
 
 	// src points at the source matrix's entries so the CSR hooks (Multi,
-	// RowPartition, Traffic fallback) can rebuild CSR storage on first
-	// use. The CSR itself is NOT retained eagerly: callers that never
-	// touch those hooks — a serving layer sweeps WideMulti views and
-	// models them with WideTraffic — hold the tuned encoding alone. nil
-	// for operators without a coordinate source (CompileSymmetric).
+	// RowPartition) can rebuild CSR storage on first use, and a parallel
+	// operator's Traffic can model its whole-matrix source gather. The CSR
+	// itself is NOT retained eagerly: callers that never touch those hooks
+	// — a serving layer sweeps WideMulti views and models them with
+	// Traffic — hold the tuned encoding alone. nil for operators without a
+	// coordinate source (CompileSymmetric).
 	src *matrix.COO
 
 	multiMu sync.Mutex
@@ -462,29 +463,11 @@ type TrafficOptions = traffic.Options
 type TrafficSummary = traffic.Summary
 
 // Traffic models the DRAM traffic of one y ← A·x sweep over the compiled
-// encoding (§5.1's flop:byte analysis, made executable). Parallel
-// composites fall back to the retained CSR stream, which is also what
-// multi-RHS sweeps stream.
-func (o *Operator) Traffic(opt TrafficOptions) (TrafficSummary, error) {
-	s, err := traffic.Analyze(o.k.Format(), opt)
-	if err != nil && o.src != nil {
-		o.multiMu.Lock()
-		csr, cerr := o.csrLocked()
-		o.multiMu.Unlock()
-		if cerr != nil {
-			return TrafficSummary{}, cerr
-		}
-		return traffic.Analyze(csr, opt)
-	}
-	return s, err
-}
-
-// WideTraffic models the DRAM traffic of one fused sweep through the
-// wide views (WideMulti): the operator's own encodings stream — summed
-// across the thread parts of a parallel operator — rather than the
-// retained-CSR fallback Traffic reports for parallel composites. It is the
+// encoding (§5.1's flop:byte analysis, made executable): what MulAdd and
+// the wide views (WideMulti) stream. A parallel operator's parts are
+// summed, and its source traffic is the whole-matrix gather. It is the
 // single-RHS basis; scale with TrafficSummary.MultiRHS.
-func (o *Operator) WideTraffic(opt TrafficOptions) (TrafficSummary, error) {
+func (o *Operator) Traffic(opt TrafficOptions) (TrafficSummary, error) {
 	p, ok := o.k.(*kernel.Parallel)
 	if !ok {
 		return traffic.Analyze(o.k.Format(), opt)

@@ -1,0 +1,55 @@
+package spmv
+
+import (
+	"testing"
+
+	"repro/internal/kernel"
+	"repro/internal/traffic"
+)
+
+// TestParallelTrafficSumsParts: a parallel operator's Traffic is what its
+// sweeps stream — the sum of its parts' encodings, whose matrix stream is
+// the compiled footprint, with the whole matrix's source gather — and
+// modeling it builds no CSR copy of the matrix.
+func TestParallelTrafficSumsParts(t *testing.T) {
+	m, err := GenerateSuite("FEM/Cantilever", 0.02, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	op, err := CompileParallel(m, TuneOptions{RegisterBlock: true, MinBlockRows: 2, ReduceIndices: true}, 3, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, ok := op.k.(*kernel.Parallel)
+	if !ok || len(p.Parts()) != 3 {
+		t.Fatalf("kernel %T, want a 3-part *kernel.Parallel", op.k)
+	}
+	var want traffic.Summary
+	for _, part := range p.Parts() {
+		s, err := traffic.Analyze(part.Enc, TrafficOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want.Add(s)
+	}
+	whole, err := traffic.Analyze(m.coo, TrafficOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want.SourceBytes = whole.SourceBytes
+
+	got, err := op.Traffic(TrafficOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Errorf("Traffic %+v, want the parts' sum %+v", got, want)
+	}
+	if got.MatrixBytes != op.FootprintBytes() || got.Flops != 2*op.NNZ() {
+		t.Errorf("matrix stream %d B, flops %d; want the footprint %d B and %d flops",
+			got.MatrixBytes, got.Flops, op.FootprintBytes(), 2*op.NNZ())
+	}
+	if op.lazyCSR != nil {
+		t.Error("Traffic left a CSR copy of the matrix on the operator")
+	}
+}
