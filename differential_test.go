@@ -1176,3 +1176,175 @@ func TestDifferentialShardedTrajectories(t *testing.T) {
 		})
 	}
 }
+
+// ---- concurrent solver sessions ----
+
+// concurrentCG starts one CG session per b on s at once and waits for all
+// of them. With mid set, it recompacts id once the first session has
+// iterated a few times.
+func concurrentCG(t *testing.T, s *server.Server, id string, bs [][]float64, mid bool) []server.SolveStatus {
+	t.Helper()
+	sids := make([]string, len(bs))
+	for i, b := range bs {
+		st, err := s.SolveOpts(id, server.SolveRequest{Method: "cg", B: b, Tol: 1e-8, MaxIters: 4000}, server.SolveOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sids[i] = st.SID
+	}
+	if mid {
+		for {
+			st, err := s.SolveStatus(sids[0], 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Iters >= 5 || st.State != "running" {
+				break
+			}
+			time.Sleep(200 * time.Microsecond)
+		}
+		if err := s.Recompact(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	out := make([]server.SolveStatus, len(sids))
+	for i, sid := range sids {
+		st, err := s.SolveStatus(sid, 30*time.Second)
+		for err == nil && st.State == "running" {
+			st, err = s.SolveStatus(sid, 30*time.Second)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.State != "converged" {
+			t.Fatalf("session %d ended %s after %d iterations: %s", i, st.State, st.Iters, st.Error)
+		}
+		out[i] = st
+	}
+	return out
+}
+
+// TestDifferentialConcurrentSessions: a solver iteration is a batch item,
+// so k = 1/2/4/8 concurrent CG sessions on one server share fused sweeps —
+// the server here lingers every window, so they fall into waves — and each
+// must iterate the bits of its solo run: iteration count, residual history
+// and x. The matrices are a general one (registered "symmetric": false), a
+// symmetric one (SymCSR, the default) and patched ones (a live delta
+// overlay) of both families; the general patched one recompacts mid-solve
+// at k = 4. (A patched SymCSR matrix is not recompacted here: its overlay
+// rows sum in column order, its rebuilt base in SymSweep's, and the bits
+// differ.) Two sessions over two in-process members fuse their band sweeps
+// on the members instead, and must iterate the general solo runs' bits.
+func TestDifferentialConcurrentSessions(t *testing.T) {
+	const side = 24
+	m := poissonGrid(t, side)
+	bs := laneVectors(side*side, 8, 43)
+	// Symmetric edits that keep the grid SPD.
+	patch := []server.Delta{
+		{Op: "add", Row: 0, Col: 0, Val: 0.5},
+		{Op: "add", Row: 300, Col: 300, Val: 2},
+		{Op: "set", Row: 30, Col: 31, Val: -0.5},
+		{Op: "set", Row: 31, Col: 30, Val: -0.5},
+	}
+	soloCfg := server.DefaultConfig()
+	soloCfg.RecompactThreshold = -1 // the patched matrix keeps its overlay
+	fusing := soloCfg
+	fusing.Adaptive, fusing.BatchWindow = false, time.Millisecond
+	general := false
+
+	solos := map[string][]server.SolveStatus{}
+	for _, tc := range []struct {
+		name      string
+		opts      server.RegisterOptions
+		patch     []server.Delta
+		recompact bool
+	}{
+		{"general", server.RegisterOptions{Symmetric: &general}, nil, false},
+		{"symmetric", server.RegisterOptions{}, nil, false},
+		{"patched", server.RegisterOptions{Symmetric: &general}, patch, true},
+		{"patched-symmetric", server.RegisterOptions{}, patch, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			serve := func(cfg server.Config) *server.Server {
+				s := server.New(cfg)
+				t.Cleanup(s.Close)
+				info, err := s.RegisterOpts("m", tc.name, m, tc.opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if info.Symmetric != (tc.opts.Symmetric == nil) {
+					t.Fatalf("registered symmetric=%v", info.Symmetric)
+				}
+				if tc.patch != nil {
+					if _, err := s.Patch("m", tc.patch); err != nil {
+						t.Fatal(err)
+					}
+				}
+				return s
+			}
+			solo := serve(soloCfg)
+			want := make([]server.SolveStatus, len(bs))
+			for i, b := range bs {
+				want[i] = cgTrajectory(t, solo, "m", b)
+			}
+			solos[tc.name] = want
+			for _, k := range []int{1, 2, 4, 8} {
+				s := serve(fusing)
+				mid := tc.recompact && k == 4
+				got := concurrentCG(t, s, "m", bs[:k], mid)
+				for i := range got {
+					path := fmt.Sprintf("k=%d/session %d", k, i)
+					if got[i].Iters != want[i].Iters {
+						t.Errorf("%s: %d iterations, alone %d", path, got[i].Iters, want[i].Iters)
+					}
+					checkBitwise(t, path+"/history", got[i].History, want[i].History)
+					checkBitwise(t, path+"/x", got[i].X, want[i].X)
+					if mid && got[i].ServingGenerationLast != 1 {
+						t.Errorf("%s: ended on generation %d, want the recompacted 1", path, got[i].ServingGenerationLast)
+					}
+				}
+				if st := s.Stats(); k > 1 && st.FusedSweeps == 0 {
+					t.Errorf("k=%d: no session sweeps fused (%d sweeps)", k, st.Sweeps)
+				}
+			}
+		})
+	}
+
+	t.Run("sharded", func(t *testing.T) {
+		want := solos["general"]
+		if want == nil {
+			t.Skip("the general solo runs failed")
+		}
+		members := make([]server.Transport, 2)
+		var ms []*server.Server
+		for i := range members {
+			s := server.New(fusing)
+			t.Cleanup(s.Close)
+			members[i], ms = server.NewLocalTransport(fmt.Sprintf("member%d", i), s), append(ms, s)
+		}
+		cluster, err := server.NewCluster(members, server.ClusterConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		front := server.New(server.DefaultConfig())
+		t.Cleanup(front.Close)
+		front.AttachCluster(cluster)
+		if _, err := cluster.RegisterSharded("m", "poisson", m, 2); err != nil {
+			t.Fatal(err)
+		}
+		got := concurrentCG(t, front, "m", bs[:2], false)
+		for i := range got {
+			path := fmt.Sprintf("session %d", i)
+			if got[i].Iters != want[i].Iters {
+				t.Errorf("%s: %d iterations, alone %d", path, got[i].Iters, want[i].Iters)
+			}
+			checkBitwise(t, path+"/history", got[i].History, want[i].History)
+			checkBitwise(t, path+"/x", got[i].X, want[i].X)
+		}
+		for i, s := range ms {
+			if st := s.Stats(); st.FusedSweeps == 0 {
+				t.Errorf("member %d: no band sweeps fused (%d sweeps)", i, st.Sweeps)
+			}
+		}
+	})
+}

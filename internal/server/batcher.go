@@ -1,6 +1,7 @@
 package server
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
 	"time"
@@ -12,26 +13,47 @@ type mulResult struct {
 	err error
 }
 
-// pending is one admitted Mul request waiting for its sweep. enq and
-// traced are the observability layer's per-request state (zero when the
-// layer is off): enq anchors the queue-wait span and the per-matrix
-// latency histogram, traced marks the requests the sampler picked for a
-// full span trace, sent is when the sweep's results were ready (stamped by
-// executeBatch before it delivers on ch, so the requester reads it after
-// the receive). acct/cost/deadline are the scheduling layer's state:
-// the tenant ledger holding the request's queued bytes (nil when
-// admission is off), the modeled byte cost it was admitted at, and the
-// absolute instant after which it must fail instead of execute (zero
-// when none).
+// pending is one batch item: a Mul request (a member band sweep is one
+// with a destination) or a solver session's iteration. A non-nil y is the
+// caller's destination, overwritten (nil: executeBatch allocates); a
+// non-nil cancel is a session's and marks a session item, which batches
+// only with session items, skips tenant admission and is reused across
+// iterations. enq and traced are the observability state (zero when off):
+// enq anchors the queue span and latency histograms, traced marks a
+// sampled trace. executeBatch stamps gen (the snapshot swept), dur (the
+// sweep's duration, zero with observability off) and sent (results ready)
+// before it delivers on ch. acct/cost/deadline are the scheduling state:
+// the tenant ledger holding the queued bytes (nil when admission is off),
+// the modeled cost, and the instant after which it fails (zero: none).
 type pending struct {
-	x        []float64
+	x, y     []float64
+	cancel   <-chan struct{}
 	ch       chan mulResult
 	enq      time.Time
 	traced   bool
+	gen      int
+	dur      time.Duration
 	sent     time.Time
 	acct     *tenantAccount
 	cost     int64
 	deadline time.Time
+}
+
+// dropped reports why p fails instead of sweeping in a batch of width items
+// that holds its gate slot: its deadline passed, or it is a session item
+// cancelled while a fused batch waited (a lone item's wait ends at the gate).
+func (p *pending) dropped(width int) error {
+	if !p.deadline.IsZero() && time.Now().After(p.deadline) {
+		return fmt.Errorf("%w: request expired while queued", ErrDeadlineExceeded)
+	}
+	if p.cancel != nil && width > 1 {
+		select {
+		case <-p.cancel:
+			return errSessionCancelled
+		default:
+		}
+	}
+	return nil
 }
 
 // openBatch is a batch still accepting joiners. reqs is guarded by the

@@ -522,7 +522,7 @@ func (s *Server) handleMul(w http.ResponseWriter, r *http.Request) {
 	if sw, ok := w.(*statusWriter); ok {
 		span = &sw.span
 	}
-	y, err := s.mulOpts(id, req.X, opts, span)
+	y, err := s.mulOpts(id, req.X, nil, opts, span)
 	xPool.Put(&req.X) // no sweep reads x once mulOpts has returned
 	if err == nil && wantsFrame(r, codec) {
 		writeFrame(w, y)
@@ -624,7 +624,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	e.Gauge("spmv_serve_matrices_registered", "Matrices in the registry.", float64(st.Registered))
 	e.Counter("spmv_serve_compiles_total", "Tuner+compile runs.", float64(st.Compiles))
 	e.Counter("spmv_serve_solve_sessions_total", "Solver sessions created.", float64(st.SolveSessions))
-	e.Counter("spmv_serve_solve_iters_total", "Solver iterations executed (each one width-1 sweep).", float64(st.SolveIters))
+	e.Counter("spmv_serve_solve_iters_total", "Solver iterations executed (each one lane of a sweep).", float64(st.SolveIters))
 	e.Counter("spmv_serve_patches_total", "PATCH batches applied.", float64(st.Patches))
 	e.Counter("spmv_serve_deltas_applied_total", "Individual COO deltas applied.", float64(st.DeltasApplied))
 	e.Counter("spmv_serve_recompactions_total", "Delta logs folded into a fresh tuned base.", float64(st.Recompactions))

@@ -14,7 +14,8 @@ import (
 // solver loop, DeleteMatrix and the listing are each written once against
 // it, so validation, admission, deadline, ledger and latency accounting
 // cannot drift between the two; lookup is the only code that knows there
-// are two kinds and in which order an id resolves.
+// are two kinds and in which order an id resolves. A solver iteration is
+// a mul of the session's own item: Muls and sweeps take one path.
 type servable interface {
 	// Dims returns the logical matrix's (rows, cols).
 	Dims() (rows, cols int)
@@ -27,15 +28,10 @@ type servable interface {
 	// symmetricMatrix reports whether the logical matrix is numerically
 	// symmetric, whatever storage serves it: CG's precondition.
 	symmetricMatrix() bool
-	// mul executes one admitted request. p carries x, the admission state
-	// to settle when execution starts (queued bytes, deadline) and the
-	// observability stamps; affinity is the sharded routing key.
+	// mul executes one batch item (see pending): an admitted request or a
+	// solver session's sweep, with the admission state to settle when
+	// execution starts; affinity is the sharded routing key.
 	mul(s *Server, p *pending, class sched.Class, affinity string) ([]float64, error)
-	// sweep runs one width-1 solver-session sweep y = A·x on the current
-	// generation, inside Server.sessionSweep's gate slot and timing, and
-	// reports that generation and the measured duration. The bits are those
-	// of a width-1 Mul.
-	sweep(s *Server, ss *solveSession, y, x []float64) (gen int, d time.Duration, err error)
 	// listing is the matrix's row in GET /v1/matrices.
 	listing() MatrixInfo
 	// teardown takes the matrix out of service: it leaves its table first
@@ -96,41 +92,10 @@ func (e *Entry) model() (int64, int, error) {
 }
 
 func (e *Entry) mul(s *Server, p *pending, class sched.Class, _ string) ([]float64, error) {
-	p.ch = make(chan mulResult, 1)
-	return s.batcherFor(e, class).mul(p)
-}
-
-func (e *Entry) sweep(s *Server, ss *solveSession, y, x []float64) (int, time.Duration, error) {
-	return e.sweepInto(s, ss.class, ss.cancel, y, x)
-}
-
-// sweepInto is the one width-1 session sweep y = A·x, a local session's or
-// (through LocalTransport.Sweep) a sharded session's on this member: the
-// current snapshot's width-1 sweep through the pool — exactly what a
-// width-1 Mul runs, and refuses, so solver bits match serving bits and a
-// promotion mid-solve moves none.
-func (e *Entry) sweepInto(s *Server, class sched.Class, cancel <-chan struct{}, y, x []float64) (int, time.Duration, error) {
-	sv := e.cur.Load()
-	if sv == nil {
-		return 0, 0, fmt.Errorf("server: matrix %q is still compiling", e.ID)
+	if p.ch == nil {
+		p.ch = make(chan mulResult, 1)
 	}
-	if len(x) != e.cols || len(y) != e.rows {
-		return 0, 0, fmt.Errorf("server: matrix %q is %dx%d, len(x)=%d, len(y)=%d", e.ID, e.rows, e.cols, len(x), len(y))
-	}
-	if !kernel.Finite(x) {
-		return 0, 0, errNonFiniteX
-	}
-	clear(y)
-	bytes := sweepModeledBytes(sv.matrixBytes, sv.sourceBytes, sv.destBytes, 1) + sv.ovBytes
-	d, err := s.sessionSweep(class, cancel, bytes, func() error { return s.runFused(sv, y, x, 1) })
-	if err != nil {
-		return 0, 0, err
-	}
-	if s.obs != nil {
-		sv.roof.Record(d, bytes)
-	}
-	s.recordSweep(sv, 1)
-	return sv.gen, d, nil
+	return s.batcherFor(e, class, p.cancel != nil).mul(p)
 }
 
 func (e *Entry) teardown(s *Server) (DeleteResult, error) {
@@ -157,37 +122,43 @@ func (e *shardedEntry) symmetricMatrix() bool {
 
 // mul is the sharded counterpart of executeBatch for a batch of one: the
 // gate orders the fan-out against local sweeps (a bulk sharded request
-// queues behind latency-class work like a local batch), then the
-// request's bytes leave the queued ledger, an expired deadline or a
-// non-finite x fails it, and the fan-out runs.
+// queues behind latency-class work like a local batch; a session's wait
+// ends with the session), then the request's bytes leave the queued
+// ledger, an expired deadline or a non-finite x fails it, and the fan-out
+// runs into p.y. A session item's bands go through Transport.Sweep, keyed
+// by the session id (affinity), and its x is left to the members' scans;
+// the bands are fixed at registration, so its generation is always 0.
 func (e *shardedEntry) mul(s *Server, p *pending, class sched.Class, affinity string) ([]float64, error) {
 	if sc := s.sched; sc != nil && sc.gate != nil {
-		sc.gate.Acquire(class, p.cost, nil)
+		if !sc.gate.Acquire(class, p.cost, p.cancel) {
+			return nil, errSessionCancelled
+		}
 		defer sc.gate.Release()
 	}
 	if p.acct != nil {
 		p.acct.queuedBytes.Add(-p.cost)
 	}
-	if !p.deadline.IsZero() && time.Now().After(p.deadline) {
-		return nil, fmt.Errorf("%w: request expired while queued", ErrDeadlineExceeded)
-	}
-	if !kernel.Finite(p.x) {
-		return nil, errNonFiniteX
-	}
-	y := make([]float64, e.rows)
-	if err := s.cluster.fanOut(e, y, p.x, affinity, false); err != nil {
+	if err := p.dropped(1); err != nil {
 		return nil, err
 	}
+	if p.cancel == nil && !kernel.Finite(p.x) {
+		return nil, errNonFiniteX
+	}
+	y := p.y
+	if y == nil {
+		y = make([]float64, e.rows)
+	}
+	var t0 time.Time
+	if s.obs != nil {
+		t0 = time.Now()
+	}
+	if err := s.cluster.fanOut(e, y, p.x, affinity, p.cancel != nil); err != nil {
+		return nil, err
+	}
+	if s.obs != nil {
+		p.dur = time.Since(t0)
+	}
 	return y, nil
-}
-
-// sweep fans one session iteration out under the session id as affinity key,
-// so under the affinity policy every iteration of a solve lands on the same
-// replica of each band. The bands are fixed at registration, so the
-// generation is always 0.
-func (e *shardedEntry) sweep(s *Server, ss *solveSession, y, x []float64) (int, time.Duration, error) {
-	d, err := s.sessionSweep(ss.class, ss.cancel, e.sweepBytes, func() error { return s.cluster.fanOut(e, y, x, ss.id, true) })
-	return 0, d, err
 }
 
 func (e *shardedEntry) listing() MatrixInfo {

@@ -426,9 +426,8 @@ func (s *Server) compileServed(m *spmv.Matrix, sym *bool) (*spmv.Operator, error
 // thread count and width (kernel.SymSweep) but not the general one: which
 // family serves is decided once per base matrix, never per request, and a
 // registration's "symmetric" pin overrides it (compileServed).
-// No choice here depends on the fused width a matrix will see:
-// VectorWidth only sizes cache and TLB blocks, and the set enables
-// neither.
+// No choice here depends on the fused width a matrix will see: the tuner
+// has no width input, and the set enables neither cache nor TLB blocking.
 func servingTune() spmv.TuneOptions {
 	return spmv.TuneOptions{
 		RegisterBlock: true,
@@ -471,7 +470,7 @@ func newServing(op *spmv.Operator, gen int, ov *delta.Overlay) (*serving, error)
 // (the kernels are deterministic and each request keeps its own vector
 // slot).
 func (s *Server) MulOpts(id string, x []float64, opts MulOptions) ([]float64, error) {
-	return s.mulOpts(id, x, opts, nil)
+	return s.mulOpts(id, x, nil, opts, nil)
 }
 
 // errNonFiniteX refuses a Mul whose x holds a NaN or ±Inf — in-process,
@@ -491,18 +490,18 @@ var errNonFiniteX = fmt.Errorf("%w: x has a NaN or infinite element", ErrInvalid
 // when a cluster served it, and the handler then cuts no codec stages.
 type mulSpan struct{ enq, sent time.Time }
 
-// mulOpts is MulOpts reporting the request's stage span into a non-nil
-// span. It is the one front door of every Mul, local or sharded: shape,
-// class, tenant admission, deadline stamp, and afterwards the ledger and
-// latency accounting happen here; only the execution in between is the
-// servable's.
-func (s *Server) mulOpts(id string, x []float64, opts MulOptions, span *mulSpan) ([]float64, error) {
+// mulOpts is MulOpts overwriting a non-nil y and reporting the request's
+// stage span into a non-nil span. It is the one front door of every Mul,
+// local or sharded: shape, class, tenant admission, deadline stamp, and
+// afterwards the ledger and latency accounting happen here; only the
+// execution in between is the servable's.
+func (s *Server) mulOpts(id string, x, y []float64, opts MulOptions, span *mulSpan) ([]float64, error) {
 	m, err := s.lookup(id)
 	if err != nil {
 		return nil, err
 	}
-	if rows, cols := m.Dims(); len(x) != cols {
-		return nil, fmt.Errorf("server: matrix %q is %dx%d, len(x)=%d", id, rows, cols, len(x))
+	if rows, cols := m.Dims(); len(x) != cols || y != nil && len(y) != rows {
+		return nil, fmt.Errorf("server: matrix %q is %dx%d, len(x)=%d, len(y)=%d", id, rows, cols, len(x), len(y))
 	}
 	// The admission cost is the request's single-RHS modeled sweep bytes.
 	// Fusion makes the actual cost cheaper (the matrix streams once per
@@ -516,7 +515,7 @@ func (s *Server) mulOpts(id string, x []float64, opts MulOptions, span *mulSpan)
 	if err != nil {
 		return nil, err
 	}
-	p := &pending{x: x, cost: cost}
+	p := &pending{x: x, y: y, cost: cost}
 	if sc := s.sched; sc != nil {
 		p.acct, err = sc.admit(opts.Tenant, class, p.cost)
 		if err != nil {
@@ -531,7 +530,7 @@ func (s *Server) mulOpts(id string, x []float64, opts MulOptions, span *mulSpan)
 		p.enq = time.Now()
 		p.traced = s.obs.sampler.Sample()
 	}
-	y, err := m.mul(s, p, class, opts.Affinity)
+	y, err = m.mul(s, p, class, opts.Affinity)
 	if err == nil {
 		if sc := s.sched; sc != nil && p.acct != nil {
 			sc.complete(p.acct, class, p.cost)
@@ -559,23 +558,29 @@ func (s *Server) mulOpts(id string, x []float64, opts MulOptions, span *mulSpan)
 	return y, err
 }
 
-// batcherKey separates batchers by matrix and SLO class: a batch is a
-// single scheduling unit at the gate, so mixing classes inside one would
+// batcherKey separates batchers by matrix, SLO class and kind: a batch is
+// a single scheduling unit at the gate, so mixing classes inside one would
 // let bulk work ride a latency batch's priority (or worse, drag a
-// latency request behind a bulk batch).
+// latency request behind a bulk batch); solver iterations batch only with
+// each other, lingering only when Adaptive is off: measured, sessions lost
+// more waiting for each other than fusion saved (DESIGN.md, "Solver sessions").
 type batcherKey struct {
-	id    string
-	class sched.Class
+	id      string
+	class   sched.Class
+	session bool
 }
 
-func (s *Server) batcherFor(e *Entry, class sched.Class) *batcher {
+func (s *Server) batcherFor(e *Entry, class sched.Class, session bool) *batcher {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	key := batcherKey{id: e.ID, class: class}
+	key := batcherKey{id: e.ID, class: class, session: session}
 	b, ok := s.batchers[key]
 	if !ok {
 		b = &batcher{maxBatch: s.cfg.MaxBatch, window: s.cfg.BatchWindow,
 			adaptive: s.cfg.Adaptive, busy: s.pool.Saturated}
+		if session && b.adaptive {
+			b.window = 0
+		}
 		b.exec = func(reqs []*pending) { s.executeBatch(e, class, b, reqs) }
 		s.batchers[key] = b
 	}
@@ -592,19 +597,19 @@ func (s *Server) recordSweep(sv *serving, width int) {
 	}
 }
 
-// executeBatch runs one closed batch as a multi-RHS sweep fanned out over
-// the pool. A width-1 batch takes the same path as any other (so lone and
-// fused requests produce identical bits). The whole batch runs on one
-// serving snapshot loaded up front, so a concurrent recompaction never
-// mixes operators within a sweep — in-flight sweeps drain on the
-// snapshot they started with.
+// executeBatch runs one closed batch — Muls, band sweeps or solver
+// iterations — as a multi-RHS sweep fanned out over the pool; a width-1
+// batch takes the same path (so lone and fused requests produce identical
+// bits). The batch runs on one serving snapshot loaded up front, so a
+// concurrent recompaction never mixes operators within a sweep.
 //
 // When the priority gate is on, the batch first acquires an execution
 // slot under its SLO class and total modeled bytes — this wait, not the
-// pool's sweep semaphore, is where cross-class ordering happens. Requests
-// whose deadline expired while the batch waited are failed here, after
-// the wait and before the sweep, so a saturated server sheds exactly the
-// work that can no longer meet its SLO.
+// pool's sweep semaphore, is where cross-class ordering happens; a lone
+// session item waits only while its session runs. Items whose deadline
+// expired or session was cancelled while the batch waited fail here,
+// after the wait and before the sweep, so a saturated server sheds
+// exactly the work that can no longer use its result.
 // Every result or error is counted out through b.handOut before it is sent.
 func (s *Server) executeBatch(e *Entry, class sched.Class, b *batcher, reqs []*pending) {
 	// One snapshot load for the entire batch: gate admission is priced on
@@ -614,19 +619,27 @@ func (s *Server) executeBatch(e *Entry, class sched.Class, b *batcher, reqs []*p
 	sv := e.cur.Load()
 	if sc := s.sched; sc != nil && sc.gate != nil && sv != nil {
 		bytes := sweepModeledBytes(sv.matrixBytes, sv.sourceBytes, sv.destBytes, len(reqs)) + sv.ovBytes
-		sc.gate.Acquire(class, bytes, nil)
+		var cancel <-chan struct{}
+		if len(reqs) == 1 {
+			cancel = reqs[0].cancel
+		}
+		if !sc.gate.Acquire(class, bytes, cancel) {
+			b.handOut(1)
+			reqs[0].ch <- mulResult{err: errSessionCancelled}
+			return
+		}
 		defer sc.gate.Release()
 	}
 	// The batch is executing: its bytes leave the tenants' queued ledgers,
-	// and deadline-expired requests fail instead of running.
+	// and expired or cancelled items fail instead of running.
 	live := reqs[:0]
 	for _, p := range reqs {
 		if p.acct != nil {
 			p.acct.queuedBytes.Add(-p.cost)
 		}
-		if !p.deadline.IsZero() && time.Now().After(p.deadline) {
+		if err := p.dropped(len(reqs)); err != nil {
 			b.handOut(1)
-			p.ch <- mulResult{err: fmt.Errorf("%w: request expired while queued", ErrDeadlineExceeded)}
+			p.ch <- mulResult{err: err}
 			continue
 		}
 		live = append(live, p)
@@ -660,13 +673,20 @@ func (s *Server) executeBatch(e *Entry, class sched.Class, b *batcher, reqs []*p
 	// the zeroed result vector — no copy in, no copy out. Wider batches
 	// interleave into pooled scratch (kernel.InterleaveInto, which also
 	// finds any NaN or ±Inf). The blocks are recycled across sweeps, so the
-	// hot path's only allocations are the result vectors handed back to
-	// callers.
+	// hot path's only allocations are result vectors for callers that
+	// brought no destination, made when first written (still cache-warm).
 	ys := make([][]float64, width)
+	for v, p := range reqs {
+		ys[v] = p.y
+	}
 	var xBlock, yBlock []float64
 	var nonFinite []bool // set only when some request's x holds a NaN or ±Inf
 	if width == 1 {
-		ys[0] = make([]float64, e.rows)
+		if ys[0] == nil {
+			ys[0] = make([]float64, e.rows)
+		} else {
+			clear(ys[0])
+		}
 		xBlock, yBlock = reqs[0].x, ys[0]
 	} else {
 		buf := e.getBuf(width)
@@ -704,10 +724,10 @@ func (s *Server) executeBatch(e *Entry, class sched.Class, b *batcher, reqs []*p
 	}
 	s.recordSweep(sv, width)
 	if width > 1 {
-		// Deinterleave into result vectors allocated only now: still
-		// cache-warm when written.
 		for v := range ys {
-			ys[v] = make([]float64, e.rows)
+			if ys[v] == nil {
+				ys[v] = make([]float64, e.rows)
+			}
 		}
 		kernel.DeinterleaveInto(ys, yBlock)
 	}
@@ -717,7 +737,11 @@ func (s *Server) executeBatch(e *Entry, class sched.Class, b *batcher, reqs []*p
 	}
 	b.handOut(width)
 	for v, p := range reqs {
-		p.sent = sent
+		if o != nil {
+			// Before the send: a session reuses its item for the next sweep.
+			o.stage.Observe(stageQueue, execStart.Sub(p.enq))
+		}
+		p.gen, p.dur, p.sent = sv.gen, execDone.Sub(interDone), sent
 		if nonFinite != nil && nonFinite[v] {
 			p.ch <- mulResult{err: errNonFiniteX}
 			continue
@@ -725,9 +749,6 @@ func (s *Server) executeBatch(e *Entry, class sched.Class, b *batcher, reqs []*p
 		p.ch <- mulResult{y: ys[v]}
 	}
 	if o != nil {
-		for _, p := range reqs {
-			o.stage.Observe(stageQueue, execStart.Sub(p.enq))
-		}
 		// Batch-level stages are one measurement each: the work is shared
 		// across the whole batch, and per-request copies would overweight
 		// wide batches in the stage histograms.
@@ -735,7 +756,7 @@ func (s *Server) executeBatch(e *Entry, class sched.Class, b *batcher, reqs []*p
 		o.stage.Observe(stageExecute, execDone.Sub(interDone))
 		o.stage.Observe(stageGather, sent.Sub(execDone))
 		for _, p := range reqs {
-			if p.traced {
+			if p.traced { // never a session item
 				o.traceMul(e.ID, sv.gen, width, p.enq, execStart, interDone, execDone, sent)
 			}
 		}
@@ -758,9 +779,9 @@ func (sv *serving) setOverlay(ov *delta.Overlay) {
 // pool, and the snapshot's delta overlay (if any) is applied after the
 // base pass: each dirty row's slots are overwritten with the row's
 // canonical merged content, making the result bitwise equal to a
-// from-scratch rebuild (see kernel.OverlayRows). Both the batcher's batches
-// and the solver sessions' per-iteration sweeps run through here, so they
-// share the same concurrency bounds and the same bits.
+// from-scratch rebuild (see kernel.OverlayRows). executeBatch is its one
+// caller, so Muls, member band sweeps and solver iterations share the same
+// concurrency bounds and the same bits.
 func (s *Server) runFused(sv *serving, yBlock, xBlock []float64, width int) error {
 	mo, err := sv.op.WideMulti(width)
 	if err != nil {

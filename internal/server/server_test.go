@@ -94,29 +94,24 @@ func burst(t *testing.T, s *Server, id string, xs [][]float64) [][]float64 {
 	return out
 }
 
-// fusedBits runs one fused sweep of width len(xs) over the entry's serving
-// snapshot — the sweep a full batch runs, without depending on the
-// batcher to coalesce — and returns each lane's y.
+// fusedBits runs one fused batch of width len(xs) over the entry's serving
+// snapshot — the batch a full batcher hands executeBatch, without depending
+// on the batcher to coalesce — and returns each lane's y.
 func fusedBits(t *testing.T, s *Server, id string, xs [][]float64) [][]float64 {
 	t.Helper()
 	e := mustEntry(t, s, id)
-	k := len(xs)
-	xBlock := make([]float64, e.cols*k)
+	reqs := make([]*pending, len(xs))
 	for v, x := range xs {
-		for j, xj := range x {
-			xBlock[j*k+v] = xj
-		}
+		reqs[v] = &pending{x: x, ch: make(chan mulResult, 1)}
 	}
-	yBlock := make([]float64, e.rows*k)
-	if err := s.runFused(e.cur.Load(), yBlock, xBlock, k); err != nil {
-		t.Fatal(err)
-	}
-	ys := make([][]float64, k)
-	for v := range ys {
-		ys[v] = make([]float64, e.rows)
-		for i := range ys[v] {
-			ys[v][i] = yBlock[i*k+v]
+	s.executeBatch(e, s.cfg.Sched.DefaultClass, &batcher{}, reqs)
+	ys := make([][]float64, len(xs))
+	for v, p := range reqs {
+		r := <-p.ch
+		if r.err != nil {
+			t.Fatal(r.err)
 		}
+		ys[v] = r.y
 	}
 	return ys
 }

@@ -552,7 +552,8 @@ func (e *shardedEntry) sweptInline() bool {
 }
 
 // fanOut scatters x to one replica of every band of e — through Transport.Mul,
-// where concurrent Muls coalesce, or a solver session's through Sweep — and
+// or a solver session's through Sweep, the Mul that writes into y; either
+// way concurrent band sweeps coalesce in the member's batcher — and
 // gathers the bands into y, which it overwrites (the bands tile the rows).
 // Every band gets its own goroutine (kernel.Run), the caller waiting, unless
 // e is a session's swept in line.

@@ -9,8 +9,9 @@
 // snapshot-swapped serving path as Mul traffic, and the client polls a
 // compact residual history.
 //
-// Determinism contract: session sweeps are width-1 sweeps of the entry's
-// current serving snapshot — the path a width-1 Mul takes — and the
+// Determinism contract: session sweeps are batch items on the path every
+// Mul takes — lane v of a fused sweep of the entry's current serving
+// snapshot has the bits of a width-1 sweep — and the
 // solver's reductions run in ordered-block mode. A mid-solve recompaction
 // therefore cannot change trajectory bits: the serving candidate set
 // (servingTune) holds only encodings that reproduce one accumulation
@@ -186,8 +187,9 @@ const (
 )
 
 // errSessionCancelled surfaces a cancellation observed inside the
-// solver's apply (a gate wait interrupted by DELETE or Close) so the
-// step loop can classify the finish as cancelled rather than failed.
+// solver's apply (a gate wait interrupted by DELETE or Close, or a fused
+// batch that dropped the session's item) so the step loop can classify
+// the finish as cancelled rather than failed.
 var errSessionCancelled = errors.New("server: solve session cancelled")
 
 // snapshot copies the observable state. full includes the residual
@@ -353,7 +355,7 @@ func (s *Server) SolveOpts(id string, req SolveRequest, opts SolveOptions) (Solv
 		slog.String("sid", ss.id), slog.String("matrix", id),
 		slog.String("method", ss.method), slog.Int("max_iters", maxIters),
 		slog.Int("generation", gen))
-	go s.runSolve(m, ss, req, maxIters)
+	go s.runSolve(m, ss, &pending{cancel: ss.cancel, cost: sweepBytes}, req, maxIters)
 	return ss.snapshot(true), nil
 }
 
@@ -433,34 +435,11 @@ func (s *Server) evictFinishedLocked() bool {
 // oldest-finished eviction.
 func (s *Server) finishSeq() uint64 { return s.sessFinishSeq.Add(1) }
 
-// sessionSweep runs one solver-session sweep's work under a gate slot and
-// returns its measured duration (zero with observability off). Session sweeps
-// queue at the same priority gate as Mul batches, under the session's class
-// and the modeled bytes of the generation they run on — a bulk solve waits
-// behind latency traffic (until aged) — until cancel closes; the wait is not timed.
-func (s *Server) sessionSweep(class sched.Class, cancel <-chan struct{}, bytes int64, work func() error) (time.Duration, error) {
-	if sc := s.sched; sc != nil && sc.gate != nil {
-		if !sc.gate.Acquire(class, bytes, cancel) {
-			return 0, errSessionCancelled
-		}
-		defer sc.gate.Release()
-	}
-	if s.obs == nil {
-		return 0, work()
-	}
-	t0 := time.Now()
-	if err := work(); err != nil {
-		return 0, err
-	}
-	d := time.Since(t0)
-	s.obs.stage.Observe(stageSolveSweep, d)
-	return d, nil
-}
-
 // runSolve is the session goroutine: it builds the solver over the
-// servable's session sweep — resolved once, at creation — and steps it to
-// a terminal state, publishing progress after every iteration.
-func (s *Server) runSolve(m servable, ss *solveSession, req SolveRequest, maxIters int) {
+// servable's mul of the session's item p — both resolved once, at
+// creation — and steps it to a terminal state, publishing progress after
+// every iteration.
+func (s *Server) runSolve(m servable, ss *solveSession, p *pending, req SolveRequest, maxIters int) {
 	defer s.sessWG.Done()
 	defer close(ss.done)
 
@@ -468,18 +447,25 @@ func (s *Server) runSolve(m servable, ss *solveSession, req SolveRequest, maxIte
 	// sweepGen the generation that sweep actually ran — the iteration
 	// trace must report the sweep's own generation, not whatever is
 	// current by trace time. Step calls apply synchronously on this
-	// goroutine, so plain variables suffice.
+	// goroutine, so plain variables suffice. Every sweep reuses the batch
+	// item p; it skips tenant admission, as the session pays per burst.
 	var sweepDur time.Duration
 	var sweepGen int
 	apply := func(y, x []float64) error {
-		gen, d, err := m.sweep(s, ss, y, x)
-		if err != nil {
+		p.x, p.y = x, y
+		if s.obs != nil {
+			p.enq = time.Now()
+		}
+		if _, err := m.mul(s, p, ss.class, ss.id); err != nil {
 			return err
 		}
-		sweepDur += d
-		sweepGen = gen
+		if s.obs != nil {
+			s.obs.stage.Observe(stageSolveSweep, p.dur)
+		}
+		sweepDur += p.dur
+		sweepGen = p.gen
 		ss.mu.Lock()
-		ss.genLast = gen
+		ss.genLast = p.gen
 		ss.mu.Unlock()
 		return nil
 	}

@@ -68,7 +68,7 @@ type Stats struct {
 	Compiles   uint64 // tuner+compile runs at registration
 
 	// Solver sessions (see solve.go): sessions created and iterations
-	// executed server-side. Each iteration is one width-1 fused sweep, so
+	// executed server-side. Each iteration is one lane of a sweep, so
 	// solver work also shows up in Sweeps and the modeled byte counters.
 	SolveSessions uint64
 	SolveIters    uint64

@@ -10,10 +10,26 @@ import (
 	spmv "repro"
 )
 
+// sessionTransport sweeps the way a local solver session's iteration does:
+// a session item (its own y and cancel) through the entry's servable mul,
+// past the front door — no request counted, no tenant admission.
+type sessionTransport struct{ *LocalTransport }
+
+func (t sessionTransport) Sweep(id string, y, x []float64) error {
+	m, err := t.s.lookup(id)
+	if err != nil {
+		return err
+	}
+	_, err = m.mul(t.s, &pending{x: x, y: y, cancel: make(chan struct{})}, t.s.cfg.Sched.DefaultClass, "")
+	return err
+}
+
 // TestTransportSweepParity: Transport.Sweep refuses what Transport.Mul
 // refuses, with the same classification, and answers Mul's bits — overlay
 // pass included — on both transports, counting in the member's Stats like
-// the Mul it replaces.
+// the Mul it is: the local and the HTTP Sweep add the same to Requests and
+// Sweeps. A local solver session's sweep, the third input, answers the
+// same bits and counts one sweep and no request.
 func TestTransportSweepParity(t *testing.T) {
 	const rows, cols = 40, 56
 	cfg := DefaultConfig()
@@ -49,7 +65,18 @@ func TestTransportSweepParity(t *testing.T) {
 		bad[i] = v
 		return bad
 	}
-	for name, tr := range map[string]Transport{"local": lt, "http": NewHTTPTransport(mts.URL, nil)} {
+	type delta struct{ requests, sweeps uint64 }
+	moved := map[string]delta{}
+	for _, tc := range []struct {
+		name string
+		tr   Transport
+		want delta
+	}{
+		{"local", lt, delta{1, 1}},
+		{"http", NewHTTPTransport(mts.URL, nil), delta{1, 1}},
+		{"session", sessionTransport{lt}, delta{0, 1}},
+	} {
+		name, tr := tc.name, tc.tr
 		t.Run(name, func(t *testing.T) {
 			want, err := tr.Mul("band", x)
 			if err != nil {
@@ -64,9 +91,13 @@ func TestTransportSweepParity(t *testing.T) {
 				t.Fatal(err)
 			}
 			mustBitwise(t, "Sweep vs Mul", got, want)
-			if after := ms.Stats(); after.Requests != before.Requests+1 || after.Sweeps != before.Sweeps+1 {
-				t.Errorf("one Sweep moved the member's requests %d → %d and sweeps %d → %d, want +1 each",
-					before.Requests, after.Requests, before.Sweeps, after.Sweeps)
+			after := ms.Stats()
+			moved[name] = delta{after.Requests - before.Requests, after.Sweeps - before.Sweeps}
+			if moved[name] != tc.want {
+				t.Errorf("one Sweep moved the member's (requests, sweeps) by %+v, want %+v", moved[name], tc.want)
+			}
+			if name == "session" {
+				return // validated at SolveOpts, not per sweep
 			}
 
 			for _, tc := range []struct {
@@ -92,6 +123,9 @@ func TestTransportSweepParity(t *testing.T) {
 				}
 			}
 		})
+	}
+	if moved["local"] != moved["http"] {
+		t.Errorf("a local Sweep moved the member's (requests, sweeps) by %+v, an HTTP Sweep by %+v", moved["local"], moved["http"])
 	}
 }
 

@@ -23,9 +23,9 @@ type Transport interface {
 	Register(id, name string, m *spmv.Matrix) (MatrixInfo, error)
 	// Mul computes y = A·x against a previously registered band.
 	Mul(id string, x []float64) ([]float64, error)
-	// Sweep is one width-1 solver-session sweep of the band into the
-	// caller's y (the band's rows long), which it overwrites: the bits of a
-	// deterministic width-1 Mul, refused for what Mul refuses.
+	// Sweep is a Mul whose result the member writes into the caller's y
+	// (the band's rows long), which it overwrites: a solver session's band
+	// sweep, with Mul's bits, refused for what Mul refuses.
 	Sweep(id string, y, x []float64) error
 	// Unregister tears down a previously registered band on the member,
 	// releasing its serving snapshot. Unknown ids are an error (the
@@ -63,17 +63,12 @@ func (t *LocalTransport) Mul(id string, x []float64) ([]float64, error) {
 	return t.s.MulOpts(id, x, MulOptions{})
 }
 
-// Sweep runs the body a local solver session runs (Entry.sweepInto) straight
-// into y: no batcher (serial iterations have nothing to coalesce with), result
-// vector or tenant bucket (the front's runSolve charged the session); the
-// member's gate (default class) and Stats still see the sweep.
+// Sweep is the member's Mul front door with a destination: the band
+// sweep joins the member's batcher like any Mul, so it can fuse with
+// concurrent sweeps of the band, and its result is written straight into y.
+// An HTTP member serves it the same way.
 func (t *LocalTransport) Sweep(id string, y, x []float64) error {
-	e, err := t.s.reg.get(id)
-	if err != nil {
-		return err
-	}
-	t.s.st.requests.Add(1)
-	_, _, err = e.sweepInto(t.s, t.s.cfg.Sched.DefaultClass, nil, y, x)
+	_, err := t.s.mulOpts(id, x, y, MulOptions{}, nil)
 	return err
 }
 

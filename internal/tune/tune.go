@@ -75,16 +75,6 @@ type Options struct {
 	// sparse line-budget heuristic. 0 selects sparse cache blocking.
 	FixedColumnSpan int
 
-	// VectorWidth is the fused multi-RHS width the encoding should be
-	// blocked for (a serving layer's observed batch width; see §2.1's
-	// multiple-vectors optimization). Cache and TLB blocking treat every
-	// vector element as VectorWidth interleaved values — 8*VectorWidth
-	// bytes per logical element — so a width-k fused sweep's vector
-	// working set still fits the budget. <= 1 tunes for single-vector
-	// sweeps (the default, and the registration-time guess of the
-	// serving layer before it has observed any traffic).
-	VectorWidth int
-
 	// TrySymmetric lets the compile path (spmv.Compile, CompileParallel)
 	// serve a square, numerically symmetric matrix from upper-triangle
 	// (SymCSR) storage when that footprint is strictly smaller than the
@@ -250,9 +240,6 @@ func normalize(opt *Options) {
 	if opt.CacheBudgetBytes <= 0 {
 		opt.CacheBudgetBytes = 1 << 20
 	}
-	if opt.VectorWidth < 1 {
-		opt.VectorWidth = 1
-	}
 }
 
 // span is a rectangle of the matrix, rows [r0,r1) × cols [c0,c1).
@@ -266,11 +253,7 @@ func planBlocks(csr *matrix.CSR32, opt Options) ([]span, error) {
 	if !opt.CacheBlock && !opt.TLBBlock {
 		return whole, nil
 	}
-	// A width-k fused sweep interleaves k values per vector element, so
-	// every blocking quantity is derived from the effective element size
-	// 8*VectorWidth: lines and pages hold proportionally fewer logical
-	// elements and blocks shrink until the fused working set fits.
-	elemBytes := 8 * opt.VectorWidth
+	const elemBytes = 8 // one float64 per vector element
 	lineElems := opt.LineBytes / elemBytes
 	if lineElems < 1 {
 		lineElems = 1
@@ -281,7 +264,7 @@ func planBlocks(csr *matrix.CSR32, opt Options) ([]span, error) {
 	if srcLines < 1 || dstLines < 1 {
 		return whole, nil
 	}
-	vectorsFit := int64(csr.R+csr.C)*int64(elemBytes) <= opt.CacheBudgetBytes
+	vectorsFit := int64(csr.R+csr.C)*elemBytes <= opt.CacheBudgetBytes
 	if opt.CacheBlock && vectorsFit && opt.FixedColumnSpan == 0 {
 		return whole, nil
 	}
