@@ -367,10 +367,7 @@ func blockedParallel(t *testing.T, csr *matrix.CSR32, shape matrix.BlockShape, b
 	}
 	var parts []kernel.Part
 	for _, r := range part.Ranges {
-		sub, err := matrix.NewCSR[uint32](csr.SubmatrixCOO(r.Lo, r.Hi, 0, csr.C))
-		if err != nil {
-			t.Fatal(err)
-		}
+		sub := csr.Submatrix(r.Lo, r.Hi, 0, csr.C)
 		var enc matrix.Format
 		if bits16 {
 			enc, err = matrix.NewBCSR[uint16](sub, shape)

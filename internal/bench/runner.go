@@ -188,11 +188,7 @@ func (r *Runner) Evaluate(name string, cfg perf.Config, level OptLevel) (perf.Es
 	partition.AssignNUMA(part, cfg.SocketsUsed)
 	sums := make([]traffic.Summary, 0, threads)
 	for _, rg := range part.Ranges {
-		sub := csr.SubmatrixCOO(rg.Lo, rg.Hi, 0, csr.C)
-		subCSR, err := matrix.NewCSR[uint32](sub)
-		if err != nil {
-			return perf.Estimate{}, err
-		}
+		subCSR := csr.Submatrix(rg.Lo, rg.Hi, 0, csr.C)
 		enc, err := r.encodeSerial(subCSR, topt, level)
 		if err != nil {
 			return perf.Estimate{}, err

@@ -15,11 +15,7 @@ func buildColParts(t testing.TB, csr *matrix.CSR32, n int) []ColPart {
 	spans := partition.FixedWidthSpans(csr.C, (csr.C+n-1)/n)
 	var parts []ColPart
 	for _, s := range spans {
-		sub := csr.SubmatrixCOO(0, csr.R, s.Lo, s.Hi)
-		enc, err := matrix.NewCSR[uint32](sub)
-		if err != nil {
-			t.Fatal(err)
-		}
+		enc := csr.Submatrix(0, csr.R, s.Lo, s.Hi)
 		parts = append(parts, ColPart{Span: s, Enc: enc})
 	}
 	return parts
@@ -60,11 +56,7 @@ func TestParallelColumnsWithBlockedSlabs(t *testing.T) {
 	spans := partition.FixedWidthSpans(256, 64)
 	var parts []ColPart
 	for i, s := range spans {
-		sub := csr.SubmatrixCOO(0, 64, s.Lo, s.Hi)
-		subCSR, err := matrix.NewCSR[uint32](sub)
-		if err != nil {
-			t.Fatal(err)
-		}
+		subCSR := csr.Submatrix(0, 64, s.Lo, s.Hi)
 		var enc matrix.Format = subCSR
 		if i%2 == 1 {
 			b, err := matrix.NewBCSR[uint16](subCSR, matrix.BlockShape{R: 2, C: 4})
@@ -93,8 +85,7 @@ func TestParallelColumnsValidation(t *testing.T) {
 	}
 	// Wrong dims.
 	bad := parts
-	sub := csr.SubmatrixCOO(0, 5, 0, 10)
-	badEnc, _ := matrix.NewCSR[uint32](sub)
+	badEnc := csr.Submatrix(0, 5, 0, 10)
 	bad[0].Enc = badEnc
 	if _, err := NewParallelColumns(10, 20, bad); err == nil {
 		t.Error("wrong slab dims accepted")
@@ -214,11 +205,7 @@ func TestQuickParallelStrategiesAgree(t *testing.T) {
 		}
 		var rowParts []Part
 		for _, rg := range part.Ranges {
-			sub := csr.SubmatrixCOO(rg.Lo, rg.Hi, 0, cols)
-			enc, err := matrix.NewCSR[uint32](sub)
-			if err != nil {
-				return false
-			}
+			enc := csr.Submatrix(rg.Lo, rg.Hi, 0, cols)
 			rowParts = append(rowParts, Part{Range: rg, Enc: enc})
 		}
 		rowK, err := NewParallel(rows, cols, rowParts)
@@ -230,11 +217,7 @@ func TestQuickParallelStrategiesAgree(t *testing.T) {
 		spans := partition.FixedWidthSpans(cols, (cols+threads-1)/threads)
 		var colParts []ColPart
 		for _, s := range spans {
-			sub := csr.SubmatrixCOO(0, rows, s.Lo, s.Hi)
-			enc, err := matrix.NewCSR[uint32](sub)
-			if err != nil {
-				return false
-			}
+			enc := csr.Submatrix(0, rows, s.Lo, s.Hi)
 			colParts = append(colParts, ColPart{Span: s, Enc: enc})
 		}
 		colK, err := NewParallelColumns(rows, cols, colParts)

@@ -270,11 +270,7 @@ func TestCacheBlockedKernel(t *testing.T) {
 	idx := 0
 	for _, rb := range [][2]int{{0, 50}, {50, 100}} {
 		for _, cb := range [][2]int{{0, 50}, {50, 100}, {100, 150}} {
-			sub := csr.SubmatrixCOO(rb[0], rb[1], cb[0], cb[1])
-			subCSR, err := matrix.NewCSR[uint32](sub)
-			if err != nil {
-				t.Fatal(err)
-			}
+			subCSR := csr.Submatrix(rb[0], rb[1], cb[0], cb[1])
 			var enc matrix.Format
 			if idx%2 == 0 {
 				b, err := matrix.NewBCSR[uint16](subCSR, shapes[idx])
@@ -319,11 +315,7 @@ func TestParallelKernel(t *testing.T) {
 		}
 		var parts []Part
 		for i, r := range p.Ranges {
-			sub := csr.SubmatrixCOO(r.Lo, r.Hi, 0, 173)
-			subCSR, err := matrix.NewCSR[uint32](sub)
-			if err != nil {
-				t.Fatal(err)
-			}
+			subCSR := csr.Submatrix(r.Lo, r.Hi, 0, 173)
 			// Alternate encodings across parts to exercise mixing.
 			var enc matrix.Format = subCSR
 			if i%2 == 1 {
@@ -373,8 +365,7 @@ func serialExec(tasks []func()) {
 func TestParallelRejectsBadParts(t *testing.T) {
 	m := matrix.NewCOO(10, 10)
 	csr, _ := matrix.NewCSR[uint32](m)
-	sub := csr.SubmatrixCOO(0, 5, 0, 10)
-	subCSR, _ := matrix.NewCSR[uint32](sub)
+	subCSR := csr.Submatrix(0, 5, 0, 10)
 	// Gap: part covers rows [0,5) only.
 	if _, err := NewParallel(10, 10, []Part{
 		{Range: partition.Range{Lo: 0, Hi: 5}, Enc: subCSR},

@@ -57,10 +57,7 @@ func TestParallelConcurrentMulAdd(t *testing.T) {
 	}
 	var slabs []kernel.ColPart
 	for _, sp := range partition.FixedWidthSpans(lpCSR.C, (lpCSR.C+1)/2) {
-		enc, err := matrix.NewCSR[uint32](lpCSR.SubmatrixCOO(0, lpCSR.R, sp.Lo, sp.Hi))
-		if err != nil {
-			t.Fatal(err)
-		}
+		enc := lpCSR.Submatrix(0, lpCSR.R, sp.Lo, sp.Hi)
 		slabs = append(slabs, kernel.ColPart{Span: sp, Enc: enc})
 	}
 	columns, err := kernel.NewParallelColumns(lpCSR.R, lpCSR.C, slabs)
@@ -169,11 +166,9 @@ func paddedCacheBlocked(t *testing.T) *matrix.CacheBlocked {
 	var blocks []matrix.CacheBlock
 	for i, rb := range [][2]int{{0, 50}, {50, 101}} {
 		for j, cb := range [][2]int{{0, 75}, {75, 151}} {
-			sub, err := matrix.NewCSR[uint32](csr.SubmatrixCOO(rb[0], rb[1], cb[0], cb[1]))
-			if err != nil {
-				t.Fatal(err)
-			}
+			sub := csr.Submatrix(rb[0], rb[1], cb[0], cb[1])
 			var enc matrix.Format
+			var err error
 			if (i+j)%2 == 0 {
 				enc, err = matrix.NewBCOO[uint16](sub, matrix.BlockShape{R: 4, C: 4})
 			} else {

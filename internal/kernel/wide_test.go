@@ -59,10 +59,7 @@ func TestWideParallelExec(t *testing.T) {
 	}
 	var parts []Part
 	for _, r := range part.Ranges {
-		sub, err := matrix.NewCSR[uint32](csr.SubmatrixCOO(r.Lo, r.Hi, 0, csr.C))
-		if err != nil {
-			t.Fatal(err)
-		}
+		sub := csr.Submatrix(r.Lo, r.Hi, 0, csr.C)
 		parts = append(parts, Part{Range: r, Enc: sub})
 	}
 	p, err := NewParallel(csr.R, csr.C, parts)

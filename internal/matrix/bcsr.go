@@ -2,7 +2,8 @@ package matrix
 
 import (
 	"fmt"
-	"slices"
+	"math"
+	"math/bits"
 )
 
 // BlockShape is a register-blocking tile shape. The paper restricts itself
@@ -53,63 +54,125 @@ type BCSR[I Index] struct {
 // range (note the index compression here: tile column indices shrink by a
 // factor of Shape.C relative to scalar column indices).
 func NewBCSR[I Index](src *CSR32, shape BlockShape) (*BCSR[I], error) {
-	if !shape.valid() {
-		return nil, fmt.Errorf("matrix: unsupported block shape %v", shape)
+	if err := checkTiling[I](src, shape, false); err != nil {
+		return nil, err
 	}
-	bcols := (src.C + shape.C - 1) / shape.C
-	if bcols > MaxIndex[I]()+1 {
-		return nil, fmt.Errorf("%w: %d tile columns with %d-byte indices",
+	rowPtr, bcol, val := tile[I](src, shape)
+	return &BCSR[I]{
+		R: src.R, C: src.C, Shape: shape,
+		BlockRows: len(rowPtr) - 1, RowPtr: rowPtr, BCol: bcol, Val: val,
+		nnz: src.NNZ(),
+	}, nil
+}
+
+// checkTiling rejects a shape outside BlockShapes and a tile grid whose
+// tile columns (and, for block-coordinate storage, tile rows) overflow I.
+func checkTiling[I Index](src *CSR32, shape BlockShape, rowIndices bool) error {
+	if !shape.valid() {
+		return fmt.Errorf("matrix: unsupported block shape %v", shape)
+	}
+	if bcols := (src.C + shape.C - 1) / shape.C; bcols > MaxIndex[I]()+1 {
+		return fmt.Errorf("%w: %d tile columns with %d-byte indices",
 			ErrIndexOverflow, bcols, IndexBytes[I]())
 	}
-	brows := (src.R + shape.R - 1) / shape.R
-	out := &BCSR[I]{
-		R:         src.R,
-		C:         src.C,
-		Shape:     shape,
-		BlockRows: brows,
-		RowPtr:    make([]int64, brows+1),
-		nnz:       src.NNZ(),
+	if brows := (src.R + shape.R - 1) / shape.R; rowIndices && brows > MaxIndex[I]()+1 {
+		return fmt.Errorf("%w: %d tile rows with %d-byte indices",
+			ErrIndexOverflow, brows, IndexBytes[I]())
 	}
-	area := shape.Area()
-	// Per tile row: collect the distinct tile columns its scalar rows touch
-	// (slot marks a tile column seen in this tile row), sort them, give
-	// each its tile, then scatter the values into the zero-filled tiles.
-	slot := make([]int, bcols)
-	for i := range slot {
-		slot[i] = -1
+	return nil
+}
+
+// tile lays src out in shape-aligned tiles: per tile row, its tiles in
+// ascending tile column, each tile's values row-major with zero fill;
+// rowPtr indexes the tiles by tile row. A tile row's scalar rows are each
+// sorted, so merging them by tile column (col >> log₂ Shape.C) meets the
+// tiles in order: one merge counts them, a second fills them. 1×1 tiles
+// are src's nonzeros: RowPtr and Val are shared with src, as NarrowCSR
+// shares them.
+func tile[I Index](src *CSR32, shape BlockShape) (rowPtr []int64, bcol []I, val []float64) {
+	if shape.Area() == 1 {
+		bcol = make([]I, len(src.Col))
+		for k, c := range src.Col {
+			bcol[k] = I(c)
+		}
+		return src.RowPtr, bcol, src.Val
 	}
-	var bcs []int
+	shiftC := uint(bits.TrailingZeros(uint(shape.C)))
+	shiftR := uint(bits.TrailingZeros(uint(shape.R)))
+	mask := uint32(shape.C - 1)
+	brows := (src.R + shape.R - 1) >> shiftR
+	rowPtr = make([]int64, brows+1)
+	var m tileMerge
 	for br := 0; br < brows; br++ {
-		r0 := br * shape.R
-		r1 := min(r0+shape.R, src.R)
-		cols := src.Col[src.RowPtr[r0]:src.RowPtr[r1]]
-		bcs = bcs[:0]
-		for _, j := range cols {
-			if bc := int(j) / shape.C; slot[bc] < 0 {
-				slot[bc] = 0
-				bcs = append(bcs, bc)
+		n := rowPtr[br]
+		for m.start(src, br<<shiftR, shape.R); ; n++ {
+			bc, ok := m.next(shiftC)
+			if !ok {
+				break
+			}
+			for dr := 0; dr < m.rows; dr++ {
+				m.cur[dr] = m.run(dr, bc, shiftC)
 			}
 		}
-		slices.Sort(bcs)
-		first := len(out.BCol)
-		for t, bc := range bcs {
-			slot[bc] = first + t
-			out.BCol = append(out.BCol, I(bc))
-		}
-		out.Val = append(out.Val, make([]float64, len(bcs)*area)...)
-		for i := r0; i < r1; i++ {
-			for k := src.RowPtr[i]; k < src.RowPtr[i+1]; k++ {
-				j := int(src.Col[k])
-				bc := j / shape.C
-				out.Val[slot[bc]*area+(i-r0)*shape.C+j-bc*shape.C] = src.Val[k]
-			}
-		}
-		for _, bc := range bcs {
-			slot[bc] = -1
-		}
-		out.RowPtr[br+1] = int64(len(out.BCol))
+		rowPtr[br+1] = n
 	}
-	return out, nil
+	area := int64(shape.Area())
+	bcol = make([]I, rowPtr[brows])
+	val = make([]float64, rowPtr[brows]*area)
+	for br := 0; br < brows; br++ {
+		m.start(src, br<<shiftR, shape.R)
+		for t := rowPtr[br]; t < rowPtr[br+1]; t++ {
+			bc, _ := m.next(shiftC)
+			bcol[t] = I(bc)
+			for dr := 0; dr < m.rows; dr++ {
+				row := val[t*area+int64(dr<<shiftC):]
+				k := m.run(dr, bc, shiftC)
+				for j := m.cur[dr]; j < k; j++ {
+					row[src.Col[j]&mask] = src.Val[j]
+				}
+				m.cur[dr] = k
+			}
+		}
+	}
+	return rowPtr, bcol, val
+}
+
+// tileMerge walks the sorted scalar rows of one tile row together, tile
+// column by tile column.
+type tileMerge struct {
+	src      *CSR32
+	rows     int
+	cur, end [4]int64
+}
+
+// start positions the merge at the first nonzero of each of the (up to
+// height) rows from r0.
+func (m *tileMerge) start(src *CSR32, r0, height int) {
+	m.src, m.rows = src, min(height, src.R-r0)
+	for dr := 0; dr < m.rows; dr++ {
+		m.cur[dr], m.end[dr] = src.RowPtr[r0+dr], src.RowPtr[r0+dr+1]
+	}
+}
+
+// next returns the smallest tile column any row has left, or false when
+// every row is done.
+func (m *tileMerge) next(shiftC uint) (uint32, bool) {
+	bc, ok := uint32(math.MaxUint32), false
+	for dr := 0; dr < m.rows; dr++ {
+		if m.cur[dr] < m.end[dr] {
+			bc, ok = min(bc, m.src.Col[m.cur[dr]]>>shiftC), true
+		}
+	}
+	return bc, ok
+}
+
+// run returns the end of row dr's run of nonzeros in tile column bc.
+func (m *tileMerge) run(dr int, bc uint32, shiftC uint) int64 {
+	k := m.cur[dr]
+	for k < m.end[dr] && m.src.Col[k]>>shiftC == bc {
+		k++
+	}
+	return k
 }
 
 // Dims implements Format.
@@ -185,29 +248,21 @@ type BCOO[I Index] struct {
 // NewBCOO register-blocks a CSR matrix into block-coordinate form. Both the
 // tile row and tile column index must fit the index type.
 func NewBCOO[I Index](src *CSR32, shape BlockShape) (*BCOO[I], error) {
-	b, err := NewBCSR[I](src, shape)
-	if err != nil {
+	if err := checkTiling[I](src, shape, true); err != nil {
 		return nil, err
 	}
-	if b.BlockRows > MaxIndex[I]()+1 {
-		return nil, fmt.Errorf("%w: %d tile rows with %d-byte indices",
-			ErrIndexOverflow, b.BlockRows, IndexBytes[I]())
-	}
-	out := &BCOO[I]{
-		R:     src.R,
-		C:     src.C,
-		Shape: shape,
-		BRow:  make([]I, 0, b.Blocks()),
-		BCol:  append([]I(nil), b.BCol...),
-		Val:   b.Val,
-		nnz:   src.NNZ(),
-	}
-	for br := 0; br < b.BlockRows; br++ {
-		for t := b.RowPtr[br]; t < b.RowPtr[br+1]; t++ {
-			out.BRow = append(out.BRow, I(br))
+	rowPtr, bcol, val := tile[I](src, shape)
+	brow := make([]I, len(bcol))
+	for br := range len(rowPtr) - 1 {
+		for t := rowPtr[br]; t < rowPtr[br+1]; t++ {
+			brow[t] = I(br)
 		}
 	}
-	return out, nil
+	return &BCOO[I]{
+		R: src.R, C: src.C, Shape: shape,
+		BRow: brow, BCol: bcol, Val: val,
+		nnz: src.NNZ(),
+	}, nil
 }
 
 // Dims implements Format.

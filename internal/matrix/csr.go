@@ -1,8 +1,8 @@
 package matrix
 
 import (
-	"cmp"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 )
@@ -31,62 +31,114 @@ type (
 
 // NewCSR builds a CSR matrix from a COO matrix, sorting entries into row
 // then column order and summing duplicates. It returns ErrIndexOverflow if
-// the column dimension does not fit the index type.
+// the column dimension does not fit the index type, or if the matrix holds
+// 2^32 entries or more.
+//
+// The order is the stable (row, col) permutation: duplicate entries keep
+// their insertion order, so they are summed in a deterministic sequence.
+// Any sub-matrix that preserves insertion order (e.g. a shard
+// coordinator's row bands) then reproduces the full matrix's per-row
+// accumulation bit for bit. Every step is an integer-key pass: one pass
+// counts the rows and finds the rows whose columns arrive out of order,
+// and only those rows are then sorted, each by (column, arrival) keys.
 func NewCSR[I Index](m *COO) (*CSR[I], error) {
 	if m.C > MaxIndex[I]()+1 {
 		return nil, fmt.Errorf("%w: %d columns with %d-byte indices",
 			ErrIndexOverflow, m.C, IndexBytes[I]())
 	}
 	n := len(m.Val)
-	// Stable sort by (row, col): duplicate entries keep their insertion
-	// order, so they are summed in a deterministic sequence. Any sub-matrix
-	// that preserves insertion order (e.g. a shard coordinator's row bands)
-	// then reproduces the full matrix's per-row accumulation bit for bit.
-	// A counting sort buckets the entries by row in insertion order; a row
-	// is then sorted by column, stably, only if it arrived out of order.
-	start := make([]int, m.R+1)
-	for _, r := range m.RowIdx {
-		start[r+1]++
+	if uint64(n) > math.MaxUint32 {
+		return nil, fmt.Errorf("%w: %d entries", ErrIndexOverflow, n)
 	}
-	for i := 0; i < m.R; i++ {
-		start[i+1] += start[i]
-	}
-	order := make([]int, n)
-	next := slices.Clone(start[:m.R])
+	// last[r] is one more than the last column row r received, or
+	// unsortedRow once a column arrived below it.
+	rowPtr := make([]int64, m.R+1)
+	last := make([]uint32, m.R)
+	adjacentDup := false
 	for k, r := range m.RowIdx {
-		order[next[r]] = k
-		next[r]++
-	}
-	byCol := func(a, b int) int { return cmp.Compare(m.ColIdx[a], m.ColIdx[b]) }
-	for i := 0; i < m.R; i++ {
-		if row := order[start[i]:start[i+1]]; !slices.IsSortedFunc(row, byCol) {
-			slices.SortStableFunc(row, byCol)
+		rowPtr[r+1]++
+		switch c, p := uint32(m.ColIdx[k])+1, last[r]; {
+		case c > p:
+			last[r] = c
+		case c == p:
+			adjacentDup = true
+		default:
+			last[r] = unsortedRow
 		}
+	}
+	for r := 0; r < m.R; r++ {
+		rowPtr[r+1] += rowPtr[r]
 	}
 
-	out := &CSR[I]{
-		R:      m.R,
-		C:      m.C,
-		RowPtr: make([]int64, m.R+1),
-		Col:    make([]I, 0, n),
-		Val:    make([]float64, 0, n),
-	}
-	prevRow, prevCol := int32(-1), int32(-1)
-	for _, k := range order {
-		r, c, v := m.RowIdx[k], m.ColIdx[k], m.Val[k]
-		if r == prevRow && c == prevCol {
-			out.Val[len(out.Val)-1] += v // sum duplicates
-			continue
-		}
-		out.Col = append(out.Col, I(c))
-		out.Val = append(out.Val, v)
-		out.RowPtr[r+1]++
-		prevRow, prevCol = r, c
-	}
-	for i := 0; i < m.R; i++ {
-		out.RowPtr[i+1] += out.RowPtr[i]
+	out := &CSR[I]{R: m.R, C: m.C, RowPtr: rowPtr, Col: make([]I, n), Val: make([]float64, n)}
+	if out.fillByRow(m, last) || adjacentDup {
+		out.sumDuplicates()
 	}
 	return out, nil
+}
+
+// NewCSR's row marks: a row whose columns arrived out of order.
+const unsortedRow = math.MaxUint32
+
+// fillByRow places m's entries row by row in arrival order, then sorts
+// each row last marks out of order by (column, arrival) keys. It reports
+// whether a sorted row holds a duplicate column.
+func (out *CSR[I]) fillByRow(m *COO, last []uint32) bool {
+	next := out.RowPtr[:m.R]
+	for k, r := range m.RowIdx {
+		p := next[r]
+		out.Col[p] = I(m.ColIdx[k])
+		out.Val[p] = m.Val[k]
+		next[r] = p + 1
+	}
+	// next[r] now holds row r's end, the start of row r+1.
+	copy(out.RowPtr[1:], next)
+	out.RowPtr[0] = 0
+
+	dup := false
+	var keys []uint64
+	var vals []float64
+	for r, p := range last {
+		if p != unsortedRow {
+			continue
+		}
+		lo, hi := out.RowPtr[r], out.RowPtr[r+1]
+		col, val := out.Col[lo:hi], out.Val[lo:hi]
+		keys = keys[:0]
+		for j, c := range col {
+			keys = append(keys, uint64(c)<<32|uint64(j))
+		}
+		slices.Sort(keys)
+		vals = append(vals[:0], val...)
+		for j, key := range keys {
+			col[j] = I(key >> 32)
+			val[j] = vals[uint32(key)]
+			dup = dup || j > 0 && col[j] == col[j-1]
+		}
+	}
+	return dup
+}
+
+// sumDuplicates folds each run of equal columns within a row into its
+// first entry, adding the later values in order, and closes the gaps.
+func (out *CSR[I]) sumDuplicates() {
+	w := int64(0)
+	lo := int64(0)
+	for r := 0; r < out.R; r++ {
+		hi := out.RowPtr[r+1]
+		out.RowPtr[r] = w
+		for k := lo; k < hi; k++ {
+			if w > out.RowPtr[r] && out.Col[k] == out.Col[w-1] {
+				out.Val[w-1] += out.Val[k]
+				continue
+			}
+			out.Col[w], out.Val[w] = out.Col[k], out.Val[k]
+			w++
+		}
+		lo = hi
+	}
+	out.RowPtr[out.R] = w
+	out.Col, out.Val = out.Col[:w], out.Val[:w]
 }
 
 // NarrowCSR returns src with 16-bit column indices: what
@@ -175,22 +227,67 @@ func (m *CSR[I]) Validate() error {
 	return nil
 }
 
-// SubmatrixCOO extracts the block [r0,r1)×[c0,c1) as a COO matrix whose
-// indices are rebased to the block origin. It is the primitive cache and
-// TLB blocking are built from.
-func (m *CSR[I]) SubmatrixCOO(r0, r1, c0, c1 int) *COO {
-	out := NewCOO(r1-r0, c1-c0)
+// CutBand cuts the rows [r0, r1) at the column edges e₀ < e₁ < … < eₖ
+// into the k blocks [eⱼ, eⱼ₊₁), each a CSR matrix with indices rebased to
+// its origin: the primitive that cache and TLB blocks and thread parts
+// are built from. Nonzeros left of e₀ or right of eₖ belong to no block. It
+// makes one pass over the band's nonzeros to find each one's block (a
+// row's columns ascend, so its block only moves right) and a second to
+// copy them, and writes each block's row pointers once.
+func (m *CSR[I]) CutBand(r0, r1 int, edges []int) []*CSR[I] {
+	rows, k := r1-r0, len(edges)-1
+	out := make([]*CSR[I], k)
+	base := m.RowPtr[r0]
+	// block[p] is the block of the band's nonzero p, or k for none.
+	block := make([]int32, m.RowPtr[r1]-base)
+	count := make([]int64, k+1)
 	for i := r0; i < r1; i++ {
-		lo, hi := m.RowPtr[i], m.RowPtr[i+1]
-		// Binary search the column range within the sorted row.
-		start := lo + int64(sort.Search(int(hi-lo), func(k int) bool {
-			return int(m.Col[lo+int64(k)]) >= c0
-		}))
-		for k := start; k < hi && int(m.Col[k]) < c1; k++ {
-			out.RowIdx = append(out.RowIdx, int32(i-r0))
-			out.ColIdx = append(out.ColIdx, int32(int(m.Col[k])-c0))
-			out.Val = append(out.Val, m.Val[k])
+		j := -1 // the block of the row's previous nonzero, if any
+		for p := m.RowPtr[i]; p < m.RowPtr[i+1]; p++ {
+			c := int(m.Col[p])
+			if j < 0 || j == k || c >= edges[j+1] {
+				j = sort.SearchInts(edges, c+1) - 1
+			}
+			b := j
+			if j < 0 {
+				b = k
+			}
+			block[p-base] = int32(b)
+			count[b]++
+		}
+	}
+	for j := range out {
+		out[j] = &CSR[I]{R: rows, C: edges[j+1] - edges[j], RowPtr: make([]int64, rows+1),
+			Col: make([]I, count[j]), Val: make([]float64, count[j])}
+	}
+	// pos[j] is where block j's next nonzero goes; filled[j] counts the
+	// rows whose start in block j is written.
+	pos, filled := make([]int64, k), make([]int, k)
+	for i := 0; i < rows; i++ {
+		lo, hi := m.RowPtr[r0+i]-base, m.RowPtr[r0+i+1]-base
+		for p, j := range block[lo:hi] {
+			if int(j) == k {
+				continue
+			}
+			b, q := out[j], pos[j]
+			for ; filled[j] <= i; filled[j]++ {
+				b.RowPtr[filled[j]] = q
+			}
+			b.Col[q] = m.Col[base+lo+int64(p)] - I(edges[j])
+			b.Val[q] = m.Val[base+lo+int64(p)]
+			pos[j] = q + 1
+		}
+	}
+	for j, b := range out {
+		for ; filled[j] <= rows; filled[j]++ {
+			b.RowPtr[filled[j]] = pos[j]
 		}
 	}
 	return out
+}
+
+// Submatrix returns the block [r0,r1)×[c0,c1) with indices rebased to
+// the block origin: CutBand with one block.
+func (m *CSR[I]) Submatrix(r0, r1, c0, c1 int) *CSR[I] {
+	return m.CutBand(r0, r1, []int{c0, c1})[0]
 }

@@ -184,7 +184,7 @@ func TestCSRSubmatrix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sub := csr.SubmatrixCOO(10, 30, 15, 45)
+	sub := csr.Submatrix(10, 30, 15, 45).ToCOO()
 	// Rebuild by brute force from the original.
 	want := NewCOO(20, 30)
 	for k := range m.Val {
@@ -363,11 +363,7 @@ func TestCacheBlockedValidateAndFlatten(t *testing.T) {
 	m := fillRandom(NewCOO(32, 32), rng, 120)
 	csr, _ := NewCSR[uint32](m)
 	mk := func(r0, r1, c0, c1 int) CacheBlock {
-		sub := csr.SubmatrixCOO(r0, r1, c0, c1)
-		enc, err := NewCSR[uint32](sub)
-		if err != nil {
-			t.Fatal(err)
-		}
+		enc := csr.Submatrix(r0, r1, c0, c1)
 		return CacheBlock{RowOff: r0, ColOff: c0, Rows: r1 - r0, Cols: c1 - c0, Enc: enc}
 	}
 	cb := NewCacheBlocked(32, 32, []CacheBlock{

@@ -209,11 +209,7 @@ func ModelPETSc(csr *matrix.CSR32, m *machine.Machine, procs int) (*PETScEstimat
 	var sums []traffic.Summary
 	var commBytes, maxComm int64
 	for _, r := range part.Ranges {
-		sub := csr.SubmatrixCOO(r.Lo, r.Hi, 0, csr.C)
-		subCSR, err := matrix.NewCSR[uint32](sub)
-		if err != nil {
-			return nil, err
-		}
+		subCSR := csr.Submatrix(r.Lo, r.Hi, 0, csr.C)
 		t, err := TuneSerial(subCSR, m)
 		if err != nil {
 			return nil, err

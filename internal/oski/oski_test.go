@@ -237,10 +237,7 @@ func TestTuneSerialBandsMultiplyLikeCSR(t *testing.T) {
 	}
 	blocked := 0
 	for _, r := range part.Ranges {
-		band, err := matrix.NewCSR[uint32](csr.SubmatrixCOO(r.Lo, r.Hi, 0, csr.C))
-		if err != nil {
-			t.Fatal(err)
-		}
+		band := csr.Submatrix(r.Lo, r.Hi, 0, csr.C)
 		tn, err := TuneSerial(band, machine.AMDX2())
 		if err != nil {
 			t.Fatal(err)

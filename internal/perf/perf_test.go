@@ -31,11 +31,7 @@ func denseSummaries(t *testing.T, cfg Config, threads int, scale float64) []traf
 	opt := TrafficOptions(cfg)
 	var out []traffic.Summary
 	for _, r := range part.Ranges {
-		sub := csr.SubmatrixCOO(r.Lo, r.Hi, 0, csr.C)
-		subCSR, err := matrix.NewCSR[uint32](sub)
-		if err != nil {
-			t.Fatal(err)
-		}
+		subCSR := csr.Submatrix(r.Lo, r.Hi, 0, csr.C)
 		// Dense register-blocks perfectly: 4x4 with 16-bit indices, the
 		// encoding the tuner picks for dense2.
 		b, err := matrix.NewBCSR[uint16](subCSR, matrix.BlockShape{R: 4, C: 4})
@@ -174,8 +170,7 @@ func TestNiagaraThreadScaling(t *testing.T) {
 		opt := TrafficOptions(cfg)
 		var sums []traffic.Summary
 		for _, r := range part.Ranges {
-			sub := csr.SubmatrixCOO(r.Lo, r.Hi, 0, csr.C)
-			subCSR, _ := matrix.NewCSR[uint32](sub)
+			subCSR := csr.Submatrix(r.Lo, r.Hi, 0, csr.C)
 			s, err := traffic.Analyze(subCSR, opt)
 			if err != nil {
 				t.Fatal(err)

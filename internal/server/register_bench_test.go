@@ -12,8 +12,11 @@ import (
 // compile and the snapshot's traffic model — on the Cantilever twin the
 // serve-fused and mutate-read workloads register (square, not symmetric:
 // general BCSR 4×4), a symmetrized Cantilever twin and Poisson-150 (both
-// served from symmetric storage). Each registration is deleted again, so
-// the server holds one matrix at a time.
+// served from symmetric storage) and a symmetric block-diagonal matrix of
+// dense 4×4 blocks (served general: BCSR 4×4 with 16-bit indices is
+// smaller than its upper triangle, so the compile path weighs both
+// families and encodes the general one). Each registration is deleted
+// again, so the server holds one matrix at a time.
 func BenchmarkRegister(b *testing.B) {
 	cant, err := spmv.GenerateSuite("FEM/Cantilever", 0.5, 7)
 	if err != nil {
@@ -30,10 +33,12 @@ func BenchmarkRegister(b *testing.B) {
 	for _, bc := range []struct {
 		name string
 		m    *spmv.Matrix
+		sym  bool // served from symmetric storage
 	}{
-		{"cantilever-0.5", cant},
-		{"cantilever-0.1-symmetrized", symCant},
-		{"poisson-150", poissonMatrix(b, 150)},
+		{"cantilever-0.5", cant, false},
+		{"cantilever-0.1-symmetrized", symCant, true},
+		{"poisson-150", poissonMatrix(b, 150), true},
+		{"block-diagonal-4x4", blockDiagonal(b, 40000), false},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			s := New(DefaultConfig())
@@ -42,8 +47,12 @@ func BenchmarkRegister(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				id := strconv.Itoa(i)
-				if _, err := s.Register(id, bc.name, bc.m); err != nil {
+				info, err := s.Register(id, bc.name, bc.m)
+				if err != nil {
 					b.Fatal(err)
+				}
+				if info.Symmetric != bc.sym {
+					b.Fatalf("served %s, symmetric %v; want symmetric %v", info.Kernel, info.Symmetric, bc.sym)
 				}
 				if _, err := s.DeleteMatrix(id); err != nil {
 					b.Fatal(err)
@@ -51,4 +60,25 @@ func BenchmarkRegister(b *testing.B) {
 			}
 		})
 	}
+}
+
+// blockDiagonal returns the symmetric matrix of n dense 4×4 diagonal
+// blocks, each 4 on its diagonal and 1 elsewhere.
+func blockDiagonal(t testing.TB, n int) *spmv.Matrix {
+	t.Helper()
+	m := spmv.NewMatrix(4*n, 4*n)
+	for b := 0; b < n; b++ {
+		for i := 0; i < 4; i++ {
+			for j := 0; j < 4; j++ {
+				v := 1.0
+				if i == j {
+					v = 4
+				}
+				if err := m.Set(4*b+i, 4*b+j, v); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	return m
 }

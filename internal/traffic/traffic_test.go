@@ -197,8 +197,7 @@ func TestCacheBlockedDestChargedPerBand(t *testing.T) {
 	m := fillRandom(matrix.NewCOO(128, 4096), rng, 4000)
 	csr, _ := matrix.NewCSR[uint32](m)
 	mk := func(r0, r1, c0, c1 int) matrix.CacheBlock {
-		sub := csr.SubmatrixCOO(r0, r1, c0, c1)
-		enc, _ := matrix.NewCSR[uint32](sub)
+		enc := csr.Submatrix(r0, r1, c0, c1)
 		return matrix.CacheBlock{RowOff: r0, ColOff: c0, Rows: r1 - r0, Cols: c1 - c0, Enc: enc}
 	}
 	// One row band split into 4 column blocks: dest charged once.
@@ -220,8 +219,7 @@ func TestDenseSourceBlocksCellMode(t *testing.T) {
 	m := fillRandom(matrix.NewCOO(64, 2048), rng, 500)
 	csr, _ := matrix.NewCSR[uint32](m)
 	mk := func(c0, c1 int) matrix.CacheBlock {
-		sub := csr.SubmatrixCOO(0, 64, c0, c1)
-		enc, _ := matrix.NewCSR[uint32](sub)
+		enc := csr.Submatrix(0, 64, c0, c1)
 		return matrix.CacheBlock{RowOff: 0, ColOff: c0, Rows: 64, Cols: c1 - c0, Enc: enc}
 	}
 	cb := matrix.NewCacheBlocked(64, 2048, []matrix.CacheBlock{mk(0, 1024), mk(1024, 2048)})

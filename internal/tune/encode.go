@@ -2,6 +2,7 @@ package tune
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/matrix"
 )
@@ -17,8 +18,10 @@ type candidate struct {
 }
 
 // encodeBest runs the paper's one-pass footprint minimization over a
-// sub-matrix (local coordinates) and materializes only the winner.
-func encodeBest(csr *matrix.CSR32, opt Options) (matrix.Format, Decision, error) {
+// sub-matrix (local coordinates) and, when encode is set, materializes
+// only the winner; otherwise the encoding is nil and the decision carries
+// the enumeration's closed-form footprint.
+func encodeBest(csr *matrix.CSR32, opt Options, encode bool) (matrix.Format, Decision, error) {
 	nnz := csr.NNZ()
 
 	cands := enumerate(csr, opt)
@@ -27,6 +30,19 @@ func encodeBest(csr *matrix.CSR32, opt Options) (matrix.Format, Decision, error)
 		if c.footprint < best.footprint {
 			best = c
 		}
+	}
+	dec := Decision{
+		Rows: csr.R, Cols: csr.C, NNZ: nnz,
+		Format: best.format, Shape: best.shape, IndexBits: best.indexBits,
+		Footprint: best.footprint,
+	}
+	if nnz > 0 {
+		dec.Fill = float64(best.stored) / float64(nnz)
+	} else {
+		dec.Fill = 1
+	}
+	if !encode {
+		return nil, dec, nil
 	}
 
 	enc, err := materialize(csr, best)
@@ -39,16 +55,6 @@ func encodeBest(csr *matrix.CSR32, opt Options) (matrix.Format, Decision, error)
 		return nil, Decision{}, fmt.Errorf(
 			"tune: footprint accounting mismatch for %s %v/%d: predicted %d, encoded %d",
 			best.format, best.shape, best.indexBits, best.footprint, got)
-	}
-	dec := Decision{
-		Rows: csr.R, Cols: csr.C, NNZ: nnz,
-		Format: best.format, Shape: best.shape, IndexBits: best.indexBits,
-		Footprint: best.footprint,
-	}
-	if nnz > 0 {
-		dec.Fill = float64(best.stored) / float64(nnz)
-	} else {
-		dec.Fill = 1
 	}
 	return enc, dec, nil
 }
@@ -71,13 +77,18 @@ func enumerate(csr *matrix.CSR32, opt Options) []candidate {
 	if !opt.RegisterBlock {
 		return cands
 	}
+	var counts [5][3]int64 // tiles by tile height, then width 1, 2, 4
+	var counted [5]bool
 	for _, shape := range matrix.BlockShapes {
 		if shape.R < opt.MinBlockRows && shape.C > 1 {
 			continue // a one-row multi-column tile: CSR's chain plus fill
 		}
 		tiles := nnz // a 1×1 tile per nonzero
 		if shape.Area() > 1 {
-			tiles = countTiles(csr, shape)
+			if !counted[shape.R] {
+				counts[shape.R], counted[shape.R] = countTiles(csr, shape.R), true
+			}
+			tiles = counts[shape.R][bits.TrailingZeros(uint(shape.C))]
 		}
 		stored := tiles * int64(shape.Area())
 		brows := (csr.R + shape.R - 1) / shape.R
@@ -105,21 +116,33 @@ func enumerate(csr *matrix.CSR32, opt Options) []candidate {
 	return cands
 }
 
-// countTiles returns the number of distinct shape-aligned tiles containing
-// at least one nonzero — the quantity behind the fill-ratio gamble. It is
-// the "one pass over the nonzeros" of §4.2: a block row's nonzeros are
-// contiguous in CSR, and a tile is new the first time its block column is
-// seen in the block row (seen holds the last block row, plus one, that
-// touched each block column).
-func countTiles(csr *matrix.CSR32, shape matrix.BlockShape) int64 {
-	var tiles int64
-	seen := make([]int32, (csr.C+shape.C-1)/shape.C)
-	for br, r0 := int32(1), 0; r0 < csr.R; br, r0 = br+1, r0+shape.R {
-		r1 := min(r0+shape.R, csr.R)
+// countTiles returns, for tiles of the given height (1, 2 or 4 rows), the
+// number of distinct aligned tiles of width 1, 2 and 4 that contain at
+// least one nonzero — the quantity behind the fill-ratio gamble. It is
+// the "one pass over the nonzeros" of §4.2, one pass per tile height: a
+// block row's nonzeros are contiguous in CSR, and a tile is new the first
+// time its tile column (col, col >> 1, col >> 2) is seen in the block row
+// (seen1, seen2 and seen4 hold the last block row, plus one, that touched
+// each tile column of that width).
+func countTiles(csr *matrix.CSR32, height int) (tiles [3]int64) {
+	seen1 := make([]int32, csr.C)
+	seen2 := make([]int32, (csr.C+1)/2)
+	seen4 := make([]int32, (csr.C+3)/4)
+	for br, r0 := int32(1), 0; r0 < csr.R; br, r0 = br+1, r0+height {
+		r1 := min(r0+height, csr.R)
 		for _, c := range csr.Col[csr.RowPtr[r0]:csr.RowPtr[r1]] {
-			if bc := int(c) / shape.C; seen[bc] != br {
-				seen[bc] = br
-				tiles++
+			if seen1[c] == br {
+				continue // its ×2 and ×4 tiles are counted already
+			}
+			seen1[c] = br
+			tiles[0]++
+			if seen2[c>>1] != br {
+				seen2[c>>1] = br
+				tiles[1]++
+			}
+			if seen4[c>>2] != br {
+				seen4[c>>2] = br
+				tiles[2]++
 			}
 		}
 	}

@@ -25,6 +25,7 @@ package tune
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"repro/internal/kernel"
@@ -142,6 +143,37 @@ func (r *Result) Savings() float64 {
 // Tune encodes a matrix according to the options, returning the composite
 // encoding and the per-block decision log.
 func Tune(csr *matrix.CSR32, opt Options) (*Result, error) {
+	return tune(csr, opt, true)
+}
+
+// Footprint returns the TotalFootprint of the plan Tune (threads == 1)
+// or TuneParallel would build, summed over the thread parts, from the
+// closed-form footprints of the enumeration: it encodes nothing.
+func Footprint(csr *matrix.CSR32, opt Options, threads int) (int64, error) {
+	var results []*Result
+	if threads <= 1 {
+		res, err := tune(csr, opt, false)
+		if err != nil {
+			return 0, err
+		}
+		results = []*Result{res}
+	} else {
+		var err error
+		if _, results, err = tuneParts(csr, opt, threads, false); err != nil {
+			return 0, err
+		}
+	}
+	var total int64
+	for _, res := range results {
+		total += res.TotalFootprint
+	}
+	return total, nil
+}
+
+// tune plans the blocking, picks each block's encoding and, when encode
+// is set, materializes it; otherwise Result.Enc is nil and the decisions
+// and footprints are the enumeration's closed forms.
+func tune(csr *matrix.CSR32, opt Options, encode bool) (*Result, error) {
 	normalize(&opt)
 	res := &Result{BaselineFootprint: csr.FootprintBytes()}
 
@@ -152,38 +184,53 @@ func Tune(csr *matrix.CSR32, opt Options) (*Result, error) {
 
 	if len(blocks) == 1 && blocks[0] == (span{0, csr.R, 0, csr.C}) {
 		// No blocking: encode the whole matrix directly.
-		enc, dec, err := encodeBest(csr, opt)
+		enc, dec, err := encodeBest(csr, opt, encode)
 		if err != nil {
 			return nil, err
 		}
 		res.Enc = enc
 		res.Decisions = []Decision{dec}
-		res.TotalFootprint = enc.FootprintBytes()
+		res.TotalFootprint = dec.Footprint
 		return res, nil
 	}
 
+	// Blocks come band by band, each band's spans tiling [0, C) left to
+	// right, so each band is cut into its blocks at once.
 	var cbs []matrix.CacheBlock
-	for _, b := range blocks {
-		sub := csr.SubmatrixCOO(b.r0, b.r1, b.c0, b.c1)
-		if sub.NNZ() == 0 {
-			continue // empty cache blocks are simply not stored
+	for lo := 0; lo < len(blocks); {
+		hi := lo + 1
+		for hi < len(blocks) && blocks[hi].r0 == blocks[lo].r0 {
+			hi++
 		}
-		subCSR, err := matrix.NewCSR[uint32](sub)
-		if err != nil {
-			return nil, err
+		edges := make([]int, 0, hi-lo+1)
+		for _, b := range blocks[lo:hi] {
+			edges = append(edges, b.c0)
 		}
-		enc, dec, err := encodeBest(subCSR, opt)
-		if err != nil {
-			return nil, err
+		edges = append(edges, blocks[hi-1].c1)
+		subs := csr.CutBand(blocks[lo].r0, blocks[lo].r1, edges)
+		for j, b := range blocks[lo:hi] {
+			sub := subs[j]
+			subs[j] = nil // let the cut go once it is encoded
+			if sub.NNZ() == 0 {
+				continue // empty cache blocks are simply not stored
+			}
+			enc, dec, err := encodeBest(sub, opt, encode)
+			if err != nil {
+				return nil, err
+			}
+			dec.RowOff, dec.ColOff = b.r0, b.c0
+			cbs = append(cbs, matrix.CacheBlock{
+				RowOff: b.r0, ColOff: b.c0,
+				Rows: b.r1 - b.r0, Cols: b.c1 - b.c0,
+				Enc: enc,
+			})
+			res.Decisions = append(res.Decisions, dec)
+			res.TotalFootprint += dec.Footprint + 32
 		}
-		dec.RowOff, dec.ColOff = b.r0, b.c0
-		cbs = append(cbs, matrix.CacheBlock{
-			RowOff: b.r0, ColOff: b.c0,
-			Rows: b.r1 - b.r0, Cols: b.c1 - b.c0,
-			Enc: enc,
-		})
-		res.Decisions = append(res.Decisions, dec)
-		res.TotalFootprint += enc.FootprintBytes() + 32
+		lo = hi
+	}
+	if !encode {
+		return res, nil
 	}
 	cb := matrix.NewCacheBlocked(csr.R, csr.C, cbs)
 	if err := cb.Validate(); err != nil {
@@ -197,31 +244,37 @@ func Tune(csr *matrix.CSR32, opt Options) (*Result, error) {
 // thread block independently, and assembles the row-parallel kernel. NUMA
 // node assignment tags each part for the platform model.
 func TuneParallel(csr *matrix.CSR32, opt Options, threads, numaNodes int) (*kernel.Parallel, []*Result, error) {
-	part, err := partition.ByNNZ(csr.RowPtr, threads)
+	part, results, err := tuneParts(csr, opt, threads, true)
 	if err != nil {
 		return nil, nil, err
 	}
 	partition.AssignNUMA(part, numaNodes)
-	var parts []kernel.Part
-	var results []*Result
-	for _, r := range part.Ranges {
-		sub := csr.SubmatrixCOO(r.Lo, r.Hi, 0, csr.C)
-		subCSR, err := matrix.NewCSR[uint32](sub)
-		if err != nil {
-			return nil, nil, err
-		}
-		res, err := Tune(subCSR, opt)
-		if err != nil {
-			return nil, nil, err
-		}
-		parts = append(parts, kernel.Part{Range: r, Enc: res.Enc})
-		results = append(results, res)
+	parts := make([]kernel.Part, len(results))
+	for i, res := range results {
+		parts[i] = kernel.Part{Range: part.Ranges[i], Enc: res.Enc}
 	}
 	pk, err := kernel.NewParallel(csr.R, csr.C, parts)
 	if err != nil {
 		return nil, nil, err
 	}
 	return pk, results, nil
+}
+
+// tuneParts partitions the rows by nonzeros across threads and tunes each
+// part, encoding it only when encode is set: the one loop TuneParallel
+// and Footprint share.
+func tuneParts(csr *matrix.CSR32, opt Options, threads int, encode bool) (*partition.Partition, []*Result, error) {
+	part, err := partition.ByNNZ(csr.RowPtr, threads)
+	if err != nil {
+		return nil, nil, err
+	}
+	results := make([]*Result, len(part.Ranges))
+	for i, r := range part.Ranges {
+		if results[i], err = tune(csr.Submatrix(r.Lo, r.Hi, 0, csr.C), opt, encode); err != nil {
+			return nil, nil, err
+		}
+	}
+	return part, results, nil
 }
 
 func normalize(opt *Options) {
@@ -301,12 +354,13 @@ func planBlocks(csr *matrix.CSR32, opt Options) ([]span, error) {
 		bandRows = 1
 	}
 	var out []span
+	marks := make([]uint64, (csr.C+63)/64)
 	for r0 := 0; r0 < csr.R; r0 += bandRows {
 		r1 := r0 + bandRows
 		if r1 > csr.R {
 			r1 = csr.R
 		}
-		touched := touchedColumns(csr, r0, r1)
+		touched := touchedColumns(csr, r0, r1, marks)
 
 		// 2. TLB blocking between cache rows and cache columns: limit the
 		// distinct source pages per block.
@@ -348,21 +402,26 @@ func planBlocks(csr *matrix.CSR32, opt Options) ([]span, error) {
 }
 
 // touchedColumns returns the sorted distinct column indices referenced by
-// rows [r0,r1).
-func touchedColumns(csr *matrix.CSR32, r0, r1 int) []int32 {
-	var cols []int32
-	for i := r0; i < r1; i++ {
-		for k := csr.RowPtr[i]; k < csr.RowPtr[i+1]; k++ {
-			cols = append(cols, int32(csr.Col[k]))
-		}
+// rows [r0,r1): each nonzero sets its column's bit in marks (all clear on
+// entry), and one scan of the words between the lowest and highest set
+// bit lists them in order and clears them again.
+func touchedColumns(csr *matrix.CSR32, r0, r1 int, marks []uint64) []int32 {
+	cols := csr.Col[csr.RowPtr[r0]:csr.RowPtr[r1]]
+	if len(cols) == 0 {
+		return nil
 	}
-	sort.Slice(cols, func(a, b int) bool { return cols[a] < cols[b] })
-	out := cols[:0]
-	var prev int32 = -1
+	lo, hi := cols[0]>>6, cols[0]>>6
 	for _, c := range cols {
-		if c != prev {
-			out = append(out, c)
-			prev = c
+		w := c >> 6
+		marks[w] |= 1 << (c & 63)
+		lo, hi = min(lo, w), max(hi, w)
+	}
+	var out []int32
+	for w := lo; w <= hi; w++ {
+		word := marks[w]
+		marks[w] = 0
+		for ; word != 0; word &= word - 1 {
+			out = append(out, int32(w<<6)+int32(bits.TrailingZeros64(word)))
 		}
 	}
 	return out

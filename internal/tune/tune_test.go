@@ -2,6 +2,7 @@ package tune
 
 import (
 	"math"
+	"math/bits"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -261,7 +262,7 @@ func TestCountTilesMatchesMaterialized(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := countTiles(csr, shape); got != want.Blocks() {
+			if got := countTiles(csr, shape.R)[bits.TrailingZeros(uint(shape.C))]; got != want.Blocks() {
 				t.Errorf("countTiles %v = %d, materialized %d", shape, got, want.Blocks())
 			}
 		}
@@ -329,5 +330,63 @@ func TestDefaultOptionsSkipOneRowTiles(t *testing.T) {
 			}
 		}
 		verify(t, res, m)
+	}
+}
+
+// TestFootprintMatchesEncodedPlan: the closed-form footprint the compile
+// path compares against SymCSR is the TotalFootprint of the plan Tune and
+// TuneParallel encode — whole-matrix, cache-blocked and TLB-blocked plans,
+// serial and across thread parts.
+func TestFootprintMatchesEncodedPlan(t *testing.T) {
+	lp, err := gen.GenerateByName("LP", 0.02, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	harbor, err := gen.GenerateByName("FEM/Harbor", 0.01, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wide := fillRandom(matrix.NewCOO(64, 1<<15), rand.New(rand.NewSource(7)), 4000)
+	cacheBlocked := DefaultOptions()
+	cacheBlocked.CacheBudgetBytes = 64 << 10
+	for _, tc := range []struct {
+		name string
+		m    *matrix.COO
+		opt  Options
+	}{
+		{"lp-cache-blocked", lp, cacheBlocked},
+		{"harbor-default", harbor, DefaultOptions()},
+		{"wide-tlb", wide, Options{RegisterBlock: true, TLBBlock: true, PageBytes: 4096, TLBEntries: 8}},
+		{"harbor-naive", harbor, Options{}},
+	} {
+		csr, err := matrix.NewCSR[uint32](tc.m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, threads := range []int{1, 3} {
+			var want int64
+			if threads == 1 {
+				res, err := Tune(csr, tc.opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want = res.TotalFootprint
+			} else {
+				_, results, err := TuneParallel(csr, tc.opt, threads, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, r := range results {
+					want += r.TotalFootprint
+				}
+			}
+			got, err := Footprint(csr, tc.opt, threads)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want {
+				t.Errorf("%s threads=%d: Footprint %d, encoded plan %d", tc.name, threads, got, want)
+			}
+		}
 	}
 }

@@ -242,16 +242,25 @@ func CompileParallel(m *Matrix, opt TuneOptions, threads, numaNodes int) (*Opera
 // compile canonicalizes the matrix once: the general plan and, under
 // opt.TrySymmetric, the upper-triangle store (matrix.SymFromCSR, the one
 // symmetry check) are built from that CSR. It is the §4.2 footprint rule
-// extended by one family — general wins ties — and the symmetric sweep is
-// built only when it wins.
+// extended by one family — general wins ties. The general plan's
+// footprint comes from the tuner's closed forms (tune.Footprint), so only
+// the winning family is ever encoded.
 func compile(m *Matrix, opt TuneOptions, threads, numaNodes int) (*Operator, error) {
 	csr, err := matrix.NewCSR[uint32](m.coo)
 	if err != nil {
 		return nil, err
 	}
-	var sym *matrix.SymCSR
 	if opt.TrySymmetric {
-		sym, _ = matrix.SymFromCSR(csr) // nil unless square and numerically symmetric
+		// nil unless square and numerically symmetric
+		if sym, _ := matrix.SymFromCSR(csr); sym != nil {
+			general, err := tune.Footprint(csr, opt, threads)
+			if err != nil {
+				return nil, err
+			}
+			if sym.FootprintBytes() < general {
+				return symmetricOperator(sym, csr.FootprintBytes(), threads)
+			}
+		}
 	}
 	op := &Operator{
 		rows: csr.R, cols: csr.C, nnz: csr.NNZ(),
@@ -278,9 +287,6 @@ func compile(m *Matrix, opt TuneOptions, threads, numaNodes int) (*Operator, err
 			op.decisions = append(op.decisions, r.Decisions...)
 			op.footprint += r.TotalFootprint
 		}
-	}
-	if sym != nil && sym.FootprintBytes() < op.footprint {
-		return symmetricOperator(sym, op.baseline, threads)
 	}
 	return op, nil
 }
