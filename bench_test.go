@@ -354,7 +354,8 @@ func BenchmarkAblationBCOOvsBCSR(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationMultiVec measures the multiple-vectors amortization:
+// BenchmarkAblationMultiVec measures the multiple-vectors amortization of
+// a width-k CSR32 view (kernel.NewWide, what Operator.Multi returns):
 // Gflop/s should grow with k as the matrix stream is shared.
 func BenchmarkAblationMultiVec(b *testing.B) {
 	coo, err := gen.GenerateByName("FEM/Harbor", 0.05, 3)
@@ -367,7 +368,7 @@ func BenchmarkAblationMultiVec(b *testing.B) {
 	}
 	for _, nv := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("k=%d", nv), func(b *testing.B) {
-			mv, err := kernel.NewMultiVec(csr, nv)
+			mv, err := kernel.NewWide(csr, nv)
 			if err != nil {
 				b.Fatal(err)
 			}

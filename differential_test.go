@@ -7,7 +7,7 @@
 // Agreement comes in two strengths:
 //
 //   - bitwise for the deterministic family — serial/parallel CSR at either
-//     index width, MultiVec and the wide kernels over CSR, and BCSR in
+//     index width, Multi's views and the wide kernels over CSR, and BCSR in
 //     every tile shape: these all add each row's rounded products strictly
 //     in column order into one accumulator that starts at +0, so their
 //     bits are the reference's bits (BCSR's fill adds exact zeros for
@@ -322,7 +322,7 @@ func TestDifferentialCSRFamily(t *testing.T) {
 					// Width 5 has no unrolled body: it takes the CSR multi-RHS
 					// loop's generic default case, at both index widths.
 					for _, width := range []int{1, 2, 3, 4, 5, 6, 7, 8} {
-						// CSR fallback views (MultiVec).
+						// Views over the canonical CSR32 (Multi).
 						mo, err := op.Multi(width)
 						if err != nil {
 							t.Fatal(err)
@@ -764,7 +764,7 @@ func overlayLanes(t *testing.T, mo *spmv.MultiOperator, ov *delta.Overlay, rows 
 }
 
 // TestDifferentialOverlay checks overlay-vs-rebuild bitwise identity on
-// both CSR-family multi-RHS views (MultiVec and the wide kernels), over
+// both CSR-family multi-RHS views (Multi and the wide kernels), over
 // the structural zoo, at threads 1/2/4 and widths 1/4/8.
 func TestDifferentialOverlay(t *testing.T) {
 	nops := 200

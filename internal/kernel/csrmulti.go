@@ -6,58 +6,16 @@ import (
 	"repro/internal/matrix"
 )
 
-// MultiVec is the multiple-vectors optimization (an OSKI capability, §2.1:
-// "register- and cache-level blocking, exploiting symmetry, multiple
-// vectors, ..."): multiplying k vectors in one sweep streams the matrix
-// once instead of k times, multiplying the effective flop:byte ratio by
-// nearly k. For bandwidth-bound SpMV this is the single most effective
-// bandwidth-reduction transform available when the application has several
-// right-hand sides (block Krylov methods, multiple-parameter studies).
-type MultiVec struct {
-	m  *matrix.CSR32
-	nv int
-}
-
-// NewMultiVec wraps a CSR matrix for k-vector multiplication.
-func NewMultiVec(m *matrix.CSR32, vectors int) (*MultiVec, error) {
-	if vectors < 1 {
-		return nil, fmt.Errorf("kernel: need at least 1 vector, got %d", vectors)
-	}
-	return &MultiVec{m: m, nv: vectors}, nil
-}
-
-// Width returns the vector-block width k.
-func (mv *MultiVec) Width() int { return mv.nv }
-
-// Name implements Wide.
-func (mv *MultiVec) Name() string { return fmt.Sprintf("csr32/multi%d", mv.nv) }
-
-// MulAddBlockExec implements Wide: the sweep is exec's one task.
-func (mv *MultiVec) MulAddBlockExec(y, x []float64, exec Exec) error {
-	return oneTask(exec, mv.MulAddBlock, y, x)
-}
-
-// MulAddBlock computes Y ← Y + A·X where X and Y are column blocks stored
-// row-major (interleaved: X[j*nv+v] is element j of vector v). The
-// interleaved layout keeps each gather of x_j adjacent for all k vectors —
-// one cache line serves k kernels, which is where the traffic saving comes
-// from.
+// MulAddCSRRows computes rows [lo, hi) of Y ← Y + A·X over interleaved
+// width-nv blocks (X[j*nv+v] is element j of vector v, the layout of every
+// Wide kernel). It runs the loop nest of NewWide(m, nv), so its rows carry
+// that view's bits; disjoint row ranges write disjoint regions of y, so
+// concurrent calls over a row partition parallelize one fused sweep
+// without synchronization.
 //
 //spmv:deterministic
-func (mv *MultiVec) MulAddBlock(y, x []float64) error {
-	return mv.MulAddRows(y, x, 0, mv.m.R)
-}
-
-// MulAddRows computes the rows [lo, hi) of Y ← Y + A·X over the same
-// interleaved block layout as MulAddBlock. Disjoint row ranges write disjoint
-// regions of y, so concurrent calls over a row partition parallelize one
-// fused sweep without synchronization.
-//
-//spmv:deterministic
-func (mv *MultiVec) MulAddRows(y, x []float64, lo, hi int) error {
-	m := mv.m
-	nv := mv.nv
-	if len(y) != m.R*nv || len(x) != m.C*nv {
+func MulAddCSRRows(m *matrix.CSR32, nv int, y, x []float64, lo, hi int) error {
+	if nv < 1 || len(y) != m.R*nv || len(x) != m.C*nv {
 		return fmt.Errorf("%w: matrix %dx%d with %d vectors: len(y)=%d len(x)=%d",
 			matrix.ErrShape, m.R, m.C, nv, len(y), len(x))
 	}
@@ -71,13 +29,14 @@ func (mv *MultiVec) MulAddRows(y, x []float64, lo, hi int) error {
 
 // csrMultiRows is the one CSR multi-RHS loop nest: rows [lo, hi) of
 // Y ← Y + A·X over interleaved width-nv blocks, at either index width.
-// MultiVec, the CSR-backed Wide kernels and the scalar CSR kernel all run
-// it, so they cannot differ in bits or in speed. Each lane sums its row's products in stored
-// (ascending column) order into one accumulator and adds the sum into y
-// once — the same per-lane operation order at every width, which is why
-// lane v of a width-k sweep equals the width-1 sweep bit for bit. Each
-// product is rounded to float64 before it is added (the explicit
-// conversion forbids fusing it into a multiply-add on any architecture).
+// The CSR-backed Wide kernels, MulAddCSRRows and the scalar CSR kernel all
+// run it, so they cannot differ in bits or in speed. Each lane sums its
+// row's products in stored (ascending column) order into one accumulator
+// and adds the sum into y once — the same per-lane operation order at
+// every width, which is why lane v of a width-k sweep equals the width-1
+// sweep bit for bit. Each product is rounded to float64 before it is added
+// (the explicit conversion forbids fusing it into a multiply-add on any
+// architecture).
 //
 // Width 1 is one dependent add chain with nothing to vectorize and stays
 // the Go loop. Wider blocks run the amd64 vector body when the CPU has AVX

@@ -10,14 +10,12 @@ import (
 )
 
 // BenchmarkCSRMultiRHS times one fused sweep over the Cantilever twin the
-// benchmark harness serves (scale 0.5: 31k rows, ~2M nonzeros) through both
-// public doors of the CSR multi-RHS body — MultiVec (CSR32 only, what
-// Operator.Multi and lib-sweep's cant.fused4 cell run) and NewWide (either
-// index width, what the server streams) — on each body: body=vec is the
-// amd64 vector body (skipped where the CPU has none), body=go the Go
-// bodies, unrolled at widths 1, 2, 4 and 8 and generic elsewhere. Width 1
-// is the Go loop on both levels. The two doors share one loop nest, so
-// their ns/op must agree at every width; a gap means they have drifted.
+// benchmark harness serves (scale 0.5: 31k rows, ~2M nonzeros) through
+// NewWide over CSR at either index width (Wide/csr32 is what
+// Operator.Multi and lib-sweep's cant.fused4 cell run) on each body:
+// body=vec is the amd64 vector body (skipped where the CPU has none),
+// body=go the Go bodies, unrolled at widths 1, 2, 4 and 8 and generic
+// elsewhere. Width 1 is the Go loop on both levels.
 // Wide/bcsr4x4/16 is the register-blocked encoding the server streams for
 // this matrix, through bcsrMultiRows: the unrolled 4×4 Go body at width 1,
 // the tile body (vec) or the generic Go body (go) above it.
@@ -45,12 +43,8 @@ func BenchmarkCSRMultiRHS(b *testing.B) {
 			x[i] = rng.NormFloat64()
 		}
 		y := make([]float64, csr32.R*width)
-		mv, err := NewMultiVec(csr32, width)
-		if err != nil {
-			b.Fatal(err)
-		}
-		names := []string{"MultiVec/csr32"}
-		sweeps := []func(y, x []float64) error{mv.MulAddBlock}
+		var names []string
+		var sweeps []func(y, x []float64) error
 		for _, enc := range []matrix.Format{csr32, csr16, bcsr} {
 			w, err := NewWide(enc, width)
 			if err != nil {

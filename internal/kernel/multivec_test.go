@@ -8,12 +8,14 @@ import (
 	"repro/internal/matrix"
 )
 
+// TestMultiVecMatchesPerVectorReference: the multiple-vectors sweep over
+// CSR (NewWide on a CSR32) matches k independent reference products.
 func TestMultiVecMatchesPerVectorReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	m := fillRandom(matrix.NewCOO(80, 120), rng, 1500)
 	csr, _ := matrix.NewCSR[uint32](m)
 	for _, nv := range []int{1, 2, 3, 4, 7, 8} {
-		mv, err := NewMultiVec(csr, nv)
+		mv, err := NewWide(csr, nv)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -44,14 +46,14 @@ func TestMultiVecMatchesPerVectorReference(t *testing.T) {
 	}
 }
 
-// TestMultiVecRowRangesTileFullSweep verifies the serving layer's sharding
-// contract: MulAddRows over any tiling of [0, R) equals one full MulAdd.
+// TestMultiVecRowRangesTileFullSweep verifies the row-sharding contract:
+// MulAddCSRRows over any tiling of [0, R) equals one full NewWide sweep.
 func TestMultiVecRowRangesTileFullSweep(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	m := fillRandom(matrix.NewCOO(97, 61), rng, 1200)
 	csr, _ := matrix.NewCSR[uint32](m)
 	for _, nv := range []int{1, 2, 3, 4, 6, 8} {
-		mv, err := NewMultiVec(csr, nv)
+		mv, err := NewWide(csr, nv)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -71,7 +73,7 @@ func TestMultiVecRowRangesTileFullSweep(t *testing.T) {
 		} {
 			got := make([]float64, 97*nv)
 			for i := 0; i+1 < len(bounds); i++ {
-				if err := mv.MulAddRows(got, x, bounds[i], bounds[i+1]); err != nil {
+				if err := MulAddCSRRows(csr, nv, got, x, bounds[i], bounds[i+1]); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -79,27 +81,40 @@ func TestMultiVecRowRangesTileFullSweep(t *testing.T) {
 				t.Errorf("nv=%d bounds=%v: diff %g from full sweep", nv, bounds, d)
 			}
 		}
-		if err := mv.MulAddRows(make([]float64, 97*nv), x, 5, 3); err == nil {
+		if err := MulAddCSRRows(csr, nv, make([]float64, 97*nv), x, 5, 3); err == nil {
 			t.Error("inverted range accepted")
 		}
-		if err := mv.MulAddRows(make([]float64, 97*nv), x, 0, 98); err == nil {
+		if err := MulAddCSRRows(csr, nv, make([]float64, 97*nv), x, -1, 3); err == nil {
+			t.Error("negative range accepted")
+		}
+		if err := MulAddCSRRows(csr, nv, make([]float64, 97*nv), x, 0, 98); err == nil {
 			t.Error("out-of-bounds range accepted")
 		}
 	}
 }
 
+// TestMultiVecValidation: the CSR multi-RHS doors — NewWide and the row
+// function MulAddCSRRows — refuse a width below 1 and mis-sized blocks.
 func TestMultiVecValidation(t *testing.T) {
 	m := matrix.NewCOO(4, 4)
 	csr, _ := matrix.NewCSR[uint32](m)
-	if _, err := NewMultiVec(csr, 0); err == nil {
+	if _, err := NewWide(csr, 0); err == nil {
 		t.Error("0 vectors accepted")
 	}
-	mv, _ := NewMultiVec(csr, 2)
-	if err := mv.MulAddBlock(make([]float64, 8), make([]float64, 7)); err == nil {
-		t.Error("bad x length accepted")
+	if err := MulAddCSRRows(csr, 0, nil, nil, 0, 0); err == nil {
+		t.Error("0 vectors accepted by the row function")
 	}
-	if err := mv.MulAddBlock(make([]float64, 7), make([]float64, 8)); err == nil {
-		t.Error("bad y length accepted")
+	mv, _ := NewWide(csr, 2)
+	for _, sweep := range []func(y, x []float64) error{
+		mv.MulAddBlock,
+		func(y, x []float64) error { return MulAddCSRRows(csr, 2, y, x, 0, 4) },
+	} {
+		if err := sweep(make([]float64, 8), make([]float64, 7)); err == nil {
+			t.Error("bad x length accepted")
+		}
+		if err := sweep(make([]float64, 7), make([]float64, 8)); err == nil {
+			t.Error("bad y length accepted")
+		}
 	}
 }
 
@@ -132,7 +147,7 @@ func TestQuickMultiVecAgreesWithSingle(t *testing.T) {
 			return false
 		}
 		nv := int(nv8%6) + 1
-		mv, err := NewMultiVec(csr, nv)
+		mv, err := NewWide(csr, nv)
 		if err != nil {
 			return false
 		}

@@ -16,7 +16,7 @@ import (
 // Overwriting — rather than adding a correction term — is what makes the
 // result bitwise identical to a from-scratch rebuild of the mutated
 // matrix on the CSR-family paths: the rebuilt kernel computes exactly
-// this dot product for the dirty row (MultiVec accumulates per lane in
+// this dot product for the dirty row (csrMultiRows accumulates per lane in
 // column order from zero), and every clean row's result is independent of
 // other rows, so the base pass already produced the rebuilt bits there.
 // The same overwrite is value-correct over ANY base operator family

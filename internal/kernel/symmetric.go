@@ -96,7 +96,7 @@ func (s *SymSweep) Name() string {
 }
 
 // mulAdd computes Y ← Y + A·X over nv interleaved vectors (X[j*nv+v] is
-// element j of vector v, the layout of MultiVec): the multi-RHS symmetric
+// element j of vector v, the layout of every Wide): the multi-RHS symmetric
 // sweep, streaming the halved matrix once for all nv vectors. Its two
 // parallel phases run through exec (nil runs each phase's tasks on the
 // kernel's threads, through Run). The ordered segment-then-reduce phases

@@ -8,19 +8,19 @@ import (
 )
 
 // Wide is a width-k multi-RHS kernel bound to one encoded matrix: one
-// matrix stream multiplies k interleaved vectors (the layout of MultiVec:
-// X[j*k+v] is element j of vector v). Where MultiVec fuses vectors over
-// the plain CSR stream, a Wide kernel fuses them over ANY of the tuner's
-// encodings — register-blocked, block-coordinate, cache-blocked, or
-// symmetric — combining the paper's two biggest bandwidth reductions
-// (data-structure compression and multiple vectors, §2.1) in one sweep.
+// matrix stream multiplies k interleaved vectors (X[j*k+v] is element j of
+// vector v). It is the multiple-vectors optimization (§2.1) applied to
+// whichever encoding was tuned — plain CSR, register-blocked,
+// block-coordinate, cache-blocked, or symmetric — so the paper's two
+// biggest bandwidth reductions (data-structure compression and multiple
+// vectors) combine in one sweep.
 //
 // Every encoding has one loop nest, and the scalar Kernel Compile returns
 // is its width-1 sweep. Lanes are independent and each lane accumulates
 // in the same order at every width, so lane v of a width-k sweep is
 // bitwise identical to the width-1 sweep — to the scalar kernel's MulAdd.
-// CSR-backed Wide kernels run MultiVec's own loop nest (csrMultiRows), so
-// at either index width their bits and their speed are MultiVec's;
+// CSR-backed Wide kernels run the one CSR loop nest (csrMultiRows, which
+// MulAddCSRRows runs over a row range) at either index width;
 // BCSR-backed ones run bcsrMultiRows, which sums each row in the same
 // order and so returns the same bits.
 type Wide interface {
@@ -200,7 +200,7 @@ func (w *wideSerial) sweep(y, x []float64) {
 	w.pads.Put(sc)
 }
 
-// wideCSR fuses k vectors over a CSR stream: MultiVec's loop nest
+// wideCSR fuses k vectors over a CSR stream: the CSR loop nest
 // (csrMultiRows) over all rows, at either index width.
 type wideCSR[I matrix.Index] struct {
 	m  *matrix.CSR[I]

@@ -48,9 +48,9 @@ func TestNewWideValidation(t *testing.T) {
 }
 
 // TestWideParallelExec checks the width-k view of a parallel kernel both
-// on its own goroutines and through an external executor, against
-// MultiVec bits, and with concurrent sweeps sharing the kernel (the
-// serving pattern).
+// on its own goroutines and through an external executor, against the
+// bits of the whole-matrix CSR view (NewWide), and with concurrent sweeps
+// sharing the kernel (the serving pattern).
 func TestWideParallelExec(t *testing.T) {
 	csr := wideTestCSR(t, 200, 180, 2500, 2)
 	part, err := partition.ByNNZ(csr.RowPtr, 3)
@@ -72,7 +72,7 @@ func TestWideParallelExec(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	mv, err := NewMultiVec(csr, width)
+	whole, err := NewWide(csr, width)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestWideParallelExec(t *testing.T) {
 		x[i] = rng.NormFloat64()
 	}
 	want := make([]float64, csr.R*width)
-	if err := mv.MulAddBlock(want, x); err != nil {
+	if err := whole.MulAddBlock(want, x); err != nil {
 		t.Fatal(err)
 	}
 
@@ -90,7 +90,7 @@ func TestWideParallelExec(t *testing.T) {
 		t.Helper()
 		for i := range got {
 			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-				t.Fatalf("%s: element %d not bitwise equal to MultiVec", name, i)
+				t.Fatalf("%s: element %d not bitwise equal to the whole-matrix view", name, i)
 			}
 		}
 	}

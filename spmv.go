@@ -185,26 +185,36 @@ type Operator struct {
 	baseline   int64
 	threads    int
 
-	// src points at the source matrix's entries so the CSR hooks (Multi,
-	// RowPartition) can rebuild CSR storage on first use, and a parallel
-	// operator's Traffic can model its whole-matrix source gather. The CSR
-	// itself is NOT retained eagerly: callers that never touch those hooks
-	// — a serving layer sweeps WideMulti views and models them with
-	// Traffic — hold the tuned encoding alone. nil for operators without a
-	// coordinate source (CompileSymmetric).
+	// src is the source matrix's entries as compiled: its slices are
+	// capped at their length, so a later Matrix.Set (which only appends)
+	// never shows through. The CSR hooks (Multi, RowPartition) rebuild CSR
+	// storage from it on first use unless the encoding is that CSR, and a
+	// parallel operator's Traffic models its whole-matrix source gather
+	// from it. nil for operators without a coordinate source
+	// (CompileSymmetric).
 	src *matrix.COO
 
 	multiMu sync.Mutex
-	lazyCSR *matrix.CSR32          // built on first hook use, then shared
-	multi   map[int]*MultiOperator // CSR-backed multi-RHS views, by width
-	wide    map[int]*MultiOperator // tuned-encoding multi-RHS views, by width
+	lazyCSR *matrix.CSR32              // built on first hook use, then shared
+	views   map[viewKey]*MultiOperator // multi-RHS views, by width and stream
 }
 
-// csrLocked returns (building if needed) the CSR32 backing the multi-RHS
-// hooks. multiMu must be held. The CSR snapshots the source matrix at
-// first use; mutating the Matrix after Compile is not supported for these
-// hooks (the compiled kernel would diverge from it anyway).
+// viewKey names a multi-RHS view: its width, and whether it streams the
+// canonical CSR32 (Multi) or the compiled encoding (WideMulti).
+type viewKey struct {
+	width int
+	csr   bool
+}
+
+// csrLocked returns the canonical CSR32 backing the CSR hooks: the
+// compiled encoding where it is that CSR (a serial whole-matrix CSR32 is
+// the tuner's input itself), else one built from src on first use and
+// kept. multiMu must be held. Only a hook builds it: keeping one on every
+// operator raised the benchmark workloads' peak RSS 1.05–1.25x.
 func (o *Operator) csrLocked() (*matrix.CSR32, error) {
+	if csr, ok := o.k.Format().(*matrix.CSR32); ok {
+		return csr, nil
+	}
 	if o.lazyCSR != nil {
 		return o.lazyCSR, nil
 	}
@@ -262,11 +272,13 @@ func compile(m *Matrix, opt TuneOptions, threads, numaNodes int) (*Operator, err
 			}
 		}
 	}
+	n := len(m.coo.Val)
 	op := &Operator{
 		rows: csr.R, cols: csr.C, nnz: csr.NNZ(),
 		baseline: csr.FootprintBytes(),
 		threads:  threads,
-		src:      m.coo,
+		src: &matrix.COO{R: csr.R, C: csr.C, RowIdx: m.coo.RowIdx[:n:n],
+			ColIdx: m.coo.ColIdx[:n:n], Val: m.coo.Val[:n:n]},
 	}
 	if threads == 1 {
 		res, err := tune.Tune(csr, opt)
@@ -343,46 +355,19 @@ func (o *Operator) Decisions() []Decision { return o.decisions }
 
 // Multi returns a width-k multi-RHS view of the operator: one call
 // multiplies k vectors while streaming the matrix once (§2.1's
-// multiple-vectors optimization). The backing CSR is built on first hook
-// use and views are cached per width, so a serving layer can request the
-// same width repeatedly at zero cost. Multi is safe for concurrent use,
-// as are the returned views. Symmetric operators return a view over the
-// parallel symmetric sweep, keeping the halved matrix stream.
-func (o *Operator) Multi(width int) (*MultiOperator, error) {
-	if width < 1 {
-		return nil, fmt.Errorf("spmv: need at least 1 vector, got %d", width)
-	}
-	o.multiMu.Lock()
-	defer o.multiMu.Unlock()
-	if mo, ok := o.multi[width]; ok {
-		return mo, nil
-	}
-	var w kernel.Wide
-	if sw, ok := o.k.(*kernel.SymSweep); ok {
-		w, _ = sw.Wide(width) // fails only for width < 1, refused above
-	} else {
-		csr, err := o.csrLocked()
-		if err != nil {
-			return nil, err
-		}
-		if w, err = kernel.NewMultiVec(csr, width); err != nil {
-			return nil, err
-		}
-	}
-	mo := &MultiOperator{w: w, rows: o.rows, cols: o.cols}
-	if o.multi == nil {
-		o.multi = make(map[int]*MultiOperator)
-	}
-	o.multi[width] = mo
-	return mo, nil
-}
+// multiple-vectors optimization). The view is kernel.NewWide over the
+// canonical CSR32 (see csrLocked), so it takes MulAddRows; a symmetric
+// operator's is its parallel symmetric sweep, keeping the halved matrix
+// stream. Views are cached per width — one view where WideMulti streams
+// the same storage — and, like Multi, safe for concurrent use.
+func (o *Operator) Multi(width int) (*MultiOperator, error) { return o.view(width, true) }
 
 // WideMulti returns a width-k multi-RHS view that streams the operator's
 // tuned encoding itself — register blocks, cache blocks, reduced indices
-// and all — instead of the plain CSR fallback Multi's views stream. It
-// combines the paper's two biggest bandwidth reductions (data-structure
-// compression, §4.2, and multiple vectors, §2.1) in one sweep: the fused
-// matrix stream shrinks by the tuner's footprint saving.
+// and all — instead of the plain CSR Multi's views stream. It combines the
+// paper's two biggest bandwidth reductions (data-structure compression,
+// §4.2, and multiple vectors, §2.1) in one sweep: the fused matrix stream
+// shrinks by the tuner's footprint saving.
 //
 // Bits: a wide view runs the loop nest MulAdd runs, so for every encoding
 // family lane v returns MulAdd's bits on vector v. Over plain CSR (any
@@ -395,33 +380,46 @@ func (o *Operator) Multi(width int) (*MultiOperator, error) {
 // multiplies its zero fill, so a non-finite x can spread NaN across a tile
 // row (the serving layer refuses such vectors). Views are cached per width
 // and safe for concurrent use.
-func (o *Operator) WideMulti(width int) (*MultiOperator, error) {
+func (o *Operator) WideMulti(width int) (*MultiOperator, error) { return o.view(width, false) }
+
+// view returns the cached width-k view over the canonical CSR32 (csr) or
+// the compiled encoding, building it on first use. Where the two are one
+// stream — a symmetric operator, or an encoding that is the canonical
+// CSR32 — both doors share one key, so one view.
+func (o *Operator) view(width int, csr bool) (*MultiOperator, error) {
 	if width < 1 {
 		return nil, fmt.Errorf("spmv: need at least 1 vector, got %d", width)
 	}
 	o.multiMu.Lock()
 	defer o.multiMu.Unlock()
-	if mo, ok := o.wide[width]; ok {
+	_, isCSR := o.k.Format().(*matrix.CSR32)
+	key := viewKey{width, csr && !o.Symmetric() || isCSR}
+	if mo, ok := o.views[key]; ok {
 		return mo, nil
 	}
-	var w kernel.Wide
+	mo := &MultiOperator{rows: o.rows, cols: o.cols}
 	var err error
-	switch k := o.k.(type) {
-	case *kernel.SymSweep:
-		w, err = k.Wide(width)
-	case *kernel.Parallel:
-		w, err = k.Wide(width)
-	default:
-		w, err = kernel.NewWide(k.Format(), width)
+	if key.csr {
+		if mo.csr, err = o.csrLocked(); err == nil {
+			mo.w, err = kernel.NewWide(mo.csr, width)
+		}
+	} else {
+		switch k := o.k.(type) {
+		case *kernel.SymSweep:
+			mo.w, err = k.Wide(width)
+		case *kernel.Parallel:
+			mo.w, err = k.Wide(width)
+		default:
+			mo.w, err = kernel.NewWide(k.Format(), width)
+		}
 	}
 	if err != nil {
 		return nil, err
 	}
-	mo := &MultiOperator{w: w, rows: o.rows, cols: o.cols}
-	if o.wide == nil {
-		o.wide = make(map[int]*MultiOperator)
+	if o.views == nil {
+		o.views = make(map[viewKey]*MultiOperator)
 	}
-	o.wide[width] = mo
+	o.views[key] = mo
 	return mo, nil
 }
 
@@ -590,12 +588,13 @@ func Symmetrize(m *Matrix) (*Matrix, error) {
 // MultiOperator multiplies a block of k vectors in one matrix sweep — the
 // multiple-vectors optimization (OSKI, §2.1), which raises the effective
 // flop:byte ratio by nearly k for bandwidth-bound SpMV. It is backed by
-// one width-k kernel: the CSR block kernel (Multi, CompileMulti), the
-// tuned encoding's wide view (WideMulti), or, for symmetric operators, the
-// parallel symmetric sweep (which streams the halved upper-triangle store
-// once for all k vectors).
+// one width-k kernel: kernel.NewWide over the canonical CSR32 (Multi,
+// CompileMulti) or over the tuned encoding (WideMulti), a parallel
+// operator's Parallel.Wide, or, for symmetric operators, SymSweep.Wide
+// (which streams the halved upper-triangle store once for all k vectors).
 type MultiOperator struct {
 	w          kernel.Wide
+	csr        *matrix.CSR32 // the canonical CSR w streams; nil for any other storage
 	rows, cols int
 }
 
@@ -605,11 +604,11 @@ func CompileMulti(m *Matrix, vectors int) (*MultiOperator, error) {
 	if err != nil {
 		return nil, err
 	}
-	mv, err := kernel.NewMultiVec(csr, vectors)
+	w, err := kernel.NewWide(csr, vectors)
 	if err != nil {
 		return nil, err
 	}
-	return &MultiOperator{w: mv, rows: csr.R, cols: csr.C}, nil
+	return &MultiOperator{w: w, csr: csr, rows: csr.R, cols: csr.C}, nil
 }
 
 // Vectors returns the block width k.
@@ -654,15 +653,14 @@ func (o *MultiOperator) MulAddBlockExec(yBlock, xBlock []float64, run func(tasks
 // MulAddRows computes rows [lo, hi) of Y ← Y + A·X over interleaved
 // blocks. Disjoint row ranges write disjoint regions of yBlock, so the
 // shards of one fused sweep (see Operator.RowPartition) run concurrently
-// without synchronization. Only Multi's CSR views take it: a symmetric
-// sweep scatters outside [lo, hi), and tuned wide views parallelize
-// internally — use MulAddBlock for both.
+// without synchronization. Only views over the canonical CSR32 take it
+// (Multi, CompileMulti): a symmetric sweep scatters outside [lo, hi), and
+// tuned wide views parallelize internally — use MulAddBlock for both.
 func (o *MultiOperator) MulAddRows(yBlock, xBlock []float64, lo, hi int) error {
-	mv, ok := o.w.(*kernel.MultiVec)
-	if !ok {
+	if o.csr == nil {
 		return fmt.Errorf("spmv: only Multi's CSR views can be row-sharded externally; use MulAddBlock")
 	}
-	return mv.MulAddRows(yBlock, xBlock, lo, hi)
+	return kernel.MulAddCSRRows(o.csr, o.w.Width(), yBlock, xBlock, lo, hi)
 }
 
 // Interleave packs k equal-length column vectors into the row-major block

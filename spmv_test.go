@@ -445,8 +445,75 @@ func TestReorderRCM(t *testing.T) {
 	}
 }
 
-// TestOperatorMultiRHSHooks covers the serving-layer hooks: cached Multi
-// views, nonzero-balanced RowPartition, sharded MulAddRows, and Traffic.
+// TestCompiledOperatorIgnoresLaterSet: an Operator is the matrix as
+// compiled. A Set after Compile reaches none of what the operator builds
+// from its source entries afterwards — Multi's CSR, RowPartition's counts,
+// a parallel operator's source-gather Traffic — at either thread count,
+// naive or tuned.
+func TestCompiledOperatorIgnoresLaterSet(t *testing.T) {
+	for _, threads := range []int{1, 2} {
+		for _, opt := range []spmv.TuneOptions{spmv.NaiveOptions(), spmv.DefaultTuneOptions()} {
+			m := spmv.NewMatrix(3, 24) // diag(1, 2, 3) in the first three columns
+			for i := 0; i < 3; i++ {
+				if err := m.Set(i, i, float64(i+1)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			op, err := spmv.CompileParallel(m, opt, threads, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			before, err := op.Traffic(spmv.TrafficOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Column 20 is on a cache line of x no compiled entry touches.
+			if err := m.Set(0, 20, 100); err != nil {
+				t.Fatal(err)
+			}
+			x := make([]float64, 24)
+			for i := range x {
+				x[i] = 1
+			}
+			want := make([]float64, 3)
+			if err := op.MulAdd(want, x); err != nil {
+				t.Fatal(err)
+			}
+			mo, err := op.Multi(1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := make([]float64, 3)
+			if err := mo.MulAddBlock(got, x); err != nil {
+				t.Fatal(err)
+			}
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Errorf("%s: Multi(1) = %v, MulAdd = %v", op.KernelName(), got, want)
+					break
+				}
+			}
+			parts, err := op.RowPartition(2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var nnz int64
+			for _, p := range parts {
+				nnz += p.NNZ
+			}
+			if nnz != op.NNZ() {
+				t.Errorf("%s: RowPartition counts %d nonzeros, NNZ() = %d", op.KernelName(), nnz, op.NNZ())
+			}
+			if after, err := op.Traffic(spmv.TrafficOptions{}); err != nil || after != before {
+				t.Errorf("%s: Traffic %+v after Set, %+v before (%v)", op.KernelName(), after, before, err)
+			}
+		}
+	}
+}
+
+// TestOperatorMultiRHSHooks covers the serving-layer hooks: one view cache
+// for Multi and WideMulti, nonzero-balanced RowPartition, sharded
+// MulAddRows, and Traffic.
 func TestOperatorMultiRHSHooks(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	m := buildRandom(t, rng, 120, 90, 1000)
@@ -472,6 +539,39 @@ func TestOperatorMultiRHSHooks(t *testing.T) {
 	}
 	if r, c := mo4a.Dims(); r != 120 || c != 90 {
 		t.Errorf("multi dims %dx%d", r, c)
+	}
+	// The tuned encoding is not the canonical CSR32: WideMulti is its own
+	// view and, parallelizing internally, refuses external row shards.
+	wmo, err := op.WideMulti(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wmo == mo4a || strings.HasPrefix(op.KernelName(), "csr32") {
+		t.Errorf("kernel %s: WideMulti(4) shares Multi(4)'s view", op.KernelName())
+	}
+	if err := wmo.MulAddRows(make([]float64, 480), make([]float64, 360), 0, 1); err == nil {
+		t.Error("MulAddRows on a tuned-encoding view accepted")
+	}
+
+	// A naive operator's encoding is the canonical CSR32: Multi and
+	// WideMulti are one view, and neither it nor RowPartition builds a
+	// CSR copy.
+	nop, err := spmv.Compile(m, spmv.NaiveOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	nmo, err := nop.Multi(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if nwmo, err := nop.WideMulti(4); err != nil || nwmo != nmo {
+		t.Errorf("naive WideMulti(4) = %p, %v; want Multi(4)'s view %p", nwmo, err, nmo)
+	}
+	if _, err := nop.RowPartition(4); err != nil {
+		t.Fatal(err)
+	}
+	if spmv.KeepsCSRCopy(nop) {
+		t.Error("Multi or RowPartition built a CSR copy of a CSR32-encoded operator")
 	}
 
 	// RowPartition tiles the rows and balances nonzeros.
@@ -551,6 +651,9 @@ func TestOperatorMultiRHSHooks(t *testing.T) {
 	smo, err := sop.Multi(2)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if swmo, err := sop.WideMulti(2); err != nil || swmo != smo {
+		t.Errorf("symmetric WideMulti(2) = %p, %v; want Multi(2)'s view %p", swmo, err, smo)
 	}
 	sys, err := smo.MulAll([][]float64{{1, 1, 1}, {2, 2, 2}})
 	if err != nil {
