@@ -3,6 +3,7 @@ package matrix
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"sort"
 )
@@ -80,9 +81,15 @@ func NewCSR[I Index](m *COO) (*CSR[I], error) {
 // NewCSR's row marks: a row whose columns arrived out of order.
 const unsortedRow = math.MaxUint32
 
-// fillByRow places m's entries row by row in arrival order, then sorts
-// each row last marks out of order by (column, arrival) keys. It reports
-// whether a sorted row holds a duplicate column.
+// radixMinRow is the shortest unsorted row fillByRow orders by radix
+// passes; a shorter row is sorted by (column, arrival) keys, which there
+// costs less than the passes' digit counts.
+const radixMinRow = 256
+
+// fillByRow places m's entries row by row in arrival order, then orders
+// each row last marks out of order by column, stably: equal columns keep
+// their arrival order. It reports whether a sorted row holds a duplicate
+// column.
 func (out *CSR[I]) fillByRow(m *COO, last []uint32) bool {
 	next := out.RowPtr[:m.R]
 	for k, r := range m.RowIdx {
@@ -96,27 +103,95 @@ func (out *CSR[I]) fillByRow(m *COO, last []uint32) bool {
 	out.RowPtr[0] = 0
 
 	dup := false
-	var keys []uint64
-	var vals []float64
+	var s rowSorter[I]
+	sigBits := bits.Len(uint(max(m.C, 1) - 1))
 	for r, p := range last {
 		if p != unsortedRow {
 			continue
 		}
 		lo, hi := out.RowPtr[r], out.RowPtr[r+1]
 		col, val := out.Col[lo:hi], out.Val[lo:hi]
-		keys = keys[:0]
-		for j, c := range col {
-			keys = append(keys, uint64(c)<<32|uint64(j))
+		if len(col) >= radixMinRow {
+			s.radixSort(col, val, sigBits)
+		} else {
+			s.keySort(col, val)
 		}
-		slices.Sort(keys)
-		vals = append(vals[:0], val...)
-		for j, key := range keys {
-			col[j] = I(key >> 32)
-			val[j] = vals[uint32(key)]
-			dup = dup || j > 0 && col[j] == col[j-1]
+		for j := 1; j < len(col) && !dup; j++ {
+			dup = col[j] == col[j-1]
 		}
 	}
 	return dup
+}
+
+// rowSorter orders one row's (column, value) pairs by column, stably. Its
+// buffers are reused from row to row.
+type rowSorter[I Index] struct {
+	keys  []uint64
+	count []int32
+	col   []I
+	val   []float64
+}
+
+// keySort sorts (column, arrival) keys, then gathers the values by the
+// arrival half of each key.
+func (s *rowSorter[I]) keySort(col []I, val []float64) {
+	s.keys = s.keys[:0]
+	for j, c := range col {
+		s.keys = append(s.keys, uint64(c)<<32|uint64(j))
+	}
+	slices.Sort(s.keys)
+	s.val = append(s.val[:0], val...)
+	for j, key := range s.keys {
+		col[j] = I(key >> 32)
+		val[j] = s.val[uint32(key)]
+	}
+}
+
+// maxRadixBits bounds the width of one radixSort digit.
+const maxRadixBits = 11
+
+// radixSort orders the pairs by least-significant-digit radix passes over
+// the low sigBits bits of the column (every column must fit them), as few
+// passes as digits of at most maxRadixBits take, skipping a digit every
+// column shares. Each pass is a counting scatter in the order the pairs
+// stand, so it is stable, and stable passes from the low digit up leave
+// equal columns in arrival order: the permutation keySort gives, so the
+// values later summed per column come in the same sequence.
+func (s *rowSorter[I]) radixSort(col []I, val []float64, sigBits int) {
+	n := len(col)
+	passes := max((sigBits+maxRadixBits-1)/maxRadixBits, 1)
+	width := (sigBits + passes - 1) / passes
+	mask := I(1<<width - 1)
+	s.count = slices.Grow(s.count[:0], 1<<width)[:1<<width]
+	s.col, s.val = slices.Grow(s.col[:0], n)[:n], slices.Grow(s.val[:0], n)[:n]
+	srcC, srcV, dstC, dstV := col, val, s.col, s.val
+	for shift := 0; shift < passes*width; shift += width {
+		// cnt[d] counts the columns whose digit is d, then becomes where
+		// the next of them goes.
+		cnt := s.count
+		clear(cnt)
+		for _, c := range srcC {
+			cnt[c>>shift&mask]++
+		}
+		if cnt[srcC[0]>>shift&mask] == int32(n) {
+			continue // every column has this digit: the pass keeps the order
+		}
+		sum := int32(0)
+		for d, k := range cnt {
+			cnt[d], sum = sum, sum+k
+		}
+		for j, c := range srcC {
+			d := c >> shift & mask
+			q := cnt[d]
+			cnt[d] = q + 1
+			dstC[q], dstV[q] = c, srcV[j]
+		}
+		srcC, srcV, dstC, dstV = dstC, dstV, srcC, srcV
+	}
+	if &srcC[0] != &col[0] {
+		copy(col, srcC)
+		copy(val, srcV)
+	}
 }
 
 // sumDuplicates folds each run of equal columns within a row into its

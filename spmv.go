@@ -36,6 +36,7 @@ import (
 	"fmt"
 	"io"
 	"sync"
+	"weak"
 
 	"repro/internal/gen"
 	"repro/internal/kernel"
@@ -50,7 +51,52 @@ import (
 // with NewMatrix/Set (or load it with ReadMatrixMarket), then Compile it
 // into an Operator for repeated multiplication.
 type Matrix struct {
-	coo *matrix.COO
+	coo   *matrix.COO
+	canon canonCache
+}
+
+// canonCache remembers a matrix's canonical CSR32 without keeping it
+// alive: the CSR lives only while an operator holds it (a naive operator's
+// encoding is that CSR, a Multi view keeps it), and every compile or CSR
+// hook that asks meanwhile shares it instead of building another. Set only
+// appends, so the entry count names the matrix state the CSR was built
+// from.
+type canonCache struct {
+	mu  sync.Mutex
+	csr weak.Pointer[matrix.CSR32]
+	n   int // entries csr was built from
+}
+
+// get returns the canonical CSR32 of src, the matrix's first len(src.Val)
+// entries: the cached one if it is still alive and was built from as many
+// entries, else a fresh build, which it then caches. The lock is held over
+// the build, so concurrent compiles of one matrix build it once.
+func (c *canonCache) get(src *matrix.COO) (*matrix.CSR32, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	n := len(src.Val)
+	if csr := c.csr.Value(); csr != nil && c.n == n {
+		return csr, nil
+	}
+	csr, err := matrix.NewCSR[uint32](src)
+	if err != nil {
+		return nil, err
+	}
+	c.csr, c.n = weak.Make(csr), n
+	return csr, nil
+}
+
+// canonical returns the matrix's canonical CSR32 — entries sorted by
+// (row, column), duplicates summed in arrival order — and the entries it
+// stands for, their slices capped at their length so that a later Set
+// (which only appends) never shows through. It is the one door every
+// compile and symmetry check canonicalizes through.
+func (m *Matrix) canonical() (*matrix.CSR32, *matrix.COO, error) {
+	n := len(m.coo.Val)
+	src := &matrix.COO{R: m.coo.R, C: m.coo.C, RowIdx: m.coo.RowIdx[:n:n],
+		ColIdx: m.coo.ColIdx[:n:n], Val: m.coo.Val[:n:n]}
+	csr, err := m.canon.get(src)
+	return csr, src, err
 }
 
 // NewMatrix creates an empty rows×cols matrix.
@@ -88,7 +134,7 @@ func (m *Matrix) Stats() MatrixStats { return m.coo.ComputeStats() }
 // family ends up serving the matrix. It canonicalizes the entries as
 // compile does and runs the one symmetry check, matrix.CSR.IsSymmetric.
 func (m *Matrix) IsSymmetric() bool {
-	csr, err := matrix.NewCSR[uint32](m.coo)
+	csr, _, err := m.canonical()
 	return err == nil && csr.IsSymmetric()
 }
 
@@ -187,15 +233,16 @@ type Operator struct {
 
 	// src is the source matrix's entries as compiled: its slices are
 	// capped at their length, so a later Matrix.Set (which only appends)
-	// never shows through. The CSR hooks (Multi, RowPartition) rebuild CSR
-	// storage from it on first use unless the encoding is that CSR, and a
-	// parallel operator's Traffic models its whole-matrix source gather
-	// from it. nil for operators without a coordinate source
+	// never shows through. The CSR hooks (Multi, RowPartition) take CSR
+	// storage from canon on first use unless the encoding is that CSR, and
+	// a parallel operator's Traffic models its whole-matrix source gather
+	// from src. Both are nil for operators without a coordinate source
 	// (CompileSymmetric).
-	src *matrix.COO
+	src   *matrix.COO
+	canon *canonCache // the source matrix's canonical-CSR cache
 
 	multiMu sync.Mutex
-	lazyCSR *matrix.CSR32              // built on first hook use, then shared
+	lazyCSR *matrix.CSR32              // taken on first hook use, then shared
 	views   map[viewKey]*MultiOperator // multi-RHS views, by width and stream
 }
 
@@ -208,9 +255,11 @@ type viewKey struct {
 
 // csrLocked returns the canonical CSR32 backing the CSR hooks: the
 // compiled encoding where it is that CSR (a serial whole-matrix CSR32 is
-// the tuner's input itself), else one built from src on first use and
-// kept. multiMu must be held. Only a hook builds it: keeping one on every
-// operator raised the benchmark workloads' peak RSS 1.05–1.25x.
+// the tuner's input itself), else, on first use, the source matrix's
+// cached one for the entries compiled (another operator's naive encoding,
+// say) or one built from src, and kept. multiMu must be held. Only a hook
+// takes it: keeping one on every operator raised the benchmark workloads'
+// peak RSS 1.05–1.25x.
 func (o *Operator) csrLocked() (*matrix.CSR32, error) {
 	if csr, ok := o.k.Format().(*matrix.CSR32); ok {
 		return csr, nil
@@ -221,7 +270,7 @@ func (o *Operator) csrLocked() (*matrix.CSR32, error) {
 	if o.src == nil {
 		return nil, fmt.Errorf("spmv: operator has no CSR backing")
 	}
-	csr, err := matrix.NewCSR[uint32](o.src)
+	csr, err := o.canon.get(o.src)
 	if err != nil {
 		return nil, err
 	}
@@ -249,14 +298,15 @@ func CompileParallel(m *Matrix, opt TuneOptions, threads, numaNodes int) (*Opera
 	return compile(m, opt, threads, numaNodes)
 }
 
-// compile canonicalizes the matrix once: the general plan and, under
+// compile canonicalizes the matrix once, or shares the CSR another compile
+// of the same entries built (m.canonical): the general plan and, under
 // opt.TrySymmetric, the upper-triangle store (matrix.SymFromCSR, the one
 // symmetry check) are built from that CSR. It is the §4.2 footprint rule
 // extended by one family — general wins ties. The general plan's
 // footprint comes from the tuner's closed forms (tune.Footprint), so only
 // the winning family is ever encoded.
 func compile(m *Matrix, opt TuneOptions, threads, numaNodes int) (*Operator, error) {
-	csr, err := matrix.NewCSR[uint32](m.coo)
+	csr, src, err := m.canonical()
 	if err != nil {
 		return nil, err
 	}
@@ -272,13 +322,12 @@ func compile(m *Matrix, opt TuneOptions, threads, numaNodes int) (*Operator, err
 			}
 		}
 	}
-	n := len(m.coo.Val)
 	op := &Operator{
 		rows: csr.R, cols: csr.C, nnz: csr.NNZ(),
 		baseline: csr.FootprintBytes(),
 		threads:  threads,
-		src: &matrix.COO{R: csr.R, C: csr.C, RowIdx: m.coo.RowIdx[:n:n],
-			ColIdx: m.coo.ColIdx[:n:n], Val: m.coo.Val[:n:n]},
+		src:      src,
+		canon:    &m.canon,
 	}
 	if threads == 1 {
 		res, err := tune.Tune(csr, opt)
@@ -520,7 +569,7 @@ func CompileSymmetricParallel(m *Matrix, threads int) (*Operator, error) {
 	if threads < 1 {
 		return nil, fmt.Errorf("spmv: threads must be >= 1, got %d", threads)
 	}
-	csr, err := matrix.NewCSR[uint32](m.coo)
+	csr, _, err := m.canonical()
 	if err != nil {
 		return nil, err
 	}
@@ -565,7 +614,7 @@ func Symmetrize(m *Matrix) (*Matrix, error) {
 	if rows != cols {
 		return nil, fmt.Errorf("spmv: Symmetrize needs a square matrix, got %dx%d", rows, cols)
 	}
-	csr, err := matrix.NewCSR[uint32](m.coo) // canonical: sorted, duplicates summed
+	csr, _, err := m.canonical() // sorted, duplicates summed
 	if err != nil {
 		return nil, err
 	}
@@ -600,7 +649,7 @@ type MultiOperator struct {
 
 // CompileMulti builds a k-vector operator over CSR storage.
 func CompileMulti(m *Matrix, vectors int) (*MultiOperator, error) {
-	csr, err := matrix.NewCSR[uint32](m.coo)
+	csr, _, err := m.canonical()
 	if err != nil {
 		return nil, err
 	}

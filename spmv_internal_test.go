@@ -4,12 +4,31 @@ import (
 	"testing"
 
 	"repro/internal/kernel"
+	"repro/internal/matrix"
 	"repro/internal/traffic"
 )
 
-// KeepsCSRCopy reports whether the operator holds a CSR32 built for its
-// CSR hooks, beside its encoding.
+// KeepsCSRCopy reports whether the operator holds a CSR32 for its CSR
+// hooks, beside its encoding.
 func KeepsCSRCopy(o *Operator) bool { return o.lazyCSR != nil }
+
+// CachedCSR returns the canonical CSR32 the matrix's cache still reaches,
+// or nil.
+func CachedCSR(m *Matrix) *matrix.CSR32 {
+	m.canon.mu.Lock()
+	defer m.canon.mu.Unlock()
+	return m.canon.csr.Value()
+}
+
+// EncodingCSR returns the operator's encoding where it is a CSR32, else
+// nil.
+func EncodingCSR(o *Operator) *matrix.CSR32 {
+	csr, _ := o.k.Format().(*matrix.CSR32)
+	return csr
+}
+
+// ViewCSR returns the canonical CSR32 a multi-RHS view streams, or nil.
+func ViewCSR(mo *MultiOperator) *matrix.CSR32 { return mo.csr }
 
 // TestParallelTrafficSumsParts: a parallel operator's Traffic is what its
 // sweeps stream — the sum of its parts' encodings, whose matrix stream is

@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"runtime"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -449,7 +452,8 @@ func TestReorderRCM(t *testing.T) {
 // compiled. A Set after Compile reaches none of what the operator builds
 // from its source entries afterwards — Multi's CSR, RowPartition's counts,
 // a parallel operator's source-gather Traffic — at either thread count,
-// naive or tuned.
+// naive or tuned, even while a later compile's canonical CSR of the grown
+// matrix is cached. That later compile sees the new entry.
 func TestCompiledOperatorIgnoresLaterSet(t *testing.T) {
 	for _, threads := range []int{1, 2} {
 		for _, opt := range []spmv.TuneOptions{spmv.NaiveOptions(), spmv.DefaultTuneOptions()} {
@@ -474,6 +478,30 @@ func TestCompiledOperatorIgnoresLaterSet(t *testing.T) {
 			x := make([]float64, 24)
 			for i := range x {
 				x[i] = 1
+			}
+			later, err := spmv.CompileParallel(m, opt, threads, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, c := range []struct {
+				op *spmv.Operator
+				y0 float64 // row 0 of A·1
+			}{{op, 1}, {later, 101}} {
+				lmo, err := c.op.Multi(1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				y, err := c.op.Mul(x)
+				if err != nil {
+					t.Fatal(err)
+				}
+				yb := make([]float64, 3)
+				if err := lmo.MulAddBlock(yb, x); err != nil {
+					t.Fatal(err)
+				}
+				if y[0] != c.y0 || yb[0] != c.y0 {
+					t.Errorf("%s: row 0 is %v (Mul), %v (Multi); want %v", c.op.KernelName(), y[0], yb[0], c.y0)
+				}
 			}
 			want := make([]float64, 3)
 			if err := op.MulAdd(want, x); err != nil {
@@ -509,6 +537,158 @@ func TestCompiledOperatorIgnoresLaterSet(t *testing.T) {
 			}
 		}
 	}
+}
+
+// copyMatrix rebuilds m entry by entry: the same entries in the same
+// order, in a Matrix that shares no cache with m.
+func copyMatrix(t testing.TB, m *spmv.Matrix) *spmv.Matrix {
+	t.Helper()
+	rows, cols := m.Dims()
+	c := spmv.NewMatrix(rows, cols)
+	m.Entries(func(i, j int, v float64) {
+		if err := c.Set(i, j, v); err != nil {
+			t.Fatal(err)
+		}
+	})
+	return c
+}
+
+// sweepBits returns the bits of A·x and of A·[x, 2x] through Multi(2),
+// the multi-RHS door that streams the canonical CSR.
+func sweepBits(op *spmv.Operator, x []float64) ([]uint64, error) {
+	y, err := op.Mul(x)
+	if err != nil {
+		return nil, err
+	}
+	mo, err := op.Multi(2)
+	if err != nil {
+		return nil, err
+	}
+	x2 := make([]float64, len(x))
+	for i, v := range x {
+		x2[i] = 2 * v
+	}
+	ys, err := mo.MulAll([][]float64{x, x2})
+	if err != nil {
+		return nil, err
+	}
+	var out []uint64
+	for _, v := range slices.Concat(y, ys[0], ys[1]) {
+		out = append(out, math.Float64bits(v))
+	}
+	return out, nil
+}
+
+// TestConcurrentCompilesShareOneCSR: eight goroutines compile one Matrix
+// at once, with mixed options and thread counts, and take its Multi view.
+// Each result matches, bit for bit, a compile of a fresh copy of the
+// matrix, which shares no canonical CSR with anything.
+func TestConcurrentCompilesShareOneCSR(t *testing.T) {
+	m, err := spmv.GenerateSuite("FEM/Cantilever", 0.02, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, cols := m.Dims()
+	rng := rand.New(rand.NewSource(3))
+	x := make([]float64, cols)
+	for i := range x {
+		x[i] = rng.NormFloat64()
+	}
+	sym := spmv.DefaultTuneOptions()
+	sym.TrySymmetric = true
+	opts := []spmv.TuneOptions{spmv.NaiveOptions(), spmv.DefaultTuneOptions(),
+		{RegisterBlock: true, MinBlockRows: 2, ReduceIndices: true}, sym}
+	const workers = 8
+	want := make([][]uint64, workers)
+	for g := range want {
+		op, err := spmv.CompileParallel(copyMatrix(t, m), opts[g%len(opts)], 1+g%3, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want[g], err = sweepBits(op, x); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	for g := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			op, err := spmv.CompileParallel(m, opts[g%len(opts)], 1+g%3, 1)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			got, err := sweepBits(op, x)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if !slices.Equal(got, want[g]) {
+				t.Errorf("worker %d (%s, %d threads): bits differ from a fresh copy's compile",
+					g, op.KernelName(), op.Threads())
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestCanonicalCSRHeldWeakly: the compiles and CSR hooks of one matrix
+// state share one canonical CSR, and nothing keeps it but an operator that
+// uses it. While a naive operator is alive, a tuned operator's Multi view
+// streams that operator's very encoding, as the library benchmark's
+// set-up order has it (naive, tuned, parallel, then Multi(4)). Once the
+// holders are gone and a collection has run, the cache holds nothing,
+// even while a tuned operator — which keeps no CSR — is alive.
+func TestCanonicalCSRHeldWeakly(t *testing.T) {
+	m, err := spmv.GenerateSuite("FEM/Cantilever", 0.02, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tuned := func() *spmv.Operator {
+		t.Helper()
+		op, err := spmv.Compile(m, spmv.DefaultTuneOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return op
+	}
+	func() {
+		naive, err := spmv.Compile(m, spmv.NaiveOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		enc := spmv.EncodingCSR(naive)
+		if enc == nil || spmv.CachedCSR(m) != enc {
+			t.Fatalf("naive encoding %p, cached CSR %p: want one CSR", enc, spmv.CachedCSR(m))
+		}
+		op := tuned()
+		if _, err := spmv.CompileParallel(m, spmv.DefaultTuneOptions(), 2, 1); err != nil {
+			t.Fatal(err)
+		}
+		runtime.GC() // the naive operator alone keeps the CSR alive
+		mo, err := op.Multi(4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if spmv.ViewCSR(mo) != enc {
+			t.Errorf("tuned Multi(4) streams %p, want the naive encoding %p", spmv.ViewCSR(mo), enc)
+		}
+		if m.IsSymmetric() || spmv.CachedCSR(m) != enc {
+			t.Error("IsSymmetric did not check the cached CSR")
+		}
+		runtime.KeepAlive(naive)
+	}()
+	runtime.GC()
+	if spmv.CachedCSR(m) != nil {
+		t.Error("the cache keeps the canonical CSR alive after its holders are gone")
+	}
+	op := tuned()
+	runtime.GC()
+	if spmv.CachedCSR(m) != nil {
+		t.Errorf("a %s operator keeps the canonical CSR alive", op.KernelName())
+	}
+	runtime.KeepAlive(op)
 }
 
 // TestOperatorMultiRHSHooks covers the serving-layer hooks: one view cache
