@@ -227,11 +227,15 @@ func BenchmarkKernelBCSR4x4_FEMCantilever(b *testing.B) {
 
 func BenchmarkKernelTuned_FEMCantilever(b *testing.B) {
 	k, y, x, fl := hostKernel(b, "FEM/Cantilever", func(c *matrix.CSR32) (matrix.Format, error) {
-		res, err := tune.Tune(c, tune.DefaultOptions())
+		plan, err := tune.NewPlan(c, tune.DefaultOptions(), 1)
 		if err != nil {
 			return nil, err
 		}
-		return res.Enc, nil
+		parts, err := plan.Encode(1)
+		if err != nil {
+			return nil, err
+		}
+		return parts[0].Enc, nil
 	})
 	benchMulAdd(b, k, y, x, fl)
 }
@@ -243,11 +247,15 @@ func BenchmarkKernelCSR_Webbase(b *testing.B) {
 
 func BenchmarkKernelTuned_Webbase(b *testing.B) {
 	k, y, x, fl := hostKernel(b, "webbase", func(c *matrix.CSR32) (matrix.Format, error) {
-		res, err := tune.Tune(c, tune.DefaultOptions())
+		plan, err := tune.NewPlan(c, tune.DefaultOptions(), 1)
 		if err != nil {
 			return nil, err
 		}
-		return res.Enc, nil
+		parts, err := plan.Encode(1)
+		if err != nil {
+			return nil, err
+		}
+		return parts[0].Enc, nil
 	})
 	benchMulAdd(b, k, y, x, fl)
 }

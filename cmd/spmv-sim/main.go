@@ -67,21 +67,26 @@ func main() {
 
 	run("CSR32 (naive)", csr)
 
-	rb, err := tune.Tune(csr, tune.Options{RegisterBlock: true, ReduceIndices: true, AllowBCOO: true})
-	if err != nil {
-		fatal(err)
+	encode := func(opt tune.Options) (*tune.Plan, matrix.Format) {
+		plan, err := tune.NewPlan(csr, opt, 1)
+		if err != nil {
+			fatal(err)
+		}
+		parts, err := plan.Encode(1)
+		if err != nil {
+			fatal(err)
+		}
+		return plan, parts[0].Enc
 	}
-	run("register blocked", rb.Enc)
+	_, rb := encode(tune.Options{RegisterBlock: true, ReduceIndices: true, AllowBCOO: true})
+	run("register blocked", rb)
 
-	full, err := tune.Tune(csr, tune.Options{
+	full, enc := encode(tune.Options{
 		RegisterBlock: true, ReduceIndices: true, AllowBCOO: true,
 		CacheBlock: true, CacheBudgetBytes: m.L2.Bytes / 2, LineBytes: m.L2.LineBytes,
 		TLBBlock: true, PageBytes: m.TLB.PageBytes, TLBEntries: m.TLB.L1Entries,
 	})
-	if err != nil {
-		fatal(err)
-	}
-	run("fully tuned (RB+CB+TLB)", full.Enc)
+	run("fully tuned (RB+CB+TLB)", enc)
 
 	fmt.Printf("\nfootprints: CSR32 %d B -> tuned %d B (%.1f%% saved, %d cache blocks)\n",
 		csr.FootprintBytes(), full.TotalFootprint, 100*full.Savings(), len(full.Decisions))

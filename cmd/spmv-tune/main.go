@@ -29,7 +29,7 @@ func main() {
 	noCB := flag.Bool("no-cb", false, "disable cache/TLB blocking")
 	no16 := flag.Bool("no-16bit", false, "disable 16-bit index reduction")
 	cacheKB := flag.Int64("cache-kb", 512, "cache budget for blocking (KiB)")
-	threads := flag.Int("threads", 1, "tune per-thread blocks for this many threads")
+	threads := flag.Int("threads", 1, "plan per-thread blocks for this many threads")
 	flag.Parse()
 
 	coo, err := load(*file, *name, *scale, *seed)
@@ -59,22 +59,20 @@ func main() {
 	fmt.Printf("matrix: %s  (%d x %d, %d nonzeros, %.1f nnz/row, %d empty rows)\n\n",
 		displayName(*file, *name), st.Rows, st.Cols, st.NNZ, st.NNZPerRow, st.EmptyRows)
 
-	if *threads > 1 {
-		_, results, err := tune.TuneParallel(csr, opt, *threads, 2)
-		if err != nil {
-			fatal(err)
-		}
-		for i, res := range results {
-			fmt.Printf("--- thread %d ---\n", i)
-			printResult(res)
-		}
-		return
-	}
-	res, err := tune.Tune(csr, opt)
+	plan, err := tune.NewPlan(csr, opt, *threads)
 	if err != nil {
 		fatal(err)
 	}
-	printResult(res)
+	if plan.Parts == nil {
+		printPlan(plan)
+		return
+	}
+	for i, part := range plan.Parts {
+		fmt.Printf("--- thread %d (rows %d-%d) ---\n", i, part.Range.Lo, part.Range.Hi)
+		printPlan(part)
+	}
+	fmt.Printf("--- all %d threads ---\n", len(plan.Parts))
+	printTotals(plan)
 }
 
 func load(file, name string, scale float64, seed int64) (*matrix.COO, error) {
@@ -96,29 +94,34 @@ func displayName(file, name string) string {
 	return name
 }
 
-func printResult(res *tune.Result) {
+func printPlan(p *tune.Plan) {
 	fmt.Printf("%-8s %-8s %-10s %-6s %-6s %10s %8s %6s\n",
 		"rowOff", "colOff", "size", "format", "shape", "footprint", "idx", "fill")
-	for _, d := range res.Decisions {
+	for _, d := range p.Decisions {
 		fmt.Printf("%-8d %-8d %-10s %-6s %-6s %10d %8d %6.2f\n",
 			d.RowOff, d.ColOff, fmt.Sprintf("%dx%d", d.Rows, d.Cols),
 			d.Format, d.Shape, d.Footprint, d.IndexBits, d.Fill)
 	}
-	fmt.Printf("\ntotal footprint : %d bytes (%.2f bytes/nonzero)\n",
-		res.TotalFootprint, bytesPerNNZ(res))
-	fmt.Printf("CSR32 baseline  : %d bytes\n", res.BaselineFootprint)
-	fmt.Printf("savings         : %.1f%%\n\n", 100*res.Savings())
+	fmt.Println()
+	printTotals(p)
 }
 
-func bytesPerNNZ(res *tune.Result) float64 {
+func printTotals(p *tune.Plan) {
+	fmt.Printf("total footprint : %d bytes (%.2f bytes/nonzero)\n",
+		p.TotalFootprint, bytesPerNNZ(p))
+	fmt.Printf("CSR32 baseline  : %d bytes\n", p.BaselineFootprint)
+	fmt.Printf("savings         : %.1f%%\n\n", 100*p.Savings())
+}
+
+func bytesPerNNZ(p *tune.Plan) float64 {
 	var nnz int64
-	for _, d := range res.Decisions {
+	for _, d := range p.Decisions {
 		nnz += d.NNZ
 	}
 	if nnz == 0 {
 		return 0
 	}
-	return float64(res.TotalFootprint) / float64(nnz)
+	return float64(p.TotalFootprint) / float64(nnz)
 }
 
 func fatal(err error) {

@@ -207,11 +207,15 @@ func (r *Runner) encodeSerial(csr *matrix.CSR32, topt tune.Options, level OptLev
 	if level <= LevelPF && topt.FixedColumnSpan == 0 {
 		return csr, nil // naive and PF use plain CSR32
 	}
-	res, err := tune.Tune(csr, topt)
+	plan, err := tune.NewPlan(csr, topt, 1)
 	if err != nil {
 		return nil, err
 	}
-	return res.Enc, nil
+	parts, err := plan.Encode(1)
+	if err != nil {
+		return nil, err
+	}
+	return parts[0].Enc, nil
 }
 
 // Median returns the median of a slice (NaN-free input assumed).

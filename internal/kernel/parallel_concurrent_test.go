@@ -34,7 +34,15 @@ func TestParallelConcurrentMulAdd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pk, _, err := tune.TuneParallel(csr, tune.DefaultOptions(), 2, 1)
+	plan, err := tune.NewPlan(csr, tune.DefaultOptions(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tuned, err := plan.Encode(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pk, err := kernel.NewParallel(csr.R, csr.C, tuned)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -304,8 +304,8 @@ func (m *CSR[I]) Validate() error {
 
 // CutBand cuts the rows [r0, r1) at the column edges e₀ < e₁ < … < eₖ
 // into the k blocks [eⱼ, eⱼ₊₁), each a CSR matrix with indices rebased to
-// its origin: the primitive that cache and TLB blocks and thread parts
-// are built from. Nonzeros left of e₀ or right of eₖ belong to no block. It
+// its origin: the primitive that cache and TLB blocks are built from.
+// Nonzeros left of e₀ or right of eₖ belong to no block. It
 // makes one pass over the band's nonzeros to find each one's block (a
 // row's columns ascend, so its block only moves right) and a second to
 // copy them, and writes each block's row pointers once.
@@ -359,6 +359,19 @@ func (m *CSR[I]) CutBand(r0, r1 int, edges []int) []*CSR[I] {
 		}
 	}
 	return out
+}
+
+// RowBand returns the rows [r0, r1) over every column, sharing the
+// receiver's column indices and values: only the row pointers are new.
+// Thread parts are planned from it, so a part costs no copy of its
+// nonzeros, and a part encoded as CSR32 streams the receiver's arrays.
+func (m *CSR[I]) RowBand(r0, r1 int) *CSR[I] {
+	lo, hi := m.RowPtr[r0], m.RowPtr[r1]
+	ptr := make([]int64, r1-r0+1)
+	for i := range ptr {
+		ptr[i] = m.RowPtr[r0+i] - lo
+	}
+	return &CSR[I]{R: r1 - r0, C: m.C, RowPtr: ptr, Col: m.Col[lo:hi:hi], Val: m.Val[lo:hi:hi]}
 }
 
 // Submatrix returns the block [r0,r1)×[c0,c1) with indices rebased to

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -197,6 +198,33 @@ func TestCSRSubmatrix(t *testing.T) {
 	}
 	if !cooEqual(sub, want) {
 		t.Error("submatrix extraction mismatch")
+	}
+}
+
+// TestCSRRowBand: a row band is the full-width Submatrix, entry for entry,
+// over the receiver's own nonzeros, and appending to it cannot write into
+// the rows after it.
+func TestCSRRowBand(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	csr, err := NewCSR[uint32](fillRandom(NewCOO(40, 60), rng, 400))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rr := range [][2]int{{0, 40}, {10, 30}, {39, 40}, {20, 20}} {
+		band, want := csr.RowBand(rr[0], rr[1]), csr.Submatrix(rr[0], rr[1], 0, csr.C)
+		if band.R != want.R || band.C != want.C || !slices.Equal(band.RowPtr, want.RowPtr) ||
+			!slices.Equal(band.Col, want.Col) || !slices.Equal(band.Val, want.Val) {
+			t.Fatalf("rows %v: band differs from the full-width submatrix", rr)
+		}
+		if err := band.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		if n := len(band.Val); n > 0 && &band.Val[0] != &csr.Val[csr.RowPtr[rr[0]]] {
+			t.Errorf("rows %v: band copied its values", rr)
+		}
+		if cap(band.Col) != len(band.Col) || cap(band.Val) != len(band.Val) {
+			t.Errorf("rows %v: band can grow into the next rows", rr)
+		}
 	}
 }
 

@@ -158,10 +158,14 @@ func TestCacheBlockingReducesSimulatedTraffic(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	res, err := tune.Tune(csr, tune.Options{
+	res, err := tune.NewPlan(csr, tune.Options{
 		RegisterBlock: true, ReduceIndices: true, AllowBCOO: true,
 		CacheBlock: true, CacheBudgetBytes: am.L2.Bytes / 2, LineBytes: 64,
-	})
+	}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parts, err := res.Encode(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +173,7 @@ func TestCacheBlockingReducesSimulatedTraffic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tuned, err := Run(hTuned, res.Enc)
+	tuned, err := Run(hTuned, parts[0].Enc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,9 +203,13 @@ func TestTLBBlockingReducesPageMisses(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	res, err := tune.Tune(csr, tune.Options{
+	res, err := tune.NewPlan(csr, tune.Options{
 		TLBBlock: true, PageBytes: am.TLB.PageBytes, TLBEntries: am.TLB.L1Entries,
-	})
+	}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parts, err := res.Encode(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +220,7 @@ func TestTLBBlockingReducesPageMisses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tuned, err := Run(hTuned, res.Enc)
+	tuned, err := Run(hTuned, parts[0].Enc)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,71 +7,40 @@ import (
 	"repro/internal/matrix"
 )
 
-// candidate is one (format, shape, index width) choice with its exact
-// footprint, computed without materializing the encoding.
-type candidate struct {
-	format    string // "CSR", "BCSR", "BCOO"
-	shape     matrix.BlockShape
-	indexBits int
-	footprint int64
-	stored    int64
-}
-
-// encodeBest runs the paper's one-pass footprint minimization over a
-// sub-matrix (local coordinates) and, when encode is set, materializes
-// only the winner; otherwise the encoding is nil and the decision carries
-// the enumeration's closed-form footprint.
-func encodeBest(csr *matrix.CSR32, opt Options, encode bool) (matrix.Format, Decision, error) {
-	nnz := csr.NNZ()
-
+// choose runs the paper's one-pass footprint minimization over a
+// sub-matrix (local coordinates): the first candidate with the smallest
+// closed-form footprint wins.
+func choose(csr *matrix.CSR32, opt Options) Decision {
 	cands := enumerate(csr, opt)
 	best := cands[0]
 	for _, c := range cands[1:] {
-		if c.footprint < best.footprint {
+		if c.Footprint < best.Footprint {
 			best = c
 		}
 	}
-	dec := Decision{
-		Rows: csr.R, Cols: csr.C, NNZ: nnz,
-		Format: best.format, Shape: best.shape, IndexBits: best.indexBits,
-		Footprint: best.footprint,
-	}
-	if nnz > 0 {
-		dec.Fill = float64(best.stored) / float64(nnz)
-	} else {
-		dec.Fill = 1
-	}
-	if !encode {
-		return nil, dec, nil
-	}
-
-	enc, err := materialize(csr, best)
-	if err != nil {
-		return nil, Decision{}, err
-	}
-	// The enumeration's closed-form footprint must agree with the encoded
-	// structure; a mismatch means the tuner's accounting is wrong.
-	if got := enc.FootprintBytes(); got != best.footprint {
-		return nil, Decision{}, fmt.Errorf(
-			"tune: footprint accounting mismatch for %s %v/%d: predicted %d, encoded %d",
-			best.format, best.shape, best.indexBits, best.footprint, got)
-	}
-	return enc, dec, nil
+	best.Rows, best.Cols, best.NNZ = csr.R, csr.C, csr.NNZ()
+	return best
 }
 
-// enumerate lists the allowed candidates with exact footprints.
-func enumerate(csr *matrix.CSR32, opt Options) []candidate {
+// enumerate lists the allowed (format, shape, index width) candidates
+// with exact footprints, computed without materializing the encodings.
+func enumerate(csr *matrix.CSR32, opt Options) []Decision {
 	nnz := csr.NNZ()
-	cands := []candidate{{
-		format: "CSR", shape: matrix.BlockShape{R: 1, C: 1}, indexBits: 32,
-		footprint: nnz*8 + nnz*4 + int64(csr.R+1)*8,
-		stored:    nnz,
+	fill := func(stored int64) float64 {
+		if nnz == 0 {
+			return 1
+		}
+		return float64(stored) / float64(nnz)
+	}
+	one := matrix.BlockShape{R: 1, C: 1}
+	cands := []Decision{{
+		Format: "CSR", Shape: one, IndexBits: 32,
+		Footprint: nnz*8 + nnz*4 + int64(csr.R+1)*8, Fill: 1,
 	}}
 	if opt.ReduceIndices && csr.C <= 1<<16 {
-		cands = append(cands, candidate{
-			format: "CSR", shape: matrix.BlockShape{R: 1, C: 1}, indexBits: 16,
-			footprint: nnz*8 + nnz*2 + int64(csr.R+1)*8,
-			stored:    nnz,
+		cands = append(cands, Decision{
+			Format: "CSR", Shape: one, IndexBits: 16,
+			Footprint: nnz*8 + nnz*2 + int64(csr.R+1)*8, Fill: 1,
 		})
 	}
 	if !opt.RegisterBlock {
@@ -99,16 +68,16 @@ func enumerate(csr *matrix.CSR32, opt Options) []candidate {
 		}
 		for _, w := range widths {
 			ib := int64(w / 8)
-			cands = append(cands, candidate{
-				format: "BCSR", shape: shape, indexBits: w,
-				footprint: stored*8 + tiles*ib + int64(brows+1)*8,
-				stored:    stored,
+			cands = append(cands, Decision{
+				Format: "BCSR", Shape: shape, IndexBits: w,
+				Footprint: stored*8 + tiles*ib + int64(brows+1)*8,
+				Fill:      fill(stored),
 			})
 			if opt.AllowBCOO {
-				cands = append(cands, candidate{
-					format: "BCOO", shape: shape, indexBits: w,
-					footprint: stored*8 + 2*tiles*ib,
-					stored:    stored,
+				cands = append(cands, Decision{
+					Format: "BCOO", Shape: shape, IndexBits: w,
+					Footprint: stored*8 + 2*tiles*ib,
+					Fill:      fill(stored),
 				})
 			}
 		}
@@ -149,25 +118,35 @@ func countTiles(csr *matrix.CSR32, height int) (tiles [3]int64) {
 	return tiles
 }
 
-// materialize encodes the winning candidate.
-func materialize(csr *matrix.CSR32, c candidate) (matrix.Format, error) {
-	switch c.format {
-	case "CSR":
-		if c.indexBits == 16 {
-			return matrix.NarrowCSR(csr)
-		}
-		return csr, nil
-	case "BCSR":
-		if c.indexBits == 16 {
-			return matrix.NewBCSR[uint16](csr, c.shape)
-		}
-		return matrix.NewBCSR[uint32](csr, c.shape)
-	case "BCOO":
-		if c.indexBits == 16 {
-			return matrix.NewBCOO[uint16](csr, c.shape)
-		}
-		return matrix.NewBCOO[uint32](csr, c.shape)
+// materialize encodes a block as its decision says. The enumeration's
+// closed-form footprint must agree with the encoded structure; a mismatch
+// means the tuner's accounting is wrong.
+func materialize(csr *matrix.CSR32, d Decision) (matrix.Format, error) {
+	var enc matrix.Format
+	var err error
+	switch {
+	case d.Format == "CSR" && d.IndexBits == 16:
+		enc, err = matrix.NarrowCSR(csr)
+	case d.Format == "CSR":
+		enc = csr
+	case d.Format == "BCSR" && d.IndexBits == 16:
+		enc, err = matrix.NewBCSR[uint16](csr, d.Shape)
+	case d.Format == "BCSR":
+		enc, err = matrix.NewBCSR[uint32](csr, d.Shape)
+	case d.Format == "BCOO" && d.IndexBits == 16:
+		enc, err = matrix.NewBCOO[uint16](csr, d.Shape)
+	case d.Format == "BCOO":
+		enc, err = matrix.NewBCOO[uint32](csr, d.Shape)
 	default:
-		return nil, fmt.Errorf("tune: unknown format %q", c.format)
+		return nil, fmt.Errorf("tune: unknown format %q", d.Format)
 	}
+	if err != nil {
+		return nil, err
+	}
+	if got := enc.FootprintBytes(); got != d.Footprint {
+		return nil, fmt.Errorf(
+			"tune: footprint accounting mismatch for %s %v/%d: predicted %d, encoded %d",
+			d.Format, d.Shape, d.IndexBits, d.Footprint, got)
+	}
+	return enc, nil
 }

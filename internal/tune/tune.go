@@ -18,9 +18,12 @@
 //     between the cache-row and cache-column subdivisions.
 //
 //   - Thread decomposition: row partitioning balanced by nonzeros with
-//     NUMA node assignment; every thread block is tuned independently, so
-//     one thread's blocks can be 4x1 BCSR/16 while another's are 1x4
-//     BCOO/32, exactly as the paper describes.
+//     NUMA node assignment; every thread block is tuned independently.
+//
+// Deciding and applying are two steps, as OSKI's oski_GetMatTransforms
+// and oski_ApplyMatTransforms are: NewPlan cuts and enumerates each block
+// once and returns the decisions with their exact footprints, and
+// Plan.Encode builds only the chosen encodings from the plan's cuts.
 package tune
 
 import (
@@ -79,11 +82,11 @@ type Options struct {
 	// TrySymmetric lets the compile path (spmv.Compile, CompileParallel)
 	// serve a square, numerically symmetric matrix from upper-triangle
 	// (SymCSR) storage when that footprint is strictly smaller than the
-	// plan Tune returns — the bandwidth-reduction extension the paper's
-	// conclusions recommend (§7) and OSKI implements — at any thread
-	// count. Tune itself never reads it: the choice is made once, on the
-	// whole matrix's canonical CSR, and recorded as a single "SymCSR"
-	// Decision.
+	// general plan's TotalFootprint — the bandwidth-reduction extension
+	// the paper's conclusions recommend (§7) and OSKI implements — at any
+	// thread count, encoding the plan only when it wins. NewPlan itself
+	// never reads it: the choice is made once, on the whole matrix's
+	// canonical CSR, and recorded as a single "SymCSR" Decision.
 	TrySymmetric bool
 }
 
@@ -117,86 +120,87 @@ type Decision struct {
 	Fill           float64 // stored/nnz
 }
 
-// Result is the tuner's output: the encoded matrix plus its decision log
-// and footprint accounting against the untuned baseline.
-type Result struct {
-	Enc            matrix.Format
+// Plan is the tuner's decision for one matrix, kept apart from its
+// encoding as OSKI keeps a tuning apart from applying it: NewPlan blocks
+// the matrix, cuts each block once and picks each block's encoding from
+// the enumeration's closed-form footprints; Encode materializes exactly
+// those choices.
+type Plan struct {
+	// Decisions is the per-cache-block log, thread part by thread part.
 	Decisions      []Decision
 	TotalFootprint int64
 	// BaselineFootprint is the footprint of plain CSR32, the reference
 	// the paper's 16-bytes-per-nonzero analysis starts from.
 	BaselineFootprint int64
+	// Range is the plan's rows: a thread part's, or the whole matrix's.
+	Range partition.Range
+	// Parts are the thread parts' plans in row order when the plan was
+	// made for more than one thread, else nil.
+	Parts []*Plan
+
+	cols  int
+	cuts  []*matrix.CSR32 // each decision's block, until Encode takes it
+	whole bool            // one unblocked block, encoded as is
 }
 
 // Savings returns 1 - tuned/baseline footprint (0 when nothing saved).
-func (r *Result) Savings() float64 {
-	if r.BaselineFootprint == 0 {
+func (p *Plan) Savings() float64 {
+	if p.BaselineFootprint == 0 {
 		return 0
 	}
-	s := 1 - float64(r.TotalFootprint)/float64(r.BaselineFootprint)
+	s := 1 - float64(p.TotalFootprint)/float64(p.BaselineFootprint)
 	if s < 0 {
 		return 0
 	}
 	return s
 }
 
-// Tune encodes a matrix according to the options, returning the composite
-// encoding and the per-block decision log.
-func Tune(csr *matrix.CSR32, opt Options) (*Result, error) {
-	return tune(csr, opt, true)
-}
-
-// Footprint returns the TotalFootprint of the plan Tune (threads == 1)
-// or TuneParallel would build, summed over the thread parts, from the
-// closed-form footprints of the enumeration: it encodes nothing.
-func Footprint(csr *matrix.CSR32, opt Options, threads int) (int64, error) {
-	var results []*Result
-	if threads <= 1 {
-		res, err := tune(csr, opt, false)
-		if err != nil {
-			return 0, err
-		}
-		results = []*Result{res}
-	} else {
-		var err error
-		if _, results, err = tuneParts(csr, opt, threads, false); err != nil {
-			return 0, err
-		}
-	}
-	var total int64
-	for _, res := range results {
-		total += res.TotalFootprint
-	}
-	return total, nil
-}
-
-// tune plans the blocking, picks each block's encoding and, when encode
-// is set, materializes it; otherwise Result.Enc is nil and the decisions
-// and footprints are the enumeration's closed forms.
-func tune(csr *matrix.CSR32, opt Options, encode bool) (*Result, error) {
+// NewPlan plans the matrix for the given thread count: for threads > 1
+// it partitions the rows by nonzeros and plans each part independently,
+// so one thread's blocks can be 4x1 BCSR/16 while another's are 1x4
+// BCOO/32, exactly as the paper describes. Nothing is encoded.
+func NewPlan(csr *matrix.CSR32, opt Options, threads int) (*Plan, error) {
 	normalize(&opt)
-	res := &Result{BaselineFootprint: csr.FootprintBytes()}
+	all := partition.Range{Hi: csr.R, NNZ: csr.NNZ()}
+	if threads <= 1 {
+		return plan(csr, opt, all)
+	}
+	part, err := partition.ByNNZ(csr.RowPtr, threads)
+	if err != nil {
+		return nil, err
+	}
+	p := &Plan{BaselineFootprint: csr.FootprintBytes(), Range: all, cols: csr.C}
+	for _, r := range part.Ranges {
+		pp, err := plan(csr.RowBand(r.Lo, r.Hi), opt, r)
+		if err != nil {
+			return nil, err
+		}
+		p.Parts = append(p.Parts, pp)
+		p.Decisions = append(p.Decisions, pp.Decisions...)
+		p.TotalFootprint += pp.TotalFootprint
+	}
+	return p, nil
+}
 
+// plan blocks one serial matrix (a thread part, in its own coordinates,
+// or the whole matrix), cuts each row band into its blocks at once and
+// picks each non-empty block's encoding.
+func plan(csr *matrix.CSR32, opt Options, r partition.Range) (*Plan, error) {
+	p := &Plan{BaselineFootprint: csr.FootprintBytes(), Range: r, cols: csr.C}
 	blocks, err := planBlocks(csr, opt)
 	if err != nil {
 		return nil, err
 	}
-
 	if len(blocks) == 1 && blocks[0] == (span{0, csr.R, 0, csr.C}) {
-		// No blocking: encode the whole matrix directly.
-		enc, dec, err := encodeBest(csr, opt, encode)
-		if err != nil {
-			return nil, err
-		}
-		res.Enc = enc
-		res.Decisions = []Decision{dec}
-		res.TotalFootprint = dec.Footprint
-		return res, nil
+		// No blocking: the whole matrix is the one block.
+		d := choose(csr, opt)
+		p.Decisions, p.cuts, p.whole = []Decision{d}, []*matrix.CSR32{csr}, true
+		p.TotalFootprint = d.Footprint
+		return p, nil
 	}
 
 	// Blocks come band by band, each band's spans tiling [0, C) left to
 	// right, so each band is cut into its blocks at once.
-	var cbs []matrix.CacheBlock
 	for lo := 0; lo < len(blocks); {
 		hi := lo + 1
 		for hi < len(blocks) && blocks[hi].r0 == blocks[lo].r0 {
@@ -209,72 +213,75 @@ func tune(csr *matrix.CSR32, opt Options, encode bool) (*Result, error) {
 		edges = append(edges, blocks[hi-1].c1)
 		subs := csr.CutBand(blocks[lo].r0, blocks[lo].r1, edges)
 		for j, b := range blocks[lo:hi] {
-			sub := subs[j]
-			subs[j] = nil // let the cut go once it is encoded
-			if sub.NNZ() == 0 {
+			if subs[j].NNZ() == 0 {
 				continue // empty cache blocks are simply not stored
 			}
-			enc, dec, err := encodeBest(sub, opt, encode)
-			if err != nil {
-				return nil, err
-			}
-			dec.RowOff, dec.ColOff = b.r0, b.c0
-			cbs = append(cbs, matrix.CacheBlock{
-				RowOff: b.r0, ColOff: b.c0,
-				Rows: b.r1 - b.r0, Cols: b.c1 - b.c0,
-				Enc: enc,
-			})
-			res.Decisions = append(res.Decisions, dec)
-			res.TotalFootprint += dec.Footprint + 32
+			d := choose(subs[j], opt)
+			d.RowOff, d.ColOff = b.r0, b.c0
+			p.Decisions = append(p.Decisions, d)
+			p.cuts = append(p.cuts, subs[j])
+			p.TotalFootprint += d.Footprint + 32
 		}
 		lo = hi
 	}
-	if !encode {
-		return res, nil
+	return p, nil
+}
+
+// Encode materializes the plan's decisions from the blocks NewPlan cut,
+// without cutting or enumerating again: one part per thread part, tagged
+// with its NUMA node as partition.AssignNUMA spreads the parts over
+// numaNodes, or a single part spanning every row for a serial plan, whose
+// encoding is the serial format. Each cut is let go once it is encoded,
+// so a plan encodes once.
+func (p *Plan) Encode(numaNodes int) ([]kernel.Part, error) {
+	plans := p.Parts
+	if plans == nil {
+		plans = []*Plan{p}
 	}
-	cb := matrix.NewCacheBlocked(csr.R, csr.C, cbs)
+	part := &partition.Partition{TotalRows: p.Range.Hi, Ranges: make([]partition.Range, len(plans))}
+	for i, pp := range plans {
+		part.Ranges[i] = pp.Range
+	}
+	partition.AssignNUMA(part, numaNodes)
+	parts := make([]kernel.Part, len(plans))
+	for i, pp := range plans {
+		enc, err := pp.encode()
+		if err != nil {
+			return nil, err
+		}
+		parts[i] = kernel.Part{Range: part.Ranges[i], Enc: enc}
+	}
+	return parts, nil
+}
+
+// encode materializes one serial plan: its one block as is, or its
+// blocks assembled into a cache-blocked matrix.
+func (p *Plan) encode() (matrix.Format, error) {
+	cbs := make([]matrix.CacheBlock, 0, len(p.cuts))
+	for i, d := range p.Decisions {
+		cut := p.cuts[i]
+		if cut == nil {
+			return nil, fmt.Errorf("tune: plan already encoded")
+		}
+		p.cuts[i] = nil // let the cut go once it is encoded
+		enc, err := materialize(cut, d)
+		if err != nil {
+			return nil, err
+		}
+		if p.whole {
+			return enc, nil
+		}
+		cbs = append(cbs, matrix.CacheBlock{
+			RowOff: d.RowOff, ColOff: d.ColOff,
+			Rows: d.Rows, Cols: d.Cols,
+			Enc: enc,
+		})
+	}
+	cb := matrix.NewCacheBlocked(p.Range.Rows(), p.cols, cbs)
 	if err := cb.Validate(); err != nil {
 		return nil, fmt.Errorf("tune: produced invalid blocking: %w", err)
 	}
-	res.Enc = cb
-	return res, nil
-}
-
-// TuneParallel partitions the matrix by nonzeros across threads, tunes each
-// thread block independently, and assembles the row-parallel kernel. NUMA
-// node assignment tags each part for the platform model.
-func TuneParallel(csr *matrix.CSR32, opt Options, threads, numaNodes int) (*kernel.Parallel, []*Result, error) {
-	part, results, err := tuneParts(csr, opt, threads, true)
-	if err != nil {
-		return nil, nil, err
-	}
-	partition.AssignNUMA(part, numaNodes)
-	parts := make([]kernel.Part, len(results))
-	for i, res := range results {
-		parts[i] = kernel.Part{Range: part.Ranges[i], Enc: res.Enc}
-	}
-	pk, err := kernel.NewParallel(csr.R, csr.C, parts)
-	if err != nil {
-		return nil, nil, err
-	}
-	return pk, results, nil
-}
-
-// tuneParts partitions the rows by nonzeros across threads and tunes each
-// part, encoding it only when encode is set: the one loop TuneParallel
-// and Footprint share.
-func tuneParts(csr *matrix.CSR32, opt Options, threads int, encode bool) (*partition.Partition, []*Result, error) {
-	part, err := partition.ByNNZ(csr.RowPtr, threads)
-	if err != nil {
-		return nil, nil, err
-	}
-	results := make([]*Result, len(part.Ranges))
-	for i, r := range part.Ranges {
-		if results[i], err = tune(csr.Submatrix(r.Lo, r.Hi, 0, csr.C), opt, encode); err != nil {
-			return nil, nil, err
-		}
-	}
-	return part, results, nil
+	return cb, nil
 }
 
 func normalize(opt *Options) {

@@ -35,11 +35,21 @@ func reference(m *matrix.COO, y, x []float64) {
 	}
 }
 
-// verify runs the tuned encoding through its kernel and checks against the
-// reference multiply.
-func verify(t *testing.T, res *Result, m *matrix.COO) {
+// encode encodes a serial plan, failing the test on an error.
+func encode(t *testing.T, p *Plan) matrix.Format {
 	t.Helper()
-	k, err := kernel.Compile(res.Enc)
+	parts, err := p.Encode(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return parts[0].Enc
+}
+
+// verify runs an encoding through its kernel and checks against the
+// reference multiply.
+func verify(t *testing.T, enc matrix.Format, m *matrix.COO) {
+	t.Helper()
+	k, err := kernel.Compile(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +75,7 @@ func TestTuneDisabledIsCSR32(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	m := fillRandom(matrix.NewCOO(50, 50), rng, 300)
 	csr, _ := matrix.NewCSR[uint32](m)
-	res, err := Tune(csr, Options{})
+	res, err := NewPlan(csr, Options{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +85,7 @@ func TestTuneDisabledIsCSR32(t *testing.T) {
 	if res.TotalFootprint != res.BaselineFootprint {
 		t.Errorf("footprint %d != baseline %d", res.TotalFootprint, res.BaselineFootprint)
 	}
-	verify(t, res, m)
+	verify(t, encode(t, res), m)
 }
 
 func TestTuneNeverWorseThanBaseline(t *testing.T) {
@@ -85,7 +95,7 @@ func TestTuneNeverWorseThanBaseline(t *testing.T) {
 		m := fillRandom(matrix.NewCOO(rows, cols), rng, rng.Intn(rows*cols+1))
 		csr, _ := matrix.NewCSR[uint32](m)
 		opt := Options{RegisterBlock: true, ReduceIndices: true, AllowBCOO: true}
-		res, err := Tune(csr, opt)
+		res, err := NewPlan(csr, opt, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -93,7 +103,7 @@ func TestTuneNeverWorseThanBaseline(t *testing.T) {
 			t.Errorf("trial %d: tuned footprint %d exceeds CSR32 %d",
 				trial, res.TotalFootprint, res.BaselineFootprint)
 		}
-		verify(t, res, m)
+		verify(t, encode(t, res), m)
 	}
 }
 
@@ -103,7 +113,7 @@ func TestTunePicksRegisterBlocksForFEM(t *testing.T) {
 		t.Fatal(err)
 	}
 	csr, _ := matrix.NewCSR[uint32](m)
-	res, err := Tune(csr, Options{RegisterBlock: true, ReduceIndices: true, AllowBCOO: true})
+	res, err := NewPlan(csr, Options{RegisterBlock: true, ReduceIndices: true, AllowBCOO: true}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +128,7 @@ func TestTunePicksRegisterBlocksForFEM(t *testing.T) {
 		t.Errorf("FEM savings %.2f, want >= 0.2 (paper: transformations can halve storage)",
 			res.Savings())
 	}
-	verify(t, res, m)
+	verify(t, encode(t, res), m)
 }
 
 func TestTuneKeepsCSRForScatter(t *testing.T) {
@@ -130,7 +140,7 @@ func TestTuneKeepsCSRForScatter(t *testing.T) {
 		t.Fatal(err)
 	}
 	csr, _ := matrix.NewCSR[uint32](m)
-	res, err := Tune(csr, Options{RegisterBlock: true, ReduceIndices: true, AllowBCOO: true})
+	res, err := NewPlan(csr, Options{RegisterBlock: true, ReduceIndices: true, AllowBCOO: true}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +148,7 @@ func TestTuneKeepsCSRForScatter(t *testing.T) {
 	if d.Fill > 1.6 {
 		t.Errorf("scatter matrix accepted fill %.2f", d.Fill)
 	}
-	verify(t, res, m)
+	verify(t, encode(t, res), m)
 }
 
 func TestTunePicksBCOOForEmptyRows(t *testing.T) {
@@ -150,14 +160,14 @@ func TestTunePicksBCOOForEmptyRows(t *testing.T) {
 		_ = m.Append(rng.Intn(32), rng.Intn(64), rng.NormFloat64()) // top rows only
 	}
 	csr, _ := matrix.NewCSR[uint32](m)
-	res, err := Tune(csr, Options{RegisterBlock: true, ReduceIndices: true, AllowBCOO: true})
+	res, err := NewPlan(csr, Options{RegisterBlock: true, ReduceIndices: true, AllowBCOO: true}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Decisions[0].Format != "BCOO" {
 		t.Errorf("empty-row matrix tuned to %s, want BCOO", res.Decisions[0].Format)
 	}
-	verify(t, res, m)
+	verify(t, encode(t, res), m)
 }
 
 func TestCacheBlockingProducesBlocksForWideMatrices(t *testing.T) {
@@ -171,18 +181,19 @@ func TestCacheBlockingProducesBlocksForWideMatrices(t *testing.T) {
 		RegisterBlock: true, ReduceIndices: true, AllowBCOO: true,
 		CacheBlock: true, CacheBudgetBytes: 64 << 10, LineBytes: 64,
 	}
-	res, err := Tune(csr, opt)
+	res, err := NewPlan(csr, opt, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Decisions) < 2 {
 		t.Fatalf("LP twin produced %d cache blocks, want several", len(res.Decisions))
 	}
-	verify(t, res, m)
+	enc := encode(t, res)
+	verify(t, enc, m)
 	// Mixed per-block decisions are allowed; all blocks must be in range.
-	cb, ok := res.Enc.(*matrix.CacheBlocked)
+	cb, ok := enc.(*matrix.CacheBlocked)
 	if !ok {
-		t.Fatalf("expected CacheBlocked, got %T", res.Enc)
+		t.Fatalf("expected CacheBlocked, got %T", enc)
 	}
 	if err := cb.Validate(); err != nil {
 		t.Error(err)
@@ -194,7 +205,7 @@ func TestCacheBlockingSkippedWhenVectorsFit(t *testing.T) {
 	m := fillRandom(matrix.NewCOO(100, 100), rng, 800)
 	csr, _ := matrix.NewCSR[uint32](m)
 	opt := Options{CacheBlock: true, CacheBudgetBytes: 1 << 20, LineBytes: 64}
-	res, err := Tune(csr, opt)
+	res, err := NewPlan(csr, opt, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,14 +221,14 @@ func TestTLBBlocking(t *testing.T) {
 	m := fillRandom(matrix.NewCOO(64, 1<<15), rng, 4000)
 	csr, _ := matrix.NewCSR[uint32](m)
 	opt := Options{TLBBlock: true, PageBytes: 4096, TLBEntries: 8}
-	res, err := Tune(csr, opt)
+	res, err := NewPlan(csr, opt, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Decisions) < 2 {
 		t.Errorf("TLB blocking produced %d blocks, want >= 2", len(res.Decisions))
 	}
-	verify(t, res, m)
+	verify(t, encode(t, res), m)
 }
 
 func TestTuneParallel(t *testing.T) {
@@ -226,10 +237,19 @@ func TestTuneParallel(t *testing.T) {
 		t.Fatal(err)
 	}
 	csr, _ := matrix.NewCSR[uint32](m)
-	pk, results, err := TuneParallel(csr, DefaultOptions(), 4, 2)
+	plan, err := NewPlan(csr, DefaultOptions(), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
+	parts, err := plan.Encode(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pk, err := kernel.NewParallel(csr.R, csr.C, parts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	results := plan.Parts
 	if pk.Threads() != 4 || len(results) != 4 {
 		t.Fatalf("threads %d, results %d", pk.Threads(), len(results))
 	}
@@ -270,7 +290,7 @@ func TestCountTilesMatchesMaterialized(t *testing.T) {
 }
 
 // Property: the tuner's predicted footprint always matches the encoded
-// footprint (encodeBest cross-checks internally and errors on mismatch),
+// footprint (materialize cross-checks internally and errors on mismatch),
 // and savings are in [0,1).
 func TestQuickTuneConsistency(t *testing.T) {
 	f := func(seed int64, flags uint8) bool {
@@ -286,7 +306,7 @@ func TestQuickTuneConsistency(t *testing.T) {
 			ReduceIndices: flags&2 != 0,
 			AllowBCOO:     flags&4 != 0,
 		}
-		res, err := Tune(csr, opt)
+		res, err := NewPlan(csr, opt, 1)
 		if err != nil {
 			return false
 		}
@@ -319,7 +339,7 @@ func TestDefaultOptionsSkipOneRowTiles(t *testing.T) {
 			t.Fatal(err)
 		}
 		csr, _ := matrix.NewCSR[uint32](m)
-		res, err := Tune(csr, DefaultOptions())
+		res, err := NewPlan(csr, DefaultOptions(), 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -329,14 +349,14 @@ func TestDefaultOptionsSkipOneRowTiles(t *testing.T) {
 					tc.name, tc.scale, i, d.Format, d.Shape, d.IndexBits, tc.format)
 			}
 		}
-		verify(t, res, m)
+		verify(t, encode(t, res), m)
 	}
 }
 
 // TestFootprintMatchesEncodedPlan: the closed-form footprint the compile
-// path compares against SymCSR is the TotalFootprint of the plan Tune and
-// TuneParallel encode — whole-matrix, cache-blocked and TLB-blocked plans,
-// serial and across thread parts.
+// path compares against SymCSR, the plan's TotalFootprint, is the
+// footprint of the encoding Encode builds from it — whole-matrix,
+// cache-blocked and TLB-blocked plans, serial and across thread parts.
 func TestFootprintMatchesEncodedPlan(t *testing.T) {
 	lp, err := gen.GenerateByName("LP", 0.02, 4)
 	if err != nil {
@@ -364,29 +384,53 @@ func TestFootprintMatchesEncodedPlan(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, threads := range []int{1, 3} {
-			var want int64
-			if threads == 1 {
-				res, err := Tune(csr, tc.opt)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want = res.TotalFootprint
-			} else {
-				_, results, err := TuneParallel(csr, tc.opt, threads, 1)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, r := range results {
-					want += r.TotalFootprint
-				}
-			}
-			got, err := Footprint(csr, tc.opt, threads)
+			plan, err := NewPlan(csr, tc.opt, threads)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got != want {
-				t.Errorf("%s threads=%d: Footprint %d, encoded plan %d", tc.name, threads, got, want)
+			parts, err := plan.Encode(1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want int64
+			for _, p := range parts {
+				want += p.Enc.FootprintBytes()
+			}
+			if got := plan.TotalFootprint; got != want {
+				t.Errorf("%s threads=%d: plan footprint %d, encoded %d", tc.name, threads, got, want)
 			}
 		}
+	}
+}
+
+// TestPlanEncodesOnce: Encode tags the thread parts with their NUMA nodes
+// over the plan's row ranges, and a plan whose cuts Encode has let go
+// refuses a second encoding instead of building from nothing.
+func TestPlanEncodesOnce(t *testing.T) {
+	m, err := gen.GenerateByName("LP", 0.02, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	csr, _ := matrix.NewCSR[uint32](m)
+	opt := DefaultOptions()
+	opt.CacheBudgetBytes = 64 << 10
+	plan, err := NewPlan(csr, opt, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parts, err := plan.Encode(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(parts) != len(plan.Parts) {
+		t.Fatalf("%d encoded parts, plan has %d", len(parts), len(plan.Parts))
+	}
+	for i, p := range parts {
+		if r := plan.Parts[i].Range; p.Range.Lo != r.Lo || p.Range.Hi != r.Hi || p.Range.Node != i*2/len(parts) {
+			t.Errorf("part %d: range %+v, plan %+v", i, p.Range, r)
+		}
+	}
+	if _, err := plan.Encode(2); err == nil {
+		t.Error("a second Encode succeeded")
 	}
 }

@@ -302,52 +302,43 @@ func CompileParallel(m *Matrix, opt TuneOptions, threads, numaNodes int) (*Opera
 // of the same entries built (m.canonical): the general plan and, under
 // opt.TrySymmetric, the upper-triangle store (matrix.SymFromCSR, the one
 // symmetry check) are built from that CSR. It is the §4.2 footprint rule
-// extended by one family — general wins ties. The general plan's
-// footprint comes from the tuner's closed forms (tune.Footprint), so only
-// the winning family is ever encoded.
+// extended by one family — general wins ties. The plan is made once and
+// encoded only when it wins, so only the winning family is ever built.
 func compile(m *Matrix, opt TuneOptions, threads, numaNodes int) (*Operator, error) {
 	csr, src, err := m.canonical()
 	if err != nil {
 		return nil, err
 	}
+	plan, err := tune.NewPlan(csr, opt, threads)
+	if err != nil {
+		return nil, err
+	}
 	if opt.TrySymmetric {
 		// nil unless square and numerically symmetric
-		if sym, _ := matrix.SymFromCSR(csr); sym != nil {
-			general, err := tune.Footprint(csr, opt, threads)
-			if err != nil {
-				return nil, err
-			}
-			if sym.FootprintBytes() < general {
-				return symmetricOperator(sym, csr.FootprintBytes(), threads)
-			}
+		if sym, _ := matrix.SymFromCSR(csr); sym != nil && sym.FootprintBytes() < plan.TotalFootprint {
+			return symmetricOperator(sym, csr.FootprintBytes(), threads)
 		}
+	}
+	parts, err := plan.Encode(numaNodes)
+	if err != nil {
+		return nil, err
 	}
 	op := &Operator{
 		rows: csr.R, cols: csr.C, nnz: csr.NNZ(),
-		baseline: csr.FootprintBytes(),
-		threads:  threads,
-		src:      src,
-		canon:    &m.canon,
+		baseline:  csr.FootprintBytes(),
+		footprint: plan.TotalFootprint,
+		decisions: plan.Decisions,
+		threads:   threads,
+		src:       src,
+		canon:     &m.canon,
 	}
 	if threads == 1 {
-		res, err := tune.Tune(csr, opt)
-		if err != nil {
-			return nil, err
-		}
-		if op.k, err = kernel.Compile(res.Enc); err != nil {
-			return nil, err
-		}
-		op.decisions, op.footprint = res.Decisions, res.TotalFootprint
+		op.k, err = kernel.Compile(parts[0].Enc)
 	} else {
-		pk, results, err := tune.TuneParallel(csr, opt, threads, numaNodes)
-		if err != nil {
-			return nil, err
-		}
-		op.k = pk
-		for _, r := range results {
-			op.decisions = append(op.decisions, r.Decisions...)
-			op.footprint += r.TotalFootprint
-		}
+		op.k, err = kernel.NewParallel(csr.R, csr.C, parts)
+	}
+	if err != nil {
+		return nil, err
 	}
 	return op, nil
 }

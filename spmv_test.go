@@ -1035,19 +1035,44 @@ func TestTrySymmetricPicksSymCSR(t *testing.T) {
 }
 
 // TestTrySymmetricSkipsAsymmetric: the option is a no-op for asymmetric
-// or rectangular matrices at every thread count — the general plan,
-// byte for byte and bit for bit.
+// or rectangular matrices, and for a symmetric one whose general plan is
+// smaller than its upper triangle, at every thread count — the general
+// plan, decision for decision, byte for byte and bit for bit.
 func TestTrySymmetricSkipsAsymmetric(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	opt := spmv.DefaultTuneOptions()
 	opt.TrySymmetric = true
-	for _, dims := range [][2]int{{300, 300}, {200, 400}} {
-		m := buildRandom(t, rng, dims[0], dims[1], 2000)
-		x := make([]float64, dims[1])
+	// Dense 4×4 diagonal blocks: symmetric, but BCSR 4×4/16 is smaller
+	// than the upper triangle, so the general plan wins and is encoded.
+	// 120 blocks split into 2 or 3 equal parts of whole blocks.
+	blocks := spmv.NewMatrix(480, 480)
+	for b := 0; b < 120; b++ {
+		for i := 0; i < 4; i++ {
+			for j := 0; j < 4; j++ {
+				v := 1.0
+				if i == j {
+					v = 4
+				}
+				if err := blocks.Set(4*b+i, 4*b+j, v); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	if !blocks.IsSymmetric() {
+		t.Fatal("block-diagonal matrix is not symmetric")
+	}
+	for _, m := range []*spmv.Matrix{
+		buildRandom(t, rng, 300, 300, 2000),
+		buildRandom(t, rng, 200, 400, 2000),
+		blocks,
+	} {
+		rows, cols := m.Dims()
+		x := make([]float64, cols)
 		for i := range x {
 			x[i] = rng.NormFloat64()
 		}
-		for _, threads := range []int{1, 2} {
+		for _, threads := range []int{1, 2, 3} {
 			op, err := spmv.CompileParallel(m, opt, threads, 1)
 			if err != nil {
 				t.Fatal(err)
@@ -1058,7 +1083,10 @@ func TestTrySymmetricSkipsAsymmetric(t *testing.T) {
 			}
 			if op.Symmetric() || op.KernelName() != general.KernelName() || op.FootprintBytes() != general.FootprintBytes() {
 				t.Fatalf("%dx%d threads=%d: symmetric=%v %s/%d B, want the general %s/%d B",
-					dims[0], dims[1], threads, op.Symmetric(), op.KernelName(), op.FootprintBytes(), general.KernelName(), general.FootprintBytes())
+					rows, cols, threads, op.Symmetric(), op.KernelName(), op.FootprintBytes(), general.KernelName(), general.FootprintBytes())
+			}
+			if !slices.Equal(op.Decisions(), general.Decisions()) {
+				t.Fatalf("%dx%d threads=%d: decisions %+v, general %+v", rows, cols, threads, op.Decisions(), general.Decisions())
 			}
 			got, err := op.Mul(x)
 			if err != nil {
@@ -1070,7 +1098,7 @@ func TestTrySymmetricSkipsAsymmetric(t *testing.T) {
 			}
 			for i := range got {
 				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-					t.Fatalf("%dx%d threads=%d row %d: %g, general %g", dims[0], dims[1], threads, i, got[i], want[i])
+					t.Fatalf("%dx%d threads=%d row %d: %g, general %g", rows, cols, threads, i, got[i], want[i])
 				}
 			}
 		}
