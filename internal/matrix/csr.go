@@ -302,22 +302,77 @@ func (m *CSR[I]) Validate() error {
 	return nil
 }
 
+// Packed is a CSR block that keeps row pointers for its non-empty rows
+// only: Start[k] is where row Rows[k] begins, and Start[len(Rows)] is the
+// nonzero count. A cache block of a wide, sparse band is mostly empty
+// rows, so a plan holding its blocks pays 12 bytes per non-empty row where
+// CSR pays 8 per row. Unpack builds the CSR.
+type Packed[I Index] struct {
+	R, C  int
+	Rows  []int32
+	Start []int64
+	Col   []I
+	Val   []float64
+}
+
+// NNZ returns the block's nonzero count.
+func (p *Packed[I]) NNZ() int64 { return int64(len(p.Val)) }
+
+// Unpack returns the block as CSR, sharing its column indices and values,
+// with its row pointers written into buf when it has room, else into a
+// new array: row i starts where the first non-empty row at or after it
+// does.
+func (p *Packed[I]) Unpack(buf []int64) *CSR[I] {
+	ptr := buf[:min(cap(buf), p.R+1)]
+	if len(ptr) < p.R+1 {
+		ptr = make([]int64, p.R+1)
+	}
+	k := 0
+	for i := range ptr {
+		for k < len(p.Rows) && int(p.Rows[k]) < i {
+			k++
+		}
+		ptr[i] = p.Start[k]
+	}
+	return &CSR[I]{R: p.R, C: p.C, RowPtr: ptr, Col: p.Col, Val: p.Val}
+}
+
+// Pack returns the matrix packed, sharing its column indices and values.
+func (m *CSR[I]) Pack() *Packed[I] {
+	n := 0
+	for i := 0; i < m.R; i++ {
+		if m.RowPtr[i+1] > m.RowPtr[i] {
+			n++
+		}
+	}
+	p := &Packed[I]{R: m.R, C: m.C, Rows: make([]int32, 0, n), Start: make([]int64, 0, n+1),
+		Col: m.Col, Val: m.Val}
+	for i := 0; i < m.R; i++ {
+		if m.RowPtr[i+1] > m.RowPtr[i] {
+			p.Rows, p.Start = append(p.Rows, int32(i)), append(p.Start, m.RowPtr[i])
+		}
+	}
+	p.Start = append(p.Start, m.RowPtr[m.R])
+	return p
+}
+
 // CutBand cuts the rows [r0, r1) at the column edges e₀ < e₁ < … < eₖ
-// into the k blocks [eⱼ, eⱼ₊₁), each a CSR matrix with indices rebased to
-// its origin: the primitive that cache and TLB blocks are built from.
+// into the k blocks [eⱼ, eⱼ₊₁), each packed with indices rebased to its
+// origin: the primitive that cache and TLB blocks are built from.
 // Nonzeros left of e₀ or right of eₖ belong to no block. It
 // makes one pass over the band's nonzeros to find each one's block (a
 // row's columns ascend, so its block only moves right) and a second to
-// copy them, and writes each block's row pointers once.
-func (m *CSR[I]) CutBand(r0, r1 int, edges []int) []*CSR[I] {
+// copy them, noting each block's non-empty rows as it reaches them.
+func (m *CSR[I]) CutBand(r0, r1 int, edges []int) []*Packed[I] {
 	rows, k := r1-r0, len(edges)-1
-	out := make([]*CSR[I], k)
+	out := make([]*Packed[I], k)
 	base := m.RowPtr[r0]
-	// block[p] is the block of the band's nonzero p, or k for none.
+	// block[p] is the block of the band's nonzero p, or k for none;
+	// nrows[j] counts block j's non-empty rows.
 	block := make([]int32, m.RowPtr[r1]-base)
-	count := make([]int64, k+1)
+	count, nrows := make([]int64, k+1), make([]int, k+1)
 	for i := r0; i < r1; i++ {
-		j := -1 // the block of the row's previous nonzero, if any
+		j, last := -1, -1 // the block of the row's previous nonzero, if any
 		for p := m.RowPtr[i]; p < m.RowPtr[i+1]; p++ {
 			c := int(m.Col[p])
 			if j < 0 || j == k || c >= edges[j+1] {
@@ -329,24 +384,29 @@ func (m *CSR[I]) CutBand(r0, r1 int, edges []int) []*CSR[I] {
 			}
 			block[p-base] = int32(b)
 			count[b]++
+			if b != last {
+				nrows[b]++
+				last = b
+			}
 		}
 	}
 	for j := range out {
-		out[j] = &CSR[I]{R: rows, C: edges[j+1] - edges[j], RowPtr: make([]int64, rows+1),
+		out[j] = &Packed[I]{R: rows, C: edges[j+1] - edges[j],
+			Rows: make([]int32, 0, nrows[j]), Start: make([]int64, 0, nrows[j]+1),
 			Col: make([]I, count[j]), Val: make([]float64, count[j])}
 	}
-	// pos[j] is where block j's next nonzero goes; filled[j] counts the
-	// rows whose start in block j is written.
-	pos, filled := make([]int64, k), make([]int, k)
+	pos := make([]int64, k) // where block j's next nonzero goes
 	for i := 0; i < rows; i++ {
 		lo, hi := m.RowPtr[r0+i]-base, m.RowPtr[r0+i+1]-base
+		last := -1
 		for p, j := range block[lo:hi] {
 			if int(j) == k {
 				continue
 			}
 			b, q := out[j], pos[j]
-			for ; filled[j] <= i; filled[j]++ {
-				b.RowPtr[filled[j]] = q
+			if int(j) != last {
+				b.Rows, b.Start = append(b.Rows, int32(i)), append(b.Start, q)
+				last = int(j)
 			}
 			b.Col[q] = m.Col[base+lo+int64(p)] - I(edges[j])
 			b.Val[q] = m.Val[base+lo+int64(p)]
@@ -354,9 +414,7 @@ func (m *CSR[I]) CutBand(r0, r1 int, edges []int) []*CSR[I] {
 		}
 	}
 	for j, b := range out {
-		for ; filled[j] <= rows; filled[j]++ {
-			b.RowPtr[filled[j]] = pos[j]
-		}
+		b.Start = append(b.Start, pos[j])
 	}
 	return out
 }
@@ -375,7 +433,7 @@ func (m *CSR[I]) RowBand(r0, r1 int) *CSR[I] {
 }
 
 // Submatrix returns the block [r0,r1)×[c0,c1) with indices rebased to
-// the block origin: CutBand with one block.
+// the block origin: CutBand with one block, unpacked.
 func (m *CSR[I]) Submatrix(r0, r1, c0, c1 int) *CSR[I] {
-	return m.CutBand(r0, r1, []int{c0, c1})[0]
+	return m.CutBand(r0, r1, []int{c0, c1})[0].Unpack(nil)
 }

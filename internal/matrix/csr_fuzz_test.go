@@ -174,7 +174,8 @@ func FuzzCanonicalCSR(f *testing.F) {
 			return
 		}
 		all := csr.ToCOO()
-		for j, blk := range csr.CutBand(r0, r1, edges) {
+		for j, packed := range csr.CutBand(r0, r1, edges) {
+			blk := packed.Unpack(nil)
 			c0, c1 := edges[j], edges[j+1]
 			if err := blk.Validate(); err != nil {
 				t.Fatalf("block %d: %v", j, err)

@@ -228,6 +228,60 @@ func TestCSRRowBand(t *testing.T) {
 	}
 }
 
+// TestCSRPackRoundTrip: a packed matrix keeps one start per non-empty
+// row, shares the nonzeros and unpacks to the same CSR — empty rows at
+// either end and in between, no nonzeros, no rows — and CutBand's blocks
+// are their unpacked selves packed.
+func TestCSRPackRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	csr, err := NewCSR[uint32](fillRandom(NewCOO(200, 300), rng, 150))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rr := range [][2]int{{0, 200}, {50, 60}, {100, 100}} {
+		for _, edges := range [][]int{{0, 300}, {0, 7, 150, 151, 300}, {299, 300}} {
+			for j, p := range csr.CutBand(rr[0], rr[1], edges) {
+				b := p.Unpack(nil)
+				if err := b.Validate(); err != nil {
+					t.Fatal(err)
+				}
+				q := b.Pack()
+				if q.R != p.R || q.C != p.C || !slices.Equal(q.Rows, p.Rows) || !slices.Equal(q.Start, p.Start) {
+					t.Fatalf("rows %v edges %v block %d: CutBand packed it differently", rr, edges, j)
+				}
+				nonEmpty := 0
+				for i := 0; i < b.R; i++ {
+					if b.RowPtr[i+1] > b.RowPtr[i] {
+						nonEmpty++
+					}
+				}
+				if len(q.Rows) != nonEmpty || len(q.Start) != nonEmpty+1 {
+					t.Errorf("rows %v edges %v block %d: %d rows kept for %d non-empty", rr, edges, j, len(q.Rows), nonEmpty)
+				}
+				if n := len(b.Val); n > 0 && &q.Val[0] != &b.Val[0] {
+					t.Errorf("rows %v edges %v block %d: Pack copied the values", rr, edges, j)
+				}
+				got := q.Unpack(nil)
+				if got.R != b.R || got.C != b.C || !slices.Equal(got.RowPtr, b.RowPtr) ||
+					!slices.Equal(got.Col, b.Col) || !slices.Equal(got.Val, b.Val) {
+					t.Fatalf("rows %v edges %v block %d: unpacked block differs", rr, edges, j)
+				}
+				// A buffer with room takes the row pointers; one without is left alone.
+				big, small := slices.Repeat([]int64{-1}, b.R+3), make([]int64, b.R)
+				if got := q.Unpack(big); &got.RowPtr[0] != &big[0] || !slices.Equal(got.RowPtr, b.RowPtr) {
+					t.Errorf("rows %v edges %v block %d: not unpacked into a buffer with room", rr, edges, j)
+				}
+				if got := q.Unpack(small); !slices.Equal(got.RowPtr, b.RowPtr) || slices.ContainsFunc(small, func(v int64) bool { return v != 0 }) {
+					t.Errorf("rows %v edges %v block %d: unpacked into a buffer without room", rr, edges, j)
+				}
+			}
+		}
+	}
+	if got := csr.RowBand(20, 30).Pack().Unpack(nil); !slices.Equal(got.RowPtr, csr.RowBand(20, 30).RowPtr) {
+		t.Error("a row band's row pointers do not survive packing")
+	}
+}
+
 func TestBCSRRoundTripAllShapes(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	m := fillRandom(NewCOO(37, 53), rng, 300) // deliberately non-multiple dims

@@ -7,25 +7,25 @@ import (
 	"repro/internal/matrix"
 )
 
-// choose runs the paper's one-pass footprint minimization over a
-// sub-matrix (local coordinates): the first candidate with the smallest
+// choose runs the paper's one-pass footprint minimization over a block
+// (packed, in local coordinates): the first candidate with the smallest
 // closed-form footprint wins.
-func choose(csr *matrix.CSR32, opt Options) Decision {
-	cands := enumerate(csr, opt)
+func choose(blk *matrix.Packed[uint32], opt Options) Decision {
+	cands := enumerate(blk, opt)
 	best := cands[0]
 	for _, c := range cands[1:] {
 		if c.Footprint < best.Footprint {
 			best = c
 		}
 	}
-	best.Rows, best.Cols, best.NNZ = csr.R, csr.C, csr.NNZ()
+	best.Rows, best.Cols, best.NNZ = blk.R, blk.C, blk.NNZ()
 	return best
 }
 
 // enumerate lists the allowed (format, shape, index width) candidates
 // with exact footprints, computed without materializing the encodings.
-func enumerate(csr *matrix.CSR32, opt Options) []Decision {
-	nnz := csr.NNZ()
+func enumerate(blk *matrix.Packed[uint32], opt Options) []Decision {
+	nnz := blk.NNZ()
 	fill := func(stored int64) float64 {
 		if nnz == 0 {
 			return 1
@@ -35,12 +35,12 @@ func enumerate(csr *matrix.CSR32, opt Options) []Decision {
 	one := matrix.BlockShape{R: 1, C: 1}
 	cands := []Decision{{
 		Format: "CSR", Shape: one, IndexBits: 32,
-		Footprint: nnz*8 + nnz*4 + int64(csr.R+1)*8, Fill: 1,
+		Footprint: nnz*8 + nnz*4 + int64(blk.R+1)*8, Fill: 1,
 	}}
-	if opt.ReduceIndices && csr.C <= 1<<16 {
+	if opt.ReduceIndices && blk.C <= 1<<16 {
 		cands = append(cands, Decision{
 			Format: "CSR", Shape: one, IndexBits: 16,
-			Footprint: nnz*8 + nnz*2 + int64(csr.R+1)*8, Fill: 1,
+			Footprint: nnz*8 + nnz*2 + int64(blk.R+1)*8, Fill: 1,
 		})
 	}
 	if !opt.RegisterBlock {
@@ -55,13 +55,13 @@ func enumerate(csr *matrix.CSR32, opt Options) []Decision {
 		tiles := nnz // a 1×1 tile per nonzero
 		if shape.Area() > 1 {
 			if !counted[shape.R] {
-				counts[shape.R], counted[shape.R] = countTiles(csr, shape.R), true
+				counts[shape.R], counted[shape.R] = countTiles(blk, shape.R), true
 			}
 			tiles = counts[shape.R][bits.TrailingZeros(uint(shape.C))]
 		}
 		stored := tiles * int64(shape.Area())
-		brows := (csr.R + shape.R - 1) / shape.R
-		bcols := (csr.C + shape.C - 1) / shape.C
+		brows := (blk.R + shape.R - 1) / shape.R
+		bcols := (blk.C + shape.C - 1) / shape.C
 		widths := []int{32}
 		if opt.ReduceIndices && bcols <= 1<<16 && brows <= 1<<16 {
 			widths = append(widths, 16)
@@ -88,18 +88,18 @@ func enumerate(csr *matrix.CSR32, opt Options) []Decision {
 // countTiles returns, for tiles of the given height (1, 2 or 4 rows), the
 // number of distinct aligned tiles of width 1, 2 and 4 that contain at
 // least one nonzero — the quantity behind the fill-ratio gamble. It is
-// the "one pass over the nonzeros" of §4.2, one pass per tile height: a
-// block row's nonzeros are contiguous in CSR, and a tile is new the first
-// time its tile column (col, col >> 1, col >> 2) is seen in the block row
-// (seen1, seen2 and seen4 hold the last block row, plus one, that touched
-// each tile column of that width).
-func countTiles(csr *matrix.CSR32, height int) (tiles [3]int64) {
-	seen1 := make([]int32, csr.C)
-	seen2 := make([]int32, (csr.C+1)/2)
-	seen4 := make([]int32, (csr.C+3)/4)
-	for br, r0 := int32(1), 0; r0 < csr.R; br, r0 = br+1, r0+height {
-		r1 := min(r0+height, csr.R)
-		for _, c := range csr.Col[csr.RowPtr[r0]:csr.RowPtr[r1]] {
+// the "one pass over the nonzeros" of §4.2, one pass per tile height,
+// row by non-empty row: a tile is new the first time its tile column
+// (col, col >> 1, col >> 2) is seen in the block row (seen1, seen2 and
+// seen4 hold the last block row, plus one, that touched each tile column
+// of that width).
+func countTiles(blk *matrix.Packed[uint32], height int) (tiles [3]int64) {
+	seen1 := make([]int32, blk.C)
+	seen2 := make([]int32, (blk.C+1)/2)
+	seen4 := make([]int32, (blk.C+3)/4)
+	for k, r := range blk.Rows {
+		br := r/int32(height) + 1
+		for _, c := range blk.Col[blk.Start[k]:blk.Start[k+1]] {
 			if seen1[c] == br {
 				continue // its ×2 and ×4 tiles are counted already
 			}

@@ -138,9 +138,10 @@ type Plan struct {
 	// made for more than one thread, else nil.
 	Parts []*Plan
 
-	cols  int
-	cuts  []*matrix.CSR32 // each decision's block, until Encode takes it
-	whole bool            // one unblocked block, encoded as is
+	cols    int
+	whole   *matrix.CSR32            // an unblocked plan's one block, encoded as is
+	cuts    []*matrix.Packed[uint32] // a blocked plan's blocks, until Encode takes them
+	encoded bool
 }
 
 // Savings returns 1 - tuned/baseline footprint (0 when nothing saved).
@@ -193,8 +194,8 @@ func plan(csr *matrix.CSR32, opt Options, r partition.Range) (*Plan, error) {
 	}
 	if len(blocks) == 1 && blocks[0] == (span{0, csr.R, 0, csr.C}) {
 		// No blocking: the whole matrix is the one block.
-		d := choose(csr, opt)
-		p.Decisions, p.cuts, p.whole = []Decision{d}, []*matrix.CSR32{csr}, true
+		d := choose(csr.Pack(), opt)
+		p.Decisions, p.whole = []Decision{d}, csr
 		p.TotalFootprint = d.Footprint
 		return p, nil
 	}
@@ -255,21 +256,33 @@ func (p *Plan) Encode(numaNodes int) ([]kernel.Part, error) {
 }
 
 // encode materializes one serial plan: its one block as is, or its
-// blocks assembled into a cache-blocked matrix.
+// blocks assembled into a cache-blocked matrix. A block is unpacked only
+// to be encoded; BCOO and BCSR with tiles over 1×1 copy what they need
+// of its row pointers, so those blocks unpack into one reused array,
+// while CSR and 1×1 BCSR keep theirs (DESIGN §2).
 func (p *Plan) encode() (matrix.Format, error) {
+	if p.encoded {
+		return nil, fmt.Errorf("tune: plan already encoded")
+	}
+	p.encoded = true
+	if csr := p.whole; csr != nil {
+		p.whole = nil
+		return materialize(csr, p.Decisions[0])
+	}
+	var scratch []int64
 	cbs := make([]matrix.CacheBlock, 0, len(p.cuts))
 	for i, d := range p.Decisions {
-		cut := p.cuts[i]
-		if cut == nil {
-			return nil, fmt.Errorf("tune: plan already encoded")
+		var csr *matrix.CSR32
+		if d.Format == "BCOO" || d.Format == "BCSR" && d.Shape.Area() > 1 {
+			csr = p.cuts[i].Unpack(scratch)
+			scratch = csr.RowPtr
+		} else {
+			csr = p.cuts[i].Unpack(nil)
 		}
 		p.cuts[i] = nil // let the cut go once it is encoded
-		enc, err := materialize(cut, d)
+		enc, err := materialize(csr, d)
 		if err != nil {
 			return nil, err
-		}
-		if p.whole {
-			return enc, nil
 		}
 		cbs = append(cbs, matrix.CacheBlock{
 			RowOff: d.RowOff, ColOff: d.ColOff,

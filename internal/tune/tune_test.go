@@ -212,6 +212,7 @@ func TestCacheBlockingSkippedWhenVectorsFit(t *testing.T) {
 	if len(res.Decisions) != 1 {
 		t.Errorf("small matrix cache-blocked into %d blocks", len(res.Decisions))
 	}
+	verify(t, encode(t, res), m)
 }
 
 func TestTLBBlocking(t *testing.T) {
@@ -282,7 +283,7 @@ func TestCountTilesMatchesMaterialized(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := countTiles(csr, shape.R)[bits.TrailingZeros(uint(shape.C))]; got != want.Blocks() {
+			if got := countTiles(csr.Pack(), shape.R)[bits.TrailingZeros(uint(shape.C))]; got != want.Blocks() {
 				t.Errorf("countTiles %v = %d, materialized %d", shape, got, want.Blocks())
 			}
 		}
@@ -290,7 +291,7 @@ func TestCountTilesMatchesMaterialized(t *testing.T) {
 }
 
 // Property: the tuner's predicted footprint always matches the encoded
-// footprint (materialize cross-checks internally and errors on mismatch),
+// footprint (Encode's materialize cross-checks it and errors on mismatch),
 // and savings are in [0,1).
 func TestQuickTuneConsistency(t *testing.T) {
 	f := func(seed int64, flags uint8) bool {
@@ -308,6 +309,9 @@ func TestQuickTuneConsistency(t *testing.T) {
 		}
 		res, err := NewPlan(csr, opt, 1)
 		if err != nil {
+			return false
+		}
+		if _, err := res.Encode(1); err != nil {
 			return false
 		}
 		return res.Savings() >= 0 && res.Savings() < 1 &&
